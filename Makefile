@@ -1,6 +1,6 @@
 # Developer entry points for the privacy-aware LBS reproduction.
 
-.PHONY: install test conformance bench bench-smoke bench-batch bench-cloak bench-planner bench-obs-loop bench-recovery bench-history test-crash serve-smoke examples experiments report clean
+.PHONY: install test test-explore conformance bench bench-pipeline bench-pipeline-smoke bench-smoke bench-batch bench-cloak bench-planner bench-obs-loop bench-recovery bench-history test-crash serve-smoke examples experiments report clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -8,11 +8,26 @@ install:
 test:
 	pytest tests/ -q
 
+# `make test` replays the same hypothesis examples every run (the tier1
+# profile in tests/conftest.py).  This target draws fresh random ones;
+# commit any failure it prints back as an @example on the failing test.
+test-explore:
+	pytest tests/property tests/crash/test_prop_recovery.py -q --hypothesis-profile=explore
+
 bench:
 	pytest benchmarks/ --benchmark-only -q
 
 bench-smoke:
 	pytest benchmarks -q -k smoke
+
+# The one measured pipeline (bench/README.md): every workload of
+# BENCHMARK.json, untraced then traced; the smoke form runs the harness's
+# own tests and all workloads at 1/10 size.
+bench-pipeline:
+	python3 bench/run.py --all
+
+bench-pipeline-smoke:
+	pytest bench -q && python3 bench/run.py --smoke
 
 bench-batch:
 	pytest benchmarks -q -k bench_batch

@@ -21,6 +21,8 @@ paper's "avoid location tracking" related-work category gestures at.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Hashable
 
@@ -50,6 +52,39 @@ from repro.queries.private_range import PrivateRangeResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cloak import BulkCloakOutcome
+
+
+#: Tracked objects a bulk round must leave behind (about 2.5 per user)
+#: before it runs the full collector pass itself; smaller rounds leave
+#: the collector's own schedule alone.
+_FULL_PASS_DUE = 32_768
+
+
+@contextmanager
+def _collector_held():
+    """Hold the cyclic garbage collector across one bulk round.
+
+    A round creates a few tracked records per user in one burst and none
+    of them is garbage before it ends, so the hundreds of young passes
+    the allocation thresholds would trigger find nothing.  On a large
+    population the survivors are over a quarter of the heap, CPython's
+    own trigger for a full-heap pass, and only that pass frees what the
+    round retired when the server repacked its R-tree (parent pointers
+    make the old tree a cycle).  Left to the thresholds, the full pass
+    fires at whatever allocation trips it: one tick pays it, the next
+    does not or pays twice, or it stalls a query batch.  Run here, it
+    costs every round the same and no other call anything.
+    """
+    if not gc.isenabled():  # the caller schedules the collector itself
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        if gc.get_count()[0] >= _FULL_PASS_DUE:
+            gc.collect()
 
 
 @dataclass
@@ -329,7 +364,7 @@ class LocationAnonymizer:
 
         # One batch correlation id per bulk round; reused when the system
         # front door already opened one (repro.obs.correlate).
-        with self.telemetry.correlate("b", reuse=True):
+        with self.telemetry.correlate("b", reuse=True), _collector_held():
             with self.telemetry.span(
                 "anonymizer.publish_bulk", algo=self.cloaker.name
             ):

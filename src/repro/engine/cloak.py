@@ -12,11 +12,16 @@ counterpart of the read-side batch kernels in :mod:`repro.engine.kernels`:
   Satisfaction ``count >= k and area >= A_min`` is monotone along a cell
   column, so each user's chosen level is just the per-column count of
   satisfied levels, no search loop at all.
-* **Grid kernel** — one ``bincount`` builds cell occupancy, 2-D prefix
-  sums turn :meth:`GridIndex.block_count` into O(1) lookups, and the
-  greedy line-annexation loop of :class:`GridCloaker` runs once per
-  *unique* ``(cell, k, A_min)`` group instead of once per user, with the
-  exact scalar tie-break order preserved.
+* **Grid kernel** — one ``bincount`` builds cell occupancy and 2-D prefix
+  sums turn :meth:`GridIndex.block_count` into O(1) lookups.  The greedy
+  line annexation of :class:`GridCloaker` picks its direction from the
+  current block alone, so it runs once per occupied *start cell*: every
+  ``(k, A_min)`` starting there stops on that cell's one chain of nested
+  blocks (exact scalar tie-break order preserved), and count and area
+  only grow along it.  Inclusive user counts of the distinct final
+  blocks come from a second prefix sum; only points exactly on a
+  gridline take the dense window test.  Work is linear in the
+  population, not population x requirements.
 
 Both kernels replicate the scalar cloakers' IEEE operation sequence for
 cell assignment, cell geometry and the final inclusive user count, so the
@@ -150,10 +155,10 @@ def bulk_cloak(
             )
             cloaker.stats.cloaks += len(cloak_ids)
             for user_id, requirement, region, count in zip(
-                cloak_ids, cloak_reqs, regions, counts
+                cloak_ids, cloak_reqs, regions, counts.tolist()
             ):
                 results[user_id] = CloakResult(
-                    region=region, user_count=int(count), requirement=requirement
+                    region=region, user_count=count, requirement=requirement
                 )
         else:
             for user_id, requirement, effective in zip(cloak_ids, cloak_reqs, k_eff):
@@ -356,22 +361,39 @@ def _pyramid_bulk(
     return regions, user_counts
 
 
+def _cell_prefix(cell_rows: np.ndarray, cell_cols: np.ndarray, grid) -> np.ndarray:
+    """2-D prefix sum of a cell histogram: block counts become O(1)."""
+    occupancy = np.bincount(
+        cell_rows * grid.cols + cell_cols, minlength=grid.rows * grid.cols
+    ).reshape(grid.rows, grid.cols)
+    prefix = np.zeros((grid.rows + 1, grid.cols + 1), dtype=np.int64)
+    prefix[1:, 1:] = occupancy.cumsum(axis=0).cumsum(axis=1)
+    return prefix
+
+
 def _grid_bulk(
     cloaker: GridCloaker,
     rows: np.ndarray,
     ks: np.ndarray,
     min_areas: np.ndarray,
 ) -> tuple[list[Rect], np.ndarray]:
-    """Whole-population grid cloaking: prefix-sum counts + per-group greedy.
+    """Whole-population grid cloaking: one expansion chain per start cell.
 
-    The scalar region depends only on ``(start cell, k, A_min)``, so the
-    greedy annexation loop runs once per unique group; block counts come
-    from a 2-D prefix sum (O(1) per probe instead of a Python cell scan)
-    while block geometry still goes through ``grid.block_rect`` for exact
-    float equality.  Final user counts use the same inclusive boundary
-    test as ``Cloaker.count_in`` — cell occupancy cannot stand in for it,
-    because a user exactly on a cell edge is assigned to one cell but
-    geometrically inside both neighbouring blocks.
+    The greedy annexation picks its direction from the current block
+    alone, so every ``(k, A_min)`` starting in a cell walks the same
+    nested chain B0 < B1 < ... and stops at the first block with
+    ``count >= k and area >= A_min``.  Count and area never shrink along
+    the chain, so the chain built for the cell's largest ``k`` and
+    largest ``A_min`` holds every requirement's stop; each user replays
+    the scalar loop condition along it.  Work is O(N + cells * chain).
+
+    Final user counts use ``Cloaker.count_in``'s inclusive test.  Points
+    on no gridline are inside a block exactly when their geometric cell
+    is (classified against the very floats ``cell_rect`` produces), so a
+    second prefix sum counts them; only points lying exactly on a
+    gridline or beyond the last one go through the dense window test --
+    such a point is inside both neighbouring blocks, whichever cell it
+    was assigned to.
     """
     grid = cloaker.spatial_index()
     bounds = cloaker.bounds
@@ -381,70 +403,88 @@ def _grid_bulk(
     xs, ys = cloaker.snapshot_arrays()
     col_all = np.minimum(((xs - bounds.min_x) / cell_w).astype(np.int64), cols - 1)
     row_all = np.minimum(((ys - bounds.min_y) / cell_h).astype(np.int64), grows - 1)
-    occupancy = np.bincount(
-        row_all * cols + col_all, minlength=grows * cols
-    ).reshape(grows, cols)
-    prefix = np.zeros((grows + 1, cols + 1), dtype=np.int64)
-    prefix[1:, 1:] = occupancy.cumsum(axis=0).cumsum(axis=1)
+    prefix = _cell_prefix(row_all, col_all, grid).tolist()
 
     def block_count(c0: int, r0: int, c1: int, r1: int) -> int:
-        return int(
-            prefix[r1 + 1, c1 + 1]
-            - prefix[r0, c1 + 1]
-            - prefix[r1 + 1, c0]
-            + prefix[r0, c0]
-        )
+        top, bottom = prefix[r1 + 1], prefix[r0]
+        return top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]
 
-    keys = np.stack(
-        [
-            col_all[rows].astype(float),
-            row_all[rows].astype(float),
-            ks.astype(float),
-            min_areas,
-        ],
-        axis=1,
-    )
-    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
-    group_regions: list[Rect] = []
-    for col, row, k_f, amin in unique.tolist():
-        col_lo = col_hi = int(col)
-        row_lo = row_hi = int(row)
-        k = int(k_f)
-        count = block_count(col_lo, row_lo, col_hi, row_hi)
-        while (
-            count < k
-            or grid.block_rect(col_lo, row_lo, col_hi, row_hi).area < amin
-        ):
-            best_gain = -1.0
-            best = None
-            if col_lo > 0:
-                added = block_count(col_lo - 1, row_lo, col_lo - 1, row_hi)
-                best_gain, best = _better(best_gain, best, added, "left")
-            if col_hi < cols - 1:
-                added = block_count(col_hi + 1, row_lo, col_hi + 1, row_hi)
-                best_gain, best = _better(best_gain, best, added, "right")
-            if row_lo > 0:
-                added = block_count(col_lo, row_lo - 1, col_hi, row_lo - 1)
-                best_gain, best = _better(best_gain, best, added, "down")
-            if row_hi < grows - 1:
-                added = block_count(col_lo, row_hi + 1, col_hi, row_hi + 1)
-                best_gain, best = _better(best_gain, best, added, "up")
-            if best is None:
+    cells, cell_of = np.unique(row_all[rows] * cols + col_all[rows], return_inverse=True)
+    k_max = np.zeros(cells.size, dtype=np.int64)
+    np.maximum.at(k_max, cell_of, ks)
+    a_max = np.full(cells.size, -np.inf)
+    np.maximum.at(a_max, cell_of, min_areas)
+    table: dict[tuple[int, int, int, int], int] = {}  # distinct blocks met
+    rects: list[Rect] = []
+    counts: list[int] = []
+    areas: list[float] = []
+    # Every cell's chain of block ids, concatenated; ``first`` marks
+    # where each cell's own begins.
+    chain: list[int] = []
+    first: list[int] = []
+    for cell, k, amin in zip(cells.tolist(), k_max.tolist(), a_max.tolist()):
+        row, col = divmod(cell, cols)
+        block = (col, row, col, row)
+        first.append(len(chain))
+        while True:
+            b = table.get(block)
+            if b is None:
+                b = table[block] = len(rects)
+                rects.append(grid.block_rect(*block))
+                counts.append(block_count(*block))
+                areas.append(rects[b].area)
+            chain.append(b)
+            if counts[b] >= k and areas[b] >= amin:
+                break
+            c0, r0, c1, r1 = block
+            best_gain, grown = -1.0, None
+            # One full line of cells per direction, in the scalar order.
+            for open_side, line, wider in (
+                (c0 > 0, (c0 - 1, r0, c0 - 1, r1), (c0 - 1, r0, c1, r1)),
+                (c1 < cols - 1, (c1 + 1, r0, c1 + 1, r1), (c0, r0, c1 + 1, r1)),
+                (r0 > 0, (c0, r0 - 1, c1, r0 - 1), (c0, r0 - 1, c1, r1)),
+                (r1 < grows - 1, (c0, r1 + 1, c1, r1 + 1), (c0, r0, c1, r1 + 1)),
+            ):
+                if open_side:
+                    best_gain, grown = _better(
+                        best_gain, grown, block_count(*line), wider
+                    )
+            if grown is None:
                 break  # whole grid annexed; best effort
-            if best == "left":
-                col_lo -= 1
-            elif best == "right":
-                col_hi += 1
-            elif best == "down":
-                row_lo -= 1
-            else:
-                row_hi += 1
-            count = block_count(col_lo, row_lo, col_hi, row_hi)
-        group_regions.append(
-            grid.block_rect(col_lo, row_lo, col_hi, row_hi).clipped(bounds)
+            block = grown
+    chain_ids = np.asarray(chain)
+    chain_count = np.asarray(counts)[chain_ids]
+    chain_area = np.asarray(areas)[chain_ids]
+    starts = np.asarray(first + [len(chain)])
+    pos = starts[cell_of]
+    end = starts[cell_of + 1] - 1
+    walking = np.arange(rows.size)
+    while walking.size:
+        at = pos[walking]
+        short = (chain_count[at] < ks[walking]) | (chain_area[at] < min_areas[walking])
+        walking = walking[short & (at < end[walking])]
+        pos[walking] += 1
+    used, inverse = np.unique(chain_ids[pos], return_inverse=True)
+    regions = [rects[b].clipped(bounds) for b in used.tolist()]
+    c0, r0, c1, r1 = np.asarray(list(table))[used].T
+    gx = np.clip(bounds.min_x + np.arange(cols + 1) * cell_w, bounds.min_x, bounds.max_x)
+    gy = np.clip(bounds.min_y + np.arange(grows + 1) * cell_h, bounds.min_y, bounds.max_y)
+    # Gridlines strictly below a point; equal to the "at or below" count
+    # unless the point sits on one.
+    below_x = np.searchsorted(gx, xs, side="left")
+    below_y = np.searchsorted(gy, ys, side="left")
+    generic = (
+        (below_x == np.searchsorted(gx, xs, side="right"))
+        & (below_y == np.searchsorted(gy, ys, side="right"))
+        & (below_x <= cols)
+        & (below_y <= grows)
+    )
+    inside = _cell_prefix(below_y[generic] - 1, below_x[generic] - 1, grid)
+    user_counts = (
+        inside[r1 + 1, c1 + 1] - inside[r0, c1 + 1] - inside[r1 + 1, c0] + inside[r0, c0]
+    )
+    if not generic.all():
+        user_counts += kernels.count_points_in_windows(
+            xs[~generic], ys[~generic], kernels.windows_array(regions)
         )
-    windows = kernels.windows_array(group_regions)
-    group_counts = kernels.count_points_in_windows(xs, ys, windows)
-    inverse_list = inverse.tolist()
-    regions = [group_regions[g] for g in inverse_list]
-    return regions, group_counts[inverse]
+    return [regions[g] for g in inverse.tolist()], user_counts[inverse]

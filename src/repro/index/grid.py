@@ -8,6 +8,7 @@ maintained eagerly so cloaking never scans points.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterator
 
@@ -143,20 +144,19 @@ class GridIndex(SpatialIndex):
         col, row = self.cell_of(point)
         best: list[tuple[float, ItemId]] = []
         visits = 0
-        max_radius = max(self.cols, self.rows)
-        for radius in range(max_radius + 1):
+        for radius in range(max(self.cols, self.rows) + 1):
             for c, r in self._ring(col, row, radius):
                 visits += 1
                 for item_id, p in self._cells[r * self.cols + c].items():
                     best.append((point.distance_to(p), item_id))
+            # Stop only when no unvisited cell can beat or tie the k-th
+            # best: its distance must lie strictly inside the guard, the
+            # gap from the query to the nearest edge of the visited block
+            # that still has cells beyond it.
             if len(best) >= k:
-                # One more ring guards against a closer point just across a
-                # cell border.
-                for c, r in self._ring(col, row, radius + 1):
-                    visits += 1
-                    for item_id, p in self._cells[r * self.cols + c].items():
-                        best.append((point.distance_to(p), item_id))
-                break
+                kth = heapq.nsmallest(k, best, key=lambda pair: pair[0])[-1][0]
+                if kth < self._guard(point, col, row, radius):
+                    break
         best.sort(key=lambda pair: pair[0])
         counters = self.counters
         counters.nn_queries += 1
@@ -192,6 +192,28 @@ class GridIndex(SpatialIndex):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _guard(self, point: Point, col: int, row: int, radius: int) -> float:
+        """Distance below which no point outside the visited block lies.
+
+        The block is the cells within Chebyshev ``radius`` of
+        ``(col, row)``; edges flush with the grid border have nothing
+        beyond them and are ignored (``inf`` once the grid is covered).
+        """
+        guard = math.inf
+        if col - radius > 0:
+            edge = self.bounds.min_x + (col - radius) * self._cell_w
+            guard = min(guard, point.x - edge)
+        if col + radius < self.cols - 1:
+            edge = self.bounds.min_x + (col + radius + 1) * self._cell_w
+            guard = min(guard, edge - point.x)
+        if row - radius > 0:
+            edge = self.bounds.min_y + (row - radius) * self._cell_h
+            guard = min(guard, point.y - edge)
+        if row + radius < self.rows - 1:
+            edge = self.bounds.min_y + (row + radius + 1) * self._cell_h
+            guard = min(guard, edge - point.y)
+        return guard
 
     def _ring(self, col: int, row: int, radius: int) -> Iterator[tuple[int, int]]:
         """Cells at Chebyshev distance ``radius`` from ``(col, row)``."""

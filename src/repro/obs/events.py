@@ -30,6 +30,10 @@ from repro.obs.metrics import MetricsRegistry
 #: Counter family under which every emission is tallied (per kind).
 EVENT_METRIC = "events.emitted"
 
+#: The one JSONL line encoder (what ``json.dumps(..., sort_keys=True,
+#: default=str)`` would build afresh for every event).
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
 # ----------------------------------------------------------------------
 # Event taxonomy (see docs/observability.md for the paper-stage mapping)
 # ----------------------------------------------------------------------
@@ -222,6 +226,9 @@ class EventLog:
         self.correlation = None
         self._ring: deque[Event] = deque(maxlen=keep)
         self._seq = 0
+        # Per-kind ``events.emitted`` counters, looked up once per kind
+        # (dropped by reset(), which follows a registry reset).
+        self._emitted: dict = {}
         self._sink: IO[str] | None = None
         self._sink_owned = False
         # WAL-completeness accounting: the highest seq the sink has seen,
@@ -259,11 +266,14 @@ class EventLog:
             self._note_lossy_eviction(ring[0])
         ring.append(event)
         if self.registry is not None:
-            self.registry.counter(EVENT_METRIC, kind=kind).inc()
+            counter = self._emitted.get(kind)
+            if counter is None:
+                counter = self._emitted[kind] = self.registry.counter(
+                    EVENT_METRIC, kind=kind
+                )
+            counter.inc()
         if self._sink is not None:
-            self._sink.write(
-                json.dumps(event.to_dict(), sort_keys=True, default=str) + "\n"
-            )
+            self._sink.write(_encode(event.to_dict()) + "\n")
             self._streamed_seq = event.seq
         if self._taps:
             for tap in self._taps:
@@ -348,9 +358,7 @@ class EventLog:
             self._sink_owned = False
         pending = [e for e in self._buffered() if e.seq > self._streamed_seq]
         for event in pending:
-            self._sink.write(
-                json.dumps(event.to_dict(), sort_keys=True, default=str) + "\n"
-            )
+            self._sink.write(_encode(event.to_dict()) + "\n")
         if pending:
             self._streamed_seq = pending[-1].seq
 
@@ -374,6 +382,7 @@ class EventLog:
         """
         self._ring.clear()
         self._gap = None
+        self._emitted.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -414,10 +423,7 @@ class EventLog:
         trail reconstructed from the ring declares its own incompleteness
         to :func:`read_jsonl` / replay instead of passing for a full WAL.
         """
-        lines = [
-            json.dumps(e.to_dict(), sort_keys=True, default=str)
-            for e in self._buffered()
-        ]
+        lines = [_encode(e.to_dict()) for e in self._buffered()]
         text = "\n".join(lines) + ("\n" if lines else "")
         if stream is not None:
             stream.write(text)

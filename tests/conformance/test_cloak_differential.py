@@ -17,6 +17,7 @@ Failures dump a replayable scenario via the ``scenario`` fixture
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -68,6 +69,10 @@ def random_requirement(rng: random.Random, population: int) -> PrivacyRequiremen
     )
 
 
+def mixed_requests(rng: random.Random, points: dict) -> list:
+    return [(user_id, random_requirement(rng, len(points))) for user_id in points]
+
+
 def oracle_cloak(cloaker, user_id, requirement):
     """The per-user reference: ``LocationAnonymizer.cloak_user`` semantics."""
     if not requirement.wants_privacy:
@@ -85,19 +90,14 @@ def oracle_cloak(cloaker, user_id, requirement):
     return cloaker.cloak(user_id, requirement)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", sorted(CLOAKERS))
-def test_bulk_matches_per_user_oracle(name, seed, scenario):
-    rng = random.Random(seed)
-    points = lattice_population(rng, 150)
-    bulk_cloaker = CLOAKERS[name]()
-    oracle_cloaker = CLOAKERS[name]()
+def assert_bulk_matches_oracle(make_cloaker, points, requests, scenario, **tags):
+    """Bulk-cloak ``requests`` and hold every result to the per-user oracle:
+    float-identical region, equal user count, same attainment verdicts."""
+    bulk_cloaker = make_cloaker()
+    oracle_cloaker = make_cloaker()
     for user_id, point in points.items():
         bulk_cloaker.add_user(user_id, point)
         oracle_cloaker.add_user(user_id, point)
-    requests = [
-        (user_id, random_requirement(rng, len(points))) for user_id in points
-    ]
     outcome = bulk_cloak(bulk_cloaker, requests)
     expected_path = "kernel" if supports_kernel(bulk_cloaker) else "scalar"
     assert outcome.path == expected_path
@@ -106,8 +106,7 @@ def test_bulk_matches_per_user_oracle(name, seed, scenario):
         got = outcome.results[user_id]
         want = oracle_cloak(oracle_cloaker, user_id, requirement)
         scenario.record(
-            cloaker=name,
-            seed=seed,
+            **tags,
             user=user_id,
             point=[points[user_id].x, points[user_id].y],
             k=requirement.k,
@@ -128,6 +127,151 @@ def test_bulk_matches_per_user_oracle(name, seed, scenario):
         assert got.requirement == want.requirement
         assert got.k_satisfied == want.k_satisfied
         assert got.area_satisfied == want.area_satisfied
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(CLOAKERS))
+def test_bulk_matches_per_user_oracle(name, seed, scenario):
+    rng = random.Random(seed)
+    points = lattice_population(rng, 150)
+    assert_bulk_matches_oracle(
+        CLOAKERS[name],
+        points,
+        mixed_requests(rng, points),
+        scenario,
+        cloaker=name,
+        seed=seed,
+    )
+
+
+# ----------------------------------------------------------------------
+# Adversarial families for the grid kernel (one expansion chain per start
+# cell, prefix-sum counts, dense test only for points on a gridline).
+# Each returns (cloaker factory, points, requests); dense uniform
+# populations never reach these corners.
+# ----------------------------------------------------------------------
+
+WORLD_100 = Rect(0.0, 0.0, 100.0, 100.0)
+
+
+def family_gridline_lattice(rng: random.Random):
+    """Every point on a gridline crossing of an 8x8 grid, world boundary
+    included: the prefix sum counts nobody, the dense test everybody."""
+    points = {
+        f"u{i}": Point(8.0 * rng.randint(0, 8), 8.0 * rng.randint(0, 8))
+        for i in range(120)
+    }
+    return CLOAKERS["grid_8"], points, mixed_requests(rng, points)
+
+
+def non_dyadic_family(cols: int):
+    """``cols`` columns on a 100-wide world: no gridline is a round number,
+    so the population is planted on the gridline floats themselves, one
+    ulp to either side of them, and on the integer lattice around them.
+    ``min_x + cols * cell_w`` lands exactly on the bound for 9 columns,
+    one ulp above it for 11 and one below it for 97.  Beyond a last
+    gridline that falls short, a user is assigned to the last cell yet
+    lies outside its rectangle and the scalar cloaker refuses her ("lost
+    its own user"), so there is no oracle: the population stops at it."""
+
+    def build(rng: random.Random):
+        cell = WORLD_100.width / cols
+        lines = [WORLD_100.min_x + c * cell for c in range(cols + 1)]
+        far = min(lines[-1], WORLD_100.max_x)
+        near = [
+            min(max(v, 0.0), far)
+            for line in lines
+            for v in (
+                line,
+                math.nextafter(line, -math.inf),
+                math.nextafter(line, math.inf),
+            )
+        ]
+        coords = near + [min(float(v), far) for v in range(0, 101)]
+        points = {
+            f"u{i}": Point(rng.choice(coords), rng.choice(coords))
+            for i in range(200)
+        }
+        return (
+            lambda: GridCloaker(WORLD_100, cols=cols),
+            points,
+            mixed_requests(rng, points),
+        )
+
+    return build
+
+
+def family_single_cell(rng: random.Random):
+    """A 1x1 grid: every chain is the one block, satisfied or not."""
+    points = lattice_population(rng, 40)
+    return (
+        lambda: GridCloaker(BOUNDS, cols=1, rows=1),
+        points,
+        mixed_requests(rng, points),
+    )
+
+
+def family_k_at_least_population(rng: random.Random):
+    """Everybody asks for the whole population or more: every chain runs
+    to the full grid and the escalation clamp applies to most users."""
+    points = lattice_population(rng, 60)
+    requests = [
+        (user_id, PrivacyRequirement(k=len(points) + rng.randint(0, 40)))
+        for user_id in points
+    ]
+    return CLOAKERS["grid_8"], points, requests
+
+
+def family_area_beyond_world(rng: random.Random):
+    """A_min no region can reach: chains end at the whole grid on area
+    alone, whatever k says (best effort, declared degraded)."""
+    points = lattice_population(rng, 60)
+    requests = [
+        (
+            user_id,
+            PrivacyRequirement(
+                k=rng.randint(1, 10),
+                min_area=BOUNDS.area * rng.choice([1.0, 1.5, 10.0]),
+            ),
+        )
+        for user_id in points
+    ]
+    return CLOAKERS["grid_8"], points, requests
+
+
+def family_eight_clusters(rng: random.Random):
+    """Eight tight clusters on a 32x32 grid: most cells are empty, so
+    chains are long and every annexation is decided by tie order."""
+    centres = [(rng.uniform(4, 60), rng.uniform(4, 60)) for _ in range(8)]
+    points = {}
+    for i in range(160):
+        cx, cy = centres[i % 8]
+        points[f"u{i}"] = Point(
+            min(max(rng.gauss(cx, 0.8), 0.0), 64.0),
+            min(max(rng.gauss(cy, 0.8), 0.0), 64.0),
+        )
+    return CLOAKERS["grid_32"], points, mixed_requests(rng, points)
+
+
+FAMILIES = {
+    "gridline_lattice": family_gridline_lattice,
+    "non_dyadic_cols9": non_dyadic_family(9),
+    "last_gridline_above_bound_cols11": non_dyadic_family(11),
+    "last_gridline_below_bound_cols97": non_dyadic_family(97),
+    "single_cell_grid": family_single_cell,
+    "k_at_least_population": family_k_at_least_population,
+    "area_beyond_world": family_area_beyond_world,
+    "eight_clusters": family_eight_clusters,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_grid_kernel_adversarial_families(family, seed, scenario):
+    make_cloaker, points, requests = FAMILIES[family](random.Random(seed))
+    assert_bulk_matches_oracle(
+        make_cloaker, points, requests, scenario, family=family, seed=seed
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

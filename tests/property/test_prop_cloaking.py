@@ -10,6 +10,7 @@ from repro.cloaking.naive import NaiveCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.cloaking.quadtree_cloak import QuadtreeCloaker
 from repro.core.profiles import PrivacyRequirement
+from repro.engine.cloak import bulk_cloak
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -103,3 +104,40 @@ def test_cloak_deterministic(raw_points, data):
         first = cloaker.cloak(victim, requirement).region
         second = cloaker.cloak(victim, requirement).region
         assert first == second, cloaker.name
+
+
+@given(
+    populations,
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=10),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_bulk_grid_chain_reproduces_scalar_cloak(raw_points, cols, rows, data):
+    """The bulk kernel walks one expansion chain per start cell; for
+    arbitrary (k, A_min) every user must stop on it exactly where
+    ``GridCloaker._cloak`` stops from her cell -- same region floats,
+    same inclusive user count."""
+    points = {i: Point(x, y) for i, (x, y) in enumerate(raw_points)}
+    cloaker = GridCloaker(BOUNDS, cols=cols, rows=rows)
+    for i, p in points.items():
+        cloaker.add_user(i, p)
+    requests = [
+        (
+            i,
+            PrivacyRequirement(
+                k=data.draw(st.integers(min_value=2, max_value=len(points))),
+                min_area=data.draw(
+                    st.floats(min_value=0.0, max_value=1.5 * BOUNDS.area)
+                ),
+            ),
+        )
+        for i in points
+    ]
+    outcome = bulk_cloak(cloaker, requests)
+    assert outcome.path == "kernel"
+    for i, requirement in requests:
+        want = cloaker.cloak(i, requirement)
+        got = outcome.results[i]
+        assert got.region == want.region, (cols, rows, points[i], requirement)
+        assert got.user_count == want.user_count, (cols, rows, points[i], requirement)

@@ -1,6 +1,6 @@
 """Property-based tests: every index agrees with brute force."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
@@ -59,6 +59,9 @@ class TestRangeAgreement:
 
 class TestNearestAgreement:
     @given(inner_points, st.tuples(coord, coord), st.integers(min_value=1, max_value=5))
+    # GridIndex.nearest used to stop one ring after finding k candidates and
+    # returned (41, 66) at distance 76.0066 instead of (0, 78) at 76.0.
+    @example([(0.0, 78.0), (41.0, 66.0)], (0.0, 2.0), 1)
     @settings(max_examples=60, deadline=None)
     def test_knn_distances_match_brute_force(self, raw_points, q_xy, k):
         pts, indexes = build_indexes(raw_points)

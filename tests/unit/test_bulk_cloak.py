@@ -10,12 +10,15 @@ window-count kernel the grid path relies on.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.cloaking.grid_cloak import GridCloaker
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
+from repro.core import anonymizer as anonymizer_module
 from repro.core.profiles import PrivacyProfile, PrivacyRequirement
 from repro.core.stores import REBUILD_FRACTION, PrivateStore
 from repro.core.system import PrivacySystem
@@ -167,6 +170,82 @@ def test_auditor_folds_bulk_events_with_zero_undeclared():
     assert auditor.violations(declared=True)
 
 
+def populated_system(n: int) -> PrivacySystem:
+    system = PrivacySystem(
+        bounds=BOUNDS, cloaker=GridCloaker(BOUNDS, cols=8, rows=8)
+    )
+    rng = np.random.default_rng(6)
+    for i in range(n):
+        system.add_user(
+            MobileUser(
+                f"u{i}",
+                Point(float(rng.uniform(0, 32)), float(rng.uniform(0, 32))),
+                PrivacyProfile.always(k=1 + i % 7),
+            )
+        )
+    return system
+
+
+@pytest.fixture
+def collections():
+    """Generations of the collector passes that start while it is live."""
+    seen: list[int] = []
+
+    def record(phase: str, info: dict) -> None:
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(record)
+    yield seen
+    gc.callbacks.remove(record)
+
+
+def test_bulk_round_holds_the_collector(collections):
+    # 2 000 users allocate some thirty young thresholds' worth (700) and
+    # stay under _FULL_PASS_DUE: nothing runs inside the round, and the
+    # first allocation after it pays the young debt in one pass.
+    system = populated_system(2_000)
+    assert gc.isenabled()
+    collections.clear()
+    system.anonymizer.publish_all_bulk(system.clock)
+    assert collections in ([], [0])
+    assert gc.isenabled()
+
+
+def test_large_bulk_round_runs_exactly_one_full_pass(monkeypatch, collections):
+    system = populated_system(200)
+    monkeypatch.setattr(anonymizer_module, "_FULL_PASS_DUE", 1)
+    collections.clear()
+    system.anonymizer.publish_all_bulk(system.clock)
+    assert collections == [2]
+    assert gc.isenabled()
+
+
+def test_bulk_round_leaves_a_disabled_collector_alone(monkeypatch, collections):
+    system = populated_system(200)
+    monkeypatch.setattr(anonymizer_module, "_FULL_PASS_DUE", 1)
+    gc.disable()
+    try:
+        collections.clear()
+        system.anonymizer.publish_all_bulk(system.clock)
+        assert collections == []
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_failed_bulk_round_releases_the_collector(monkeypatch):
+    system = populated_system(50)
+
+    def refuse(regions):
+        raise RuntimeError("server refused the batch")
+
+    monkeypatch.setattr(system.server, "receive_regions", refuse)
+    with pytest.raises(RuntimeError):
+        system.anonymizer.publish_all_bulk(system.clock)
+    assert gc.isenabled()
+
+
 def test_private_store_bulk_insert_rebuilds_and_matches_queries():
     store = PrivateStore()
     regions = {
@@ -213,6 +292,60 @@ def test_count_points_in_windows_inclusive_boundaries():
     )
     counts = kernels.count_points_in_windows(xs, ys, windows)
     assert counts.tolist() == [2, 0]  # both edge points count
+
+
+def test_grid_kernel_hands_no_generic_point_to_the_dense_scan(monkeypatch):
+    """Work bound, by counting: the points x windows product given to the
+    dense ``count_points_in_windows`` is zero on a generic population and
+    at most (points on a gridline) x (distinct regions) otherwise."""
+    world = Rect(0.0, 0.0, 1000.0, 1000.0)
+    rng = np.random.default_rng(11)
+    n = 20_000
+    handed: list[tuple[int, int]] = []
+    dense = kernels.count_points_in_windows
+
+    def spy(xs, ys, windows):
+        handed.append((xs.size, len(windows)))
+        return dense(xs, ys, windows)
+
+    monkeypatch.setattr(kernels, "count_points_in_windows", spy)
+
+    def cloak_population(planted: list[Point]):
+        cloaker = GridCloaker(world, cols=64, rows=64)
+        for i, point in enumerate(planted):
+            cloaker.add_user(f"edge{i}", point)
+        for i in range(n - len(planted)):
+            cloaker.add_user(
+                f"u{i}",
+                Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000))),
+            )
+        requests = [
+            (
+                user_id,
+                PrivacyRequirement(
+                    k=int(rng.integers(1, 33)),
+                    min_area=float(rng.choice([0.0, 25.0, 100.0])),
+                ),
+            )
+            for user_id in cloaker.snapshot_ids()
+        ]
+        handed.clear()
+        return bulk_cloak(cloaker, requests)
+
+    outcome = cloak_population([])
+    assert outcome.path == "kernel"
+    assert sum(points * windows for points, windows in handed) == 0
+
+    on_lines = [Point(15.625, 400.3), Point(500.0, 500.0), Point(1000.0, 7.1)]
+    outcome = cloak_population(on_lines)
+    distinct = len(
+        {
+            result.region
+            for result in outcome.results.values()
+            if result.requirement.wants_privacy
+        }
+    )
+    assert handed == [(len(on_lines), distinct)]
 
 
 def test_explain_bulk_cloak_plan_shape():

@@ -106,6 +106,26 @@ class TestQueries:
         grid.insert_point("far", Point(99, 99))
         assert grid.nearest(Point(0, 0), 1) == ["far"]
 
+    def test_nearest_keeps_expanding_until_the_guard_clears(self):
+        """One ring past the first candidate is not a bound: the winner
+        can sit several rings out along an axis while a diagonal cell
+        closer in ring order holds a farther point."""
+        grid = GridIndex(BOUNDS, cols=9)
+        grid.insert_point("straight_up", Point(0, 78))
+        grid.insert_point("diagonal", Point(41, 66))
+        query = Point(0, 2)
+        assert grid.nearest(query, 1) == ["straight_up"]
+        assert Point(0, 78).distance_to(query) == 76.0
+        assert grid.nearest(query, 2) == ["straight_up", "diagonal"]
+
+    def test_nearest_stops_early_when_the_guard_allows(self):
+        grid = GridIndex(BOUNDS, cols=10)
+        grid.insert_point("here", Point(55, 55))
+        grid.insert_point("there", Point(5, 5))
+        before = grid.counters.node_visits
+        assert grid.nearest(Point(54, 56), 1) == ["here"]
+        assert grid.counters.node_visits - before == 1  # the home cell only
+
     def test_nearest_empty(self):
         assert GridIndex(BOUNDS, cols=4).nearest(Point(0, 0)) == []
 
