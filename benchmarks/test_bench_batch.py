@@ -1,17 +1,19 @@
 """Batch engine throughput benchmark: emits BENCH_batch.json with a gate.
 
 Run via ``make bench-batch`` (or ``pytest benchmarks -q -k bench_batch``).
-The same query workloads — range windows and k-NN probes over a 50k-object
-catalogue — are executed through both engine modes on the same snapshot:
+The same spec workloads — range windows and k-NN probes over a 50k-object
+catalogue — are executed through both engine routes on the same snapshot
+(``LocationServer.execute_batch`` with the planner's route vector):
 
-* ``batched``     — vectorised grid/broadcast kernels (``vectorize=True``),
-* ``sequential``  — the per-query index loop (``vectorize=False``),
+* ``batched``     — vectorised grid/broadcast kernels (no route vector:
+  every kind takes its kernel),
+* ``sequential``  — the per-query scalar processors (an all-scalar vector),
 
 at 1k and 10k queries, plus the O(n·m) brute-force oracle on a reduced
 batch as the naive baseline.  The final test folds the timings into
 ``BENCH_batch.json`` at the repo root (CI uploads it as an artifact) and
 gates: batched throughput must be at least 2x sequential for both
-``public_range`` and ``public_nn`` at the 10k-query scale.
+``public_range`` and ``public_knn`` at the 10k-query scale.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import pytest
 from bench_envelope import finalize_report
 from repro.core.server import LocationServer
 from repro.core.stores import PublicStore
-from repro.engine import BruteForceOracle, PublicNNQuery, PublicRangeQuery
+from repro.engine import BruteForceOracle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
+from repro.queries.spec import KNNSpec, RangeSpec
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
@@ -64,23 +67,27 @@ def make_batch(kind: str, n: int) -> list:
     for _ in range(n):
         x, y = rng.uniform(0, 1000 - SIDE), rng.uniform(0, 1000 - SIDE)
         if kind == "public_range":
-            batch.append(PublicRangeQuery(Rect(x, y, x + SIDE, y + SIDE)))
+            batch.append(RangeSpec(window=Rect(x, y, x + SIDE, y + SIDE)))
         else:
-            batch.append(PublicNNQuery(Point(x, y), k=K))
+            batch.append(KNNSpec(point=Point(x, y), k=K))
     return batch
 
 
+def run_batch(server: LocationServer, batch: list, mode: str) -> list:
+    routes = None if mode == "batched" else [False] * len(batch)
+    return server.execute_batch(batch, routes=routes)
+
+
 @pytest.mark.parametrize("n", SCALES)
-@pytest.mark.parametrize("kind", ["public_range", "public_nn"])
+@pytest.mark.parametrize("kind", ["public_range", "public_knn"])
 @pytest.mark.parametrize("mode", ["batched", "sequential"])
 def test_batch_vs_sequential(benchmark, server, mode, kind, n):
     batch = make_batch(kind, n)
-    vectorize = mode == "batched"
     laps: list[float] = []
 
     def run():
         start = time.perf_counter()
-        out = server.execute_batch(batch, vectorize=vectorize)
+        out = run_batch(server, batch, mode)
         laps.append(time.perf_counter() - start)
         return out
 
@@ -94,7 +101,7 @@ def test_oracle_baseline(benchmark, server):
     """The deliberately-naive O(n*m) reference, on a reduced batch."""
     oracle = BruteForceOracle.from_server(server)
     ranges = make_batch("public_range", ORACLE_QUERIES)
-    nns = make_batch("public_nn", ORACLE_QUERIES)
+    nns = make_batch("public_knn", ORACLE_QUERIES)
 
     timings: dict[str, float] = {}
 
@@ -106,7 +113,7 @@ def test_oracle_baseline(benchmark, server):
         start = time.perf_counter()
         for q in nns:
             oracle.public_knn(q.point, q.k)
-        timings["public_nn"] = time.perf_counter() - start
+        timings["public_knn"] = time.perf_counter() - start
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     for kind, seconds in timings.items():
@@ -119,13 +126,12 @@ def test_batch_report_and_gate(server):
         # Timing tests deselected (e.g. ``-k report``): time inline so the
         # report and the gate always reflect a real measurement.
         for mode in ("batched", "sequential"):
-            for kind in ("public_range", "public_nn"):
+            for kind in ("public_range", "public_knn"):
                 for n in SCALES:
                     batch = make_batch(kind, n)
-                    vectorize = mode == "batched"
-                    server.execute_batch(batch, vectorize=vectorize)  # warmup
+                    run_batch(server, batch, mode)  # warmup
                     start = time.perf_counter()
-                    server.execute_batch(batch, vectorize=vectorize)
+                    run_batch(server, batch, mode)
                     _RESULTS.setdefault(mode, {}).setdefault(kind, {})[n] = (
                         time.perf_counter() - start
                     )
@@ -143,7 +149,7 @@ def test_batch_report_and_gate(server):
             }
 
     speedups = {}
-    for kind in ("public_range", "public_nn"):
+    for kind in ("public_range", "public_knn"):
         batched = _RESULTS["batched"][kind][GATE_SCALE]
         sequential = _RESULTS["sequential"][kind][GATE_SCALE]
         speedups[kind] = sequential / batched if batched else None

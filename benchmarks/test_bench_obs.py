@@ -18,7 +18,9 @@ import pytest
 
 from bench_envelope import finalize_report
 from repro import (
+    CountSpec,
     MobileUser,
+    NNSpec,
     PrivacyProfile,
     PrivacySystem,
     PyramidCloaker,
@@ -76,7 +78,7 @@ def test_obs_smoke_private_range(benchmark, system):
     def run():
         base = next(user_ids) * N_QUERIES
         for i in range(N_QUERIES):
-            system.user_range_query((base + i) % N_USERS, radius=60.0)
+            system.query(RangeSpec(flavor="private", user=(base + i) % N_USERS, radius=60.0))
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     _note("private_range_x40", benchmark)
@@ -88,7 +90,7 @@ def test_obs_smoke_private_nn(benchmark, system):
     def run():
         base = next(user_ids) * N_QUERIES
         for i in range(N_QUERIES):
-            system.user_nn_query((base + i * 3) % N_USERS)
+            system.query(NNSpec(flavor="private", user=(base + i * 3) % N_USERS))
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     _note("private_nn_x40", benchmark)
@@ -99,7 +101,7 @@ def test_obs_smoke_public_count(benchmark, system):
 
     def run():
         for _ in range(N_QUERIES):
-            system.server.public_count(window)
+            system.query(CountSpec(window=window))
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     _note("public_count_x40", benchmark)
@@ -130,45 +132,72 @@ def test_obs_loop_health_evaluate(benchmark, system):
 
 def test_obs_loop_monitoring_overhead(system):
     """Gate: live monitoring (time-series tap + risk monitor) must cost
-    under 5% on the planned-query path.  Measured on one system by
-    toggling ``enable_monitoring`` around identical query rounds, best
-    of several rounds each to shed scheduler noise."""
+    under 5% on the planned-query path, with windows actually cutting.
+
+    The monitoring stack's share is read off the run itself: the risk
+    monitor's event tap and the time-series sampler (whose window cut
+    runs the risk score) are timed where they are called, over query
+    traffic that outlasts the default 1 s sampling interval at least
+    twice, and compared with the rest of that same wall time.  A
+    monitored-versus-unmonitored wall-clock difference cannot resolve 5%
+    here: two identical arms differ by more than that run to run.
+    """
     import time
 
-    rounds = 5
+    interval = 1.0
+    own = 0.0
+
+    def timed(fn):
+        def wrapper(*args):
+            nonlocal own
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                own += time.perf_counter() - start
+
+        return wrapper
 
     def run_round():
-        start = time.perf_counter()
         for i in range(N_QUERIES):
             system.query(
                 RangeSpec(flavor="private", user=i % N_USERS, radius=60.0)
             )
-        return time.perf_counter() - start
 
-    run_round()  # warm caches/snapshots before timing either arm
+    run_round()  # warm caches/snapshots before timing
     system.disable_monitoring()
-    baseline = min(run_round() for _ in range(rounds))
-    # Default 1s sampling interval: the steady-state cost is the event
-    # tap on every emit, with window cuts amortized to one per second.
-    system.enable_monitoring()
+    system.enable_monitoring(interval=interval)
     try:
-        monitored = min(run_round() for _ in range(rounds))
-        windows_cut = system.timeseries.windows_cut
-        risk_events = system.risk.events_consumed
+        log, risk, series = system.obs.events, system.risk, system.timeseries
+        tap = timed(risk.consume)
+        log.remove_tap(risk.consume)
+        log.add_tap(tap)
+        series.maybe_sample = timed(series.maybe_sample)
+        start = time.perf_counter()
+        while time.perf_counter() - start < 2.2 * interval:
+            run_round()
+        total = time.perf_counter() - start
+        windows_cut = series.windows_cut
+        risk_events = risk.events_consumed
+        log.remove_tap(tap)
     finally:
         system.disable_monitoring()
-    overhead = monitored / baseline - 1.0
+    overhead = own / (total - own)
     _RESULTS["monitoring"] = {
-        "baseline_s": baseline,
-        "monitored_s": monitored,
+        "total_s": total,
+        "monitoring_s": own,
         "overhead": overhead,
         "windows_cut": windows_cut,
         "risk_events_consumed": risk_events,
     }
+    assert windows_cut > 0, (
+        "no window was cut inside the timed region: sampling and risk "
+        "scoring were never measured"
+    )
     assert risk_events > 0, "risk monitor saw no traffic while enabled"
     assert overhead < 0.05, (
         f"monitoring overhead {overhead:.1%} exceeds the 5% budget "
-        f"(baseline {baseline * 1e3:.2f}ms, monitored {monitored * 1e3:.2f}ms)"
+        f"({own * 1e3:.1f}ms of {total * 1e3:.1f}ms, {windows_cut} windows cut)"
     )
 
 
@@ -237,4 +266,5 @@ def test_obs_smoke_report(system):
     # (``make bench-obs-loop``); ``-k smoke`` selections skip it.
     if parsed["monitoring"]:
         assert parsed["monitoring"]["overhead"] < 0.05
+        assert parsed["monitoring"]["windows_cut"] > 0
     assert parsed["profile"]["top"], "profiled workload must record spans"

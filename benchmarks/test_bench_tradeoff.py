@@ -15,6 +15,7 @@ from repro.evalx.experiments import run_e9_by_algorithm, run_e9_tradeoff
 from repro.evalx.workloads import build_workload
 from repro.geometry.point import Point
 from repro.mobility.users import MobileUser
+from repro.queries.spec import NNSpec, RangeSpec
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +30,14 @@ def system():
 
 
 def test_e9_end_to_end_range_query(benchmark, system):
-    outcome, _ = benchmark(system.user_range_query, 0, 5.0)
+    outcome, _ = benchmark(
+        system.query, RangeSpec(flavor="private", user=0, radius=5.0)
+    )
     assert outcome.correct
 
 
 def test_e9_end_to_end_nn_query(benchmark, system):
-    outcome, _ = benchmark(system.user_nn_query, 0)
+    outcome, _ = benchmark(system.query, NNSpec(flavor="private", user=0))
     assert outcome.correct
 
 

@@ -3,28 +3,17 @@
 
 Renders the same victim's cloaked region under four algorithms over the
 population density map.  The naive square is visibly centred on the victim
-(X); the pyramid cell is not.  Also demonstrates the persistence layer:
-the server state survives a save/load round-trip.
+(X); the pyramid cell is not.
 
 Run with:  python examples/visual_comparison.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from repro.cloaking import MBRCloaker, NaiveCloaker, PyramidCloaker, QuadtreeCloaker
-from repro.core.persistence import (
-    load_private_store,
-    load_public_store,
-    save_private_store,
-    save_public_store,
-)
 from repro.core.profiles import PrivacyRequirement
-from repro.core.stores import PrivateStore, PublicStore
 from repro.evalx.ascii_viz import render_cloak_comparison
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.mobility import clustered_population
 
 
@@ -47,31 +36,6 @@ def main() -> None:
 
     print("Population density; X = victim, box = her cloaked region (k=25)\n")
     print(render_cloak_comparison(points, victim_point, regions, bounds))
-
-    # ------------------------------------------------------------------
-    # Persistence round-trip
-    # ------------------------------------------------------------------
-    public = PublicStore()
-    for j in range(20):
-        x, y = rng.uniform(0, 100, 2)
-        public.add(f"poi-{j}", Point(float(x), float(y)))
-    private = PrivateStore()
-    for label, region in regions:
-        private.set_region(label.split()[1], region)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        public_path = Path(tmp) / "public.tsv"
-        private_path = Path(tmp) / "private.tsv"
-        save_public_store(public, public_path)
-        save_private_store(private, private_path)
-        restored_public = load_public_store(public_path)
-        restored_private = load_private_store(private_path)
-    print(
-        f"\npersistence: {len(restored_public)} public objects and "
-        f"{len(restored_private)} regions survived a save/load round-trip"
-    )
-    assert len(restored_public) == len(public)
-    assert len(restored_private) == len(private)
 
 
 if __name__ == "__main__":

@@ -41,11 +41,6 @@ from repro.core import (
 from repro.engine import (
     BatchEngine,
     BruteForceOracle,
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
     ServerSnapshot,
 )
 from repro.geometry import Point, Rect
@@ -88,11 +83,6 @@ __all__ = [
     "BatchEngine",
     "BruteForceOracle",
     "ServerSnapshot",
-    "PrivateRangeQuery",
-    "PrivateNNQuery",
-    "PublicRangeQuery",
-    "PublicNNQuery",
-    "PublicCountQuery",
     "Telemetry",
     "get_telemetry",
     "enable_tracing",

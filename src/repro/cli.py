@@ -200,21 +200,13 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-#: EXPLAIN-able query paths (plus the composite ``batch`` and the paper's
-#: Figure 6a worked example, the default).
-EXPLAIN_QUERIES = (
-    "figure6a",
-    "public_range",
-    "public_knn",
-    "public_count",
-    "public_nn",
-    "private_range",
-    "private_nn",
-    "private_knn",
-    "batch",
-    "bulk_cloak",
-    "planned",
-)
+def _explain_queries() -> tuple[str, ...]:
+    """EXPLAIN-able query paths: every native kind, plus the composite
+    ``batch`` / ``bulk_cloak`` / ``planned`` plans and the paper's
+    Figure 6a worked example (the default)."""
+    from repro.queries.spec import NATIVE_KINDS
+
+    return ("figure6a", *NATIVE_KINDS, "batch", "bulk_cloak", "planned")
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -225,44 +217,43 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.query == "figure6a":
         plan = explain_figure_6a()
     else:
-        from repro.engine import PublicNNQuery, PublicRangeQuery
-        from repro.engine.queries import PrivateNNQuery, PublicCountQuery
         from repro.geometry import Point, Rect
+        from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
 
         system = _observed_quickstart(
             users=args.users, queries=0, seed=args.seed
         )
         explainer = QueryExplainer(system.server)
         region = system.anonymizer.cloak_user(0, t=system.clock).region
-        if args.query == "public_range":
-            plan = explainer.explain_public_range(Rect(20, 20, 60, 60))
-        elif args.query == "public_knn":
-            plan = explainer.explain_public_knn(Point(50, 50), k=4)
-        elif args.query == "public_count":
-            plan = explainer.explain_public_count(Rect(20, 20, 80, 80))
-        elif args.query == "public_nn":
-            plan = explainer.explain_public_nn(Point(50, 50))
-        elif args.query == "private_range":
-            plan = explainer.explain_private_range(region, radius=10.0)
-        elif args.query == "private_nn":
-            plan = explainer.explain_private_nn(region)
-        elif args.query == "private_knn":
-            plan = explainer.explain_private_knn(region, k=4)
+        specs = {
+            "public_range": RangeSpec(window=Rect(20, 20, 60, 60)),
+            "public_knn": KNNSpec(point=Point(50, 50), k=4),
+            "public_count": CountSpec(window=Rect(20, 20, 80, 80)),
+            "public_nn": NNSpec(point=Point(50, 50), dataset="private"),
+            "private_range": RangeSpec(
+                flavor="private", region=region, radius=10.0
+            ),
+            "private_nn": NNSpec(flavor="private", region=region),
+            "private_knn": KNNSpec(flavor="private", region=region, k=4),
+        }
+        if args.query in specs:
+            plan = explainer.explain(specs[args.query])
         elif args.query == "bulk_cloak":
             plan = explainer.explain_bulk_cloak(
                 system.anonymizer, t=system.clock
             )
         elif args.query == "planned":
-            from repro.queries.spec import KNNSpec
-
-            plan = explainer.explain_spec(KNNSpec(point=Point(50, 50), k=4))
+            plan = explainer.explain_spec(specs["public_knn"])
         else:  # batch
             plan = explainer.explain_batch(
                 [
-                    PublicRangeQuery(Rect(20, 20, 60, 60)),
-                    PublicNNQuery(Point(50, 50), k=4),
-                    PublicCountQuery(Rect(20, 20, 80, 80)),
-                    PrivateNNQuery(region),
+                    specs[kind]
+                    for kind in (
+                        "public_range",
+                        "public_knn",
+                        "public_count",
+                        "private_nn",
+                    )
                 ]
             )
     print(plan_to_json(plan) if args.json else render_plan(plan))
@@ -616,11 +607,11 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.server import LocationServer
-    from repro.engine import PublicNNQuery, PublicRangeQuery
     from repro.geometry.point import Point
     from repro.geometry.rect import Rect
     from repro.core.stores import PublicStore
     from repro.obs import Telemetry
+    from repro.queries.spec import KNNSpec, RangeSpec
 
     if args.objects < 1 or args.queries < 1:
         raise SystemExit("repro bench-batch: error: sizes must be positive")
@@ -635,17 +626,22 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
     queries: list = []
     for _ in range(args.queries // 2):
         x, y = rng.uniform(0, 990), rng.uniform(0, 990)
-        queries.append(PublicRangeQuery(Rect(x, y, x + 10, y + 10)))
-        queries.append(PublicNNQuery(Point(x, y), k=8))
+        queries.append(RangeSpec(window=Rect(x, y, x + 10, y + 10)))
+        queries.append(KNNSpec(point=Point(x, y), k=8))
 
     report: dict = {
         "objects": args.objects,
         "queries": len(queries),
         "modes": {},
     }
-    for mode, vectorize in (("batched", True), ("sequential", False)):
+    # ``routes`` is the planner's per-query route vector: without it every
+    # kind takes its kernel, all-False runs the scalar processors.
+    for mode, routes in (
+        ("batched", None),
+        ("sequential", [False] * len(queries)),
+    ):
         start = time.perf_counter()
-        server.execute_batch(queries, vectorize=vectorize)
+        server.execute_batch(queries, routes=routes)
         elapsed = time.perf_counter() - start
         report["modes"][mode] = {
             "seconds": elapsed,
@@ -901,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "-q",
         "--query",
-        choices=EXPLAIN_QUERIES,
+        choices=_explain_queries(),
         default="figure6a",
         help="query path to explain (default: the paper's Figure 6a count)",
     )

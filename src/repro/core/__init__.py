@@ -44,22 +44,10 @@ __all__ = [
     "QoSLedger",
     "RangeQueryOutcome",
     "NNQueryOutcome",
-    "save_public_store",
-    "load_public_store",
-    "save_private_store",
-    "load_private_store",
-    "save_profiles",
-    "load_profiles",
 ]
 
 _LAZY = {
     "PublicStore": ("repro.core.stores", "PublicStore"),
-    "save_public_store": ("repro.core.persistence", "save_public_store"),
-    "load_public_store": ("repro.core.persistence", "load_public_store"),
-    "save_private_store": ("repro.core.persistence", "save_private_store"),
-    "load_private_store": ("repro.core.persistence", "load_private_store"),
-    "save_profiles": ("repro.core.persistence", "save_profiles"),
-    "load_profiles": ("repro.core.persistence", "load_profiles"),
     "PrivateStore": ("repro.core.stores", "PrivateStore"),
     "LocationServer": ("repro.core.server", "LocationServer"),
     "LocationAnonymizer": ("repro.core.anonymizer", "LocationAnonymizer"),

@@ -8,8 +8,9 @@ server.  It:
    herself that ever sees them);
 3. cloaks locations per the profile in force at the current time and
    pushes only the cloaked region — under a pseudonym — to the server;
-4. proxies user queries so the server sees a region and a pseudonym, never
-   an identity or a point.
+4. cloaks the asker of a query (:meth:`LocationAnonymizer.cloak_user`), so
+   the server sees a region-bound spec — never an identity or a point
+   (:meth:`repro.core.system.PrivacySystem.query` runs that pipeline).
 
 Pseudonym policy: by default each user keeps one stable pseudonym, which
 preserves continuous-query semantics but exposes the update *stream* to the
@@ -47,8 +48,6 @@ from repro.obs.events import (
     USER_MOVED,
     USER_RETIRED,
 )
-from repro.queries.private_nn import PrivateNNResult
-from repro.queries.private_range import PrivateRangeResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.cloak import BulkCloakOutcome
@@ -511,28 +510,6 @@ class LocationAnonymizer:
             else:
                 hi = mid
         return lo
-
-    # ------------------------------------------------------------------
-    # Query proxying (identity and location hiding)
-    # ------------------------------------------------------------------
-
-    def private_range_query(
-        self, user_id: Hashable, radius: float, t: float, method: str = "exact"
-    ) -> tuple[CloakResult, PrivateRangeResult]:
-        """Proxy a range query: the server sees only the cloaked region."""
-        if self.server is None:
-            raise RegistrationError("anonymizer is not connected to a server")
-        cloak = self.cloak_user(user_id, t)
-        return cloak, self.server.private_range(cloak.region, radius, method)
-
-    def private_nn_query(
-        self, user_id: Hashable, t: float, method: str = "filter"
-    ) -> tuple[CloakResult, PrivateNNResult]:
-        """Proxy a nearest-neighbour query through the cloaked region."""
-        if self.server is None:
-            raise RegistrationError("anonymizer is not connected to a server")
-        cloak = self.cloak_user(user_id, t)
-        return cloak, self.server.private_nn(cloak.region, method)
 
     # ------------------------------------------------------------------
     # Internals

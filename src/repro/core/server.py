@@ -14,6 +14,12 @@ private query       candidate-set range & NN reducible to the other two
 
 It never receives exact private locations: private data arrives only as
 cloaked regions pushed by the :class:`~repro.core.anonymizer.LocationAnonymizer`.
+
+Every question is a :class:`~repro.queries.spec.QuerySpec`: one at a
+time through :attr:`LocationServer.planner`, many at once through
+:meth:`LocationServer.execute_batch`.  Both account it under its
+:func:`~repro.queries.spec.native_kind` and run it through the same
+per-kind runner (:data:`repro.engine.batch.RUNNERS`).
 """
 
 from __future__ import annotations
@@ -21,17 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
-import numpy as np
-
 from repro.core.errors import QueryError
 from repro.core.stores import PrivateStore, PublicStore
 from repro.engine.batch import BatchEngine, BatchResult
-from repro.engine.queries import BatchQuery
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry, get_telemetry
 from repro.obs.events import (
-    CANDIDATES_GENERATED,
     MONITOR_DROPPED,
     MONITOR_REGISTERED,
     POI_ADDED,
@@ -40,11 +42,7 @@ from repro.obs.events import (
     SERVER_QUERY,
 )
 from repro.queries.continuous import ContinuousCountMonitor
-from repro.queries.private_nn import PrivateNNResult, private_nn_query
-from repro.queries.private_range import PrivateRangeResult, private_range_query
-from repro.queries.probabilistic import CountAnswer
-from repro.queries.public_nn import PublicNNResult, public_nn_query
-from repro.queries.public_range import naive_range_count, public_range_count
+from repro.queries.spec import QuerySpec, native_kind, require_bound
 
 
 @dataclass(frozen=True)
@@ -110,23 +108,21 @@ class LocationServer:
             queries_by_kind=dict(self.queries_by_kind),
         )
 
-    def _count_query(self, kind: str) -> None:
-        self.queries_served += 1
-        self.queries_by_kind[kind] = self.queries_by_kind.get(kind, 0) + 1
-        self.telemetry.count("server.queries", kind=kind)
+    def record_query(self, kind: str, n: int = 1) -> None:
+        """Count ``n`` served queries under their native ``kind``.
+
+        The one place queries are accounted: the planner calls it per
+        single query, :meth:`execute_batch` once per kind of a batch, so
+        a question is counted under the same name whatever backend or
+        route answers it (:func:`repro.queries.spec.native_kind`).
+        """
+        self.queries_served += n
+        self.queries_by_kind[kind] = self.queries_by_kind.get(kind, 0) + n
+        self.telemetry.count("server.queries", amount=n, kind=kind)
         # Durable accounting record: replaying these reconstructs the
         # served-query counters after a crash (repro.persist).  ``query``
         # not ``kind`` — the latter is the event-envelope key.
-        self.telemetry.emit(SERVER_QUERY, query=kind, n=1)
-
-    def record_query(self, kind: str) -> None:
-        """Count one externally executed query under ``kind``.
-
-        The cost-based planner's native-equivalent entry points use this
-        so a planned query is accounted exactly like the entry point it
-        replaces, whatever backend or route actually ran.
-        """
-        self._count_query(kind)
+        self.telemetry.emit(SERVER_QUERY, query=kind, n=n)
 
     # ------------------------------------------------------------------
     # Public data maintenance (exact locations, no privacy)
@@ -185,90 +181,6 @@ class LocationServer:
             monitor.on_object_removed(pseudonym)
 
     # ------------------------------------------------------------------
-    # Private queries over public data (Figure 5)
-    # ------------------------------------------------------------------
-
-    def private_range(
-        self, region: Rect, radius: float, method: str = "exact"
-    ) -> PrivateRangeResult:
-        """Candidate set for "public objects within ``radius`` of me"."""
-        self._count_query("private_range")
-        with self.telemetry.span("server.private_range", method=method):
-            result = private_range_query(self.public, region, radius, method)
-        self.telemetry.observe(
-            "candidates", len(result.candidates), query="private_range"
-        )
-        self.telemetry.emit(
-            CANDIDATES_GENERATED,
-            query="private_range",
-            method=method,
-            candidates=len(result.candidates),
-            region_area=region.area,
-            radius=radius,
-        )
-        return result
-
-    def private_nn(self, region: Rect, method: str = "filter") -> PrivateNNResult:
-        """Candidate set for "my nearest public object"."""
-        self._count_query("private_nn")
-        with self.telemetry.span("server.private_nn", method=method):
-            result = private_nn_query(self.public, region, method)
-        self.telemetry.observe("candidates", len(result.candidates), query="private_nn")
-        self.telemetry.emit(
-            CANDIDATES_GENERATED,
-            query="private_nn",
-            method=method,
-            candidates=len(result.candidates),
-            region_area=region.area,
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # Public queries over private data (Figure 6)
-    # ------------------------------------------------------------------
-
-    def public_count(self, window: Rect) -> CountAnswer:
-        """Probabilistic count of private users inside ``window``."""
-        self._count_query("public_count")
-        with self.telemetry.span("server.public_count"):
-            return public_range_count(self.private, window)
-
-    def public_count_naive(self, window: Rect) -> int:
-        """The paper's criticised count-every-overlap baseline."""
-        self._count_query("public_count_naive")
-        with self.telemetry.span("server.public_count_naive"):
-            return naive_range_count(self.private, window)
-
-    def public_nn(
-        self,
-        query: Point,
-        samples: int = 4096,
-        rng: np.random.Generator | None = None,
-    ) -> PublicNNResult:
-        """Probabilistic nearest private user to a public query point."""
-        self._count_query("public_nn")
-        with self.telemetry.span("server.public_nn", samples=samples):
-            return public_nn_query(self.private, query, samples, rng)
-
-    # ------------------------------------------------------------------
-    # Public queries over public data (the classic case, for completeness)
-    # ------------------------------------------------------------------
-
-    def public_range_over_public(self, window: Rect) -> list[Hashable]:
-        """Classic exact range query on public objects."""
-        self._count_query("public_over_public_range")
-        with self.telemetry.span("server.public_range"):
-            return self.public.range_query(window)
-
-    def public_nn_over_public(self, query: Point, k: int = 1) -> list[Hashable]:
-        """Classic exact k-NN query on public objects."""
-        if k < 1:
-            raise QueryError("k must be positive")
-        self._count_query("public_over_public_nn")
-        with self.telemetry.span("server.public_nn_exact", k=k):
-            return self.public.nearest(query, k)
-
-    # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
 
@@ -294,30 +206,29 @@ class LocationServer:
 
     def execute_batch(
         self,
-        queries: list[BatchQuery],
+        specs: list[QuerySpec],
         *,
-        vectorize: bool = True,
         routes: "list[bool] | None" = None,
     ) -> list[BatchResult]:
-        """Answer a heterogeneous query batch in one vectorised pass.
+        """Answer a heterogeneous batch of public or region-bound specs.
 
         Every query sees the same frozen snapshot of both stores; results
-        align with the input order and match the per-query entry points
-        (see ``docs/batch_engine.md``).  Queries are counted in
-        :meth:`stats` under their batch kind names.  ``routes`` is the
-        planner's per-query vectorized/scalar choice vector (see
+        align with the input order and equal the single-query answers
+        (see ``docs/batch_engine.md``).  The batch is accounted once per
+        kind — one ``server.query`` record carrying the count — not once
+        per query.  ``routes`` is the planner's per-query
+        vectorized/scalar choice vector (see
         :meth:`repro.engine.batch.BatchEngine.execute`).
         """
-        batch = list(queries)
-        self.queries_served += len(batch)
+        batch = list(specs)
         kinds: dict[str, int] = {}
-        for query in batch:
-            kinds[query.kind] = kinds.get(query.kind, 0) + 1
+        for spec in batch:
+            require_bound(spec)  # before anything is accounted
+            kind = native_kind(spec)
+            kinds[kind] = kinds.get(kind, 0) + 1
         for kind, n in kinds.items():
-            self.queries_by_kind[kind] = self.queries_by_kind.get(kind, 0) + n
-            self.telemetry.count("server.queries", amount=n, kind=kind)
-            self.telemetry.emit(SERVER_QUERY, query=kind, n=n)
-        return self.engine.execute(batch, vectorize=vectorize, routes=routes)
+            self.record_query(kind, n)
+        return self.engine.execute(batch, routes=routes)
 
     # ------------------------------------------------------------------
     # Continuous queries

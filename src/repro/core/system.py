@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Hashable
+from typing import ClassVar, Hashable
 
 import numpy as np
 
@@ -45,12 +44,10 @@ from repro.queries.private_knn import refine_knn_candidates
 from repro.queries.private_nn import refine_nn_candidates
 from repro.queries.private_range import exact_range_answer, refine_range_candidates
 from repro.queries.spec import (
-    KNNSpec,
-    NNSpec,
     QuerySpec,
-    RangeSpec,
     SPEC_TYPES,
     is_user_bound,
+    native_kind,
 )
 
 #: Auto-rotate the WAL at checkpoint time once it exceeds this size.
@@ -74,6 +71,18 @@ class RangeQueryOutcome:
     candidates: int
     answer_size: int
     correct: bool
+    ledger: ClassVar[str] = "range_outcomes"
+    qos: ClassVar[tuple[str, str]] = ("qos.range_overhead", "overhead")
+
+    @classmethod
+    def judge(cls, spec, cloak_area, candidates, refined, truth, distance):
+        return cls(
+            spec.user,
+            cloak_area,
+            candidates,
+            len(refined),
+            sorted(refined, key=repr) == sorted(truth, key=repr),
+        )
 
     @property
     def overhead(self) -> float:
@@ -89,6 +98,18 @@ class NNQueryOutcome:
     cloak_area: float
     candidates: int
     correct: bool
+    ledger: ClassVar[str] = "nn_outcomes"
+    qos: ClassVar[tuple[str, str]] = ("qos.nn_candidates", "candidates")
+    #: One object answers an NN query, so every candidate is overhead.
+    answer_size: ClassVar[int] = 1
+
+    @classmethod
+    def judge(cls, spec, cloak_area, candidates, refined, truth, distance):
+        return cls(spec.user, cloak_area, candidates, refined == truth)
+
+    @property
+    def overhead(self) -> float:
+        return float(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -107,6 +128,19 @@ class KNNQueryOutcome:
     candidates: int
     answer_size: int
     correct: bool
+    ledger: ClassVar[str] = "knn_outcomes"
+    qos: ClassVar[tuple[str, str]] = ("qos.knn_candidates", "candidates")
+
+    @classmethod
+    def judge(cls, spec, cloak_area, candidates, refined, truth, distance):
+        return cls(
+            spec.user,
+            cloak_area,
+            spec.k,
+            candidates,
+            len(refined),
+            [distance(i) for i in refined] == [distance(i) for i in truth],
+        )
 
     @property
     def overhead(self) -> float:
@@ -157,6 +191,31 @@ class QoSLedger:
                 np.mean([o.correct for o in self.knn_outcomes])
             )
         return out
+
+
+#: What differs between the user-bound query kinds, by native kind:
+#: ``(refine(store, result, location), truth(store, location, spec),
+#: outcome type)``; :meth:`PrivacySystem._user_query` is the pipeline.
+#: The processors are called through this module's names on every
+#: query, so a tracer that patches ``repro.core.system.refine_*`` sees
+#: each call.
+_USER_PIPELINES: dict[str, tuple] = {
+    "private_range": (
+        lambda store, result, at: refine_range_candidates(store, result, at),
+        lambda store, at, spec: exact_range_answer(store, at, spec.radius),
+        RangeQueryOutcome,
+    ),
+    "private_nn": (
+        lambda store, result, at: refine_nn_candidates(store, result, at),
+        lambda store, at, spec: store.nearest(at, k=1)[0],
+        NNQueryOutcome,
+    ),
+    "private_knn": (
+        lambda store, result, at: refine_knn_candidates(store, result, at),
+        lambda store, at, spec: store.nearest(at, k=min(spec.k, len(store))),
+        KNNQueryOutcome,
+    ),
+}
 
 
 class PrivacySystem:
@@ -304,200 +363,88 @@ class PrivacySystem:
         # and planner decision below joins on it (repro.obs.correlate).
         with self.obs.correlate("q"):
             if is_user_bound(spec):
-                if isinstance(spec, RangeSpec):
-                    result = self._user_range(spec)
-                elif isinstance(spec, KNNSpec):
-                    result = self._user_knn(spec)
-                else:
-                    result = self._user_nn(spec)
+                result = self._user_query(spec)
             else:
                 result = self.planner.execute(spec)
         if self.timeseries is not None:
             self.timeseries.maybe_sample()
         return result
 
-    def _cloaked(self, spec):
-        """Cloak the spec's user and return the region-bound spec form."""
-        cloak = self.anonymizer.cloak_user(spec.user, self.clock)
-        return cloak, replace(spec, user=None, region=cloak.region)
+    def _user_query(self, spec):
+        """Full pipeline: cloak -> planned candidates -> client refinement.
 
-    def _user_range(
-        self, spec: RangeSpec
-    ) -> tuple[RangeQueryOutcome, list[Hashable]]:
-        """Full pipeline: cloak -> planned candidates -> client refinement."""
-        user = self._visible_user(spec.user)
-        with self.obs.span("query.private_range", method=spec.method):
-            cloak, bound = self._cloaked(spec)
-            result = self.planner.execute(bound)
-            with self.obs.span("client.refine", query="private_range"):
-                refined = refine_range_candidates(
-                    self.server.public, result, user.location
-                )
-        truth = exact_range_answer(self.server.public, user.location, spec.radius)
-        outcome = RangeQueryOutcome(
-            user_id=spec.user,
-            cloak_area=cloak.region.area,
-            candidates=len(result.candidates),
-            answer_size=len(refined),
-            correct=sorted(refined, key=repr) == sorted(truth, key=repr),
-        )
-        self.ledger.range_outcomes.append(outcome)
-        self.obs.observe("qos.range_overhead", outcome.overhead)
-        self.obs.emit(
-            QUERY_COMPLETED,
-            query="private_range",
-            user=str(spec.user),
-            candidates=outcome.candidates,
-            answer_size=outcome.answer_size,
-            overhead=outcome.overhead,
-            correct=outcome.correct,
-            cloak_area=outcome.cloak_area,
-        )
-        return outcome, refined
-
-    def _user_nn(self, spec: NNSpec) -> tuple[NNQueryOutcome, Hashable]:
-        """Full pipeline for a private nearest-neighbour query."""
-        user = self._visible_user(spec.user)
-        with self.obs.span("query.private_nn", method=spec.method):
-            cloak, bound = self._cloaked(spec)
-            result = self.planner.execute(bound)
-            with self.obs.span("client.refine", query="private_nn"):
-                refined = refine_nn_candidates(
-                    self.server.public, result, user.location
-                )
-        truth = self.server.public.nearest(user.location, k=1)[0]
-        outcome = NNQueryOutcome(
-            user_id=spec.user,
-            cloak_area=cloak.region.area,
-            candidates=len(result.candidates),
-            correct=refined == truth,
-        )
-        self.ledger.nn_outcomes.append(outcome)
-        self.obs.observe("qos.nn_candidates", outcome.candidates)
-        self.obs.emit(
-            QUERY_COMPLETED,
-            query="private_nn",
-            user=str(spec.user),
-            candidates=outcome.candidates,
-            answer_size=1,
-            overhead=float(outcome.candidates),
-            correct=outcome.correct,
-            cloak_area=outcome.cloak_area,
-        )
-        return outcome, refined
-
-    def _user_knn(
-        self, spec: KNNSpec
-    ) -> tuple[KNNQueryOutcome, list[Hashable]]:
-        """Full pipeline for a private k-NN query."""
-        user = self._visible_user(spec.user)
-        with self.obs.span("query.private_knn", method=spec.method):
-            cloak, bound = self._cloaked(spec)
-            result = self.planner.execute(bound)
-            with self.obs.span("client.refine", query="private_knn"):
-                refined = refine_knn_candidates(
-                    self.server.public, result, user.location
-                )
-        truth = self.server.public.nearest(
-            user.location, k=min(spec.k, len(self.server.public))
-        )
-        location = user.location
-
-        def distances(items):
-            return [
-                self.server.public.point_of(i).distance_to(location)
-                for i in items
-            ]
-
-        outcome = KNNQueryOutcome(
-            user_id=spec.user,
-            cloak_area=cloak.region.area,
-            k=spec.k,
-            candidates=len(result.candidates),
-            answer_size=len(refined),
-            correct=distances(refined) == distances(truth),
-        )
-        self.ledger.knn_outcomes.append(outcome)
-        self.obs.observe("qos.knn_candidates", outcome.candidates)
-        self.obs.emit(
-            QUERY_COMPLETED,
-            query="private_knn",
-            user=str(spec.user),
-            k=spec.k,
-            candidates=outcome.candidates,
-            answer_size=outcome.answer_size,
-            overhead=outcome.overhead,
-            correct=outcome.correct,
-            cloak_area=outcome.cloak_area,
-        )
-        return outcome, refined
-
-    # ------------------------------------------------------------------
-    # Deprecated positional wrappers (pre-QuerySpec API)
-    # ------------------------------------------------------------------
-
-    def user_range_query(
-        self, user_id: Hashable, radius: float, method: str = "exact"
-    ) -> tuple[RangeQueryOutcome, list[Hashable]]:
-        """Deprecated: use ``query(RangeSpec(flavor="private", ...))``."""
-        warnings.warn(
-            "PrivacySystem.user_range_query() is deprecated; use "
-            "query(RangeSpec(flavor='private', user=..., radius=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query(
-            RangeSpec(
-                flavor="private", user=user_id, radius=radius, method=method
+        One sequence for every user-bound kind; :data:`_USER_PIPELINES`
+        supplies what differs.  Returns ``(outcome, refined_answer)``.
+        """
+        kind = native_kind(spec)
+        refine, truth, outcome_type = _USER_PIPELINES[kind]
+        at = self._visible_user(spec.user).location
+        store = self.server.public
+        with self.obs.span(f"query.{kind}", method=spec.method):
+            cloak = self.anonymizer.cloak_user(spec.user, self.clock)
+            result = self.planner.execute(
+                replace(spec, user=None, region=cloak.region)
             )
+            with self.obs.span("client.refine", query=kind):
+                refined = refine(store, result, at)
+        outcome = outcome_type.judge(
+            spec,
+            cloak.region.area,
+            len(result.candidates),
+            refined,
+            truth(store, at, spec),
+            lambda item: store.point_of(item).distance_to(at),
         )
-
-    def user_nn_query(
-        self, user_id: Hashable, method: str = "filter"
-    ) -> tuple[NNQueryOutcome, Hashable]:
-        """Deprecated: use ``query(NNSpec(flavor="private", user=...))``."""
-        warnings.warn(
-            "PrivacySystem.user_nn_query() is deprecated; use "
-            "query(NNSpec(flavor='private', user=...))",
-            DeprecationWarning,
-            stacklevel=2,
+        getattr(self.ledger, outcome.ledger).append(outcome)
+        metric, field_name = outcome.qos
+        self.obs.observe(metric, getattr(outcome, field_name))
+        attrs = {"k": outcome.k} if kind == "private_knn" else {}
+        self.obs.emit(
+            QUERY_COMPLETED,
+            query=kind,
+            user=str(spec.user),
+            candidates=outcome.candidates,
+            answer_size=outcome.answer_size,
+            overhead=outcome.overhead,
+            correct=outcome.correct,
+            cloak_area=outcome.cloak_area,
+            **attrs,
         )
-        return self.query(NNSpec(flavor="private", user=user_id, method=method))
+        return outcome, refined
 
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
 
-    def execute_batch(self, queries: list, *, vectorize: bool = True) -> list:
-        """Answer a heterogeneous batch, results aligned with input order.
+    def execute_batch(self, specs: list[QuerySpec]) -> list:
+        """Answer a heterogeneous spec batch, results aligned with input order.
 
-        Accepts either :class:`~repro.queries.spec.QuerySpec` values
-        (planned per query by the cost-based planner; user-bound specs
-        run the full QoS-accounted pipeline) or legacy
-        :mod:`repro.engine.queries` batch queries (forwarded untouched
-        to :meth:`~repro.core.server.LocationServer.execute_batch`,
-        where ``vectorize`` applies).
+        User-bound specs run the full QoS-accounted pipeline one by one;
+        the rest are planned and executed together by
+        :meth:`repro.planner.QueryPlanner.execute_batch`.
         """
-        batch = list(queries)
+        batch = list(specs)
+        for spec in batch:
+            if not isinstance(spec, SPEC_TYPES):
+                raise QueryError(
+                    f"execute_batch() takes QuerySpecs, got {type(spec).__name__}"
+                )
         with self.obs.correlate("b"), self.obs.span(
             "system.execute_batch", size=len(batch)
         ):
-            if not batch or not isinstance(batch[0], SPEC_TYPES):
-                results = self.server.execute_batch(batch, vectorize=vectorize)
-            else:
-                results = [None] * len(batch)
-                planned: list[int] = []
-                for position, spec in enumerate(batch):
-                    if is_user_bound(spec):
-                        results[position] = self.query(spec)
-                    else:
-                        planned.append(position)
-                if planned:
-                    answers = self.planner.execute_batch(
-                        [batch[p] for p in planned]
-                    )
-                    for position, answer in zip(planned, answers):
-                        results[position] = answer
+            results = [None] * len(batch)
+            planned: list[int] = []
+            for position, spec in enumerate(batch):
+                if is_user_bound(spec):
+                    results[position] = self.query(spec)
+                else:
+                    planned.append(position)
+            if planned:
+                answers = self.planner.execute_batch(
+                    [batch[p] for p in planned]
+                )
+                for position, answer in zip(planned, answers):
+                    results[position] = answer
         if self.timeseries is not None:
             self.timeseries.maybe_sample()
         return results

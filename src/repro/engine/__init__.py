@@ -1,8 +1,9 @@
 """Vectorized batch query execution over frozen server snapshots.
 
-The :class:`BatchEngine` answers heterogeneous query batches against an
-immutable :class:`ServerSnapshot` using numpy kernels, with per-query
-scalar fallbacks that produce identical results; the
+The :class:`BatchEngine` answers heterogeneous batches of
+:class:`~repro.queries.spec.QuerySpec` values against an immutable
+:class:`ServerSnapshot` using numpy kernels, with per-query scalar
+processors that produce identical results; the
 :class:`BruteForceOracle` is the deliberately naive O(n * m) reference
 every faster path is differential-tested against.  See
 ``docs/batch_engine.md``.
@@ -11,27 +12,13 @@ every faster path is differential-tested against.  See
 from repro.engine.batch import BatchEngine, BatchResult
 from repro.engine.cloak import BulkCloakOutcome, bulk_cloak
 from repro.engine.oracle import BruteForceOracle
-from repro.engine.queries import (
-    BatchQuery,
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
-)
 from repro.engine.snapshot import ServerSnapshot
 
 __all__ = [
     "BatchEngine",
-    "BatchQuery",
     "BatchResult",
     "BruteForceOracle",
     "BulkCloakOutcome",
     "bulk_cloak",
-    "PrivateNNQuery",
-    "PrivateRangeQuery",
-    "PublicCountQuery",
-    "PublicNNQuery",
-    "PublicRangeQuery",
     "ServerSnapshot",
 ]

@@ -1,39 +1,39 @@
-"""The vectorized batch query executor.
+"""The batch query executor and the one table of query runners.
 
-:class:`BatchEngine` answers a heterogeneous list of queries in one
-pass: it freezes the server's object tables into a
+:data:`RUNNERS` holds one row per native query kind
+(:func:`repro.queries.spec.native_kind`): the span a single execution
+opens, which store it searches, the scalar processor ``f(index, spec,
+rank)`` — the same function on the native store and on any replica
+backend — and the vectorised kernel where one exists.  The planner's
+single-query path and this module's batch path both run through it, so
+a kind has one scalar implementation and one kernel, wherever it is
+called from.  Adding a query kind is one spec class plus one row here.
+
+:class:`BatchEngine` answers a heterogeneous list of specs in one pass:
+it freezes the server's object tables into a
 :class:`~repro.engine.snapshot.ServerSnapshot` (reused across batches
-while the stores are quiescent), groups the batch by query kind, and
-runs each group through a vectorised kernel where one exists —
-rectangle containment, radius membership, k-NN distance ranking,
-probabilistic count.  Kinds that resist vectorisation (private NN with
-its dominance/Voronoi filters) are routed through the existing
-per-query processors unchanged, so their batched answers are
-bit-identical to the scalar path by construction.
+while the stores are quiescent), groups the batch by kind and route, and
+runs each group through its kernel — rectangle containment, radius
+membership, k-NN distance ranking, probabilistic count — or, for kinds
+and positions routed scalar, through the per-query processor.
 
 Canonical result order: id lists follow snapshot row order (ranges,
-counts) or nearest-first with snapshot-rank tie-breaks (k-NN), in both
-the vectorised and the sequential (``vectorize=False``) modes — the
-two modes are interchangeable and differential-testable.
+counts, candidate sets) or nearest-first with snapshot-rank tie-breaks
+(k-NN) on both routes, so the routes are interchangeable and
+differential-testable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterable, Sequence
+import math
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.engine import kernels
-from repro.engine.queries import (
-    BatchQuery,
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
-)
 from repro.engine.snapshot import ServerSnapshot
+from repro.geometry.rect import Rect
 from repro.obs import Telemetry
 from repro.obs.events import (
     BATCH_EXECUTED,
@@ -41,22 +41,257 @@ from repro.obs.events import (
     SNAPSHOT_DELTA,
     SNAPSHOT_REUSED,
 )
-from repro.queries.private_nn import PrivateNNResult, private_nn_query
+from repro.queries.private_knn import private_knn_query
+from repro.queries.private_nn import private_nn_query
 from repro.queries.private_range import PrivateRangeResult, private_range_query
 from repro.queries.probabilistic import CountAnswer
+from repro.queries.public_nn import public_nn_query
 from repro.queries.public_range import (
     membership_probabilities,
-    membership_probability,
+    public_range_count,
 )
+from repro.queries.spec import QuerySpec, native_kind, require_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import LocationServer
 
-#: Result of one batch query, by kind: ``private_range`` ->
-#: :class:`PrivateRangeResult`, ``private_nn`` -> :class:`PrivateNNResult`,
-#: ``public_range`` / ``public_nn`` -> tuple of ids, ``public_count`` ->
-#: :class:`CountAnswer`.
+#: Result of one query, by kind: ``public_range`` / ``public_knn`` ->
+#: tuple of ids, ``public_count`` -> :class:`CountAnswer`, ``public_nn``
+#: -> :class:`PublicNNResult`, ``private_*`` -> the ``Private*Result``
+#: with a rank-sorted candidate tuple.
 BatchResult = object
+
+
+# ----------------------------------------------------------------------
+# Scalar processors: f(index, spec, rank) on a native store or a replica
+# ----------------------------------------------------------------------
+
+
+def _in_rank_order(items: Iterable, rank: Mapping) -> tuple:
+    fallback = len(rank)
+    return tuple(sorted(items, key=lambda item: rank.get(item, fallback)))
+
+
+def _canonical_candidates(result, rank: Mapping):
+    """Re-order a processor result's candidate tuple into snapshot order."""
+    return dataclasses.replace(
+        result, candidates=_in_rank_order(result.candidates, rank)
+    )
+
+
+def _public_range_scalar(index, spec, rank) -> tuple:
+    return _in_rank_order(index.range_query(spec.window), rank)
+
+
+def _public_knn_scalar(index, spec, rank) -> tuple:
+    """k-NN on any backend, identical to the vectorized kernel.
+
+    The kernel ranks by ``(squared distance, snapshot rank)``.  Any
+    *valid* k-NN answer from the backend yields a sound threshold: its
+    max squared distance is >= the true k-th smallest (if the backend's
+    tie choices differ, it includes a farther point), so the window plus
+    ``d2 <= threshold`` filter is a superset of the canonical answer,
+    and the final sort/truncate is exact.
+    """
+    point = spec.point
+    kk = min(spec.k, len(rank))
+    if kk <= 0:
+        return ()
+    point_of = index.point_of
+    raw = index.nearest(point, kk)
+    threshold = max(point_of(i).squared_distance_to(point) for i in raw)
+    # Pad the sqrt against rounding: a too-wide window is harmless, the
+    # d2 filter below keeps exactness.
+    half = math.sqrt(threshold) * (1.0 + 1e-12) + 1e-300
+    window = Rect(point.x - half, point.y - half, point.x + half, point.y + half)
+    kept = [
+        (d2, rank[item], item)
+        for item in index.range_query(window)
+        if (d2 := point_of(item).squared_distance_to(point)) <= threshold
+    ]
+    kept.sort(key=lambda row: (row[0], row[1]))
+    return tuple(item for _, _, item in kept[:kk])
+
+
+def _public_count_scalar(index, spec, rank) -> CountAnswer:
+    probabilities = public_range_count(index, spec.window).probabilities
+    return CountAnswer(
+        {
+            item: probabilities[item]
+            for item in _in_rank_order(probabilities, rank)
+        }
+    )
+
+
+def _public_nn_scalar(index, spec, rank):
+    return public_nn_query(
+        index, spec.point, spec.samples, np.random.default_rng(spec.seed)
+    )
+
+
+def _private_range_scalar(index, spec, rank):
+    return _canonical_candidates(
+        private_range_query(index, spec.region, spec.radius, spec.method), rank
+    )
+
+
+def _private_nn_scalar(index, spec, rank):
+    return _canonical_candidates(
+        private_nn_query(index, spec.region, spec.method), rank
+    )
+
+
+def _private_knn_scalar(index, spec, rank):
+    return _canonical_candidates(
+        private_knn_query(index, spec.region, spec.k, spec.method), rank
+    )
+
+
+# ----------------------------------------------------------------------
+# Vectorised kernels: f(snapshot, specs) over one homogeneous group
+# ----------------------------------------------------------------------
+
+
+def _public_range_kernel(snapshot: ServerSnapshot, specs: Sequence) -> list:
+    windows = kernels.windows_array([s.window for s in specs])
+    rows_per_query = kernels.points_in_windows_grid(
+        snapshot.public_grid, windows
+    )
+    ids = snapshot.public_ids
+    return [tuple(ids[row] for row in rows) for rows in rows_per_query]
+
+
+def _public_knn_kernel(snapshot: ServerSnapshot, specs: Sequence) -> list:
+    qx = np.array([s.point.x for s in specs])
+    qy = np.array([s.point.y for s in specs])
+    rows_per_query = kernels.knn_points_grid(
+        snapshot.public_grid, qx, qy, [s.k for s in specs]
+    )
+    ids = snapshot.public_ids
+    return [tuple(ids[row] for row in rows) for rows in rows_per_query]
+
+
+def _public_count_kernel(snapshot: ServerSnapshot, specs: Sequence) -> list:
+    windows = kernels.windows_array([s.window for s in specs])
+    rows_per_query = kernels.rects_intersecting_window(
+        snapshot.private_bounds, windows
+    )
+    answers = []
+    ids = snapshot.private_ids
+    for spec, rows in zip(specs, rows_per_query):
+        probs = membership_probabilities(
+            snapshot.private_bounds[rows], spec.window
+        )
+        answers.append(
+            CountAnswer({ids[row]: float(p) for row, p in zip(rows, probs)})
+        )
+    return answers
+
+
+def _private_range_kernel(snapshot: ServerSnapshot, specs: Sequence) -> list:
+    regions = kernels.windows_array([s.region for s in specs])
+    radii = np.array([s.radius for s in specs])
+    rows_per_query: list = [None] * len(specs)
+    # The exact method applies the rounded-rectangle distance test;
+    # the mbr method keeps everything inside the expanded window.
+    exact = [i for i, s in enumerate(specs) if s.method == "exact"]
+    mbr = [i for i, s in enumerate(specs) if s.method != "exact"]
+    if exact:
+        for i, rows in zip(
+            exact,
+            kernels.points_within_radius(
+                snapshot.public_xs,
+                snapshot.public_ys,
+                regions[exact],
+                radii[exact],
+            ),
+        ):
+            rows_per_query[i] = rows
+    if mbr:
+        expanded = regions[mbr].copy()
+        expanded[:, 0] -= radii[mbr]
+        expanded[:, 1] -= radii[mbr]
+        expanded[:, 2] += radii[mbr]
+        expanded[:, 3] += radii[mbr]
+        for i, rows in zip(
+            mbr,
+            kernels.points_in_windows(
+                snapshot.public_xs, snapshot.public_ys, expanded
+            ),
+        ):
+            rows_per_query[i] = rows
+    ids = snapshot.public_ids
+    return [
+        PrivateRangeResult(
+            region=s.region,
+            radius=s.radius,
+            candidates=tuple(ids[row] for row in rows_per_query[i]),
+            method=s.method,
+        )
+        for i, s in enumerate(specs)
+    ]
+
+
+# ----------------------------------------------------------------------
+# The runner table
+# ----------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Runner:
+    """How one native query kind executes.
+
+    Attributes:
+        span: the stage a single execution is timed under.
+        side: the store it searches (``public`` / ``private``), whose
+            snapshot rank is its canonical result order.
+        scalar: ``f(index, spec, rank)`` — ``index`` is the native store
+            or a replica read through the store's interface.
+        kernel: ``f(snapshot, specs)`` over a homogeneous group, or
+            ``None`` for kinds that resist vectorisation (dominance /
+            Voronoi filters, Monte-Carlo sampling).
+        span_attrs: spec fields copied onto the span.
+        candidates: True when the answer is a candidate set whose size
+            is observed and logged as ``candidates.generated``.
+    """
+
+    span: str
+    side: str
+    scalar: Callable
+    kernel: Callable | None = None
+    span_attrs: tuple[str, ...] = ()
+    candidates: bool = False
+
+
+RUNNERS: dict[str, Runner] = {
+    "public_range": Runner(
+        "server.public_range", "public",
+        _public_range_scalar, _public_range_kernel,
+    ),
+    "public_knn": Runner(
+        "server.public_nn_exact", "public",
+        _public_knn_scalar, _public_knn_kernel, ("k",),
+    ),
+    "public_count": Runner(
+        "server.public_count", "private",
+        _public_count_scalar, _public_count_kernel,
+    ),
+    "public_nn": Runner(
+        "server.public_nn", "private", _public_nn_scalar, None, ("samples",)
+    ),
+    "private_range": Runner(
+        "server.private_range", "public",
+        _private_range_scalar, _private_range_kernel, ("method",), True,
+    ),
+    "private_nn": Runner(
+        "server.private_nn", "public",
+        _private_nn_scalar, None, ("method",), True,
+    ),
+    "private_knn": Runner(
+        "server.private_knn", "public",
+        _private_knn_scalar, None, ("method",), True,
+    ),
+}
 
 
 class BatchEngine:
@@ -123,47 +358,41 @@ class BatchEngine:
 
     def execute(
         self,
-        queries: Iterable[BatchQuery],
+        specs: Iterable[QuerySpec],
         *,
-        vectorize: bool = True,
         routes: Sequence[bool] | None = None,
     ) -> list[BatchResult]:
-        """Answer every query, results aligned with the input order.
+        """Answer every spec, results aligned with the input order.
 
         Args:
-            queries: any mix of the five batch query kinds.
-            vectorize: ``False`` forces the per-query scalar path for
-                every kind (the differential-testing reference); results
-                are normalised identically in both modes.
-            routes: optional per-query route vector from the cost-based
-                planner, aligned with ``queries`` (``True`` = vectorized
-                kernel, ``False`` = scalar processor).  Overrides
-                ``vectorize`` per position; kinds without a kernel
-                (``private_nn``) stay scalar regardless.
+            specs: any mix of public or region-bound specs (user-bound
+                ones need the anonymizer: ``PrivacySystem.query``).
+            routes: optional per-spec route vector from the cost-based
+                planner, aligned with ``specs`` (``True`` = vectorized
+                kernel, ``False`` = scalar processor).  Without it every
+                kind that has a kernel takes it; kinds without one stay
+                scalar regardless.
         """
-        batch = list(queries)
+        batch = list(specs)
         if routes is not None and len(routes) != len(batch):
             raise ValueError(
                 f"routes length {len(routes)} != batch size {len(batch)}"
             )
+        groups: dict[tuple[str, bool], list[int]] = {}
+        for position, spec in enumerate(batch):
+            require_bound(spec)
+            kind = native_kind(spec)
+            vectorized = RUNNERS[kind].kernel is not None and (
+                routes is None or bool(routes[position])
+            )
+            groups.setdefault((kind, vectorized), []).append(position)
         # Same batch scope as any enclosing system/server entry point —
         # a direct engine call mints its own batch id (repro.obs.correlate).
         with self.telemetry.correlate("b", reuse=True):
-            with self.telemetry.span(
-                "engine.batch", size=len(batch), vectorize=vectorize
-            ):
+            with self.telemetry.span("engine.batch", size=len(batch)):
                 snapshot = self.snapshot()
                 self.telemetry.observe("engine.batch_size", len(batch))
                 results: list[BatchResult] = [None] * len(batch)
-                groups: dict[tuple[str, bool], list[int]] = {}
-                for position, query in enumerate(batch):
-                    wanted = (
-                        vectorize if routes is None else bool(routes[position])
-                    )
-                    vectorized = wanted and query.kind != "private_nn"
-                    groups.setdefault((query.kind, vectorized), []).append(
-                        position
-                    )
                 kinds: dict[str, int] = {}
                 for (kind, vectorized), positions in groups.items():
                     kinds[kind] = kinds.get(kind, 0) + len(positions)
@@ -173,213 +402,25 @@ class BatchEngine:
                         kind=kind,
                         path="vectorized" if vectorized else "scalar",
                     )
-                    handler = getattr(
-                        self, f"_{kind}_{'vec' if vectorized else 'seq'}"
-                    )
+                    runner = RUNNERS[kind]
+                    members = [batch[p] for p in positions]
                     with self.telemetry.span(
                         f"engine.{kind}", n=len(positions)
                     ):
-                        answers = handler(
-                            snapshot, [batch[p] for p in positions]
-                        )
+                        if vectorized:
+                            answers = runner.kernel(snapshot, members)
+                        else:
+                            store = getattr(self.server, runner.side)
+                            rank = getattr(snapshot, f"{runner.side}_rank")
+                            answers = [
+                                runner.scalar(store, spec, rank)
+                                for spec in members
+                            ]
                     for position, answer in zip(positions, answers):
                         results[position] = answer
             self.telemetry.emit(
                 BATCH_EXECUTED,
                 size=len(batch),
-                vectorize=vectorize,
                 kinds=dict(sorted(kinds.items())),
             )
         return results
-
-    # ------------------------------------------------------------------
-    # Public range over public data
-    # ------------------------------------------------------------------
-
-    def _public_range_vec(
-        self, snapshot: ServerSnapshot, queries: Sequence[PublicRangeQuery]
-    ) -> list[tuple]:
-        windows = kernels.windows_array([q.window for q in queries])
-        rows_per_query = kernels.points_in_windows_grid(
-            snapshot.public_grid, windows
-        )
-        ids = snapshot.public_ids
-        return [tuple(ids[row] for row in rows) for rows in rows_per_query]
-
-    def _public_range_seq(
-        self, snapshot: ServerSnapshot, queries: Sequence[PublicRangeQuery]
-    ) -> list[tuple]:
-        rank = snapshot.public_rank
-        fallback = snapshot.n_public
-        return [
-            tuple(
-                sorted(
-                    self.server.public.range_query(q.window),
-                    key=lambda item: rank.get(item, fallback),
-                )
-            )
-            for q in queries
-        ]
-
-    # ------------------------------------------------------------------
-    # Public k-NN over public data
-    # ------------------------------------------------------------------
-
-    def _public_nn_vec(
-        self, snapshot: ServerSnapshot, queries: Sequence[PublicNNQuery]
-    ) -> list[tuple]:
-        qx = np.array([q.point.x for q in queries])
-        qy = np.array([q.point.y for q in queries])
-        rows_per_query = kernels.knn_points_grid(
-            snapshot.public_grid, qx, qy, [q.k for q in queries]
-        )
-        ids = snapshot.public_ids
-        return [tuple(ids[row] for row in rows) for rows in rows_per_query]
-
-    def _public_nn_seq(
-        self, snapshot: ServerSnapshot, queries: Sequence[PublicNNQuery]
-    ) -> list[tuple]:
-        return [
-            tuple(self.server.public.nearest(q.point, q.k)) for q in queries
-        ]
-
-    # ------------------------------------------------------------------
-    # Public probabilistic count over private data
-    # ------------------------------------------------------------------
-
-    def _public_count_vec(
-        self, snapshot: ServerSnapshot, queries: Sequence[PublicCountQuery]
-    ) -> list[CountAnswer]:
-        windows = kernels.windows_array([q.window for q in queries])
-        rows_per_query = kernels.rects_intersecting_window(
-            snapshot.private_bounds, windows
-        )
-        answers = []
-        ids = snapshot.private_ids
-        for query, rows in zip(queries, rows_per_query):
-            probs = membership_probabilities(
-                snapshot.private_bounds[rows], query.window
-            )
-            answers.append(
-                CountAnswer(
-                    {ids[row]: float(p) for row, p in zip(rows, probs)}
-                )
-            )
-        return answers
-
-    def _public_count_seq(
-        self, snapshot: ServerSnapshot, queries: Sequence[PublicCountQuery]
-    ) -> list[CountAnswer]:
-        rank = snapshot.private_rank
-        fallback = snapshot.n_private
-        answers = []
-        for q in queries:
-            overlapping = sorted(
-                self.server.private.overlapping(q.window),
-                key=lambda item: rank.get(item, fallback),
-            )
-            answers.append(
-                CountAnswer(
-                    {
-                        item: membership_probability(
-                            self.server.private.region_of(item), q.window
-                        )
-                        for item in overlapping
-                    }
-                )
-            )
-        return answers
-
-    # ------------------------------------------------------------------
-    # Private range over public data
-    # ------------------------------------------------------------------
-
-    def _private_range_vec(
-        self, snapshot: ServerSnapshot, queries: Sequence[PrivateRangeQuery]
-    ) -> list[PrivateRangeResult]:
-        regions = kernels.windows_array([q.region for q in queries])
-        radii = np.array([q.radius for q in queries])
-        rows_per_query: list = [None] * len(queries)
-        # The exact method applies the rounded-rectangle distance test;
-        # the mbr method keeps everything inside the expanded window.
-        exact = [i for i, q in enumerate(queries) if q.method == "exact"]
-        mbr = [i for i, q in enumerate(queries) if q.method != "exact"]
-        if exact:
-            for i, rows in zip(
-                exact,
-                kernels.points_within_radius(
-                    snapshot.public_xs,
-                    snapshot.public_ys,
-                    regions[exact],
-                    radii[exact],
-                ),
-            ):
-                rows_per_query[i] = rows
-        if mbr:
-            expanded = regions[mbr].copy()
-            expanded[:, 0] -= radii[mbr]
-            expanded[:, 1] -= radii[mbr]
-            expanded[:, 2] += radii[mbr]
-            expanded[:, 3] += radii[mbr]
-            for i, rows in zip(
-                mbr,
-                kernels.points_in_windows(
-                    snapshot.public_xs, snapshot.public_ys, expanded
-                ),
-            ):
-                rows_per_query[i] = rows
-        ids = snapshot.public_ids
-        return [
-            PrivateRangeResult(
-                region=q.region,
-                radius=q.radius,
-                candidates=tuple(ids[row] for row in rows_per_query[i]),
-                method=q.method,
-            )
-            for i, q in enumerate(queries)
-        ]
-
-    def _private_range_seq(
-        self, snapshot: ServerSnapshot, queries: Sequence[PrivateRangeQuery]
-    ) -> list[PrivateRangeResult]:
-        return [
-            self._canonical_candidates(
-                snapshot,
-                private_range_query(
-                    self.server.public, q.region, q.radius, q.method
-                ),
-            )
-            for q in queries
-        ]
-
-    # ------------------------------------------------------------------
-    # Private NN over public data (non-vectorizable: scalar both modes)
-    # ------------------------------------------------------------------
-
-    def _private_nn_seq(
-        self, snapshot: ServerSnapshot, queries: Sequence[PrivateNNQuery]
-    ) -> list[PrivateNNResult]:
-        return [
-            self._canonical_candidates(
-                snapshot,
-                private_nn_query(self.server.public, q.region, q.method),
-            )
-            for q in queries
-        ]
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _canonical_candidates(self, snapshot: ServerSnapshot, result):
-        """Re-order a scalar result's candidate tuple into snapshot order."""
-        rank = snapshot.public_rank
-        fallback = snapshot.n_public
-        return dataclasses.replace(
-            result,
-            candidates=tuple(
-                sorted(
-                    result.candidates, key=lambda item: rank.get(item, fallback)
-                )
-            ),
-        )

@@ -391,9 +391,8 @@ def _grid_bulk(
     on no gridline are inside a block exactly when their geometric cell
     is (classified against the very floats ``cell_rect`` produces), so a
     second prefix sum counts them; only points lying exactly on a
-    gridline or beyond the last one go through the dense window test --
-    such a point is inside both neighbouring blocks, whichever cell it
-    was assigned to.
+    gridline go through the dense window test -- such a point is inside
+    both neighbouring blocks, whichever cell it was assigned to.
     """
     grid = cloaker.spatial_index()
     bounds = cloaker.bounds
@@ -467,17 +466,16 @@ def _grid_bulk(
     used, inverse = np.unique(chain_ids[pos], return_inverse=True)
     regions = [rects[b].clipped(bounds) for b in used.tolist()]
     c0, r0, c1, r1 = np.asarray(list(table))[used].T
-    gx = np.clip(bounds.min_x + np.arange(cols + 1) * cell_w, bounds.min_x, bounds.max_x)
-    gy = np.clip(bounds.min_y + np.arange(grows + 1) * cell_h, bounds.min_y, bounds.max_y)
+    # The gridlines as ``cell_rect`` draws them: the last one is the bound.
+    gx = bounds.min_x + np.arange(cols + 1) * cell_w
+    gy = bounds.min_y + np.arange(grows + 1) * cell_h
+    gx[-1], gy[-1] = bounds.max_x, bounds.max_y
     # Gridlines strictly below a point; equal to the "at or below" count
     # unless the point sits on one.
     below_x = np.searchsorted(gx, xs, side="left")
     below_y = np.searchsorted(gy, ys, side="left")
-    generic = (
-        (below_x == np.searchsorted(gx, xs, side="right"))
-        & (below_y == np.searchsorted(gy, ys, side="right"))
-        & (below_x <= cols)
-        & (below_y <= grows)
+    generic = (below_x == np.searchsorted(gx, xs, side="right")) & (
+        below_y == np.searchsorted(gy, ys, side="right")
     )
     inside = _cell_prefix(below_y[generic] - 1, below_x[generic] - 1, grid)
     user_counts = (

@@ -34,7 +34,9 @@ from repro.queries.spec import (
     QuerySpec,
     RangeSpec,
     dump_specs,
+    is_user_bound,
     load_specs,
+    native_kind,
 )
 
 
@@ -176,16 +178,15 @@ def generate_specs(
 
 
 def _kind_of_spec(spec: QuerySpec) -> QueryKind:
-    """The mix species a spec belongs to (for report bucketing)."""
-    if isinstance(spec, RangeSpec) and spec.user is not None:
-        return QueryKind.PRIVATE_RANGE
-    if isinstance(spec, NNSpec):
-        if spec.user is not None:
-            return QueryKind.PRIVATE_NN
-        if spec.flavor == "public" and spec.dataset == "private":
-            return QueryKind.PUBLIC_NN
-    if isinstance(spec, CountSpec):
-        return QueryKind.PUBLIC_COUNT
+    """The mix species a spec belongs to (for report bucketing).
+
+    Species are named by native kind; private ones must be user-bound,
+    because scoring needs the asker's exact location.
+    """
+    kind = native_kind(spec)
+    scorable = {species.value for species in QueryKind}
+    if kind in scorable and is_user_bound(spec) == kind.startswith("private"):
+        return QueryKind(kind)
     raise QueryError(
         f"workload driver cannot score spec: {spec!r}; supported kinds "
         "are private range/NN (user-bound), public count, and "

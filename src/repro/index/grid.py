@@ -59,14 +59,26 @@ class GridIndex(SpatialIndex):
         return col, row
 
     def cell_rect(self, col: int, row: int) -> Rect:
-        """The rectangle of cell ``(col, row)``."""
+        """The rectangle of cell ``(col, row)``.
+
+        The last column and row end on the bound itself, not on
+        ``min + n * cell``: that product may round a hair short of the
+        bound (``cols=97`` on a 100-wide world), and a point on the far
+        boundary — which :meth:`cell_of` assigns to the last cell — would
+        then lie outside its own cell.
+        """
         if not (0 <= col < self.cols and 0 <= row < self.rows):
             raise ValueError(f"cell ({col}, {row}) outside {self.cols}x{self.rows} grid")
+        bounds = self.bounds
         return Rect(
-            self.bounds.min_x + col * self._cell_w,
-            self.bounds.min_y + row * self._cell_h,
-            self.bounds.min_x + (col + 1) * self._cell_w,
-            self.bounds.min_y + (row + 1) * self._cell_h,
+            bounds.min_x + col * self._cell_w,
+            bounds.min_y + row * self._cell_h,
+            bounds.max_x
+            if col == self.cols - 1
+            else bounds.min_x + (col + 1) * self._cell_w,
+            bounds.max_y
+            if row == self.rows - 1
+            else bounds.min_y + (row + 1) * self._cell_h,
         )
 
     def block_rect(self, col_lo: int, row_lo: int, col_hi: int, row_hi: int) -> Rect:

@@ -23,30 +23,33 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.base import IndexCounters
+from repro.queries.spec import QuerySpec, native_kind, require_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import LocationServer
-    from repro.engine.queries import BatchQuery
 
-#: Vectorised kernel behind each batch kind (``None``: inherently scalar).
+#: Vectorised kernel behind each native kind (``None``: inherently scalar).
 BATCH_KERNELS: dict[str, str | None] = {
     "public_range": "points_in_windows_grid",
-    "public_nn": "knn_points_grid",
+    "public_knn": "knn_points_grid",
     "public_count": "rects_intersecting_window + membership_probabilities",
+    "public_nn": None,
     "private_range": "points_within_radius / points_in_windows",
     "private_nn": None,
+    "private_knn": None,
 }
 
-#: Canonical result-order policy per batch kind (docs/batch_engine.md).
+#: Canonical result-order policy per native kind (docs/batch_engine.md).
 TIE_BREAK: dict[str, str] = {
     "public_range": "snapshot row order",
-    "public_nn": "distance, then snapshot rank",
+    "public_knn": "distance, then snapshot rank",
     "public_count": "snapshot row order",
+    "public_nn": "descending probability",
     "private_range": "snapshot row order",
     "private_nn": "snapshot row order",
+    "private_knn": "snapshot row order",
 }
 
 
@@ -140,12 +143,175 @@ def _rect_list(rect: Rect) -> list[float]:
     return [rect.min_x, rect.min_y, rect.max_x, rect.max_y]
 
 
+# ----------------------------------------------------------------------
+# Per-kind operator trees of the native (R-tree, scalar) execution
+# ----------------------------------------------------------------------
+
+
+def _public_range_plan(server, spec, ids, delta) -> PlanNode:
+    plan = PlanNode(
+        "public_range",
+        {"window": _rect_list(spec.window), "matched": len(ids),
+         "order": TIE_BREAK["public_range"]},
+    )
+    plan.add("index.range_query", index="rtree", store="public", **delta)
+    return plan
+
+
+def _public_knn_plan(server, spec, ids, delta) -> PlanNode:
+    plan = PlanNode(
+        "public_knn",
+        {"point": [spec.point.x, spec.point.y], "k": spec.k,
+         "answered": len(ids), "tie_break": TIE_BREAK["public_knn"]},
+    )
+    plan.add("index.nearest", index="rtree", store="public", **delta)
+    return plan
+
+
+def _public_count_plan(server, spec, answer, delta) -> PlanNode:
+    """Figure 6a: one leaf per possible member."""
+    lo, hi = answer.interval
+    plan = PlanNode(
+        "public_count",
+        {"window": _rect_list(spec.window), "expected": answer.expected,
+         "interval": [lo, hi], "possible": len(answer.probabilities)},
+    )
+    plan.add("index.range_query", index="rtree", store="private", **delta)
+    # Leaves in store insertion order: deterministic regardless of the
+    # backing index's internal layout (the Figure 6a golden relies on
+    # this reading D, A, B, E, F).
+    for object_id, region in server.private.items():
+        probability = answer.probabilities.get(object_id)
+        if probability is None:
+            continue
+        plan.add(
+            "region.probability",
+            object=object_id,
+            probability=float(probability),
+            region_area=region.area,
+        )
+    return plan
+
+
+def _public_nn_plan(server, spec, result, delta) -> PlanNode:
+    """Figure 6b."""
+    plan = PlanNode(
+        "public_nn",
+        {"point": [spec.point.x, spec.point.y],
+         "candidates": len(result.answer.probabilities),
+         "samples": result.samples},
+    )
+    plan.add("index.nearest_iter", index="rtree", store="private", **delta)
+    plan.add(
+        "pruning.bound",
+        m=result.pruning_bound,
+        rule="keep o with min_dist(q, R_o) <= min_o' max_dist(q, R_o')",
+    )
+    plan.add(
+        "estimate.monte_carlo",
+        samples=result.samples,
+        skipped=result.samples == 0,
+    )
+    return plan
+
+
+def _private_range_plan(server, spec, result, delta) -> PlanNode:
+    """Figure 5a."""
+    plan = PlanNode(
+        "private_range",
+        {"region": _rect_list(spec.region), "radius": spec.radius,
+         "method": spec.method, "candidates": len(result.candidates)},
+    )
+    plan.add(
+        "expand.window",
+        window=_rect_list(spec.region.expanded(spec.radius)),
+        locus="rounded rectangle (Minkowski sum), prefiltered by its MBR",
+    )
+    plan.add("index.range_query", index="rtree", store="public", **delta)
+    if spec.method == "exact":
+        plan.add(
+            "filter.exact",
+            kept=len(result.candidates),
+            predicate="min_dist(point, region) <= radius",
+        )
+    else:
+        plan.add(
+            "filter.mbr",
+            kept=len(result.candidates),
+            predicate="none (MBR superset shipped as-is)",
+        )
+    return plan
+
+
+def _private_nn_plan(server, spec, result, delta) -> PlanNode:
+    """Figure 5b."""
+    method = spec.method
+    plan = PlanNode(
+        "private_nn",
+        {"region": _rect_list(spec.region), "method": method,
+         "candidates": len(result.candidates)},
+    )
+    plan.add("index.nearest_iter", index="rtree", store="public", **delta)
+    plan.add(
+        "pruning.radius",
+        m=result.pruning_radius,
+        rule="m = min_o max_dist(region, o); farther objects never win",
+    )
+    if method in ("filter", "exact"):
+        plan.add(
+            "filter.dominance",
+            rule="prune o when one competitor beats it over all of region",
+            survivors=len(result.candidates) if method == "filter" else None,
+        )
+    if method == "exact":
+        plan.add(
+            "voronoi.clip",
+            rule="keep o iff its Voronoi cell intersects region",
+            survivors=len(result.candidates),
+        )
+    return plan
+
+
+def _private_knn_plan(server, spec, result, delta) -> PlanNode:
+    plan = PlanNode(
+        "private_knn",
+        {"region": _rect_list(spec.region), "k": spec.k,
+         "method": spec.method, "candidates": len(result.candidates)},
+    )
+    plan.add("index.nearest_iter", index="rtree", store="public", **delta)
+    plan.add(
+        "pruning.radius",
+        m=result.pruning_radius,
+        rule="max over corners of d_k(corner) + in_radius (1-Lipschitz bound)",
+    )
+    if spec.method == "filter":
+        plan.add(
+            "filter.corner_dominance",
+            rule="prune o when k competitors beat it at all four corners",
+            survivors=len(result.candidates),
+        )
+    return plan
+
+
+_NATIVE_PLANS = {
+    "public_range": _public_range_plan,
+    "public_knn": _public_knn_plan,
+    "public_count": _public_count_plan,
+    "public_nn": _public_nn_plan,
+    "private_range": _private_range_plan,
+    "private_nn": _private_nn_plan,
+    "private_knn": _private_knn_plan,
+}
+
+
 class QueryExplainer:
     """EXPLAIN for every query path of one :class:`LocationServer`.
 
-    Each ``explain_*`` method runs the query through the server's normal
-    entry point, measures the index-counter delta it caused, and returns
-    the plan tree with the answer summary on the root node.
+    Every method takes the question as a
+    :class:`~repro.queries.spec.QuerySpec` (public or region-bound; cloak
+    a user-bound one first), runs it for real, measures the
+    index-counter delta it caused, and returns the plan tree with the
+    answer summary on the root node.
     """
 
     def __init__(self, server: "LocationServer") -> None:
@@ -159,200 +325,49 @@ class QueryExplainer:
         after = counters.snapshot()
         sink.update({name: after[name] - before[name] for name in after})
 
-    # ------------------------------------------------------------------
-    # Public queries over public data
-    # ------------------------------------------------------------------
+    def _planned(self, spec: QuerySpec, **forced):
+        """Decide, then execute under measurement: (decision, store side,
+        result, counter delta).  Deciding stays outside the measured
+        region — calibration probes its own scratch indexes, but the
+        delta should be the query's work alone."""
+        from repro.engine.batch import RUNNERS
 
-    def explain_public_range(self, window: Rect) -> PlanNode:
-        """Classic exact range query over the public store."""
+        planner = self.server.planner
+        decision = planner.decide(spec, **forced)
+        side = RUNNERS[decision.kind].side
         delta: dict = {}
-        with self._measured(self.server.public.index_counters, delta):
-            ids = self.server.public_range_over_public(window)
-        plan = PlanNode(
-            "public_range",
-            {"window": _rect_list(window), "matched": len(ids),
-             "order": TIE_BREAK["public_range"]},
-        )
-        plan.add("index.range_query", index="rtree", store="public", **delta)
-        return plan
+        counters = getattr(self.server, side).index_counters
+        with self._measured(counters, delta):
+            result = planner.execute(spec, decision=decision)
+        return decision, side, result, delta
 
-    def explain_public_knn(self, point: Point, k: int = 1) -> PlanNode:
-        """Classic exact k-NN query over the public store."""
-        delta: dict = {}
-        with self._measured(self.server.public.index_counters, delta):
-            ids = self.server.public_nn_over_public(point, k)
-        plan = PlanNode(
-            "public_knn",
-            {"point": [point.x, point.y], "k": k, "answered": len(ids),
-             "tie_break": TIE_BREAK["public_nn"]},
-        )
-        plan.add("index.nearest", index="rtree", store="public", **delta)
-        return plan
+    def explain(self, spec: QuerySpec) -> PlanNode:
+        """EXPLAIN one spec on the native path: R-tree store, scalar route.
 
-    # ------------------------------------------------------------------
-    # Public queries over private data (Figure 6)
-    # ------------------------------------------------------------------
-
-    def explain_public_count(self, window: Rect) -> PlanNode:
-        """Probabilistic count (Figure 6a): one leaf per possible member."""
-        delta: dict = {}
-        with self._measured(self.server.private.index_counters, delta):
-            answer = self.server.public_count(window)
-        lo, hi = answer.interval
-        plan = PlanNode(
-            "public_count",
-            {"window": _rect_list(window), "expected": answer.expected,
-             "interval": [lo, hi], "possible": len(answer.probabilities)},
-        )
-        plan.add("index.range_query", index="rtree", store="private", **delta)
-        # Leaves in store insertion order: deterministic regardless of the
-        # backing index's internal layout (the Figure 6a golden relies on
-        # this reading D, A, B, E, F).
-        for object_id, region in self.server.private.items():
-            probability = answer.probabilities.get(object_id)
-            if probability is None:
-                continue
-            plan.add(
-                "region.probability",
-                object=object_id,
-                probability=float(probability),
-                region_area=region.area,
+        The operator tree is the kind's own (pruning radius, dominance
+        filter, Monte-Carlo estimate, one probability leaf per possible
+        member ...), with the measured index work on its index operator.
+        """
+        require_bound(spec)
+        with self.server.telemetry.correlate("q"):
+            decision, _, result, delta = self._planned(
+                spec, backend="rtree", route="scalar"
             )
-        return plan
-
-    def explain_public_nn(self, point: Point, samples: int = 4096) -> PlanNode:
-        """Probabilistic NN over private data (Figure 6b)."""
-        delta: dict = {}
-        with self._measured(self.server.private.index_counters, delta):
-            result = self.server.public_nn(point, samples)
-        plan = PlanNode(
-            "public_nn",
-            {"point": [point.x, point.y],
-             "candidates": len(result.answer.probabilities),
-             "samples": result.samples},
-        )
-        plan.add("index.nearest_iter", index="rtree", store="private", **delta)
-        plan.add(
-            "pruning.bound",
-            m=result.pruning_bound,
-            rule="keep o with min_dist(q, R_o) <= min_o' max_dist(q, R_o')",
-        )
-        plan.add(
-            "estimate.monte_carlo",
-            samples=result.samples,
-            skipped=result.samples == 0,
-        )
-        return plan
-
-    # ------------------------------------------------------------------
-    # Private queries over public data (Figure 5)
-    # ------------------------------------------------------------------
-
-    def explain_private_range(
-        self, region: Rect, radius: float, method: str = "exact"
-    ) -> PlanNode:
-        """Candidate-set range query from a cloaked region (Figure 5a)."""
-        delta: dict = {}
-        with self._measured(self.server.public.index_counters, delta):
-            result = self.server.private_range(region, radius, method)
-        plan = PlanNode(
-            "private_range",
-            {"region": _rect_list(region), "radius": radius, "method": method,
-             "candidates": len(result.candidates)},
-        )
-        plan.add(
-            "expand.window",
-            window=_rect_list(region.expanded(radius)),
-            locus="rounded rectangle (Minkowski sum), prefiltered by its MBR",
-        )
-        plan.add("index.range_query", index="rtree", store="public", **delta)
-        if method == "exact":
-            plan.add(
-                "filter.exact",
-                kept=len(result.candidates),
-                predicate="min_dist(point, region) <= radius",
-            )
-        else:
-            plan.add(
-                "filter.mbr",
-                kept=len(result.candidates),
-                predicate="none (MBR superset shipped as-is)",
-            )
-        return plan
-
-    def explain_private_nn(self, region: Rect, method: str = "filter") -> PlanNode:
-        """Candidate-set NN query from a cloaked region (Figure 5b)."""
-        delta: dict = {}
-        with self._measured(self.server.public.index_counters, delta):
-            result = self.server.private_nn(region, method)
-        plan = PlanNode(
-            "private_nn",
-            {"region": _rect_list(region), "method": method,
-             "candidates": len(result.candidates)},
-        )
-        plan.add("index.nearest_iter", index="rtree", store="public", **delta)
-        plan.add(
-            "pruning.radius",
-            m=result.pruning_radius,
-            rule="m = min_o max_dist(region, o); farther objects never win",
-        )
-        if method in ("filter", "exact"):
-            plan.add(
-                "filter.dominance",
-                rule="prune o when one competitor beats it over all of region",
-                survivors=len(result.candidates) if method == "filter" else None,
-            )
-        if method == "exact":
-            plan.add(
-                "voronoi.clip",
-                rule="keep o iff its Voronoi cell intersects region",
-                survivors=len(result.candidates),
-            )
-        return plan
-
-    def explain_private_knn(
-        self, region: Rect, k: int, method: str = "filter"
-    ) -> PlanNode:
-        """Candidate-set k-NN query from a cloaked region (extension)."""
-        from repro.queries.private_knn import private_knn_query
-
-        delta: dict = {}
-        with self._measured(self.server.public.index_counters, delta):
-            result = private_knn_query(self.server.public, region, k, method)
-        plan = PlanNode(
-            "private_knn",
-            {"region": _rect_list(region), "k": k, "method": method,
-             "candidates": len(result.candidates)},
-        )
-        plan.add("index.nearest_iter", index="rtree", store="public", **delta)
-        plan.add(
-            "pruning.radius",
-            m=result.pruning_radius,
-            rule="max over corners of d_k(corner) + in_radius (1-Lipschitz bound)",
-        )
-        if method == "filter":
-            plan.add(
-                "filter.corner_dominance",
-                rule="prune o when k competitors beat it at all four corners",
-                survivors=len(result.candidates),
-            )
-        return plan
+        return _NATIVE_PLANS[decision.kind](self.server, spec, result, delta)
 
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
 
-    def explain_batch(
-        self, queries: Iterable["BatchQuery"], *, vectorize: bool = True
-    ) -> PlanNode:
+    def explain_batch(self, specs: Iterable[QuerySpec]) -> PlanNode:
         """One heterogeneous batch through the engine, per-kind groups."""
-        batch = list(queries)
+        batch = list(specs)
         engine = self.server.engine
         cached = engine._cached
         reused = cached is not None and cached.matches(self.server)
-        self.server.execute_batch(batch, vectorize=vectorize)
+        self.server.execute_batch(batch)
         snapshot = engine._cached
-        plan = PlanNode("batch", {"size": len(batch), "vectorize": vectorize})
+        plan = PlanNode("batch", {"size": len(batch)})
         plan.add(
             "snapshot",
             result="reused" if reused else "captured",
@@ -360,17 +375,16 @@ class QueryExplainer:
             n_private=snapshot.n_private if snapshot is not None else 0,
         )
         groups: dict[str, int] = {}
-        for query in batch:
-            groups[query.kind] = groups.get(query.kind, 0) + 1
+        for spec in batch:
+            kind = native_kind(spec)
+            groups[kind] = groups.get(kind, 0) + 1
         for kind, n in groups.items():
-            vectorized = vectorize and kind != "private_nn"
+            kernel = BATCH_KERNELS[kind]
             plan.add(
                 f"engine.{kind}",
                 n=n,
-                path="vectorized" if vectorized else "scalar",
-                kernel=(BATCH_KERNELS[kind] or "per-query processor")
-                if vectorized
-                else "per-query processor",
+                path="scalar" if kernel is None else "vectorized",
+                kernel=kernel or "per-query processor",
                 tie_break=TIE_BREAK[kind],
             )
         return plan
@@ -415,34 +429,24 @@ class QueryExplainer:
     # Planned specs (the cost-based planner's chosen plans)
     # ------------------------------------------------------------------
 
-    def explain_spec(self, spec) -> PlanNode:
-        """EXPLAIN a declarative QuerySpec through the cost-based planner.
+    def explain_spec(self, spec: QuerySpec) -> PlanNode:
+        """EXPLAIN a spec through the cost-based planner.
 
-        Unlike the ``explain_*`` methods above, which show what a fixed
-        entry point *did*, this shows what the planner *chose*: the
-        decision subtree (chosen + rejected candidates with estimated
-        seconds) followed by the measured execution under that choice.
-        User-bound specs are rejected — cloak them first and explain the
-        region-bound form.
+        Unlike :meth:`explain`, which shows what the native path *did*,
+        this shows what the planner *chose*: the decision subtree
+        (chosen + rejected candidates with estimated seconds) followed
+        by the measured execution under that choice.
         """
         if getattr(spec, "user", None) is not None:
             raise ValueError(
                 "explain_spec() takes region-bound or public specs; "
                 "user-bound specs run through PrivacySystem.query()"
             )
-        planner = self.server.planner
         # One correlation scope over decide + execute: the plan tree
         # carries the same qid as the decision/measured event pair, so
         # EXPLAIN output joins the event trail (repro.obs.correlate).
         with self.server.telemetry.correlate("q") as qid:
-            decision = planner.decide(spec)
-            over_private = spec.kind == "count" or (
-                getattr(spec, "dataset", "public") == "private"
-            )
-            store = self.server.private if over_private else self.server.public
-            delta: dict = {}
-            with self._measured(store.index_counters, delta):
-                result = planner.execute(spec, decision=decision)
+            decision, side, result, delta = self._planned(spec)
         if isinstance(result, tuple):
             answered = len(result)
         elif hasattr(result, "candidates"):
@@ -460,31 +464,10 @@ class QueryExplainer:
             "execute",
             backend=decision.backend,
             route=decision.route,
-            store="private" if over_private else "public",
+            store=side,
             **delta,
         )
         return plan
-
-    # ------------------------------------------------------------------
-    # Dispatch by batch-query value
-    # ------------------------------------------------------------------
-
-    def explain(self, query: "BatchQuery") -> PlanNode:
-        """EXPLAIN one batch-query value through its scalar path."""
-        kind = query.kind
-        if kind == "public_range":
-            return self.explain_public_range(query.window)
-        if kind == "public_nn":
-            return self.explain_public_knn(query.point, query.k)
-        if kind == "public_count":
-            return self.explain_public_count(query.window)
-        if kind == "private_range":
-            return self.explain_private_range(
-                query.region, query.radius, query.method
-            )
-        if kind == "private_nn":
-            return self.explain_private_nn(query.region, query.method)
-        raise ValueError(f"no EXPLAIN for query kind {kind!r}")
 
 
 def explain_figure_6a() -> PlanNode:
@@ -498,8 +481,9 @@ def explain_figure_6a() -> PlanNode:
     from repro.core.server import LocationServer
     from repro.evalx.experiments import figure_6a_store
     from repro.obs import Telemetry
+    from repro.queries.spec import CountSpec
 
     store, window = figure_6a_store()
     server = LocationServer(telemetry=Telemetry(enabled=False))
     server.private = store
-    return QueryExplainer(server).explain_public_count(window)
+    return QueryExplainer(server).explain(CountSpec(window=window))

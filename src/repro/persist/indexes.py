@@ -11,8 +11,7 @@ internals.  Query results over a rebuilt index are therefore
 equivalence checks compare accordingly.
 
 Entry ids are canonicalised through ``str()`` — the same convention as
-:mod:`repro.core.persistence` and the event trail — and entries are
-sorted by id so the serialised form is deterministic regardless of
+the event trail — and entries are sorted by id so the serialised form is deterministic regardless of
 insertion history (this is what pins the ``repro.persist/1`` golden
 fixtures under ``tests/fixtures/``).
 """

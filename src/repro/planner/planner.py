@@ -25,31 +25,22 @@ The planner's contract is that planning never changes answers:
   contract against every forced static choice and the brute-force
   oracle.
 
-Telemetry parity: a planned single query emits exactly the spans,
-counters and events of the native ``LocationServer`` entry point it
-replaces (plus the ``planner.decision`` event), whatever backend or
-route actually ran — observability is a property of the question, not
-of the chosen plan.
+Observability is a property of the question, not of the chosen plan: a
+spec is counted, spanned and grouped under its
+:func:`~repro.queries.spec.native_kind` and executed by that kind's row
+of :data:`repro.engine.batch.RUNNERS`, whatever backend or route ran.
+:meth:`QueryPlanner.execute` is the one place a single query's
+count -> span -> run -> ``candidates.generated`` sequence lives.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import QueryError
-from repro.engine.queries import (
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
-)
-from repro.geometry.point import Point
+from repro.engine.batch import RUNNERS
 from repro.geometry.rect import Rect
 from repro.obs.accuracy import AccuracyMonitor
 from repro.obs.events import (
@@ -61,19 +52,7 @@ from repro.obs.explain import PlanNode
 from repro.planner.cost import CostEstimate, CostModel
 from repro.planner.replicas import ReplicaSet
 from repro.planner.stats import PlannerStats, StatisticsCollector
-from repro.queries.private_knn import PrivateKNNResult, private_knn_query
-from repro.queries.private_nn import PrivateNNResult, private_nn_query
-from repro.queries.private_range import PrivateRangeResult, private_range_query
-from repro.queries.probabilistic import CountAnswer
-from repro.queries.public_nn import PublicNNResult, public_nn_query
-from repro.queries.public_range import membership_probability
-from repro.queries.spec import (
-    CountSpec,
-    KNNSpec,
-    NNSpec,
-    QuerySpec,
-    RangeSpec,
-)
+from repro.queries.spec import QuerySpec, native_kind, require_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import LocationServer
@@ -145,11 +124,27 @@ class Decision:
         return root
 
 
-#: Engine query kinds whose *sequential* handlers are already canonical
-#: (safe to batch through the engine on the scalar/rtree route).
-_ENGINE_CANONICAL_SEQ = frozenset(
-    {"public_range", "public_count", "private_range", "private_nn"}
-)
+#: Kinds only the native store can answer, with the reason EXPLAIN shows.
+_PINNED: dict[str, str] = {
+    "private_nn": (
+        "incremental nearest_iter + dominance/Voronoi filters need the "
+        "native store"
+    ),
+    "private_knn": (
+        "k-NN candidate generation needs the native store's "
+        "pruning-radius machinery"
+    ),
+    "public_nn": (
+        "Monte-Carlo sampling over cloaked regions has no kernel or "
+        "replica execution"
+    ),
+}
+
+#: Kinds whose scalar route runs query by query even inside a batch.  A
+#: nearest-neighbour probe costs several times a range probe, and the
+#: engine reports one mean time per call: folded into it, neither
+#: group's measured cost would mean anything to the accuracy monitor.
+_SINGLY_TIMED = frozenset({"public_knn", "private_knn", "public_nn"})
 
 
 class QueryPlanner:
@@ -171,7 +166,7 @@ class QueryPlanner:
         self.collector = StatisticsCollector(server, self.replicas)
         self.accuracy = AccuracyMonitor()
         self.last_decision: Decision | None = None
-        self._rank_cache: tuple[int, dict] | None = None
+        self._rank_cache: dict[str, tuple[int, dict]] = {}
 
     # ------------------------------------------------------------------
     # Configuration / statistics
@@ -191,19 +186,15 @@ class QueryPlanner:
         engine = self.server._engine
         return None if engine is None else engine._cached
 
-    def _public_rank(self) -> dict:
-        """Snapshot-order rank of every public id (cached per version)."""
-        version = self.server.public.version
-        if self._rank_cache is not None and self._rank_cache[0] == version:
-            return self._rank_cache[1]
-        ids, _, _ = self.server.public.snapshot_arrays()
-        rank = {item: row for row, item in enumerate(ids)}
-        self._rank_cache = (version, rank)
-        return rank
-
-    def _private_rank(self) -> dict:
-        ids, _ = self.server.private.snapshot_arrays()
-        return {item: row for row, item in enumerate(ids)}
+    def _rank(self, side: str) -> dict:
+        """Snapshot-order rank of every id of one store (cached per version)."""
+        store = getattr(self.server, side)
+        cached = self._rank_cache.get(side)
+        if cached is None or cached[0] != store.version:
+            ids = store.snapshot_arrays()[0]
+            cached = (store.version, {item: row for row, item in enumerate(ids)})
+            self._rank_cache[side] = cached
+        return cached[1]
 
     # ------------------------------------------------------------------
     # Planning
@@ -293,120 +284,53 @@ class QueryPlanner:
         self, spec: QuerySpec, model: CostModel, batch: int
     ) -> tuple[str, list[CostEstimate], str | None]:
         """(native kind, eligible cost estimates, pin reason or None)."""
-        stats = model.stats
-        if isinstance(spec, RangeSpec):
-            if spec.flavor == "public":
-                fraction = model.selectivity(spec.window.area)
-                out = [
-                    est
-                    for name in model.eligible_backends("public")
-                    if (
-                        est := model.scalar_range(
-                            name,
-                            fraction,
-                            "public",
-                            self.replicas.fresh_public(name),
-                            batch,
-                        )
-                    )
-                ]
-                vec = model.vectorized("range", "public", batch)
-                if vec is not None:
-                    out.append(vec)
-                return "public_over_public_range", out, None
-            # Private range: the expanded cloak window drives selectivity.
-            area = (
-                spec.region.expanded(spec.radius).area
-                if spec.region is not None
-                else (2.0 * spec.radius) ** 2
-            )
-            fraction = model.selectivity(area)
-            out = [
-                est
-                for name in model.eligible_backends("public")
-                if (
-                    est := model.scalar_range(
-                        name,
-                        fraction,
-                        "public",
-                        self.replicas.fresh_public(name),
-                        batch,
-                    )
-                )
-            ]
-            vec = model.vectorized("range", "public", batch)
-            if vec is not None:
-                out.append(vec)
-            return "private_range", out, None
-        if isinstance(spec, CountSpec):
-            fraction = model.selectivity(spec.window.area)
-            out = [
-                est
-                for name in model.eligible_backends(
-                    "private", require_degenerate=True
-                )
-                if (
-                    est := model.scalar_range(
-                        name,
-                        fraction,
-                        "private",
-                        self.replicas.fresh_private(name),
-                        batch,
-                    )
-                )
-            ]
-            vec = model.vectorized("count", "private", batch)
-            if vec is not None:
-                out.append(vec)
-            return "public_count", out, None
-        if isinstance(spec, KNNSpec) or (
-            isinstance(spec, NNSpec) and spec.dataset == "public"
-        ):
-            k = spec.k if isinstance(spec, KNNSpec) else 1
-            if spec.flavor == "private":
-                if isinstance(spec, KNNSpec):
-                    pin = (
-                        "k-NN candidate generation needs the native store's "
-                        "pruning-radius machinery"
-                    )
-                    kind = "private_knn"
-                else:
-                    pin = (
-                        "incremental nearest_iter + dominance/Voronoi "
-                        "filters need the native store"
-                    )
-                    kind = "private_nn"
-                est = model.scalar_knn(
-                    "rtree", k, True, batch
-                ) or CostEstimate("rtree", "scalar", 0.0)
-                return kind, [est], pin
+        kind = native_kind(spec)
+        if kind in _PINNED:
+            est = model.scalar_knn(
+                "rtree", spec.k, True, batch
+            ) or CostEstimate("rtree", "scalar", 0.0)
+            return kind, [est], _PINNED[kind]
+        side = RUNNERS[kind].side
+        fresh = self.replicas.fresh
+        if kind == "public_knn":
+            sweep = "knn"
             out = [
                 est
                 for name in model.eligible_backends("public", point=spec.point)
                 if (
                     est := model.scalar_knn(
-                        name, k, self.replicas.fresh_public(name), batch
+                        name, spec.k, fresh("public", name), batch
                     )
                 )
             ]
-            vec = model.vectorized("knn", "public", batch)
-            if vec is not None:
-                out.append(vec)
-            return "public_over_public_nn", out, None
-        if isinstance(spec, NNSpec):  # dataset == "private": Figure 6b
-            est = model.scalar_knn("rtree", 1, True, batch) or CostEstimate(
-                "rtree", "scalar", 0.0
-            )
-            return (
-                "public_nn",
-                [est],
-                "Monte-Carlo sampling over cloaked regions has no kernel "
-                "or replica execution",
-            )
-        raise QueryError(f"unplannable spec: {spec!r}")
+        else:
+            sweep = "count" if kind == "public_count" else "range"
+            if kind != "private_range":
+                area = spec.window.area
+            elif spec.region is not None:
+                # The expanded cloak window drives selectivity.
+                area = spec.region.expanded(spec.radius).area
+            else:
+                area = (2.0 * spec.radius) ** 2
+            fraction = model.selectivity(area)
+            out = [
+                est
+                for name in model.eligible_backends(
+                    side, require_degenerate=side == "private"
+                )
+                if (
+                    est := model.scalar_range(
+                        name, fraction, side, fresh(side, name), batch
+                    )
+                )
+            ]
+        vec = model.vectorized(sweep, side, batch)
+        if vec is not None:
+            out.append(vec)
+        return kind, out, None
 
     # ------------------------------------------------------------------
-    # Execution — single spec, native-entry-point telemetry parity
+    # Execution — single spec
     # ------------------------------------------------------------------
 
     def execute(
@@ -422,7 +346,7 @@ class QueryPlanner:
 
         * public range / NN / k-NN -> tuple of ids,
         * count -> :class:`CountAnswer`,
-        * private range / NN / k-NN (region-bound) -> the native
+        * private range / NN / k-NN (region-bound) -> the
           ``Private*Result`` with rank-sorted candidate tuples,
         * public NN over private data -> :class:`PublicNNResult`.
 
@@ -430,11 +354,7 @@ class QueryPlanner:
         :meth:`repro.core.system.PrivacySystem.query`, which cloaks the
         user and re-enters here with the region-bound form.
         """
-        if getattr(spec, "user", None) is not None:
-            raise QueryError(
-                "user-bound specs need the anonymizer pipeline; submit "
-                "them through PrivacySystem.query()"
-            )
+        require_bound(spec)
         telemetry = self.server.telemetry
         # Share the ambient query scope (system.query opened one) so the
         # decision and the measurement below join on the same qid; mint
@@ -446,30 +366,43 @@ class QueryPlanner:
             counters = self._work_counters(decision)
             before = counters.snapshot() if counters is not None else None
             start = perf_counter()
-            result = self._dispatch(spec, decision)
+            result = self._run(spec, decision)
             self._observe_execution(
                 decision, perf_counter() - start, counters, before
             )
         return result
 
-    def _dispatch(self, spec: QuerySpec, decision: Decision):
-        if isinstance(spec, RangeSpec):
-            if spec.flavor == "public":
-                return self._run_public_range(spec, decision)
-            return self._run_private_range(spec, decision)
-        if isinstance(spec, CountSpec):
-            return self._run_count(spec, decision)
-        if isinstance(spec, KNNSpec):
-            if spec.flavor == "private":
-                return self._run_private_knn(spec, decision)
-            return self._run_public_knn(spec.point, spec.k, decision)
-        if isinstance(spec, NNSpec):
-            if spec.flavor == "private":
-                return self._run_private_nn(spec, decision)
-            if spec.dataset == "private":
-                return self._run_probabilistic_nn(spec, decision)
-            return self._run_public_knn(spec.point, 1, decision)
-        raise QueryError(f"unexecutable spec: {spec!r}")
+    def _run(self, spec: QuerySpec, decision: Decision):
+        """One query through its kind's runner: span, run, candidate log."""
+        kind = decision.kind
+        runner = RUNNERS[kind]
+        telemetry = self.server.telemetry
+        with telemetry.span(
+            runner.span,
+            **{name: getattr(spec, name) for name in runner.span_attrs},
+            backend=decision.backend,
+            route=decision.route,
+        ):
+            if decision.route == "vectorized":
+                result = self.server.engine.execute([spec])[0]
+            else:
+                result = runner.scalar(
+                    self.replicas.index(runner.side, decision.backend),
+                    spec,
+                    self._rank(runner.side),
+                )
+        if runner.candidates:
+            telemetry.observe("candidates", len(result.candidates), query=kind)
+            attrs = {
+                "query": kind,
+                "method": spec.method,
+                "candidates": len(result.candidates),
+                "region_area": spec.region.area,
+            }
+            if kind == "private_range":
+                attrs["radius"] = spec.radius
+            telemetry.emit(CANDIDATES_GENERATED, **attrs)
+        return result
 
     # ------------------------------------------------------------------
     # Execution feedback (see repro.obs.accuracy)
@@ -485,9 +418,7 @@ class QueryPlanner:
         """
         if decision.route != "scalar" or decision.backend != "rtree":
             return None
-        if decision.kind in ("public_count", "public_nn"):
-            return self.server.private.index_counters
-        return self.server.public.index_counters
+        return getattr(self.server, RUNNERS[decision.kind].side).index_counters
 
     def _observe_execution(
         self,
@@ -529,277 +460,9 @@ class QueryPlanner:
         if reason is not None:
             self.collector.request_recalibration(reason)
 
-    # -- public over public ---------------------------------------------
-
-    def _run_public_range(self, spec: RangeSpec, decision: Decision) -> tuple:
-        with self.server.telemetry.span(
-            "server.public_range",
-            backend=decision.backend,
-            route=decision.route,
-        ):
-            if decision.route == "vectorized":
-                return self.server.engine.execute(
-                    [PublicRangeQuery(spec.window)]
-                )[0]
-            index = (
-                self.server.public
-                if decision.backend == "rtree"
-                else self.replicas.public_replica(decision.backend)
-            )
-            rank = self._public_rank()
-            fallback = len(rank)
-            return tuple(
-                sorted(
-                    index.range_query(spec.window),
-                    key=lambda item: rank.get(item, fallback),
-                )
-            )
-
-    def _run_public_knn(self, point: Point, k: int, decision: Decision) -> tuple:
-        with self.server.telemetry.span(
-            "server.public_nn_exact",
-            k=k,
-            backend=decision.backend,
-            route=decision.route,
-        ):
-            if decision.route == "vectorized":
-                return self.server.engine.execute([PublicNNQuery(point, k)])[0]
-            index = (
-                self.server.public
-                if decision.backend == "rtree"
-                else self.replicas.public_replica(decision.backend)
-            )
-            return self._canonical_knn(index, point, k)
-
-    def _canonical_knn(self, index, point: Point, k: int) -> tuple:
-        """k-NN on any backend, identical to the vectorized kernels.
-
-        The kernels rank by ``(squared distance, snapshot rank)``.  Any
-        *valid* k-NN answer from the backend yields a sound threshold:
-        its max squared distance is >= the true k-th smallest (if the
-        backend's tie choices differ, it includes a farther point), so
-        the window plus ``d2 <= threshold`` filter is a superset of the
-        canonical answer, and the final sort/truncate is exact.
-        """
-        rank = self._public_rank()
-        kk = min(k, len(rank))
-        if kk <= 0:
-            return ()
-        point_of = self.server.public.point_of
-        raw = index.nearest(point, kk)
-        threshold = max(point_of(i).squared_distance_to(point) for i in raw)
-        # Pad the sqrt against rounding: a too-wide window is harmless,
-        # the d2 filter below keeps exactness.
-        half = math.sqrt(threshold) * (1.0 + 1e-12) + 1e-300
-        window = Rect(
-            point.x - half, point.y - half, point.x + half, point.y + half
-        )
-        kept = [
-            (d2, rank[item], item)
-            for item in index.range_query(window)
-            if (d2 := point_of(item).squared_distance_to(point)) <= threshold
-        ]
-        kept.sort(key=lambda row: (row[0], row[1]))
-        return tuple(item for _, _, item in kept[:kk])
-
-    # -- public count over private ---------------------------------------
-
-    def _run_count(self, spec: CountSpec, decision: Decision) -> CountAnswer:
-        with self.server.telemetry.span(
-            "server.public_count",
-            backend=decision.backend,
-            route=decision.route,
-        ):
-            if decision.route == "vectorized":
-                return self.server.engine.execute(
-                    [PublicCountQuery(spec.window)]
-                )[0]
-            if decision.backend == "rtree":
-                overlapping = self.server.private.overlapping(spec.window)
-            else:
-                overlapping = self.replicas.private_replica(
-                    decision.backend
-                ).range_query(spec.window)
-            rank = self._private_rank()
-            fallback = len(rank)
-            region_of = self.server.private.region_of
-            return CountAnswer(
-                {
-                    item: membership_probability(region_of(item), spec.window)
-                    for item in sorted(
-                        overlapping, key=lambda i: rank.get(i, fallback)
-                    )
-                }
-            )
-
-    # -- private over public ---------------------------------------------
-
-    def _run_private_range(
-        self, spec: RangeSpec, decision: Decision
-    ) -> PrivateRangeResult:
-        region, radius, method = spec.region, spec.radius, spec.method
-        with self.server.telemetry.span(
-            "server.private_range",
-            method=method,
-            backend=decision.backend,
-            route=decision.route,
-        ):
-            if decision.route == "vectorized":
-                result = self.server.engine.execute(
-                    [PrivateRangeQuery(region, radius, method)]
-                )[0]
-            elif decision.backend == "rtree":
-                result = self._canonical_candidates(
-                    private_range_query(
-                        self.server.public, region, radius, method
-                    )
-                )
-            else:
-                result = self._replica_private_range(
-                    decision.backend, region, radius, method
-                )
-        self.server.telemetry.observe(
-            "candidates", len(result.candidates), query="private_range"
-        )
-        self.server.telemetry.emit(
-            CANDIDATES_GENERATED,
-            query="private_range",
-            method=method,
-            candidates=len(result.candidates),
-            region_area=region.area,
-            radius=radius,
-        )
-        return result
-
-    def _replica_private_range(
-        self, backend: str, region: Rect, radius: float, method: str
-    ) -> PrivateRangeResult:
-        """The exact predicate of ``private_range_query`` on a replica."""
-        from repro.geometry.distances import min_dist
-
-        index = self.replicas.public_replica(backend)
-        ids = index.range_query(region.expanded(radius))
-        if method == "exact":
-            point_of = self.server.public.point_of
-            ids = [
-                i for i in ids if min_dist(point_of(i), region) <= radius
-            ]
-        return self._canonical_candidates(
-            PrivateRangeResult(
-                region=region,
-                radius=radius,
-                candidates=tuple(ids),
-                method=method,
-            )
-        )
-
-    def _run_private_nn(
-        self, spec: NNSpec, decision: Decision
-    ) -> PrivateNNResult:
-        with self.server.telemetry.span(
-            "server.private_nn",
-            method=spec.method,
-            backend=decision.backend,
-            route=decision.route,
-        ):
-            result = self._canonical_candidates(
-                private_nn_query(self.server.public, spec.region, spec.method)
-            )
-        self.server.telemetry.observe(
-            "candidates", len(result.candidates), query="private_nn"
-        )
-        self.server.telemetry.emit(
-            CANDIDATES_GENERATED,
-            query="private_nn",
-            method=spec.method,
-            candidates=len(result.candidates),
-            region_area=spec.region.area,
-        )
-        return result
-
-    def _run_private_knn(
-        self, spec: KNNSpec, decision: Decision
-    ) -> PrivateKNNResult:
-        with self.server.telemetry.span(
-            "server.private_knn",
-            method=spec.method,
-            backend=decision.backend,
-            route=decision.route,
-        ):
-            result = self._canonical_candidates(
-                private_knn_query(
-                    self.server.public, spec.region, spec.k, spec.method
-                )
-            )
-        self.server.telemetry.observe(
-            "candidates", len(result.candidates), query="private_knn"
-        )
-        self.server.telemetry.emit(
-            CANDIDATES_GENERATED,
-            query="private_knn",
-            method=spec.method,
-            candidates=len(result.candidates),
-            region_area=spec.region.area,
-        )
-        return result
-
-    def _run_probabilistic_nn(
-        self, spec: NNSpec, decision: Decision
-    ) -> PublicNNResult:
-        with self.server.telemetry.span(
-            "server.public_nn", samples=spec.samples
-        ):
-            return public_nn_query(
-                self.server.private,
-                spec.point,
-                spec.samples,
-                np.random.default_rng(spec.seed),
-            )
-
-    def _canonical_candidates(self, result):
-        """Rank-sort a scalar result's candidates (engine-identical)."""
-        import dataclasses
-
-        rank = self._public_rank()
-        fallback = len(rank)
-        return dataclasses.replace(
-            result,
-            candidates=tuple(
-                sorted(
-                    result.candidates,
-                    key=lambda item: rank.get(item, fallback),
-                )
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Execution — batches
     # ------------------------------------------------------------------
-
-    def _engine_query(self, spec: QuerySpec):
-        """The engine form of a spec, or ``None`` when it has none."""
-        if isinstance(spec, RangeSpec):
-            if spec.flavor == "public":
-                return PublicRangeQuery(spec.window)
-            if spec.region is not None:
-                return PrivateRangeQuery(spec.region, spec.radius, spec.method)
-        elif isinstance(spec, CountSpec):
-            return PublicCountQuery(spec.window)
-        elif isinstance(spec, KNNSpec) and spec.flavor == "public":
-            return PublicNNQuery(spec.point, spec.k)
-        elif (
-            isinstance(spec, NNSpec)
-            and spec.flavor == "public"
-            and spec.dataset == "public"
-        ):
-            return PublicNNQuery(spec.point, 1)
-        elif (
-            isinstance(spec, NNSpec)
-            and spec.flavor == "private"
-            and spec.region is not None
-        ):
-            return PrivateNNQuery(spec.region, spec.method)
-        return None
 
     def execute_batch(
         self,
@@ -809,15 +472,16 @@ class QueryPlanner:
     ) -> list:
         """Plan and answer a whole spec batch, results in input order.
 
-        Specs whose decision lands on an engine-executable path (the
-        vectorized route, or the scalar/rtree route of a kind whose
-        sequential handler is canonical) are batched through one
+        Specs decided onto the native store go through one
         ``LocationServer.execute_batch`` call with a per-query route
-        vector; the rest run through :meth:`execute` with full native
-        telemetry.  Like the engine, the batch path counts queries by
-        their batch kind and emits no per-query candidate events.
+        vector (accounted per batch: one ``server.query`` record per
+        kind, no per-query candidate events); replica-backend decisions
+        and the scalar route of the :data:`_SINGLY_TIMED` kinds run
+        through :meth:`execute`, accounted per query.
         """
         batch = list(specs)
+        for spec in batch:
+            require_bound(spec)
         with self.server.telemetry.correlate("b", reuse=True):
             decisions = [
                 self.decide(
@@ -827,29 +491,21 @@ class QueryPlanner:
             ]
             results: list = [None] * len(batch)
             engine_positions: list[int] = []
-            engine_queries = []
             engine_routes: list[bool] = []
-            for position, (spec, decision) in enumerate(zip(batch, decisions)):
-                if getattr(spec, "user", None) is not None:
-                    raise QueryError(
-                        "user-bound specs need the anonymizer pipeline; "
-                        "submit them through PrivacySystem.execute_batch()"
-                    )
-                query = self._engine_query(spec)
-                if query is None or decision.backend != "rtree":
+            for position, decision in enumerate(decisions):
+                if decision.backend != "rtree":
                     continue
                 vectorized = decision.route == "vectorized"
-                if not vectorized and query.kind not in _ENGINE_CANONICAL_SEQ:
+                if not vectorized and decision.kind in _SINGLY_TIMED:
                     continue
                 engine_positions.append(position)
-                engine_queries.append(query)
                 engine_routes.append(vectorized)
-            if engine_queries:
+            if engine_positions:
                 start = perf_counter()
                 answers = self.server.execute_batch(
-                    engine_queries, routes=engine_routes
+                    [batch[p] for p in engine_positions], routes=engine_routes
                 )
-                per_query = (perf_counter() - start) / len(engine_queries)
+                per_query = (perf_counter() - start) / len(engine_positions)
                 for position, answer in zip(engine_positions, answers):
                     results[position] = answer
                 self._observe_engine_batch(

@@ -84,6 +84,29 @@ def padded_extent(
     return Rect(min_x - pad, min_y - pad, max_x + pad, max_y + pad)
 
 
+class Replica:
+    """A replica index read through its native store's interface.
+
+    Replicas hold ids and geometry only; the query processors also ask
+    a store for an object's point or region, which the native store
+    answers whatever backend did the search.
+    """
+
+    def __init__(self, index: SpatialIndex, store) -> None:
+        self.index = index
+        # Per-candidate lookups: bound straight to the store's own.
+        self.point_of = getattr(store, "point_of", None)
+        self.region_of = getattr(store, "region_of", None)
+
+    def range_query(self, window: Rect) -> list:
+        return self.index.range_query(window)
+
+    overlapping = range_query
+
+    def nearest(self, point: Point, k: int = 1) -> list:
+        return self.index.nearest(point, k)
+
+
 class ReplicaSet:
     """Lazily maintained per-backend copies of one server's stores.
 
@@ -101,8 +124,10 @@ class ReplicaSet:
         #: Seconds spent building each replica, keyed by ``(side, name)``
         #: — the cost model's measured build-amortisation input.
         self.build_seconds: dict[tuple[str, str], float] = {}
-        self._public: dict[str, tuple[int, SpatialIndex]] = {}
-        self._private: dict[str, tuple[int, SpatialIndex]] = {}
+        self._built: dict[str, dict[str, tuple[int, Replica]]] = {
+            "public": {},
+            "private": {},
+        }
 
     # ------------------------------------------------------------------
     # Universe / representability
@@ -142,60 +167,49 @@ class ReplicaSet:
     # Replica access
     # ------------------------------------------------------------------
 
-    def fresh_public(self, name: str) -> bool:
-        """True when ``name``'s public replica matches the store version."""
-        cached = self._public.get(name)
-        return cached is not None and cached[0] == self.server.public.version
+    def fresh(self, side: str, name: str) -> bool:
+        """True when ``name``'s replica of ``side`` matches the store version."""
+        cached = self._built[side].get(name)
+        return (
+            cached is not None
+            and cached[0] == getattr(self.server, side).version
+        )
 
-    def fresh_private(self, name: str) -> bool:
-        cached = self._private.get(name)
-        return cached is not None and cached[0] == self.server.private.version
+    def index(self, side: str, name: str):
+        """What a scalar execution on backend ``name`` searches.
 
-    def public_replica(self, name: str) -> SpatialIndex:
-        """The up-to-date public replica for ``name`` (built on demand).
-
-        ``rtree`` has no replica — callers use the native store.
+        The native ``public`` / ``private`` store for ``rtree``; otherwise
+        the up-to-date replica (built on demand), read through the
+        store's interface so one query processor serves every backend.
         """
+        store = getattr(self.server, side)
         if name == "rtree":
-            raise ValueError("the native public store is the rtree backend")
-        version = self.server.public.version
-        cached = self._public.get(name)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        ids, xs, ys = self.server.public.snapshot_arrays()
-        bounds = self.public_bounds()
+            return store
+        if self.fresh(side, name):
+            return self._built[side][name][1]
+        version = store.version
+        if side == "public":
+            ids, xs, ys = store.snapshot_arrays()
+            bounds = self.public_bounds()
+        else:
+            if not self.private_degenerate():
+                raise ValueError(
+                    f"backend {name!r} stores points; the private store "
+                    "holds true rectangles"
+                )
+            ids, rows = store.snapshot_arrays()
+            xs, ys = rows[:, 0], rows[:, 1]
+            bounds = self.private_bounds()
         start = time.perf_counter()
         index = build_backend(name, bounds, len(ids))
         for item, x, y in zip(ids, xs, ys):
             index.insert_point(item, Point(float(x), float(y)))
-        self.build_seconds[("public", name)] = time.perf_counter() - start
-        self._public[name] = (version, index)
-        return index
-
-    def private_replica(self, name: str) -> SpatialIndex:
-        """The up-to-date private replica (degenerate regions only)."""
-        if name == "rtree":
-            raise ValueError("the native private store is the rtree backend")
-        version = self.server.private.version
-        cached = self._private.get(name)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        if not self.private_degenerate():
-            raise ValueError(
-                f"backend {name!r} stores points; the private store holds "
-                "true rectangles"
-            )
-        ids, bounds_array = self.server.private.snapshot_arrays()
-        bounds = self.private_bounds()
-        start = time.perf_counter()
-        index = build_backend(name, bounds, len(ids))
-        for item, row in zip(ids, bounds_array):
-            index.insert_point(item, Point(float(row[0]), float(row[1])))
-        self.build_seconds[("private", name)] = time.perf_counter() - start
-        self._private[name] = (version, index)
-        return index
+        self.build_seconds[(side, name)] = time.perf_counter() - start
+        replica = Replica(index, store)
+        self._built[side][name] = (version, replica)
+        return replica
 
     def invalidate(self) -> None:
         """Drop every replica (tests / explicit refresh)."""
-        self._public.clear()
-        self._private.clear()
+        for built in self._built.values():
+            built.clear()

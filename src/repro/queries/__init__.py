@@ -63,6 +63,7 @@ from repro.queries.public_range import (
     public_range_count,
 )
 from repro.queries.spec import (
+    NATIVE_KINDS,
     CountSpec,
     KNNSpec,
     NNSpec,
@@ -71,6 +72,7 @@ from repro.queries.spec import (
     dump_specs,
     is_user_bound,
     load_specs,
+    native_kind,
     spec_from_dict,
     spec_to_dict,
 )
@@ -118,6 +120,8 @@ __all__ = [
     "KNNSpec",
     "CountSpec",
     "is_user_bound",
+    "native_kind",
+    "NATIVE_KINDS",
     "spec_to_dict",
     "spec_from_dict",
     "dump_specs",

@@ -127,6 +127,9 @@ class NNSpec:
     region: Rect | None = None
     method: str = "filter"
     kind: ClassVar[str] = "nn"
+    #: Nearest neighbour is the k = 1 case of k-NN (not a field: the
+    #: runners read ``spec.k`` off either class).
+    k: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         _require_flavor(self.flavor)
@@ -226,9 +229,53 @@ SPEC_CLASSES: dict[str, type] = {
     cls.kind: cls for cls in (RangeSpec, NNSpec, KNNSpec, CountSpec)
 }
 
-#: For ``isinstance`` dispatch (``PrivacySystem.execute_batch`` accepts
-#: either spec lists or legacy engine query lists).
+#: For ``isinstance`` checks at the front doors.
 SPEC_TYPES: tuple[type, ...] = tuple(SPEC_CLASSES.values())
+
+#: The server's native query kinds: Section 6.1's taxonomy, one name per
+#: question.  ``public_knn`` is the exact k-NN over public objects
+#: (``NNSpec`` over public data is its k = 1 case); ``public_nn`` is the
+#: probabilistic Figure 6b NN over cloaked regions.
+NATIVE_KINDS: tuple[str, ...] = (
+    "public_range",
+    "public_knn",
+    "public_count",
+    "public_nn",
+    "private_range",
+    "private_nn",
+    "private_knn",
+)
+
+
+#: (spec kind, flavor, dataset) -> native kind: the whole mapping.
+_NATIVE_KIND: dict[tuple[str, str, str], str] = {
+    ("range", "public", "public"): "public_range",
+    ("range", "private", "public"): "private_range",
+    ("count", "public", "public"): "public_count",
+    ("knn", "public", "public"): "public_knn",
+    ("knn", "private", "public"): "private_knn",
+    ("nn", "public", "public"): "public_knn",
+    ("nn", "public", "private"): "public_nn",
+    ("nn", "private", "public"): "private_nn",
+}
+
+
+def native_kind(spec: QuerySpec) -> str:
+    """The one name ``spec`` is counted, spanned and grouped under.
+
+    The only spec -> kind mapping in the system: the planner, the batch
+    engine, the server's counters, the accuracy monitor and EXPLAIN all
+    key on it, so a question keeps its name whatever backend or route
+    answers it.  (A table lookup: the engine calls this once per spec of
+    a batch.)
+    """
+    try:
+        return _NATIVE_KIND[
+            spec.kind, spec.flavor, getattr(spec, "dataset", "public")
+        ]
+    except (AttributeError, KeyError):
+        raise QueryError(f"not a query spec: {spec!r}") from None
+
 
 _GEOM_FIELDS = {"window": (_rect_out, _rect_in), "region": (_rect_out, _rect_in),
                 "point": (_point_out, _point_in)}
@@ -237,6 +284,15 @@ _GEOM_FIELDS = {"window": (_rect_out, _rect_in), "region": (_rect_out, _rect_in)
 def is_user_bound(spec: QuerySpec) -> bool:
     """True when the spec runs the full per-user privacy pipeline."""
     return getattr(spec, "user", None) is not None
+
+
+def require_bound(spec: QuerySpec) -> None:
+    """Reject user-bound specs where no anonymizer can resolve them."""
+    if is_user_bound(spec):
+        raise QueryError(
+            "user-bound specs need the anonymizer pipeline; submit them "
+            "through PrivacySystem.query() / execute_batch()"
+        )
 
 
 def spec_to_dict(spec: QuerySpec) -> dict:

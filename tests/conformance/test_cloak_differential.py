@@ -169,15 +169,15 @@ def non_dyadic_family(cols: int):
     so the population is planted on the gridline floats themselves, one
     ulp to either side of them, and on the integer lattice around them.
     ``min_x + cols * cell_w`` lands exactly on the bound for 9 columns,
-    one ulp above it for 11 and one below it for 97.  Beyond a last
-    gridline that falls short, a user is assigned to the last cell yet
-    lies outside its rectangle and the scalar cloaker refuses her ("lost
-    its own user"), so there is no oracle: the population stops at it."""
+    one ulp above it for 11 and one below it for 97; the last column and
+    row end on the bound itself either way, so the population runs up to
+    it — a user at ``x == 100.0`` sits beyond the 97-column product and
+    must still be inside her own (last) cell."""
 
     def build(rng: random.Random):
         cell = WORLD_100.width / cols
         lines = [WORLD_100.min_x + c * cell for c in range(cols + 1)]
-        far = min(lines[-1], WORLD_100.max_x)
+        far = WORLD_100.max_x
         near = [
             min(max(v, 0.0), far)
             for line in lines

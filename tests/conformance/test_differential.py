@@ -21,6 +21,13 @@ import random
 
 import pytest
 
+from conformance.populations import (
+    FAMILIES,
+    assert_same_knn,
+    populations,
+    probe_ks,
+    probe_points,
+)
 from repro.engine import BruteForceOracle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -145,6 +152,52 @@ class TestPointBackendsAgainstOracle:
                 got=got, want=want,
             )
             assert got == pytest.approx(want, abs=0.0)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestAdversarialPopulations:
+    """Sparse, skewed, collinear and border-aligned data, probed from the
+    far corners with k up to and beyond the population — the inputs on
+    which "stop one step after enough" is wrong."""
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_knn(self, backend, family, seed, scenario):
+        for points in populations(family, seed, BOUNDS):
+            index = build_point_index(backend, points)
+            oracle = BruteForceOracle(public=points)
+            for probe in probe_points(seed, BOUNDS):
+                for k in probe_ks(len(points)):
+                    got = index.nearest(probe, k)
+                    want = oracle.public_knn(probe, k)
+                    scenario.record(
+                        backend=backend, family=family, seed=seed, query="knn",
+                        point=(probe.x, probe.y), k=k,
+                        points={k_: (p.x, p.y) for k_, p in points.items()},
+                        got=list(got), want=list(want),
+                    )
+                    assert_same_knn(got, want, probe, points)
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_range(self, backend, family, seed, scenario):
+        for points in populations(family, seed, BOUNDS):
+            index = build_point_index(backend, points)
+            oracle = BruteForceOracle(public=points)
+            for probe in probe_points(seed, BOUNDS):
+                for side in (0.0, BOUNDS.width / 10.0, BOUNDS.width):
+                    window = Rect(
+                        probe.x - side, probe.y - side,
+                        probe.x + side, probe.y + side,
+                    )
+                    got = sorted(index.range_query(window), key=str)
+                    want = sorted(oracle.public_range(window), key=str)
+                    scenario.record(
+                        backend=backend, family=family, seed=seed,
+                        query="range", window=window.as_tuple(),
+                        points={k: (p.x, p.y) for k, p in points.items()},
+                        got=got, want=want,
+                    )
+                    assert got == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,14 +1,18 @@
 """Differential conformance of the batch engine itself.
 
-Three independent implementations answer the same randomized workloads:
+Three independent executions answer the same randomized workloads:
 
-* the vectorised batch engine (grid + broadcast kernels),
-* the engine's sequential mode (per-query index paths, ``vectorize=False``),
+* the vectorized route (grid + broadcast kernels), forced through the
+  planner (``route="vectorized"``) and taken by default by a direct
+  ``BatchEngine.execute``,
+* the scalar route on the native store (``backend="rtree",
+  route="scalar"``): the per-query processors,
 * the brute-force oracle.
 
-All three must agree, query by query.  The grid-accelerated kernels are
-additionally pinned to their brute-force broadcast counterparts row for
-row, so a pruning bug cannot hide behind id-level equality.
+All must agree, query by query and in canonical order.  The
+grid-accelerated kernels are additionally pinned to their brute-force
+broadcast counterparts row for row, so a pruning bug cannot hide behind
+id-level equality.
 """
 
 from __future__ import annotations
@@ -18,22 +22,25 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.server import LocationServer
-from repro.engine import (
-    BatchEngine,
-    BruteForceOracle,
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
+from conformance.populations import (
+    FAMILIES,
+    assert_same_knn,
+    populations,
+    probe_ks,
+    probe_points,
 )
+from repro.core.server import LocationServer
+from repro.engine import BatchEngine, BruteForceOracle
 from repro.engine import kernels
+from repro.engine.batch import RUNNERS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
+from repro.planner import QueryPlanner
+from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec, native_kind
 
 SEEDS = [5, 29, 71]
+UNIVERSE = Rect(0.0, 0.0, 50.0, 50.0)
 
 
 def build_server(rng: random.Random, n_public: int = 150, n_private: int = 60):
@@ -62,16 +69,19 @@ def mixed_batch(rng: random.Random, n: int):
         batch.append(
             rng.choice(
                 [
-                    PublicRangeQuery(window),
-                    PublicNNQuery(Point(x, y), k=rng.randint(1, 9)),
-                    PublicCountQuery(window),
-                    PrivateRangeQuery(
-                        region,
-                        float(rng.randint(0, 10)),
+                    RangeSpec(window=window),
+                    KNNSpec(point=Point(x, y), k=rng.randint(1, 9)),
+                    CountSpec(window=window),
+                    RangeSpec(
+                        flavor="private",
+                        region=region,
+                        radius=float(rng.randint(0, 10)),
                         method=rng.choice(["exact", "mbr"]),
                     ),
-                    PrivateNNQuery(
-                        region, method=rng.choice(["range", "filter", "exact"])
+                    NNSpec(
+                        flavor="private",
+                        region=region,
+                        method=rng.choice(["range", "filter", "exact"]),
                     ),
                 ]
             )
@@ -79,48 +89,115 @@ def mixed_batch(rng: random.Random, n: int):
     return batch
 
 
+def run_routes(server: LocationServer, batch: list):
+    """(vectorized answers or None per position, scalar answers).
+
+    Both routes are forced where the conformance suites force them: on
+    the planner.  A direct engine call must take the kernel for every
+    kind that has one, i.e. equal the forced-vectorized answers.
+    """
+    planner = QueryPlanner(server, universe=UNIVERSE)
+    has_kernel = [
+        i for i, spec in enumerate(batch)
+        if RUNNERS[native_kind(spec)].kernel is not None
+    ]
+    vec = [None] * len(batch)
+    for i, answer in zip(
+        has_kernel,
+        planner.execute_batch([batch[i] for i in has_kernel], route="vectorized"),
+    ):
+        vec[i] = answer
+    seq = planner.execute_batch(batch, backend="rtree", route="scalar")
+    direct = BatchEngine(server).execute(batch)
+    for i, answer in enumerate(direct):
+        assert answer == (vec[i] if vec[i] is not None else seq[i])
+    return vec, seq
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engine_modes_and_oracle_agree(seed, scenario):
     rng = random.Random(seed)
     server = build_server(rng)
-    engine = BatchEngine(server)
     oracle = BruteForceOracle.from_server(server)
     batch = mixed_batch(rng, 120)
-    vec = engine.execute(batch)
-    seq = engine.execute(batch, vectorize=False)
-    for position, (query, a, b) in enumerate(zip(batch, vec, seq)):
+    vec, seq = run_routes(server, batch)
+    for position, (spec, a, b) in enumerate(zip(batch, vec, seq)):
         scenario.record(
-            seed=seed, position=position, query=repr(query),
-            vectorized=repr(a), sequential=repr(b),
+            seed=seed, position=position, spec=repr(spec),
+            vectorized=repr(a), scalar=repr(b),
         )
-        if query.kind == "public_range":
-            want = tuple(oracle.public_range(query.window))
-            assert a == want
-            assert b == want
-        elif query.kind == "public_nn":
-            assert a == tuple(oracle.public_knn(query.point, query.k))
-            assert oracle.validate_knn(b, query.point, query.k)
-            a_d = [query.point.distance_to(oracle.public[i]) for i in a]
-            b_d = [query.point.distance_to(oracle.public[i]) for i in b]
-            assert a_d == b_d
-        elif query.kind == "public_count":
-            want = oracle.public_count(query.window)
+        kind = native_kind(spec)
+        if kind == "public_range":
+            assert a == b == tuple(oracle.public_range(spec.window))
+        elif kind == "public_knn":
+            assert a == b == tuple(oracle.public_knn(spec.point, spec.k))
+        elif kind == "public_count":
+            want = oracle.public_count(spec.window)
             assert a.probabilities == want.probabilities
             assert b.probabilities == want.probabilities
-        elif query.kind == "private_range":
+            assert list(a.probabilities) == list(b.probabilities)
+        elif kind == "private_range":
             want = tuple(
-                oracle.private_range(query.region, query.radius, query.method)
+                oracle.private_range(spec.region, spec.radius, spec.method)
             )
-            assert a.candidates == want
-            assert b.candidates == want
-        else:  # private_nn
-            assert a.candidates == b.candidates
-            witnesses = oracle.private_nn_witnesses(query.region)
-            assert witnesses <= set(a.candidates)
-            if query.method == "range":
-                assert set(a.candidates) == set(
-                    oracle.private_nn_bound(query.region)
+            assert a.candidates == b.candidates == want
+        else:  # private_nn: no kernel, the scalar route is the only one
+            assert a is None
+            witnesses = oracle.private_nn_witnesses(spec.region)
+            assert witnesses <= set(b.candidates)
+            if spec.method == "range":
+                assert set(b.candidates) == set(
+                    oracle.private_nn_bound(spec.region)
                 )
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_routes_agree_on_adversarial_populations(family, seed, scenario):
+    """Sparse / clustered / collinear / border-aligned data, probed from
+    the far corners with k up to and beyond the population."""
+    for points in populations(family, seed, UNIVERSE):
+        server = LocationServer(telemetry=Telemetry(enabled=False))
+        for item, point in points.items():
+            server.add_public_object(item, point)
+        oracle = BruteForceOracle.from_server(server)
+        batch = []
+        for probe in probe_points(seed, UNIVERSE):
+            for k in probe_ks(len(points)):
+                batch.append(KNNSpec(point=probe, k=k))
+            for side in (0.0, UNIVERSE.width / 10.0, UNIVERSE.width):
+                batch.append(
+                    RangeSpec(
+                        window=Rect(probe.x - side, probe.y - side,
+                                    probe.x + side, probe.y + side)
+                    )
+                )
+                batch.append(
+                    RangeSpec(
+                        flavor="private",
+                        region=Rect(probe.x, probe.y, probe.x, probe.y),
+                        radius=side,
+                    )
+                )
+        vec, seq = run_routes(server, batch)
+        for position, (spec, a, b) in enumerate(zip(batch, vec, seq)):
+            scenario.record(
+                family=family, seed=seed, position=position, spec=repr(spec),
+                points={k: (p.x, p.y) for k, p in points.items()},
+                vectorized=repr(a), scalar=repr(b),
+            )
+            if isinstance(spec, KNNSpec):
+                assert a == b
+                assert_same_knn(
+                    a, oracle.public_knn(spec.point, spec.k), spec.point, points
+                )
+            elif spec.flavor == "public":
+                assert a == b == tuple(oracle.public_range(spec.window))
+            else:
+                want = tuple(
+                    oracle.private_range(spec.region, spec.radius, spec.method)
+                )
+                assert a.candidates == b.candidates == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -19,6 +19,13 @@ import random
 
 import pytest
 
+from conformance.populations import (
+    FAMILIES,
+    assert_same_knn,
+    populations,
+    probe_ks,
+    probe_points,
+)
 from repro.core.server import LocationServer
 from repro.engine import BruteForceOracle
 from repro.geometry.point import Point
@@ -208,6 +215,58 @@ def test_forced_vectorized_route_equals_scalar(seed, scenario):
         )
         vectorized = canonical(planner.execute(spec, route="vectorized"))
         assert scalar == vectorized
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_forced_choices_agree_on_adversarial_populations(family, scenario):
+    """Sparse / skewed / collinear / border-aligned data, far-corner
+    probes, k at and above the population: every eligible backend x route
+    still gives the planned answer, and that answer is the oracle's."""
+    seed = SEEDS[0]
+    seen_backends: set[str] = set()
+    # A handful of the sparse draws is enough here: the index-level suite
+    # in test_differential.py runs all of them against every backend.
+    for points in populations(family, seed, UNIVERSE)[:6]:
+        server = LocationServer(telemetry=Telemetry(enabled=False))
+        for item, point in points.items():
+            server.add_public_object(item, point)
+        planner = QueryPlanner(server, universe=UNIVERSE)
+        oracle = BruteForceOracle.from_server(server)
+        specs = []
+        for probe in probe_points(seed, UNIVERSE)[:8]:
+            specs.extend(
+                KNNSpec(point=probe, k=k) for k in probe_ks(len(points))
+            )
+            specs.append(
+                RangeSpec(
+                    window=Rect(probe.x - 5.0, probe.y - 5.0,
+                                probe.x + 5.0, probe.y + 5.0)
+                )
+            )
+        for spec in specs:
+            planned = canonical(planner.execute(spec))
+            if isinstance(spec, KNNSpec):
+                assert_same_knn(
+                    planned, oracle.public_knn(spec.point, spec.k),
+                    spec.point, points,
+                )
+            else:
+                assert planned == tuple(oracle.public_range(spec.window))
+            for backend, route in planner.conformance_backends(spec):
+                seen_backends.add(backend)
+                scenario.record(
+                    family=family, spec=repr(spec), backend=backend,
+                    route=route, planned=repr(planned),
+                    points={k: (p.x, p.y) for k, p in points.items()},
+                )
+                forced = canonical(
+                    planner.execute(spec, backend=backend, route=route)
+                )
+                assert forced == planned, (
+                    f"{backend}/{route} diverged from the planned answer "
+                    f"for {spec!r}"
+                )
+    assert seen_backends == set(BACKEND_NAMES)
 
 
 def test_region_shaped_private_store_pins_counts_to_rtree(scenario):

@@ -19,6 +19,7 @@ from repro.engine.oracle import BruteForceOracle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
+from repro.queries.spec import CountSpec, KNNSpec, RangeSpec
 from repro.persist import (
     Recovery,
     RecoveryError,
@@ -59,14 +60,14 @@ def _assert_probe_queries_valid(system: PrivacySystem) -> None:
     own (recovered) tables — structural validity, not just digest bits."""
     oracle = BruteForceOracle.from_server(system.server)
     window = Rect(15.0, 15.0, 75.0, 75.0)
-    assert set(system.server.public_range_over_public(window)) == set(
+    assert set(system.query(RangeSpec(window=window))) == set(
         oracle.public_range(window)
     )
     if len(system.server.public):
         probe = Point(33.0, 41.0)
-        answer = system.server.public_nn_over_public(probe, k=2)
+        answer = system.query(KNNSpec(point=probe, k=2))
         assert oracle.validate_knn(answer, probe, 2)
-    count = system.server.public_count(window)
+    count = system.query(CountSpec(window=window))
     reference = oracle.public_count(window)
     assert count.expected == pytest.approx(reference.expected)
     assert count.interval == reference.interval

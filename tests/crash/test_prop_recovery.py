@@ -24,6 +24,7 @@ from repro.geometry.rect import Rect
 from repro.obs import Telemetry
 from repro.obs.audit import PrivacyAuditor
 from repro.persist import Recovery, system_digest
+from repro.queries.spec import CountSpec, RangeSpec
 
 from harness import (
     build_system,
@@ -107,10 +108,10 @@ def test_recover_equals_uncrashed_system(data, checkpoint_slot, crash_slot):
         # 2. Oracle-validated probes on the recovered server.
         oracle = BruteForceOracle.from_server(recovered.server)
         window = Rect(20.0, 20.0, 80.0, 80.0)
-        assert set(recovered.server.public_range_over_public(window)) == set(
+        assert set(recovered.query(RangeSpec(window=window))) == set(
             oracle.public_range(window)
         )
-        count = recovered.server.public_count(window)
+        count = recovered.query(CountSpec(window=window))
         # approx: summation order over the rebuilt index differs.
         assert count.expected == pytest.approx(
             oracle.public_count(window).expected

@@ -11,6 +11,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.random_waypoint import RandomWaypointModel
 from repro.mobility.users import MobileUser, UserMode
+from repro.queries.spec import CountSpec, NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 
@@ -45,16 +46,16 @@ class TestMovingPipeline:
                 assert region.area > 0
         # Queries stay exact throughout.
         for victim in (0, 100, 299):
-            outcome, _ = system.user_range_query(victim, radius=10.0)
+            outcome, _ = system.query(RangeSpec(flavor="private", user=victim, radius=10.0))
             assert outcome.correct
-            nn_outcome, _ = system.user_nn_query(victim)
+            nn_outcome, _ = system.query(NNSpec(flavor="private", user=victim))
             assert nn_outcome.correct
 
     def test_server_count_matches_reality_in_expectation(self, world, rng):
         system, model = world
         system.apply_movement(model.step(1.0))
         window = Rect(20, 20, 80, 80)
-        answer = system.server.public_count(window)
+        answer = system.query(CountSpec(window=window))
         truth = sum(
             1 for u in system.users.values() if window.contains_point(u.location)
         )

@@ -1,23 +1,14 @@
-"""Integration: a full server state survives persistence round-trips."""
+"""Integration: a full server state survives a checkpoint / recover round trip."""
 
 import pytest
 
 from repro.cloaking.pyramid_cloak import PyramidCloaker
-from repro.core.persistence import (
-    load_private_store,
-    load_profiles,
-    load_public_store,
-    save_private_store,
-    save_profiles,
-    save_public_store,
-)
 from repro.core.profiles import PrivacyProfile, example_profile
 from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
-from repro.queries.private_range import private_range_query
-from repro.queries.public_range import public_range_count
+from repro.queries.spec import CountSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 
@@ -35,44 +26,52 @@ def populated_system(uniform_points_500):
     return system
 
 
+@pytest.fixture
+def restored_system(populated_system, tmp_path):
+    populated_system.checkpoint(tmp_path)
+    return PrivacySystem.recover(tmp_path)
+
+
 class TestServerStateRoundTrip:
-    def test_query_answers_identical_after_restore(self, populated_system, tmp_path):
-        system = populated_system
-        save_public_store(system.server.public, tmp_path / "public.tsv")
-        save_private_store(system.server.private, tmp_path / "private.tsv")
-
-        restored_public = load_public_store(tmp_path / "public.tsv")
-        restored_private = load_private_store(tmp_path / "private.tsv")
-
-        region = Rect(30, 30, 55, 50)
-        before = private_range_query(system.server.public, region, 8.0)
-        after = private_range_query(restored_public, region, 8.0)
+    def test_query_answers_identical_after_restore(
+        self, populated_system, restored_system
+    ):
+        candidates = RangeSpec(
+            flavor="private", region=Rect(30, 30, 55, 50), radius=8.0
+        )
+        before = populated_system.query(candidates)
+        after = restored_system.query(candidates)
         assert sorted(before.candidates, key=str) == sorted(after.candidates, key=str)
 
-        window = Rect(20, 20, 70, 70)
-        count_before = public_range_count(system.server.private, window)
-        count_after = public_range_count(restored_private, window)
+        count = CountSpec(window=Rect(20, 20, 70, 70))
+        count_before = populated_system.query(count)
+        count_after = restored_system.query(count)
         assert count_before.expected == pytest.approx(count_after.expected)
         assert count_before.interval == count_after.interval
 
-    def test_profiles_round_trip_through_registry(self, populated_system, tmp_path):
-        system = populated_system
-        profiles = {
-            str(uid): system.users[uid].profile for uid in system.users
-        }
-        save_profiles(profiles, tmp_path / "profiles.tsv")
-        restored = load_profiles(tmp_path / "profiles.tsv")
-        assert len(restored) == len(profiles)
-        for uid, profile in profiles.items():
+    def test_profiles_round_trip_through_registry(
+        self, populated_system, restored_system
+    ):
+        assert len(restored_system.users) == len(populated_system.users)
+        for uid, user in populated_system.users.items():
+            uid = str(uid)  # durable ids are canonicalised through str()
+            restored = restored_system.users[uid].profile
             for t in (0.0, 9 * 3600.0, 18 * 3600.0, 23 * 3600.0):
-                assert (
-                    restored[uid].requirement_at(t) == profile.requirement_at(t)
-                ), (uid, t)
+                assert restored.requirement_at(t) == user.profile.requirement_at(t), (
+                    uid,
+                    t,
+                )
+            # The anonymizer's registry holds the same profile.
+            assert restored_system.anonymizer.requirement_for(
+                uid, 18 * 3600.0
+            ) == user.profile.requirement_at(18 * 3600.0)
 
-    def test_restored_stores_accept_new_data(self, populated_system, tmp_path):
-        system = populated_system
-        save_public_store(system.server.public, tmp_path / "public.tsv")
-        restored = load_public_store(tmp_path / "public.tsv")
-        restored.add("new-poi", Point(1, 2))
-        assert "new-poi" in restored
-        assert len(restored) == len(system.server.public) + 1
+    def test_restored_stores_accept_new_data(self, populated_system, restored_system):
+        restored_system.add_poi("new-poi", Point(1, 2))
+        assert "new-poi" in restored_system.server.public
+        assert len(restored_system.server.public) == (
+            len(populated_system.server.public) + 1
+        )
+        assert "new-poi" in restored_system.query(
+            RangeSpec(window=Rect(0, 0, 5, 5))
+        )

@@ -17,6 +17,7 @@ from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
+from repro.queries.spec import CountSpec, NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 
@@ -104,23 +105,27 @@ def test_random_interleaving(seed):
             ids = active_ids()
             if ids:
                 asker = ids[int(rng.integers(len(ids)))]
-                outcome, _ = system.user_range_query(asker, radius=8.0)
+                outcome, _ = system.query(RangeSpec(flavor="private", user=asker, radius=8.0))
                 assert outcome.correct
         elif op < 0.90:
             ids = active_ids()
             if ids:
                 asker = ids[int(rng.integers(len(ids)))]
-                outcome, _ = system.user_nn_query(asker)
+                outcome, _ = system.query(NNSpec(flavor="private", user=asker))
                 assert outcome.correct
         elif op < 0.95:
-            answer = system.server.public_count(
-                Rect.from_center(random_point(rng), 20, 20).clipped(BOUNDS)
+            answer = system.query(
+                CountSpec(
+                    window=Rect.from_center(random_point(rng), 20, 20).clipped(BOUNDS)
+                )
             )
             lo, hi = answer.interval
             assert 0 <= lo <= hi <= len(system.server.private)
         else:
             if len(system.server.private) > 0:
-                result = system.server.public_nn(random_point(rng), samples=128)
+                result = system.query(
+                    NNSpec(point=random_point(rng), dataset="private", samples=128)
+                )
                 assert abs(result.answer.total_probability - 1.0) < 1e-9
         if step % 25 == 0:
             check_invariants(system)

@@ -1,16 +1,16 @@
-"""Property-based tests: batched execution ≡ sequential execution.
+"""Property-based tests: vectorized route ≡ scalar route ≡ oracle.
 
-For *any* interleaving of the five query kinds over *any* server state —
+For *any* interleaving of the query kinds over *any* server state —
 including empty batches, duplicate queries, empty stores, coincident
 points, and cloaked regions degenerate in one axis (the PR-3
-``membership_probability`` regression surface) — the vectorised engine
-must return exactly what the sequential per-query path returns.
+``membership_probability`` regression surface) — the vectorized kernels
+must return exactly what the scalar per-query processors return, in the
+same canonical order, and both must be the brute-force oracle's answer.
 
 Coordinates are drawn from small integer grids so exact distance ties
-and boundary-touching windows occur constantly; k-NN agreement is
-checked tie-aware (same ids when canonical, same distance multiset
-always) because the two paths may legally order equidistant neighbours
-differently only by rank — and the engine normalises even that away.
+and boundary-touching windows occur constantly; both routes break k-NN
+ties by snapshot rank, so even equidistant neighbours come back in one
+order.
 """
 
 from __future__ import annotations
@@ -21,18 +21,12 @@ from hypothesis import strategies as st
 
 from repro.core.errors import QueryError
 from repro.core.server import LocationServer
-from repro.engine import (
-    BatchEngine,
-    BruteForceOracle,
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
-)
+from repro.engine import BatchEngine, BruteForceOracle
+from repro.engine.batch import RUNNERS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
+from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec, native_kind
 
 coord = st.integers(min_value=0, max_value=12).map(float)
 span = st.integers(min_value=0, max_value=6).map(float)
@@ -49,25 +43,37 @@ def rects(draw) -> Rect:
 @st.composite
 def batch_queries(draw):
     kind = draw(st.sampled_from(
-        ["public_range", "public_nn", "public_count", "private_range", "private_nn"]
+        ["public_range", "public_knn", "public_count", "private_range", "private_nn"]
     ))
     if kind == "public_range":
-        return PublicRangeQuery(draw(rects()))
-    if kind == "public_nn":
-        return PublicNNQuery(
-            Point(draw(coord), draw(coord)), k=draw(st.integers(1, 6))
+        return RangeSpec(window=draw(rects()))
+    if kind == "public_knn":
+        return KNNSpec(
+            point=Point(draw(coord), draw(coord)), k=draw(st.integers(1, 6))
         )
     if kind == "public_count":
-        return PublicCountQuery(draw(rects()))
+        return CountSpec(window=draw(rects()))
     if kind == "private_range":
-        return PrivateRangeQuery(
-            draw(rects()),
+        return RangeSpec(
+            flavor="private",
+            region=draw(rects()),
             radius=float(draw(st.integers(0, 8))),
             method=draw(st.sampled_from(["exact", "mbr"])),
         )
-    return PrivateNNQuery(
-        draw(rects()), method=draw(st.sampled_from(["range", "filter", "exact"]))
+    return NNSpec(
+        flavor="private",
+        region=draw(rects()),
+        method=draw(st.sampled_from(["range", "filter", "exact"])),
     )
+
+
+def build_server(points, regions) -> LocationServer:
+    server = LocationServer(telemetry=Telemetry(enabled=False))
+    for i, (x, y) in enumerate(points):
+        server.add_public_object(i, Point(x, y))
+    for i, region in enumerate(regions):
+        server.receive_region(f"u{i}", region)
+    return server
 
 
 servers = st.tuples(
@@ -86,58 +92,59 @@ servers = st.tuples(
 @settings(max_examples=120, deadline=None)
 def test_batched_equals_sequential(server_data, batch):
     points, regions = server_data
-    server = LocationServer(telemetry=Telemetry(enabled=False))
-    for i, (x, y) in enumerate(points):
-        server.add_public_object(i, Point(x, y))
-    for i, region in enumerate(regions):
-        server.receive_region(f"u{i}", region)
-
-    engine = BatchEngine(server)
-    if not points and any(q.kind == "private_nn" for q in batch):
-        # NN over an empty public store raises in the scalar entry point;
-        # both engine modes must propagate the same error.
+    server = build_server(points, regions)
+    planner = server.planner
+    kinds = [native_kind(spec) for spec in batch]
+    if not points and "private_nn" in kinds:
+        # NN over an empty public store raises in the scalar processor;
+        # the engine and the planner must both propagate the error.
         with pytest.raises(QueryError):
-            engine.execute(batch)
+            BatchEngine(server).execute(batch)
         with pytest.raises(QueryError):
-            engine.execute(batch, vectorize=False)
+            planner.execute_batch(batch, backend="rtree", route="scalar")
         return
-    vectorized = engine.execute(batch)
-    sequential = engine.execute(batch, vectorize=False)
+    scalar = planner.execute_batch(batch, backend="rtree", route="scalar")
+    has_kernel = [
+        i for i, kind in enumerate(kinds) if RUNNERS[kind].kernel is not None
+    ]
+    vectorized = dict(
+        zip(
+            has_kernel,
+            planner.execute_batch(
+                [batch[i] for i in has_kernel], route="vectorized"
+            ),
+        )
+    )
+    # A direct engine call takes the kernel wherever one exists.
+    direct = BatchEngine(server).execute(batch)
+    assert len(direct) == len(scalar) == len(batch)
 
-    assert len(vectorized) == len(sequential) == len(batch)
-    has_nn = any(q.kind == "public_nn" for q in batch)
-    oracle = BruteForceOracle.from_server(server) if has_nn else None
-    for query, vec, seq in zip(batch, vectorized, sequential):
-        if query.kind in ("public_range",):
+    oracle = BruteForceOracle.from_server(server)
+    for i, (spec, kind, seq) in enumerate(zip(batch, kinds, scalar)):
+        vec = vectorized.get(i, seq)
+        assert direct[i] == vec
+        if kind == "public_range":
+            assert vec == seq == tuple(oracle.public_range(spec.window))
+        elif kind == "public_knn":
+            assert vec == seq == tuple(oracle.public_knn(spec.point, spec.k))
+        elif kind == "public_count":
+            want = oracle.public_count(spec.window).probabilities
+            assert vec.probabilities == seq.probabilities == want
+        elif kind == "private_range":
             assert vec == seq
-        elif query.kind == "public_count":
-            assert vec.probabilities == seq.probabilities
-        elif query.kind in ("private_range", "private_nn"):
-            assert vec.candidates == seq.candidates
-            assert vec.region == seq.region
-            assert vec.method == seq.method
-        else:  # public_nn: tie-aware — both must be valid k-NN sets with
-            # identical distance sequences; the vectorised one is canonical.
-            assert oracle.validate_knn(vec, query.point, query.k)
-            assert oracle.validate_knn(seq, query.point, query.k)
-            vec_d = [query.point.distance_to(oracle.public[i]) for i in vec]
-            seq_d = [query.point.distance_to(oracle.public[i]) for i in seq]
-            assert vec_d == seq_d
-            assert vec == tuple(oracle.public_knn(query.point, query.k))
+            assert vec.candidates == tuple(
+                oracle.private_range(spec.region, spec.radius, spec.method)
+            )
+        else:  # private_nn has no kernel: one route, checked for coverage
+            assert oracle.private_nn_witnesses(spec.region) <= set(seq.candidates)
 
 
 @given(servers)
 @settings(max_examples=30, deadline=None)
 def test_empty_batch(server_data):
-    points, regions = server_data
-    server = LocationServer(telemetry=Telemetry(enabled=False))
-    for i, (x, y) in enumerate(points):
-        server.add_public_object(i, Point(x, y))
-    for i, region in enumerate(regions):
-        server.receive_region(f"u{i}", region)
-    engine = BatchEngine(server)
-    assert engine.execute([]) == []
-    assert engine.execute([], vectorize=False) == []
+    server = build_server(*server_data)
+    assert BatchEngine(server).execute([]) == []
+    assert server.planner.execute_batch([]) == []
 
 
 @given(rects(), st.lists(rects(), min_size=1, max_size=12))
@@ -150,8 +157,8 @@ def test_degenerate_region_counts_match_scalar_path(window, regions):
         if i % 2:
             region = Rect(region.min_x, region.min_y, region.max_x, region.min_y)
         server.receive_region(f"u{i}", region)
-    engine = BatchEngine(server)
-    [vec] = engine.execute([PublicCountQuery(window)])
-    scalar = server.public_count(window)
+    spec = CountSpec(window=window)
+    vec = server.planner.execute(spec, route="vectorized")
+    scalar = server.planner.execute(spec, backend="rtree", route="scalar")
     assert vec.probabilities == scalar.probabilities
     assert vec.expected == scalar.expected

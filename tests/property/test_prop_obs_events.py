@@ -14,7 +14,14 @@ Two ISSUE-level guarantees, checked over generated workloads:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MobileUser, PrivacyProfile, PrivacySystem, PyramidCloaker
+from repro import (
+    MobileUser,
+    NNSpec,
+    PrivacyProfile,
+    PrivacySystem,
+    PyramidCloaker,
+    RangeSpec,
+)
 from repro.core.server import LocationServer
 from repro.core.stores import PublicStore
 from repro.geometry import Point, Rect
@@ -46,7 +53,7 @@ def test_published_regions_attain_or_declare_degradation(specs, queries):
     system.add_poi("poi", Point(50, 50))
     system.publish_all()
     for i in range(queries):
-        system.user_range_query(i % len(specs), radius=8.0)
+        system.query(RangeSpec(flavor="private", user=i % len(specs), radius=8.0))
 
     events = list(system.obs.events.events())
     declared = {
@@ -101,13 +108,15 @@ def test_explain_counts_equal_index_counter_totals(rect, n_points, n_regions, pa
     server = fresh_server(n_points, n_regions)
     explainer = QueryExplainer(server)
     if path == "public_range":
-        plan = explainer.explain_public_range(region)
+        plan = explainer.explain(RangeSpec(window=region))
         counters = server.public.index_counters
     elif path == "private_range":
-        plan = explainer.explain_private_range(region, radius=5.0)
+        plan = explainer.explain(
+            RangeSpec(flavor="private", region=region, radius=5.0)
+        )
         counters = server.public.index_counters
     else:
-        plan = explainer.explain_private_nn(region)
+        plan = explainer.explain(NNSpec(flavor="private", region=region))
         counters = server.public.index_counters
     index_nodes = (
         plan.find("index.range_query")

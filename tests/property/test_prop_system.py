@@ -7,18 +7,11 @@ from hypothesis import strategies as st
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.cloaking.shared import CloakRequest, cloak_batch
-from repro.core.persistence import (
-    load_private_store,
-    load_profiles,
-    load_public_store,
-    save_private_store,
-    save_profiles,
-    save_public_store,
-)
 from repro.core.profiles import PrivacyProfile, PrivacyRequirement, ProfileEntry
-from repro.core.stores import PrivateStore, PublicStore
+from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.mobility.users import MobileUser
 
 BOUNDS = Rect(0, 0, 100, 100)
 coord = st.floats(min_value=0, max_value=100, allow_nan=False)
@@ -75,6 +68,15 @@ class TestSharedBatchEquivalence:
 
 
 class TestPersistenceProperties:
+    """Whatever goes into a checkpoint comes back from ``recover``
+    exactly: ids as written, floats bit for bit."""
+
+    @staticmethod
+    def round_trip(system: PrivacySystem, tmp_path_factory) -> PrivacySystem:
+        directory = tmp_path_factory.mktemp("prop")
+        system.checkpoint(directory)
+        return PrivacySystem.recover(directory)
+
     @given(
         st.dictionaries(
             st.text(
@@ -90,13 +92,11 @@ class TestPersistenceProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_public_store_roundtrip(self, tmp_path_factory, raw):
-        store = PublicStore()
+        system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=3))
         for object_id, (x, y) in raw.items():
-            store.add(object_id, Point(x, y))
-        path = tmp_path_factory.mktemp("prop") / "public.tsv"
-        save_public_store(store, path)
-        loaded = load_public_store(path)
-        assert len(loaded) == len(store)
+            system.add_poi(object_id, Point(x, y))
+        loaded = self.round_trip(system, tmp_path_factory).server.public
+        assert len(loaded) == len(raw)
         for object_id, (x, y) in raw.items():
             assert loaded.point_of(object_id) == Point(x, y)
 
@@ -108,12 +108,13 @@ class TestPersistenceProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_private_store_roundtrip(self, tmp_path_factory, raw):
-        store = PrivateStore()
+        system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=3))
+        store = system.server.private
         for i, (cx, cy, half) in enumerate(raw):
-            store.set_region(f"u{i}", Rect(cx - half, cy - half, cx + half, cy + half))
-        path = tmp_path_factory.mktemp("prop") / "private.tsv"
-        save_private_store(store, path)
-        loaded = load_private_store(path)
+            system.server.receive_region(
+                f"u{i}", Rect(cx - half, cy - half, cx + half, cy + half)
+            )
+        loaded = self.round_trip(system, tmp_path_factory).server.private
         assert len(loaded) == len(store)
         for object_id, region in store.items():
             assert loaded.region_of(object_id) == region
@@ -136,8 +137,8 @@ class TestPersistenceProperties:
             ProfileEntry(start, PrivacyRequirement(k=k, min_area=a))
             for start, k, a in rows
         )
-        path = tmp_path_factory.mktemp("prop") / "profiles.tsv"
-        save_profiles({"u": profile}, path)
-        loaded = load_profiles(path)["u"]
+        system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=3))
+        system.add_user(MobileUser("u", Point(50, 50), profile))
+        loaded = self.round_trip(system, tmp_path_factory).users["u"].profile
         for t in (0.0, 21_600.0, 43_200.0, 64_800.0, 86_000.0):
             assert loaded.requirement_at(t) == profile.requirement_at(t)

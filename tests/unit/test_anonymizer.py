@@ -10,6 +10,7 @@ from repro.core.profiles import PrivacyProfile, example_profile, hhmm
 from repro.core.server import LocationServer
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.queries.spec import NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 
@@ -248,7 +249,10 @@ class TestQueryProxying:
     def test_private_range_query(self, anonymizer, uniform_points_500):
         for j in range(30):
             anonymizer.server.add_public_object(("poi", j), Point(3 * j, 50))
-        cloak, result = anonymizer.private_range_query(0, radius=10.0, t=0.0)
+        cloak = anonymizer.cloak_user(0, t=0.0)
+        result = anonymizer.server.planner.execute(
+            RangeSpec(flavor="private", region=cloak.region, radius=10.0)
+        )
         assert result.region == cloak.region
         # The server-side region is the cloak, not the user point.
         assert cloak.region.area > 0.0
@@ -256,16 +260,11 @@ class TestQueryProxying:
     def test_private_nn_query(self, anonymizer):
         for j in range(30):
             anonymizer.server.add_public_object(("poi", j), Point(3 * j, 50))
-        cloak, result = anonymizer.private_nn_query(0, t=0.0)
+        cloak = anonymizer.cloak_user(0, t=0.0)
+        result = anonymizer.server.planner.execute(
+            NNSpec(flavor="private", region=cloak.region)
+        )
         assert len(result.candidates) >= 1
-
-    def test_query_without_server_raises(self):
-        anonymizer = LocationAnonymizer(PyramidCloaker(BOUNDS, height=6))
-        anonymizer.register("u", PrivacyProfile(), Point(1, 1))
-        with pytest.raises(RegistrationError):
-            anonymizer.private_range_query("u", 1.0, 0.0)
-        with pytest.raises(RegistrationError):
-            anonymizer.private_nn_query("u", 0.0)
 
 
 class TestWithIncrementalCloaker:

@@ -7,20 +7,12 @@ import pytest
 
 from repro.core.errors import QueryError
 from repro.core.server import LocationServer
-from repro.engine import (
-    BatchEngine,
-    BruteForceOracle,
-    PrivateNNQuery,
-    PrivateRangeQuery,
-    PublicCountQuery,
-    PublicNNQuery,
-    PublicRangeQuery,
-    ServerSnapshot,
-)
+from repro.engine import BatchEngine, BruteForceOracle, ServerSnapshot
 from repro.engine import kernels
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
+from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
 
 
 def small_server() -> LocationServer:
@@ -33,19 +25,34 @@ def small_server() -> LocationServer:
 
 
 class TestQueryValidation:
+    """Bad queries fail at construction, before a batch runs."""
+
     def test_negative_radius_rejected(self):
         with pytest.raises(QueryError):
-            PrivateRangeQuery(Rect(0, 0, 1, 1), radius=-1.0)
+            RangeSpec(flavor="private", region=Rect(0, 0, 1, 1), radius=-1.0)
 
     def test_unknown_methods_rejected(self):
         with pytest.raises(QueryError):
-            PrivateRangeQuery(Rect(0, 0, 1, 1), 1.0, method="voronoi")
+            RangeSpec(
+                flavor="private", region=Rect(0, 0, 1, 1), radius=1.0,
+                method="voronoi",
+            )
         with pytest.raises(QueryError):
-            PrivateNNQuery(Rect(0, 0, 1, 1), method="bogus")
+            NNSpec(flavor="private", region=Rect(0, 0, 1, 1), method="bogus")
 
     def test_non_positive_k_rejected(self):
         with pytest.raises(QueryError):
-            PublicNNQuery(Point(0, 0), k=0)
+            KNNSpec(point=Point(0, 0), k=0)
+
+    def test_user_bound_spec_rejected(self):
+        user_bound = RangeSpec(flavor="private", user="alice", radius=1.0)
+        server = small_server()
+        with pytest.raises(QueryError, match="anonymizer"):
+            BatchEngine(server).execute([user_bound])
+        # The server refuses the batch before accounting any of it.
+        with pytest.raises(QueryError, match="anonymizer"):
+            server.execute_batch([CountSpec(window=Rect(0, 0, 1, 1)), user_bound])
+        assert server.stats().queries_served == 0
 
 
 class TestSnapshot:
@@ -102,10 +109,10 @@ class TestEngineExecution:
         server = small_server()
         engine = BatchEngine(server)
         batch = [
-            PublicCountQuery(Rect(0, 0, 10, 10)),
-            PublicRangeQuery(Rect(0, 0, 10, 10)),
-            PublicNNQuery(Point(0, 0), k=2),
-            PublicRangeQuery(Rect(0, 0, 3, 6)),
+            CountSpec(window=Rect(0, 0, 10, 10)),
+            RangeSpec(window=Rect(0, 0, 10, 10)),
+            KNNSpec(point=Point(0, 0), k=2),
+            RangeSpec(window=Rect(0, 0, 3, 6)),
         ]
         results = engine.execute(batch)
         assert results[1] == ("o0", "o1", "o2", "o3", "o4")
@@ -118,15 +125,17 @@ class TestEngineExecution:
         for i in range(4):
             server.add_public_object(i, Point(1.0, 0.0))  # all equidistant
         engine = BatchEngine(server)
-        [vec] = engine.execute([PublicNNQuery(Point(0, 0), k=2)])
-        assert vec == (0, 1)  # earliest snapshot rows win exact ties
+        spec = KNNSpec(point=Point(0, 0), k=2)
+        [vec] = engine.execute([spec])
+        [seq] = engine.execute([spec], routes=[False])
+        assert vec == seq == (0, 1)  # earliest snapshot rows win exact ties
 
     def test_private_nn_uses_scalar_path_in_both_modes(self):
         server = small_server()
         engine = BatchEngine(server)
-        query = PrivateNNQuery(Rect(2, 2, 4, 4), method="exact")
-        [vec] = engine.execute([query])
-        [seq] = engine.execute([query], vectorize=False)
+        spec = NNSpec(flavor="private", region=Rect(2, 2, 4, 4), method="exact")
+        [vec] = engine.execute([spec], routes=[True])
+        [seq] = engine.execute([spec], routes=[False])
         assert vec == seq
 
     def test_telemetry_counts_paths_and_snapshot_reuse(self):
@@ -134,8 +143,8 @@ class TestEngineExecution:
         server = small_server()
         engine = BatchEngine(server, telemetry=telemetry)
         batch = [
-            PublicRangeQuery(Rect(0, 0, 5, 5)),
-            PrivateNNQuery(Rect(0, 0, 2, 2)),
+            RangeSpec(window=Rect(0, 0, 5, 5)),
+            NNSpec(flavor="private", region=Rect(0, 0, 2, 2)),
         ]
         engine.execute(batch)
         engine.execute(batch)
@@ -151,7 +160,7 @@ class TestServerAndSystemWiring:
         server = small_server()
         before = server.stats().queries_served
         server.execute_batch(
-            [PublicRangeQuery(Rect(0, 0, 1, 1)), PublicCountQuery(Rect(0, 0, 1, 1))]
+            [RangeSpec(window=Rect(0, 0, 1, 1)), CountSpec(window=Rect(0, 0, 1, 1))]
         )
         stats = server.stats()
         assert stats.queries_served == before + 2
@@ -172,8 +181,8 @@ class TestServerAndSystemWiring:
         )
         system.publish_all()
         rows, answer = system.execute_batch(
-            [PublicRangeQuery(Rect(0, 0, 50, 50)),
-             PublicCountQuery(Rect(0, 0, 50, 50))]
+            [RangeSpec(window=Rect(0, 0, 50, 50)),
+             CountSpec(window=Rect(0, 0, 50, 50))]
         )
         assert rows == ("poi",)
         assert answer.expected == pytest.approx(1.0)
@@ -259,24 +268,24 @@ class TestFigure6aGoldenBatched:
     }
     GOLDEN = {"D": 1.0, "A": 0.75, "B": 0.5, "E": 0.2, "F": 0.25}
 
-    def batched_answer(self, vectorize: bool):
+    def batched_answer(self, vectorized: bool):
         server = LocationServer(telemetry=Telemetry(enabled=False))
         for name, region in self.REGIONS.items():
             server.receive_region(name, region)
         [answer] = server.execute_batch(
-            [PublicCountQuery(self.WINDOW)], vectorize=vectorize
+            [CountSpec(window=self.WINDOW)], routes=[vectorized]
         )
         return answer
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_per_object_probabilities(self, vectorize):
-        answer = self.batched_answer(vectorize)
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_per_object_probabilities(self, vectorized):
+        answer = self.batched_answer(vectorized)
         assert set(answer.probabilities) == set(self.GOLDEN)  # C excluded
         for name, probability in self.GOLDEN.items():
             assert answer.probabilities[name] == pytest.approx(probability)
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    def test_expected_and_interval(self, vectorize):
-        answer = self.batched_answer(vectorize)
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_expected_and_interval(self, vectorized):
+        answer = self.batched_answer(vectorized)
         assert answer.expected == pytest.approx(2.7)
         assert answer.interval == (1, 5)

@@ -40,6 +40,31 @@ class TestCellArithmetic:
         )
         assert total == pytest.approx(BOUNDS.area)
 
+    @pytest.mark.parametrize("cols", [9, 11, 97])
+    def test_last_column_and_row_end_on_the_bound(self, cols):
+        """``min + cols * cell`` rounds exactly / above / below the bound
+        for 9 / 11 / 97 columns; the last cell ends on the bound itself,
+        so a far-boundary point lies inside the cell it is assigned to."""
+        grid = GridIndex(BOUNDS, cols=cols)
+        last = grid.cell_rect(cols - 1, cols - 1)
+        assert (last.max_x, last.max_y) == (BOUNDS.max_x, BOUNDS.max_y)
+        for point in (Point(100.0, 50.0), Point(50.0, 100.0), Point(100.0, 100.0)):
+            assert grid.cell_rect(*grid.cell_of(point)).contains_point(point)
+        # Interior gridlines are untouched: neighbours still share an edge.
+        assert grid.cell_rect(cols - 2, 0).max_x == grid.cell_rect(cols - 1, 0).min_x
+
+    def test_far_boundary_user_is_cloaked_on_a_non_dyadic_grid(self):
+        """Was ``CloakingError: algorithm grid lost its own user``."""
+        from repro.cloaking.grid_cloak import GridCloaker
+        from repro.core.profiles import PrivacyRequirement
+
+        cloaker = GridCloaker(BOUNDS, cols=97)
+        cloaker.add_user("edge", Point(100.0, 50.0))
+        cloaker.add_user("mate", Point(99.5, 50.2))
+        region = cloaker.cloak("edge", PrivacyRequirement(k=2)).region
+        assert region.contains_point(Point(100.0, 50.0))
+        assert region.max_x == 100.0
+
     def test_cell_rect_out_of_range_raises(self):
         grid = GridIndex(BOUNDS, cols=4)
         with pytest.raises(ValueError):

@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from repro import MobileUser, PrivacyProfile, PrivacySystem, PyramidCloaker
+from repro import (
+    MobileUser,
+    NNSpec,
+    PrivacyProfile,
+    PrivacySystem,
+    PyramidCloaker,
+    RangeSpec,
+)
 from repro.geometry import Point, Rect
 from repro.obs import EVENT_KINDS, Event, EventLog, MetricsRegistry, Telemetry
 from repro.obs.events import (
@@ -319,8 +326,8 @@ def worked_system():
         )
     system.publish_all()
     for i in range(6):
-        system.user_range_query(i, radius=10.0)
-        system.user_nn_query(i)
+        system.query(RangeSpec(flavor="private", user=i, radius=10.0))
+        system.query(NNSpec(flavor="private", user=i))
     return system
 
 
@@ -391,11 +398,10 @@ class TestEngineEmission:
     def test_snapshot_capture_then_reuse(self):
         from repro.core.server import LocationServer
         from repro.core.stores import PublicStore
-        from repro.engine import PublicRangeQuery
 
         server = LocationServer(telemetry=Telemetry())
         server.public = PublicStore.from_points({i: Point(i, i) for i in range(5)})
-        batch = [PublicRangeQuery(Rect(0, 0, 3, 3))]
+        batch = [RangeSpec(window=Rect(0, 0, 3, 3))]
         server.execute_batch(batch)
         server.execute_batch(batch)
         events = server.telemetry.events

@@ -6,11 +6,26 @@ import pytest
 
 from repro.core.server import LocationServer
 from repro.core.stores import PublicStore
-from repro.engine import PublicNNQuery, PublicRangeQuery
-from repro.engine.queries import PrivateNNQuery, PrivateRangeQuery, PublicCountQuery
 from repro.geometry import Point, Rect
 from repro.obs import PlanNode, QueryExplainer, Telemetry, plan_to_json, render_plan
-from repro.obs.explain import explain_figure_6a
+from repro.obs.explain import BATCH_KERNELS, TIE_BREAK, explain_figure_6a
+from repro.queries.spec import (
+    NATIVE_KINDS,
+    CountSpec,
+    KNNSpec,
+    NNSpec,
+    RangeSpec,
+)
+
+REGION = Rect(20, 20, 40, 40)
+
+
+def private_range(region=REGION, radius=10.0, method="exact"):
+    return RangeSpec(flavor="private", region=region, radius=radius, method=method)
+
+
+def private_nn(region=REGION, method="filter"):
+    return NNSpec(flavor="private", region=region, method=method)
 
 
 def make_server(n=30) -> LocationServer:
@@ -84,11 +99,11 @@ class TestCountersMatchIndexWork:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda e: e.explain_public_range(Rect(10, 10, 60, 60)),
-            lambda e: e.explain_public_knn(Point(50, 50), k=3),
-            lambda e: e.explain_private_range(Rect(20, 20, 40, 40), 10.0),
-            lambda e: e.explain_private_nn(Rect(20, 20, 40, 40)),
-            lambda e: e.explain_private_knn(Rect(20, 20, 40, 40), k=3),
+            lambda e: e.explain(RangeSpec(window=Rect(10, 10, 60, 60))),
+            lambda e: e.explain(KNNSpec(point=Point(50, 50), k=3)),
+            lambda e: e.explain(private_range()),
+            lambda e: e.explain(private_nn()),
+            lambda e: e.explain(KNNSpec(flavor="private", region=REGION, k=3)),
         ],
     )
     def test_public_store_deltas_equal_totals(self, run):
@@ -108,7 +123,7 @@ class TestCountersMatchIndexWork:
 
     def test_private_store_delta_for_count(self):
         server = make_server()
-        plan = QueryExplainer(server).explain_public_count(Rect(0, 0, 50, 50))
+        plan = QueryExplainer(server).explain(CountSpec(window=Rect(0, 0, 50, 50)))
         measured = plan.find("index.range_query")[0].detail
         assert measured["node_visits"] == server.private.index_counters.snapshot()["node_visits"]
         assert measured["range_queries"] == 1
@@ -116,59 +131,84 @@ class TestCountersMatchIndexWork:
 
 class TestQueryPaths:
     def test_public_range_plan(self):
-        plan = QueryExplainer(make_server()).explain_public_range(Rect(0, 0, 50, 50))
+        plan = QueryExplainer(make_server()).explain(
+            RangeSpec(window=Rect(0, 0, 50, 50))
+        )
         assert plan.op == "public_range"
         assert plan.detail["matched"] >= 1
         assert plan.find("index.range_query")
 
     def test_public_count_leaves_in_insertion_order(self):
         server = make_server()
-        plan = QueryExplainer(server).explain_public_count(Rect(0, 0, 100, 100))
+        plan = QueryExplainer(server).explain(CountSpec(window=Rect(0, 0, 100, 100)))
         leaf_ids = [n.detail["object"] for n in plan.find("region.probability")]
         store_order = [oid for oid, _ in server.private.items() if oid in leaf_ids]
         assert leaf_ids == store_order
 
     def test_public_nn_plan_has_pruning_bound(self):
-        plan = QueryExplainer(make_server()).explain_public_nn(Point(30, 30), samples=64)
+        plan = QueryExplainer(make_server()).explain(
+            NNSpec(point=Point(30, 30), dataset="private", samples=64)
+        )
         assert plan.find("pruning.bound")
         assert plan.find("estimate.monte_carlo")[0].detail["samples"] == 64
 
     def test_private_range_methods_differ_in_filter(self):
         explainer = QueryExplainer(make_server())
-        region = Rect(20, 20, 40, 40)
-        exact = explainer.explain_private_range(region, 10.0, method="exact")
-        mbr = explainer.explain_private_range(region, 10.0, method="mbr")
+        exact = explainer.explain(private_range(method="exact"))
+        mbr = explainer.explain(private_range(method="mbr"))
         assert exact.find("filter.exact") and not exact.find("filter.mbr")
         assert mbr.find("filter.mbr") and not mbr.find("filter.exact")
 
     def test_private_nn_exact_adds_voronoi_clip(self):
         explainer = QueryExplainer(make_server())
-        region = Rect(20, 20, 40, 40)
-        assert explainer.explain_private_nn(region, "exact").find("voronoi.clip")
-        assert not explainer.explain_private_nn(region, "filter").find("voronoi.clip")
+        assert explainer.explain(private_nn(method="exact")).find("voronoi.clip")
+        assert not explainer.explain(private_nn(method="filter")).find("voronoi.clip")
 
     def test_private_nn_pruning_radius_from_result(self):
         server = make_server()
-        plan = QueryExplainer(server).explain_private_nn(Rect(20, 20, 40, 40))
+        plan = QueryExplainer(server).explain(private_nn())
         m = plan.find("pruning.radius")[0].detail["m"]
-        result = server.private_nn(Rect(20, 20, 40, 40))
+        result = server.planner.execute(private_nn())
         assert m == pytest.approx(result.pruning_radius)
 
     def test_dispatch_by_batch_query_value(self):
+        """The plan's root operator is the spec's native kind, all seven."""
         explainer = QueryExplainer(make_server())
-        assert explainer.explain(PublicRangeQuery(Rect(0, 0, 50, 50))).op == "public_range"
-        assert explainer.explain(PublicNNQuery(Point(5, 5), k=2)).op == "public_knn"
-        assert explainer.explain(PublicCountQuery(Rect(0, 0, 50, 50))).op == "public_count"
-        assert explainer.explain(PrivateRangeQuery(Rect(1, 1, 9, 9), 5.0)).op == "private_range"
-        assert explainer.explain(PrivateNNQuery(Rect(1, 1, 9, 9))).op == "private_nn"
+        small = Rect(1, 1, 9, 9)
+        ops = [
+            explainer.explain(spec).op
+            for spec in (
+                RangeSpec(window=Rect(0, 0, 50, 50)),
+                KNNSpec(point=Point(5, 5), k=2),
+                NNSpec(point=Point(5, 5)),
+                CountSpec(window=Rect(0, 0, 50, 50)),
+                NNSpec(point=Point(5, 5), dataset="private", samples=16),
+                private_range(small, 5.0),
+                private_nn(small),
+                KNNSpec(flavor="private", region=small, k=2),
+            )
+        ]
+        assert ops == [
+            "public_range", "public_knn", "public_knn", "public_count",
+            "public_nn", "private_range", "private_nn", "private_knn",
+        ]
+        assert set(ops) == set(NATIVE_KINDS) == set(BATCH_KERNELS) == set(TIE_BREAK)
+
+    def test_user_bound_spec_rejected(self):
+        from repro.core.errors import QueryError
+
+        with pytest.raises(QueryError, match="anonymizer"):
+            QueryExplainer(make_server()).explain(
+                RangeSpec(flavor="private", user="alice", radius=5.0)
+            )
 
 
 class TestBatchPlans:
     BATCH = [
-        PublicRangeQuery(Rect(0, 0, 50, 50)),
-        PublicNNQuery(Point(50, 50), k=2),
-        PublicCountQuery(Rect(0, 0, 50, 50)),
-        PrivateNNQuery(Rect(20, 20, 40, 40)),
+        RangeSpec(window=Rect(0, 0, 50, 50)),
+        KNNSpec(point=Point(50, 50), k=2),
+        CountSpec(window=Rect(0, 0, 50, 50)),
+        private_nn(),
     ]
 
     def test_first_batch_captures_then_reuses_snapshot(self):
@@ -182,16 +222,10 @@ class TestBatchPlans:
         plan = QueryExplainer(make_server()).explain_batch(self.BATCH)
         by_op = {n.op: n.detail for n in plan.children}
         assert by_op["engine.public_range"]["kernel"] == "points_in_windows_grid"
-        assert by_op["engine.public_nn"]["path"] == "vectorized"
+        assert by_op["engine.public_knn"]["path"] == "vectorized"
         assert by_op["engine.private_nn"]["path"] == "scalar"
-
-    def test_vectorize_false_forces_scalar_everywhere(self):
-        plan = QueryExplainer(make_server()).explain_batch(self.BATCH, vectorize=False)
-        for node in plan.children:
-            if node.op.startswith("engine."):
-                assert node.detail["path"] == "scalar"
 
     def test_tie_break_policies_reported(self):
         plan = QueryExplainer(make_server()).explain_batch(self.BATCH)
-        nn = [n for n in plan.children if n.op == "engine.public_nn"][0]
+        nn = [n for n in plan.children if n.op == "engine.public_knn"][0]
         assert nn.detail["tie_break"] == "distance, then snapshot rank"

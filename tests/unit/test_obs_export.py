@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from repro import MobileUser, PrivacyProfile, PrivacySystem, PyramidCloaker, Telemetry
+from repro import (
+    CountSpec,
+    MobileUser,
+    NNSpec,
+    PrivacyProfile,
+    PrivacySystem,
+    PyramidCloaker,
+    RangeSpec,
+    Telemetry,
+)
 from repro.geometry import Point, Rect
 from repro.obs.export import render_dashboard, to_json, to_prometheus
 
@@ -25,9 +34,12 @@ def system():
         )
     sys_.publish_all()
     for i in range(5):
-        sys_.user_range_query(i, radius=15.0)
-        sys_.user_nn_query(i)
-    sys_.server.public_count(Rect(10, 10, 90, 90))
+        sys_.query(RangeSpec(flavor="private", user=i, radius=15.0))
+        sys_.query(NNSpec(flavor="private", user=i))
+    # Forced onto the native store so its index counters see the query.
+    sys_.planner.execute(
+        CountSpec(window=Rect(10, 10, 90, 90)), backend="rtree", route="scalar"
+    )
     return sys_
 
 

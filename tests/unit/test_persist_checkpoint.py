@@ -208,13 +208,13 @@ class TestSnapshotState:
     def _cached_snapshot(self):
         from repro.core.server import LocationServer
         from repro.core.stores import PublicStore
-        from repro.engine import PublicRangeQuery
+        from repro.queries.spec import RangeSpec
 
         server = LocationServer(telemetry=Telemetry())
         server.public = PublicStore.from_points(
             {f"p{i}": Point(float(i * 10), float(i * 7)) for i in range(5)}
         )
-        server.execute_batch([PublicRangeQuery(Rect(0.0, 0.0, 50.0, 50.0))])
+        server.execute_batch([RangeSpec(window=Rect(0.0, 0.0, 50.0, 50.0))])
         return server.engine._cached
 
     def test_round_trip_preserves_arrays_and_versions(self):

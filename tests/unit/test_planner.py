@@ -37,7 +37,7 @@ def planner(system):
 class TestDecisions:
     def test_ranked_candidates_cheapest_first(self, planner):
         decision = planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
-        assert decision.kind == "public_over_public_range"
+        assert decision.kind == "public_range"
         seconds = [c.seconds for c in decision.ranked]
         assert seconds == sorted(seconds)
         assert (decision.backend, decision.route) == (
@@ -159,9 +159,11 @@ class TestExecution:
         assert after == before + 1
 
     def test_planned_count_matches_native_entry_point(self, system):
+        from repro.queries.public_range import public_range_count
+
         window = Rect(0, 0, 40, 40)
         planned = system.query(CountSpec(window=window))
-        native = system.server.public_count(window)
+        native = public_range_count(system.server.private, window)
         assert planned.probabilities == native.probabilities
 
     def test_query_rejects_non_specs(self, system):
@@ -202,14 +204,6 @@ class TestExecution:
         outcome, refined = batch[3]
         assert outcome.correct and isinstance(refined, list)
 
-    def test_deprecated_wrappers_warn_and_delegate(self, system):
-        with pytest.warns(DeprecationWarning, match="user_range_query"):
-            outcome, _ = system.user_range_query(0, radius=10.0)
-        assert outcome.correct
-        with pytest.warns(DeprecationWarning, match="user_nn_query"):
-            nn_outcome, _ = system.user_nn_query(0)
-        assert nn_outcome.correct
-
 
 class TestExplainSpec:
     def test_explain_spec_embeds_decision(self, system):
@@ -244,11 +238,10 @@ class TestStandaloneServer:
         assert planner.execute(RangeSpec(window=Rect(0, 0, 5, 5))) == ()
 
     def test_engine_routes_length_mismatch_raises(self):
-        from repro.engine.queries import PublicRangeQuery
         from repro.obs import Telemetry
 
         server = LocationServer(telemetry=Telemetry(enabled=False))
         with pytest.raises(ValueError, match="routes length"):
             server.engine.execute(
-                [PublicRangeQuery(Rect(0, 0, 1, 1))], routes=[True, False]
+                [RangeSpec(window=Rect(0, 0, 1, 1))], routes=[True, False]
             )

@@ -138,34 +138,3 @@ class TestRoundTrip:
 
     def test_registry_covers_all_kinds(self):
         assert set(SPEC_CLASSES) == {"range", "nn", "knn", "count"}
-
-
-class TestDeprecatedWrappers:
-    def test_legacy_query_methods_warn_at_the_call_site(self):
-        """The pre-QuerySpec convenience wrappers still work, but each
-        call raises exactly one DeprecationWarning attributed (via
-        stacklevel=2) to the caller's line, not to system.py."""
-        import warnings
-
-        from repro import MobileUser, PrivacyProfile, PrivacySystem, PyramidCloaker
-
-        bounds = Rect(0, 0, 50, 50)
-        system = PrivacySystem(bounds, PyramidCloaker(bounds, height=4))
-        system.add_poi("p", Point(10, 10))
-        system.add_user(MobileUser("u", Point(20, 20), PrivacyProfile.always(k=1)))
-        system.publish_all()
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            system.user_range_query("u", radius=15.0)
-            system.user_nn_query("u")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-        assert "user_range_query" in str(deprecations[0].message)
-        assert "QuerySpec" in str(deprecations[0].message) or "query(" in str(
-            deprecations[0].message
-        )
-        assert "user_nn_query" in str(deprecations[1].message)
-        # stacklevel=2: the warning points here, not into system.py.
-        for warning in deprecations:
-            assert warning.filename == __file__

@@ -6,6 +6,16 @@ from repro.core.errors import QueryError, RegistrationError
 from repro.core.server import LocationServer
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.queries.public_range import naive_range_count
+from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
+
+
+def private_nn(region: Rect) -> NNSpec:
+    return NNSpec(flavor="private", region=region)
+
+
+def private_range(region: Rect, radius: float) -> RangeSpec:
+    return RangeSpec(flavor="private", region=region, radius=radius)
 
 
 @pytest.fixture
@@ -49,26 +59,28 @@ class TestPrivateData:
 class TestQueries:
     def test_private_range(self, server, uniform_points_500):
         region = Rect(40, 40, 50, 50)
-        result = server.private_range(region, radius=10.0)
+        result = server.planner.execute(private_range(region, 10.0))
         for c in result.candidates:
             assert server.public.point_of(c) is not None
 
     def test_private_nn(self, server):
-        result = server.private_nn(Rect(40, 40, 50, 50))
+        result = server.planner.execute(private_nn(Rect(40, 40, 50, 50)))
         assert len(result.candidates) >= 1
 
     def test_public_count_and_naive(self, server):
         server.receive_region("a", Rect(0, 0, 10, 10))
         server.receive_region("b", Rect(5, 5, 25, 25))
         window = Rect(0, 0, 10, 10)
-        answer = server.public_count(window)
+        answer = server.planner.execute(CountSpec(window=window))
         assert answer.expected == pytest.approx(1.0 + 25.0 / 400.0)
-        assert server.public_count_naive(window) == 2
+        assert naive_range_count(server.private, window) == 2
 
     def test_public_nn(self, server):
         server.receive_region("a", Rect(40, 40, 45, 45))
         server.receive_region("b", Rect(80, 80, 90, 90))
-        result = server.public_nn(Point(42, 42))
+        result = server.planner.execute(
+            NNSpec(point=Point(42, 42), dataset="private")
+        )
         assert result.answer.top == "a"
 
     def test_public_over_public_range(self, server, uniform_points_500):
@@ -78,11 +90,12 @@ class TestQueries:
             for i, p in enumerate(uniform_points_500[:100])
             if window.contains_point(p)
         )
-        assert sorted(server.public_range_over_public(window)) == expected
+        got = server.planner.execute(RangeSpec(window=window))
+        assert sorted(got) == expected
 
     def test_public_over_public_nn(self, server, uniform_points_500):
         q = Point(50, 50)
-        got = server.public_nn_over_public(q, k=3)
+        got = server.planner.execute(KNNSpec(point=q, k=3))
         brute = sorted(
             range(100), key=lambda i: uniform_points_500[i].distance_to(q)
         )[:3]
@@ -90,19 +103,19 @@ class TestQueries:
 
     def test_public_over_public_nn_invalid_k(self, server):
         with pytest.raises(QueryError):
-            server.public_nn_over_public(Point(0, 0), k=0)
+            server.planner.execute(KNNSpec(point=Point(0, 0), k=0))
 
     def test_queries_served_counter(self, server):
         before = server.queries_served
-        server.private_nn(Rect(0, 0, 10, 10))
-        server.public_count(Rect(0, 0, 1, 1))
+        server.planner.execute(private_nn(Rect(0, 0, 10, 10)))
+        server.planner.execute(CountSpec(window=Rect(0, 0, 1, 1)))
         assert server.queries_served == before + 2
 
     def test_stats_snapshot(self, server):
         server.receive_region("anon-1", Rect(0, 0, 5, 5))
-        server.private_nn(Rect(0, 0, 10, 10))
-        server.private_range(Rect(0, 0, 10, 10), 2.0)
-        server.public_count(Rect(0, 0, 5, 5))
+        server.planner.execute(private_nn(Rect(0, 0, 10, 10)))
+        server.planner.execute(private_range(Rect(0, 0, 10, 10), 2.0))
+        server.planner.execute(CountSpec(window=Rect(0, 0, 5, 5)))
         server.register_count_monitor("m", Rect(0, 0, 1, 1))
         stats = server.stats()
         assert stats.public_objects == 100

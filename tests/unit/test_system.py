@@ -9,6 +9,7 @@ from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
+from repro.queries.spec import NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 
@@ -68,31 +69,31 @@ class TestMovement:
 
 class TestQueries:
     def test_range_query_is_exact_after_refinement(self, system):
-        outcome, refined = system.user_range_query(3, radius=12.0)
+        outcome, refined = system.query(RangeSpec(flavor="private", user=3, radius=12.0))
         assert outcome.correct
         assert outcome.candidates >= outcome.answer_size
         assert outcome.overhead >= 1.0 or outcome.answer_size == 0
 
     def test_nn_query_is_exact_after_refinement(self, system):
-        outcome, answer = system.user_nn_query(3)
+        outcome, answer = system.query(NNSpec(flavor="private", user=3))
         assert outcome.correct
         assert answer == system.server.public.nearest(
             system.users[3].location, k=1
         )[0]
 
     def test_query_switches_mode(self, system):
-        system.user_nn_query(5)
+        system.query(NNSpec(flavor="private", user=5))
         assert system.users[5].mode is UserMode.QUERY
 
     def test_passive_user_cannot_query(self, system):
         system.set_mode(9, UserMode.PASSIVE)
         with pytest.raises(RegistrationError, match="passive"):
-            system.user_range_query(9, radius=5.0)
+            system.query(RangeSpec(flavor="private", user=9, radius=5.0))
 
     def test_ledger_accumulates(self, system):
-        system.user_range_query(1, radius=5.0)
-        system.user_range_query(2, radius=5.0)
-        system.user_nn_query(3)
+        system.query(RangeSpec(flavor="private", user=1, radius=5.0))
+        system.query(RangeSpec(flavor="private", user=2, radius=5.0))
+        system.query(NNSpec(flavor="private", user=3))
         summary = system.ledger.summary()
         assert summary["range_queries"] == 2
         assert summary["nn_queries"] == 1
@@ -115,7 +116,7 @@ class TestPrivacyQosTension:
             for j in range(80):
                 system.add_poi(("poi", j), Point((13 * j) % 100, (29 * j) % 100))
             for victim in range(10):
-                system.user_range_query(victim, radius=8.0)
+                system.query(RangeSpec(flavor="private", user=victim, radius=8.0))
             candidate_means.append(
                 system.ledger.summary()["range_mean_candidates"]
             )
