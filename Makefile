@@ -1,6 +1,6 @@
 # Developer entry points for the privacy-aware LBS reproduction.
 
-.PHONY: install test test-explore conformance bench bench-pipeline bench-pipeline-smoke bench-smoke bench-batch bench-cloak bench-planner bench-obs-loop bench-recovery bench-history test-crash serve-smoke examples experiments report clean
+.PHONY: install test test-explore conformance bench bench-pipeline bench-pipeline-smoke bench-pair bench-smoke bench-batch bench-cloak bench-planner bench-obs-loop bench-recovery bench-history test-crash serve-smoke examples experiments report clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -28,6 +28,16 @@ bench-pipeline:
 
 bench-pipeline-smoke:
 	pytest bench -q && python3 bench/run.py --smoke
+
+# Alternating parent/change pairs of one workload, from clean copies of
+# both trees (tools/bench_pair.py): per metric both medians, quartiles,
+# pairs won and the BENCHMARK.json bound.  ~1.5 min per pair.
+#   make bench-pair WORKLOAD=scalar_churn_10k PARENT=HEAD~1 PAIRS=10
+WORKLOAD ?= scalar_churn_10k
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pair:
+	python3 tools/bench_pair.py $(WORKLOAD) $(PARENT) --pairs $(PAIRS)
 
 bench-batch:
 	pytest benchmarks -q -k bench_batch

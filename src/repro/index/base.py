@@ -99,9 +99,19 @@ class SpatialIndex(ABC):
         """Iterate over all stored ids (no particular order)."""
 
     def update(self, item_id: ItemId, geom: Rect) -> None:
-        """Move an existing entry to a new geometry (delete + insert)."""
+        """Move an existing entry to a new geometry (delete + insert).
+
+        All or nothing: an unknown id raises ``KeyError``, and a geometry
+        the backend refuses (outside its universe, not a point) raises
+        its ``ValueError`` with the old entry back in place.
+        """
+        old = self.geometry_of(item_id)
         self.delete(item_id)
-        self.insert(item_id, geom)
+        try:
+            self.insert(item_id, geom)
+        except ValueError:
+            self.insert(item_id, old)
+            raise
 
     def snapshot_rects(self) -> tuple[list[ItemId], np.ndarray]:
         """Bulk-export every entry as ``(ids, bounds)`` numpy arrays.

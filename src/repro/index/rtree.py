@@ -35,17 +35,39 @@ class _Node:
         self.mbr: Rect | None = None
         self.parent: "_Node | None" = None
 
-    def recompute_mbr(self) -> None:
-        if not self.entries:
+    def recompute_mbr(self) -> bool:
+        """Set ``mbr`` to the tight bound of the entries; True when it changed.
+
+        The bound is folded on the four floats; a ``Rect`` is built only
+        when the value differs from the one already held.
+        """
+        entries = self.entries
+        old = self.mbr
+        if not entries:
             self.mbr = None
-        elif self.leaf:
-            self.mbr = Rect.bounding(rect for _, rect in self.entries)
-        else:
-            self.mbr = Rect.bounding(child.mbr for child in self.entries)
-
-
-def _entry_mbr(node: _Node, entry) -> Rect:
-    return entry[1] if node.leaf else entry.mbr
+            return old is not None
+        rects = [rect for _, rect in entries] if self.leaf else [c.mbr for c in entries]
+        first = rects[0]
+        x0, y0, x1, y1 = first.min_x, first.min_y, first.max_x, first.max_y
+        for r in rects:
+            if r.min_x < x0:
+                x0 = r.min_x
+            if r.min_y < y0:
+                y0 = r.min_y
+            if r.max_x > x1:
+                x1 = r.max_x
+            if r.max_y > y1:
+                y1 = r.max_y
+        if (
+            old is not None
+            and old.min_x == x0
+            and old.min_y == y0
+            and old.max_x == x1
+            and old.max_y == y1
+        ):
+            return False
+        self.mbr = Rect(x0, y0, x1, y1)
+        return True
 
 
 def _str_tile(entries: list, capacity: int, mbr_of) -> list[list]:
@@ -63,10 +85,6 @@ def _str_tile(entries: list, capacity: int, mbr_of) -> list[list]:
         for g in range(0, len(slab), capacity):
             groups.append(slab[g : g + capacity])
     return groups
-
-
-def _enlargement(mbr: Rect, rect: Rect) -> float:
-    return mbr.union_mbr(rect).area - mbr.area
 
 
 class RTree(SpatialIndex):
@@ -87,6 +105,9 @@ class RTree(SpatialIndex):
             raise ValueError("min_entries must be in [1, max_entries // 2]")
         self._root = _Node(leaf=True)
         self._geoms: dict[ItemId, Rect] = {}
+        # Leaf directory: the leaf holding each id, so delete and update
+        # start at the entry instead of searching for it from the root.
+        self._leaf_of: dict[ItemId, _Node] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -96,23 +117,50 @@ class RTree(SpatialIndex):
         if item_id in self._geoms:
             raise ValueError(f"duplicate item id: {item_id!r}")
         self._geoms[item_id] = geom
-        leaf = self._choose_leaf(self._root, geom)
-        leaf.entries.append((item_id, geom))
-        self._adjust_upward(leaf, geom)
+        self._place(item_id, geom)
 
     def delete(self, item_id: ItemId) -> None:
-        geom = self._geoms.pop(item_id, None)
-        if geom is None:
+        if item_id not in self._geoms:
             raise KeyError(item_id)
-        leaf = self._find_leaf(self._root, item_id, geom)
-        if leaf is None:  # pragma: no cover - structural invariant
-            raise KeyError(item_id)
-        leaf.entries = [(i, r) for i, r in leaf.entries if i != item_id]
+        del self._geoms[item_id]
+        leaf = self._leaf_of.pop(item_id)
+        leaf.entries = [entry for entry in leaf.entries if entry[0] != item_id]
         self._condense(leaf)
         # Shrink the tree when the root has a single internal child.
         while not self._root.leaf and len(self._root.entries) == 1:
             self._root = self._root.entries[0]
             self._root.parent = None
+
+    def update(self, item_id: ItemId, geom: Rect) -> None:
+        """Move an existing entry, in place when its leaf already covers it.
+
+        A new rectangle inside the leaf's MBR is written over the old
+        entry and the MBRs on the path are tightened for as long as they
+        change.  That can only shrink them, so no amount of in-place
+        updates makes sibling nodes overlap more than inserts left them.
+        Any other move is a delete plus an insert from the root.  An
+        unknown id raises ``KeyError`` and an unchanged geometry returns,
+        both without touching the tree.
+        """
+        # Ids iterate in order of last write, which is the row order a
+        # captured snapshot ranks answers by: re-register even when equal.
+        old = self._geoms.pop(item_id)
+        self._geoms[item_id] = geom
+        if geom == old:
+            return
+        leaf = self._leaf_of[item_id]
+        if not leaf.mbr.contains_rect(geom):
+            self.delete(item_id)
+            self.insert(item_id, geom)
+            return
+        entries = leaf.entries
+        for pos, entry in enumerate(entries):
+            if entry[0] == item_id:
+                entries[pos] = (item_id, geom)
+                break
+        node = leaf
+        while node is not None and node.recompute_mbr():
+            node = node.parent
 
     def range_query(self, window: Rect) -> list[ItemId]:
         result: list[ItemId] = []
@@ -251,93 +299,170 @@ class RTree(SpatialIndex):
                 parents.append(parent)
             level = parents
         tree._root = level[0]
+        tree._leaf_of = {item_id: leaf for leaf in leaves for item_id, _ in leaf.entries}
         return tree
 
     # ------------------------------------------------------------------
     # Insertion internals
+    #
+    # Choose-leaf, MBR growth and the split work on the four floats of a
+    # rectangle with the expressions ``Rect`` itself uses —
+    # ``(max_x - min_x) * (max_y - min_y)`` for an area, union area minus
+    # area for an enlargement, ``b if b < a else a`` for ``min(a, b)`` —
+    # and keep the first-minimum / first-maximum tie-breaks, so every
+    # decision is the one the ``Rect`` arithmetic takes.  A ``Rect`` is
+    # built only for an MBR that really changes.
     # ------------------------------------------------------------------
 
+    def _place(self, item_id: ItemId, rect: Rect) -> None:
+        """Put an entry into the leaf chosen from the root.  ``_geoms`` is
+        the caller's: a reinserted orphan never lost its registration."""
+        leaf = self._choose_leaf(self._root, rect)
+        leaf.entries.append((item_id, rect))
+        self._leaf_of[item_id] = leaf
+        self._adjust_upward(leaf, rect)
+
     def _choose_leaf(self, node: _Node, rect: Rect) -> _Node:
+        """Descend by least enlargement, then least area; first wins ties."""
+        rx0, ry0, rx1, ry1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
         while not node.leaf:
-            best = min(
-                node.entries,
-                key=lambda child: (
-                    _enlargement(child.mbr, rect),
-                    child.mbr.area,
-                ),
-            )
+            best = None
+            best_grow = best_area = 0.0
+            for child in node.entries:
+                mbr = child.mbr
+                x0, y0, x1, y1 = mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y
+                area = (x1 - x0) * (y1 - y0)
+                grow = (
+                    ((rx1 if rx1 > x1 else x1) - (rx0 if rx0 < x0 else x0))
+                    * ((ry1 if ry1 > y1 else y1) - (ry0 if ry0 < y0 else y0))
+                    - area
+                )
+                if (
+                    best is None
+                    or grow < best_grow
+                    or (grow == best_grow and area < best_area)
+                ):
+                    best, best_grow, best_area = child, grow, area
             node = best
         return node
 
     def _adjust_upward(self, node: _Node, rect: Rect) -> None:
         """Grow MBRs up the path; split overflowing nodes as we go."""
+        rx0, ry0, rx1, ry1 = rect.min_x, rect.min_y, rect.max_x, rect.max_y
+        split_below = False
         while node is not None:
-            node.mbr = rect if node.mbr is None else node.mbr.union_mbr(rect)
-            if len(node.entries) > self._max:
+            mbr = node.mbr
+            if mbr is None:
+                node.mbr = rect
+            else:
+                x0, y0, x1, y1 = mbr.min_x, mbr.min_y, mbr.max_x, mbr.max_y
+                if rx0 < x0 or ry0 < y0 or rx1 > x1 or ry1 > y1:
+                    node.mbr = Rect(
+                        rx0 if rx0 < x0 else x0,
+                        ry0 if ry0 < y0 else y0,
+                        rx1 if rx1 > x1 else x1,
+                        ry1 if ry1 > y1 else y1,
+                    )
+                elif not split_below and len(node.entries) <= self._max:
+                    return  # covered before and no new entry: so is everything above
+            split_below = len(node.entries) > self._max
+            if split_below:
                 self._split(node)
             node = node.parent
 
     def _split(self, node: _Node) -> None:
         """Quadratic split of an overflowing node."""
         entries = node.entries
-        mbr_of = lambda e: _entry_mbr(node, e)  # noqa: E731 - local shorthand
+        rects = [e[1] for e in entries] if node.leaf else [e.mbr for e in entries]
+        boxes = [(r.min_x, r.min_y, r.max_x, r.max_y) for r in rects]
+        areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes]
+        count = len(entries)
 
         # Pick the two seeds wasting the most area if grouped together.
         worst = -1.0
-        seeds = (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                ri, rj = mbr_of(entries[i]), mbr_of(entries[j])
-                waste = ri.union_mbr(rj).area - ri.area - rj.area
+        seed_a, seed_b = 0, 1
+        for i in range(count):
+            ix0, iy0, ix1, iy1 = boxes[i]
+            area_i = areas[i]
+            for j in range(i + 1, count):
+                jx0, jy0, jx1, jy1 = boxes[j]
+                waste = (
+                    ((jx1 if jx1 > ix1 else ix1) - (jx0 if jx0 < ix0 else ix0))
+                    * ((jy1 if jy1 > iy1 else iy1) - (jy0 if jy0 < iy0 else iy0))
+                    - area_i
+                    - areas[j]
+                )
                 if waste > worst:
                     worst = waste
-                    seeds = (i, j)
+                    seed_a, seed_b = i, j
 
-        group_a = [entries[seeds[0]]]
-        group_b = [entries[seeds[1]]]
-        mbr_a = mbr_of(entries[seeds[0]])
-        mbr_b = mbr_of(entries[seeds[1]])
-        remaining = [e for idx, e in enumerate(entries) if idx not in seeds]
+        group_a, box_a = [], list(boxes[seed_a])
+        group_b, box_b = [], list(boxes[seed_b])
+
+        def absorb(group: list, box: list[float], i: int) -> None:
+            group.append(entries[i])
+            x0, y0, x1, y1 = boxes[i]
+            if x0 < box[0]:
+                box[0] = x0
+            if y0 < box[1]:
+                box[1] = y0
+            if x1 > box[2]:
+                box[2] = x1
+            if y1 > box[3]:
+                box[3] = y1
+
+        absorb(group_a, box_a, seed_a)
+        absorb(group_b, box_b, seed_b)
+        remaining = [i for i in range(count) if i != seed_a and i != seed_b]
 
         while remaining:
             # Force assignment when one group must absorb all leftovers to
             # reach minimum fill.
+            short = None
             if len(group_a) + len(remaining) == self._min:
-                group_a.extend(remaining)
-                mbr_a = Rect.bounding([mbr_a] + [mbr_of(e) for e in remaining])
-                remaining = []
-                break
-            if len(group_b) + len(remaining) == self._min:
-                group_b.extend(remaining)
-                mbr_b = Rect.bounding([mbr_b] + [mbr_of(e) for e in remaining])
-                remaining = []
+                short = group_a, box_a
+            elif len(group_b) + len(remaining) == self._min:
+                short = group_b, box_b
+            if short is not None:
+                for i in remaining:
+                    absorb(*short, i)
                 break
             # Pick the entry with the strongest group preference.
-            best_idx = max(
-                range(len(remaining)),
-                key=lambda idx: abs(
-                    _enlargement(mbr_a, mbr_of(remaining[idx]))
-                    - _enlargement(mbr_b, mbr_of(remaining[idx]))
-                ),
-            )
-            entry = remaining.pop(best_idx)
-            rect = mbr_of(entry)
-            grow_a = _enlargement(mbr_a, rect)
-            grow_b = _enlargement(mbr_b, rect)
-            if (grow_a, mbr_a.area, len(group_a)) <= (grow_b, mbr_b.area, len(group_b)):
-                group_a.append(entry)
-                mbr_a = mbr_a.union_mbr(rect)
+            ax0, ay0, ax1, ay1 = box_a
+            bx0, by0, bx1, by1 = box_b
+            area_a = (ax1 - ax0) * (ay1 - ay0)
+            area_b = (bx1 - bx0) * (by1 - by0)
+            pick, strongest = -1, 0.0
+            for pos, i in enumerate(remaining):
+                x0, y0, x1, y1 = boxes[i]
+                to_a = (
+                    ((x1 if x1 > ax1 else ax1) - (x0 if x0 < ax0 else ax0))
+                    * ((y1 if y1 > ay1 else ay1) - (y0 if y0 < ay0 else ay0))
+                    - area_a
+                )
+                to_b = (
+                    ((x1 if x1 > bx1 else bx1) - (x0 if x0 < bx0 else bx0))
+                    * ((y1 if y1 > by1 else by1) - (y0 if y0 < by0 else by0))
+                    - area_b
+                )
+                preference = abs(to_a - to_b)
+                if pick < 0 or preference > strongest:
+                    pick, strongest, grow_a, grow_b = pos, preference, to_a, to_b
+            if (grow_a, area_a, len(group_a)) <= (grow_b, area_b, len(group_b)):
+                absorb(group_a, box_a, remaining.pop(pick))
             else:
-                group_b.append(entry)
-                mbr_b = mbr_b.union_mbr(rect)
+                absorb(group_b, box_b, remaining.pop(pick))
 
         sibling = _Node(leaf=node.leaf)
         node.entries = group_a
         sibling.entries = group_b
-        node.mbr = mbr_a
-        sibling.mbr = mbr_b
-        if not node.leaf:
-            for child in sibling.entries:
+        node.mbr = Rect(*box_a)
+        sibling.mbr = Rect(*box_b)
+        if node.leaf:
+            for item_id, _ in group_b:
+                self._leaf_of[item_id] = sibling
+        else:
+            for child in group_b:
                 child.parent = sibling
 
         if node.parent is None:
@@ -357,19 +482,6 @@ class RTree(SpatialIndex):
     # Deletion internals
     # ------------------------------------------------------------------
 
-    def _find_leaf(self, node: _Node, item_id: ItemId, geom: Rect) -> _Node | None:
-        if node.mbr is None or not node.mbr.intersects(geom):
-            return None
-        if node.leaf:
-            if any(i == item_id for i, _ in node.entries):
-                return node
-            return None
-        for child in node.entries:
-            found = self._find_leaf(child, item_id, geom)
-            if found is not None:
-                return found
-        return None
-
     def _condense(self, node: _Node) -> None:
         """Remove underfull nodes up the path and reinsert their entries."""
         orphans: list[tuple[ItemId, Rect]] = []
@@ -383,10 +495,7 @@ class RTree(SpatialIndex):
             node = parent
         node.recompute_mbr()
         for item_id, rect in orphans:
-            # Entries stay registered in _geoms; reinsert structurally only.
-            leaf = self._choose_leaf(self._root, rect)
-            leaf.entries.append((item_id, rect))
-            self._adjust_upward(leaf, rect)
+            self._place(item_id, rect)
 
     def _collect_leaf_entries(self, node: _Node) -> list[tuple[ItemId, Rect]]:
         if node.leaf:

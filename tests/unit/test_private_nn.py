@@ -1,5 +1,7 @@
 """Unit tests for private nearest-neighbour queries (Figure 5b)."""
 
+import random
+
 import pytest
 
 from repro.core.errors import QueryError
@@ -7,7 +9,9 @@ from repro.core.stores import PublicStore
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.sampling import uniform_points
+from repro.queries.private_knn import _k_dominance_filter, private_knn_query
 from repro.queries.private_nn import (
+    _dominance_filter,
     exact_nn_answer,
     nn_probabilities,
     private_nn_query,
@@ -170,3 +174,82 @@ class TestRefinement:
     def test_exact_nn_answer_empty_store_raises(self):
         with pytest.raises(QueryError):
             exact_nn_answer(PublicStore(), Point(0, 0))
+
+
+def naive_survivors(store, region, ids, k):
+    """The definition, all c^2 pairs: keep ``o`` unless ``k`` others are
+    strictly closer than it to every corner of the region."""
+    d2 = {
+        i: [store.point_of(i).squared_distance_to(c) for c in region.corners]
+        for i in ids
+    }
+    return [
+        i
+        for i in ids
+        if sum(
+            all(theirs < own for theirs, own in zip(d2[j], d2[i]))
+            for j in ids
+            if j != i
+        )
+        < k
+    ]
+
+
+def _candidate_points(family, rng):
+    if family == "random":
+        return [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(60)]
+    if family == "duplicates":  # eight places, each held by several ids
+        places = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(8)]
+        return [rng.choice(places) for _ in range(40)]
+    if family == "equal_distance":  # mirror images about the region's centre
+        out = []
+        for _ in range(12):
+            dx, dy = float(rng.randint(0, 30)), float(rng.randint(0, 30))
+            out += [Point(50 + sx * dx, 50 + sy * dy) for sx in (-1, 1) for sy in (-1, 1)]
+        return out
+    if family == "collinear":  # one line through the region, one beside it
+        return [Point(2.5 * t, 2.5 * t) for t in range(41)] + [
+            Point(2.5 * t, 10.0) for t in range(41)
+        ]
+    raise AssertionError(family)
+
+
+class TestDominanceFiltersEqualTheDefinition:
+    """Both filters against the definition written out above.
+
+    They are the O(c^2) tail of a private NN query (ROADMAP, read path);
+    whatever replaces them has to return these survivors in this order.
+    """
+
+    REGIONS = [Rect(40, 40, 60, 60), Rect(0, 0, 100, 100), Rect(50, 50, 50, 50), Rect(70, 5, 75, 95)]
+
+    @pytest.mark.parametrize("family", ["random", "duplicates", "equal_distance", "collinear"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_survivors_in_the_same_order(self, family, seed):
+        rng = random.Random(f"{family}/{seed}")
+        points = _candidate_points(family, rng)
+        store = PublicStore()
+        for n, point in enumerate(points):
+            store.add(n, point)
+        ids = list(range(len(points)))
+        rng.shuffle(ids)  # survivors come back in *this* order
+        for region in self.REGIONS:
+            for c in (0, 1, 2, 7, len(ids)):
+                subset = ids[:c]
+                for k in (1, 2, 3, max(1, c), c + 2):
+                    want = naive_survivors(store, region, subset, k)
+                    assert _k_dominance_filter(store, region, subset, k) == want
+                    if k == 1:
+                        assert _dominance_filter(store, region, subset) == want
+                    if k >= c:
+                        assert want == subset  # nobody can have k dominators
+
+    def test_query_candidates_are_the_definition_applied_to_the_range_stage(self, store):
+        for region in self.REGIONS:
+            loose = list(private_nn_query(store, region, "range").candidates)
+            tight = private_nn_query(store, region, "filter").candidates
+            assert list(tight) == naive_survivors(store, region, loose, 1)
+            for k in (2, 5):
+                loose = list(private_knn_query(store, region, k, "range").candidates)
+                tight = private_knn_query(store, region, k, "filter").candidates
+                assert list(tight) == naive_survivors(store, region, loose, k)

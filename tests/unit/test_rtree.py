@@ -1,7 +1,10 @@
 """Unit tests for the from-scratch R-tree."""
 
+import random
+
 import numpy as np
 import pytest
+from rtree_checks import assert_rtree_invariants, rtree_fingerprint
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -236,3 +239,145 @@ class TestInterleavedWorkload:
                     reference, window
                 )
         assert len(tree) == len(reference)
+
+
+def pyramid_cell(x, y, level, world=1000.0):
+    side = world / 2**level
+    col = min(int(x / side), 2**level - 1)
+    row = min(int(y / side), 2**level - 1)
+    return Rect(col * side, row * side, (col + 1) * side, (row + 1) * side)
+
+
+def seeded_entries(seed, n):
+    """Points, pyramid cells (equal and nested: ties) and free rectangles."""
+    rng = random.Random(seed)
+    out = {}
+    for i in range(n):
+        x, y = rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)
+        if i % 3 == 0:
+            out[i] = Rect(x, y, x, y)
+        elif i % 3 == 1:
+            out[i] = pyramid_cell(x, y, rng.randint(3, 7), world=100.0)
+        else:
+            out[i] = Rect(x, y, x + rng.uniform(0.0, 5.0), y + rng.uniform(0.0, 5.0))
+    return out
+
+
+class TestShapeIsPinned:
+    """Which ids share a node, per depth, after a seeded insert-only build
+    and after seeded deletes.  The digests were computed at 7b4315d, where
+    choose-leaf and the split went through ``Rect.union_mbr`` / ``.area``:
+    computing on the bare floats changed no decision."""
+
+    @pytest.mark.parametrize(
+        "max_entries, n, n_deleted, built, thinned",
+        [
+            (16, 3000, 1200, "edb6f31fc9cfd610", "cf6b3cc714cacb7b"),
+            (8, 2000, 900, "e344491cac3c5070", "41c1da464c7dab47"),
+            (4, 600, 400, "b802466c6fe9fe76", "6af5083a1c03a391"),
+        ],
+    )
+    def test_fingerprint(self, max_entries, n, n_deleted, built, thinned):
+        entries = seeded_entries(max_entries, n)
+        tree = RTree(max_entries=max_entries)
+        for i, rect in entries.items():
+            tree.insert(i, rect)
+        assert rtree_fingerprint(tree) == built
+        for i in random.Random(max_entries + 1).sample(sorted(entries), n_deleted):
+            tree.delete(i)
+        assert rtree_fingerprint(tree) == thinned
+
+
+@pytest.fixture
+def leaf_insertions(monkeypatch):
+    """Counts of ``_choose_leaf`` (one per leaf insertion) and ``_split``."""
+    calls = {"_choose_leaf": 0, "_split": 0}
+    for name in calls:
+        original = getattr(RTree, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(RTree, name, spy)
+    return calls
+
+
+class TestUpdateWorkBounds:
+    def test_update_inside_the_leaf_mbr_never_descends_or_splits(self, leaf_insertions):
+        entries = seeded_entries(5, 1500)
+        tree = RTree(max_entries=16)
+        for i, rect in entries.items():
+            tree.insert(i, rect)
+        leaf_insertions.update(_choose_leaf=0, _split=0)
+        moved = 0
+        for i, rect in entries.items():
+            centre = Rect.from_point(rect.center)  # inside the old rectangle
+            if centre != rect:
+                tree.update(i, centre)
+                entries[i] = centre
+                moved += 1
+        assert moved > 900
+        assert leaf_insertions == {"_choose_leaf": 0, "_split": 0}
+        assert_rtree_invariants(tree)
+        window = Rect(20, 20, 45, 60)
+        assert sorted(tree.range_query(window)) == sorted(
+            i for i, rect in entries.items() if rect.intersects(window)
+        )
+
+    def test_unchanged_geometry_touches_no_node(self, leaf_insertions, monkeypatch):
+        entries = seeded_entries(6, 400)
+        tree = RTree(max_entries=8)
+        for i, rect in entries.items():
+            tree.insert(i, rect)
+
+        def layout(node):
+            return [node.mbr, [e if node.leaf else layout(e) for e in node.entries]]
+
+        before = layout(tree._root)
+        leaf_insertions.update(_choose_leaf=0, _split=0)
+        node_type = type(tree._root)
+        monkeypatch.setattr(
+            node_type, "recompute_mbr", lambda self: pytest.fail("recomputed an MBR")
+        )
+        for i in list(entries)[::7]:
+            tree.update(i, Rect(*entries[i].as_tuple()))  # equal, not identical
+        assert leaf_insertions == {"_choose_leaf": 0, "_split": 0}
+        assert layout(tree._root) == before
+
+    def test_unknown_id_raises_and_touches_nothing(self):
+        tree = RTree(max_entries=4)
+        for i, rect in seeded_entries(7, 40).items():
+            tree.insert(i, rect)
+        before = rtree_fingerprint(tree)
+        with pytest.raises(KeyError):
+            tree.update("ghost", Rect(1, 1, 2, 2))
+        assert "ghost" not in tree and len(tree) == 40
+        assert rtree_fingerprint(tree) == before
+        assert_rtree_invariants(tree)
+
+    def test_pyramid_cell_churn_stays_under_a_thousand_leaf_insertions(
+        self, leaf_insertions
+    ):
+        """10k cloaked regions inserted one by one into the private store's
+        tree (M = 16), then 500 users move and re-report their pyramid
+        cell.  Delete + reinsert made 2 920 leaf insertions and 287 splits
+        of this traffic at 7b4315d (every delete from a half-full leaf
+        dissolved it); in place it is 428 and 41."""
+        rng = random.Random(16)
+        users = [
+            (rng.uniform(0, 1000), rng.uniform(0, 1000), rng.choice([4, 5, 5, 6, 6, 6, 7]))
+            for _ in range(10_000)
+        ]
+        tree = RTree(max_entries=16)
+        for n, (x, y, level) in enumerate(users):
+            tree.insert(n, pyramid_cell(x, y, level))
+        leaf_insertions.update(_choose_leaf=0, _split=0)
+        for n in rng.sample(range(10_000), 500):
+            x, y, level = users[n]
+            x = min(1000.0, max(0.0, x + rng.uniform(-15, 15)))
+            y = min(1000.0, max(0.0, y + rng.uniform(-15, 15)))
+            tree.update(n, pyramid_cell(x, y, level))
+        assert leaf_insertions["_choose_leaf"] < 1000
+        assert leaf_insertions["_split"] < 100
+        assert_rtree_invariants(tree)
