@@ -20,7 +20,6 @@ Usage (after ``pip install -e .``)::
     python -m repro serve-metrics --smoke     # scrape-and-validate self test
     python -m repro top                       # live windowed telemetry + risk panel
     python -m repro profile                   # hot spans by self-time (flamegraph)
-    python -m repro bench-batch               # batch vs sequential timings
     python -m repro bench-history             # ingest BENCH_*.json, flag regressions
     python -m repro checkpoint --dir state    # durable workload + checkpoint
     python -m repro recover --dir state       # rebuild from checkpoint + WAL tail
@@ -600,122 +599,6 @@ def cmd_bench_history(args: argparse.Namespace) -> int:
     return 0 if summary["ok"] else 3
 
 
-def cmd_bench_batch(args: argparse.Namespace) -> int:
-    """Time batched vs sequential execution and print a JSON report."""
-    import json
-    import random
-    import time
-
-    from repro.core.server import LocationServer
-    from repro.geometry.point import Point
-    from repro.geometry.rect import Rect
-    from repro.core.stores import PublicStore
-    from repro.obs import Telemetry
-    from repro.queries.spec import KNNSpec, RangeSpec
-
-    if args.objects < 1 or args.queries < 1:
-        raise SystemExit("repro bench-batch: error: sizes must be positive")
-    rng = random.Random(args.seed)
-    server = LocationServer(telemetry=Telemetry(enabled=False))
-    server.public = PublicStore.from_points(
-        {
-            i: Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            for i in range(args.objects)
-        }
-    )
-    queries: list = []
-    for _ in range(args.queries // 2):
-        x, y = rng.uniform(0, 990), rng.uniform(0, 990)
-        queries.append(RangeSpec(window=Rect(x, y, x + 10, y + 10)))
-        queries.append(KNNSpec(point=Point(x, y), k=8))
-
-    report: dict = {
-        "objects": args.objects,
-        "queries": len(queries),
-        "modes": {},
-    }
-    # ``routes`` is the planner's per-query route vector: without it every
-    # kind takes its kernel, all-False runs the scalar processors.
-    for mode, routes in (
-        ("batched", None),
-        ("sequential", [False] * len(queries)),
-    ):
-        start = time.perf_counter()
-        server.execute_batch(queries, routes=routes)
-        elapsed = time.perf_counter() - start
-        report["modes"][mode] = {
-            "seconds": elapsed,
-            "queries_per_second": len(queries) / elapsed if elapsed else None,
-        }
-    batched = report["modes"]["batched"]["seconds"]
-    sequential = report["modes"]["sequential"]["seconds"]
-    report["speedup"] = sequential / batched if batched else None
-    print(json.dumps(report, indent=2))
-    return 0
-
-
-def cmd_bench_cloak(args: argparse.Namespace) -> int:
-    """Time bulk vs per-user population cloaking and print a JSON report."""
-    import json
-    import time
-
-    import numpy as np
-
-    from repro.cloaking.grid_cloak import GridCloaker
-    from repro.core.profiles import PrivacyProfile
-    from repro.core.system import PrivacySystem
-    from repro.geometry.point import Point
-    from repro.geometry.rect import Rect
-    from repro.mobility.users import MobileUser
-    from repro.obs import Telemetry
-
-    if args.users < 1:
-        raise SystemExit("repro bench-cloak: error: --users must be positive")
-    world = Rect(0.0, 0.0, 1000.0, 1000.0)
-    # One seeded draw shared by both modes: identical workloads by
-    # construction, not by parallel re-seeding.
-    rng = np.random.default_rng(args.seed)
-    xs = rng.uniform(0.0, 1000.0, args.users)
-    ys = rng.uniform(0.0, 1000.0, args.users)
-    ks = rng.integers(1, 33, args.users)
-    areas = rng.choice(np.array([0.0, 25.0, 100.0]), args.users)
-
-    def build() -> PrivacySystem:
-        system = PrivacySystem(
-            bounds=world,
-            cloaker=GridCloaker(world, cols=64, rows=64),
-            telemetry=Telemetry(enabled=False),
-        )
-        for i in range(args.users):
-            system.add_user(
-                MobileUser(
-                    f"u{i}",
-                    Point(float(xs[i]), float(ys[i])),
-                    PrivacyProfile.always(
-                        k=int(ks[i]), min_area=float(areas[i])
-                    ),
-                )
-            )
-        return system
-
-    report: dict = {"users": args.users, "algo": "grid", "modes": {}}
-    for mode, bulk in (("bulk", True), ("per_user", False)):
-        system = build()
-        system.publish_all(bulk=bulk)  # steady state: time the republish
-        start = time.perf_counter()
-        system.publish_all(bulk=bulk)
-        elapsed = time.perf_counter() - start
-        report["modes"][mode] = {
-            "seconds": elapsed,
-            "users_per_second": args.users / elapsed if elapsed else None,
-        }
-    bulk_s = report["modes"]["bulk"]["seconds"]
-    per_user_s = report["modes"]["per_user"]["seconds"]
-    report["speedup"] = per_user_s / bulk_s if bulk_s else None
-    print(json.dumps(report, indent=2))
-    return 0
-
-
 def cmd_checkpoint(args: argparse.Namespace) -> int:
     """Run a durable workload: WAL-attached, checkpointed mid-stream.
 
@@ -1086,27 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the detector flags a synthetic 30%% throughput drop",
     )
     bench_history.set_defaults(func=cmd_bench_history)
-
-    bench = sub.add_parser(
-        "bench-batch",
-        help="time batched vs sequential query execution (JSON report)",
-    )
-    bench.add_argument("--objects", type=int, default=20000, help="public objects")
-    bench.add_argument("--queries", type=int, default=2000, help="queries in the batch")
-    bench.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    bench.set_defaults(func=cmd_bench_batch)
-
-    bench_cloak = sub.add_parser(
-        "bench-cloak",
-        help="time bulk vs per-user population cloaking (JSON report)",
-    )
-    bench_cloak.add_argument(
-        "--users", type=int, default=10000, help="population size"
-    )
-    bench_cloak.add_argument(
-        "--seed", type=int, default=0, help="workload RNG seed"
-    )
-    bench_cloak.set_defaults(func=cmd_bench_cloak)
 
     checkpoint = sub.add_parser(
         "checkpoint",

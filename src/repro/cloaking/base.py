@@ -191,6 +191,14 @@ class Cloaker(ABC):
         self._arrays()
         return list(self._ids)
 
+    def config(self) -> dict:
+        """Constructor keyword arguments beyond ``bounds``, JSON-clean:
+        ``type(self)(bounds, **self.config())`` is an equal, empty cloaker.
+        This is how a mechanism describes itself to :mod:`repro.persist`,
+        which finds its class by name in :data:`repro.cloaking.ALL_CLOAKERS`.
+        """
+        return {}
+
     def spatial_index(self):
         """The internal spatial index, when the algorithm keeps one.
 

@@ -40,6 +40,9 @@ class GridCloaker(Cloaker):
         super().__init__(bounds)
         self._grid = GridIndex(bounds, cols=cols, rows=rows)
 
+    def config(self) -> dict:
+        return {"cols": self._grid.cols, "rows": self._grid.rows}
+
     def spatial_index(self) -> GridIndex:
         return self._grid
 

@@ -77,6 +77,9 @@ class HilbertCloaker(Cloaker):
         self._sorted: list[UserId] | None = None
         self._rank: dict[UserId, int] | None = None
 
+    def config(self) -> dict:
+        return {"order": self._order}
+
     def curve_index(self, point: Point) -> int:
         """Hilbert index of the curve cell containing ``point``."""
         side = 1 << self._order

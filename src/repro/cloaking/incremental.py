@@ -58,6 +58,10 @@ class IncrementalCloaker:
     def name(self) -> str:
         return f"incremental({self.inner.name})"
 
+    def config(self) -> dict:
+        """Constructor keyword arguments beyond ``inner``."""
+        return {"max_reuses": self._max_reuses}
+
     @property
     def bounds(self) -> Rect:
         return self.inner.bounds

@@ -39,6 +39,9 @@ class MBRCloaker(Cloaker):
             raise ValueError("pad_fraction must be non-negative")
         self._pad = pad_fraction
 
+    def config(self) -> dict:
+        return {"pad_fraction": self._pad}
+
     def _cloak(self, user_id: UserId, point: Point, requirement: PrivacyRequirement) -> Rect:
         group = self.k_nearest_points(point, requirement.k)
         mbr = Rect.from_points(group)

@@ -12,7 +12,6 @@ slightly; the centre attack degrades only there.)
 
 from __future__ import annotations
 
-import math
 
 from repro.cloaking.base import Cloaker, UserId
 from repro.core.profiles import PrivacyRequirement
@@ -42,6 +41,9 @@ class NaiveCloaker(Cloaker):
         if precision <= 0:
             raise ValueError("precision must be positive")
         self._precision = precision
+
+    def config(self) -> dict:
+        return {"precision": self._precision}
 
     def _cloak(self, user_id: UserId, point: Point, requirement: PrivacyRequirement) -> Rect:
         k_half = self._smallest_k_half_side(point, requirement.k)

@@ -66,6 +66,13 @@ class PyramidCloaker(Cloaker):
         """The backing pyramid index (read-only use)."""
         return self._pyramid
 
+    def config(self) -> dict:
+        return {
+            "height": self._pyramid.height,
+            "bottom_up": self._bottom_up,
+            "neighbor_merge": self._neighbor_merge,
+        }
+
     def spatial_index(self) -> PyramidGrid:
         return self._pyramid
 

@@ -40,6 +40,12 @@ class QuadtreeCloaker(Cloaker):
         super().__init__(bounds)
         self._tree = QuadTree(bounds, capacity=capacity, max_depth=max_depth)
 
+    def config(self) -> dict:
+        return {
+            "capacity": self._tree._capacity,
+            "max_depth": self._tree._max_depth,
+        }
+
     def spatial_index(self) -> QuadTree:
         return self._tree
 

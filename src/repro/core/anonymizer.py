@@ -298,26 +298,20 @@ class LocationAnonymizer:
         self._push(user_id, result)
         return result
 
-    def publish_all(self, t: float, shared: bool = True) -> dict[Hashable, CloakResult]:
+    def publish_all(self, t: float) -> dict[Hashable, CloakResult]:
         """Cloak and push every registered user (one reporting round).
 
-        With ``shared=True`` (default) the round runs through the
-        Section 5.3 shared-execution engine: users falling in the same
-        space partition with the same requirement are cloaked once.  Users
-        whose requirement asks for no privacy publish their exact point
-        directly (nothing to share).  ``shared=False`` falls back to
-        per-user execution (useful for apples-to-apples measurements).
+        The round runs through the Section 5.3 shared-execution engine:
+        users falling in the same space partition with the same
+        requirement are cloaked once.  Users whose requirement asks for
+        no privacy publish their exact point directly (nothing to share).
+        The per-user loop it must agree with is :meth:`publish`.
         """
         if self.server is None:
             raise RegistrationError("anonymizer is not connected to a server")
         # One batch correlation id per publication round; reused when the
         # system front door already opened one (repro.obs.correlate).
         with self.telemetry.correlate("b", reuse=True):
-            if not shared:
-                return {
-                    user_id: self.publish(user_id, t)
-                    for user_id in self._registrations
-                }
             from repro.cloaking.shared import CloakRequest, cloak_batch
 
             results: dict[Hashable, CloakResult] = {}
@@ -385,16 +379,11 @@ class LocationAnonymizer:
                 rows: list[list] = []
                 area_sum = 0.0
                 rotated = 0
-                rotate = self.rotate_pseudonyms
                 for user_id, result in outcome.results.items():
                     registration = self._registrations[user_id]
-                    if rotate and registration.published:
-                        self.server.forget_region(registration.pseudonym)
-                        registration.pseudonym = self._fresh_pseudonym()
-                        rotated += 1
+                    rotated += self._rotate(registration)
                     region = result.region
                     regions[registration.pseudonym] = region
-                    registration.published = True
                     area_sum += region.area
                     rows.append(
                         [
@@ -431,14 +420,10 @@ class LocationAnonymizer:
         """Send one cloaked region to the server under the pseudonym policy."""
         registration = self._registration_of(user_id)
         with self.telemetry.span("anonymizer.publish"):
-            rotated = self.rotate_pseudonyms and registration.published
             old_pseudonym = registration.pseudonym
-            if rotated:
-                self.server.forget_region(registration.pseudonym)
-                registration.pseudonym = self._fresh_pseudonym()
+            rotated = self._rotate(registration)
             region = result.region
             self.server.receive_region(registration.pseudonym, region)
-            registration.published = True
         # user + region sides make the publication replayable (WAL); the
         # old pseudonym lets replay retire the rotated-away region.
         self.telemetry.emit(
@@ -520,6 +505,19 @@ class LocationAnonymizer:
             return self._registrations[user_id]
         except KeyError:
             raise RegistrationError(f"unknown user: {user_id!r}") from None
+
+    def _rotate(self, registration: _Registration) -> bool:
+        """The pseudonym policy, ahead of one publication: under
+        ``rotate_pseudonyms`` a user who has published before retires that
+        region and takes a fresh pseudonym (returns whether she did).  The
+        registration ends up published; the caller delivers the region.
+        """
+        rotated = self.rotate_pseudonyms and registration.published
+        if rotated:
+            self.server.forget_region(registration.pseudonym)
+            registration.pseudonym = self._fresh_pseudonym()
+        registration.published = True
+        return rotated
 
     def _fresh_pseudonym(self) -> str:
         self._pseudonym_seq += 1

@@ -293,6 +293,10 @@ class PrivacySystem:
         if user.is_visible and not was_visible:
             self.anonymizer.register(user.user_id, user.profile, user.location)
         elif was_visible and not user.is_visible:
+            # She leaves under the profile in force (``update_profile``
+            # changes only the registration), so a later re-activation
+            # re-admits her under it, not under the one she joined with.
+            user.profile = self.anonymizer._registration_of(user_id).profile
             self.anonymizer.unregister(user.user_id)
 
     # ------------------------------------------------------------------
@@ -453,43 +457,27 @@ class PrivacySystem:
     # Live monitoring (time-series windows + online privacy risk)
     # ------------------------------------------------------------------
 
-    def enable_monitoring(
-        self,
-        *,
-        interval: float = 1.0,
-        keep: int = 120,
-        resolution: int = 16,
-        max_speed: float | None = None,
-        seed: bool = True,
-    ) -> "PrivacySystem":
+    def enable_monitoring(self, *, interval: float = 1.0) -> "PrivacySystem":
         """Turn on windowed telemetry sampling and online risk scoring.
 
         Installs a :class:`~repro.obs.timeseries.TimeSeriesStore` (one
-        window per ``interval`` seconds, ``keep`` windows retained) and a
-        :class:`~repro.obs.risk.PrivacyRiskMonitor` tapping the event
-        stream; each cut window triggers one risk score, so the
-        ``risk.*`` gauges and ``risk.scored`` events track the same
-        cadence the windows do.  ``seed=True`` primes the risk monitor
-        from current anonymizer/server state so a mid-run enable does
-        not start blind.  Idempotent; returns ``self`` for chaining.
+        window per ``interval`` seconds, that class's default retention)
+        and a :class:`~repro.obs.risk.PrivacyRiskMonitor` at its default
+        resolution tapping the event stream; each cut window triggers one
+        risk score, so the ``risk.*`` gauges and ``risk.scored`` events
+        track the same cadence the windows do.  The risk monitor is
+        primed from current anonymizer/server state so a mid-run enable
+        does not start blind.  Idempotent; returns ``self`` for chaining.
         """
         from repro.obs.risk import PrivacyRiskMonitor
         from repro.obs.timeseries import TimeSeriesStore
 
         if self.timeseries is None:
-            self.timeseries = TimeSeriesStore(
-                self.obs, interval=interval, keep=keep
-            )
+            self.timeseries = TimeSeriesStore(self.obs, interval=interval)
         if self.risk is None:
-            self.risk = PrivacyRiskMonitor(
-                self.bounds,
-                resolution=resolution,
-                max_speed=max_speed,
-                telemetry=self.obs,
-            )
+            self.risk = PrivacyRiskMonitor(self.bounds, telemetry=self.obs)
             self.risk.install(self.obs.events)
-            if seed:
-                self.risk.seed_from(self)
+            self.risk.seed_from(self)
             self.timeseries.on_sample.append(self._score_risk)
         return self
 

@@ -18,8 +18,6 @@ from repro.persist.checkpoint import (
     cloaker_from_config,
     list_checkpoints,
     load_checkpoint,
-    snapshot_from_state,
-    snapshot_state,
     write_checkpoint,
     write_wal_meta,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "list_checkpoints",
     "load_checkpoint",
     "rect_sides",
-    "snapshot_from_state",
-    "snapshot_state",
     "system_digest",
     "write_checkpoint",
     "write_wal_meta",

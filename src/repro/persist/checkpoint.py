@@ -1,15 +1,15 @@
 """Versioned atomic checkpoints of a whole ``PrivacySystem`` (schema
 ``repro.persist/1``).
 
-A checkpoint is one JSON document capturing everything a crashed
-process cannot rebuild from code: the anonymizer's object tables
+A checkpoint is one JSON document holding, once each, the facts a
+crashed process cannot rebuild from code: the anonymizer's object tables
 (registrations, pseudonym counter, privacy profiles), the mobile-user
-table, both server store index states, the cloaker's spatial index
-state, the batch engine's cached :class:`~repro.engine.snapshot.ServerSnapshot`
-arrays, the server's durable counters and standing monitors, and the
-QoS ledger.  Each checkpoint records the WAL sequence number it covers
-(``wal_seq``); recovery restores the newest readable checkpoint and
-replays only the event-log tail past that sequence.
+table, both server store index states, the server's durable counters and
+standing monitors, and the QoS ledger.  What those determine — the
+cloaker's spatial index, the batch engine's snapshot arrays — is rebuilt
+on restore, not stored.  Each checkpoint records the WAL sequence number
+it covers (``wal_seq``); recovery restores the newest readable
+checkpoint and replays only the event-log tail past that sequence.
 
 Write protocol: serialise to ``<name>.json.tmp`` in the same directory,
 ``fsync``, then ``os.replace`` onto the final ``checkpoint-<seq>.json``
@@ -25,18 +25,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.cloaking.grid_cloak import GridCloaker
-from repro.cloaking.hilbert import HilbertCloaker
-from repro.cloaking.incremental import IncrementalCloaker
-from repro.cloaking.mbr import MBRCloaker
-from repro.cloaking.naive import NaiveCloaker
-from repro.cloaking.pyramid_cloak import PyramidCloaker
-from repro.cloaking.quadtree_cloak import QuadtreeCloaker
+import repro.cloaking as cloaking
 from repro.core.profiles import profile_rows
-from repro.engine.snapshot import ServerSnapshot
 from repro.geometry.rect import Rect
 from repro.obs.events import PERSIST_CHECKPOINT
 from repro.persist.indexes import index_state, rect_sides
@@ -65,137 +59,36 @@ class CheckpointError(ValueError):
 def cloaker_config(cloaker) -> dict | None:
     """Serialise a cloaker's construction parameters, or ``None``.
 
-    Only the algorithm configuration is captured — the population is
-    restored from the registration table.  ``None`` means the type is
-    not registered here and :func:`~repro.core.system.PrivacySystem.recover`
-    needs an explicit ``cloaker=`` argument.
+    Only the mechanism's own ``config()`` is captured — the population
+    is restored from the registration table.  ``None`` means the type is
+    not in :data:`repro.cloaking.ALL_CLOAKERS`, so
+    :func:`~repro.core.system.PrivacySystem.recover` needs ``cloaker=``.
     """
-    if isinstance(cloaker, IncrementalCloaker):
+    if type(cloaker) is cloaking.IncrementalCloaker:
         inner = cloaker_config(cloaker.inner)
         if inner is None:
             return None
-        return {
-            "class": "IncrementalCloaker",
-            "max_reuses": cloaker._max_reuses,
-            "inner": inner,
-        }
-    if isinstance(cloaker, PyramidCloaker):
-        return {
-            "class": "PyramidCloaker",
-            "bounds": rect_sides(cloaker.bounds),
-            "height": cloaker._pyramid.height,
-            "bottom_up": cloaker._bottom_up,
-            "neighbor_merge": cloaker._neighbor_merge,
-        }
-    if isinstance(cloaker, GridCloaker):
-        return {
-            "class": "GridCloaker",
-            "bounds": rect_sides(cloaker.bounds),
-            "cols": cloaker._grid.cols,
-            "rows": cloaker._grid.rows,
-        }
-    if isinstance(cloaker, QuadtreeCloaker):
-        return {
-            "class": "QuadtreeCloaker",
-            "bounds": rect_sides(cloaker.bounds),
-            "capacity": cloaker._tree._capacity,
-            "max_depth": cloaker._tree._max_depth,
-        }
-    if isinstance(cloaker, HilbertCloaker):
-        return {
-            "class": "HilbertCloaker",
-            "bounds": rect_sides(cloaker.bounds),
-            "order": cloaker._order,
-        }
-    if isinstance(cloaker, NaiveCloaker):
-        return {
-            "class": "NaiveCloaker",
-            "bounds": rect_sides(cloaker.bounds),
-            "precision": cloaker._precision,
-        }
-    if isinstance(cloaker, MBRCloaker):
-        return {
-            "class": "MBRCloaker",
-            "bounds": rect_sides(cloaker.bounds),
-            "pad_fraction": cloaker._pad,
-        }
-    return None
+        return {"class": "IncrementalCloaker", **cloaker.config(), "inner": inner}
+    if type(cloaker) not in cloaking.ALL_CLOAKERS:
+        return None
+    return {
+        "class": type(cloaker).__name__,
+        "bounds": rect_sides(cloaker.bounds),
+        **cloaker.config(),
+    }
 
 
 def cloaker_from_config(config: dict):
     """Rebuild an (empty) cloaker from :func:`cloaker_config` output."""
-    name = config["class"]
+    kwargs = dict(config)
+    name = kwargs.pop("class")
     if name == "IncrementalCloaker":
-        return IncrementalCloaker(
-            cloaker_from_config(config["inner"]), max_reuses=config["max_reuses"]
-        )
-    if "bounds" not in config:
-        raise CheckpointError(f"unknown cloaker class in checkpoint: {name!r}")
-    bounds = Rect(*config["bounds"])
-    if name == "PyramidCloaker":
-        return PyramidCloaker(
-            bounds,
-            height=config["height"],
-            bottom_up=config["bottom_up"],
-            neighbor_merge=config["neighbor_merge"],
-        )
-    if name == "GridCloaker":
-        return GridCloaker(bounds, cols=config["cols"], rows=config["rows"])
-    if name == "QuadtreeCloaker":
-        return QuadtreeCloaker(
-            bounds, capacity=config["capacity"], max_depth=config["max_depth"]
-        )
-    if name == "HilbertCloaker":
-        return HilbertCloaker(bounds, order=config["order"])
-    if name == "NaiveCloaker":
-        return NaiveCloaker(bounds, precision=config["precision"])
-    if name == "MBRCloaker":
-        return MBRCloaker(bounds, pad_fraction=config["pad_fraction"])
+        inner = cloaker_from_config(kwargs.pop("inner"))
+        return cloaking.IncrementalCloaker(inner, **kwargs)
+    for cls in cloaking.ALL_CLOAKERS:
+        if cls.__name__ == name:
+            return cls(Rect(*kwargs.pop("bounds")), **kwargs)
     raise CheckpointError(f"unknown cloaker class in checkpoint: {name!r}")
-
-
-# ----------------------------------------------------------------------
-# Engine snapshot arrays
-# ----------------------------------------------------------------------
-
-
-def snapshot_state(snapshot: ServerSnapshot) -> dict:
-    """JSON-ready form of the batch engine's cached snapshot arrays."""
-    return {
-        "public_version": snapshot.public_version,
-        "private_version": snapshot.private_version,
-        "public_ids": [str(item) for item in snapshot.public_ids],
-        "public_xs": snapshot.public_xs.tolist(),
-        "public_ys": snapshot.public_ys.tolist(),
-        "private_ids": [str(item) for item in snapshot.private_ids],
-        "private_bounds": snapshot.private_bounds.tolist(),
-    }
-
-
-def snapshot_from_state(state: dict) -> ServerSnapshot:
-    """Rebuild a frozen :class:`ServerSnapshot` (ranks recomputed)."""
-    import numpy as np
-
-    public_ids = tuple(state["public_ids"])
-    private_ids = tuple(state["private_ids"])
-    xs = np.asarray(state["public_xs"], dtype=float)
-    ys = np.asarray(state["public_ys"], dtype=float)
-    bounds = np.asarray(state["private_bounds"], dtype=float).reshape(
-        len(private_ids), 4
-    )
-    for array in (xs, ys, bounds):
-        array.flags.writeable = False
-    return ServerSnapshot(
-        public_version=state["public_version"],
-        private_version=state["private_version"],
-        public_ids=public_ids,
-        public_xs=xs,
-        public_ys=ys,
-        private_ids=private_ids,
-        private_bounds=bounds,
-        public_rank={item: row for row, item in enumerate(public_ids)},
-        private_rank={item: row for row, item in enumerate(private_ids)},
-    )
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +105,6 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
     """
     anonymizer = system.anonymizer
     server = system.server
-    cloak_index = anonymizer.cloaker.spatial_index()
-    cached = server._engine._cached if server._engine is not None else None
-    ledger = system.ledger
     return {
         "schema": SCHEMA,
         "wal_seq": system.obs.events._seq,
@@ -262,33 +152,32 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
                 "index": index_state(server.private._rtree),
             },
         },
-        "cloaker_index": None if cloak_index is None else index_state(cloak_index),
-        "engine_snapshot": None if cached is None else snapshot_state(cached),
         "ledger": {
-            "range": [
-                [o.user_id, o.cloak_area, o.candidates, o.answer_size, o.correct]
-                for o in ledger.range_outcomes
-            ],
-            "nn": [
-                [o.user_id, o.cloak_area, o.candidates, o.correct]
-                for o in ledger.nn_outcomes
-            ],
-            "knn": [
-                [o.user_id, o.cloak_area, o.k, o.candidates, o.answer_size, o.correct]
-                for o in ledger.knn_outcomes
-            ],
+            "range": _rows(system.ledger.range_outcomes),
+            "nn": _rows(system.ledger.nn_outcomes),
+            "knn": _rows(system.ledger.knn_outcomes),
         },
     }
 
 
-def _atomic_write(path: Path, payload: str) -> None:
+def _rows(outcomes: list) -> list:
+    """One row per ledger entry: its type's fields in declaration order."""
+    names = [f.name for f in fields(outcomes[0])] if outcomes else []
+    return [[getattr(o, name) for name in names] for o in outcomes]
+
+
+def _atomic_write(directory, name: str, payload: str) -> Path:
     """tmp-write, fsync, rename — a crash leaves old state or an orphan."""
-    tmp = path.with_name(path.name + ".tmp")
+    target = Path(directory)
+    target.mkdir(parents=True, exist_ok=True)
+    path = target / name
+    tmp = path.with_name(name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    return path
 
 
 def write_checkpoint(system: "PrivacySystem", directory) -> str:
@@ -300,11 +189,10 @@ def write_checkpoint(system: "PrivacySystem", directory) -> str:
     """
     started = time.perf_counter()
     state = checkpoint_state(system)
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    path = target / f"checkpoint-{state['wal_seq']:012d}.json"
     payload = json.dumps(state, default=str)
-    _atomic_write(path, payload)
+    path = _atomic_write(
+        directory, f"checkpoint-{state['wal_seq']:012d}.json", payload
+    )
     system.obs.emit(
         PERSIST_CHECKPOINT,
         file=path.name,
@@ -322,17 +210,13 @@ def write_wal_meta(system: "PrivacySystem", directory) -> str:
     policy, cloaker configuration) that no event carries, so recovery
     can rebuild a system from the WAL alone when no checkpoint exists.
     """
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
     meta = {
         "schema": SCHEMA,
         "bounds": rect_sides(system.bounds),
         "rotate_pseudonyms": system.anonymizer.rotate_pseudonyms,
         "cloaker": cloaker_config(system.anonymizer.cloaker),
     }
-    path = target / META_NAME
-    _atomic_write(path, json.dumps(meta))
-    return str(path)
+    return str(_atomic_write(directory, META_NAME, json.dumps(meta)))
 
 
 def load_checkpoint(path) -> dict:

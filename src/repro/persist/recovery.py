@@ -8,7 +8,8 @@ equivalent to the one that crashed:
    leaves a ``.tmp`` orphan and, at worst, a corrupt newest file whose
    predecessor is still good);
 2. restore the checkpoint state wholesale (object tables, profiles,
-   store index states, engine snapshot arrays, counters, ledger); with
+   store index states, counters, ledger — derived structures such as
+   the cloaker's index and the engine snapshot rebuild from those); with
    no checkpoint at all, cold-start an empty system from the
    ``wal-meta.json`` sidecar;
 3. replay every WAL event with a sequence number past the checkpoint's
@@ -36,11 +37,18 @@ refused like any truncation.
 
 from __future__ import annotations
 
+import json
 import os
-from typing import TYPE_CHECKING
+from dataclasses import fields
 
 from repro.core.anonymizer import _Registration
 from repro.core.profiles import profile_from_rows
+from repro.core.system import (
+    KNNQueryOutcome,
+    NNQueryOutcome,
+    PrivacySystem,
+    RangeQueryOutcome,
+)
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
@@ -70,16 +78,11 @@ from repro.obs.events import (
 from repro.persist.checkpoint import (
     META_NAME,
     WAL_NAME,
-    CheckpointError,
     cloaker_from_config,
     list_checkpoints,
     load_checkpoint,
-    snapshot_from_state,
 )
 from repro.persist.indexes import index_from_state
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.system import PrivacySystem
 
 
 class RecoveryError(RuntimeError):
@@ -294,10 +297,7 @@ class Recovery:
         return None, skipped
 
     def _build_system(self, state: dict | None) -> "PrivacySystem":
-        from repro.core.system import PrivacySystem
-
-        meta = self._read_meta()
-        source = state if state is not None else meta
+        source = state if state is not None else self._read_meta()
         if source is None:
             raise RecoveryError(
                 f"nothing to recover from in {self.directory!r}: no "
@@ -321,15 +321,63 @@ class Recovery:
 
     def _read_meta(self) -> dict | None:
         path = os.path.join(self.directory, META_NAME)
-        if not os.path.exists(path):
-            return None
-        import json
-
-        try:
+        try:  # a missing sidecar is an OSError too
             with open(path, "r", encoding="utf-8") as handle:
                 return json.load(handle)
         except (OSError, ValueError):
             return None
+
+
+# ----------------------------------------------------------------------
+# Appliers: one per durable fact, shared by restore and replay
+# ----------------------------------------------------------------------
+
+#: Ledger outcome types by checkpoint ``ledger`` key; the event trail
+#: names the same kinds ``private_<key>``.  A stored row is the type's
+#: fields in declaration order.
+_OUTCOME_TYPES = {
+    "range": RangeQueryOutcome,
+    "nn": NNQueryOutcome,
+    "knn": KNNQueryOutcome,
+}
+
+
+def _add_user(system: "PrivacySystem", user_id, x, y, mode, speed, rows) -> None:
+    """Enter one mobile user into the system's user table."""
+    system.users[user_id] = MobileUser(
+        user_id, Point(x, y), profile_from_rows(rows), UserMode(mode), speed
+    )
+
+
+def _admit(anonymizer, user_id, point: Point, rows, pseudonym, published=False) -> None:
+    """Register one user with the cloaker and the registration table."""
+    anonymizer.cloaker.add_user(user_id, point)
+    anonymizer._registrations[user_id] = _Registration(
+        profile=profile_from_rows(rows),
+        pseudonym=pseudonym,
+        published=bool(published),
+    )
+
+
+def _record_outcome(ledger, key: str, row) -> None:
+    """Append one QoS ledger entry from its stored row."""
+    outcome = _OUTCOME_TYPES[key](*row)
+    getattr(ledger, outcome.ledger).append(outcome)
+
+
+def _adopt_pseudonym(system: "PrivacySystem", user_id, pseudonym: str) -> None:
+    """The pseudonym policy as recorded, ahead of one publication: a
+    pseudonym differing from the registration's means the live run
+    rotated, so retire the old region, adopt the recorded one and keep
+    the counter ahead of it.  The registration ends up published.
+    """
+    registration = system.anonymizer._registrations[user_id]
+    if pseudonym != registration.pseudonym:
+        if registration.published:
+            system.server.forget_region(registration.pseudonym)
+        registration.pseudonym = pseudonym
+        _bump_pseudonym_seq(system.anonymizer, pseudonym)
+    registration.published = True
 
 
 # ----------------------------------------------------------------------
@@ -338,24 +386,19 @@ class Recovery:
 
 
 def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
-    """Load a ``repro.persist/1`` document into a fresh system."""
+    """Load a ``repro.persist/1`` document into a fresh system.
+
+    Documents written before derived state stopped being stored carry it
+    in two more sections (cloaker index, engine snapshot arrays): not read.
+    """
     anonymizer = system.anonymizer
     server = system.server
     system.clock = state["clock"]
-    for user_id, x, y, mode, speed, rows in state["users"]:
-        system.users[user_id] = MobileUser(
-            user_id,
-            Point(x, y),
-            profile_from_rows(rows),
-            UserMode(mode),
-            speed,
-        )
+    for row in state["users"]:
+        _add_user(system, *row)
     for user_id, pseudonym, published, rows in state["registrations"]:
-        anonymizer.cloaker.add_user(user_id, system.users[user_id].location)
-        anonymizer._registrations[user_id] = _Registration(
-            profile=profile_from_rows(rows),
-            pseudonym=pseudonym,
-            published=bool(published),
+        _admit(
+            anonymizer, user_id, system.users[user_id].location, rows, pseudonym, published
         )
     anonymizer._pseudonym_seq = int(state["pseudonym_seq"])
 
@@ -371,38 +414,18 @@ def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
     for monitor_id, sides in server_state["monitors"]:
         server.register_count_monitor(monitor_id, Rect(*sides))
 
-    if state["engine_snapshot"] is not None:
-        server.engine._cached = snapshot_from_state(state["engine_snapshot"])
-
-    ledger = system.ledger
-    from repro.core.system import (
-        KNNQueryOutcome,
-        NNQueryOutcome,
-        RangeQueryOutcome,
-    )
-
-    for user_id, area, candidates, answer_size, correct in state["ledger"]["range"]:
-        ledger.range_outcomes.append(
-            RangeQueryOutcome(user_id, area, candidates, answer_size, correct)
-        )
-    for user_id, area, candidates, correct in state["ledger"]["nn"]:
-        ledger.nn_outcomes.append(
-            NNQueryOutcome(user_id, area, candidates, correct)
-        )
-    for user_id, area, k, candidates, answer_size, correct in state["ledger"]["knn"]:
-        ledger.knn_outcomes.append(
-            KNNQueryOutcome(user_id, area, k, candidates, answer_size, correct)
-        )
+    for key, rows in state["ledger"].items():
+        for row in rows:
+            _record_outcome(system.ledger, key, row)
 
 
 def _restore_store(store, store_state: dict, *, points: bool) -> None:
     """Rebuild one server store from its serialised index state.
 
     The mutation counter is restored verbatim so replayed tail updates
-    advance it exactly as the uncrashed run did (keeping a restored
-    engine snapshot's version match semantics intact); the bounded
-    changelog starts empty, which simply forces the next incremental
-    snapshot request to re-capture.
+    advance it exactly as the uncrashed run did; the bounded changelog
+    starts empty, so the first batch after a recovery captures its
+    engine snapshot from the restored store, as after any bulk tick.
     """
     index = index_from_state(store_state["index"])
     entries = {
@@ -449,26 +472,33 @@ def _replay_event(system: "PrivacySystem", event: Event) -> bool:
     server = system.server
 
     if kind == USER_ADDED:
-        system.users[attrs["user"]] = MobileUser(
+        _add_user(
+            system,
             attrs["user"],
-            Point(attrs["x"], attrs["y"]),
-            profile_from_rows(attrs["profile"]),
-            UserMode(attrs["mode"]),
+            attrs["x"],
+            attrs["y"],
+            attrs["mode"],
             attrs["speed"],
+            attrs["profile"],
         )
         return True
     if kind == USER_ADMITTED:
-        user_id = attrs["user"]
-        anonymizer.cloaker.add_user(user_id, Point(attrs["x"], attrs["y"]))
-        anonymizer._registrations[user_id] = _Registration(
-            profile=profile_from_rows(attrs["profile"]),
-            pseudonym=attrs["pseudonym"],
+        _admit(
+            anonymizer,
+            attrs["user"],
+            Point(attrs["x"], attrs["y"]),
+            attrs["profile"],
+            attrs["pseudonym"],
         )
         _bump_pseudonym_seq(anonymizer, attrs["pseudonym"])
         return True
     if kind == USER_RETIRED:
         registration = anonymizer._registrations.pop(attrs["user"])
         anonymizer.cloaker.remove_user(attrs["user"])
+        # As ``PrivacySystem.set_mode``: she leaves under the profile in force.
+        user = system.users.get(attrs["user"])
+        if user is not None:
+            user.profile = registration.profile
         if registration.published:
             server.forget_region(registration.pseudonym)
         return True
@@ -511,30 +541,17 @@ def _replay_event(system: "PrivacySystem", event: Event) -> bool:
         server.drop_count_monitor(attrs["monitor"])
         return True
     if kind == REGION_PUBLISHED:
-        registration = anonymizer._registrations[attrs["user"]]
-        pseudonym = attrs["pseudonym"]
-        if pseudonym != registration.pseudonym:
-            if registration.published:
-                server.forget_region(registration.pseudonym)
-            registration.pseudonym = pseudonym
-            _bump_pseudonym_seq(anonymizer, pseudonym)
+        _adopt_pseudonym(system, attrs["user"], attrs["pseudonym"])
         server.receive_region(
-            pseudonym,
+            attrs["pseudonym"],
             Rect(attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"]),
         )
-        registration.published = True
         return True
     if kind == REGIONS_PUBLISHED_BULK:
         regions: dict = {}
         for user_id, pseudonym, min_x, min_y, max_x, max_y in attrs["regions"]:
-            registration = anonymizer._registrations[user_id]
-            if pseudonym != registration.pseudonym:
-                if registration.published:
-                    server.forget_region(registration.pseudonym)
-                registration.pseudonym = pseudonym
-                _bump_pseudonym_seq(anonymizer, pseudonym)
+            _adopt_pseudonym(system, user_id, pseudonym)
             regions[pseudonym] = Rect(min_x, min_y, max_x, max_y)
-            registration.published = True
         server.receive_regions(regions)
         return True
     if kind == QUERY_COMPLETED:
@@ -551,45 +568,12 @@ def _replay_event(system: "PrivacySystem", event: Event) -> bool:
 
 def _replay_query_completed(system: "PrivacySystem", attrs: dict) -> None:
     """Reconstruct the QoS ledger entry (and the asker's mode flip)."""
-    from repro.core.system import (
-        KNNQueryOutcome,
-        NNQueryOutcome,
-        RangeQueryOutcome,
-    )
-
-    user_id = attrs["user"]
-    user = system.users.get(user_id)
+    user = system.users.get(attrs["user"])
     if user is not None and user.mode is not UserMode.QUERY:
         user.mode = UserMode.QUERY
-    query = attrs["query"]
-    ledger = system.ledger
-    if query == "private_range":
-        ledger.range_outcomes.append(
-            RangeQueryOutcome(
-                user_id,
-                attrs["cloak_area"],
-                attrs["candidates"],
-                attrs["answer_size"],
-                attrs["correct"],
-            )
-        )
-    elif query == "private_nn":
-        ledger.nn_outcomes.append(
-            NNQueryOutcome(
-                user_id,
-                attrs["cloak_area"],
-                attrs["candidates"],
-                attrs["correct"],
-            )
-        )
-    elif query == "private_knn":
-        ledger.knn_outcomes.append(
-            KNNQueryOutcome(
-                user_id,
-                attrs["cloak_area"],
-                attrs["k"],
-                attrs["candidates"],
-                attrs["answer_size"],
-                attrs["correct"],
-            )
+    key = attrs["query"].removeprefix("private_")
+    if key in _OUTCOME_TYPES:
+        names = [f.name for f in fields(_OUTCOME_TYPES[key])[1:]]
+        _record_outcome(
+            system.ledger, key, [attrs["user"], *(attrs[name] for name in names)]
         )

@@ -180,11 +180,9 @@ class QueryPlanner:
 
     def stats(self) -> PlannerStats:
         """The live statistics snapshot the next decision would use."""
-        return self.collector.stats(snapshot=self._engine_snapshot())
-
-    def _engine_snapshot(self):
         engine = self.server._engine
-        return None if engine is None else engine._cached
+        cached = None if engine is None else engine._cached
+        return self.collector.stats(snapshot=cached)
 
     def _rank(self, side: str) -> dict:
         """Snapshot-order rank of every id of one store (cached per version)."""

@@ -128,6 +128,12 @@ def apply_op(system: PrivacySystem, op: tuple, directory: str | None) -> None:
             system.set_mode(op[1], UserMode(op[2]))
         elif kind == "profile":
             system.anonymizer.update_profile(op[1], PrivacyProfile.always(k=op[2]))
+        elif kind == "rejoin":
+            # Leave and come back under a profile changed while registered:
+            # it must be the one in force afterwards, live and recovered.
+            system.anonymizer.update_profile(op[1], PrivacyProfile.always(k=op[2]))
+            system.set_mode(op[1], UserMode.PASSIVE)
+            system.set_mode(op[1], UserMode.ACTIVE)
         elif kind == "checkpoint":
             if directory is not None:
                 system.checkpoint(directory)
@@ -208,11 +214,14 @@ def small_workload(checkpoint_after: int | None = 8) -> list[tuple]:
         ("knn", "u1", 2),
         ("profile", "u3", 4),
         ("poi_move", "p1", 52.0, 53.0),
+        ("profile", "u4", 3),  # in force when she leaves, and when she returns
         ("mode", "u4", "passive"),
         ("publish",),
         ("poi_remove", "p0"),
         ("range", "u3", 25.0),
         ("mode", "u4", "active"),
+        ("publish_bulk",),
+        ("rejoin", "u1", 3),
         ("publish_bulk",),
         ("nn", "u0"),
     ]

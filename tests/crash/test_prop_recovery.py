@@ -66,6 +66,7 @@ tail_op = st.one_of(
     st.tuples(st.just("knn"), user_id, st.integers(1, 3)),
     st.tuples(st.just("profile"), user_id, st.integers(1, 4)),
     st.tuples(st.just("mode"), user_id, st.sampled_from(["passive", "active"])),
+    st.tuples(st.just("rejoin"), user_id, st.integers(1, 4)),
     st.tuples(st.just("poi_move"), st.just("p0"), coord, coord),
 )
 

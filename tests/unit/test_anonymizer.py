@@ -123,8 +123,9 @@ class TestPublication:
         for i, p in enumerate(uniform_points_500):
             shared_anonymizer.register(i, PrivacyProfile.always(k=10), p)
             solo_anonymizer.register(i, PrivacyProfile.always(k=10), p)
-        shared_anonymizer.publish_all(t=0.0, shared=True)
-        solo_anonymizer.publish_all(t=0.0, shared=False)
+        shared_anonymizer.publish_all(t=0.0)
+        for i in range(500):
+            solo_anonymizer.publish(i, t=0.0)
         for i in range(500):
             a = shared_server.private.region_of(shared_anonymizer.pseudonym_of(i))
             b = solo_server.private.region_of(solo_anonymizer.pseudonym_of(i))
@@ -135,7 +136,7 @@ class TestPublication:
         anonymizer = LocationAnonymizer(cloaker, LocationServer())
         for i, p in enumerate(uniform_points_500):
             anonymizer.register(i, PrivacyProfile.always(k=10), p)
-        anonymizer.publish_all(t=0.0, shared=True)
+        anonymizer.publish_all(t=0.0)
         assert cloaker.stats.cloaks < 500
 
     def test_publish_all_shared_handles_mixed_profiles(self, uniform_points_500):
@@ -150,7 +151,7 @@ class TestPublication:
             else:
                 profile = PrivacyProfile.always(k=10_000)  # clamped path
             anonymizer.register(i, profile, p)
-        results = anonymizer.publish_all(t=0.0, shared=True)
+        results = anonymizer.publish_all(t=0.0)
         assert len(results) == 500
         for i, result in results.items():
             if i % 3 == 0:

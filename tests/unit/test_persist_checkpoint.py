@@ -3,7 +3,9 @@
 ``tests/fixtures/persist_checkpoint_mini.json`` pins the full
 ``repro.persist/1`` checkpoint document for a small deterministic
 system; a drift in any serialised field fails here before it can make
-a stored checkpoint unreadable.
+a stored checkpoint unreadable.  ``persist_checkpoint_mini_prev.json``
+is the same system as the previous release wrote it (two more sections,
+both derived state): the one reader must land both on the same digest.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 
 import pytest
 
+import repro.cloaking
+from repro.cloaking.base import Cloaker
 from repro.cloaking.grid_cloak import GridCloaker
 from repro.cloaking.hilbert import HilbertCloaker
 from repro.cloaking.incremental import IncrementalCloaker
@@ -35,11 +39,12 @@ from repro.persist import (
     cloaker_from_config,
     list_checkpoints,
     load_checkpoint,
-    snapshot_from_state,
-    snapshot_state,
+    system_digest,
     write_checkpoint,
     write_wal_meta,
 )
+from repro.persist import recovery
+from repro.queries.spec import RangeSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
@@ -58,8 +63,6 @@ DOCUMENT_KEYS = [
     "registrations",
     "server",
     "stores",
-    "cloaker_index",
-    "engine_snapshot",
     "ledger",
 ]
 
@@ -85,6 +88,37 @@ def _as_wire(state: dict) -> dict:
     return json.loads(json.dumps(state, default=str))
 
 
+def _recover(directory) -> PrivacySystem:
+    return PrivacySystem.recover(directory, telemetry=Telemetry())
+
+
+def _recover_fixture(name: str, tmp_path) -> PrivacySystem:
+    """Recover from one golden document placed in an empty directory."""
+    with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as handle:
+        document = handle.read()
+    target = tmp_path / name.removesuffix(".json")
+    target.mkdir()
+    seq = json.loads(document)["wal_seq"]
+    (target / f"checkpoint-{seq:012d}.json").write_text(document)
+    return _recover(target)
+
+
+class _ReadKeys(dict):
+    """A document that remembers which top-level keys were asked for."""
+
+    def __init__(self, document: dict) -> None:
+        super().__init__(document)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 class TestCheckpointDocument:
     def test_matches_golden_fixture(self):
         path = os.path.join(FIXTURES, "persist_checkpoint_mini.json")
@@ -96,6 +130,30 @@ class TestCheckpointDocument:
         state = checkpoint_state(_mini_system())
         assert list(state) == DOCUMENT_KEYS
         assert state["schema"] == SCHEMA
+
+    def test_previous_release_document_recovers_to_the_same_digest(self, tmp_path):
+        current = _recover_fixture("persist_checkpoint_mini.json", tmp_path)
+        previous = _recover_fixture("persist_checkpoint_mini_prev.json", tmp_path)
+        expected = system_digest(_mini_system())
+        assert system_digest(current) == expected
+        assert system_digest(previous) == expected
+
+    def test_every_written_section_is_read(self, tmp_path, monkeypatch):
+        """A section nothing reads is not a durable fact: it must go."""
+        system = _mini_system()
+        written = set(checkpoint_state(system))
+        write_checkpoint(system, tmp_path)
+        documents: list[_ReadKeys] = []
+
+        def recording_load(path):
+            documents.append(_ReadKeys(load_checkpoint(path)))
+            return documents[-1]
+
+        monkeypatch.setattr(recovery, "load_checkpoint", recording_load)
+        _recover(tmp_path)
+        (document,) = documents
+        # ``schema`` is read by load_checkpoint itself, before the wrap.
+        assert written - document.read == {"schema"}
 
     def test_wal_seq_tracks_event_log(self):
         system = _mini_system()
@@ -203,38 +261,84 @@ class TestCloakerConfig:
         with pytest.raises(CheckpointError, match="unknown cloaker class"):
             cloaker_from_config({"class": "TimeMachineCloaker"})
 
+    def test_a_new_mechanism_needs_only_its_config(self, monkeypatch):
+        """Declaring a mechanism is its class, its ``config()`` and a row
+        in ``ALL_CLOAKERS`` — nothing in ``repro.persist`` names it."""
+
+        class RingCloaker(Cloaker):
+            def __init__(self, bounds, rings=3):
+                super().__init__(bounds)
+                self.rings = rings
+
+            def config(self):
+                return {"rings": self.rings}
+
+            def _cloak(self, user_id, point, requirement):
+                return self.bounds
+
+        assert cloaker_config(RingCloaker(BOUNDS)) is None  # not listed yet
+        monkeypatch.setattr(
+            repro.cloaking,
+            "ALL_CLOAKERS",
+            (*repro.cloaking.ALL_CLOAKERS, RingCloaker),
+        )
+        config = cloaker_config(IncrementalCloaker(RingCloaker(BOUNDS, rings=5)))
+        assert config["inner"] == {
+            "class": "RingCloaker",
+            "bounds": [0.0, 0.0, 100.0, 100.0],
+            "rings": 5,
+        }
+        rebuilt = cloaker_from_config(json.loads(json.dumps(config)))
+        assert type(rebuilt.inner) is RingCloaker
+        assert rebuilt.inner.rings == 5
+        assert cloaker_config(rebuilt) == config
+
 
 class TestSnapshotState:
-    def _cached_snapshot(self):
-        from repro.core.server import LocationServer
-        from repro.core.stores import PublicStore
-        from repro.queries.spec import RangeSpec
+    """The engine snapshot is derived state: a checkpoint does not carry
+    it, and the first batch after a recovery captures it from the
+    restored stores."""
 
-        server = LocationServer(telemetry=Telemetry())
-        server.public = PublicStore.from_points(
-            {f"p{i}": Point(float(i * 10), float(i * 7)) for i in range(5)}
-        )
-        server.execute_batch([RangeSpec(window=Rect(0.0, 0.0, 50.0, 50.0))])
-        return server.engine._cached
+    WINDOW = RangeSpec(window=Rect(0.0, 0.0, 50.0, 50.0))
 
-    def test_round_trip_preserves_arrays_and_versions(self):
-        snapshot = self._cached_snapshot()
-        state = snapshot_state(snapshot)
-        rebuilt = snapshot_from_state(state)
+    def _live_and_recovered(self, tmp_path):
+        live = _mini_system()
+        live.execute_batch([self.WINDOW])  # the live engine holds a snapshot
+        write_checkpoint(live, tmp_path)
+        recovered = _recover(tmp_path)
+        assert recovered.server.engine._cached is None
+        answers = recovered.execute_batch([self.WINDOW])
+        assert answers == live.execute_batch([self.WINDOW])
+        return live.server.engine._cached, recovered
+
+    def test_round_trip_preserves_arrays_and_versions(self, tmp_path):
+        snapshot, recovered = self._live_and_recovered(tmp_path)
+        rebuilt = recovered.server.engine._cached
+        counters = recovered.obs.snapshot()["counters"]
+        assert counters["engine.snapshot{result=captured}"] == 1
         assert rebuilt.public_version == snapshot.public_version
         assert rebuilt.private_version == snapshot.private_version
-        assert rebuilt.public_ids == tuple(str(i) for i in snapshot.public_ids)
-        assert rebuilt.public_xs.tolist() == snapshot.public_xs.tolist()
-        assert rebuilt.public_ys.tolist() == snapshot.public_ys.tolist()
-        assert rebuilt.private_bounds.shape == (len(snapshot.private_ids), 4)
+        # Row order is the restored index's, so compare id -> row.
+        assert dict(
+            zip(rebuilt.public_ids, zip(rebuilt.public_xs, rebuilt.public_ys))
+        ) == dict(
+            zip(snapshot.public_ids, zip(snapshot.public_xs, snapshot.public_ys))
+        )
+        assert dict(
+            zip(rebuilt.private_ids, rebuilt.private_bounds.tolist())
+        ) == dict(zip(snapshot.private_ids, snapshot.private_bounds.tolist()))
 
-    def test_rebuilt_arrays_are_frozen_and_ranks_recomputed(self):
-        rebuilt = snapshot_from_state(snapshot_state(self._cached_snapshot()))
+    def test_rebuilt_arrays_are_frozen_and_ranks_recomputed(self, tmp_path):
+        _, recovered = self._live_and_recovered(tmp_path)
+        rebuilt = recovered.server.engine._cached
         assert not rebuilt.public_xs.flags.writeable
         assert not rebuilt.public_ys.flags.writeable
         assert not rebuilt.private_bounds.flags.writeable
         assert rebuilt.public_rank == {
             item: row for row, item in enumerate(rebuilt.public_ids)
+        }
+        assert rebuilt.private_rank == {
+            item: row for row, item in enumerate(rebuilt.private_ids)
         }
 
 

@@ -42,6 +42,15 @@ class TestSetup:
         system.set_mode(0, UserMode.ACTIVE)
         assert 0 in system.anonymizer.registered_users()
 
+    def test_reactivated_user_keeps_the_profile_in_force(self, system):
+        """A profile change made while registered survives passive -> active
+        (it used to be re-admitted under the profile she joined with)."""
+        system.anonymizer.update_profile(0, PrivacyProfile.always(k=20))
+        system.set_mode(0, UserMode.PASSIVE)
+        assert system.users[0].profile.requirement_at(0.0).k == 20
+        system.set_mode(0, UserMode.ACTIVE)
+        assert system.anonymizer.requirement_for(0, 0.0).k == 20
+
     def test_passive_users_dont_lend_anonymity(self, uniform_points_500):
         system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=6))
         for i, p in enumerate(uniform_points_500):
