@@ -12,7 +12,7 @@ test:
 # profile in tests/conftest.py).  This target draws fresh random ones;
 # commit any failure it prints back as an @example on the failing test.
 test-explore:
-	pytest tests/property tests/crash/test_prop_recovery.py -q --hypothesis-profile=explore
+	pytest tests/property tests/crash/test_prop_recovery.py tests/unit/test_private_nn.py -q --hypothesis-profile=explore
 
 bench:
 	pytest benchmarks/ --benchmark-only -q
@@ -29,15 +29,15 @@ bench-pipeline:
 bench-pipeline-smoke:
 	pytest bench -q && python3 bench/run.py --smoke
 
-# Alternating parent/change pairs of one workload, from clean copies of
+# Alternating parent/change pairs of each named workload, from clean copies of
 # both trees (tools/bench_pair.py): per metric both medians, quartiles,
-# pairs won and the BENCHMARK.json bound.  ~1.5 min per pair.
-#   make bench-pair WORKLOAD=scalar_churn_10k PARENT=HEAD~1 PAIRS=10
-WORKLOAD ?= scalar_churn_10k
+# pairs won, the BENCHMARK.json bound and the spread rule.  ~1.5 min per pair.
+#   make bench-pair WORKLOADS=scalar_churn_10k,query_mix_10k PARENT=HEAD~1 PAIRS=10
+WORKLOADS ?= scalar_churn_10k
 PARENT ?= HEAD
 PAIRS ?= 10
 bench-pair:
-	python3 tools/bench_pair.py $(WORKLOAD) $(PARENT) --pairs $(PAIRS)
+	python3 tools/bench_pair.py $(PARENT) --workloads $(WORKLOADS) --pairs $(PAIRS)
 
 bench-batch:
 	pytest benchmarks -q -k bench_batch

@@ -92,7 +92,11 @@ class RangeQueryOutcome:
 
 @dataclass(frozen=True)
 class NNQueryOutcome:
-    """Ledger entry for one end-to-end private NN query."""
+    """Ledger entry for one end-to-end private NN query.
+
+    ``correct`` is distance-exact, as for k-NN: two objects at one
+    address, or mirror images about the user, are the same answer.
+    """
 
     user_id: Hashable
     cloak_area: float
@@ -105,7 +109,9 @@ class NNQueryOutcome:
 
     @classmethod
     def judge(cls, spec, cloak_area, candidates, refined, truth, distance):
-        return cls(spec.user, cloak_area, candidates, refined == truth)
+        return cls(
+            spec.user, cloak_area, candidates, distance(refined) == distance(truth)
+        )
 
     @property
     def overhead(self) -> float:

@@ -124,26 +124,43 @@ def private_knn_query(
 def _k_dominance_filter(
     store: PublicStore, region: Rect, ids: list[Hashable], k: int
 ) -> list[Hashable]:
-    """Drop ``o`` when k competitors each beat it everywhere in the region."""
+    """Drop ``o`` when k competitors each beat it everywhere in the region.
+
+    A candidate is its tuple of squared distances to the four corners;
+    ``o'`` dominates ``o`` when its tuple is smaller in every component,
+    which puts it strictly earlier in sorted order.  So candidates are
+    visited in sorted order and each is counted against the *survivors*
+    before it only.  That loses no one: dominance is transitive, so the
+    first k dominators of ``o`` in sorted order have fewer than k
+    dominators themselves (theirs dominate ``o`` too and come earlier)
+    and survive — ``o`` has k dominators iff it has k surviving ones.
+    The count stops at k, and at the first survivor whose first
+    component is not smaller, since no later one can dominate.  A sort
+    plus at most candidates x survivors comparisons.
+
+    Survivors come back in the order ``ids`` lists them.
+    """
     corners = region.corners
-    corner_d2 = {
-        i: tuple(store.point_of(i).squared_distance_to(c) for c in corners)
-        for i in ids
-    }
-    kept = []
-    for i in ids:
-        own = corner_d2[i]
-        dominators = 0
-        for j in ids:
-            if j == i:
-                continue
-            if all(d < o for d, o in zip(corner_d2[j], own)):
-                dominators += 1
-                if dominators >= k:
+    corner_d2 = [
+        tuple(store.point_of(i).squared_distance_to(c) for c in corners) for i in ids
+    ]
+    survives = [False] * len(ids)
+    survivors: list[tuple[float, ...]] = []
+    for n in sorted(range(len(ids)), key=corner_d2.__getitem__):
+        own = corner_d2[n]
+        d0, d1, d2, d3 = own
+        needed = k
+        for s0, s1, s2, s3 in survivors:
+            if not s0 < d0:
+                break
+            if s1 < d1 and s2 < d2 and s3 < d3:
+                needed -= 1
+                if not needed:
                     break
-        if dominators < k:
-            kept.append(i)
-    return kept
+        if needed:
+            survives[n] = True
+            survivors.append(own)
+    return [i for i, kept in zip(ids, survives) if kept]
 
 
 def refine_knn_candidates(

@@ -15,7 +15,8 @@ Three candidate generators of increasing tightness are implemented:
   can never win.  One incremental-NN scan, loosest set.
 * ``filter`` — ``range`` plus per-candidate dominance: prune ``o`` when
   some single competitor beats it over all of R
-  (``max_dist(R, o') < min_dist(R, o)``).
+  (``max_dist(R, o') < min_dist(R, o)``).  One sort of the candidates
+  and one scan against the survivors, not every pair.
 * ``exact``  — the true candidate set: ``o`` survives iff its Voronoi cell
   intersects R, decided by half-plane clipping.  (Ablation A2 measures how
   much looser the cheap sets are.)
@@ -34,6 +35,7 @@ from repro.geometry.distances import max_dist, min_dist
 from repro.geometry.point import Point
 from repro.geometry.polygon import polygon_area, voronoi_cell_clip
 from repro.geometry.rect import Rect
+from repro.queries.private_knn import _k_dominance_filter
 
 NNCandidateMethod = Literal["range", "filter", "exact"]
 
@@ -120,9 +122,11 @@ def private_nn_query_batch(
 ) -> list[PrivateNNResult]:
     """Sequential batch entry point: one candidate set per cloaked region.
 
-    Dominance/Voronoi filtering resists vectorisation, so the batch
-    engine routes private NN queries through this loop unchanged — batch
-    answers are bit-identical to single-query answers by construction.
+    The dominance filter is a sort and a scan over each query's own
+    survivors and the Voronoi filter clips polygons, neither of them an
+    array operation across queries, so the batch engine routes private
+    NN queries through this loop unchanged — batch answers are
+    bit-identical to single-query answers by construction.
     """
     return [private_nn_query(store, region, method) for region in regions]
 
@@ -138,23 +142,10 @@ def _dominance_filter(
     ``o'`` wins at every point of the region, and ``o`` can never be the
     answer.  This is exactly the paper's Figure 5b argument for
     eliminating object A ("it is guaranteed that targets B and C would be
-    nearest to any point in the shaded area than target A").
+    nearest to any point in the shaded area than target A").  It is the
+    k-NN filter asked for one dominator.
     """
-    pairs = [(i, store.point_of(i)) for i in ids]
-    corners = region.corners
-    corner_d2 = {
-        i: tuple(p.squared_distance_to(c) for c in corners) for i, p in pairs
-    }
-    kept = []
-    for i, _ in pairs:
-        own = corner_d2[i]
-        dominated = any(
-            j != i and all(d < o for d, o in zip(corner_d2[j], own))
-            for j, _ in pairs
-        )
-        if not dominated:
-            kept.append(i)
-    return kept
+    return _k_dominance_filter(store, region, ids, 1)
 
 
 def _voronoi_filter(

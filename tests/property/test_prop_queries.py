@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.stores import PrivateStore, PublicStore
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.queries.private_knn import exact_knn_answer, private_knn_query
 from repro.queries.private_nn import exact_nn_answer, private_nn_query
 from repro.queries.private_range import exact_range_answer, private_range_query
 from repro.queries.probabilistic import poisson_binomial_pmf
@@ -67,6 +68,21 @@ class TestPrivateNNGuarantee:
         e = private_nn_query(store, region, "exact")
         assert set(e.candidates) <= set(f.candidates) <= set(r.candidates)
         assert len(e.candidates) >= 1
+
+
+class TestPrivateKNNGuarantee:
+    @given(poi_sets, boxes, st.integers(min_value=1, max_value=6), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_true_knn_always_among_candidates(self, raw, region, k, data):
+        """Wherever in the region the user is, all k true neighbours were sent."""
+        store = public_store(raw)
+        xs = st.floats(min_value=region.min_x, max_value=region.max_x)
+        ys = st.floats(min_value=region.min_y, max_value=region.max_y)
+        points = data.draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=5))
+        for method in ("range", "filter"):
+            candidates = set(private_knn_query(store, region, k, method).candidates)
+            for x, y in points:
+                assert set(exact_knn_answer(store, Point(x, y), k)) <= candidates, method
 
 
 class TestPublicCountGuarantee:

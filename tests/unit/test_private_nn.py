@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import QueryError
 from repro.core.stores import PublicStore
@@ -201,6 +203,11 @@ def _candidate_points(family, rng):
     if family == "duplicates":  # eight places, each held by several ids
         places = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(8)]
         return [rng.choice(places) for _ in range(40)]
+    if family == "duplicate_heavy":  # two places share sixty ids
+        places = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(2)]
+        return [rng.choice(places) for _ in range(60)]
+    if family == "all_equal":  # one place: every corner-distance tuple is the same
+        return [Point(rng.uniform(0, 100), rng.uniform(0, 100))] * 30
     if family == "equal_distance":  # mirror images about the region's centre
         out = []
         for _ in range(12):
@@ -217,13 +224,17 @@ def _candidate_points(family, rng):
 class TestDominanceFiltersEqualTheDefinition:
     """Both filters against the definition written out above.
 
-    They are the O(c^2) tail of a private NN query (ROADMAP, read path);
-    whatever replaces them has to return these survivors in this order.
+    They are one sort-and-scan routine (``_dominance_filter`` is its
+    ``k = 1`` call); the definition it replaced is ``naive_survivors``,
+    and it has to return those survivors in that order.
     """
 
     REGIONS = [Rect(40, 40, 60, 60), Rect(0, 0, 100, 100), Rect(50, 50, 50, 50), Rect(70, 5, 75, 95)]
 
-    @pytest.mark.parametrize("family", ["random", "duplicates", "equal_distance", "collinear"])
+    @pytest.mark.parametrize(
+        "family",
+        ["random", "duplicates", "equal_distance", "collinear", "duplicate_heavy", "all_equal"],
+    )
     @pytest.mark.parametrize("seed", range(4))
     def test_same_survivors_in_the_same_order(self, family, seed):
         rng = random.Random(f"{family}/{seed}")
@@ -253,3 +264,128 @@ class TestDominanceFiltersEqualTheDefinition:
                 loose = list(private_knn_query(store, region, k, "range").candidates)
                 tight = private_knn_query(store, region, k, "filter").candidates
                 assert list(tight) == naive_survivors(store, region, loose, k)
+
+    @given(
+        raw=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=0, max_size=24
+        ),
+        box=st.tuples(*[st.integers(0, 12)] * 4),
+        k=st.integers(1, 5),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_order_of_ids_gives_the_definition(self, raw, box, k, order):
+        """Integer coordinates on a 13 x 13 board: ties, duplicates and
+        degenerate regions are the common case, not the corner case."""
+        store = PublicStore()
+        for n, (x, y) in enumerate(raw):
+            store.add(n, Point(float(x), float(y)))
+        region = Rect(
+            float(min(box[0], box[2])), float(min(box[1], box[3])),
+            float(max(box[0], box[2])), float(max(box[1], box[3])),
+        )
+        ids = list(range(len(raw)))
+        order.shuffle(ids)
+        want = naive_survivors(store, region, ids, k)
+        assert _k_dominance_filter(store, region, ids, k) == want
+        if k == 1:
+            assert _dominance_filter(store, region, ids) == want
+
+
+@pytest.fixture(scope="module")
+def city_10k():
+    """10 000 uniform POIs on the 1000 x 1000 world of ``bench/workloads.py``."""
+    rng = random.Random("city_10k")
+    return PublicStore.from_points(
+        {n: Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for n in range(10_000)}
+    )
+
+
+def _range_stage(store, region, k):
+    """What the filter is handed: the radius-only candidates, in their order."""
+    if k == 1:
+        return list(private_nn_query(store, region, "range").candidates)
+    return list(private_knn_query(store, region, k, "range").candidates)
+
+
+class _PairCountingStore:
+    """A public store whose points count how many candidate pairs are examined.
+
+    The distance to the region's *first* corner comes back as a float
+    that tallies the order comparisons made on it; the other three are
+    plain.  A dominance test looks at first components first, and so
+    does a sort of the tuples, so the tally is the number of tuple pairs
+    the filter (and its sort) put side by side.
+    """
+
+    def __init__(self, store, region):
+        self.compared = 0
+        outer = self
+        first_corner = region.corners[0]
+
+        class Tallied(float):
+            def _order(self, other, op):
+                outer.compared += 1
+                return op(float(self), float(other))
+
+            def __lt__(self, other):
+                return self._order(other, float.__lt__)
+
+            def __le__(self, other):
+                return self._order(other, float.__le__)
+
+            def __gt__(self, other):
+                return self._order(other, float.__gt__)
+
+            def __ge__(self, other):
+                return self._order(other, float.__ge__)
+
+        class TalliedPoint:
+            def __init__(self, point):
+                self.point = point
+
+            def squared_distance_to(self, corner):
+                d2 = self.point.squared_distance_to(corner)
+                return Tallied(d2) if corner == first_corner else d2
+
+        self.point_of = lambda object_id: TalliedPoint(store.point_of(object_id))
+
+
+class TestTheRegimeThatWasSlow:
+    """Hundreds of range-stage candidates: 10 000 POIs under regions the
+    size ``query_mix_10k`` cloaks (its widest hand the filter 347)."""
+
+    REGIONS = [Rect(480, 480, 560, 552), Rect(100, 700, 200, 790), Rect(850, 200, 950, 290)]
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_same_survivors_in_the_same_order(self, city_10k, k):
+        for region in self.REGIONS:
+            ids = _range_stage(city_10k, region, k)
+            assert 300 <= len(ids) <= 900
+            want = naive_survivors(city_10k, region, ids, k)
+            assert _k_dominance_filter(city_10k, region, ids, k) == want
+            if k == 1:
+                assert _dominance_filter(city_10k, region, ids) == want
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_work_is_candidates_times_survivors(self, city_10k, k):
+        """The deterministic gate: pairs examined, not seconds.
+
+        Every candidate meets at most the survivors sorted before it, so
+        the scan examines at most c * s pairs; the sort adds what sorting
+        the same tuples costs, measured here on the same tally.
+        """
+        for region in self.REGIONS:
+            ids = _range_stage(city_10k, region, k)
+            c = len(ids)
+            assert c >= 300  # the gate's own precondition: a regime where c^2 hurts
+            counting = _PairCountingStore(city_10k, region)
+            sorted(
+                tuple(counting.point_of(i).squared_distance_to(corner) for corner in region.corners)
+                for i in ids
+            )
+            sort_cost, counting.compared = counting.compared, 0
+            kept = _k_dominance_filter(counting, region, ids, k)
+            s = len(kept)
+            assert kept == _k_dominance_filter(city_10k, region, ids, k)
+            assert counting.compared <= c * (s + 1) + sort_cost, (c, s, sort_cost)
