@@ -12,16 +12,19 @@ recovered two ways from the same trail:
 
 The gate is the checkpoint subsystem's reason to exist: checkpointed
 recovery must beat cold replay on the same trail, and both must land on
-the digest-identical system.  The report (checkpoint write throughput,
-both recovery wall-times, speedup) lands in ``BENCH_recovery.json`` at
-the repo root; CI uploads it and ``make bench-history`` folds it into
-the trajectory.
+the digest-identical system.  One recovery of each is a ~1.3× margin
+that a noisy second can flip, so the gate compares medians of
+:data:`REPEATS` of each, alternating which goes first.  The report
+(checkpoint write throughput, both recovery wall-times, speedup) lands
+in ``BENCH_recovery.json`` at the repo root; CI uploads it and ``make
+bench-history`` folds it into the trajectory.
 """
 
 from __future__ import annotations
 
 import random
 import shutil
+import statistics
 import time
 from pathlib import Path
 
@@ -48,6 +51,7 @@ N_USERS = 10_000
 N_POIS = 200
 MOVE_USERS = 2_000
 TAIL_QUERIES = 50
+REPEATS = 5
 WORLD = Rect(0.0, 0.0, 1000.0, 1000.0)
 
 _RESULTS: dict = {}
@@ -128,15 +132,18 @@ def test_checkpoint_write_throughput(arena):
 def test_checkpointed_recovery_beats_cold_replay(arena):
     live_digest = system_digest(arena["system"])
 
-    started = time.perf_counter()
-    checkpointed = Recovery(arena["full"], telemetry=Telemetry())
-    warm = checkpointed.recover()
-    warm_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    cold_recovery = Recovery(arena["cold"], telemetry=Telemetry())
-    cold = cold_recovery.recover()
-    cold_seconds = time.perf_counter() - started
+    runs: dict[str, list[float]] = {"full": [], "cold": []}
+    last: dict[str, tuple] = {}
+    for repeat in range(REPEATS):
+        for name in ("full", "cold") if repeat % 2 == 0 else ("cold", "full"):
+            started = time.perf_counter()
+            recovery = Recovery(arena[name], telemetry=Telemetry())
+            last[name] = (recovery, recovery.recover())
+            runs[name].append(time.perf_counter() - started)
+    (checkpointed, warm), (cold_recovery, cold) = last["full"], last["cold"]
+    warm_runs, cold_runs = runs["full"], runs["cold"]
+    warm_seconds = statistics.median(warm_runs)
+    cold_seconds = statistics.median(cold_runs)
 
     # Correctness gates: both paths land on the uncrashed system.
     assert system_digest(warm) == live_digest
@@ -152,14 +159,15 @@ def test_checkpointed_recovery_beats_cold_replay(arena):
         "wal_events": arena["wal_events"],
         "tail_replayed": checkpointed.report["replayed"],
         "cold_replayed": cold_recovery.report["replayed"],
-        "checkpointed": {"seconds": warm_seconds},
-        "cold": {"seconds": cold_seconds},
+        "repeats": REPEATS,
+        "checkpointed": {"seconds": warm_seconds, "runs": warm_runs},
+        "cold": {"seconds": cold_seconds, "runs": cold_runs},
         "speedup": cold_seconds / warm_seconds,
     }
     # Performance gate: the checkpoint must pay for itself.
     assert warm_seconds < cold_seconds, (
-        f"checkpointed recovery ({warm_seconds:.3f}s) must beat cold "
-        f"replay ({cold_seconds:.3f}s)"
+        f"checkpointed recovery (median {warm_seconds:.3f}s of {warm_runs}) "
+        f"must beat cold replay (median {cold_seconds:.3f}s of {cold_runs})"
     )
 
 

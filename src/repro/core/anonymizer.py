@@ -140,11 +140,9 @@ class LocationAnonymizer:
         if user_id in self._registrations:
             raise RegistrationError(f"user already registered: {user_id!r}")
         with self.telemetry.span("anonymizer.admission"):
-            self.cloaker.add_user(user_id, location)
-            registration = _Registration(
-                profile=profile, pseudonym=self._fresh_pseudonym()
+            registration = self._admit(
+                user_id, location, profile, self._fresh_pseudonym()
             )
-            self._registrations[user_id] = registration
         self.telemetry.set_gauge("anonymizer.registered_users", len(self._registrations))
         # x/y/profile make the event replayable: a recovery engine can
         # re-admit the user (same pseudonym, same requirement schedule)
@@ -163,18 +161,8 @@ class LocationAnonymizer:
 
     def unregister(self, user_id: Hashable) -> None:
         """Unsubscribe a user and retire her server-side region."""
-        registration = self._registration_of(user_id)
-        self.cloaker.remove_user(user_id)
-        if self.server is not None and registration.published:
-            self.server.forget_region(registration.pseudonym)
-        del self._registrations[user_id]
-        self.telemetry.set_gauge("anonymizer.registered_users", len(self._registrations))
-        self.telemetry.emit(
-            USER_RETIRED,
-            user=str(user_id),
-            pseudonym=registration.pseudonym,
-            population=len(self._registrations),
-        )
+        self._registration_of(user_id)
+        self._emit_retired(user_id, self._retire(user_id))
 
     def update_location(self, user_id: Hashable, location: Point) -> None:
         """Receive an exact location report (kept inside the anonymizer)."""
@@ -187,7 +175,8 @@ class LocationAnonymizer:
 
     def update_profile(self, user_id: Hashable, profile: PrivacyProfile) -> None:
         """Users may change their privacy profiles at any time (Section 4)."""
-        self._registration_of(user_id).profile = profile
+        self._registration_of(user_id)
+        self._change_profile(user_id, profile)
         self.telemetry.emit(
             PROFILE_UPDATED, user=str(user_id), profile=profile_rows(profile)
         )
@@ -380,8 +369,8 @@ class LocationAnonymizer:
                 area_sum = 0.0
                 rotated = 0
                 for user_id, result in outcome.results.items():
-                    registration = self._registrations[user_id]
-                    rotated += self._rotate(registration)
+                    registration, fresh = self._rotate(user_id)
+                    rotated += fresh
                     region = result.region
                     regions[registration.pseudonym] = region
                     area_sum += region.area
@@ -418,10 +407,9 @@ class LocationAnonymizer:
 
     def _push(self, user_id: Hashable, result: CloakResult) -> None:
         """Send one cloaked region to the server under the pseudonym policy."""
-        registration = self._registration_of(user_id)
+        old_pseudonym = self._registration_of(user_id).pseudonym
         with self.telemetry.span("anonymizer.publish"):
-            old_pseudonym = registration.pseudonym
-            rotated = self._rotate(registration)
+            registration, rotated = self._rotate(user_id)
             region = result.region
             self.server.receive_region(registration.pseudonym, region)
         # user + region sides make the publication replayable (WAL); the
@@ -506,19 +494,86 @@ class LocationAnonymizer:
         except KeyError:
             raise RegistrationError(f"unknown user: {user_id!r}") from None
 
-    def _rotate(self, registration: _Registration) -> bool:
+    def _rotate(self, user_id: Hashable) -> tuple[_Registration, bool]:
         """The pseudonym policy, ahead of one publication: under
-        ``rotate_pseudonyms`` a user who has published before retires that
-        region and takes a fresh pseudonym (returns whether she did).  The
-        registration ends up published; the caller delivers the region.
+        ``rotate_pseudonyms`` a user who has published before takes a
+        fresh pseudonym (the flag says whether one was taken), and
+        :meth:`_adopt` applies the choice.  The caller delivers the region.
         """
+        registration = self._registrations[user_id]
         rotated = self.rotate_pseudonyms and registration.published
-        if rotated:
-            self.server.forget_region(registration.pseudonym)
-            registration.pseudonym = self._fresh_pseudonym()
-        registration.published = True
-        return rotated
+        pseudonym = self._fresh_pseudonym() if rotated else registration.pseudonym
+        return self._adopt(user_id, pseudonym), rotated
 
     def _fresh_pseudonym(self) -> str:
-        self._pseudonym_seq += 1
-        return f"anon-{self._pseudonym_seq:06d}"
+        """The next pseudonym; the applier that adopts it advances the counter."""
+        return f"anon-{self._pseudonym_seq + 1:06d}"
+
+    def _emit_retired(self, user_id: Hashable, registration: _Registration) -> None:
+        """The durable record of one retirement, after its applier ran."""
+        self.telemetry.set_gauge("anonymizer.registered_users", len(self._registrations))
+        self.telemetry.emit(
+            USER_RETIRED,
+            user=str(user_id),
+            pseudonym=registration.pseudonym,
+            population=len(self._registrations),
+        )
+
+    # ------------------------------------------------------------------
+    # Appliers (docs/durability.md): the one state change per durable
+    # fact, live and in recovery alike.  No telemetry in them.
+    # ------------------------------------------------------------------
+
+    def _admit(
+        self,
+        user_id: Hashable,
+        location: Point,
+        profile: PrivacyProfile,
+        pseudonym: str,
+        published: bool = False,
+    ) -> _Registration:
+        """``user.admitted``: enter the cloaker and the registration table."""
+        self.cloaker.add_user(user_id, location)
+        registration = _Registration(profile, pseudonym, published)
+        self._registrations[user_id] = registration
+        self._advance_pseudonyms(_pseudonym_number(pseudonym))
+        return registration
+
+    def _retire(self, user_id: Hashable) -> _Registration:
+        """``user.retired``, this side: leave the cloaker and the table and
+        take a published region off the server; returns the registration."""
+        registration = self._registrations.pop(user_id)
+        self.cloaker.remove_user(user_id)
+        if self.server is not None and registration.published:
+            self.server.forget_region(registration.pseudonym)
+        return registration
+
+    def _adopt(self, user_id: Hashable, pseudonym: str) -> _Registration:
+        """Publish under ``pseudonym``: one that differs from the current
+        one retires the old region when it was published, and advances the
+        counter.  The registration ends up published."""
+        registration = self._registrations[user_id]
+        if pseudonym != registration.pseudonym:
+            if registration.published:
+                self.server.forget_region(registration.pseudonym)
+            registration.pseudonym = pseudonym
+            self._advance_pseudonyms(_pseudonym_number(pseudonym))
+        registration.published = True
+        return registration
+
+    def _change_profile(self, user_id: Hashable, profile: PrivacyProfile) -> None:
+        """``profile.updated``: the profile in force from now on."""
+        self._registrations[user_id].profile = profile
+
+    def _advance_pseudonyms(self, seq: int) -> None:
+        """Keep the pseudonym counter at or past ``seq``."""
+        if seq > self._pseudonym_seq:
+            self._pseudonym_seq = seq
+
+
+def _pseudonym_number(pseudonym: str) -> int:
+    """The counter value behind an ``anon-<n>`` pseudonym; 0 for others."""
+    try:
+        return int(str(pseudonym).rsplit("-", 1)[1])
+    except (IndexError, ValueError):
+        return 0

@@ -116,13 +116,18 @@ class LocationServer:
         a question is counted under the same name whatever backend or
         route answers it (:func:`repro.queries.spec.native_kind`).
         """
-        self.queries_served += n
-        self.queries_by_kind[kind] = self.queries_by_kind.get(kind, 0) + n
+        self._count_queries(kind, n)
         self.telemetry.count("server.queries", amount=n, kind=kind)
         # Durable accounting record: replaying these reconstructs the
         # served-query counters after a crash (repro.persist).  ``query``
         # not ``kind`` — the latter is the event-envelope key.
         self.telemetry.emit(SERVER_QUERY, query=kind, n=n)
+
+    def _count_queries(self, kind: str, n: int) -> None:
+        """Applier of ``server.query``: the served-query counters (no
+        telemetry; crash recovery replays it)."""
+        self.queries_served += n
+        self.queries_by_kind[kind] = self.queries_by_kind.get(kind, 0) + n
 
     # ------------------------------------------------------------------
     # Public data maintenance (exact locations, no privacy)

@@ -36,17 +36,69 @@ CHANGELOG_KEEP = 4096
 REBUILD_FRACTION = 0.5
 
 
-class PublicStore:
+class _Store:
+    """What both stores keep besides their entries: the backing R-tree, a
+    mutation counter, the bounded changelog snapshot deltas read, and the
+    cached snapshot every mutation invalidates."""
+
+    def __init__(self, max_entries: int) -> None:
+        self._rtree = RTree(max_entries=max_entries)
+        self._version = 0
+        self._snapshot: tuple | None = None
+        self._changelog: deque[tuple[ItemId, Point | Rect | None]] = deque(
+            maxlen=CHANGELOG_KEEP
+        )
+
+    def _touch(self, object_id: ItemId, payload: Point | Rect | None) -> None:
+        self._version += 1
+        self._snapshot = None
+        self._changelog.append((object_id, payload))
+
+    def restore(self, index: RTree, version: int) -> None:
+        """Become the store a checkpoint recorded: ``index`` holds the entries.
+
+        The mutation counter is restored verbatim so replayed updates
+        advance it exactly as the uncrashed run did; the changelog starts
+        empty, so the first batch after a recovery captures its engine
+        snapshot from the restored store, as after any bulk tick.
+        """
+        self._rtree = index
+        self._version = version
+        self._snapshot = None
+        self._changelog.clear()
+
+    @property
+    def version(self) -> int:
+        """Monotonic mutation counter (snapshot-cache invalidation key)."""
+        return self._version
+
+    def changes_since(self, version: int) -> list | None:
+        """Mutations after ``version``, oldest-first (``None`` payload =
+        removal); ``None`` when the changelog no longer covers the gap
+        and callers must re-capture.
+
+        Versions advance by exactly one per logged mutation, so the gap
+        *is* the entry count.
+        """
+        delta = self._version - version
+        if delta < 0 or delta > len(self._changelog):
+            return None
+        if delta == 0:
+            return []
+        return list(islice(self._changelog, len(self._changelog) - delta, None))
+
+    @property
+    def index_counters(self) -> IndexCounters:
+        """Cumulative work counters of the backing R-tree (observability)."""
+        return self._rtree.counters
+
+
+class PublicStore(_Store):
     """Exact point objects (the paper's "public data")."""
 
     def __init__(self, max_entries: int = 16) -> None:
-        self._rtree = RTree(max_entries=max_entries)
+        super().__init__(max_entries)
         self._points: dict[ItemId, Point] = {}
-        self._version = 0
-        self._snapshot: tuple[tuple[ItemId, ...], np.ndarray, np.ndarray] | None = None
-        self._changelog: deque[tuple[ItemId, Point | None]] = deque(
-            maxlen=CHANGELOG_KEEP
-        )
 
     @classmethod
     def from_points(
@@ -88,23 +140,12 @@ class PublicStore:
         del self._points[object_id]
         self._touch(object_id, None)
 
-    def _touch(self, object_id: ItemId, payload: Point | None) -> None:
-        self._version += 1
-        self._snapshot = None
-        self._changelog.append((object_id, payload))
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (snapshot-cache invalidation key)."""
-        return self._version
-
-    def changes_since(
-        self, version: int
-    ) -> list[tuple[ItemId, Point | None]] | None:
-        """Mutations after ``version``, oldest-first (``None`` payload =
-        removal); ``None`` when the changelog no longer covers the gap
-        and callers must re-capture."""
-        return _changes_since(self._changelog, self._version, version)
+    def restore(self, index: RTree, version: int) -> None:
+        super().restore(index, version)
+        self._points = {}
+        for object_id in index:
+            rect = index.geometry_of(object_id)
+            self._points[object_id] = Point(rect.min_x, rect.min_y)
 
     def snapshot_arrays(
         self,
@@ -142,11 +183,6 @@ class PublicStore:
         """Incremental nearest-first iteration of ``(id, distance)``."""
         return self._rtree.nearest_iter(point)
 
-    @property
-    def index_counters(self) -> IndexCounters:
-        """Cumulative work counters of the backing R-tree (observability)."""
-        return self._rtree.counters
-
     def items(self) -> Iterator[tuple[ItemId, Point]]:
         return iter(self._points.items())
 
@@ -160,7 +196,7 @@ class PublicStore:
         return object_id in self._points
 
 
-class PrivateStore:
+class PrivateStore(_Store):
     """Cloaked-region objects (the paper's "private data").
 
     The paper stresses that privacy is managed *before* storage: "we aim
@@ -170,14 +206,9 @@ class PrivateStore:
     """
 
     def __init__(self, max_entries: int = 16) -> None:
+        super().__init__(max_entries)
         self._max_entries = max_entries
-        self._rtree = RTree(max_entries=max_entries)
         self._regions: dict[ItemId, Rect] = {}
-        self._version = 0
-        self._snapshot: tuple[tuple[ItemId, ...], np.ndarray] | None = None
-        self._changelog: deque[tuple[ItemId, Rect | None]] = deque(
-            maxlen=CHANGELOG_KEEP
-        )
 
     def set_region(self, object_id: ItemId, region: Rect) -> None:
         """Insert or replace the cloaked region of ``object_id``."""
@@ -230,23 +261,9 @@ class PrivateStore:
         del self._regions[object_id]
         self._touch(object_id, None)
 
-    def _touch(self, object_id: ItemId, payload: Rect | None) -> None:
-        self._version += 1
-        self._snapshot = None
-        self._changelog.append((object_id, payload))
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (snapshot-cache invalidation key)."""
-        return self._version
-
-    def changes_since(
-        self, version: int
-    ) -> list[tuple[ItemId, Rect | None]] | None:
-        """Mutations after ``version``, oldest-first (``None`` payload =
-        removal); ``None`` when the changelog no longer covers the gap
-        and callers must re-capture."""
-        return _changes_since(self._changelog, self._version, version)
+    def restore(self, index: RTree, version: int) -> None:
+        super().restore(index, version)
+        self._regions = {object_id: index.geometry_of(object_id) for object_id in index}
 
     def snapshot_arrays(self) -> tuple[tuple[ItemId, ...], np.ndarray]:
         """Point-in-time ``(ids, bounds)`` view of every cloaked region.
@@ -271,11 +288,6 @@ class PrivateStore:
         """Objects whose cloaked region intersects ``window``."""
         return self._rtree.range_query(window)
 
-    @property
-    def index_counters(self) -> IndexCounters:
-        """Cumulative work counters of the backing R-tree (observability)."""
-        return self._rtree.counters
-
     def items(self) -> Iterator[tuple[ItemId, Rect]]:
         return iter(self._regions.items())
 
@@ -287,22 +299,3 @@ class PrivateStore:
 
     def __contains__(self, object_id: ItemId) -> bool:
         return object_id in self._regions
-
-
-def _changes_since(
-    changelog: deque, current_version: int, version: int
-) -> list | None:
-    """Tail of ``changelog`` covering ``current_version - version`` entries.
-
-    Versions advance by exactly one per logged mutation, so the gap *is*
-    the entry count.  Returns ``None`` for gaps the bounded log no longer
-    covers (or nonsensical future versions), signalling a full re-capture.
-    """
-    delta = current_version - version
-    if delta < 0:
-        return None
-    if delta == 0:
-        return []
-    if delta > len(changelog):
-        return None
-    return list(islice(changelog, len(changelog) - delta, None))

@@ -275,7 +275,7 @@ class PrivacySystem:
         """Add a mobile user; visible modes register with the anonymizer."""
         if user.user_id in self.users:
             raise RegistrationError(f"duplicate user: {user.user_id!r}")
-        self.users[user.user_id] = user
+        self._add_user(user)
         # System-level durable record (covers passive users, who never
         # reach the anonymizer and so never get a ``user.admitted``).
         self.obs.emit(
@@ -294,37 +294,33 @@ class PrivacySystem:
         """Switch a user's participation mode, (un)registering as needed."""
         user = self._user(user_id)
         was_visible = user.is_visible
+        self._change_mode(user_id, mode)
         self.obs.emit(USER_MODE_CHANGED, user=str(user_id), mode=mode.value)
-        user.mode = mode
         if user.is_visible and not was_visible:
             self.anonymizer.register(user.user_id, user.profile, user.location)
         elif was_visible and not user.is_visible:
-            # She leaves under the profile in force (``update_profile``
-            # changes only the registration), so a later re-activation
-            # re-admits her under it, not under the one she joined with.
-            user.profile = self.anonymizer._registration_of(user_id).profile
-            self.anonymizer.unregister(user.user_id)
+            self.anonymizer._emit_retired(user_id, self._retire(user_id))
 
     # ------------------------------------------------------------------
     # Simulation stepping
     # ------------------------------------------------------------------
 
     def apply_movement(self, positions: dict[Hashable, Point], dt: float = 1.0) -> None:
-        """Apply one mobility-model step's positions and publish regions."""
+        """Apply one mobility-model step's positions and publish regions.
+
+        Every id is checked before anything changes: one unknown user
+        refuses the whole step, with nothing moved and nothing logged.
+        """
+        for user_id in positions:
+            self._user(user_id)
         self.clock += dt
         self.obs.emit(CLOCK_ADVANCED, t=self.clock, dt=dt)
         for user_id, point in positions.items():
-            user = self._user(user_id)
-            user.location = point
-            if user.is_visible:
-                # The anonymizer emits the durable ``user.moved`` record.
-                self.anonymizer.update_location(user_id, point)
-            else:
-                self.obs.emit(
-                    USER_MOVED, user=str(user_id), x=point.x, y=point.y
-                )
+            with self.obs.span("user.update"):
+                self._move_user(user_id, point)
+            self.obs.emit(USER_MOVED, user=str(user_id), x=point.x, y=point.y)
         for user_id in positions:
-            if self._user(user_id).is_visible:
+            if self.users[user_id].is_visible:
                 self.anonymizer.publish(user_id, self.clock)
 
     def publish_all(self, *, bulk: bool = False) -> None:
@@ -405,7 +401,7 @@ class PrivacySystem:
             truth(store, at, spec),
             lambda item: store.point_of(item).distance_to(at),
         )
-        getattr(self.ledger, outcome.ledger).append(outcome)
+        self._record(outcome)
         metric, field_name = outcome.qos
         self.obs.observe(metric, getattr(outcome, field_name))
         attrs = {"k": outcome.k} if kind == "private_knn" else {}
@@ -672,6 +668,43 @@ class PrivacySystem:
             raise RegistrationError(
                 f"user {user_id!r} is passive and cannot issue queries"
             )
-        if user.mode is not UserMode.QUERY:
-            user.mode = UserMode.QUERY
         return user
+
+    # ------------------------------------------------------------------
+    # Appliers (docs/durability.md): the one state change per durable
+    # fact, live and in recovery alike.  No telemetry in them.
+    # ------------------------------------------------------------------
+
+    def _add_user(self, user: MobileUser) -> None:
+        """``user.added``: one row of the user table."""
+        self.users[user.user_id] = user
+
+    def _move_user(self, user_id: Hashable, point: Point) -> None:
+        """``user.moved``: the user's row, and the cloaker while registered."""
+        user = self.users.get(user_id)
+        if user is not None:
+            user.location = point
+        if user_id in self.anonymizer._registrations:
+            self.anonymizer.cloaker.move_user(user_id, point)
+
+    def _change_mode(self, user_id: Hashable, mode: UserMode) -> None:
+        """``user.mode``: the user's participation mode."""
+        self.users[user_id].mode = mode
+
+    def _retire(self, user_id: Hashable):
+        """``user.retired``: the anonymizer lets the user go, under the
+        profile in force (``update_profile`` changes only the
+        registration), so a later re-activation re-admits under it, not
+        under the one the user joined with.  Returns the registration."""
+        registration = self.anonymizer._retire(user_id)
+        user = self.users.get(user_id)
+        if user is not None:
+            user.profile = registration.profile
+        return registration
+
+    def _record(self, outcome) -> None:
+        """``query.completed``: the QoS ledger entry, and the asker in
+        query mode.  A refused query records nothing and flips nothing."""
+        getattr(self.ledger, outcome.ledger).append(outcome)
+        if outcome.user_id in self.users:
+            self._change_mode(outcome.user_id, UserMode.QUERY)

@@ -313,6 +313,10 @@ class EventLog:
     def disable(self) -> None:
         self.enabled = False
 
+    def resume_after(self, seq: int) -> None:
+        """Number the next event past ``seq`` (a recovered log continues its WAL)."""
+        self._seq = max(self._seq, seq)
+
     def add_tap(self, tap) -> None:
         """Invoke ``tap(event)`` for every future emission (live stream).
 

@@ -13,8 +13,14 @@ equivalent to the one that crashed:
    no checkpoint at all, cold-start an empty system from the
    ``wal-meta.json`` sidecar;
 3. replay every WAL event with a sequence number past the checkpoint's
-   ``wal_seq``, mutating state directly with emission disabled (replay
-   must not write new history).
+   ``wal_seq`` with emission disabled (replay must not write new
+   history).
+
+Both steps only parse: a checkpoint row or an event's attrs become typed
+values handed to the applier the live method calls for that fact
+(``PrivacySystem._record``, ``LocationAnonymizer._admit``, the stores'
+``restore`` ...; docs/durability.md has the table), so a fact is applied
+by the same code live, restored or replayed.
 
 The WAL is trusted-tier (anonymizer-side) state: it carries exact
 locations and identities, exactly what the anonymizer itself holds.  It
@@ -41,7 +47,6 @@ import json
 import os
 from dataclasses import fields
 
-from repro.core.anonymizer import _Registration
 from repro.core.profiles import profile_from_rows
 from repro.core.system import (
     KNNQueryOutcome,
@@ -147,7 +152,7 @@ class Recovery:
         replay_events = [
             e for e in events if e.seq > checkpoint_seq and e.kind != LOG_TRUNCATED
         ]
-        self._check_tail_coverage(checkpoint_seq, events, replay_events)
+        self._check_tail_coverage(checkpoint_seq, replay_events)
 
         system = self._build_system(state)
         log = system.obs.events
@@ -174,7 +179,7 @@ class Recovery:
             final_seq = max(
                 checkpoint_seq, replay_events[-1].seq if replay_events else 0
             )
-            log._seq = max(log._seq, final_seq)
+            log.resume_after(final_seq)
             log.enable()
         system.obs.set_gauge(
             "anonymizer.registered_users",
@@ -263,27 +268,19 @@ class Recovery:
             )
 
     def _check_tail_coverage(
-        self,
-        checkpoint_seq: int,
-        events: list[Event],
-        replay_events: list[Event],
+        self, checkpoint_seq: int, replay_events: list[Event]
     ) -> None:
-        """The WAL must reach back to the checkpoint's sequence number."""
-        if self.allow_gaps:
+        """The WAL must reach back to the checkpoint's sequence number (a
+        cold start's trail that does not begin at 1 is a sequence hole)."""
+        if self.allow_gaps or not replay_events:
             return
-        if replay_events:
-            first = replay_events[0].seq
-            if first != checkpoint_seq + 1:
-                raise RecoveryError(
-                    f"WAL tail starts at seq {first} but the checkpoint "
-                    f"covers up to {checkpoint_seq}; events "
-                    f"{checkpoint_seq + 1}..{first - 1} are missing "
-                    "(pass allow_gaps=True for best-effort recovery)"
-                )
-        elif checkpoint_seq == 0 and events:
-            # Cold start: the trail must begin at the very first event.
-            raise RecoveryError(  # pragma: no cover - caught as seq hole
-                "cold-start WAL does not begin at seq 1"
+        first = replay_events[0].seq
+        if first != checkpoint_seq + 1:
+            raise RecoveryError(
+                f"WAL tail starts at seq {first} but the checkpoint "
+                f"covers up to {checkpoint_seq}; events "
+                f"{checkpoint_seq + 1}..{first - 1} are missing "
+                "(pass allow_gaps=True for best-effort recovery)"
             )
 
     def _load_latest_checkpoint(self) -> tuple[dict | None, list[str]]:
@@ -329,60 +326,31 @@ class Recovery:
 
 
 # ----------------------------------------------------------------------
-# Appliers: one per durable fact, shared by restore and replay
+# Restore and replay: parse stored values, call their owners' appliers
 # ----------------------------------------------------------------------
 
 #: Ledger outcome types by checkpoint ``ledger`` key; the event trail
 #: names the same kinds ``private_<key>``.  A stored row is the type's
-#: fields in declaration order.
+#: fields in declaration order; an event carries them by name.
 _OUTCOME_TYPES = {
     "range": RangeQueryOutcome,
     "nn": NNQueryOutcome,
     "knn": KNNQueryOutcome,
 }
+_OUTCOME_FIELDS = {
+    f"private_{key}": (outcome_type, [f.name for f in fields(outcome_type)[1:]])
+    for key, outcome_type in _OUTCOME_TYPES.items()
+}
 
 
-def _add_user(system: "PrivacySystem", user_id, x, y, mode, speed, rows) -> None:
-    """Enter one mobile user into the system's user table."""
-    system.users[user_id] = MobileUser(
+def _user(user_id, x, y, mode, speed, rows) -> MobileUser:
+    return MobileUser(
         user_id, Point(x, y), profile_from_rows(rows), UserMode(mode), speed
     )
 
 
-def _admit(anonymizer, user_id, point: Point, rows, pseudonym, published=False) -> None:
-    """Register one user with the cloaker and the registration table."""
-    anonymizer.cloaker.add_user(user_id, point)
-    anonymizer._registrations[user_id] = _Registration(
-        profile=profile_from_rows(rows),
-        pseudonym=pseudonym,
-        published=bool(published),
-    )
-
-
-def _record_outcome(ledger, key: str, row) -> None:
-    """Append one QoS ledger entry from its stored row."""
-    outcome = _OUTCOME_TYPES[key](*row)
-    getattr(ledger, outcome.ledger).append(outcome)
-
-
-def _adopt_pseudonym(system: "PrivacySystem", user_id, pseudonym: str) -> None:
-    """The pseudonym policy as recorded, ahead of one publication: a
-    pseudonym differing from the registration's means the live run
-    rotated, so retire the old region, adopt the recorded one and keep
-    the counter ahead of it.  The registration ends up published.
-    """
-    registration = system.anonymizer._registrations[user_id]
-    if pseudonym != registration.pseudonym:
-        if registration.published:
-            system.server.forget_region(registration.pseudonym)
-        registration.pseudonym = pseudonym
-        _bump_pseudonym_seq(system.anonymizer, pseudonym)
-    registration.published = True
-
-
-# ----------------------------------------------------------------------
-# Checkpoint restoration
-# ----------------------------------------------------------------------
+def _rect(attrs: dict) -> Rect:
+    return Rect(attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"])
 
 
 def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
@@ -394,186 +362,98 @@ def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
     anonymizer = system.anonymizer
     server = system.server
     system.clock = state["clock"]
-    for row in state["users"]:
-        _add_user(system, *row)
-    for user_id, pseudonym, published, rows in state["registrations"]:
-        _admit(
-            anonymizer, user_id, system.users[user_id].location, rows, pseudonym, published
-        )
-    anonymizer._pseudonym_seq = int(state["pseudonym_seq"])
-
-    _restore_store(server.public, state["stores"]["public"], points=True)
-    _restore_store(server.private, state["stores"]["private"], points=False)
-
-    server_state = state["server"]
-    server.region_updates_received = int(server_state["region_updates"])
-    server.queries_served = int(server_state["queries_served"])
-    server.queries_by_kind = {
-        kind: int(n) for kind, n in server_state["queries_by_kind"].items()
-    }
-    for monitor_id, sides in server_state["monitors"]:
-        server.register_count_monitor(monitor_id, Rect(*sides))
-
+    # The ledger goes first: its applier puts each asker in query mode,
+    # and the user rows restored after it carry the mode in force now.
     for key, rows in state["ledger"].items():
         for row in rows:
-            _record_outcome(system.ledger, key, row)
+            system._record(_OUTCOME_TYPES[key](*row))
+    for row in state["users"]:
+        system._add_user(_user(*row))
+    for user_id, pseudonym, published, rows in state["registrations"]:
+        anonymizer._admit(
+            user_id,
+            system.users[user_id].location,
+            profile_from_rows(rows),
+            pseudonym,
+            bool(published),
+        )
+    anonymizer._advance_pseudonyms(int(state["pseudonym_seq"]))
+    for name, store in (("public", server.public), ("private", server.private)):
+        stored = state["stores"][name]
+        store.restore(index_from_state(stored["index"]), int(stored["version"]))
 
-
-def _restore_store(store, store_state: dict, *, points: bool) -> None:
-    """Rebuild one server store from its serialised index state.
-
-    The mutation counter is restored verbatim so replayed tail updates
-    advance it exactly as the uncrashed run did; the bounded changelog
-    starts empty, so the first batch after a recovery captures its
-    engine snapshot from the restored store, as after any bulk tick.
-    """
-    index = index_from_state(store_state["index"])
-    entries = {
-        item: Rect(min_x, min_y, max_x, max_y)
-        for item, min_x, min_y, max_x, max_y in store_state["index"]["entries"]
+    counters = state["server"]
+    server.region_updates_received = int(counters["region_updates"])
+    server.queries_served = int(counters["queries_served"])
+    server.queries_by_kind = {
+        kind: int(n) for kind, n in counters["queries_by_kind"].items()
     }
-    store._rtree = index
-    if points:
-        store._points = {
-            item: Point(rect.min_x, rect.min_y) for item, rect in entries.items()
-        }
-    else:
-        store._regions = entries
-    store._version = int(store_state["version"])
-    store._snapshot = None
-    store._changelog.clear()
+    for monitor_id, sides in counters["monitors"]:
+        server.register_count_monitor(monitor_id, Rect(*sides))
 
 
-# ----------------------------------------------------------------------
-# WAL replay
-# ----------------------------------------------------------------------
+def _advance_clock(system: "PrivacySystem", attrs: dict) -> None:
+    system.clock = attrs["t"]
 
 
-def _bump_pseudonym_seq(anonymizer, pseudonym: str) -> None:
-    """Keep the pseudonym counter ahead of every pseudonym seen."""
-    try:
-        number = int(str(pseudonym).rsplit("-", 1)[1])
-    except (IndexError, ValueError):
-        return
-    anonymizer._pseudonym_seq = max(anonymizer._pseudonym_seq, number)
+def _replay_published(system: "PrivacySystem", attrs: dict) -> None:
+    system.anonymizer._adopt(attrs["user"], attrs["pseudonym"])
+    system.server.receive_region(attrs["pseudonym"], _rect(attrs))
+
+
+def _replay_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
+    adopt = system.anonymizer._adopt
+    regions: dict = {}
+    for user_id, pseudonym, min_x, min_y, max_x, max_y in attrs["regions"]:
+        adopt(user_id, pseudonym)
+        regions[pseudonym] = Rect(min_x, min_y, max_x, max_y)
+    system.server.receive_regions(regions)
+
+
+def _replay_completed(system: "PrivacySystem", attrs: dict) -> None:
+    outcome_type, names = _OUTCOME_FIELDS[attrs["query"]]
+    system._record(outcome_type(attrs["user"], *(attrs[name] for name in names)))
+
+
+#: How each durable event kind reaches its applier.  Replay reconstructs
+#: effects, it must not re-run algorithms: the pseudonyms, cloaked
+#: regions and outcomes in the trail already are the original execution's.
+_REPLAY = {
+    USER_ADDED: lambda s, a: s._add_user(
+        _user(a["user"], a["x"], a["y"], a["mode"], a["speed"], a["profile"])
+    ),
+    USER_ADMITTED: lambda s, a: s.anonymizer._admit(
+        a["user"],
+        Point(a["x"], a["y"]),
+        profile_from_rows(a["profile"]),
+        a["pseudonym"],
+    ),
+    USER_RETIRED: lambda s, a: s._retire(a["user"]),
+    USER_MOVED: lambda s, a: s._move_user(a["user"], Point(a["x"], a["y"])),
+    USER_MODE_CHANGED: lambda s, a: s._change_mode(a["user"], UserMode(a["mode"])),
+    PROFILE_UPDATED: lambda s, a: s.anonymizer._change_profile(
+        a["user"], profile_from_rows(a["profile"])
+    ),
+    POI_ADDED: lambda s, a: s.server.public.add(a["object"], Point(a["x"], a["y"])),
+    POI_MOVED: lambda s, a: s.server.public.move(a["object"], Point(a["x"], a["y"])),
+    POI_REMOVED: lambda s, a: s.server.public.remove(a["object"]),
+    CLOCK_ADVANCED: _advance_clock,
+    MONITOR_REGISTERED: lambda s, a: s.server.register_count_monitor(
+        a["monitor"], _rect(a)
+    ),
+    MONITOR_DROPPED: lambda s, a: s.server.drop_count_monitor(a["monitor"]),
+    REGION_PUBLISHED: _replay_published,
+    REGIONS_PUBLISHED_BULK: _replay_published_bulk,
+    QUERY_COMPLETED: _replay_completed,
+    SERVER_QUERY: lambda s, a: s.server._count_queries(a["query"], int(a.get("n", 1))),
+}
 
 
 def _replay_event(system: "PrivacySystem", event: Event) -> bool:
-    """Apply one WAL event to ``system``; returns False for no-op kinds.
-
-    State is mutated directly (events disabled by the caller): replay
-    reconstructs effects, it must not re-run algorithms — the cloaked
-    regions, candidates and decisions in the trail are already the
-    outcome of the original execution.
-    """
-    kind = event.kind
-    attrs = event.attrs
-    anonymizer = system.anonymizer
-    server = system.server
-
-    if kind == USER_ADDED:
-        _add_user(
-            system,
-            attrs["user"],
-            attrs["x"],
-            attrs["y"],
-            attrs["mode"],
-            attrs["speed"],
-            attrs["profile"],
-        )
-        return True
-    if kind == USER_ADMITTED:
-        _admit(
-            anonymizer,
-            attrs["user"],
-            Point(attrs["x"], attrs["y"]),
-            attrs["profile"],
-            attrs["pseudonym"],
-        )
-        _bump_pseudonym_seq(anonymizer, attrs["pseudonym"])
-        return True
-    if kind == USER_RETIRED:
-        registration = anonymizer._registrations.pop(attrs["user"])
-        anonymizer.cloaker.remove_user(attrs["user"])
-        # As ``PrivacySystem.set_mode``: she leaves under the profile in force.
-        user = system.users.get(attrs["user"])
-        if user is not None:
-            user.profile = registration.profile
-        if registration.published:
-            server.forget_region(registration.pseudonym)
-        return True
-    if kind == USER_MOVED:
-        user_id = attrs["user"]
-        point = Point(attrs["x"], attrs["y"])
-        user = system.users.get(user_id)
-        if user is not None:
-            user.location = point
-        if user_id in anonymizer._registrations:
-            anonymizer.cloaker.move_user(user_id, point)
-        return True
-    if kind == USER_MODE_CHANGED:
-        system.users[attrs["user"]].mode = UserMode(attrs["mode"])
-        return True
-    if kind == PROFILE_UPDATED:
-        anonymizer._registrations[attrs["user"]].profile = profile_from_rows(
-            attrs["profile"]
-        )
-        return True
-    if kind == POI_ADDED:
-        server.add_public_object(attrs["object"], Point(attrs["x"], attrs["y"]))
-        return True
-    if kind == POI_MOVED:
-        server.move_public_object(attrs["object"], Point(attrs["x"], attrs["y"]))
-        return True
-    if kind == POI_REMOVED:
-        server.remove_public_object(attrs["object"])
-        return True
-    if kind == CLOCK_ADVANCED:
-        system.clock = attrs["t"]
-        return True
-    if kind == MONITOR_REGISTERED:
-        server.register_count_monitor(
-            attrs["monitor"],
-            Rect(attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"]),
-        )
-        return True
-    if kind == MONITOR_DROPPED:
-        server.drop_count_monitor(attrs["monitor"])
-        return True
-    if kind == REGION_PUBLISHED:
-        _adopt_pseudonym(system, attrs["user"], attrs["pseudonym"])
-        server.receive_region(
-            attrs["pseudonym"],
-            Rect(attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"]),
-        )
-        return True
-    if kind == REGIONS_PUBLISHED_BULK:
-        regions: dict = {}
-        for user_id, pseudonym, min_x, min_y, max_x, max_y in attrs["regions"]:
-            _adopt_pseudonym(system, user_id, pseudonym)
-            regions[pseudonym] = Rect(min_x, min_y, max_x, max_y)
-        server.receive_regions(regions)
-        return True
-    if kind == QUERY_COMPLETED:
-        _replay_query_completed(system, attrs)
-        return True
-    if kind == SERVER_QUERY:
-        n = int(attrs.get("n", 1))
-        server.queries_served += n
-        query = attrs["query"]
-        server.queries_by_kind[query] = server.queries_by_kind.get(query, 0) + n
-        return True
-    return False
-
-
-def _replay_query_completed(system: "PrivacySystem", attrs: dict) -> None:
-    """Reconstruct the QoS ledger entry (and the asker's mode flip)."""
-    user = system.users.get(attrs["user"])
-    if user is not None and user.mode is not UserMode.QUERY:
-        user.mode = UserMode.QUERY
-    key = attrs["query"].removeprefix("private_")
-    if key in _OUTCOME_TYPES:
-        names = [f.name for f in fields(_OUTCOME_TYPES[key])[1:]]
-        _record_outcome(
-            system.ledger, key, [attrs["user"], *(attrs[name] for name in names)]
-        )
+    """Apply one WAL event to ``system``; False for kinds that change no
+    durable state (cloak audit records, planner decisions, ...)."""
+    apply = _REPLAY.get(event.kind)
+    if apply is None:
+        return False
+    apply(system, event.attrs)
+    return True

@@ -16,7 +16,7 @@ import tempfile
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.oracle import BruteForceOracle
@@ -68,6 +68,9 @@ tail_op = st.one_of(
     st.tuples(st.just("mode"), user_id, st.sampled_from(["passive", "active"])),
     st.tuples(st.just("rejoin"), user_id, st.integers(1, 4)),
     st.tuples(st.just("poi_move"), st.just("p0"), coord, coord),
+    # Every POI can go, so NN / k-NN over an empty public store (refused)
+    # is reachable too.
+    st.tuples(st.just("poi_remove"), st.sampled_from([f"p{j}" for j in range(N_POIS)])),
 )
 
 workload = st.builds(
@@ -90,6 +93,15 @@ def _durable_run(directory: str, ops: list[tuple]) -> list[int]:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=workload, checkpoint_slot=st.integers(0, 11), crash_slot=st.integers(0, 11))
+# A refused NN once left its asker in query mode with no event to replay.
+@example(
+    data=(
+        _setup_ops([float(5 * i) for i in range(2 * (N_POIS + N_USERS))]),
+        [*(("poi_remove", f"p{j}") for j in range(N_POIS)), ("nn", "u0")],
+    ),
+    checkpoint_slot=0,
+    crash_slot=11,
+)
 def test_recover_equals_uncrashed_system(data, checkpoint_slot, crash_slot):
     setup, tail = data
     checkpoint_at = len(setup) + checkpoint_slot % (len(tail) + 1)

@@ -10,8 +10,11 @@ both derived state): the one reader must land both on the same digest.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import shutil
+from collections import defaultdict
 
 import pytest
 
@@ -24,15 +27,19 @@ from repro.cloaking.mbr import MBRCloaker
 from repro.cloaking.naive import NaiveCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.cloaking.quadtree_cloak import QuadtreeCloaker
+from repro.core.anonymizer import LocationAnonymizer
 from repro.core.profiles import PrivacyProfile
+from repro.core.server import LocationServer
 from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
 from repro.obs import Telemetry
-from repro.obs.events import PERSIST_CHECKPOINT
+from repro.obs.events import PERSIST_CHECKPOINT, EventLog
 from repro.persist import (
+    META_NAME,
     SCHEMA,
+    WAL_NAME,
     CheckpointError,
     checkpoint_state,
     cloaker_config,
@@ -161,6 +168,94 @@ class TestCheckpointDocument:
         assert checkpoint_state(system)["wal_seq"] == before
         system.apply_movement({"u0": Point(21.0, 21.0)})
         assert checkpoint_state(system)["wal_seq"] > before
+
+
+#: Every applier a live method calls, by owner.  The stores' ``restore``
+#: is not here: a live store changes one entry at a time.
+APPLIERS = [
+    (PrivacySystem, "_add_user"),
+    (PrivacySystem, "_move_user"),
+    (PrivacySystem, "_change_mode"),
+    (PrivacySystem, "_retire"),
+    (PrivacySystem, "_record"),
+    (LocationAnonymizer, "_admit"),
+    (LocationAnonymizer, "_retire"),
+    (LocationAnonymizer, "_adopt"),
+    (LocationAnonymizer, "_change_profile"),
+    (LocationAnonymizer, "_advance_pseudonyms"),
+    (LocationServer, "_count_queries"),
+]
+RESTORE = "checkpoint restore"
+
+
+class TestOneApplierPerFact:
+    def test_live_restore_and_replay_share_every_applier(self, tmp_path, monkeypatch):
+        """Each applier runs live, and again in restore or replay, where it
+        replays exactly the event kinds the live path emits after it.  A
+        second copy of an applier, live or in recovery, leaves one side's
+        calls uncounted."""
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "crash"))
+        harness = importlib.import_module("harness")
+        live: dict[str, set] = defaultdict(set)
+        recovered: dict[str, set] = defaultdict(set)
+        pending: list[str] = []  # live appliers waiting for their event
+        replaying: list[str] = []  # the kind in replay, or RESTORE
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+            key = f"{owner.__name__}.{name}"
+
+            def counted(*args, **kwargs):
+                if replaying:
+                    recovered[key].add(replaying[-1])
+                else:
+                    pending.append(key)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in APPLIERS:
+            spy(owner, name)
+        emit = EventLog.emit
+
+        def emitting(log, kind, /, **attrs):
+            for key in pending:
+                live[key].add(kind)
+            pending.clear()
+            return emit(log, kind, **attrs)
+
+        monkeypatch.setattr(EventLog, "emit", emitting)
+        replay_event = recovery._replay_event
+
+        def replaying_event(system, event):
+            replaying.append(event.kind)
+            try:
+                return replay_event(system, event)
+            finally:
+                replaying.pop()
+
+        monkeypatch.setattr(recovery, "_replay_event", replaying_event)
+
+        directory = tmp_path / "durable"
+        system = harness.build_system(str(directory))
+        harness.run_ops(system, harness.small_workload(), str(directory))
+        system.obs.events.detach_jsonl()
+        cold = tmp_path / "cold"  # the same trail without its checkpoint
+        cold.mkdir()
+        for name in (WAL_NAME, META_NAME):
+            shutil.copy(directory / name, cold / name)
+        replaying.append(RESTORE)
+        warm_system = _recover(directory)
+        cold_system = _recover(cold)
+        replaying.pop()
+
+        assert system_digest(warm_system) == system_digest(system)
+        assert system_digest(cold_system) == system_digest(system)
+        for owner, name in APPLIERS:
+            key = f"{owner.__name__}.{name}"
+            assert live[key], f"{key} never ran live"
+            assert recovered[key], f"{key} never ran in restore or replay"
+            assert recovered[key] - {RESTORE} == live[key], key
 
 
 class TestWriteCheckpoint:

@@ -3,15 +3,31 @@
 import pytest
 
 from repro.cloaking.pyramid_cloak import PyramidCloaker
-from repro.core.errors import RegistrationError
+from repro.core.errors import QueryError, RegistrationError
 from repro.core.profiles import PrivacyProfile
 from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
+from repro.obs import Telemetry
+from repro.persist import WAL_NAME, system_digest
 from repro.queries.spec import NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
+
+
+def _durable_system(directory) -> PrivacySystem:
+    """20 users and no POIs, every event streamed to ``directory``."""
+    system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=5), telemetry=Telemetry())
+    system.attach_wal(directory)
+    for i in range(20):
+        system.add_user(MobileUser(i, Point(5.0 * i, 5.0 * i), PrivacyProfile.always(k=3)))
+    return system
+
+
+def _wal_lines(directory) -> int:
+    with open(directory / WAL_NAME, encoding="utf-8") as handle:
+        return sum(1 for _ in handle)
 
 
 @pytest.fixture
@@ -71,6 +87,21 @@ class TestMovement:
         assert region.contains_point(Point(50, 50))
         assert system.clock == 1.0
 
+    def test_an_unknown_id_refuses_the_whole_step(self, tmp_path):
+        """It used to move the users listed before the unknown one (clock,
+        user table and cloaker) and then raise, leaving them unpublished."""
+        system = _durable_system(tmp_path)
+        system.publish_all()
+        version = system.server.private.version
+        lines = _wal_lines(tmp_path)
+        with pytest.raises(RegistrationError, match="ghost"):
+            system.apply_movement({0: Point(50, 50), "ghost": Point(1, 1)})
+        assert system.clock == 0.0
+        assert system.users[0].location == Point(0.0, 0.0)
+        assert system.anonymizer.cloaker.location_of(0) == Point(0.0, 0.0)
+        assert system.server.private.version == version
+        assert _wal_lines(tmp_path) == lines
+
     def test_publish_all_populates_server(self, system):
         system.publish_all()
         assert len(system.server.private) == 500
@@ -114,6 +145,20 @@ class TestQueries:
     def test_query_switches_mode(self, system):
         system.query(NNSpec(flavor="private", user=5))
         assert system.users[5].mode is UserMode.QUERY
+
+    def test_refused_query_leaves_the_mode_and_recovers_to_the_live_digest(
+        self, tmp_path
+    ):
+        """An NN over an empty public store is refused.  The asker used to
+        be left in query mode with no event recording it, so the recovered
+        system read that user as active."""
+        system = _durable_system(tmp_path)
+        with pytest.raises(QueryError, match="empty public store"):
+            system.query(NNSpec(flavor="private", user=0))
+        assert system.users[0].mode is UserMode.ACTIVE
+        assert system.ledger.summary() == {}
+        recovered = PrivacySystem.recover(tmp_path, telemetry=Telemetry())
+        assert system_digest(recovered) == system_digest(system)
 
     def test_passive_user_cannot_query(self, system):
         system.set_mode(9, UserMode.PASSIVE)
