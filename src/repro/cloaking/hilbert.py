@@ -101,7 +101,7 @@ class HilbertCloaker(Cloaker):
         """The ids sharing ``user_id``'s k-bucket (reciprocity witnesses).
 
         The sorted user sequence is chopped into ``n // k`` buckets; the
-        last bucket absorbs the remainder, so every bucket holds at least
+        last bucket takes the remainder, so every bucket holds at least
         ``k`` users and every member of a bucket maps to the same bucket —
         the reciprocity property.
         """

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cloaking.base import Cloaker
 from repro.cloaking.incremental import IncrementalCloaker
-from repro.core.anonymizer import LocationAnonymizer
+from repro.core.anonymizer import LocationAnonymizer, _collector_held
 from repro.core.errors import QueryError, RegistrationError
 from repro.core.server import LocationServer
 from repro.geometry.point import Point
@@ -592,7 +592,11 @@ class PrivacySystem:
                 and os.path.getsize(wal_path) > rotate_wal_over
             ):
                 self.rotate_wal()
-        return write_checkpoint(self, directory)
+        # The document is a burst of short-lived containers with no cycles
+        # among them: held, the collector neither scans it nor promotes it
+        # into the oldest generation, where it would hasten a full pass.
+        with _collector_held():
+            return write_checkpoint(self, directory)
 
     @classmethod
     def recover(

@@ -38,7 +38,6 @@ from repro.obs import Telemetry
 from repro.obs.events import (
     BATCH_EXECUTED,
     SNAPSHOT_CAPTURED,
-    SNAPSHOT_DELTA,
     SNAPSHOT_REUSED,
 )
 from repro.queries.private_knn import private_knn_query
@@ -326,24 +325,8 @@ class BatchEngine:
                 n_private=cached.n_private,
             )
             return cached
-        if cached is not None:
-            with self.telemetry.span("engine.snapshot_delta"):
-                absorbed = cached.absorb(self.server)
-            if absorbed is not None:
-                self._cached = absorbed
-                self.telemetry.count("engine.snapshot", result="delta")
-                self.telemetry.emit(
-                    SNAPSHOT_DELTA,
-                    n_public=absorbed.n_public,
-                    n_private=absorbed.n_private,
-                    public_gap=absorbed.public_version - cached.public_version,
-                    private_gap=(
-                        absorbed.private_version - cached.private_version
-                    ),
-                )
-                return absorbed
         with self.telemetry.span("engine.snapshot"):
-            self._cached = ServerSnapshot.capture(self.server)
+            self._cached = ServerSnapshot.capture(self.server, cached)
         self.telemetry.count("engine.snapshot", result="captured")
         self.telemetry.emit(
             SNAPSHOT_CAPTURED,

@@ -7,7 +7,8 @@ audit by eye and make a trustworthy anchor for the conformance suite
 (``tests/conformance/``) and the slow baseline of ``BENCH_batch.json``.
 
 Nearest-neighbour answers are canonical: nearest-first with ties broken
-by insertion rank.  Because index backends may break exact-distance ties
+by insertion rank, which :meth:`BruteForceOracle.from_server` takes from
+the stores' row order.  Because index backends may break exact-distance ties
 differently (all are correct), :meth:`BruteForceOracle.validate_knn`
 checks an answer's *validity* — every strictly-closer object included,
 nothing farther than the last member — rather than identity.
@@ -81,11 +82,15 @@ class BruteForceOracle:
         ]
 
     def public_knn(self, query: Point, k: int) -> list[Hashable]:
-        """The ``k`` nearest public points, canonical order."""
+        """The ``k`` nearest public points, canonical order.
+
+        Ranked by ``(squared distance, rank)``, the key both engine routes
+        use, so exact ties and ulp-close pairs order the same everywhere.
+        """
         ranked = sorted(
             self.public,
             key=lambda item: (
-                query.distance_to(self.public[item]),
+                self.public[item].squared_distance_to(query),
                 self._public_rank[item],
             ),
         )

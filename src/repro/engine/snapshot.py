@@ -3,10 +3,10 @@
 A :class:`ServerSnapshot` is the point-in-time copy of both server
 stores that a whole batch executes against: every query in the batch
 sees the same objects regardless of how long the batch takes or how the
-kernels chunk the work.  Capture is one O(n) bulk export per store
-(:meth:`~repro.index.base.SpatialIndex.snapshot_rects`) and the stores
-cache it per mutation counter, so back-to-back batches over a quiescent
-server share the same arrays (see ``docs/batch_engine.md``).
+kernels chunk the work.  Each side is its store's view: the store's
+columns, copied once per mutation counter, so back-to-back batches over
+a quiescent server share the same arrays and a side that did not change
+keeps them across a capture (see ``docs/batch_engine.md``).
 """
 
 from __future__ import annotations
@@ -51,11 +51,19 @@ class ServerSnapshot:
     private_rank: Mapping[ItemId, int]
 
     @classmethod
-    def capture(cls, server: "LocationServer") -> "ServerSnapshot":
-        """Freeze ``server``'s current public and private tables."""
+    def capture(
+        cls, server: "LocationServer", previous: "ServerSnapshot | None" = None
+    ) -> "ServerSnapshot":
+        """Freeze ``server``'s current public and private tables.
+
+        Each side is its store's view as of the current version, so a
+        side that did not change since ``previous`` comes back with the
+        very same arrays, and the public side then keeps ``previous``'s
+        :attr:`public_grid` too.
+        """
         public_ids, xs, ys = server.public.snapshot_arrays()
         private_ids, bounds = server.private.snapshot_arrays()
-        return cls(
+        snapshot = cls(
             public_version=server.public.version,
             private_version=server.private.version,
             public_ids=public_ids,
@@ -63,9 +71,16 @@ class ServerSnapshot:
             public_ys=ys,
             private_ids=private_ids,
             private_bounds=bounds,
-            public_rank={item: row for row, item in enumerate(public_ids)},
-            private_rank={item: row for row, item in enumerate(private_ids)},
+            public_rank=server.public.rank,
+            private_rank=server.private.rank,
         )
+        if (
+            previous is not None
+            and previous.public_xs is xs
+            and "public_grid" in previous.__dict__
+        ):
+            snapshot.__dict__["public_grid"] = previous.public_grid
+        return snapshot
 
     def matches(self, server: "LocationServer") -> bool:
         """True when ``server``'s stores have not mutated since capture."""
@@ -73,59 +88,6 @@ class ServerSnapshot:
             self.public_version == server.public.version
             and self.private_version == server.private.version
         )
-
-    def absorb(self, server: "LocationServer") -> "ServerSnapshot | None":
-        """A fresh snapshot built by replaying store deltas onto this one.
-
-        Cost is proportional to the number of mutations since capture,
-        not to the store sizes: location-update batches touching a few
-        rows of a large table copy-and-patch the coordinate arrays in
-        place of a full re-freeze, and membership changes rebuild only
-        the affected table.  Sides without any change share this
-        snapshot's arrays (and the public side its lazily built
-        :attr:`public_grid`) outright.
-
-        Returns ``None`` when either store's bounded changelog no longer
-        covers the gap — the caller falls back to :meth:`capture`.
-        """
-        public_changes = server.public.changes_since(self.public_version)
-        private_changes = server.private.changes_since(self.private_version)
-        if public_changes is None or private_changes is None:
-            return None
-        public = _replay(
-            self.public_ids,
-            (self.public_xs, self.public_ys),
-            self.public_rank,
-            [
-                (oid, None if p is None else (p.x, p.y))
-                for oid, p in public_changes
-            ],
-        )
-        private = _replay(
-            self.private_ids,
-            (self.private_bounds,),
-            self.private_rank,
-            [
-                (oid, None if r is None else (r.min_x, r.min_y, r.max_x, r.max_y))
-                for oid, r in private_changes
-            ],
-        )
-        pub_ids, (pub_xs, pub_ys), pub_rank = public
-        priv_ids, (priv_bounds,), priv_rank = private
-        absorbed = ServerSnapshot(
-            public_version=server.public.version,
-            private_version=server.private.version,
-            public_ids=pub_ids,
-            public_xs=pub_xs,
-            public_ys=pub_ys,
-            private_ids=priv_ids,
-            private_bounds=priv_bounds,
-            public_rank=pub_rank,
-            private_rank=priv_rank,
-        )
-        if not public_changes and "public_grid" in self.__dict__:
-            absorbed.__dict__["public_grid"] = self.public_grid
-        return absorbed
 
     @cached_property
     def public_grid(self) -> kernels.PointGrid:
@@ -144,67 +106,3 @@ class ServerSnapshot:
     @property
     def n_private(self) -> int:
         return len(self.private_ids)
-
-
-def _replay(
-    ids: tuple[ItemId, ...],
-    columns: tuple[np.ndarray, ...],
-    rank: Mapping[ItemId, int],
-    changes: list,
-) -> tuple[tuple[ItemId, ...], tuple[np.ndarray, ...], Mapping[ItemId, int]]:
-    """Apply a store changelog tail to one side's frozen table.
-
-    ``changes`` is oldest-first ``(id, values | None)`` where ``values``
-    is one scalar per 1-D column (or one row for a 2-D column) and
-    ``None`` means removal; only the final state per id matters, so the
-    list is collapsed last-wins first.  Pure updates patch copies of the
-    arrays and keep ``ids``/``rank`` shared; membership changes rebuild
-    the table with survivors in their original row order and additions
-    appended in changelog order (matching how the store's own snapshot
-    export orders fresh inserts).
-    """
-    if not changes:
-        return ids, columns, rank
-    final: dict[ItemId, tuple | None] = {}
-    order: list[ItemId] = []
-    for object_id, values in changes:
-        if object_id not in final:
-            order.append(object_id)
-        final[object_id] = values
-    removals = [o for o, v in final.items() if v is None and o in rank]
-    additions = [o for o in order if final[o] is not None and o not in rank]
-    updates = {o: v for o, v in final.items() if v is not None and o in rank}
-
-    def _assign(arrays: tuple[np.ndarray, ...], row_of) -> None:
-        for object_id, values in updates.items():
-            row = row_of(object_id)
-            if len(arrays) == 1:
-                arrays[0][row] = values
-            else:
-                for array, value in zip(arrays, values):
-                    array[row] = value
-
-    if not removals and not additions:
-        patched = tuple(np.array(col) for col in columns)
-        _assign(patched, rank.__getitem__)
-        for col in patched:
-            col.flags.writeable = False
-        return ids, patched, rank
-    gone = set(removals)
-    keep = [row for row, object_id in enumerate(ids) if object_id not in gone]
-    new_ids = tuple([ids[row] for row in keep] + additions)
-    base = len(keep)
-    rebuilt = []
-    for col in columns:
-        shape = (len(new_ids),) + col.shape[1:]
-        out = np.empty(shape, dtype=col.dtype)
-        out[:base] = col[keep]
-        rebuilt.append(out)
-    rebuilt = tuple(rebuilt)
-    new_rank = {object_id: row for row, object_id in enumerate(new_ids)}
-    for object_id in additions:
-        updates[object_id] = final[object_id]
-    _assign(rebuilt, new_rank.__getitem__)
-    for col in rebuilt:
-        col.flags.writeable = False
-    return new_ids, rebuilt, new_rank

@@ -13,7 +13,6 @@ from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterator
 
-import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -112,25 +111,6 @@ class SpatialIndex(ABC):
         except ValueError:
             self.insert(item_id, old)
             raise
-
-    def snapshot_rects(self) -> tuple[list[ItemId], np.ndarray]:
-        """Bulk-export every entry as ``(ids, bounds)`` numpy arrays.
-
-        ``bounds`` is a ``(n, 4)`` float64 array of ``(min_x, min_y,
-        max_x, max_y)`` rows aligned with ``ids``.  This is the batch
-        query engine's snapshot primitive: one O(n) pass here replaces n
-        ``geometry_of`` calls (and n ``Rect`` allocations) per batch.
-        Subclasses override with a direct walk of their storage.
-        """
-        ids = list(self)
-        bounds = np.empty((len(ids), 4))
-        for row, item_id in enumerate(ids):
-            geom = self.geometry_of(item_id)
-            bounds[row, 0] = geom.min_x
-            bounds[row, 1] = geom.min_y
-            bounds[row, 2] = geom.max_x
-            bounds[row, 3] = geom.max_y
-        return ids, bounds
 
     def insert_point(self, item_id: ItemId, point: Point) -> None:
         """Convenience: insert a point as a degenerate rectangle."""

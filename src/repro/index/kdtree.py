@@ -4,7 +4,7 @@ The R-tree handles fully dynamic workloads; the k-d tree is the
 read-optimised alternative for mostly-static public data (POI catalogues
 change rarely).  Bulk loading by median splits yields a balanced tree with
 O(log n) point queries and classic branch-and-bound k-NN.  Updates are
-absorbed into a small overflow buffer and folded in by a rebuild once the
+collected in a small overflow buffer and folded in by a rebuild once the
 buffer exceeds a fraction of the tree — the standard logarithmic-method
 compromise.
 """
@@ -15,7 +15,6 @@ import heapq
 import itertools
 from typing import Iterator
 
-import numpy as np
 
 from repro.geometry.distances import min_dist
 from repro.geometry.point import Point
@@ -199,17 +198,6 @@ class KDTree(SpatialIndex):
     def location_of(self, item_id: ItemId) -> Point:
         """The exact stored point for ``item_id``."""
         return self._points[item_id]
-
-    def snapshot_rects(self) -> tuple[list[ItemId], np.ndarray]:
-        """Bulk export from the point table — the buffer and tombstones
-        are already folded into ``_points``, so no tree walk is needed."""
-        ids = list(self._points)
-        bounds = np.empty((len(ids), 4))
-        for row, item_id in enumerate(ids):
-            p = self._points[item_id]
-            bounds[row, 0] = bounds[row, 2] = p.x
-            bounds[row, 1] = bounds[row, 3] = p.y
-        return ids, bounds
 
     def __len__(self) -> int:
         return len(self._points)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -222,17 +221,6 @@ class PyramidGrid(SpatialIndex):
     def location_of(self, item_id: ItemId) -> Point:
         """The exact stored point for ``item_id``."""
         return self._locations[item_id]
-
-    def snapshot_rects(self) -> tuple[list[ItemId], np.ndarray]:
-        """Bulk export from the location table, bypassing the per-level
-        count structures entirely."""
-        ids = list(self._locations)
-        bounds = np.empty((len(ids), 4))
-        for row, item_id in enumerate(ids):
-            p = self._locations[item_id]
-            bounds[row, 0] = bounds[row, 2] = p.x
-            bounds[row, 1] = bounds[row, 3] = p.y
-        return ids, bounds
 
     def __len__(self) -> int:
         return len(self._locations)

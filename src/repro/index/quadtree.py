@@ -16,7 +16,6 @@ import heapq
 import itertools
 from typing import Iterator
 
-import numpy as np
 
 from repro.geometry.distances import min_dist
 from repro.geometry.point import Point
@@ -210,16 +209,6 @@ class QuadTree(SpatialIndex):
     def location_of(self, item_id: ItemId) -> Point:
         """The exact stored point for ``item_id``."""
         return self._locations[item_id]
-
-    def snapshot_rects(self) -> tuple[list[ItemId], np.ndarray]:
-        """Bulk export from the location table — no quadrant descent."""
-        ids = list(self._locations)
-        bounds = np.empty((len(ids), 4))
-        for row, item_id in enumerate(ids):
-            p = self._locations[item_id]
-            bounds[row, 0] = bounds[row, 2] = p.x
-            bounds[row, 1] = bounds[row, 3] = p.y
-        return ids, bounds
 
     def __len__(self) -> int:
         return len(self._locations)

@@ -14,7 +14,6 @@ import heapq
 import itertools
 from typing import Iterator
 
-import numpy as np
 
 from repro.geometry.distances import min_dist
 from repro.geometry.point import Point
@@ -142,12 +141,10 @@ class RTree(SpatialIndex):
         unknown id raises ``KeyError`` and an unchanged geometry returns,
         both without touching the tree.
         """
-        # Ids iterate in order of last write, which is the row order a
-        # captured snapshot ranks answers by: re-register even when equal.
-        old = self._geoms.pop(item_id)
-        self._geoms[item_id] = geom
+        old = self._geoms[item_id]
         if geom == old:
             return
+        self._geoms[item_id] = geom
         leaf = self._leaf_of[item_id]
         if not leaf.mbr.contains_rect(geom):
             self.delete(item_id)
@@ -225,20 +222,6 @@ class RTree(SpatialIndex):
 
     def geometry_of(self, item_id: ItemId) -> Rect:
         return self._geoms[item_id]
-
-    def snapshot_rects(self) -> tuple[list[ItemId], np.ndarray]:
-        """Bulk export from the geometry table — one pass over ``_geoms``
-        instead of a tree traversal, so the batch engine's snapshot cost
-        is independent of tree shape."""
-        ids = list(self._geoms)
-        bounds = np.empty((len(ids), 4))
-        for row, item_id in enumerate(ids):
-            geom = self._geoms[item_id]
-            bounds[row, 0] = geom.min_x
-            bounds[row, 1] = geom.min_y
-            bounds[row, 2] = geom.max_x
-            bounds[row, 3] = geom.max_y
-        return ids, bounds
 
     def __len__(self) -> int:
         return len(self._geoms)
@@ -399,7 +382,7 @@ class RTree(SpatialIndex):
         group_a, box_a = [], list(boxes[seed_a])
         group_b, box_b = [], list(boxes[seed_b])
 
-        def absorb(group: list, box: list[float], i: int) -> None:
+        def assign(group: list, box: list[float], i: int) -> None:
             group.append(entries[i])
             x0, y0, x1, y1 = boxes[i]
             if x0 < box[0]:
@@ -411,12 +394,12 @@ class RTree(SpatialIndex):
             if y1 > box[3]:
                 box[3] = y1
 
-        absorb(group_a, box_a, seed_a)
-        absorb(group_b, box_b, seed_b)
+        assign(group_a, box_a, seed_a)
+        assign(group_b, box_b, seed_b)
         remaining = [i for i in range(count) if i != seed_a and i != seed_b]
 
         while remaining:
-            # Force assignment when one group must absorb all leftovers to
+            # Force assignment when one group must take all leftovers to
             # reach minimum fill.
             short = None
             if len(group_a) + len(remaining) == self._min:
@@ -425,7 +408,7 @@ class RTree(SpatialIndex):
                 short = group_b, box_b
             if short is not None:
                 for i in remaining:
-                    absorb(*short, i)
+                    assign(*short, i)
                 break
             # Pick the entry with the strongest group preference.
             ax0, ay0, ax1, ay1 = box_a
@@ -449,9 +432,9 @@ class RTree(SpatialIndex):
                 if pick < 0 or preference > strongest:
                     pick, strongest, grow_a, grow_b = pos, preference, to_a, to_b
             if (grow_a, area_a, len(group_a)) <= (grow_b, area_b, len(group_b)):
-                absorb(group_a, box_a, remaining.pop(pick))
+                assign(group_a, box_a, remaining.pop(pick))
             else:
-                absorb(group_b, box_b, remaining.pop(pick))
+                assign(group_b, box_b, remaining.pop(pick))
 
         sibling = _Node(leaf=node.leaf)
         node.entries = group_a

@@ -90,8 +90,6 @@ QUERY_COMPLETED = "query.completed"
 SNAPSHOT_CAPTURED = "snapshot.captured"
 #: The batch engine answered from the cached snapshot (stores quiescent).
 SNAPSHOT_REUSED = "snapshot.reused"
-#: The cached snapshot absorbed a store delta instead of re-freezing.
-SNAPSHOT_DELTA = "snapshot.delta"
 #: One heterogeneous batch was executed.
 BATCH_EXECUTED = "batch.executed"
 #: The cost-based planner chose a backend/route for one query (group);
@@ -154,7 +152,6 @@ EVENT_KINDS: tuple[str, ...] = (
     QUERY_COMPLETED,
     SNAPSHOT_CAPTURED,
     SNAPSHOT_REUSED,
-    SNAPSHOT_DELTA,
     BATCH_EXECUTED,
     PLANNER_DECISION,
     PLANNER_CALIBRATED,

@@ -40,7 +40,6 @@ from repro.obs.events import (
     RISK_SCORED,
     SLO_EVALUATED,
     SNAPSHOT_CAPTURED,
-    SNAPSHOT_DELTA,
     SNAPSHOT_REUSED,
     Event,
 )
@@ -340,10 +339,7 @@ class SLOMonitor:
 
         audit = PrivacyAuditor().consume(windowed).report()
         accuracy = PlanAccuracyAuditor().consume(windowed).report()
-        snapshot_counts = {
-            kind: 0
-            for kind in (SNAPSHOT_REUSED, SNAPSHOT_CAPTURED, SNAPSHOT_DELTA)
-        }
+        snapshot_counts = {SNAPSHOT_REUSED: 0, SNAPSHOT_CAPTURED: 0}
         for event in windowed:
             if event.kind in snapshot_counts:
                 snapshot_counts[event.kind] += 1

@@ -65,13 +65,13 @@ def system_digest(system: "PrivacySystem") -> dict:
         "public": {
             str(object_id): [point.x, point.y]
             for object_id, point in sorted(
-                server.public._points.items(), key=lambda kv: str(kv[0])
+                server.public.items(), key=lambda kv: str(kv[0])
             )
         },
         "private": {
             str(pseudonym): rect_sides(region)
             for pseudonym, region in sorted(
-                server.private._regions.items(), key=lambda kv: str(kv[0])
+                server.private.items(), key=lambda kv: str(kv[0])
             )
         },
         "store_versions": [server.public.version, server.private.version],

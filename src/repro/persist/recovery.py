@@ -163,7 +163,7 @@ class Recovery:
             replayed = skipped = 0
             for event in replay_events:
                 try:
-                    applied = _replay_event(system, event)
+                    applied = _apply_event(system, event)
                 except Exception:
                     # Best-effort mode: an event referencing state that
                     # was lost with the gap (e.g. a publication for a
@@ -396,12 +396,12 @@ def _advance_clock(system: "PrivacySystem", attrs: dict) -> None:
     system.clock = attrs["t"]
 
 
-def _replay_published(system: "PrivacySystem", attrs: dict) -> None:
+def _apply_published(system: "PrivacySystem", attrs: dict) -> None:
     system.anonymizer._adopt(attrs["user"], attrs["pseudonym"])
     system.server.receive_region(attrs["pseudonym"], _rect(attrs))
 
 
-def _replay_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
+def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
     adopt = system.anonymizer._adopt
     regions: dict = {}
     for user_id, pseudonym, min_x, min_y, max_x, max_y in attrs["regions"]:
@@ -410,7 +410,7 @@ def _replay_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
     system.server.receive_regions(regions)
 
 
-def _replay_completed(system: "PrivacySystem", attrs: dict) -> None:
+def _apply_completed(system: "PrivacySystem", attrs: dict) -> None:
     outcome_type, names = _OUTCOME_FIELDS[attrs["query"]]
     system._record(outcome_type(attrs["user"], *(attrs[name] for name in names)))
 
@@ -442,14 +442,14 @@ _REPLAY = {
         a["monitor"], _rect(a)
     ),
     MONITOR_DROPPED: lambda s, a: s.server.drop_count_monitor(a["monitor"]),
-    REGION_PUBLISHED: _replay_published,
-    REGIONS_PUBLISHED_BULK: _replay_published_bulk,
-    QUERY_COMPLETED: _replay_completed,
+    REGION_PUBLISHED: _apply_published,
+    REGIONS_PUBLISHED_BULK: _apply_published_bulk,
+    QUERY_COMPLETED: _apply_completed,
     SERVER_QUERY: lambda s, a: s.server._count_queries(a["query"], int(a.get("n", 1))),
 }
 
 
-def _replay_event(system: "PrivacySystem", event: Event) -> bool:
+def _apply_event(system: "PrivacySystem", event: Event) -> bool:
     """Apply one WAL event to ``system``; False for kinds that change no
     durable state (cloak audit records, planner decisions, ...)."""
     apply = _REPLAY.get(event.kind)

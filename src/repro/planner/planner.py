@@ -166,7 +166,6 @@ class QueryPlanner:
         self.collector = StatisticsCollector(server, self.replicas)
         self.accuracy = AccuracyMonitor()
         self.last_decision: Decision | None = None
-        self._rank_cache: dict[str, tuple[int, dict]] = {}
 
     # ------------------------------------------------------------------
     # Configuration / statistics
@@ -183,16 +182,6 @@ class QueryPlanner:
         engine = self.server._engine
         cached = None if engine is None else engine._cached
         return self.collector.stats(snapshot=cached)
-
-    def _rank(self, side: str) -> dict:
-        """Snapshot-order rank of every id of one store (cached per version)."""
-        store = getattr(self.server, side)
-        cached = self._rank_cache.get(side)
-        if cached is None or cached[0] != store.version:
-            ids = store.snapshot_arrays()[0]
-            cached = (store.version, {item: row for row, item in enumerate(ids)})
-            self._rank_cache[side] = cached
-        return cached[1]
 
     # ------------------------------------------------------------------
     # Planning
@@ -387,7 +376,7 @@ class QueryPlanner:
                 result = runner.scalar(
                     self.replicas.index(runner.side, decision.backend),
                     spec,
-                    self._rank(runner.side),
+                    getattr(self.server, runner.side).rank,
                 )
         if runner.candidates:
             telemetry.observe("candidates", len(result.candidates), query=kind)

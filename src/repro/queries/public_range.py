@@ -71,8 +71,7 @@ def membership_probabilities(bounds: np.ndarray, window: Rect) -> np.ndarray:
 
     Args:
         bounds: ``(n, 4)`` array of ``(min_x, min_y, max_x, max_y)`` rows
-            (the layout of :meth:`PrivateStore.snapshot_arrays` and the
-            indexes' ``snapshot_rects``).
+            (the layout of :meth:`PrivateStore.snapshot_arrays`).
         window: the public query window.
 
     Returns:

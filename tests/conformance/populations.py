@@ -126,10 +126,11 @@ def probe_ks(n: int) -> list[int]:
 def assert_same_knn(got, want, probe: Point, points: dict[str, Point]) -> None:
     """``got`` is the k-NN answer ``want`` up to floating-point ties.
 
-    The engine ranks by squared distance, the oracle by ``hypot``; on
-    points that tie in real arithmetic but sit at non-representable
-    offsets from the probe the two metrics may round apart by an ulp and
-    order (or, at the k-th place, pick) the tied points differently.
+    The oracle ranks by squared distance, an index backend by its own
+    ``min_dist`` (``hypot``) and its own traversal order; on points that
+    tie in real arithmetic but sit at non-representable offsets from the
+    probe the two metrics may round apart by an ulp and order (or, at the
+    k-th place, pick) the tied points differently.
     Same length, no repeats and the same nearest-first distance sequence
     is k-NN correctness without taking a side on such ties.
     """

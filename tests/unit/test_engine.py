@@ -103,6 +103,122 @@ class TestSnapshot:
         snapshot = BatchEngine(small_server()).snapshot()
         assert snapshot.public_grid is snapshot.public_grid
 
+    def test_capture_does_no_per_row_python(self, monkeypatch):
+        """A capture after scalar writes copies columns: it walks no
+        index, reads no geometry and builds no rectangle."""
+        from repro.core.stores import PrivateStore, PublicStore
+        from repro.index.rtree import RTree
+
+        rng = np.random.default_rng(5)
+        server = LocationServer(telemetry=Telemetry(enabled=False))
+        coords = rng.uniform(0.0, 100.0, size=(5000, 2))
+        for i, (x, y) in enumerate(coords):
+            server.add_public_object(f"o{i}", Point(float(x), float(y)))
+        server.receive_regions(
+            {f"u{i}": Rect(x, y, x + 1.0, y + 1.0) for i, (x, y) in enumerate(coords)}
+        )
+        first = server.engine.snapshot()
+        for i in range(50):
+            server.move_public_object(f"o{i}", Point(50.0, float(i)))
+            server.receive_region(f"u{i}", Rect(0.0, 0.0, 2.0, float(i + 2)))
+
+        calls: dict[str, int] = {}
+
+        def tally(name: str) -> None:
+            calls[name] = calls.get(name, 0) + 1
+
+        def spy(owner, name):
+            raw = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                tally(name)
+                return raw(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [
+            (RTree, "__iter__"), (RTree, "geometry_of"),
+            (PublicStore, "items"), (PrivateStore, "items"),
+            (PublicStore, "point_of"), (PrivateStore, "region_of"),
+            (Rect, "__post_init__"),
+        ]:
+            spy(owner, name)
+
+        def watched(table):
+            """``table`` (a list or a dict) counting every read."""
+
+            class Watched(type(table)):
+                def __getitem__(self, key):
+                    tally("geometry table")
+                    return super().__getitem__(key)
+
+                def __iter__(self):
+                    tally("geometry table")
+                    return super().__iter__()
+
+            return Watched(table)
+
+        # Both stores' geometry columns and both trees' geometry tables.
+        for store in (server.public, server.private):
+            store._geoms = watched(store._geoms)
+            store._rtree._geoms = watched(store._rtree._geoms)
+        fresh = server.engine.snapshot()
+        assert calls == {}
+        # The capture happened and saw every write ...
+        assert fresh is not first and fresh.matches(server)
+        assert (fresh.n_public, fresh.n_private) == (5000, 5000)
+        assert fresh.public_xs[fresh.public_rank["o7"]] == 50.0
+        assert fresh.private_bounds[fresh.private_rank["u7"]].tolist() == [
+            0.0, 0.0, 2.0, 9.0,
+        ]
+        # ... and the spies see a per-row walk when there is one.
+        server.public.point_of("o7")
+        server.private.region_of("u7")
+        dict(server.private.items())
+        [server.private._rtree.geometry_of(item) for item in server.private._rtree]
+        Rect(0.0, 0.0, 1.0, 1.0)
+        assert {name: count > 0 for name, count in calls.items()} == {
+            "point_of": True, "region_of": True, "items": True,
+            "__iter__": True, "geometry_of": True, "__post_init__": True,
+            "geometry table": True,
+        }
+
+
+class TestOneRowOrder:
+    """A batch's answer does not depend on the engine's cache history:
+    the cached snapshot, a fresh capture and the planned single query
+    rank by the same rows."""
+
+    @staticmethod
+    def assert_every_path_agrees(server: LocationServer, spec) -> tuple:
+        [batched] = server.execute_batch([spec])
+        planned = server.planner.execute(spec)
+        server.engine._cached = None
+        [recaptured] = server.execute_batch([spec])
+        assert batched == planned == recaptured
+        return batched
+
+    def test_knn_tie_after_a_move_in_place_and_an_add(self):
+        server = LocationServer(telemetry=Telemetry(enabled=False))
+        server.add_public_object("a", Point(1.0, 0.0))
+        server.add_public_object("b", Point(0.0, 1.0))  # ties with a
+        server.add_public_object("c", Point(5.0, 5.0))
+        spec = KNNSpec(point=Point(0.0, 0.0), k=1)
+        server.execute_batch([spec])  # the engine now holds a snapshot
+        server.move_public_object("a", Point(1.0, 0.0))
+        server.add_public_object("d", Point(9.0, 9.0))
+        assert self.assert_every_path_agrees(server, spec) == ("a",)
+
+    def test_range_after_a_move(self):
+        server = LocationServer(telemetry=Telemetry(enabled=False))
+        server.add_public_object("a", Point(1.0, 1.0))
+        server.add_public_object("b", Point(2.0, 2.0))
+        server.add_public_object("c", Point(8.0, 8.0))
+        spec = RangeSpec(window=Rect(0.0, 0.0, 5.0, 5.0))
+        server.execute_batch([spec])
+        server.move_public_object("a", Point(4.0, 4.0))
+        assert self.assert_every_path_agrees(server, spec) == ("a", "b")
+
 
 class TestEngineExecution:
     def test_results_align_with_input_order(self):

@@ -225,16 +225,16 @@ class TestOneApplierPerFact:
             return emit(log, kind, **attrs)
 
         monkeypatch.setattr(EventLog, "emit", emitting)
-        replay_event = recovery._replay_event
+        apply_event = recovery._apply_event
 
         def replaying_event(system, event):
             replaying.append(event.kind)
             try:
-                return replay_event(system, event)
+                return apply_event(system, event)
             finally:
                 replaying.pop()
 
-        monkeypatch.setattr(recovery, "_replay_event", replaying_event)
+        monkeypatch.setattr(recovery, "_apply_event", replaying_event)
 
         directory = tmp_path / "durable"
         system = harness.build_system(str(directory))
@@ -413,7 +413,8 @@ class TestSnapshotState:
         assert counters["engine.snapshot{result=captured}"] == 1
         assert rebuilt.public_version == snapshot.public_version
         assert rebuilt.private_version == snapshot.private_version
-        # Row order is the restored index's, so compare id -> row.
+        # Recovery restores rows in the checkpoint's sorted-entry order,
+        # not the live first-insertion order, so compare id -> row.
         assert dict(
             zip(rebuilt.public_ids, zip(rebuilt.public_xs, rebuilt.public_ys))
         ) == dict(
