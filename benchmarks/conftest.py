@@ -1,33 +1,47 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the four micro-gates.
 
-Every benchmark module regenerates its experiment's table(s) and persists
-them under ``benchmarks/results/`` (stdout is captured by pytest, so the
-files are the canonical record; EXPERIMENTS.md is assembled from them).
+Each gate writes one ``BENCH_<name>.json`` at the repo root through the
+``write_report`` fixture, stamped with its schema and the commit it
+measured.  The end-to-end ruler is ``bench/run.py``; the paper tables come
+from ``python -m repro experiments``.
 """
 
 from __future__ import annotations
 
+import json
+import subprocess
 from pathlib import Path
+from typing import Callable, Mapping
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def _git_sha() -> str:
+    """The short commit sha of the checkout, or ``"unknown"`` outside one."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 @pytest.fixture
-def record_table(results_dir):
-    """Write experiment tables to ``benchmarks/results/<name>.txt``."""
+def write_report() -> Callable[[Mapping, str, Path], dict]:
+    """``write_report(report, schema, path)``: stamp and write a gate's report."""
 
-    def _record(name: str, *tables) -> None:
-        text = "\n\n".join(t.to_text() for t in tables)
-        (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-        print()
-        print(text)
+    def _write(report: Mapping, schema: str, path: Path) -> dict:
+        stamped = {"schema": schema, "git_sha": _git_sha(), **report}
+        path.write_text(
+            json.dumps(stamped, indent=2, sort_keys=True, default=str) + "\n"
+        )
+        return stamped
 
-    return _record
+    return _write

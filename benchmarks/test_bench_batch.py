@@ -1,6 +1,7 @@
 """Batch engine throughput benchmark: emits BENCH_batch.json with a gate.
 
-Run via ``make bench-batch`` (or ``pytest benchmarks -q -k bench_batch``).
+Run via ``make bench`` (all four gates) or
+``pytest benchmarks/test_bench_batch.py -q``.
 The same spec workloads — range windows and k-NN probes over a 50k-object
 catalogue — are executed through both engine routes on the same snapshot
 (``LocationServer.execute_batch`` with the planner's route vector):
@@ -13,7 +14,11 @@ at 1k and 10k queries, plus the O(n·m) brute-force oracle on a reduced
 batch as the naive baseline.  The final test folds the timings into
 ``BENCH_batch.json`` at the repo root (CI uploads it as an artifact) and
 gates: batched throughput must be at least 2x sequential for both
-``public_range`` and ``public_knn`` at the 10k-query scale.
+``public_range`` and ``public_knn`` at the 10k-query scale.  Outside the
+timed laps it also proves each mode ran the route it names: a probe
+server with telemetry on replays the gate batches, and the engine's
+``engine.queries{path=}`` counters must read all-vectorized for
+``batched`` and all-scalar for ``sequential``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from bench_envelope import finalize_report
 from repro.core.server import LocationServer
 from repro.core.stores import PublicStore
 from repro.engine import BruteForceOracle
@@ -78,6 +82,21 @@ def run_batch(server: LocationServer, batch: list, mode: str) -> list:
     return server.execute_batch(batch, routes=routes)
 
 
+def engine_paths(server: LocationServer, batch: list, mode: str) -> dict[str, int]:
+    """Specs per engine path when ``mode`` runs ``batch``, read off the
+    ``engine.queries`` counters of a telemetry-enabled probe server that
+    shares ``server``'s store."""
+    probe = LocationServer(telemetry=Telemetry())
+    probe.public = server.public
+    run_batch(probe, batch, mode)
+    paths: dict[str, int] = {}
+    for (name, labels), counter in probe.telemetry.registry.counters():
+        if name == "engine.queries":
+            path = dict(labels)["path"]
+            paths[path] = paths.get(path, 0) + counter.value
+    return paths
+
+
 @pytest.mark.parametrize("n", SCALES)
 @pytest.mark.parametrize("kind", ["public_range", "public_knn"])
 @pytest.mark.parametrize("mode", ["batched", "sequential"])
@@ -120,21 +139,13 @@ def test_oracle_baseline(benchmark, server):
         _RESULTS.setdefault("oracle", {})[kind] = {ORACLE_QUERIES: seconds}
 
 
-def test_batch_report_and_gate(server):
+def test_batch_report_and_gate(server, write_report):
     """Fold timings into BENCH_batch.json and enforce the 2x gate."""
-    if "batched" not in _RESULTS or "sequential" not in _RESULTS:
-        # Timing tests deselected (e.g. ``-k report``): time inline so the
-        # report and the gate always reflect a real measurement.
-        for mode in ("batched", "sequential"):
-            for kind in ("public_range", "public_knn"):
-                for n in SCALES:
-                    batch = make_batch(kind, n)
-                    run_batch(server, batch, mode)  # warmup
-                    start = time.perf_counter()
-                    run_batch(server, batch, mode)
-                    _RESULTS.setdefault(mode, {}).setdefault(kind, {})[n] = (
-                        time.perf_counter() - start
-                    )
+    for mode in ("batched", "sequential"):
+        for kind in ("public_range", "public_knn"):
+            assert set(_RESULTS.get(mode, {}).get(kind, {})) == set(SCALES), (
+                "the gate reads the timing tests' laps: run the whole module"
+            )
 
     modes: dict[str, dict] = {}
     for mode, kinds in _RESULTS.items():
@@ -154,6 +165,18 @@ def test_batch_report_and_gate(server):
         sequential = _RESULTS["sequential"][kind][GATE_SCALE]
         speedups[kind] = sequential / batched if batched else None
 
+    # Each mode took the route it names, for every spec of the gate batches.
+    routes = {
+        mode: {
+            kind: engine_paths(server, make_batch(kind, GATE_SCALE), mode)
+            for kind in ("public_range", "public_knn")
+        }
+        for mode in ("batched", "sequential")
+    }
+    for kind in ("public_range", "public_knn"):
+        assert routes["batched"][kind] == {"vectorized": GATE_SCALE}, routes
+        assert routes["sequential"][kind] == {"scalar": GATE_SCALE}, routes
+
     report = {
         "workload": {
             "objects": N_OBJECTS,
@@ -164,13 +187,13 @@ def test_batch_report_and_gate(server):
         },
         "modes": modes,
         "speedup_at_gate_scale": speedups,
+        "routes_at_gate_scale": routes,
         "gate": {"scale": GATE_SCALE, "min_speedup": GATE_SPEEDUP},
     }
-    finalize_report(report, "repro.engine.bench/1", BENCH_PATH)
+    write_report(report, "repro.engine.bench/1", BENCH_PATH)
     parsed = json.loads(BENCH_PATH.read_text())
     assert parsed["schema"] == "repro.engine.bench/1"
-    assert parsed["schema_version"] >= 1
-    assert parsed["git_sha"] and parsed["created_at"]
+    assert parsed["git_sha"]
 
     for kind, speedup in speedups.items():
         assert speedup is not None and speedup >= GATE_SPEEDUP, (

@@ -1,21 +1,29 @@
 """Bulk cloaking throughput benchmark: emits BENCH_cloak.json with a gate.
 
-Run via ``make bench-cloak`` (or ``pytest benchmarks -q -k bench_cloak``).
+Run via ``make bench`` (all four gates) or
+``pytest benchmarks/test_bench_cloak.py -q``.
 Whole-population cloaking rounds are pushed through both anonymizer write
 paths on identically-built systems:
 
 * ``bulk``     — one vectorized numpy pass + a single server batch push
   (``publish_all_bulk``),
-* ``per_user`` — the per-user cloak/publish loop (``publish_all``), the
-  differential-testing oracle,
+* ``per_user`` — the scalar round (``publish_all``): every user through
+  the cloaker's own ``cloak``, shared within a cell, pushed one by one,
 
 at 1k, 10k and 100k users.  Both modes of a scale share ONE seeded
 population draw (positions and privacy requirements come from the same
 generator output), so the comparison never benchmarks two different
 workloads.  The final test folds the timings into ``BENCH_cloak.json`` at
-the repo root (CI uploads it as an artifact, ``make bench-history``
-ingests it) and gates: bulk throughput must be at least 3x per-user at
-the 10k-user scale.
+the repo root (CI uploads it as an artifact) and gates: bulk throughput
+must be at least 3x per-user at the 10k-user scale.  At 10k users the bulk
+kernel's fixed per-round cost is most of a round and the gate measures about
+2x, so it fails until that cost is cut; the 100k speedup is reported too.
+
+After its timed laps every (mode, scale) runs one more round with the
+scalar ``cloak`` counted, proving each mode ran the path it names: a
+``bulk`` round must come out of the grid kernel of
+:mod:`repro.engine.cloak` with no user through the scalar ``cloak``, and
+a ``per_user`` round must never reach the bulk cloaker.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bench_envelope import finalize_report
 from repro.cloaking.grid_cloak import GridCloaker
 from repro.core.profiles import PrivacyProfile
 from repro.core.system import PrivacySystem
@@ -48,6 +55,9 @@ AREA_CHOICES = (0.0, 25.0, 100.0)
 
 #: mode -> n_users -> seconds for one full publication round.
 _RESULTS: dict[str, dict[int, float]] = {}
+
+#: mode -> n_users -> the path probe's reading (see :func:`cloak_path`).
+_PATHS: dict[str, dict[int, dict]] = {}
 
 _POPULATIONS: dict[int, list[tuple[str, Point, PrivacyProfile]]] = {}
 
@@ -91,6 +101,33 @@ def publish_round(system: PrivacySystem, mode: str) -> None:
     system.publish_all(bulk=mode == "bulk")
 
 
+def cloak_path(system: PrivacySystem, mode: str) -> dict:
+    """The path one more ``mode`` round takes on ``system``: the bulk
+    outcome's path and algorithm (``None`` when the bulk cloaker never ran)
+    and how many calls the scalar ``cloak`` served."""
+    system.anonymizer.last_bulk_outcome = None
+    cloaker = system.anonymizer.cloaker
+    cloak = cloaker.cloak
+    scalar_rows = 0
+
+    def counted(*args, **kwargs):
+        nonlocal scalar_rows
+        scalar_rows += 1
+        return cloak(*args, **kwargs)
+
+    cloaker.cloak = counted
+    try:
+        publish_round(system, mode)
+    finally:
+        del cloaker.cloak  # drop the instance attribute: the method is back
+    outcome = system.anonymizer.last_bulk_outcome
+    return {
+        "bulk_path": outcome and outcome.path,
+        "algo": outcome and outcome.algo,
+        "scalar_rows": scalar_rows,
+    }
+
+
 @pytest.mark.parametrize("n", SCALES)
 @pytest.mark.parametrize("mode", ["bulk", "per_user"])
 def test_bulk_vs_per_user(benchmark, mode, n):
@@ -104,27 +141,29 @@ def test_bulk_vs_per_user(benchmark, mode, n):
         laps.append(time.perf_counter() - start)
 
     # Self-timed so the report also works under ``--benchmark-disable``;
-    # the per-user loop at 100k users is measured once to bound runtime.
+    # the per-user round at 100k users is measured once to bound runtime.
     rounds = 1 if (mode == "per_user" and n >= 100_000) else 3
     benchmark.pedantic(run, rounds=rounds, iterations=1)
     assert len(system.server.private) == n
     _RESULTS.setdefault(mode, {})[n] = min(laps)
+    _PATHS.setdefault(mode, {})[n] = cloak_path(system, mode)
 
 
-def test_cloak_report_and_gate():
+def test_cloak_report_and_gate(write_report):
     """Fold timings into BENCH_cloak.json and enforce the 3x gate."""
-    if "bulk" not in _RESULTS or "per_user" not in _RESULTS:
-        # Timing tests deselected (e.g. ``-k report``): time inline so the
-        # report and the gate always reflect a real measurement.
-        for mode in ("bulk", "per_user"):
-            for n in SCALES:
-                if mode == "per_user" and n >= 100_000:
-                    continue  # bounded inline runtime; gate scale suffices
-                system = build_system(n)
-                publish_round(system, mode)
-                start = time.perf_counter()
-                publish_round(system, mode)
-                _RESULTS.setdefault(mode, {})[n] = time.perf_counter() - start
+    for mode in ("bulk", "per_user"):
+        assert set(_RESULTS.get(mode, {})) == set(SCALES), (
+            "the gate reads the timing tests' laps: run the whole module"
+        )
+    # Each mode took the path it names, at every scale.
+    for n in SCALES:
+        assert _PATHS["bulk"][n] == {
+            "bulk_path": "kernel",
+            "algo": "grid",
+            "scalar_rows": 0,
+        }, _PATHS
+        assert _PATHS["per_user"][n]["bulk_path"] is None, _PATHS
+        assert _PATHS["per_user"][n]["scalar_rows"] > 0, _PATHS
 
     modes: dict[str, dict] = {}
     for mode, timings in _RESULTS.items():
@@ -142,7 +181,7 @@ def test_cloak_report_and_gate():
 
     report = {
         "workload": {
-            "scales": [n for n in SCALES if n in _RESULTS["bulk"]],
+            "scales": list(SCALES),
             "grid": GRID,
             "k_max": K_MAX,
             "area_choices": list(AREA_CHOICES),
@@ -150,13 +189,19 @@ def test_cloak_report_and_gate():
         },
         "modes": modes,
         "speedup_at_gate_scale": speedup,
+        "speedup_at_largest_scale": (
+            _RESULTS["per_user"][SCALES[-1]] / _RESULTS["bulk"][SCALES[-1]]
+        ),
+        "paths": {
+            mode: {str(n): path for n, path in sorted(by_n.items())}
+            for mode, by_n in _PATHS.items()
+        },
         "gate": {"scale": GATE_SCALE, "min_speedup": GATE_SPEEDUP},
     }
-    finalize_report(report, "repro.cloak.bench/1", BENCH_PATH)
+    write_report(report, "repro.cloak.bench/1", BENCH_PATH)
     parsed = json.loads(BENCH_PATH.read_text())
     assert parsed["schema"] == "repro.cloak.bench/1"
-    assert parsed["schema_version"] >= 1
-    assert parsed["git_sha"] and parsed["created_at"]
+    assert parsed["git_sha"]
 
     assert speedup is not None and speedup >= GATE_SPEEDUP, (
         f"bulk cloaking is only {speedup:.2f}x per-user at "

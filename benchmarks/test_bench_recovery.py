@@ -1,9 +1,10 @@
 """Durability benchmark: emits BENCH_recovery.json with a gate.
 
-Run via ``make bench-recovery`` (or ``pytest benchmarks -q -k
-bench_recovery``).  One 10k-user durable workload is built with the WAL
-attached, checkpointed late (so a realistic short tail remains), then
-recovered two ways from the same trail:
+Run via ``make bench`` (all four gates) or
+``pytest benchmarks/test_bench_recovery.py -q``.  One 10k-user durable
+workload is built with the WAL attached, checkpointed late (so a
+realistic short tail remains), then recovered two ways from the same
+trail:
 
 * ``checkpointed`` — newest checkpoint + replay of the WAL tail, the
   path a supervised restart takes;
@@ -16,8 +17,7 @@ the digest-identical system.  One recovery of each is a ~1.3× margin
 that a noisy second can flip, so the gate compares medians of
 :data:`REPEATS` of each, alternating which goes first.  The report
 (checkpoint write throughput, both recovery wall-times, speedup) lands
-in ``BENCH_recovery.json`` at the repo root; CI uploads it and ``make
-bench-history`` folds it into the trajectory.
+in ``BENCH_recovery.json`` at the repo root; CI uploads it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-from bench_envelope import finalize_report
 from repro import MobileUser, PrivacyProfile, PrivacySystem, PyramidCloaker, RangeSpec
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -152,8 +151,6 @@ def test_checkpointed_recovery_beats_cold_replay(arena):
     assert cold_recovery.report["checkpoint"] is None
     assert checkpointed.report["replayed"] < cold_recovery.report["replayed"]
 
-    # "seconds" leaves are what bench-history tracks (lower is better);
-    # "speedup" is tracked higher-is-better.
     _RESULTS["recovery"] = {
         "users": N_USERS,
         "wal_events": arena["wal_events"],
@@ -171,8 +168,8 @@ def test_checkpointed_recovery_beats_cold_replay(arena):
     )
 
 
-def test_write_report():
+def test_write_report(write_report):
     assert set(_RESULTS) == {"checkpoint_write", "recovery"}
-    report = finalize_report(_RESULTS, SCHEMA, BENCH_PATH)
+    report = write_report(_RESULTS, SCHEMA, BENCH_PATH)
     assert report["schema"] == SCHEMA
     assert report["recovery"]["speedup"] > 1.0

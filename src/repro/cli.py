@@ -20,7 +20,6 @@ Usage (after ``pip install -e .``)::
     python -m repro serve-metrics --smoke     # scrape-and-validate self test
     python -m repro top                       # live windowed telemetry + risk panel
     python -m repro profile                   # hot spans by self-time (flamegraph)
-    python -m repro bench-history             # ingest BENCH_*.json, flag regressions
     python -m repro checkpoint --dir state    # durable workload + checkpoint
     python -m repro recover --dir state       # rebuild from checkpoint + WAL tail
 """
@@ -43,7 +42,11 @@ EXPERIMENTS: dict[str, Callable[[], object]] = {
     "E5": exp.run_e5_private_range,
     "E6": exp.run_e6_private_nn,
     "E7": exp.run_e7_public_count,
-    "E8": lambda: (exp.run_e8_public_nn(), exp.figure_6b_example()),
+    "E8": lambda: (
+        exp.run_e8_public_nn(),
+        exp.figure_6b_example(),
+        exp.run_e8_sample_convergence(),
+    ),
     "E9": lambda: (exp.run_e9_tradeoff(), exp.run_e9_by_algorithm()),
     "E10": lambda: (exp.run_e10_attacks(), exp.run_e10_density(), exp.run_e10_linkage()),
     "E11": exp.run_e11_transmission,
@@ -559,46 +562,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_history(args: argparse.Namespace) -> int:
-    """Ingest BENCH_*.json into the trajectory and flag regressions."""
-    import json
-
-    from repro.obs import benchhist
-
-    if args.selftest:
-        # Synthetic trajectory: steady throughput, then a 30 % drop — the
-        # detector must flag it, or this exit code breaks the build.
-        metric = "modes.batched.public_range.10000.queries_per_second"
-        history = [
-            {"source": "BENCH_selftest.json", "metrics": {metric: qps}}
-            for qps in (1000.0, 1020.0, 980.0, 700.0)
-        ]
-        flags = benchhist.detect_regressions(history, gate=args.gate)
-        if not flags:
-            print(
-                "repro bench-history: selftest FAILED: 30% drop not flagged",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"repro bench-history: selftest ok "
-            f"(flagged {flags[0]['change']:+.1%} on {metric})"
-        )
-        return 0
-
-    summary = benchhist.run_bench_history(
-        root=args.root, gate=args.gate, append=not args.dry_run
-    )
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if not summary["ingested"] and summary["history_records"] == 0:
-        print(
-            "repro bench-history: error: no BENCH_*.json reports found",
-            file=sys.stderr,
-        )
-        return 1
-    return 0 if summary["ok"] else 3
-
-
 def cmd_checkpoint(args: argparse.Namespace) -> int:
     """Run a durable workload: WAL-attached, checkpointed mid-stream.
 
@@ -944,31 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--queries", type=int, default=25, help="queries per kind")
     profile.add_argument("--seed", type=int, default=0, help="workload RNG seed")
     profile.set_defaults(func=cmd_profile)
-
-    bench_history = sub.add_parser(
-        "bench-history",
-        help="ingest BENCH_*.json into BENCH_HISTORY.jsonl and flag regressions",
-    )
-    bench_history.add_argument(
-        "--root", default=".", help="directory holding the BENCH_*.json reports"
-    )
-    bench_history.add_argument(
-        "--gate",
-        type=float,
-        default=0.25,
-        help="relative move beyond which a metric is flagged (default 0.25)",
-    )
-    bench_history.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="check without appending to the history file",
-    )
-    bench_history.add_argument(
-        "--selftest",
-        action="store_true",
-        help="verify the detector flags a synthetic 30%% throughput drop",
-    )
-    bench_history.set_defaults(func=cmd_bench_history)
 
     checkpoint = sub.add_parser(
         "checkpoint",

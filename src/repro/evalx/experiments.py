@@ -6,8 +6,8 @@ into a measurement (see DESIGN.md's experiment index; E13/E14 cover the
 related-work techniques the paper positions itself against).  Every
 function is deterministic given its seed, returns a
 :class:`~repro.evalx.tables.Table`, and is exercised both by the test
-suite (shape + invariants) and by the benchmark harness (timings +
-EXPERIMENTS.md tables).
+suite (shape + invariants) and by ``python -m repro experiments`` /
+``report``, which print the EXPERIMENTS.md tables.
 """
 
 from __future__ import annotations
@@ -664,6 +664,34 @@ def figure_6b_example() -> Table:
     return table
 
 
+def run_e8_sample_convergence(
+    n_users: int = 400,
+    k: int = 20,
+    sample_counts: Sequence[int] = (128, 512, 2048, 8192),
+    reference_samples: int = 65536,
+    seed: int = 7,
+) -> Table:
+    """Ablation A5: Monte-Carlo convergence of the top candidate's probability."""
+    workload = build_workload(n_users=n_users, seed=seed)
+    cloaker = loaded_cloaker(PyramidCloaker, workload, height=6)
+    private = cloaked_private_store(cloaker, k=k)
+    query = Point(50, 50)
+    reference = public_nn_query(
+        private, query, samples=reference_samples, rng=np.random.default_rng(0)
+    ).answer
+    table = Table(
+        "E8 ablation (A5): Monte-Carlo convergence of P(top candidate)",
+        ["samples", "P_top_estimate", f"abs_error_vs_{reference_samples}"],
+    )
+    for samples in sample_counts:
+        estimate = public_nn_query(
+            private, query, samples=samples, rng=np.random.default_rng(1)
+        ).answer
+        p = estimate.probabilities.get(reference.top, 0.0)
+        table.add_row(samples, p, abs(p - reference.probabilities[reference.top]))
+    return table
+
+
 # ----------------------------------------------------------------------
 # E9 — the central privacy/QoS trade-off
 # ----------------------------------------------------------------------
@@ -1189,30 +1217,3 @@ def run_e14_dummies(
         result = private_range_query(store, region, radius)
         table.add_row(f"pyramid k={k}", 1, float(k), len(result.candidates))
     return table
-
-
-def run_all(fast: bool = True) -> list[Table]:
-    """Run every experiment at default (laptop) scale."""
-    tables = [run_e1_profile()]
-    tables.append(run_e2_data_dependent())
-    tables.append(run_e2_clique())
-    tables.append(run_e3_space_dependent())
-    tables.append(run_e3_ablation_pyramid())
-    tables.append(run_e4_scalability())
-    tables.append(run_e4_scale_sweep())
-    tables.append(run_e5_private_range())
-    tables.append(run_e6_private_nn())
-    tables.extend(run_e7_public_count())
-    tables.append(run_e8_public_nn())
-    tables.append(figure_6b_example())
-    tables.append(run_e9_tradeoff())
-    tables.append(run_e9_by_algorithm())
-    tables.append(run_e10_attacks())
-    tables.append(run_e10_density())
-    tables.append(run_e10_linkage())
-    tables.append(run_e11_transmission())
-    tables.append(run_e12_continuous())
-    tables.append(run_e12_delta_transmission())
-    tables.append(run_e13_temporal())
-    tables.append(run_e14_dummies())
-    return tables

@@ -1,14 +1,14 @@
 """Minimal text tables for experiment reports.
 
 Every experiment in :mod:`repro.evalx.experiments` returns a
-:class:`Table`; benchmarks and EXPERIMENTS.md print them with
+:class:`Table`; the CLI and EXPERIMENTS.md print them with
 :meth:`Table.to_text`.  No third-party table dependency — results must
 render identically everywhere, including inside pytest output.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _format_cell(value: object) -> str:
@@ -75,10 +75,3 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def print_tables(tables: Iterable[Table]) -> None:
-    """Print a sequence of tables separated by blank lines."""
-    for table in tables:
-        print(table.to_text())
-        print()

@@ -18,8 +18,8 @@ Two evidence sources, deliberately different windows:
   of the ring buffer — a *rolling* view that recovers when the system
   does;
 * **latency** SLOs read the span histograms, which are lifetime
-  aggregates — drift detection across restarts belongs to
-  ``BENCH_HISTORY.jsonl``, not this monitor.
+  aggregates — drift across commits is the pipeline benchmark's job
+  (``bench/run.py``), not this monitor's.
 
 A spec with no evidence in the window (e.g. snapshot-reuse before any
 batch ran) passes vacuously with ``measured=None`` — absence of
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SLO_SCHEMA = "repro.obs.slo/1"
 
 #: Process exit code for "one or more SLOs violated" (``repro health``).
-#: Distinct from the audit CLI's 2 and bench-history's 3.
+#: Distinct from the audit CLI's 2.
 EXIT_SLO_VIOLATION = 4
 
 #: Rolling event window (most recent events) for event-derived SLOs.

@@ -18,6 +18,7 @@ from repro.evalx.experiments import (
     run_e6_private_nn,
     run_e7_public_count,
     run_e8_public_nn,
+    run_e8_sample_convergence,
     run_e9_tradeoff,
     run_e10_attacks,
     run_e10_linkage,
@@ -165,6 +166,12 @@ class TestE8:
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0, abs=1e-6)
         assert table.column("object")[0] == "D"
+
+    def test_monte_carlo_error_shrinks_with_samples(self):
+        table = run_e8_sample_convergence()
+        assert table.column("samples") == ["128", "512", "2048", "8192"]
+        errors = [float(v) for v in table.column("abs_error_vs_65536")]
+        assert errors[-1] < errors[0]
 
 
 class TestE9:

@@ -276,31 +276,15 @@ class TestProfileCommand:
             main(["profile", "--sample-every", "0"])
 
 
-class TestBenchHistoryCommand:
-    def test_selftest_passes(self, capsys):
-        assert main(["bench-history", "--selftest"]) == 0
-        assert "selftest ok" in capsys.readouterr().out
+class TestEveryPaperTableHasAGenerator:
+    def test_experiments_md_headings_match_the_cli_table(self):
+        import re
+        from pathlib import Path
 
-    def test_injected_drop_exits_3(self, tmp_path, capsys):
-        import json
-
-        def write(qps):
-            (tmp_path / "BENCH_x.json").write_text(
-                json.dumps({"modes": {"nn": {"queries_per_second": qps}}})
-            )
-
-        for qps in (1000.0, 1010.0, 990.0):
-            write(qps)
-            assert main(["bench-history", "--root", str(tmp_path)]) == 0
-            capsys.readouterr()
-        write(650.0)
-        assert main(["bench-history", "--root", str(tmp_path)]) == 3
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["ok"] is False
-
-    def test_empty_root_exits_1(self, tmp_path, capsys):
-        assert main(["bench-history", "--root", str(tmp_path)]) == 1
-        assert "no BENCH_" in capsys.readouterr().err
+        text = (Path(__file__).parents[2] / "EXPERIMENTS.md").read_text()
+        headings = set(re.findall(r"^## (E\d+)\b", text, flags=re.MULTILINE))
+        assert headings == set(EXPERIMENTS)
+        assert headings == {f"E{n}" for n in range(1, 15)}
 
 
 class TestCheckpointRecoverCommands:

@@ -72,8 +72,11 @@ class TestCandidateGeneration:
             private_range_query(store, REGION, 1.0, "fancy")
 
     def test_transmission_size(self, store):
-        result = private_range_query(store, REGION, 8.0)
-        assert result.transmission_size == len(result.candidates)
+        # E11: the candidate set, not the store, is what gets shipped.
+        for method in ("mbr", "exact"):
+            result = private_range_query(store, REGION, 8.0, method)
+            assert result.transmission_size == len(result.candidates)
+            assert 0 < len(result.candidates) < len(store) / 4
 
     def test_larger_region_more_candidates(self, store):
         small = private_range_query(store, REGION, 5.0)

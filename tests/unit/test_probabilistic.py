@@ -35,9 +35,10 @@ class TestPoissonBinomial:
             assert pmf[k] == pytest.approx(expected)
 
     def test_sums_to_one(self, rng):
-        probs = list(rng.uniform(0, 1, size=50))
-        pmf = poisson_binomial_pmf(probs)
-        assert pmf.sum() == pytest.approx(1.0)
+        for size in (50, 500):
+            pmf = poisson_binomial_pmf(list(rng.uniform(0, 1, size=size)))
+            assert len(pmf) == size + 1
+            assert pmf.sum() == pytest.approx(1.0)
 
     def test_mean_matches_sum_of_probs(self, rng):
         probs = list(rng.uniform(0, 1, size=30))
