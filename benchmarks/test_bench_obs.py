@@ -202,30 +202,11 @@ def test_obs_loop_monitoring_overhead(system):
     )
 
 
-def test_obs_loop_profiled_queries(benchmark, system):
-    """Same planned queries with the hot-span profiler installed —
-    quantifies the profiler's own overhead next to planned_range_x40."""
-    window = Rect(200, 200, 700, 700)
-
-    def run():
-        with system.obs.profiled(top=10):
-            for _ in range(N_QUERIES):
-                system.query(RangeSpec(window=window))
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    _note("profiled_range_x40", benchmark)
-
-
 def test_obs_smoke_report(system, write_report):
     """Fold the timings and the telemetry snapshot into BENCH_obs.json."""
     snapshot = system.telemetry()
     qos = snapshot["qos"]
     health = SLOMonitor().evaluate(system)
-    with system.obs.profiled(top=5) as profiler:
-        for i in range(10):
-            system.query(
-                RangeSpec(flavor="private", user=i % N_USERS, radius=60.0)
-            )
     report = {
         "workload": {
             "users": N_USERS,
@@ -247,7 +228,6 @@ def test_obs_smoke_report(system, write_report):
         "accuracy": system.planner.accuracy.report(),
         "health": health.to_dict(),
         "monitoring": _RESULTS.get("monitoring", {}),
-        "profile": {"top": profiler.rows(5)},
     }
     write_report(report, "repro.obs.bench/1", BENCH_PATH)
     # The file must round-trip and carry the stamp + headline sections.
@@ -265,4 +245,3 @@ def test_obs_smoke_report(system, write_report):
     # Filled by the monitoring-overhead gate earlier in this module.
     assert parsed["monitoring"]["overhead"] < 0.05
     assert parsed["monitoring"]["windows_cut"] > 0
-    assert parsed["profile"]["top"], "profiled workload must record spans"

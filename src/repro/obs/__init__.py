@@ -92,13 +92,6 @@ class Telemetry:
         the minted ``qid`` (see :class:`~repro.obs.correlate.CorrelationIds`)."""
         return self.correlation.scope(kind, reuse=reuse)
 
-    def profiled(self, top: int = 15, sample_every: int = 1):
-        """Context manager installing a hot-span profiler on this tracer;
-        yields the :class:`~repro.obs.profile.SpanProfiler`."""
-        from repro.obs.profile import profiled as _profiled
-
-        return _profiled(self, top=top, sample_every=sample_every)
-
     def correlated_records(self):
         """Join buffered events and spans by ``qid`` (offline view)."""
         return correlate_events(self.events.events(), self.tracer.spans())
@@ -218,7 +211,6 @@ from repro.obs.explain import (  # noqa: E402
     plan_to_json,
     render_plan,
 )
-from repro.obs.profile import SpanProfiler  # noqa: E402
 from repro.obs.risk import PrivacyRiskMonitor  # noqa: E402
 from repro.obs.serve import (  # noqa: E402
     TelemetryEndpoint,
@@ -254,7 +246,6 @@ __all__ = [
     "PrivacyAuditor",
     "AccuracyMonitor",
     "PlanAccuracyAuditor",
-    "SpanProfiler",
     "PrivacyRiskMonitor",
     "TimeSeriesStore",
     "Window",

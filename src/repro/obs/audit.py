@@ -30,8 +30,8 @@ from repro.obs.events import (
 
 #: The kinds the auditor folds into its tallies.  Everything else in
 #: ``EVENT_KINDS`` carries no privacy semantics — telemetry plumbing
-#: (``planner.*``, ``slo.evaluated``, ``profile.sampled``, snapshot and
-#: batch bookkeeping) — and is ignored *by rule*, not by accident:
+#: (``planner.*``, ``slo.evaluated``, snapshot and batch bookkeeping) —
+#: and is ignored *by rule*, not by accident:
 #: ``tests/unit/test_obs_audit.py`` asserts the two sets partition the
 #: registry, so a future kind must be explicitly classified here.
 AUDITED_KINDS: frozenset[str] = frozenset(

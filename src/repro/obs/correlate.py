@@ -32,9 +32,10 @@ Scope semantics
   id so decision and measurement join on it.
 
 The offline join (:func:`correlate_events`) groups a recorded event
-trail by ``qid`` — the auditors in :mod:`repro.obs.accuracy` build on
-it, and dashboards can reconstruct one request's full story from a
-JSONL file alone.
+trail by ``qid``, so one request's full story can be reconstructed from
+a JSONL file alone.  :class:`~repro.obs.accuracy.PlanAccuracyAuditor`
+matches decisions to measurements on the same ``qid`` attribute with
+its own single pass; it does not call this join.
 """
 
 from __future__ import annotations

@@ -105,8 +105,6 @@ PLANNER_MEASURED = "planner.measured"
 PLANNER_MISPREDICT = "planner.mispredict"
 #: The SLO monitor evaluated its specs over the rolling event window.
 SLO_EVALUATED = "slo.evaluated"
-#: The hot-span profiler cut an aggregated self-time report.
-PROFILE_SAMPLED = "profile.sampled"
 #: The bounded ring evicted events that never reached the JSONL sink;
 #: the marker declares the lost ``[first_seq, last_seq]`` range so a
 #: replay reader can surface the gap instead of silently recovering
@@ -158,7 +156,6 @@ EVENT_KINDS: tuple[str, ...] = (
     PLANNER_MEASURED,
     PLANNER_MISPREDICT,
     SLO_EVALUATED,
-    PROFILE_SAMPLED,
     LOG_TRUNCATED,
     PERSIST_CHECKPOINT,
     PERSIST_REPLAYED,

@@ -119,9 +119,6 @@ class Tracer:
         #: Optional :class:`~repro.obs.correlate.CorrelationIds` whose
         #: active scope is stamped onto every record (set by Telemetry).
         self.correlation = None
-        #: Optional :class:`~repro.obs.profile.SpanProfiler` fed every
-        #: completed span (installed by ``SpanProfiler.install``).
-        self.profiler = None
         self._stack: list[str] = []
         self._recent: deque[SpanRecord] = deque(maxlen=keep)
 
@@ -167,9 +164,6 @@ class Tracer:
     ) -> None:
         if self.correlation is not None:
             self.correlation.stamp(span.attrs)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_record(span.name, path, depth, duration_ms)
         self.registry.histogram(SPAN_METRIC, span=span.name).observe(duration_ms)
         self._recent.append(
             SpanRecord(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _as_tables, _run_ids, build_parser, main
+from repro.cli import EXPERIMENTS, VERBS, _as_tables, _run_ids, build_parser, main
 from repro.evalx.tables import Table
 
 
@@ -230,50 +230,18 @@ class TestHealthCommand:
         assert "FAIL impossible" in out
 
     def test_watch_mode_bounded_iterations(self, capsys):
-        assert main([*self.ARGS, "--watch", "--iterations", "2",
-                     "--interval", "0"]) == 0
+        # ``top`` is the one live view; every frame carries the verdict.
+        assert main(["top", "--users", "40", "--queries", "4",
+                     "--iterations", "2", "--interval", "0.01"]) == 0
         out = capsys.readouterr().out
         assert out.count("== SLO health ==") == 2
-        assert "watch tick 2" in out
-        assert "pipeline stages" in out
+        assert "top tick 2" in out
 
-    def test_invalid_sizes_exit(self):
-        with pytest.raises(SystemExit, match="--users"):
+    def test_invalid_sizes_exit(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["health", "--users", "0"])
-
-
-class TestProfileCommand:
-    ARGS = ["profile", "--users", "40", "--queries", "4"]
-
-    def test_ascii_table_default(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "== hot spans (self time) ==" in out
-        assert "anonymizer" in out
-
-    def test_json_report_structure(self, capsys):
-        import json
-
-        assert main([*self.ARGS, "--json", "--top", "5"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.obs.profile/1"
-        assert report["spans_seen"] > 0
-        assert len(report["top"]) == 5
-        assert report["flame"]["name"] == "all"
-        assert report["flame"]["children"]
-
-    def test_sampling_flag_respected(self, capsys):
-        import json
-
-        assert main([*self.ARGS, "--json", "--sample-every", "4"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["sample_every"] == 4
-
-    def test_invalid_flags_exit(self):
-        with pytest.raises(SystemExit, match="--top"):
-            main(["profile", "--top", "0"])
-        with pytest.raises(SystemExit, match="--sample-every"):
-            main(["profile", "--sample-every", "0"])
+        assert excinfo.value.code == 2
+        assert "--users" in capsys.readouterr().err
 
 
 class TestEveryPaperTableHasAGenerator:
@@ -338,6 +306,66 @@ class TestCheckpointRecoverCommands:
         assert main(["recover", "--dir", str(tmp_path)]) == 5
         assert "repro recover: error:" in capsys.readouterr().err
 
-    def test_checkpoint_rejects_tiny_population(self, tmp_path):
-        with pytest.raises(SystemExit, match="at least 2"):
+    def test_checkpoint_rejects_tiny_population(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["checkpoint", "--dir", str(tmp_path / "s"), "--users", "1"])
+        assert excinfo.value.code == 2
+        assert "--users: must be at least 2" in capsys.readouterr().err
+
+
+def _flags_of(verb):
+    return {names[0] for names, _ in (*verb.flags, *verb.one_of)}
+
+
+BAD_WORKLOAD_ARGS = [
+    (verb.name, flag, value)
+    for verb in VERBS
+    for flag, value in (("--users", "0"), ("--queries", "-1"), ("--batch", "0"))
+    if flag in _flags_of(verb)
+]
+
+
+class TestVerbTable:
+    """Every row of the verb table, driven through ``main``."""
+
+    TINY = ["--users", "40", "--queries", "4"]
+    RUNS = {
+        "demo": [],
+        "experiments": ["E1"],
+        "report": ["-o", "{tmp}/tables.md"],
+        "obs": TINY,
+        "explain": ["-q", "private_nn", "--users", "40"],
+        "plan": ["--users", "40"],
+        "audit": TINY,
+        "health": TINY,
+        "serve-metrics": [*TINY, "--smoke"],
+        "top": [*TINY, "--iterations", "2", "--interval", "0.01"],
+        "checkpoint": ["--dir", "{tmp}/state", *TINY],
+        "recover": ["--dir", "{tmp}/state"],
+    }
+
+    @pytest.mark.parametrize("verb", [verb.name for verb in VERBS])
+    def test_every_verb_runs_on_a_tiny_workload(
+        self, verb, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "EXPERIMENTS", {"E1": cli.EXPERIMENTS["E1"]})
+        argv = [arg.format(tmp=tmp_path) for arg in self.RUNS[verb]]
+        if verb == "recover":
+            assert main(["checkpoint", "--dir", f"{tmp_path}/state", *self.TINY]) == 0
+        assert main([verb, *argv]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "verb,flag,value",
+        BAD_WORKLOAD_ARGS,
+        ids=["_".join(case) for case in BAD_WORKLOAD_ARGS],
+    )
+    def test_out_of_range_workload_args_exit_2(self, verb, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
