@@ -12,7 +12,7 @@ test:
 # profile in tests/conftest.py).  This target draws fresh random ones;
 # commit any failure it prints back as an @example on the failing test.
 test-explore:
-	pytest tests/property tests/crash/test_prop_recovery.py tests/unit/test_private_nn.py -q --hypothesis-profile=explore
+	pytest tests/property tests/crash/test_prop_recovery.py tests/unit/test_private_nn.py tests/unit/test_public_candidates.py -q --hypothesis-profile=explore
 
 # The four micro-gates (benchmarks/): batch >= 2x sequential, bulk cloak
 # >= 3x per-user, checkpointed recovery beats cold replay, monitoring

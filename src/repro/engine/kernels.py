@@ -14,10 +14,15 @@ query can see instead of every object: ``points_in_windows_grid`` and
 counterparts — the conformance suite holds them to that — while doing
 selectivity-proportional work.
 
-Numeric contract: every kernel applies the same IEEE operation sequence
-as its scalar counterpart (``Rect.contains_point``, ``min_dist``,
-``Point.distance_to``), so membership decisions agree exactly — not just
-approximately — with the per-query path.
+Numeric contract: membership decisions agree exactly — not just
+approximately — with the per-query path.  Containment and k-NN ranking
+apply the same IEEE operation sequence as their scalar counterparts
+(``Rect.contains_point``, ``Point.squared_distance_to``).  The radius
+test cannot: ``min_dist`` ends in ``math.hypot``, which numpy does not
+reproduce bit for bit.  It compares squared distances instead and lets
+``math.hypot`` decide every row whose square lies within a relative
+:data:`~repro.geometry.distances.BAND` of the squared radius (the
+confirm rule of :func:`repro.geometry.distances.hypot_at_most`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import math
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from repro.geometry.distances import axis_gaps, hypot_at_most
 
 #: Upper bound on queries x objects cells materialised at once (~32 MB of
 #: float64 per chunk).
@@ -127,14 +134,15 @@ def points_within_radius(
 
     The exact "rounded rectangle" membership test of a private range
     query: per-axis gap to the rectangle, then ``hypot(dx, dy) <= r``
-    — the vector form of ``min_dist(point, region) <= radius``.
+    decided by :func:`~repro.geometry.distances.hypot_at_most` — the
+    vector form of ``min_dist(point, region) <= radius``.
     """
     out: list[np.ndarray] = []
     for lo, hi in _row_chunks(len(regions), xs.size):
         r = regions[lo:hi]
-        dx = np.maximum(0.0, np.maximum(r[:, 0:1] - xs, xs - r[:, 2:3]))
-        dy = np.maximum(0.0, np.maximum(r[:, 1:2] - ys, ys - r[:, 3:4]))
-        within = np.hypot(dx, dy) <= radii[lo:hi, None]
+        dx = axis_gaps(xs, r[:, 0:1], r[:, 2:3])
+        dy = axis_gaps(ys, r[:, 1:2], r[:, 3:4])
+        within = hypot_at_most(dx, dy, radii[lo:hi, None])
         out.extend(np.nonzero(row)[0] for row in within)
     return out
 

@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.stores import PrivateStore
-from repro.geometry.distances import max_dist, min_dist
+from repro.geometry.distances import (
+    hypot_at_most,
+    kth_smallest_hypot,
+    max_dist_axes,
+    min_dist_axes,
+)
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -72,21 +77,20 @@ def knn_candidate_users(
 
     The bound is the k-th smallest ``max_dist``: k users are certainly
     within it, so anyone whose whole region lies beyond can never crack
-    the top k.
+    the top k.  Candidates are the users with ``min_dist <= bound``, in
+    :meth:`PrivateStore.items` order.  Both distances are evaluated over
+    the store's frozen bounds column at once and equal the scalar
+    ``max_dist`` / ``min_dist`` bit for bit (see
+    :mod:`repro.geometry.distances`).
     """
     if len(store) == 0:
-        raise QueryError("k-NN query over an empty private store")
+        raise QueryError("nearest-neighbour query over an empty private store")
     if k < 1:
         raise QueryError(f"k must be positive, got {k}")
-    k = min(k, len(store))
-    worst_cases = sorted(max_dist(query, region) for _, region in store.items())
-    bound = worst_cases[k - 1]
-    candidates = [
-        object_id
-        for object_id, region in store.items()
-        if min_dist(query, region) <= bound
-    ]
-    return candidates, bound
+    ids, bounds = store.snapshot_arrays()
+    bound = kth_smallest_hypot(*max_dist_axes(query, bounds), min(k, len(ids)))
+    rows = np.flatnonzero(hypot_at_most(*min_dist_axes(query, bounds), bound))
+    return [ids[row] for row in rows.tolist()], bound
 
 
 def public_knn_query(
@@ -143,6 +147,27 @@ def estimate_knn_probabilities(
     if n == 0:
         return []
     k = min(k, n)
+    d2 = sampled_squared_distances(regions, query, samples, rng)
+    # Indices of the k smallest distances per sample column.
+    winners = np.argpartition(d2, k - 1, axis=0)[:k, :]
+    counts = np.bincount(winners.ravel(), minlength=n)
+    return [float(c) / samples for c in counts]
+
+
+def sampled_squared_distances(
+    regions: Sequence[Rect],
+    query: Point,
+    samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``(n_regions, samples)`` squared distances from ``query`` to joint draws.
+
+    Draw ``j`` places every user uniformly in their region, independently:
+    region by region, x then y, and an axis of zero width is its one
+    coordinate rather than a draw.  That order fixes the generator's
+    stream, so both probability estimators see the same draws.
+    """
+    n = len(regions)
     xs = np.empty((n, samples))
     ys = np.empty((n, samples))
     for i, region in enumerate(regions):
@@ -156,11 +181,7 @@ def estimate_knn_probabilities(
             if region.height > 0
             else region.min_y
         )
-    d2 = (xs - query.x) ** 2 + (ys - query.y) ** 2
-    # Indices of the k smallest distances per sample column.
-    winners = np.argpartition(d2, k - 1, axis=0)[:k, :]
-    counts = np.bincount(winners.ravel(), minlength=n)
-    return [float(c) / samples for c in counts]
+    return (xs - query.x) ** 2 + (ys - query.y) ** 2
 
 
 def exact_knn_users(

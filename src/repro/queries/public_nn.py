@@ -29,6 +29,7 @@ from repro.geometry.distances import max_dist, min_dist
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.queries.probabilistic import NearestAnswer
+from repro.queries.public_knn import knn_candidate_users, sampled_squared_distances
 
 
 @dataclass(frozen=True)
@@ -60,17 +61,10 @@ def nn_candidate_users(
     A user survives iff ``min_dist(query, region) <= m`` where
     ``m = min over users of max_dist(query, region)``: the user attaining
     ``m`` is within ``m`` wherever she actually is, so anyone whose whole
-    region lies beyond ``m`` can never be nearest.
+    region lies beyond ``m`` can never be nearest.  This is the ``k = 1``
+    call of :func:`~repro.queries.public_knn.knn_candidate_users`.
     """
-    if len(store) == 0:
-        raise QueryError("nearest-neighbour query over an empty private store")
-    m = min(max_dist(query, region) for _, region in store.items())
-    candidates = [
-        object_id
-        for object_id, region in store.items()
-        if min_dist(query, region) <= m
-    ]
-    return candidates, m
+    return knn_candidate_users(store, query, 1)
 
 
 def public_nn_query(
@@ -121,20 +115,7 @@ def estimate_nn_probabilities(
     n = len(regions)
     if n == 0:
         return []
-    xs = np.empty((n, samples))
-    ys = np.empty((n, samples))
-    for i, region in enumerate(regions):
-        xs[i] = (
-            rng.uniform(region.min_x, region.max_x, size=samples)
-            if region.width > 0
-            else region.min_x
-        )
-        ys[i] = (
-            rng.uniform(region.min_y, region.max_y, size=samples)
-            if region.height > 0
-            else region.min_y
-        )
-    d2 = (xs - query.x) ** 2 + (ys - query.y) ** 2
+    d2 = sampled_squared_distances(regions, query, samples, rng)
     winners = np.argmin(d2, axis=0)
     counts = np.bincount(winners, minlength=n)
     return [float(c) / samples for c in counts]

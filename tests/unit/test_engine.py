@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,23 @@ class TestKernels:
         assert list(kernels._smallest_k(d2, 0)) == []
         assert list(kernels._smallest_k(d2, 99)) == [1, 2, 3, 4, 0]
 
+    def test_radius_membership_is_min_dist(self):
+        """Radii exactly at, one ulp under and one ulp over each point's
+        own ``min_dist``: the kernel decides them like the scalar test."""
+        from repro.geometry.distances import min_dist
+
+        rng = np.random.default_rng(23)
+        xs = rng.uniform(0, 100, 400)
+        ys = rng.uniform(0, 100, 400)
+        region = Rect(40.0, 40.0, 52.5, 47.25)
+        exact = np.array([min_dist(Point(x, y), region) for x, y in zip(xs.tolist(), ys.tolist())])
+        regions = np.tile([40.0, 40.0, 52.5, 47.25], (3 * len(xs), 1))
+        radii = np.concatenate(
+            [exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)]
+        )
+        for radius, rows in zip(radii, kernels.points_within_radius(xs, ys, regions, radii)):
+            assert rows.tolist() == np.flatnonzero(exact <= radius).tolist()
+
     def test_point_grid_degenerate_inputs(self):
         empty = kernels.PointGrid(np.empty(0), np.empty(0))
         assert kernels.points_in_windows_grid(
@@ -344,6 +363,25 @@ class TestKernels:
             stacked, np.array([1.0]), np.array([1.0]), [2]
         )
         assert list(rows) == [0, 1]
+
+
+class TestPrivateRangeRoutesAgreeAtTheRadius:
+    def test_corner_object_at_exactly_the_radius(self):
+        """``np.hypot`` rounds this gap one ulp above ``math.hypot``: the
+        kernel used to drop an object the scalar route and the oracle keep."""
+        dx, dy = 8.804598989396311, 2.174857014319489
+        server = LocationServer(telemetry=Telemetry(enabled=False))
+        server.add_public_object("poi", Point(12 + dx, 12 + dy))
+        spec = RangeSpec(
+            flavor="private", region=Rect(0, 0, 12, 12),
+            radius=math.hypot(dx, dy), method="exact",
+        )
+        oracle = BruteForceOracle.from_server(server)
+        want = tuple(oracle.private_range(spec.region, spec.radius, spec.method))
+        assert want == ("poi",)
+        vectorized = server.planner.execute(spec, route="vectorized")
+        scalar = server.planner.execute(spec, backend="rtree", route="scalar")
+        assert vectorized.candidates == scalar.candidates == want
 
 
 class TestOracle:
