@@ -44,7 +44,6 @@ class BruteForceOracle:
         self.public: dict[Hashable, Point] = dict(public or {})
         self.private: dict[Hashable, Rect] = dict(private or {})
         self._public_rank = {item: i for i, item in enumerate(self.public)}
-        self._private_rank = {item: i for i, item in enumerate(self.private)}
 
     @classmethod
     def from_server(cls, server) -> "BruteForceOracle":
@@ -174,17 +173,6 @@ class BruteForceOracle:
             for item, rect in self.private.items()
             if rect.intersects(window)
         ]
-
-    def region_knn(self, query: Point, k: int) -> list[Hashable]:
-        """The ``k`` regions nearest to ``query`` by min-distance."""
-        ranked = sorted(
-            self.private,
-            key=lambda item: (
-                min_dist(query, self.private[item]),
-                self._private_rank[item],
-            ),
-        )
-        return ranked[: max(0, k)]
 
     def public_count(self, window: Rect) -> CountAnswer:
         """Probabilistic count over the region table, in rank order."""

@@ -2,22 +2,21 @@
 
 Realistic LBS traffic is not one query type: it is a mix of "what's near
 me" range probes, "nearest X" lookups, and operator-side analytics, with
-popularity skew across users.  This module generates such a mix
-deterministically and drives it through the end-to-end system, producing
-the QoS summary the trade-off analyses and stress tests consume.
+popularity skew across users.  This module draws such a mix
+deterministically as declarative :class:`~repro.queries.spec.QuerySpec`
+lists (:func:`generate_specs`) and drives it through the end-to-end
+system, producing the QoS summary the trade-off analyses and stress tests
+consume.
 
-Workloads are *data*: every event converts to a declarative
-:class:`~repro.queries.spec.QuerySpec` (:func:`specs_from_events` /
-:func:`generate_specs`), the spec list round-trips through JSON
-(:func:`dump_specs` / :func:`load_specs`), and execution goes through
-``PrivacySystem.query`` so the cost-based planner — not the workload
-driver — picks the backend and route for every query.
+Workloads are *data*: a spec list round-trips through JSON
+(``dump_specs`` / ``load_specs`` in :mod:`repro.queries.spec`), and
+execution goes through ``PrivacySystem.query`` so the cost-based planner
+— not the workload driver — picks the backend and route for every query.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -33,33 +32,12 @@ from repro.queries.spec import (
     NNSpec,
     QuerySpec,
     RangeSpec,
-    dump_specs,
     is_user_bound,
-    load_specs,
     native_kind,
 )
 
-
-class QueryKind(enum.Enum):
-    """The query species of the mix."""
-
-    PRIVATE_RANGE = "private_range"
-    PRIVATE_NN = "private_nn"
-    PUBLIC_COUNT = "public_count"
-    PUBLIC_NN = "public_nn"
-
-
-@dataclass(frozen=True)
-class QueryEvent:
-    """One scheduled query.
-
-    ``subject`` is a user id for private queries, a query point for
-    public NN, or a window for public counts.
-    """
-
-    kind: QueryKind
-    subject: object
-    radius: float = 0.0
+#: The native kinds of the mix, in the order of :attr:`QueryMix.weights`.
+_MIX_KINDS = ("private_range", "private_nn", "public_count", "public_nn")
 
 
 @dataclass(frozen=True)
@@ -91,76 +69,6 @@ class QueryMix:
             raise QueryError("weights must sum to a positive value")
 
 
-def generate_events(
-    mix: QueryMix,
-    user_ids: Sequence[Hashable],
-    bounds: Rect,
-    rng: np.random.Generator,
-) -> list[QueryEvent]:
-    """Materialise a deterministic event list from a mix recipe."""
-    if not user_ids:
-        raise QueryError("need at least one user to generate a workload")
-    kinds = list(QueryKind)
-    weights = np.asarray(mix.weights, dtype=float)
-    weights = weights / weights.sum()
-    popularity = np.asarray(zipf_weights(len(user_ids), mix.user_skew))
-    side = mix.window_fraction * bounds.width
-    events: list[QueryEvent] = []
-    for _ in range(mix.n_queries):
-        kind = kinds[int(rng.choice(4, p=weights))]
-        if kind in (QueryKind.PRIVATE_RANGE, QueryKind.PRIVATE_NN):
-            user = user_ids[int(rng.choice(len(user_ids), p=popularity))]
-            events.append(QueryEvent(kind, user, radius=mix.radius))
-        elif kind is QueryKind.PUBLIC_COUNT:
-            cx = float(rng.uniform(bounds.min_x + side / 2, bounds.max_x - side / 2))
-            cy = float(rng.uniform(bounds.min_y + side / 2, bounds.max_y - side / 2))
-            events.append(
-                QueryEvent(kind, Rect.from_center(Point(cx, cy), side, side))
-            )
-        else:
-            cx = float(rng.uniform(bounds.min_x, bounds.max_x))
-            cy = float(rng.uniform(bounds.min_y, bounds.max_y))
-            events.append(QueryEvent(kind, Point(cx, cy)))
-    return events
-
-
-def specs_from_events(
-    events: Sequence[QueryEvent],
-    samples: int = 1024,
-    rng: np.random.Generator | None = None,
-) -> list[QuerySpec]:
-    """Convert scheduled events into declarative, serialisable specs.
-
-    ``rng`` seeds the Monte-Carlo public-NN specs (one fresh seed per
-    event, drawn deterministically), so a spec list fully determines the
-    workload's answers — including the probabilistic ones.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    specs: list[QuerySpec] = []
-    for event in events:
-        if event.kind is QueryKind.PRIVATE_RANGE:
-            specs.append(
-                RangeSpec(
-                    flavor="private", user=event.subject, radius=event.radius
-                )
-            )
-        elif event.kind is QueryKind.PRIVATE_NN:
-            specs.append(NNSpec(flavor="private", user=event.subject))
-        elif event.kind is QueryKind.PUBLIC_COUNT:
-            specs.append(CountSpec(window=event.subject))
-        else:
-            specs.append(
-                NNSpec(
-                    flavor="public",
-                    dataset="private",
-                    point=event.subject,
-                    samples=samples,
-                    seed=int(rng.integers(0, 2**31 - 1)),
-                )
-            )
-    return specs
-
-
 def generate_specs(
     mix: QueryMix,
     user_ids: Sequence[Hashable],
@@ -168,37 +76,56 @@ def generate_specs(
     rng: np.random.Generator,
     samples: int = 1024,
 ) -> list[QuerySpec]:
-    """Materialise a mix directly as a JSON-ready spec list.
+    """Materialise a mix recipe as a deterministic, JSON-ready spec list.
 
-    ``dump_specs`` on the result (and ``load_specs`` back) round-trips
-    the whole workload through plain JSON — workloads are data.
+    Every spec's kind and subject are drawn first, then one Monte-Carlo
+    seed per public-NN spec, so one ``rng`` state fixes the whole
+    workload — including its probabilistic answers.
     """
-    events = generate_events(mix, user_ids, bounds, rng)
-    return specs_from_events(events, samples=samples, rng=rng)
-
-
-def _kind_of_spec(spec: QuerySpec) -> QueryKind:
-    """The mix species a spec belongs to (for report bucketing).
-
-    Species are named by native kind; private ones must be user-bound,
-    because scoring needs the asker's exact location.
-    """
-    kind = native_kind(spec)
-    scorable = {species.value for species in QueryKind}
-    if kind in scorable and is_user_bound(spec) == kind.startswith("private"):
-        return QueryKind(kind)
-    raise QueryError(
-        f"workload driver cannot score spec: {spec!r}; supported kinds "
-        "are private range/NN (user-bound), public count, and "
-        "probabilistic public NN"
-    )
+    if not user_ids:
+        raise QueryError("need at least one user to generate a workload")
+    weights = np.asarray(mix.weights, dtype=float)
+    weights = weights / weights.sum()
+    popularity = np.asarray(zipf_weights(len(user_ids), mix.user_skew))
+    side = mix.window_fraction * bounds.width
+    specs: list[QuerySpec] = []
+    for _ in range(mix.n_queries):
+        kind = _MIX_KINDS[int(rng.choice(4, p=weights))]
+        if kind == "private_range" or kind == "private_nn":
+            user = user_ids[int(rng.choice(len(user_ids), p=popularity))]
+            specs.append(
+                RangeSpec(flavor="private", user=user, radius=mix.radius)
+                if kind == "private_range"
+                else NNSpec(flavor="private", user=user)
+            )
+        elif kind == "public_count":
+            cx = float(rng.uniform(bounds.min_x + side / 2, bounds.max_x - side / 2))
+            cy = float(rng.uniform(bounds.min_y + side / 2, bounds.max_y - side / 2))
+            specs.append(CountSpec(window=Rect.from_center(Point(cx, cy), side, side)))
+        else:
+            cx = float(rng.uniform(bounds.min_x, bounds.max_x))
+            cy = float(rng.uniform(bounds.min_y, bounds.max_y))
+            specs.append(
+                NNSpec(
+                    flavor="public",
+                    dataset="private",
+                    point=Point(cx, cy),
+                    samples=samples,
+                )
+            )
+    return [
+        replace(spec, seed=int(rng.integers(0, 2**31 - 1)))
+        if native_kind(spec) == "public_nn"
+        else spec
+        for spec in specs
+    ]
 
 
 @dataclass
 class WorkloadReport:
-    """Aggregated outcome of one workload run."""
+    """Aggregated outcome of one workload run, bucketed by native kind."""
 
-    executed: dict[QueryKind, int] = field(default_factory=dict)
+    executed: dict[str, int] = field(default_factory=dict)
     private_correct: int = 0
     private_total: int = 0
     count_abs_error: list[float] = field(default_factory=list)
@@ -207,7 +134,7 @@ class WorkloadReport:
 
     def summary(self) -> dict[str, float]:
         out: dict[str, float] = {
-            f"n_{kind.value}": float(n) for kind, n in self.executed.items()
+            f"n_{kind}": float(n) for kind, n in self.executed.items()
         }
         if self.private_total:
             out["private_accuracy"] = self.private_correct / self.private_total
@@ -218,22 +145,6 @@ class WorkloadReport:
         return out
 
 
-def run_workload(
-    system: PrivacySystem,
-    events: Sequence[QueryEvent],
-    samples: int = 1024,
-    rng: np.random.Generator | None = None,
-) -> WorkloadReport:
-    """Execute a workload end to end, scoring answers against ground truth.
-
-    Events are converted to declarative specs (``rng`` seeds the
-    probabilistic NN draws) and run through :func:`run_spec_workload`,
-    so the cost-based planner chooses every execution.
-    """
-    specs = specs_from_events(events, samples=samples, rng=rng)
-    return run_spec_workload(system, specs)
-
-
 def run_spec_workload(
     system: PrivacySystem, specs: Sequence[QuerySpec]
 ) -> WorkloadReport:
@@ -241,7 +152,9 @@ def run_spec_workload(
 
     Ground truth comes from the simulator's exact user locations — which
     the server never sees; the report checks the privacy pipeline kept its
-    correctness guarantees under the whole mix.
+    correctness guarantees under the whole mix.  Only the mix's kinds are
+    scorable, and a private one must be user-bound, because scoring needs
+    the asker's exact location.
     """
     report = WorkloadReport()
     # Ground truth over *visible* users only: passive users are invisible
@@ -253,13 +166,21 @@ def run_spec_workload(
         if uid in visible
     }
     for spec in specs:
-        kind = _kind_of_spec(spec)
+        kind = native_kind(spec)
+        if kind not in _MIX_KINDS or is_user_bound(spec) != kind.startswith(
+            "private"
+        ):
+            raise QueryError(
+                f"workload driver cannot score spec: {spec!r}; supported "
+                "kinds are private range/NN (user-bound), public count, "
+                "and probabilistic public NN"
+            )
         report.executed[kind] = report.executed.get(kind, 0) + 1
-        if kind in (QueryKind.PRIVATE_RANGE, QueryKind.PRIVATE_NN):
+        if kind == "private_range" or kind == "private_nn":
             outcome, _ = system.query(spec)
             report.private_total += 1
             report.private_correct += outcome.correct
-        elif kind is QueryKind.PUBLIC_COUNT:
+        elif kind == "public_count":
             answer = system.query(spec)
             truth = exact_range_count(exact, spec.window)
             report.count_abs_error.append(abs(answer.expected - truth))

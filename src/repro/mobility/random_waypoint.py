@@ -10,7 +10,7 @@ their cached cloaked regions at population-dependent rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class RandomWaypointModel:
             target=uniform_point(self.bounds, self._rng),
             speed=speed if speed is not None else float(self._rng.uniform(lo, hi)),
         )
-
-    def add_users(self, positions: Iterable[tuple[Hashable, Point]]) -> None:
-        for user_id, position in positions:
-            self.add_user(user_id, position)
 
     def remove_user(self, user_id: Hashable) -> None:
         del self._states[user_id]

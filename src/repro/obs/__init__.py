@@ -200,10 +200,7 @@ def disable_tracing() -> None:
 
 # Imported after Telemetry exists: audit builds on events, explain on the
 # index counters — none depends back on this module at import time.
-from repro.obs.accuracy import (  # noqa: E402
-    AccuracyMonitor,
-    PlanAccuracyAuditor,
-)
+from repro.obs.accuracy import AccuracyMonitor  # noqa: E402
 from repro.obs.audit import PrivacyAuditor  # noqa: E402
 from repro.obs.explain import (  # noqa: E402
     PlanNode,
@@ -245,7 +242,6 @@ __all__ = [
     "CORRELATION_METRIC",
     "PrivacyAuditor",
     "AccuracyMonitor",
-    "PlanAccuracyAuditor",
     "PrivacyRiskMonitor",
     "TimeSeriesStore",
     "Window",

@@ -1,28 +1,20 @@
-"""Plan-accuracy auditing: predicted cost vs measured reality.
+"""Plan accuracy: predicted cost vs measured reality.
 
-PR 6's planner emits a predicted per-query cost in every
-``planner.decision`` event, but nothing ever checked the prediction.
-This module closes that loop twice over:
-
-* :class:`AccuracyMonitor` — the *online* half, owned by
-  :class:`~repro.planner.planner.QueryPlanner`.  Every executed query
-  feeds it (decision, measured seconds); it keeps a rolling
-  measured/predicted ratio window per (kind, backend, route) group,
-  emits a ``planner.mispredict`` event the moment a group's median
-  ratio leaves the tolerance band, and — when the *overall* calibration
-  drift (geometric mean of group medians) exceeds its band — asks the
-  :class:`~repro.planner.stats.StatisticsCollector` to recalibrate.
-  That is planner self-healing driven purely by observability: a stale
-  calibration manifests as drift, drift triggers recalibration, fresh
-  predictions bring the ratios home (proved end-to-end by
-  ``tests/integration/test_feedback_loop.py``).
-
-* :class:`PlanAccuracyAuditor` — the *offline* half.  Point it at any
-  recorded event trail (ring buffer or JSONL file) and it joins each
-  ``planner.decision`` with the ``planner.measured`` event sharing its
-  ``qid`` (see :mod:`repro.obs.correlate`), then reports per-group
-  mispredict ratios, overall drift, and how often the online loop fired
-  (schema ``repro.obs.accuracy/1``).
+The planner emits a predicted per-query cost in every
+``planner.decision`` event; :class:`AccuracyMonitor`, owned by
+:class:`~repro.planner.planner.QueryPlanner`, checks it.  Every executed
+query feeds it (decision, measured seconds); it keeps a rolling
+measured/predicted ratio window per (kind, backend, route) group, emits
+a ``planner.mispredict`` event the moment a group's median ratio leaves
+the tolerance band, and — when the *overall* calibration drift
+(geometric mean of group medians) exceeds its band — asks the
+:class:`~repro.planner.stats.StatisticsCollector` to recalibrate.  That
+is planner self-healing driven purely by observability: a stale
+calibration manifests as drift, drift triggers recalibration, fresh
+predictions bring the ratios home (proved end-to-end by
+``tests/integration/test_feedback_loop.py``).  The same folded drift is
+the evidence of the ``mispredict_ratio`` SLO (:mod:`repro.obs.slo`);
+its report carries schema ``repro.obs.accuracy/1``.
 
 Ratios are symmetric: a group predicting 4x too *low* is as wrong as
 one predicting 4x too high, so bands compare ``max(r, 1/r)`` against
@@ -47,13 +39,7 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
-from repro.obs.events import (
-    PLANNER_CALIBRATED,
-    PLANNER_DECISION,
-    PLANNER_MEASURED,
-    PLANNER_MISPREDICT,
-    Event,
-)
+from repro.obs.events import PLANNER_CALIBRATED, PLANNER_MISPREDICT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.planner.planner import Decision
@@ -325,91 +311,3 @@ class AccuracyMonitor:
         self.mispredicts = 0
         self.recalibrations = 0
         self.pinned_recalibrations = 0
-
-
-class PlanAccuracyAuditor:
-    """Offline decision/measurement join over a recorded event trail.
-
-    Feed it events (from :meth:`EventLog.events` or
-    :func:`~repro.obs.events.read_jsonl`); it pairs every
-    ``planner.measured`` with the ``planner.decision`` sharing its
-    ``qid``.  Measurements carry their prediction inline too, so ratios
-    survive trails whose decision events rolled off the ring buffer —
-    the join tally (``joined`` vs ``measured``) reports how complete
-    the correlation evidence was.
-    """
-
-    def __init__(self, threshold: float = DEFAULT_THRESHOLD) -> None:
-        self.threshold = threshold
-        self._decision_qids: set[str] = set()
-        self._groups: dict[tuple[str, str, str], list[float]] = {}
-        self.decisions = 0
-        self.measured = 0
-        self.joined = 0
-        self.mispredict_events = 0
-        self.calibrations = 0
-
-    def consume(self, events: Iterable[Event]) -> "PlanAccuracyAuditor":
-        for event in events:
-            kind = event.kind
-            if kind == PLANNER_DECISION:
-                self.decisions += 1
-                qid = event.attrs.get("qid")
-                if isinstance(qid, str):
-                    self._decision_qids.add(qid)
-            elif kind == PLANNER_MEASURED:
-                self.measured += 1
-                attrs = event.attrs
-                qid = attrs.get("qid")
-                if isinstance(qid, str) and qid in self._decision_qids:
-                    self.joined += 1
-                predicted = float(attrs.get("est_seconds") or 0.0)
-                seconds = float(attrs.get("seconds") or 0.0)
-                if predicted >= MIN_PREDICTED_SECONDS and seconds >= 0.0:
-                    key = (
-                        str(attrs.get("query")),
-                        str(attrs.get("backend")),
-                        str(attrs.get("route")),
-                    )
-                    self._groups.setdefault(key, []).append(
-                        max(seconds, 1e-12) / predicted
-                    )
-            elif kind == PLANNER_MISPREDICT:
-                self.mispredict_events += 1
-            elif kind == PLANNER_CALIBRATED:
-                self.calibrations += 1
-        return self
-
-    def report(self) -> dict:
-        groups = {}
-        all_ratios: list[float] = []
-        mispredicting = 0
-        for (kind, backend, route), ratios in sorted(self._groups.items()):
-            median = _median(ratios)
-            bad = _fold(median) > self.threshold
-            mispredicting += bad
-            all_ratios.extend(ratios)
-            groups["/".join((kind, backend, route))] = {
-                "kind": kind,
-                "backend": backend,
-                "route": route,
-                "samples": len(ratios),
-                "median_ratio": median,
-                "folded": _fold(median),
-                "mispredict": bad,
-            }
-        overall = _median(all_ratios) if all_ratios else 1.0
-        return {
-            "schema": ACCURACY_SCHEMA,
-            "source": "events",
-            "threshold": self.threshold,
-            "decisions": self.decisions,
-            "measured": self.measured,
-            "joined": self.joined,
-            "mispredict_events": self.mispredict_events,
-            "calibrations": self.calibrations,
-            "median_ratio": overall,
-            "median_folded": _fold(overall) if all_ratios else 1.0,
-            "mispredicting_groups": mispredicting,
-            "groups": groups,
-        }

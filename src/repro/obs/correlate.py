@@ -33,9 +33,7 @@ Scope semantics
 
 The offline join (:func:`correlate_events`) groups a recorded event
 trail by ``qid``, so one request's full story can be reconstructed from
-a JSONL file alone.  :class:`~repro.obs.accuracy.PlanAccuracyAuditor`
-matches decisions to measurements on the same ``qid`` attribute with
-its own single pass; it does not call this join.
+a JSONL file alone.
 """
 
 from __future__ import annotations

@@ -11,12 +11,15 @@ telemetry snapshot into a typed :class:`HealthReport` with stable exit
 codes — ``python -m repro health`` is the operational front door, and
 CI smoke-checks it.
 
-Two evidence sources, deliberately different windows:
+Three evidence sources, deliberately different windows:
 
 * **event-derived** SLOs (attainment, degradation, snapshot reuse,
-  mispredict ratio, accuracy) evaluate over the last ``window`` events
-  of the ring buffer — a *rolling* view that recovers when the system
-  does;
+  accuracy) evaluate over the last ``window`` events of the ring
+  buffer — a *rolling* view that recovers when the system does;
+* the **mispredict ratio** reads the planner's own
+  :class:`~repro.obs.accuracy.AccuracyMonitor` (its folded calibration
+  drift over per-group rolling ratio windows), the same evidence that
+  drives the planner's recalibration;
 * **latency** SLOs read the span histograms, which are lifetime
   aggregates — drift across commits is the pipeline benchmark's job
   (``bench/run.py``), not this monitor's.
@@ -34,7 +37,6 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.obs.accuracy import PlanAccuracyAuditor
 from repro.obs.audit import PrivacyAuditor
 from repro.obs.events import (
     RISK_SCORED,
@@ -47,6 +49,7 @@ from repro.obs.events import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
     from repro.obs import Telemetry
+    from repro.obs.accuracy import AccuracyMonitor
 
 #: Report envelope schema tag.
 SLO_SCHEMA = "repro.obs.slo/1"
@@ -321,24 +324,30 @@ class SLOMonitor:
         """One health verdict right now.
 
         Either pass a :class:`~repro.core.system.PrivacySystem` (its
-        telemetry snapshot, event ring and sink are used), or supply
-        ``snapshot`` (for latency specs) and ``events`` (for the rest)
-        directly.  When a telemetry unit is reachable the verdict is
-        itself observable: ``slo.ok`` / ``slo.value`` gauges are set and
-        one ``slo.evaluated`` event is emitted.
+        telemetry snapshot, event ring, sink and planner's accuracy
+        monitor are used), or supply ``snapshot`` (for latency specs)
+        and ``events`` (for the rest but the mispredict ratio, which
+        needs a planner) directly.  When a telemetry unit is reachable
+        the verdict is itself observable: ``slo.ok`` / ``slo.value``
+        gauges are set and one ``slo.evaluated`` event is emitted.
         """
+        accuracy: "AccuracyMonitor | None" = None
         if system is not None:
             snapshot = system.telemetry() if snapshot is None else snapshot
             events = (
                 list(system.obs.events.events()) if events is None else events
             )
             telemetry = system.obs if telemetry is None else telemetry
+            # The server builds its planner on first use; a system that
+            # never planned has no planner to judge, and judging must
+            # not build one.
+            planner = system.server._planner
+            accuracy = None if planner is None else planner.accuracy
         event_list = list(events) if events is not None else []
         windowed = event_list[-self.window :]
         stages = (snapshot or {}).get("stages", {})
 
         audit = PrivacyAuditor().consume(windowed).report()
-        accuracy = PlanAccuracyAuditor().consume(windowed).report()
         snapshot_counts = {SNAPSHOT_REUSED: 0, SNAPSHOT_CAPTURED: 0}
         for event in windowed:
             if event.kind in snapshot_counts:
@@ -387,7 +396,7 @@ class SLOMonitor:
         spec: SLOSpec,
         stages: dict,
         audit: dict,
-        accuracy: dict,
+        accuracy: "AccuracyMonitor | None",
         snapshot_counts: dict,
         risk: dict | None,
     ) -> SLOResult:
@@ -420,7 +429,7 @@ class SLOMonitor:
         spec: SLOSpec,
         stages: dict,
         audit: dict,
-        accuracy: dict,
+        accuracy: "AccuracyMonitor | None",
         snapshot_counts: dict,
         risk: dict | None,
     ) -> float | None:
@@ -449,9 +458,9 @@ class SLOMonitor:
                 return None
             return snapshot_counts[SNAPSHOT_REUSED] / rounds
         if kind == "mispredict_ratio":
-            if not accuracy["measured"]:
+            if accuracy is None or not accuracy.observed:
                 return None
-            return float(accuracy["median_folded"])
+            return float(accuracy.report()["drift_folded"])
         if kind == "query_accuracy":
             queries = audit["queries"]
             total = sum(entry["count"] for entry in queries.values())

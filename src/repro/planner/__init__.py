@@ -4,13 +4,13 @@ The package turns the repo's descriptive layers prescriptive: PR 4's
 EXPLAIN showed what each execution *did cost*; the planner uses the
 same measured signals — :class:`~repro.index.base.IndexCounters`
 deltas, calibration probe timings, snapshot freshness — to choose,
-per query, an index backend among the five in :mod:`repro.index` and
-the vectorized-kernel vs scalar route, without ever changing answers.
+per query, the native R-tree or a uniform-grid replica and the
+vectorized-kernel vs scalar route, without ever changing answers.
 
 Layout:
 
-* :mod:`repro.planner.replicas` — alternate-backend copies of the
-  server's stores, built lazily per store version;
+* :mod:`repro.planner.replicas` — grid copies of the server's stores,
+  built lazily per store version;
 * :mod:`repro.planner.stats` — the statistics collector and its
   calibration probes;
 * :mod:`repro.planner.cost` — the cost model pricing (backend, route)

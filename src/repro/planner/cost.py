@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.planner.replicas import BACKEND_NAMES, BOUNDED_BACKENDS
+from repro.planner.replicas import BACKEND_NAMES
 from repro.planner.stats import PROBE_K, RANGE_BUCKETS, PlannerStats
 
 #: Execution routes the planner chooses between.
@@ -192,23 +192,18 @@ class CostModel:
 
         - the native ``rtree`` store always qualifies;
         - an empty store makes replicas pointless (rtree only);
-        - bounded backends need a positive-area universe, and for k-NN
-          probes the query point must lie inside it;
-        - point-oriented replicas of the private store exist only while
-          every cloaked region is degenerate (``require_degenerate``).
+        - the grid needs a positive-area universe, and for k-NN probes
+          the query point must lie inside it;
+        - a grid replica of the private store exists only while every
+          cloaked region is degenerate (``require_degenerate``).
         """
         n = self.stats.n_public if side == "public" else self.stats.n_private
-        if n == 0:
-            return ["rtree"]
-        if require_degenerate and not self.stats.private_degenerate:
-            return ["rtree"]
         universe = self.stats.universe
-        out = []
-        for name in BACKEND_NAMES:
-            if name in BOUNDED_BACKENDS:
-                if universe is None or universe.area <= 0.0:
-                    continue
-                if point is not None and not universe.contains_point(point):
-                    continue
-            out.append(name)
-        return out
+        grid_fits = (
+            n > 0
+            and (self.stats.private_degenerate or not require_degenerate)
+            and universe is not None
+            and universe.area > 0.0
+            and (point is None or universe.contains_point(point))
+        )
+        return ["rtree", "grid"] if grid_fits else ["rtree"]

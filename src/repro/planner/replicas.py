@@ -1,22 +1,21 @@
-"""Alternate-backend replicas of the server's stores.
+"""Grid replicas of the server's stores.
 
 The server's native stores are R-tree-backed.  To let the cost-based
-planner route a query to a cheaper structure (uniform grid for dense
-uniform data, k-d tree for point-only NN, ...), the :class:`ReplicaSet`
-maintains read-only copies of the store contents in the other four
-backends of :mod:`repro.index`, built lazily per store version and
+planner route a query to a cheaper structure, the :class:`ReplicaSet`
+maintains read-only uniform-grid copies of the store contents
+(:class:`~repro.index.grid.GridIndex`, the one other backend the planner
+picks, for dense uniform data), built lazily per store version and
 rebuilt only after mutations.  Replicas are an *execution* alternative,
 never an answer alternative: every backend is conformance-tested to
 return the same result sets (``tests/conformance/``), and replica build
 time is charged by the cost model so a cold replica is only chosen when
 the batch is large enough to amortise it.
 
-Bounded backends (grid, quadtree, pyramid) need a universe rectangle;
-the planner uses the system's world bounds when attached to a
-:class:`~repro.core.system.PrivacySystem`, else a padded bounding box of
-the data.  Backends that cannot represent the current contents (true
-rectangles outside the R-tree, out-of-universe data) are simply not
-offered to the cost model.
+The grid needs a universe rectangle; the planner uses the system's world
+bounds when attached to a :class:`~repro.core.system.PrivacySystem`, else
+a padded bounding box of the data.  When the grid cannot represent the
+current contents (true rectangles outside the R-tree, out-of-universe
+data) it is simply not offered to the cost model.
 """
 
 from __future__ import annotations
@@ -28,44 +27,28 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index import GridIndex, KDTree, PyramidGrid, QuadTree, RTree
+from repro.index import GridIndex, RTree
 from repro.index.base import SpatialIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import LocationServer
 
 #: Every index backend the planner can route to, in display order.  The
-#: native store backend is ``rtree``; the others are replicas.
-BACKEND_NAMES: tuple[str, ...] = (
-    "rtree",
-    "quadtree",
-    "grid",
-    "kdtree",
-    "pyramid",
-)
-
-#: Backends that require a bounded universe at construction time.
-BOUNDED_BACKENDS: frozenset[str] = frozenset({"quadtree", "grid", "pyramid"})
+#: native store backend is ``rtree``; ``grid`` is a replica.
+BACKEND_NAMES: tuple[str, ...] = ("rtree", "grid")
 
 
 def build_backend(name: str, bounds: Rect | None, n: int) -> SpatialIndex:
     """A fresh, empty index of backend ``name`` sized for ``n`` entries."""
     if name == "rtree":
         return RTree(max_entries=8)
-    if name == "kdtree":
-        return KDTree()
+    if name != "grid":
+        raise ValueError(f"unknown backend {name!r}")
     if bounds is None or bounds.area <= 0.0:
         raise ValueError(f"backend {name!r} needs a positive-area universe")
-    if name == "quadtree":
-        return QuadTree(bounds, capacity=8)
-    if name == "grid":
-        # ~4 entries per cell on uniform data.
-        cols = max(2, int(np.ceil(np.sqrt(max(1, n) / 4.0))))
-        return GridIndex(bounds, cols=cols)
-    if name == "pyramid":
-        height = int(np.clip(np.ceil(np.log(max(4, n)) / np.log(4.0)), 2, 8))
-        return PyramidGrid(bounds, height=height)
-    raise ValueError(f"unknown backend {name!r}")
+    # ~4 entries per cell on uniform data.
+    cols = max(2, int(np.ceil(np.sqrt(max(1, n) / 4.0))))
+    return GridIndex(bounds, cols=cols)
 
 
 def padded_extent(
@@ -74,7 +57,7 @@ def padded_extent(
     """A slightly enlarged bounding box of the data (``None`` when empty).
 
     The pad keeps boundary points strictly inside the universe of
-    bounded backends and gives degenerate extents a positive area.
+    the grid and gives degenerate extents a positive area.
     """
     if len(xs) == 0:
         return None
@@ -112,7 +95,7 @@ class ReplicaSet:
 
     Args:
         server: the server whose stores are replicated.
-        universe: world bounds for the bounded backends; when ``None``,
+        universe: world bounds for the grid; when ``None``,
             a padded data extent is used (and recomputed per version).
     """
 
@@ -134,14 +117,14 @@ class ReplicaSet:
     # ------------------------------------------------------------------
 
     def public_bounds(self) -> Rect | None:
-        """Universe for bounded public replicas (``None``: unbuildable)."""
+        """Universe for a public grid replica (``None``: unbuildable)."""
         if self.universe is not None:
             return self.universe
         _, xs, ys = self.server.public.snapshot_arrays()
         return padded_extent(xs, ys)
 
     def private_bounds(self) -> Rect | None:
-        """Universe for bounded private replicas."""
+        """Universe for a private grid replica."""
         if self.universe is not None:
             return self.universe
         _, bounds = self.server.private.snapshot_arrays()
@@ -154,7 +137,7 @@ class ReplicaSet:
 
     def private_degenerate(self) -> bool:
         """True when every cloaked region is a point (replicable in the
-        point-oriented backends)."""
+        point-oriented grid)."""
         _, bounds = self.server.private.snapshot_arrays()
         if len(bounds) == 0:
             return True

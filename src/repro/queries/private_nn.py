@@ -27,7 +27,7 @@ Every method guarantees no false negatives; the client refines locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Literal, Sequence
+from typing import Hashable, Literal
 
 from repro.core.errors import QueryError
 from repro.core.stores import PublicStore
@@ -113,22 +113,6 @@ def private_nn_query(
     return PrivateNNResult(
         region=region, candidates=tuple(kept), method=method, pruning_radius=m
     )
-
-
-def private_nn_query_batch(
-    store: PublicStore,
-    regions: Sequence[Rect],
-    method: NNCandidateMethod = "filter",
-) -> list[PrivateNNResult]:
-    """Sequential batch entry point: one candidate set per cloaked region.
-
-    The dominance filter is a sort and a scan over each query's own
-    survivors and the Voronoi filter clips polygons, neither of them an
-    array operation across queries, so the batch engine routes private
-    NN queries through this loop unchanged — batch answers are
-    bit-identical to single-query answers by construction.
-    """
-    return [private_nn_query(store, region, method) for region in regions]
 
 
 def _dominance_filter(

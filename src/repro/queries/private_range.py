@@ -86,22 +86,6 @@ def private_range_query(
     )
 
 
-def private_range_query_batch(
-    store: PublicStore,
-    requests: Sequence[tuple[Rect, float]],
-    method: CandidateMethod = "exact",
-) -> list[PrivateRangeResult]:
-    """Sequential batch entry point: one query per ``(region, radius)``.
-
-    The reference loop the vectorised engine
-    (:class:`repro.engine.BatchEngine`) is checked against.
-    """
-    return [
-        private_range_query(store, region, radius, method)
-        for region, radius in requests
-    ]
-
-
 def refine_range_candidates(
     store: PublicStore,
     result: PrivateRangeResult,

@@ -16,7 +16,7 @@ the probabilistic answer is 2.7).
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -81,16 +81,6 @@ def membership_probabilities(bounds: np.ndarray, window: Rect) -> np.ndarray:
     fx = _axis_fractions(bounds[:, 0], bounds[:, 2], window.min_x, window.max_x)
     fy = _axis_fractions(bounds[:, 1], bounds[:, 3], window.min_y, window.max_y)
     return fx * fy
-
-
-def public_range_count_batch(
-    store: PrivateStore, windows: Sequence[Rect]
-) -> list[CountAnswer]:
-    """Sequential batch entry point: one :func:`public_range_count` per
-    window.  The reference loop the vectorised engine
-    (:class:`repro.engine.BatchEngine`) is checked against.
-    """
-    return [public_range_count(store, window) for window in windows]
 
 
 def public_range_count(store: PrivateStore, window: Rect) -> CountAnswer:

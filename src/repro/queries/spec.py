@@ -14,7 +14,8 @@ result-identical.
 Specs are frozen, validated at construction (bad queries fail before
 they reach a server), and JSON round-trippable via
 :meth:`to_dict` / :func:`spec_from_dict` — a workload is a list of
-dicts, i.e. data, not code (see ``evalx/query_workload.py``).
+dicts, i.e. data, not code (``evalx/query_workload.py`` draws its mixed
+workloads straight into spec lists).
 """
 
 from __future__ import annotations

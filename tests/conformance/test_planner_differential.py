@@ -3,14 +3,15 @@
 The planner's contract is that planning never changes answers.  This
 suite re-proves it from the outside: for every query type, the planned
 execution must be bit-identical to EVERY forced static (backend, route)
-choice — all five index backends and both execution routes — and to the
-brute-force oracle.  Failures dump their generating scenario to
-``tests/conformance/artifacts/`` via the shared ``scenario`` fixture.
+choice — both planner backends (R-tree, grid) and both execution
+routes — and to the brute-force oracle.  Failures dump their generating
+scenario to ``tests/conformance/artifacts/`` via the shared ``scenario``
+fixture.
 
 The private store is populated with *degenerate* (zero-area) regions so
-the point replicas of all five backends are eligible for the count
-quadrant; the region-shaped variant pins counts to the native store and
-is covered by the eligibility test at the bottom.
+the grid's point replica is eligible for the count quadrant; the
+region-shaped variant pins counts to the native store and is covered by
+the eligibility test at the bottom.
 """
 
 from __future__ import annotations

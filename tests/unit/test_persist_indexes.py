@@ -1,9 +1,8 @@
-"""Round-trip serialization for all five spatial index backends.
+"""Round-trip serialization for the R-tree, the one persisted index.
 
-The golden fixtures under ``tests/fixtures/persist_index_*.json`` pin
-the ``repro.persist/1`` logical-state wire format: if serialisation
-drifts, these tests fail before any stored checkpoint becomes
-unreadable.
+The golden fixture ``tests/fixtures/persist_index_rtree.json`` pins the
+``repro.persist/1`` logical-state wire format: if serialisation drifts,
+these tests fail before any stored checkpoint becomes unreadable.
 """
 
 from __future__ import annotations
@@ -16,43 +15,27 @@ import pytest
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
-from repro.index.pyramid import PyramidGrid
-from repro.index.quadtree import QuadTree
 from repro.index.rtree import RTree
 from repro.persist import index_from_state, index_state
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
-BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 #: Insertion order is deliberately not sorted — the serialised entry
 #: list must come out sorted regardless.
 POINTS = [("b", 10.0, 20.0), ("a", 35.5, 60.25), ("d", 80.0, 5.0), ("c", 50.0, 50.0)]
-
-
-def _fill_points(index):
-    for item, x, y in POINTS:
-        index.insert(item, Rect.from_point(Point(x, y)))
-    return index
 
 
 def _rtree():
     index = RTree(max_entries=4)
     for item, x, y in POINTS:
         index.insert(item, Rect.from_point(Point(x, y)))
-    # Only the R-tree stores true rectangles (cloaked regions).
+    # True rectangles too: the private store holds cloaked regions.
     index.insert("r1", Rect(5.0, 5.0, 25.0, 30.0))
     index.insert("r2", Rect(40.0, 40.0, 90.0, 95.0))
     return index
 
 
-BACKENDS = {
-    "rtree": _rtree,
-    "grid": lambda: _fill_points(GridIndex(BOUNDS, cols=8, rows=8)),
-    "kdtree": lambda: _fill_points(KDTree(rebuild_fraction=0.5)),
-    "pyramid": lambda: _fill_points(PyramidGrid(BOUNDS, height=4)),
-    "quadtree": lambda: _fill_points(QuadTree(BOUNDS, capacity=2, max_depth=6)),
-}
+BACKENDS = {"rtree": _rtree}
 
 
 def _entries_of(index) -> dict:
@@ -96,8 +79,8 @@ class TestRoundTrip:
 
 
 def test_entries_sorted_regardless_of_insertion_order():
-    forward = KDTree()
-    backward = KDTree()
+    forward = RTree(max_entries=4)
+    backward = RTree(max_entries=4)
     for item, x, y in POINTS:
         forward.insert(item, Rect.from_point(Point(x, y)))
     for item, x, y in reversed(POINTS):
@@ -106,30 +89,39 @@ def test_entries_sorted_regardless_of_insertion_order():
 
 
 def test_empty_indexes_round_trip():
-    for backend, build in BACKENDS.items():
-        empty = type(build())
-        if backend == "rtree":
-            index = RTree(max_entries=4)
-        elif backend == "grid":
-            index = GridIndex(BOUNDS, cols=8, rows=8)
-        elif backend == "kdtree":
-            index = KDTree(rebuild_fraction=0.5)
-        elif backend == "pyramid":
-            index = PyramidGrid(BOUNDS, height=4)
-        else:
-            index = QuadTree(BOUNDS, capacity=2, max_depth=6)
-        state = index_state(index)
-        assert state["entries"] == []
-        rebuilt = index_from_state(state)
-        assert type(rebuilt) is empty
-        assert _entries_of(rebuilt) == {}
+    state = index_state(RTree(max_entries=4))
+    assert state["entries"] == []
+    rebuilt = index_from_state(state)
+    assert type(rebuilt) is RTree
+    assert _entries_of(rebuilt) == {}
+    assert index_state(rebuilt) == state
+
+
+_ENTRIES = [["a", 35.5, 60.25, 35.5, 60.25], ["b", 10.0, 20.0, 10.0, 20.0]]
+_SQUARE = [0.0, 0.0, 100.0, 100.0]
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown index backend"):
-        index_from_state({"backend": "btree", "params": {}, "entries": []})
+    states = [
+        {"backend": "btree", "params": {}, "entries": []},
+        # What the retired point-index codecs wrote: well-formed, but a
+        # checkpoint holds nothing but R-trees.
+        {"backend": "grid", "params": {"bounds": _SQUARE, "cols": 8, "rows": 8},
+         "entries": _ENTRIES},
+        {"backend": "kdtree", "params": {"rebuild_fraction": 0.5},
+         "entries": _ENTRIES},
+        {"backend": "pyramid", "params": {"bounds": _SQUARE, "height": 4},
+         "entries": _ENTRIES},
+        {"backend": "quadtree",
+         "params": {"bounds": _SQUARE, "capacity": 2, "max_depth": 6},
+         "entries": _ENTRIES},
+    ]
+    for state in states:
+        with pytest.raises(ValueError, match="unknown index backend"):
+            index_from_state(state)
 
 
 def test_unserialisable_index_type_rejected():
-    with pytest.raises(TypeError, match="unserialisable index type"):
-        index_state(object())
+    for index in (object(), GridIndex(Rect(*_SQUARE), cols=8, rows=8)):
+        with pytest.raises(TypeError, match="unserialisable index type"):
+            index_state(index)

@@ -64,9 +64,9 @@ class TestDecisions:
 
     def test_forcing_an_eligible_choice(self, planner):
         spec = KNNSpec(point=Point(50, 50), k=3)
-        decision = planner.decide(spec, backend="kdtree", route="scalar")
+        decision = planner.decide(spec, backend="grid", route="scalar")
         assert decision.forced
-        assert (decision.backend, decision.route) == ("kdtree", "scalar")
+        assert (decision.backend, decision.route) == ("grid", "scalar")
         assert decision.reason == "forced by caller"
 
     def test_forcing_ineligible_choice_raises(self, planner):
