@@ -109,8 +109,8 @@ def test_obs_smoke_public_count(benchmark, system):
 
 
 def test_obs_loop_planner_feedback(benchmark, system):
-    """Planned queries with the full feedback loop on: correlation scope,
-    measurement emit, accuracy-monitor observation per query."""
+    """Planned queries with the planner's telemetry on: correlation scope,
+    decision and measurement emits, route-census count per query."""
     window = Rect(200, 200, 700, 700)
 
     def run():
@@ -127,7 +127,7 @@ def test_obs_loop_health_evaluate(benchmark, system):
     report = benchmark.pedantic(
         lambda: monitor.evaluate(system), rounds=3, iterations=1
     )
-    assert len(report.results) == 10
+    assert len(report.results) == 9
     _note("health_evaluate", benchmark)
 
 
@@ -237,11 +237,11 @@ def test_obs_smoke_report(system, write_report):
     assert parsed["stages"]["query.private_range"]["count"] > 0
     assert parsed["candidate_overhead"]["range_mean_overhead"] >= 1.0
     assert parsed["indexes"]["server.public"]["node_visits"] > 0
-    # The feedback-loop sections.
-    assert parsed["accuracy"]["schema"] == "repro.obs.accuracy/1"
+    # The route-census and health sections.
+    assert parsed["accuracy"]["schema"] == "repro.planner.routes/1"
     assert parsed["accuracy"]["observed"] > 0
     assert parsed["health"]["schema"] == "repro.obs.slo/1"
-    assert parsed["health"]["total"] == 10
+    assert parsed["health"]["total"] == 9
     # Filled by the monitoring-overhead gate earlier in this module.
     assert parsed["monitoring"]["overhead"] < 0.05
     assert parsed["monitoring"]["windows_cut"] > 0

@@ -49,8 +49,8 @@ def main() -> None:
     system.publish_all()  # anonymizer pushes cloaked regions to the server
 
     # --- Private range query over public data (Figure 5a) -------------
-    # Queries are declarative specs; the cost-based planner picks the
-    # index backend and execution route for each one.
+    # Queries are declarative specs; the planner's route table picks the
+    # execution route (scalar processor or vectorized kernel) by kind.
     outcome, stations = system.query(
         RangeSpec(flavor="private", user="user-42", radius=15.0)
     )

@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``)::
     python -m repro report -o tables.md       # all tables as markdown
     python -m repro obs [--json|--prometheus|--jsonl]  # telemetry snapshot
     python -m repro explain [-q private_nn]   # EXPLAIN a query path (Figure 6a)
-    python -m repro plan [--json]             # cost-based planner decisions
+    python -m repro plan [--json]             # route-table planner decisions
     python -m repro audit --json              # privacy-attainment audit report
     python -m repro health                    # SLO health verdict (exit 4 on fail)
     python -m repro serve-metrics [--smoke]   # HTTP /metrics /health /risk /timeseries
@@ -235,7 +235,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    """Print the cost-based planner's decisions for a spec workload."""
+    """Print the planner's route-table decisions for a spec workload."""
     system = _observed_quickstart(users=args.users, queries=0, seed=args.seed)
     sample = _sample_specs(system)
     kinds = ("public_range", "public_knn", "public_count", "private_range", "private_nn")
@@ -262,20 +262,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
         return 0
     print(
-        f"cost-based planner decisions "
+        f"route-table planner decisions "
         f"(pois={len(system.server.public)}, users={args.users}, "
         f"batch={args.batch})"
     )
     print(
         f"  statistics: n_public={stats.n_public} n_private={stats.n_private}"
-        f" snapshot_fresh={stats.snapshot_fresh} grid_ready={stats.grid_ready}"
-        f" calibration_sample={stats.calibration_sample}"
+        f" snapshot_fresh={stats.snapshot_fresh}"
     )
-    print(f"  {'query':<25} {'backend':<9} {'route':<11} {'est_s':>9}  reason")
+    print(f"  {'query':<25} {'backend':<9} {'route':<11} reason")
     for decision in decisions:
         print(
             f"  {decision.kind:<25} {decision.backend:<9} "
-            f"{decision.route:<11} {decision.seconds:>9.2e}  {decision.reason}"
+            f"{decision.route:<11} {decision.reason}"
         )
     return 0
 
@@ -283,7 +282,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     """Run a workload (or read a JSONL trail) and print the audit report."""
     if args.from_jsonl:
-        auditor = PrivacyAuditor.from_jsonl(args.from_jsonl)
+        try:
+            auditor = PrivacyAuditor.from_jsonl(args.from_jsonl)
+        except (OSError, ValueError) as exc:
+            print(f"repro audit: error: {exc}", file=sys.stderr)
+            return 2
     else:
         system = _workload(args)
         auditor = PrivacyAuditor.from_log(system.obs.events)
@@ -320,7 +323,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_health(args: argparse.Namespace) -> int:
     """Evaluate SLO health over a traced workload; exit 4 on violation."""
-    specs = load_slos(args.specs) if args.specs else DEFAULT_SLOS
+    try:
+        specs = load_slos(args.specs) if args.specs else DEFAULT_SLOS
+    except ValueError as exc:
+        print(f"repro health: error: {exc}", file=sys.stderr)
+        return 2
     system = _workload(args)
     report = SLOMonitor(specs, window=args.window).evaluate(system)
     if args.json:
@@ -605,7 +612,7 @@ VERBS: tuple[Verb, ...] = (
     ),
     Verb(
         "plan",
-        "print the cost-based planner's backend/route decision table",
+        "print the planner's route-table decision per query kind",
         cmd_plan,
         (
             JSON,
@@ -613,7 +620,7 @@ VERBS: tuple[Verb, ...] = (
                 "--batch",
                 type=_at_least(1),
                 default=1,
-                help="plan for this batch size (amortises one-off costs)",
+                help="plan for this batch size (above 1: the table's batch rows)",
             ),
             _users(),
             SEED,

@@ -198,7 +198,7 @@ class LocationServer:
 
     @property
     def planner(self):
-        """The server's cost-based query planner (created lazily).
+        """The server's query planner (created lazily).
 
         Lazy import keeps :mod:`repro.planner` out of the core import
         graph for callers that never plan.

@@ -344,11 +344,8 @@ class PrivacySystem:
 
     @property
     def planner(self):
-        """The server's cost-based planner, wired to this world's bounds."""
-        planner = self.server.planner
-        if planner.replicas.universe is None:
-            planner.set_universe(self.bounds)
-        return planner
+        """The server's query planner."""
+        return self.server.planner
 
     def query(self, spec: QuerySpec):
         """Answer one declarative :class:`~repro.queries.spec.QuerySpec`.
@@ -357,7 +354,7 @@ class PrivacySystem:
         User-bound private specs run the full pipeline (cloak -> planned
         server execution -> client refinement) with QoS accounting and
         return ``(outcome, refined_answer)``; everything else is routed
-        by the cost-based planner and returns the server-side answer
+        by the planner and returns the server-side answer
         (see :meth:`repro.planner.QueryPlanner.execute` for the result
         type per spec).
         """

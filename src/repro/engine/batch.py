@@ -3,8 +3,8 @@
 :data:`RUNNERS` holds one row per native query kind
 (:func:`repro.queries.spec.native_kind`): the span a single execution
 opens, which store it searches, the scalar processor ``f(index, spec,
-rank)`` — the same function on the native store and on any replica
-backend — and the vectorised kernel where one exists.  The planner's
+rank)`` over the native store — and the vectorised kernel where one
+exists.  The planner's
 single-query path and this module's batch path both run through it, so
 a kind has one scalar implementation and one kernel, wherever it is
 called from.  Adding a query kind is one spec class plus one row here.
@@ -62,7 +62,7 @@ BatchResult = object
 
 
 # ----------------------------------------------------------------------
-# Scalar processors: f(index, spec, rank) on a native store or a replica
+# Scalar processors: f(index, spec, rank) on a native store
 # ----------------------------------------------------------------------
 
 
@@ -244,8 +244,7 @@ class Runner:
         span: the stage a single execution is timed under.
         side: the store it searches (``public`` / ``private``), whose
             snapshot rank is its canonical result order.
-        scalar: ``f(index, spec, rank)`` — ``index`` is the native store
-            or a replica read through the store's interface.
+        scalar: ``f(index, spec, rank)`` — ``index`` is the native store.
         kernel: ``f(snapshot, specs)`` over a homogeneous group, or
             ``None`` for kinds that resist vectorisation (dominance /
             Voronoi filters, Monte-Carlo sampling).
@@ -350,8 +349,8 @@ class BatchEngine:
         Args:
             specs: any mix of public or region-bound specs (user-bound
                 ones need the anonymizer: ``PrivacySystem.query``).
-            routes: optional per-spec route vector from the cost-based
-                planner, aligned with ``specs`` (``True`` = vectorized
+            routes: optional per-spec route vector from the planner,
+                aligned with ``specs`` (``True`` = vectorized
                 kernel, ``False`` = scalar processor).  Without it every
                 kind that has a kernel takes it; kinds without one stay
                 scalar regardless.

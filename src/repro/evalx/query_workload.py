@@ -10,8 +10,8 @@ consume.
 
 Workloads are *data*: a spec list round-trips through JSON
 (``dump_specs`` / ``load_specs`` in :mod:`repro.queries.spec`), and
-execution goes through ``PrivacySystem.query`` so the cost-based planner
-— not the workload driver — picks the backend and route for every query.
+execution goes through ``PrivacySystem.query`` so the planner — not the
+workload driver — picks the route for every query.
 """
 
 from __future__ import annotations

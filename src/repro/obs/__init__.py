@@ -200,7 +200,6 @@ def disable_tracing() -> None:
 
 # Imported after Telemetry exists: audit builds on events, explain on the
 # index counters — none depends back on this module at import time.
-from repro.obs.accuracy import AccuracyMonitor  # noqa: E402
 from repro.obs.audit import PrivacyAuditor  # noqa: E402
 from repro.obs.explain import (  # noqa: E402
     PlanNode,
@@ -241,7 +240,6 @@ __all__ = [
     "correlate_events",
     "CORRELATION_METRIC",
     "PrivacyAuditor",
-    "AccuracyMonitor",
     "PrivacyRiskMonitor",
     "TimeSeriesStore",
     "Window",

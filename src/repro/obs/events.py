@@ -92,17 +92,13 @@ SNAPSHOT_CAPTURED = "snapshot.captured"
 SNAPSHOT_REUSED = "snapshot.reused"
 #: One heterogeneous batch was executed.
 BATCH_EXECUTED = "batch.executed"
-#: The cost-based planner chose a backend/route for one query (group);
-#: carries the chosen pair, the ranked cost estimates, and the reason.
+#: The planner chose a route for one query, or for one kind group of a
+#: batch (``n`` specs); carries the route table's reason.
 PLANNER_DECISION = "planner.decision"
-#: The planner's statistics collector (re)calibrated backend costs.
-PLANNER_CALIBRATED = "planner.calibrated"
-#: Measured execution cost for one planned query (group); joins its
-#: ``planner.decision`` on ``qid`` and carries seconds + counter deltas.
+#: Measured execution time of one planned query (joins its
+#: ``planner.decision`` on ``qid`` and carries counter deltas) or of one
+#: whole planned batch (``n`` specs).
 PLANNER_MEASURED = "planner.measured"
-#: A (kind, backend, route) group's measured/predicted cost ratio left
-#: the accuracy monitor's tolerance band (planner self-healing trigger).
-PLANNER_MISPREDICT = "planner.mispredict"
 #: The SLO monitor evaluated its specs over the rolling event window.
 SLO_EVALUATED = "slo.evaluated"
 #: The bounded ring evicted events that never reached the JSONL sink;
@@ -152,9 +148,7 @@ EVENT_KINDS: tuple[str, ...] = (
     SNAPSHOT_REUSED,
     BATCH_EXECUTED,
     PLANNER_DECISION,
-    PLANNER_CALIBRATED,
     PLANNER_MEASURED,
-    PLANNER_MISPREDICT,
     SLO_EVALUATED,
     LOG_TRUNCATED,
     PERSIST_CHECKPOINT,

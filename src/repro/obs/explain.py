@@ -327,9 +327,7 @@ class QueryExplainer:
 
     def _planned(self, spec: QuerySpec, **forced):
         """Decide, then execute under measurement: (decision, store side,
-        result, counter delta).  Deciding stays outside the measured
-        region — calibration probes its own scratch indexes, but the
-        delta should be the query's work alone."""
+        result, counter delta)."""
         from repro.engine.batch import RUNNERS
 
         planner = self.server.planner
@@ -350,9 +348,7 @@ class QueryExplainer:
         """
         require_bound(spec)
         with self.server.telemetry.correlate("q"):
-            decision, _, result, delta = self._planned(
-                spec, backend="rtree", route="scalar"
-            )
+            decision, _, result, delta = self._planned(spec, route="scalar")
         return _NATIVE_PLANS[decision.kind](self.server, spec, result, delta)
 
     # ------------------------------------------------------------------
@@ -426,15 +422,15 @@ class QueryExplainer:
         return plan
 
     # ------------------------------------------------------------------
-    # Planned specs (the cost-based planner's chosen plans)
+    # Planned specs (the planner's chosen routes)
     # ------------------------------------------------------------------
 
     def explain_spec(self, spec: QuerySpec) -> PlanNode:
-        """EXPLAIN a spec through the cost-based planner.
+        """EXPLAIN a spec through the planner.
 
         Unlike :meth:`explain`, which shows what the native path *did*,
         this shows what the planner *chose*: the decision subtree
-        (chosen + rejected candidates with estimated seconds) followed
+        (chosen + rejected routes and the route-table reason) followed
         by the measured execution under that choice.
         """
         if getattr(spec, "user", None) is not None:

@@ -5,21 +5,17 @@ privacy (k, A_min) she requires and implicitly the service quality she
 expects back.  This module states the *system-wide* counterpart as
 data: a tuple of :class:`SLOSpec` values (p95 per-stage latency,
 privacy-attainment rate, degradation rate, snapshot-reuse rate,
-planner mispredict ratio, answer accuracy), evaluated by
+answer accuracy, re-identification risk), evaluated by
 :class:`SLOMonitor` over the rolling event-log window and the
 telemetry snapshot into a typed :class:`HealthReport` with stable exit
 codes — ``python -m repro health`` is the operational front door, and
 CI smoke-checks it.
 
-Three evidence sources, deliberately different windows:
+Two evidence sources, deliberately different windows:
 
 * **event-derived** SLOs (attainment, degradation, snapshot reuse,
-  accuracy) evaluate over the last ``window`` events of the ring
+  accuracy, risk) evaluate over the last ``window`` events of the ring
   buffer — a *rolling* view that recovers when the system does;
-* the **mispredict ratio** reads the planner's own
-  :class:`~repro.obs.accuracy.AccuracyMonitor` (its folded calibration
-  drift over per-group rolling ratio windows), the same evidence that
-  drives the planner's recalibration;
 * **latency** SLOs read the span histograms, which are lifetime
   aggregates — drift across commits is the pipeline benchmark's job
   (``bench/run.py``), not this monitor's.
@@ -49,7 +45,6 @@ from repro.obs.events import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
     from repro.obs import Telemetry
-    from repro.obs.accuracy import AccuracyMonitor
 
 #: Report envelope schema tag.
 SLO_SCHEMA = "repro.obs.slo/1"
@@ -69,7 +64,6 @@ SLO_KINDS: dict[str, tuple[str, str]] = {
     "degradation_rate": ("<=", "rate"),
     "undeclared_violations": ("<=", "count"),
     "snapshot_reuse_rate": (">=", "rate"),
-    "mispredict_ratio": ("<=", "x"),
     "query_accuracy": (">=", "rate"),
     "reidentification_risk": ("<=", "rate"),
     "k_attainment_entropy": (">=", "bits"),
@@ -125,6 +119,11 @@ class SLOSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SLOSpec":
+        if not isinstance(record, dict):
+            raise ValueError("expected a JSON object")
+        missing = [key for key in ("name", "kind", "target") if key not in record]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
         return cls(
             name=str(record["name"]),
             kind=str(record["kind"]),
@@ -135,12 +134,29 @@ class SLOSpec:
 
 
 def load_slos(path: str) -> tuple[SLOSpec, ...]:
-    """Read a JSON list of spec dicts (the ``--specs`` CLI flag)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        records = json.load(handle)
+    """Read a JSON list of spec dicts (the ``--specs`` CLI flag).
+
+    Raises:
+        ValueError: naming ``path`` (and the bad record, if one is) when
+            the file cannot be read or parsed, is not a JSON list, or
+            holds a record that is not a valid spec.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            records = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read SLO specs: {exc}") from exc
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of SLO spec objects")
-    return tuple(SLOSpec.from_dict(record) for record in records)
+    specs = []
+    for position, record in enumerate(records):
+        try:
+            specs.append(SLOSpec.from_dict(record))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: record {position} {record!r} is not an SLO spec: {exc}"
+            ) from exc
+    return tuple(specs)
 
 
 #: The stock objectives ``python -m repro health`` evaluates.  Latency
@@ -185,15 +201,6 @@ DEFAULT_SLOS: tuple[SLOSpec, ...] = (
         "snapshot_reuse_rate",
         0.0,
         description="batch rounds answered without re-freezing (informational floor)",
-    ),
-    SLOSpec(
-        "plan_accuracy",
-        "mispredict_ratio",
-        32.0,
-        description=(
-            "planner cost predictions within ~1.5 orders of magnitude "
-            "(small workloads are dominated by fixed per-query overhead)"
-        ),
     ),
     SLOSpec(
         "answer_accuracy",
@@ -324,25 +331,18 @@ class SLOMonitor:
         """One health verdict right now.
 
         Either pass a :class:`~repro.core.system.PrivacySystem` (its
-        telemetry snapshot, event ring, sink and planner's accuracy
-        monitor are used), or supply ``snapshot`` (for latency specs)
-        and ``events`` (for the rest but the mispredict ratio, which
-        needs a planner) directly.  When a telemetry unit is reachable
+        telemetry snapshot, event ring and sink are used), or supply
+        ``snapshot`` (for latency specs) and ``events`` (for the rest)
+        directly.  When a telemetry unit is reachable
         the verdict is itself observable: ``slo.ok`` / ``slo.value``
         gauges are set and one ``slo.evaluated`` event is emitted.
         """
-        accuracy: "AccuracyMonitor | None" = None
         if system is not None:
             snapshot = system.telemetry() if snapshot is None else snapshot
             events = (
                 list(system.obs.events.events()) if events is None else events
             )
             telemetry = system.obs if telemetry is None else telemetry
-            # The server builds its planner on first use; a system that
-            # never planned has no planner to judge, and judging must
-            # not build one.
-            planner = system.server._planner
-            accuracy = None if planner is None else planner.accuracy
         event_list = list(events) if events is not None else []
         windowed = event_list[-self.window :]
         stages = (snapshot or {}).get("stages", {})
@@ -362,9 +362,7 @@ class SLOMonitor:
                 break
 
         results = [
-            self._evaluate_one(
-                spec, stages, audit, accuracy, snapshot_counts, risk
-            )
+            self._evaluate_one(spec, stages, audit, snapshot_counts, risk)
             for spec in self.specs
         ]
         report = HealthReport(
@@ -396,13 +394,10 @@ class SLOMonitor:
         spec: SLOSpec,
         stages: dict,
         audit: dict,
-        accuracy: "AccuracyMonitor | None",
         snapshot_counts: dict,
         risk: dict | None,
     ) -> SLOResult:
-        measured = self._measure(
-            spec, stages, audit, accuracy, snapshot_counts, risk
-        )
+        measured = self._measure(spec, stages, audit, snapshot_counts, risk)
         if measured is None:
             return SLOResult(
                 spec,
@@ -429,7 +424,6 @@ class SLOMonitor:
         spec: SLOSpec,
         stages: dict,
         audit: dict,
-        accuracy: "AccuracyMonitor | None",
         snapshot_counts: dict,
         risk: dict | None,
     ) -> float | None:
@@ -457,10 +451,6 @@ class SLOMonitor:
             if not rounds:
                 return None
             return snapshot_counts[SNAPSHOT_REUSED] / rounds
-        if kind == "mispredict_ratio":
-            if accuracy is None or not accuracy.observed:
-                return None
-            return float(accuracy.report()["drift_folded"])
         if kind == "query_accuracy":
             queries = audit["queries"]
             total = sum(entry["count"] for entry in queries.values())
@@ -486,8 +476,6 @@ def _unit_suffix(spec: SLOSpec) -> str:
     unit = spec.unit
     if unit == "ms":
         return " ms"
-    if unit == "x":
-        return "x"
     if unit == "bits":
         return " bits"
     return ""

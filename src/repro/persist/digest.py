@@ -16,9 +16,10 @@ suite (``tests/crash/``) asserts digest equality between an uncrashed
 reference run and recover-after-crash across generated workloads.
 
 Deliberately excluded (documented ephemeral state, docs/durability.md):
-telemetry metrics/spans, planner calibration, the incremental cloaker's
-reuse cache, index work counters, and standing monitors' accumulated
-results (monitors are re-registered and re-seeded on restore).
+telemetry metrics/spans, the planner's route census, the incremental
+cloaker's reuse cache, index work counters, and standing monitors'
+accumulated results (monitors are re-registered and re-seeded on
+restore).
 """
 
 from __future__ import annotations

@@ -1,128 +1,31 @@
-"""Measured statistics feeding the cost-based planner.
+"""Live planner statistics: what ``python -m repro plan`` prints.
 
-The planner does not guess backend costs from asymptotic formulas; it
-*measures* them.  The :class:`StatisticsCollector` builds each backend
-over a deterministic strided sample of the live public store, probes it
-with range windows at three selectivity buckets and with k-NN queries,
-and records wall-clock seconds *and* :class:`~repro.index.base.
-IndexCounters` deltas (node visits, leaf scans, distance computations)
-per probe.  The vectorized kernels are timed the same way on the sample
-arrays.  A :class:`PlannerStats` snapshot bundles those calibrations
-with live state — store sizes and versions, snapshot staleness, grid
-availability, cumulative live counters — and is what the cost model
-consumes and what ``python -m repro plan`` prints.
-
-Calibration is cached per store size and rerun only when the store
-grows or shrinks past 2x, keeping planning overhead bounded; every
-(re)calibration emits a ``planner.calibrated`` event.
+The planner routes by kind (:data:`repro.planner.planner.ROUTE_TABLE`),
+so nothing here feeds a decision.  A :class:`PlannerStats` snapshot is
+the live state next to the decision table: store sizes and versions,
+whether the batch engine's cached snapshot is fresh, and the native
+stores' cumulative :class:`~repro.index.base.IndexCounters`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.engine import kernels
-from repro.geometry.point import Point
-from repro.geometry.rect import Rect
-from repro.obs.events import PLANNER_CALIBRATED
-from repro.planner.replicas import BACKEND_NAMES, ReplicaSet, build_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import LocationServer
 
-#: Range-probe selectivity buckets, as fractions of the universe area.
-RANGE_BUCKETS: tuple[float, ...] = (0.002, 0.02, 0.2)
-
-#: Calibration sample cap — probes run over at most this many points.
-SAMPLE_CAP = 256
-
-#: Probe query centres per bucket.
-PROBES_PER_BUCKET = 6
-
-#: k used by the k-NN calibration probes.
-PROBE_K = 8
-
-
-@dataclass(frozen=True)
-class BackendCalibration:
-    """Measured per-query costs for one backend over the sample.
-
-    All ``*_seconds`` values are per single query over the *sample*;
-    the cost model scales them to the live store size.  Counter fields
-    are mean per-probe :class:`IndexCounters` deltas — the measured
-    "selectivity" evidence the decision table reports.
-    """
-
-    backend: str
-    sample_size: int
-    build_seconds: float
-    range_seconds: tuple[float, ...]  # aligned with RANGE_BUCKETS
-    range_node_visits: tuple[float, ...]
-    range_leaf_scans: tuple[float, ...]
-    knn_seconds: float
-    knn_node_visits: float
-    knn_distance_computations: float
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "sample_size": self.sample_size,
-            "build_seconds": self.build_seconds,
-            "range_seconds": list(self.range_seconds),
-            "range_node_visits": list(self.range_node_visits),
-            "range_leaf_scans": list(self.range_leaf_scans),
-            "knn_seconds": self.knn_seconds,
-            "knn_node_visits": self.knn_node_visits,
-            "knn_distance_computations": self.knn_distance_computations,
-        }
-
-
-@dataclass(frozen=True)
-class KernelCalibration:
-    """Measured vectorized-route costs over the same sample.
-
-    ``range_seconds`` / ``knn_seconds`` are per query when the batch
-    amortises the numpy dispatch over ``PROBES_PER_BUCKET`` queries;
-    ``grid_build_seconds`` is the one-off uniform-grid construction the
-    grid kernels need (charged only while the snapshot's grid is cold).
-    """
-
-    sample_size: int
-    range_seconds: float
-    count_seconds: float
-    knn_seconds: float
-    grid_build_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_size": self.sample_size,
-            "range_seconds": self.range_seconds,
-            "count_seconds": self.count_seconds,
-            "knn_seconds": self.knn_seconds,
-            "grid_build_seconds": self.grid_build_seconds,
-        }
-
 
 @dataclass
 class PlannerStats:
-    """One coherent statistics snapshot handed to the cost model."""
+    """One coherent snapshot of the server's stores."""
 
     n_public: int
     n_private: int
     public_version: int
     private_version: int
-    private_degenerate: bool
     snapshot_fresh: bool
-    grid_ready: bool
-    universe: Rect | None
     live_counters: dict[str, dict[str, int]]
-    backends: dict[str, BackendCalibration] = field(default_factory=dict)
-    kernels: KernelCalibration | None = None
-    calibration_sample: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -130,264 +33,40 @@ class PlannerStats:
             "n_private": self.n_private,
             "public_version": self.public_version,
             "private_version": self.private_version,
-            "private_degenerate": self.private_degenerate,
             "snapshot_fresh": self.snapshot_fresh,
-            "grid_ready": self.grid_ready,
-            "universe": None
-            if self.universe is None
-            else list(self.universe.as_tuple()),
             "live_counters": self.live_counters,
-            "backends": {
-                name: cal.to_dict() for name, cal in self.backends.items()
-            },
-            "kernels": None if self.kernels is None else self.kernels.to_dict(),
-            "calibration_sample": self.calibration_sample,
         }
 
 
-def _strided_sample(
-    ids: tuple, xs: np.ndarray, ys: np.ndarray, cap: int = SAMPLE_CAP
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """A deterministic, order-preserving sample of at most ``cap`` points."""
-    n = len(ids)
-    if n <= cap:
-        return list(ids), np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    rows = np.linspace(0, n - 1, cap).astype(np.intp)
-    rows = np.unique(rows)
-    return (
-        [ids[int(r)] for r in rows],
-        np.asarray(xs, dtype=float)[rows],
-        np.asarray(ys, dtype=float)[rows],
-    )
-
-
-def _probe_windows(universe: Rect, fraction: float, count: int) -> list[Rect]:
-    """Deterministic square probe windows covering ``fraction`` of the
-    universe area, centres on a fixed diagonal lattice."""
-    side = float(np.sqrt(max(universe.area, 1e-12) * fraction))
-    out: list[Rect] = []
-    for i in range(count):
-        t = (i + 0.5) / count
-        cx = universe.min_x + t * universe.width
-        cy = universe.min_y + ((i * 2 + 1) % (count * 2)) / (count * 2.0) * (
-            universe.height
-        )
-        out.append(Rect.from_center(Point(cx, cy), side, side).clipped(universe))
-    return out
-
-
 class StatisticsCollector:
-    """Refreshes planner statistics from the live server.
+    """Reads :class:`PlannerStats` off the live server."""
 
-    Args:
-        server: the server whose stores and counters are observed.
-        replicas: the planner's :class:`ReplicaSet` (shares its notion
-            of the universe).
-    """
+    #: Always 0: the route table is never calibrated.  Kept because the
+    #: frozen ``bench/`` harness reads it.
+    calibrations = 0
 
-    def __init__(self, server: "LocationServer", replicas: ReplicaSet) -> None:
+    def __init__(self, server: "LocationServer") -> None:
         self.server = server
-        self.replicas = replicas
-        self._backend_cals: dict[str, BackendCalibration] = {}
-        self._kernel_cal: KernelCalibration | None = None
-        self._calibrated_n: int | None = None
-        self._recalibration_reason: str | None = None
-        self.calibrations = 0
-
-    def reset(self) -> None:
-        """Drop cached calibrations (forced on the next :meth:`stats`)."""
-        self._backend_cals = {}
-        self._kernel_cal = None
-        self._calibrated_n = None
-        self._recalibration_reason = None
-
-    def request_recalibration(self, reason: str = "requested") -> None:
-        """Schedule a recalibration on the next :meth:`stats` refresh.
-
-        The planner's accuracy monitor calls this when measured costs
-        drift from predictions (see :mod:`repro.obs.accuracy`); the
-        reason lands in the resulting ``planner.calibrated`` event, so
-        the trail shows *why* the planner re-measured.
-        """
-        self._recalibration_reason = reason
-
-    # ------------------------------------------------------------------
 
     def stats(self, snapshot=None) -> PlannerStats:
-        """A fresh :class:`PlannerStats`, recalibrating when stale.
+        """A fresh :class:`PlannerStats`.
 
         Args:
             snapshot: the engine's current ``ServerSnapshot`` (or
-                ``None``); used for the freshness / grid-readiness bits.
+                ``None``), judged for freshness against the stores.
         """
-        self._ensure_calibrated()
         public = self.server.public
         private = self.server.private
-        snapshot_fresh = bool(
-            snapshot is not None and snapshot.matches(self.server)
-        )
-        grid_ready = bool(
-            snapshot is not None and "public_grid" in snapshot.__dict__
-        )
         return PlannerStats(
             n_public=len(public),
             n_private=len(private),
             public_version=public.version,
             private_version=private.version,
-            private_degenerate=self.replicas.private_degenerate(),
-            snapshot_fresh=snapshot_fresh,
-            grid_ready=grid_ready,
-            universe=self.replicas.universe or self.replicas.public_bounds(),
+            snapshot_fresh=bool(
+                snapshot is not None and snapshot.matches(self.server)
+            ),
             live_counters={
                 "server.public": public.index_counters.snapshot(),
                 "server.private": private.index_counters.snapshot(),
             },
-            backends=dict(self._backend_cals),
-            kernels=self._kernel_cal,
-            calibration_sample=0
-            if self._calibrated_n is None
-            else min(self._calibrated_n, SAMPLE_CAP),
-        )
-
-    # ------------------------------------------------------------------
-    # Calibration
-    # ------------------------------------------------------------------
-
-    def _ensure_calibrated(self) -> None:
-        if self._recalibration_reason is not None:
-            self.calibrate()
-            return
-        n = len(self.server.public)
-        if self._calibrated_n is not None:
-            lo, hi = self._calibrated_n / 2.0, max(self._calibrated_n * 2.0, 8.0)
-            if lo <= n <= hi:
-                return
-        self.calibrate()
-
-    def calibrate(self) -> None:
-        """Measure every backend and the kernels over a fresh sample."""
-        started = time.perf_counter()
-        reason = self._recalibration_reason or (
-            "initial calibration"
-            if self._calibrated_n is None
-            else "store size left calibration band"
-        )
-        self._recalibration_reason = None
-        ids, xs, ys = self.server.public.snapshot_arrays()
-        sample_ids, sx, sy = _strided_sample(ids, xs, ys)
-        universe = self.replicas.universe or self.replicas.public_bounds()
-        if universe is None or universe.area <= 0.0:
-            universe = Rect(0.0, 0.0, 1.0, 1.0)
-
-        self._backend_cals = {
-            name: self._calibrate_backend(name, sample_ids, sx, sy, universe)
-            for name in BACKEND_NAMES
-        }
-        self._kernel_cal = self._calibrate_kernels(sx, sy, universe)
-        self._calibrated_n = len(ids)
-        self.calibrations += 1
-        telemetry = getattr(self.server, "telemetry", None)
-        if telemetry is not None:
-            telemetry.emit(
-                PLANNER_CALIBRATED,
-                n_public=len(ids),
-                sample=len(sample_ids),
-                backends=list(BACKEND_NAMES),
-                seconds=time.perf_counter() - started,
-                reason=reason,
-            )
-
-    def _calibrate_backend(
-        self,
-        name: str,
-        sample_ids: list,
-        sx: np.ndarray,
-        sy: np.ndarray,
-        universe: Rect,
-    ) -> BackendCalibration:
-        start = time.perf_counter()
-        index = build_backend(name, universe, len(sample_ids))
-        for item, x, y in zip(sample_ids, sx, sy):
-            index.insert_point(item, Point(float(x), float(y)))
-        build_seconds = time.perf_counter() - start
-
-        range_seconds: list[float] = []
-        range_visits: list[float] = []
-        range_scans: list[float] = []
-        for fraction in RANGE_BUCKETS:
-            windows = _probe_windows(universe, fraction, PROBES_PER_BUCKET)
-            before = index.counters.snapshot()
-            start = time.perf_counter()
-            for window in windows:
-                index.range_query(window)
-            elapsed = time.perf_counter() - start
-            after = index.counters.snapshot()
-            denom = max(1, len(windows))
-            range_seconds.append(elapsed / denom)
-            range_visits.append(
-                (after["node_visits"] - before["node_visits"]) / denom
-            )
-            range_scans.append(
-                (after["leaf_scans"] - before["leaf_scans"]) / denom
-            )
-
-        centres = _probe_windows(universe, RANGE_BUCKETS[0], PROBES_PER_BUCKET)
-        before = index.counters.snapshot()
-        start = time.perf_counter()
-        for window in centres:
-            index.nearest(window.center, min(PROBE_K, max(1, len(index))))
-        knn_elapsed = time.perf_counter() - start
-        after = index.counters.snapshot()
-        denom = max(1, len(centres))
-        return BackendCalibration(
-            backend=name,
-            sample_size=len(sample_ids),
-            build_seconds=build_seconds,
-            range_seconds=tuple(range_seconds),
-            range_node_visits=tuple(range_visits),
-            range_leaf_scans=tuple(range_scans),
-            knn_seconds=knn_elapsed / denom,
-            knn_node_visits=(after["node_visits"] - before["node_visits"])
-            / denom,
-            knn_distance_computations=(
-                after["distance_computations"]
-                - before["distance_computations"]
-            )
-            / denom,
-        )
-
-    def _calibrate_kernels(
-        self, sx: np.ndarray, sy: np.ndarray, universe: Rect
-    ) -> KernelCalibration:
-        windows = kernels.windows_array(
-            _probe_windows(universe, RANGE_BUCKETS[1], PROBES_PER_BUCKET)
-        )
-        denom = max(1, len(windows))
-
-        start = time.perf_counter()
-        kernels.points_in_windows(sx, sy, windows)
-        range_seconds = (time.perf_counter() - start) / denom
-
-        start = time.perf_counter()
-        kernels.count_points_in_windows(sx, sy, windows)
-        count_seconds = (time.perf_counter() - start) / denom
-
-        qx = windows[:, 0::2].mean(axis=1)
-        qy = windows[:, 1::2].mean(axis=1)
-        ks = [min(PROBE_K, max(1, sx.size))] * len(windows)
-        start = time.perf_counter()
-        kernels.knn_points(sx, sy, qx, qy, ks)
-        knn_seconds = (time.perf_counter() - start) / denom
-
-        start = time.perf_counter()
-        if sx.size:
-            kernels.PointGrid(sx, sy)
-        grid_build_seconds = time.perf_counter() - start
-
-        return KernelCalibration(
-            sample_size=int(sx.size),
-            range_seconds=range_seconds,
-            count_seconds=count_seconds,
-            knn_seconds=knn_seconds,
-            grid_build_seconds=grid_build_seconds,
         )

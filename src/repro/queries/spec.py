@@ -7,9 +7,8 @@ point.  The four spec classes cover the paper's query taxonomy
 parameters, no privacy) and a ``private`` flavor (asked through the
 anonymizer from a cloaked region, optionally bound to a registered
 user).  :meth:`repro.core.system.PrivacySystem.query` accepts any spec
-and routes it through the cost-based planner
-(:mod:`repro.planner`), which picks the cheapest execution it can prove
-result-identical.
+and routes it through the planner (:mod:`repro.planner`), whose route
+table picks the scalar processor or the vectorized kernel by kind.
 
 Specs are frozen, validated at construction (bad queries fail before
 they reach a server), and JSON round-trippable via
@@ -265,8 +264,8 @@ def native_kind(spec: QuerySpec) -> str:
     """The one name ``spec`` is counted, spanned and grouped under.
 
     The only spec -> kind mapping in the system: the planner, the batch
-    engine, the server's counters, the accuracy monitor and EXPLAIN all
-    key on it, so a question keeps its name whatever backend or route
+    engine, the server's counters, the planner's route census and
+    EXPLAIN all key on it, so a question keeps its name whatever route
     answers it.  (A table lookup: the engine calls this once per spec of
     a batch.)
     """

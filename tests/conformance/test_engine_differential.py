@@ -5,8 +5,8 @@ Three independent executions answer the same randomized workloads:
 * the vectorized route (grid + broadcast kernels), forced through the
   planner (``route="vectorized"``) and taken by default by a direct
   ``BatchEngine.execute``,
-* the scalar route on the native store (``backend="rtree",
-  route="scalar"``): the per-query processors,
+* the scalar route on the native store (``route="scalar"``): the
+  per-query processors,
 * the brute-force oracle.
 
 All must agree, query by query and in canonical order.  The
@@ -95,7 +95,7 @@ def run_routes(server: LocationServer, batch: list):
     the planner.  A direct engine call must take the kernel for every
     kind that has one, i.e. equal the forced-vectorized answers.
     """
-    planner = QueryPlanner(server, universe=UNIVERSE)
+    planner = QueryPlanner(server)
     has_kernel = [
         i for i, spec in enumerate(batch)
         if RUNNERS[native_kind(spec)].kernel is not None
@@ -106,7 +106,7 @@ def run_routes(server: LocationServer, batch: list):
         planner.execute_batch([batch[i] for i in has_kernel], route="vectorized"),
     ):
         vec[i] = answer
-    seq = planner.execute_batch(batch, backend="rtree", route="scalar")
+    seq = planner.execute_batch(batch, route="scalar")
     direct = BatchEngine(server).execute(batch)
     for i, answer in enumerate(direct):
         assert answer == (vec[i] if vec[i] is not None else seq[i])

@@ -1,7 +1,7 @@
 """One query vocabulary: every spec has exactly one native kind, and that
 name is the one it is counted, logged and grouped under — whatever
-backend x route answered it, singly or in a batch, live or after
-recovery from the WAL.
+route answered it, singly or in a batch, live or after recovery from
+the WAL.
 
 Before the kind table there were two namespaces: the scalar path counted
 a public range as ``public_over_public_range`` and the engine as
@@ -25,6 +25,7 @@ from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
 from repro.obs.events import QUERY_COMPLETED, SERVER_QUERY
 from repro.obs.explain import BATCH_KERNELS, TIE_BREAK
+from repro.planner.planner import eligible_routes
 from repro.queries.spec import (
     NATIVE_KINDS,
     CountSpec,
@@ -141,23 +142,19 @@ def test_every_spec_shape_maps_to_exactly_one_kind():
 )
 def test_one_name_under_every_forced_backend_and_route(system, kind, spec):
     planner = system.planner
-    pairs = planner.conformance_backends(spec)
-    assert pairs
-    for backend, route in pairs:
+    for route in eligible_routes(kind):
         # Singly.
         stats, logged, engine = accounted(
-            system, lambda: planner.execute(spec, backend=backend, route=route)
+            system, lambda: planner.execute(spec, route=route)
         )
-        assert stats == logged == {kind: 1}, (backend, route)
+        assert stats == logged == {kind: 1}, route
         assert engine == ({kind: 1} if route == "vectorized" else {})
-        # Batched: the same name, accounted once per batch or per query.
+        # Batched: the same name, accounted once per batch.
         stats, logged, engine = accounted(
-            system,
-            lambda: planner.execute_batch([spec] * 3, backend=backend, route=route),
+            system, lambda: planner.execute_batch([spec] * 3, route=route)
         )
-        assert stats == logged == {kind: 3}, (backend, route)
-        assert set(engine) <= {kind}
-    # The planner groups its decisions and its accuracy windows by it too.
+        assert stats == logged == engine == {kind: 3}, route
+    # The planner groups its decisions and its route census by it too.
     assert planner.decide(spec).kind == kind
     groups = planner.accuracy.report()
     for section in ("groups", "pinned_groups"):

@@ -1,17 +1,15 @@
-"""Differential conformance of the cost-based planner.
+"""Differential conformance of the route-table planner.
 
 The planner's contract is that planning never changes answers.  This
 suite re-proves it from the outside: for every query type, the planned
-execution must be bit-identical to EVERY forced static (backend, route)
-choice — both planner backends (R-tree, grid) and both execution
-routes — and to the brute-force oracle.  Failures dump their generating
-scenario to ``tests/conformance/artifacts/`` via the shared ``scenario``
-fixture.
+execution must be bit-identical to EVERY forced eligible route — the
+scalar processor and, where the kind has one, the vectorized kernel —
+and to the brute-force oracle.  Failures dump their generating scenario
+to ``tests/conformance/artifacts/`` via the shared ``scenario`` fixture.
 
-The private store is populated with *degenerate* (zero-area) regions so
-the grid's point replica is eligible for the count quadrant; the
-region-shaped variant pins counts to the native store and is covered by
-the eligibility test at the bottom.
+The private store is populated with *degenerate* (zero-area) regions,
+the edge case of the count kernel's overlap test; the region-shaped
+variant is covered by the test at the bottom.
 """
 
 from __future__ import annotations
@@ -31,8 +29,9 @@ from repro.engine import BruteForceOracle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
-from repro.planner import BACKEND_NAMES, QueryPlanner
-from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
+from repro.planner import QueryPlanner
+from repro.planner.planner import eligible_routes
+from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec, native_kind
 
 SEEDS = [3, 47]
 UNIVERSE = Rect(0.0, 0.0, 50.0, 50.0)
@@ -40,7 +39,7 @@ UNIVERSE = Rect(0.0, 0.0, 50.0, 50.0)
 
 def build_server(rng: random.Random, n_public: int = 140, n_private: int = 70):
     """A server whose private regions are degenerate points (see module
-    docstring) so every backend is conformance-testable for counts."""
+    docstring)."""
     server = LocationServer(telemetry=Telemetry(enabled=False))
     for i in range(n_public):
         server.add_public_object(
@@ -90,6 +89,10 @@ def spec_workload(rng: random.Random, n: int = 40):
     return specs
 
 
+def routes_for(spec) -> tuple[str, ...]:
+    return eligible_routes(native_kind(spec))
+
+
 def canonical(result):
     """A comparable canonical form per result type."""
     if hasattr(result, "probabilities"):
@@ -101,39 +104,35 @@ def canonical(result):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_forced_choice_matches_the_planned_answer(seed, scenario):
-    """5 backends x 2 routes, all four query types: result identity."""
+    """Both routes, all four query types: result identity."""
     rng = random.Random(seed)
     server = build_server(rng)
-    planner = QueryPlanner(server, universe=UNIVERSE)
-    seen_backends: set[str] = set()
+    planner = QueryPlanner(server)
+    seen_routes: set[str] = set()
     for position, spec in enumerate(spec_workload(rng)):
         planned = canonical(planner.execute(spec))
-        for backend, route in planner.conformance_backends(spec):
-            seen_backends.add(backend)
+        for route in routes_for(spec):
+            seen_routes.add(route)
             scenario.record(
                 seed=seed,
                 position=position,
                 spec=repr(spec),
-                backend=backend,
                 route=route,
                 planned=repr(planned),
             )
-            forced = canonical(
-                planner.execute(spec, backend=backend, route=route)
-            )
+            forced = canonical(planner.execute(spec, route=route))
             assert forced == planned, (
-                f"{backend}/{route} diverged from the planned answer "
-                f"for {spec!r}"
+                f"{route} diverged from the planned answer for {spec!r}"
             )
-    # The workload must actually have exercised every backend.
-    assert seen_backends == set(BACKEND_NAMES)
+    # The workload must actually have exercised both routes.
+    assert seen_routes == {"scalar", "vectorized"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_planned_answers_match_the_oracle(seed, scenario):
     rng = random.Random(seed)
     server = build_server(rng)
-    planner = QueryPlanner(server, universe=UNIVERSE)
+    planner = QueryPlanner(server)
     oracle = BruteForceOracle.from_server(server)
     for position, spec in enumerate(spec_workload(rng)):
         scenario.record(seed=seed, position=position, spec=repr(spec))
@@ -173,7 +172,7 @@ def test_planned_answers_match_the_oracle(seed, scenario):
 def test_batch_execution_equals_per_spec_execution(seed, scenario):
     rng = random.Random(seed)
     server = build_server(rng)
-    planner = QueryPlanner(server, universe=UNIVERSE)
+    planner = QueryPlanner(server)
     specs = spec_workload(rng)
     scenario.record(seed=seed, specs=[repr(s) for s in specs])
     batched = [canonical(r) for r in planner.execute_batch(specs)]
@@ -181,14 +180,7 @@ def test_batch_execution_equals_per_spec_execution(seed, scenario):
     assert batched == singles
     # A forced-vectorized batch agrees too, on the specs that have a
     # vectorized execution (pinned kinds only run scalar).
-    vectorizable = [
-        spec
-        for spec in specs
-        if any(
-            route == "vectorized"
-            for _, route in planner.conformance_backends(spec)
-        )
-    ]
+    vectorizable = [spec for spec in specs if "vectorized" in routes_for(spec)]
     vec = [
         canonical(r)
         for r in planner.execute_batch(vectorizable, route="vectorized")
@@ -200,7 +192,7 @@ def test_batch_execution_equals_per_spec_execution(seed, scenario):
 def test_forced_vectorized_route_equals_scalar(seed, scenario):
     rng = random.Random(seed)
     server = build_server(rng)
-    planner = QueryPlanner(server, universe=UNIVERSE)
+    planner = QueryPlanner(server)
     for spec in (
         RangeSpec(window=Rect(5, 5, 30, 30)),
         KNNSpec(point=Point(25, 25), k=6),
@@ -210,9 +202,7 @@ def test_forced_vectorized_route_equals_scalar(seed, scenario):
         ),
     ):
         scenario.record(seed=seed, spec=repr(spec))
-        scalar = canonical(
-            planner.execute(spec, backend="rtree", route="scalar")
-        )
+        scalar = canonical(planner.execute(spec, route="scalar"))
         vectorized = canonical(planner.execute(spec, route="vectorized"))
         assert scalar == vectorized
 
@@ -220,17 +210,17 @@ def test_forced_vectorized_route_equals_scalar(seed, scenario):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_forced_choices_agree_on_adversarial_populations(family, scenario):
     """Sparse / skewed / collinear / border-aligned data, far-corner
-    probes, k at and above the population: every eligible backend x route
-    still gives the planned answer, and that answer is the oracle's."""
+    probes, k at and above the population: every eligible route still
+    gives the planned answer, and that answer is the oracle's."""
     seed = SEEDS[0]
-    seen_backends: set[str] = set()
+    seen_routes: set[str] = set()
     # A handful of the sparse draws is enough here: the index-level suite
     # in test_differential.py runs all of them against every backend.
     for points in populations(family, seed, UNIVERSE)[:6]:
         server = LocationServer(telemetry=Telemetry(enabled=False))
         for item, point in points.items():
             server.add_public_object(item, point)
-        planner = QueryPlanner(server, universe=UNIVERSE)
+        planner = QueryPlanner(server)
         oracle = BruteForceOracle.from_server(server)
         specs = []
         for probe in probe_points(seed, UNIVERSE)[:8]:
@@ -249,25 +239,25 @@ def test_forced_choices_agree_on_adversarial_populations(family, scenario):
                 assert planned == tuple(oracle.public_knn(spec.point, spec.k))
             else:
                 assert planned == tuple(oracle.public_range(spec.window))
-            for backend, route in planner.conformance_backends(spec):
-                seen_backends.add(backend)
+            for route in routes_for(spec):
+                seen_routes.add(route)
                 scenario.record(
-                    family=family, spec=repr(spec), backend=backend,
-                    route=route, planned=repr(planned),
+                    family=family, spec=repr(spec), route=route,
+                    planned=repr(planned),
                     points={k: (p.x, p.y) for k, p in points.items()},
                 )
-                forced = canonical(
-                    planner.execute(spec, backend=backend, route=route)
-                )
+                forced = canonical(planner.execute(spec, route=route))
                 assert forced == planned, (
-                    f"{backend}/{route} diverged from the planned answer "
-                    f"for {spec!r}"
+                    f"{route} diverged from the planned answer for {spec!r}"
                 )
-    assert seen_backends == set(BACKEND_NAMES)
+            # The batch path (kernel for public kinds) agrees too.
+            assert canonical(planner.execute_batch([spec, spec])[0]) == planned
+    assert seen_routes == {"scalar", "vectorized"}
 
 
 def test_region_shaped_private_store_pins_counts_to_rtree(scenario):
-    """With real (area) cloaks the point replicas are ineligible."""
+    """With real (area) cloaks, counts agree on both routes, both over
+    the native store."""
     rng = random.Random(11)
     server = LocationServer(telemetry=Telemetry(enabled=False))
     for i in range(30):
@@ -278,14 +268,12 @@ def test_region_shaped_private_store_pins_counts_to_rtree(scenario):
         x = float(rng.randint(0, 44))
         y = float(rng.randint(0, 44))
         server.receive_region(f"u{i}", Rect(x, y, x + 5.0, y + 5.0))
-    planner = QueryPlanner(server, universe=UNIVERSE)
+    planner = QueryPlanner(server)
     spec = CountSpec(window=Rect(10, 10, 40, 40))
     scenario.record(spec=repr(spec))
-    pairs = planner.conformance_backends(spec)
-    assert {backend for backend, _ in pairs} == {"rtree"}
+    assert routes_for(spec) == ("scalar", "vectorized")
     planned = canonical(planner.execute(spec))
-    for backend, route in pairs:
-        assert (
-            canonical(planner.execute(spec, backend=backend, route=route))
-            == planned
-        )
+    for route in routes_for(spec):
+        decision = planner.decide(spec, route=route)
+        assert decision.backend == "rtree"
+        assert canonical(planner.execute(spec, decision=decision)) == planned

@@ -101,9 +101,9 @@ def test_batched_equals_sequential(server_data, batch):
         with pytest.raises(QueryError):
             BatchEngine(server).execute(batch)
         with pytest.raises(QueryError):
-            planner.execute_batch(batch, backend="rtree", route="scalar")
+            planner.execute_batch(batch, route="scalar")
         return
-    scalar = planner.execute_batch(batch, backend="rtree", route="scalar")
+    scalar = planner.execute_batch(batch, route="scalar")
     has_kernel = [
         i for i, kind in enumerate(kinds) if RUNNERS[kind].kernel is not None
     ]
@@ -159,6 +159,6 @@ def test_degenerate_region_counts_match_scalar_path(window, regions):
         server.receive_region(f"u{i}", region)
     spec = CountSpec(window=window)
     vec = server.planner.execute(spec, route="vectorized")
-    scalar = server.planner.execute(spec, backend="rtree", route="scalar")
+    scalar = server.planner.execute(spec, route="scalar")
     assert vec.probabilities == scalar.probabilities
     assert vec.expected == scalar.expected

@@ -211,9 +211,9 @@ class TestHealthCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == "repro.obs.slo/1"
         assert report["healthy"] is True
-        assert report["total"] == report["ok"] == 10
+        assert report["total"] == report["ok"] == 9
         names = {result["spec"]["name"] for result in report["results"]}
-        assert "plan_accuracy" in names and "answer_accuracy" in names
+        assert "answer_accuracy" in names and "plan_accuracy" not in names
 
     def test_custom_specs_can_fail_with_exit_4(self, tmp_path, capsys):
         import json
@@ -324,6 +324,16 @@ BAD_WORKLOAD_ARGS = [
     if flag in _flags_of(verb)
 ]
 
+#: ``(verb, file flag, file content)``: a file a verb cannot use (``None``:
+#: the file does not exist).
+BAD_FILES = [
+    ("health", "--specs", None),
+    ("health", "--specs", '{"name": "x"}'),
+    ("health", "--specs", '[{"kind": "attainment_rate", "target": 0.5}]'),
+    ("health", "--specs", '[{"name": "a", "kind": "attainment_rate", "target": "high"}]'),
+    ("audit", "--from-jsonl", None),
+]
+
 
 class TestVerbTable:
     """Every row of the verb table, driven through ``main``."""
@@ -368,4 +378,19 @@ class TestVerbTable:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "verb,flag,content",
+        BAD_FILES,
+        ids=["missing_specs", "non_list", "no_name", "text_target", "missing_trail"],
+    )
+    def test_unusable_input_file_exits_2(self, verb, flag, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([verb, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {verb}: error:")
+        assert str(path) in err
         assert "Traceback" not in err

@@ -380,7 +380,7 @@ class TestPrivateRangeRoutesAgreeAtTheRadius:
         want = tuple(oracle.private_range(spec.region, spec.radius, spec.method))
         assert want == ("poi",)
         vectorized = server.planner.execute(spec, route="vectorized")
-        scalar = server.planner.execute(spec, backend="rtree", route="scalar")
+        scalar = server.planner.execute(spec, route="scalar")
         assert vectorized.candidates == scalar.candidates == want
 
 

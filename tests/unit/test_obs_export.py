@@ -38,7 +38,7 @@ def system():
         sys_.query(NNSpec(flavor="private", user=i))
     # Forced onto the native store so its index counters see the query.
     sys_.planner.execute(
-        CountSpec(window=Rect(10, 10, 90, 90)), backend="rtree", route="scalar"
+        CountSpec(window=Rect(10, 10, 90, 90)), route="scalar"
     )
     return sys_
 

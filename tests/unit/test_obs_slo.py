@@ -4,9 +4,6 @@ import json
 
 import pytest
 
-from repro.cloaking.pyramid_cloak import PyramidCloaker
-from repro.core.system import PrivacySystem
-from repro.geometry.rect import Rect
 from repro.obs import DEFAULT_SLOS, SLOMonitor, SLOSpec, Telemetry, load_slos
 from repro.obs.events import (
     QUERY_COMPLETED,
@@ -15,7 +12,6 @@ from repro.obs.events import (
     SNAPSHOT_REUSED,
 )
 from repro.obs.slo import EXIT_SLO_VIOLATION, SLO_SCHEMA, HealthReport
-from repro.planner.planner import Decision
 
 
 def emit_cloak(obs, k=5, k_achieved=5, degraded=False):
@@ -118,23 +114,6 @@ class TestEvaluation:
         )
         assert report.results[0].measured == pytest.approx(2 / 3)
         assert report.healthy
-
-    def test_mispredict_ratio_uses_folded_median(self):
-        spec = SLOSpec("plan", "mispredict_ratio", 4.0)
-        bounds = Rect(0, 0, 100, 100)
-        system = PrivacySystem(bounds, PyramidCloaker(bounds, height=4))
-        monitor = system.planner.accuracy
-        # 100x too fast folds to the same badness as 100x too slow.
-        for _ in range(monitor.min_samples):
-            monitor.observe(
-                Decision(kind="public_range", backend="rtree", route="scalar",
-                         seconds=1e-3, reason="test"),
-                1e-5,
-            )
-        report = SLOMonitor([spec]).evaluate(system)
-        assert report.results[0].measured == pytest.approx(100.0)
-        assert report.results[0].measured == monitor.report()["drift_folded"]
-        assert not report.healthy
 
     def test_query_accuracy_weighted_by_count(self):
         spec = SLOSpec("acc", "query_accuracy", 0.9)

@@ -1,4 +1,4 @@
-"""Unit tests for the cost-based query planner."""
+"""Unit tests for the route-table query planner."""
 
 import pytest
 
@@ -10,8 +10,9 @@ from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
-from repro.obs.events import PLANNER_CALIBRATED, PLANNER_DECISION
-from repro.planner import BACKEND_NAMES, CostModel, QueryPlanner
+from repro.obs.events import PLANNER_DECISION
+from repro.planner import QueryPlanner
+from repro.planner.planner import ROUTE_TABLE, eligible_routes
 from repro.queries.probabilistic import CountAnswer
 from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
 
@@ -36,47 +37,45 @@ def planner(system):
 
 class TestDecisions:
     def test_ranked_candidates_cheapest_first(self, planner):
+        # The route table, not a ranking: a single spec runs scalar.
         decision = planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
         assert decision.kind == "public_range"
-        seconds = [c.seconds for c in decision.ranked]
-        assert seconds == sorted(seconds)
-        assert (decision.backend, decision.route) == (
-            decision.ranked[0].backend,
-            decision.ranked[0].route,
-        )
+        assert decision == ROUTE_TABLE["public_range", False]
+        assert (decision.backend, decision.route) == ("rtree", "scalar")
+        assert decision.reason.startswith("route table")
         assert not decision.pinned and not decision.forced
 
-    def test_all_backends_eligible_for_public_range(self, planner):
-        decision = planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
-        backends = {c.backend for c in decision.ranked}
-        assert backends == set(BACKEND_NAMES)
-        assert {c.route for c in decision.ranked} == {"scalar", "vectorized"}
+    def test_all_backends_eligible_for_public_range(self):
+        assert eligible_routes("public_range") == ("scalar", "vectorized")
 
     def test_decision_event_emitted(self, system, planner):
-        planner.decide(CountSpec(window=Rect(0, 0, 40, 40)))
+        planner.execute(CountSpec(window=Rect(0, 0, 40, 40)))
         events = list(system.obs.events.events(PLANNER_DECISION))
         assert events
         last = events[-1].attrs
         assert last["query"] == "public_count"
-        assert last["backend"] in BACKEND_NAMES
-        assert last["route"] in ("scalar", "vectorized")
-        assert last["candidates"]
+        assert last["backend"] == "rtree"
+        assert last["route"] == "scalar"
+        assert (last["batch"], last["n"]) == (1, 1)
+        assert "candidates" not in last and "est_seconds" not in last
 
     def test_forcing_an_eligible_choice(self, planner):
         spec = KNNSpec(point=Point(50, 50), k=3)
-        decision = planner.decide(spec, backend="grid", route="scalar")
+        decision = planner.decide(spec, route="vectorized")
         assert decision.forced
-        assert (decision.backend, decision.route) == ("grid", "scalar")
+        assert (decision.backend, decision.route) == ("rtree", "vectorized")
         assert decision.reason == "forced by caller"
 
     def test_forcing_ineligible_choice_raises(self, planner):
         spec = NNSpec(flavor="private", region=Rect(20, 20, 30, 30))
         with pytest.raises(QueryError, match="not an eligible execution"):
-            planner.decide(spec, backend="grid")
+            planner.decide(spec, route="vectorized")
+        with pytest.raises(QueryError, match="not an eligible execution"):
+            planner.decide(RangeSpec(window=Rect(0, 0, 1, 1)), route="grid")
 
     def test_private_nn_pinned_to_native_store(self, planner):
         decision = planner.decide(
-            NNSpec(flavor="private", region=Rect(20, 20, 30, 30))
+            NNSpec(flavor="private", region=Rect(20, 20, 30, 30)), batch_size=9
         )
         assert decision.pinned
         assert (decision.backend, decision.route) == ("rtree", "scalar")
@@ -93,44 +92,89 @@ class TestDecisions:
             assert (decision.backend, decision.route) == ("rtree", "scalar")
 
     def test_count_backends_need_degenerate_regions(self, planner):
-        # Cloaked regions have area, so point-replica backends are out:
-        # only the native R-tree and the vectorized kernels remain.
-        decision = planner.decide(CountSpec(window=Rect(0, 0, 40, 40)))
-        assert {c.backend for c in decision.ranked} == {"rtree"}
+        # Cloaked regions have area; counts still have both routes, both
+        # over the native store's snapshot.
+        assert eligible_routes("public_count") == ("scalar", "vectorized")
+        decision = planner.decide(CountSpec(window=Rect(0, 0, 40, 40)), 2)
+        assert (decision.backend, decision.route) == ("rtree", "vectorized")
 
     def test_to_plan_node_shows_chosen_and_rejected(self, planner):
         decision = planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
         node = decision.to_plan_node()
         assert node.op == "planner.decision"
         ops = [child.op for child in node.children]
-        assert ops.count("planner.chosen") == 1
-        assert ops.count("planner.rejected") == len(decision.ranked) - 1
+        assert ops == ["planner.chosen", "planner.rejected"]
+        assert node.children[0].detail["route"] == "scalar"
+
+
+class TestRouteTable:
+    """Routing is a function of the question, not of the clock."""
+
+    @staticmethod
+    def mixed_batch():
+        return [
+            RangeSpec(window=Rect(10, 10, 50, 50)),
+            KNNSpec(point=Point(50, 50), k=3),
+            CountSpec(window=Rect(0, 0, 40, 40)),
+            KNNSpec(point=Point(20, 70), k=5),
+            RangeSpec(flavor="private", region=Rect(20, 20, 30, 30), radius=5.0),
+            NNSpec(flavor="private", region=Rect(20, 20, 30, 30)),
+            NNSpec(dataset="private", point=Point(50, 50), samples=32),
+        ]
+
+    def test_batched_public_knn_runs_on_the_kernel(self, system, planner):
+        batch = self.mixed_batch()
+        assert planner.decide(batch[1], batch_size=len(batch)).route == "vectorized"
+        planner.execute_batch(batch)
+        routes = {
+            event.attrs["query"]: event.attrs["route"]
+            for event in system.obs.events.events(PLANNER_DECISION)
+        }
+        assert routes == {
+            "public_range": "vectorized",
+            "public_knn": "vectorized",
+            "public_count": "vectorized",
+            "private_range": "scalar",
+            "private_nn": "scalar",
+            "public_nn": "scalar",
+        }
+
+    def test_single_spec_runs_scalar(self, planner):
+        for spec in self.mixed_batch():
+            assert planner.decide(spec).route == "scalar"
+
+    def test_same_seed_same_decision_stream(self, uniform_points_500):
+        def stream():
+            system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=6))
+            for i, p in enumerate(uniform_points_500[:200]):
+                system.add_user(MobileUser(i, p, PrivacyProfile.always(k=8)))
+            for j in range(60):
+                system.add_poi(("poi", j), Point((17 * j) % 100, (41 * j) % 100))
+            system.publish_all()
+            system.execute_batch(self.mixed_batch())
+            system.query(KNNSpec(point=Point(50, 50), k=3))
+            return [
+                {k: v for k, v in event.attrs.items() if k not in ("qid", "bid")}
+                for event in system.obs.events.events(PLANNER_DECISION)
+            ]
+
+        first = stream()
+        assert len(first) == 7  # six kind groups, one single query
+        assert stream() == first
 
 
 class TestCalibration:
-    def test_calibrates_once_for_stable_store(self, planner):
-        planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
-        planner.decide(KNNSpec(point=Point(50, 50), k=3))
-        assert planner.collector.calibrations == 1
-
-    def test_recalibrates_after_2x_growth(self, system, planner):
-        planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
-        for j in range(200):
-            system.add_poi(("extra", j), Point((13 * j) % 97, (29 * j) % 89))
-        planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
-        assert planner.collector.calibrations == 2
+    """The live statistics ``repro plan`` prints (nothing is calibrated)."""
 
     def test_calibrated_event_and_stats_content(self, system, planner):
         stats = planner.stats()
-        events = list(system.obs.events.events(PLANNER_CALIBRATED))
-        assert events and events[-1].attrs["n_public"] == stats.n_public
-        assert set(stats.backends) == set(BACKEND_NAMES)
-        assert stats.kernels is not None
-        assert stats.calibration_sample == 60
-        for cal in stats.backends.values():
-            assert all(s >= 0.0 for s in cal.range_seconds)
-            assert cal.knn_distance_computations >= 0.0
+        assert stats.n_public == 60
+        assert stats.n_private == len(system.server.private)
+        assert stats.snapshot_fresh is False
+        system.execute_batch([RangeSpec(window=Rect(0, 0, 50, 50))] * 2)
+        assert planner.stats().snapshot_fresh is True
         assert stats.live_counters["server.public"]["nn_queries"] >= 0
+        assert planner.collector.calibrations == 0
 
     def test_stats_round_trip_to_dict(self, planner):
         record = planner.stats().to_dict()
@@ -139,15 +183,9 @@ class TestCalibration:
         assert json.loads(json.dumps(record)) == record
 
     def test_cost_model_ranks_deterministically(self, planner):
-        stats = planner.stats()
-        model = CostModel(stats)
         spec = RangeSpec(window=Rect(10, 10, 50, 50))
-        first = planner.decide(spec)
-        second = planner.decide(spec)
-        assert [
-            (c.backend, c.route) for c in first.ranked
-        ] == [(c.backend, c.route) for c in second.ranked]
-        assert model.selectivity(BOUNDS.area) == pytest.approx(1.0)
+        assert planner.decide(spec) is planner.decide(spec)
+        assert planner.decide(spec, 5) is planner.decide(spec, 500)
 
 
 class TestExecution:
@@ -232,10 +270,12 @@ class TestStandaloneServer:
         from repro.obs import Telemetry
 
         server = LocationServer(telemetry=Telemetry(enabled=False))
-        planner = QueryPlanner(server, universe=Rect(0, 0, 10, 10))
+        planner = QueryPlanner(server)
         decision = planner.decide(RangeSpec(window=Rect(0, 0, 5, 5)))
-        assert {c.backend for c in decision.ranked} == {"rtree"}
-        assert planner.execute(RangeSpec(window=Rect(0, 0, 5, 5))) == ()
+        assert decision.backend == "rtree"
+        for route in eligible_routes(decision.kind):
+            spec = RangeSpec(window=Rect(0, 0, 5, 5))
+            assert planner.execute(spec, route=route) == ()
 
     def test_engine_routes_length_mismatch_raises(self):
         from repro.obs import Telemetry
