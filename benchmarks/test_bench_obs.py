@@ -5,7 +5,8 @@ Run via ``make bench`` (all four gates) or
 private-query pipeline is timed with the benchmark harness while a
 telemetry-instrumented :class:`~repro.core.system.PrivacySystem`
 accumulates per-stage latency histograms and index work counters; the
-monitoring-overhead gate (< 5 %) runs on the same system, and the final
+monitoring-overhead gate (< 5 %) runs on the same system, a write-path
+arm records the monitoring share of bulk ticks, and the final
 test folds everything into ``BENCH_obs.json`` at the repo root — the
 machine-readable record CI uploads as an artifact.
 """
@@ -35,6 +36,8 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 N_USERS = 500
 N_POIS = 60
 N_QUERIES = 40
+#: Users moved and bulk-published per tick by the write-path arm.
+N_WRITE_USERS = 4000
 
 #: Shared across the module's tests: per-experiment timings, filled in by
 #: each benchmark test and flushed to disk by the final report test.
@@ -202,6 +205,86 @@ def test_obs_loop_monitoring_overhead(system):
     )
 
 
+def test_obs_loop_monitoring_write_share():
+    """The monitoring stack's share of bulk ticks (the write path).
+
+    Measured like the planned-query gate above: the risk monitor's event
+    tap and the time-series sampler are timed where they are called,
+    here over bulk ticks shaped like the pipeline benchmark's (every user
+    reports through ``update_location``, then one bulk publish), for at
+    least two sampling intervals.  Recorded as ``monitoring_write_share``
+    (monitoring seconds over tick seconds); no threshold yet.
+    """
+    import time
+    from collections import Counter
+
+    from repro.cloaking.grid_cloak import GridCloaker
+    from repro.obs.events import REGIONS_PUBLISHED_BULK, USER_MOVED
+
+    interval = 1.0
+    rng = np.random.default_rng(7)
+    bounds = Rect(0, 0, 1000, 1000)
+    write = PrivacySystem(bounds, GridCloaker(bounds, cols=64, rows=64))
+    for i in range(N_WRITE_USERS):
+        x, y = rng.uniform(0, 1000, 2)
+        write.add_user(
+            MobileUser(i, Point(float(x), float(y)), PrivacyProfile.always(k=10))
+        )
+    write.publish_all(bulk=True)
+    write.enable_monitoring(interval=interval)
+    own = 0.0
+    kinds: Counter = Counter()
+
+    def timed(fn, count=False):
+        def wrapper(*args):
+            nonlocal own
+            if count:
+                kinds[args[0].kind] += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                own += time.perf_counter() - start
+
+        return wrapper
+
+    log, risk, series = write.obs.events, write.risk, write.timeseries
+    tap = timed(risk.consume, count=True)
+    log.remove_tap(risk.consume)
+    log.add_tap(tap)
+    series.maybe_sample = timed(series.maybe_sample)
+    update = write.anonymizer.update_location
+    ticks = 0
+    start = time.perf_counter()
+    while time.perf_counter() - start < 2.2 * interval:
+        for user_id in range(N_WRITE_USERS):
+            x, y = rng.uniform(0, 1000, 2)
+            update(user_id, Point(float(x), float(y)))
+        write.publish_all(bulk=True)
+        ticks += 1
+    total = time.perf_counter() - start
+    windows_cut = series.windows_cut
+    log.remove_tap(tap)
+    write.disable_monitoring()
+    share = own / total
+    _RESULTS["monitoring_write"] = {
+        "users": N_WRITE_USERS,
+        "ticks": ticks,
+        "total_s": total,
+        "monitoring_s": own,
+        "monitoring_write_share": share,
+        "windows_cut": windows_cut,
+        "risk_events_consumed": dict(kinds),
+    }
+    assert kinds[USER_MOVED] >= ticks * N_WRITE_USERS, (
+        "the risk tap missed user.moved events: the per-mover cost was not measured"
+    )
+    assert kinds[REGIONS_PUBLISHED_BULK] >= ticks, (
+        "the risk tap missed a bulk publish: its ingestion was not measured"
+    )
+    assert windows_cut > 0, "no window was cut: risk scoring was not measured"
+
+
 def test_obs_smoke_report(system, write_report):
     """Fold the timings and the telemetry snapshot into BENCH_obs.json."""
     snapshot = system.telemetry()
@@ -228,6 +311,7 @@ def test_obs_smoke_report(system, write_report):
         "accuracy": system.planner.accuracy.report(),
         "health": health.to_dict(),
         "monitoring": _RESULTS.get("monitoring", {}),
+        "monitoring_write": _RESULTS.get("monitoring_write", {}),
     }
     write_report(report, "repro.obs.bench/1", BENCH_PATH)
     # The file must round-trip and carry the stamp + headline sections.
@@ -245,3 +329,4 @@ def test_obs_smoke_report(system, write_report):
     # Filled by the monitoring-overhead gate earlier in this module.
     assert parsed["monitoring"]["overhead"] < 0.05
     assert parsed["monitoring"]["windows_cut"] > 0
+    assert parsed["monitoring_write"]["monitoring_write_share"] > 0

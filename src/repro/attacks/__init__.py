@@ -19,7 +19,6 @@ from repro.attacks.posterior import (
 )
 from repro.attacks.streaming import (
     StreamingDensityModel,
-    StreamingLinkageTracker,
     StreamingPosteriorIndex,
     bucket_anonymity,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "AttackReport",
     "evaluate_attacks",
     "StreamingDensityModel",
-    "StreamingLinkageTracker",
     "StreamingPosteriorIndex",
     "bucket_anonymity",
 ]

@@ -16,9 +16,10 @@ Three adapters:
 - :class:`StreamingDensityModel` — a :class:`DensityModel` whose grid is
   maintained under add/move/retire updates instead of one-shot ``fit``;
   at every point it equals ``DensityModel().fit(current positions)``.
-- :class:`StreamingLinkageTracker` — the max-speed reachability
-  intersection in O(1) memory (running shrinkage sum instead of the
-  unbounded ``steps`` list); step-for-step identical to
+- :class:`StreamingLinkageColumns` — the max-speed reachability
+  intersection as one row of columns per user (running shrinkage sum
+  instead of the unbounded ``steps`` list), updated row by row or one
+  bulk publication at a time; step-for-step identical to
   :class:`MaxSpeedLinkageAttack`.
 - :class:`StreamingPosteriorIndex` — rolling region-bucket index
   approximating the inversion set: users currently publishing an equal
@@ -31,7 +32,9 @@ Three adapters:
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.attacks.density import DensityModel
 from repro.attacks.posterior import regions_equal
@@ -55,13 +58,15 @@ class StreamingDensityModel(DensityModel):
     def __init__(self, bounds: Rect, resolution: int = 32) -> None:
         super().__init__(bounds, resolution)
         self._cells: dict[Hashable, tuple[int, int] | None] = {}
+        self._frame = (*bounds.as_tuple(), bounds.width, bounds.height)
 
     def _cell_of(self, x: float, y: float) -> tuple[int, int] | None:
-        if not self.bounds.contains_point(Point(x, y)):
+        min_x, min_y, max_x, max_y, width, height = self._frame
+        if not (min_x <= x <= max_x and min_y <= y <= max_y):
             return None
         res = self.resolution
-        col = min(int((x - self.bounds.min_x) / self.bounds.width * res), res - 1)
-        row = min(int((y - self.bounds.min_y) / self.bounds.height * res), res - 1)
+        col = min(int((x - min_x) / width * res), res - 1)
+        row = min(int((y - min_y) / height * res), res - 1)
         return row, col
 
     def admit(self, user: Hashable, x: float, y: float) -> None:
@@ -104,92 +109,153 @@ class StreamingDensityModel(DensityModel):
         return len(self._cells)
 
 
-class StreamingLinkageTracker:
-    """Constant-memory max-speed reachability tracker for one pseudonym.
+#: Linkage column layout: the feasible box (min x, min y, max x, max y),
+#: the last observation time, steps, inconsistent steps, shrinkage sum.
+_T, _STEPS, _INCONSISTENT, _SHRINKAGE = 4, 5, 6, 7
 
-    The same refinement as :class:`MaxSpeedLinkageAttack`::
+
+class StreamingLinkageColumns:
+    """Max-speed reachability for every publishing user, one row each.
+
+    The refinement of :class:`MaxSpeedLinkageAttack`::
 
         F_0 = R_0
         F_t = R_t ∩ expand(F_(t-1), v_max * (t - t_prev))
 
-    but instead of accumulating :class:`LinkageStep` values it keeps a
-    running shrinkage sum, so a tracker can live as long as its pseudonym
-    does.  ``observe`` returns the step's shrinkage ratio
-    (area(feasible)/area(observed); 1.0 = nothing learned, and also the
-    sound fallback when the speed bound proves inconsistent).
+    as running sums in one row per user, following the user's current
+    pseudonym (rotation restarts the row: the defense being measured).
+    Shrinkage is area(feasible)/area(observed), 1.0 when the speed bound
+    proves inconsistent, 0.0 for a zero-area region.  :meth:`observe` is
+    the pure-Python row path, :meth:`observe_many` the numpy bulk path;
+    both equal :class:`MaxSpeedLinkageAttack` step for step.
     """
 
-    __slots__ = (
-        "max_speed",
-        "_feasible",
-        "_last_t",
-        "steps_seen",
-        "inconsistent_steps",
-        "_shrinkage_sum",
-        "last_shrinkage",
-    )
-
-    def __init__(self, max_speed: float) -> None:
+    def __init__(self, max_speed: float = 0.0) -> None:
         if max_speed < 0:
             raise ValueError("max_speed must be non-negative")
         self.max_speed = max_speed
-        self._feasible: Rect | None = None
-        self._last_t: float | None = None
-        self.steps_seen = 0
-        self.inconsistent_steps = 0
-        self._shrinkage_sum = 0.0
-        self.last_shrinkage = 1.0
+        self._row: dict[Hashable, int] = {}
+        self._users: list[Hashable] = []
+        self._pseudonyms: list[Hashable] = []
+        self._cols = np.zeros((64, 8))
 
-    def observe(self, t: float, region: Rect) -> float:
-        if self._last_t is not None and t < self._last_t:
-            raise ValueError("observations must be time-ordered")
-        if self._feasible is None or self._last_t is None:
-            feasible: Rect | None = region
+    def __len__(self) -> int:
+        return len(self._users)
+
+    def _start(self, user: Hashable, pseudonym: Hashable) -> int:
+        """The row that starts ``user``'s track under ``pseudonym``."""
+        row = self._row.get(user)
+        if row is None:
+            row = self._row[user] = len(self._users)
+            self._users.append(user)
+            self._pseudonyms.append(pseudonym)
+            if row == len(self._cols):
+                self._cols = np.concatenate([self._cols, np.zeros((row // 4 + 64, 8))])
         else:
-            reach = self.max_speed * (t - self._last_t)
-            feasible = self._feasible.expanded(reach).intersection(region)
-        if feasible is None:
-            # Inconsistent speed bound: fall back to the observed region
-            # alone and report the "nothing learned" ratio, exactly as
-            # LinkageStep(feasible=None).shrinkage does.
-            feasible = region
+            self._pseudonyms[row] = pseudonym
+        return row
+
+    def observe(self, user: Hashable, pseudonym: Hashable, t: float, box) -> float:
+        """Feed ``user``'s region ``box`` (its sides) at ``t``; the step's shrinkage."""
+        min_x, min_y, max_x, max_y = box
+        row = self._row.get(user)
+        if row is None or self._pseudonyms[row] != pseudonym:
+            row = self._start(user, pseudonym)
+            self._cols[row] = (*box, t, 0.0, 0.0, 0.0)  # F_0 = R_0: no reach
+        fx0, fy0, fx1, fy1, last_t, steps, bad, total = self._cols[row].tolist()
+        if t < last_t:
+            raise ValueError("observations must be time-ordered")
+        reach = self.max_speed * (t - last_t)
+        fx0, fy0 = max(fx0 - reach, min_x), max(fy0 - reach, min_y)
+        fx1, fy1 = min(fx1 + reach, max_x), min(fy1 + reach, max_y)
+        area = (max_x - min_x) * (max_y - min_y)
+        if fx0 > fx1 or fy0 > fy1:
+            fx0, fy0, fx1, fy1 = box
             shrinkage = 1.0
-            self.inconsistent_steps += 1
-        elif region.area == 0.0:
+            bad += 1
+        elif area == 0.0:
             shrinkage = 0.0
         else:
-            shrinkage = feasible.area / region.area
-        self._feasible = feasible
-        self._last_t = t
-        self.steps_seen += 1
-        self._shrinkage_sum += shrinkage
-        self.last_shrinkage = shrinkage
+            shrinkage = (fx1 - fx0) * (fy1 - fy0) / area
+        self._cols[row] = (fx0, fy0, fx1, fy1, t, steps + 1, bad, total + shrinkage)
         return shrinkage
 
+    def observe_many(
+        self, users: Sequence, pseudonyms: Sequence, t: float, boxes: np.ndarray
+    ) -> None:
+        """Feed a bulk publication at ``t``: ``boxes[i]`` is ``users[i]``'s
+        region under ``pseudonyms[i]``.  A repeated user takes the row path."""
+        if len(set(users)) < len(users):
+            for user, pseudonym, box in zip(users, pseudonyms, boxes.tolist()):
+                self.observe(user, pseudonym, t, box)
+            return
+        get, names = self._row.get, self._pseudonyms
+        rows = [get(user, -1) for user in users]
+        fresh = np.array(
+            [row < 0 or names[row] != p for row, p in zip(rows, pseudonyms)], bool
+        )
+        for i in np.flatnonzero(fresh).tolist():
+            rows[i] = self._start(users[i], pseudonyms[i])
+        cols = self._cols[rows]
+        cols[fresh, :_T], cols[fresh, _T], cols[fresh, _STEPS:] = boxes[fresh], t, 0.0
+        if (t < cols[:, _T]).any():
+            raise ValueError("observations must be time-ordered")
+        reach = (self.max_speed * (t - cols[:, _T]))[:, None]
+        lo = np.maximum(cols[:, 0:2] - reach, boxes[:, 0:2])
+        hi = np.minimum(cols[:, 2:4] + reach, boxes[:, 2:4])
+        disjoint = (lo > hi).any(axis=1)
+        feasible = np.where(disjoint[:, None], boxes, np.hstack([lo, hi]))
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+        kept = (feasible[:, 2] - feasible[:, 0]) * (feasible[:, 3] - feasible[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shrinkage = np.where(disjoint, 1.0, np.where(area == 0.0, 0.0, kept / area))
+        cols[:, :_T] = feasible
+        cols[:, _T] = t
+        cols[:, _STEPS] += 1.0
+        cols[:, _INCONSISTENT] += disjoint
+        cols[:, _SHRINKAGE] += shrinkage
+        self._cols[rows] = cols
+
+    def retire(self, user: Hashable) -> None:
+        """Drop ``user``'s row (no-op when unknown)."""
+        row = self._row.pop(user, None)
+        if row is None:
+            return
+        moved, pseudonym = self._users.pop(), self._pseudonyms.pop()
+        if row < len(self._users):  # the last row fills the gap
+            self._users[row], self._pseudonyms[row] = moved, pseudonym
+            self._row[moved] = row
+            self._cols[row] = self._cols[len(self._users)]
+
+    def track(self, user: Hashable) -> dict | None:
+        """``user``'s row as a dict (None when unknown)."""
+        row = self._row.get(user)
+        if row is None:
+            return None
+        fx0, fy0, fx1, fy1, _, steps, inconsistent, total = self._cols[row].tolist()
+        return dict(
+            pseudonym=self._pseudonyms[row], feasible=Rect(fx0, fy0, fx1, fy1),
+            steps=int(steps), inconsistent_steps=int(inconsistent),
+            mean_shrinkage=total / steps,
+        )
+
+    def mean_shrinkage(self) -> float | None:
+        """Mean over users of their mean step shrinkage (None when empty)."""
+        cols = self._cols[: len(self._users)]
+        if not len(cols):
+            return None
+        return float(np.mean(cols[:, _SHRINKAGE] / cols[:, _STEPS]))
+
     @property
-    def feasible_region(self) -> Rect | None:
-        return self._feasible
-
-    def mean_shrinkage(self) -> float:
-        if not self.steps_seen:
-            raise ValueError("no observations yet")
-        return self._shrinkage_sum / self.steps_seen
-
-
-def _region_key(region: Rect) -> tuple[float, float, float, float]:
-    return (
-        round(region.min_x, _KEY_DECIMALS),
-        round(region.min_y, _KEY_DECIMALS),
-        round(region.max_x, _KEY_DECIMALS),
-        round(region.max_y, _KEY_DECIMALS),
-    )
+    def inconsistent_steps(self) -> int:
+        return int(self._cols[: len(self._users), _INCONSISTENT].sum())
 
 
 class StreamingPosteriorIndex:
     """Rolling anonymity buckets: users grouped by equal published region.
 
-    Maintained from ``region.published`` events alone, in O(population)
-    memory.  The size of a user's bucket is the streaming estimate of her
+    Maintained from published regions alone, row by row or in bulk, in
+    O(population) memory.  The size of a user's bucket is the streaming estimate of her
     posterior anonymity against the region-matching adversary; under
     uniform requirements and publish-all snapshots it equals the full
     inversion set of :func:`repro.attacks.posterior.posterior_anonymity`.
@@ -202,18 +268,41 @@ class StreamingPosteriorIndex:
 
     def publish(self, user: Hashable, region: Rect) -> None:
         """Record ``user``'s current published region (replaces any prior)."""
-        key = _region_key(region)
+        key = tuple(map(round, region.as_tuple(), (_KEY_DECIMALS,) * 4))
+        if self._place(user, key):
+            self._rects[key] = region
+
+    def publish_many(self, users: Sequence[Hashable], boxes: np.ndarray) -> None:
+        """:meth:`publish` for every user in order; row i of the ``(n, 4)``
+        ``boxes`` holds ``users[i]``'s region.  Keys take the same
+        ``round``, once per distinct side value (regions share few), and
+        equal keys share one tuple, so the index holds one per region."""
+        values, inverse = np.unique(boxes, return_inverse=True)
+        rounded = [round(v, _KEY_DECIMALS) for v in values.tolist()]
+        sides = inverse.reshape(-1, 4).T.tolist()
+        keys = zip(*(map(rounded.__getitem__, column) for column in sides))
+        current, shared = self._user_key.get, {}
+        for i, (user, key) in enumerate(zip(users, keys)):
+            if current(user) == key:
+                continue
+            key = shared.setdefault(key, key)
+            if self._place(user, key):
+                self._rects[key] = Rect(*boxes[i].tolist())
+
+    def _place(self, user: Hashable, key: tuple) -> bool:
+        """Move ``user`` into ``key``'s bucket; True when the bucket is new."""
         old = self._user_key.get(user)
         if old == key:
-            return
+            return False
         if old is not None:
             self._drop_from_bucket(user, old)
+        self._user_key[user] = key
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = set()
-            self._rects[key] = region
+            self._buckets[key] = {user}
+            return True
         bucket.add(user)
-        self._user_key[user] = key
+        return False
 
     def retire(self, user: Hashable) -> None:
         """Forget ``user``'s published region (no-op when unknown)."""
@@ -222,9 +311,7 @@ class StreamingPosteriorIndex:
             self._drop_from_bucket(user, key)
 
     def _drop_from_bucket(self, user: Hashable, key: tuple) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return
+        bucket = self._buckets[key]
         bucket.discard(user)
         if not bucket:
             del self._buckets[key]
@@ -240,10 +327,6 @@ class StreamingPosteriorIndex:
         if key is None:
             return None
         return len(self._buckets[key])
-
-    def region_of(self, user: Hashable) -> Rect | None:
-        key = self._user_key.get(user)
-        return self._rects[key] if key is not None else None
 
     @property
     def population(self) -> int:
@@ -272,12 +355,6 @@ class StreamingPosteriorIndex:
             for bucket in self._buckets.values()
         )
         return total / len(self._user_key)
-
-    def regions(self) -> dict[Hashable, Rect]:
-        """Current user -> published-region table (oracle input)."""
-        return {
-            user: self._rects[key] for user, key in self._user_key.items()
-        }
 
     def recent_regions(self, limit: int = 16) -> list[Rect]:
         """The most recently created distinct regions, newest last."""

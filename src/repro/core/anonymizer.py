@@ -167,8 +167,7 @@ class LocationAnonymizer:
     def update_location(self, user_id: Hashable, location: Point) -> None:
         """Receive an exact location report (kept inside the anonymizer)."""
         self._registration_of(user_id)
-        with self.telemetry.span("user.update"):
-            self.cloaker.move_user(user_id, location)
+        self.cloaker.move_user(user_id, location)
         self.telemetry.emit(
             USER_MOVED, user=str(user_id), x=location.x, y=location.y
         )

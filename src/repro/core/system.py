@@ -316,8 +316,7 @@ class PrivacySystem:
         self.clock += dt
         self.obs.emit(CLOCK_ADVANCED, t=self.clock, dt=dt)
         for user_id, point in positions.items():
-            with self.obs.span("user.update"):
-                self._move_user(user_id, point)
+            self._move_user(user_id, point)
             self.obs.emit(USER_MOVED, user=str(user_id), x=point.x, y=point.y)
         for user_id in positions:
             if self.users[user_id].is_visible:

@@ -13,9 +13,13 @@ aggregate (:mod:`repro.obs.audit` rolls them into attainment reports).
 Design constraints match the rest of the package: dependency-free, a
 bounded ring buffer so a long-lived system cannot grow without bound,
 and an optional JSONL sink for durable trails.  Disabled emission is a
-single attribute check; with the ring buffer on and the sink off, the
-cost per event is one dict build plus a ``deque.append`` — held under
-5 % of a real query by ``tests/unit/test_obs_events_overhead.py``.
+single attribute check.  An enabled emit stamps the correlation id,
+builds an :class:`Event`, appends it to the ring and bumps its per-kind
+counter; with a sink attached (the WAL) it also JSON-encodes and writes
+the line, and every tap (the risk monitor) runs inline before ``emit``
+returns.  ``tests/unit/test_obs_events_overhead.py`` holds the ring-only
+cost under 5 % of a real query; ``tools/tick_split.py`` splits the full
+cost of a bulk tick's events part by part.
 """
 
 from __future__ import annotations

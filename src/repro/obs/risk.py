@@ -12,10 +12,10 @@ maintains the streaming forms of the three estimators
   ``user.retired``, scoring published regions by density-weighted
   effective anonymity (skewed populations pin victims to the packed
   corner of a nominally k-anonymous region);
-- **linkage**: one :class:`StreamingLinkageTracker` per live pseudonym,
-  fed by ``region.published`` with time taken from the cloak events'
-  ``t`` (pseudonym rotation starts a fresh tracker — that is the
-  defense the tracker quantifies);
+- **linkage**: :class:`StreamingLinkageColumns`, one row per publishing
+  user, fed by ``region.published`` / ``regions.published_bulk`` with
+  time taken from the cloak events' ``t`` (pseudonym rotation restarts
+  the row — that is the defense the columns quantify);
 - **posterior**: a :class:`StreamingPosteriorIndex` bucketing users by
   equal published region — the rolling estimate of the inversion-set
   anonymity an omniscient adversary would compute;
@@ -23,7 +23,8 @@ maintains the streaming forms of the three estimators
   from ``cloak.result``/``cloak.bulk``, summarised as attainment entropy
   (bits of anonymity actually delivered).
 
-Per-event cost is a dict/rect update; the full scoring pass
+Per-event cost is a dict/row update, a bulk publication one columnar
+pass; the full scoring pass
 (:meth:`score`) runs on the time-series sampling cadence, publishes
 ``risk.*`` gauges, and emits one ``risk.scored`` event the SLO monitor
 reads (kinds ``reidentification_risk`` / ``k_attainment_entropy``), so
@@ -38,9 +39,11 @@ import math
 from collections import deque
 from typing import Mapping
 
+import numpy as np
+
 from repro.attacks.streaming import (
     StreamingDensityModel,
-    StreamingLinkageTracker,
+    StreamingLinkageColumns,
     StreamingPosteriorIndex,
 )
 from repro.geometry.rect import Rect
@@ -71,9 +74,6 @@ DEFAULT_SAMPLE_REGIONS = 16
 #: Bounded window of (k, k_achieved, weight) attainment records.
 DEFAULT_ATTAINMENT_WINDOW = 512
 
-#: LRU cap on live per-pseudonym linkage trackers.
-DEFAULT_MAX_TRACKERS = 4096
-
 
 class PrivacyRiskMonitor:
     """Incremental adversary models fed by the live event stream.
@@ -89,7 +89,6 @@ class PrivacyRiskMonitor:
         sample_regions: distinct recent regions scored for density-
             weighted effective anonymity per :meth:`score`.
         attainment_window: bounded count of attainment records kept.
-        max_trackers: LRU cap on concurrent linkage trackers.
     """
 
     def __init__(
@@ -100,16 +99,13 @@ class PrivacyRiskMonitor:
         telemetry=None,
         sample_regions: int = DEFAULT_SAMPLE_REGIONS,
         attainment_window: int = DEFAULT_ATTAINMENT_WINDOW,
-        max_trackers: int = DEFAULT_MAX_TRACKERS,
     ) -> None:
         self.telemetry = telemetry
         self.density = StreamingDensityModel(bounds, resolution)
         self.posterior = StreamingPosteriorIndex()
-        self._trackers: dict[str, StreamingLinkageTracker] = {}
-        self._max_speed = max_speed
-        self._learned_speed = 0.0
+        self.linkage = StreamingLinkageColumns(max_speed or 0.0)
+        self._learns_speed = max_speed is None
         self.sample_regions = sample_regions
-        self.max_trackers = max_trackers
         self._attainment: deque[tuple[int, int, int]] = deque(
             maxlen=attainment_window
         )
@@ -154,12 +150,6 @@ class PrivacyRiskMonitor:
         self.events_consumed += 1
         handler(event.attrs)
 
-    def replay(self, events) -> "PrivacyRiskMonitor":
-        """Feed a finished trail (offline use of the online monitors)."""
-        for event in events:
-            self.consume(event)
-        return self
-
     def seed_from(self, system) -> "PrivacyRiskMonitor":
         """Bootstrap from a system's current state (late enablement).
 
@@ -188,14 +178,12 @@ class PrivacyRiskMonitor:
     @property
     def max_speed(self) -> float:
         """The linkage adversary's speed bound (fixed or learned)."""
-        if self._max_speed is not None:
-            return self._max_speed
-        return self._learned_speed
+        return self.linkage.max_speed
 
     def _on_user_added(self, attrs: Mapping) -> None:
         speed = attrs.get("speed")
-        if speed is not None and float(speed) > self._learned_speed:
-            self._learned_speed = float(speed)
+        if self._learns_speed and speed is not None and float(speed) > self.max_speed:
+            self.linkage.max_speed = float(speed)
 
     def _on_user_admitted(self, attrs: Mapping) -> None:
         self.density.admit(attrs["user"], attrs["x"], attrs["y"])
@@ -209,9 +197,7 @@ class PrivacyRiskMonitor:
         user = attrs["user"]
         self.density.retire(user)
         self.posterior.retire(user)
-        pseudonym = attrs.get("pseudonym")
-        if pseudonym is not None:
-            self._trackers.pop(pseudonym, None)
+        self.linkage.retire(user)
 
     def _on_clock(self, attrs: Mapping) -> None:
         t = attrs.get("t")
@@ -236,33 +222,20 @@ class PrivacyRiskMonitor:
             # stream the bulk path deliberately does not emit.
             self._attainment.append((int(k), int(round(k_sum / n)), n))
 
-    def _observe_region(self, user: str, pseudonym: str, region: Rect) -> None:
-        self.posterior.publish(user, region)
-        tracker = self._trackers.get(pseudonym)
-        if tracker is None:
-            if len(self._trackers) >= self.max_trackers:
-                oldest = next(iter(self._trackers))
-                del self._trackers[oldest]
-            tracker = self._trackers[pseudonym] = StreamingLinkageTracker(
-                self.max_speed
-            )
-        tracker.observe(self._t, region)
-
     def _on_region_published(self, attrs: Mapping) -> None:
-        old = attrs.get("old_pseudonym")
-        if old is not None:
-            self._trackers.pop(old, None)
-        region = Rect(
-            attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"]
-        )
-        self._observe_region(attrs["user"], attrs["pseudonym"], region)
+        # A new pseudonym restarts the user's row: ``old_pseudonym`` is moot.
+        sides = (attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"])
+        self.posterior.publish(attrs["user"], Rect(*sides))
+        self.linkage.observe(attrs["user"], attrs["pseudonym"], self._t, sides)
 
     def _on_regions_bulk(self, attrs: Mapping) -> None:
-        for row in attrs.get("regions") or ():
-            user, pseudonym, min_x, min_y, max_x, max_y = row
-            self._observe_region(
-                user, pseudonym, Rect(min_x, min_y, max_x, max_y)
-            )
+        rows = attrs.get("regions")
+        if not rows:
+            return
+        users, pseudonyms, *sides = zip(*rows)
+        boxes = np.array(sides, dtype=float).T
+        self.posterior.publish_many(users, boxes)
+        self.linkage.observe_many(users, pseudonyms, self._t, boxes)
 
     # ------------------------------------------------------------------
     # Scoring (sampling-cadence path)
@@ -290,10 +263,7 @@ class PrivacyRiskMonitor:
                 sum(math.log2(max(1, ka)) * w for _, ka, w in self._attainment)
                 / weight
             )
-        shrinkage = None
-        tracked = [t for t in self._trackers.values() if t.steps_seen]
-        if tracked:
-            shrinkage = sum(t.mean_shrinkage() for t in tracked) / len(tracked)
+        shrinkage = self.linkage.mean_shrinkage()
         effective = None
         recent = self.posterior.recent_regions(self.sample_regions)
         if recent:
@@ -305,7 +275,7 @@ class PrivacyRiskMonitor:
             "population": self.density.population,
             "publishing": self.posterior.population,
             "buckets": self.posterior.bucket_count,
-            "trackers": len(self._trackers),
+            "trackers": len(self.linkage),
             "events_consumed": self.events_consumed,
             "max_speed": self.max_speed,
             "reidentification": reid,
@@ -334,27 +304,20 @@ class PrivacyRiskMonitor:
     def report(self) -> dict:
         """Full JSON risk report (the ``/risk`` endpoint body)."""
         score = self.score(emit=False)
-        worst = None
-        sizes = sorted(
-            len(b) for b in self.posterior._buckets.values()
-        )
-        if sizes:
-            worst = sizes[0]
+        sizes = sorted(map(len, self.posterior._buckets.values()))
         return {
             "schema": RISK_SCHEMA,
             "score": score,
             "posterior": {
                 "population": self.posterior.population,
                 "buckets": self.posterior.bucket_count,
-                "smallest_bucket": worst,
+                "smallest_bucket": sizes[0] if sizes else None,
                 "largest_bucket": sizes[-1] if sizes else None,
             },
             "linkage": {
-                "trackers": len(self._trackers),
+                "trackers": len(self.linkage),
                 "max_speed": self.max_speed,
-                "inconsistent_steps": sum(
-                    t.inconsistent_steps for t in self._trackers.values()
-                ),
+                "inconsistent_steps": self.linkage.inconsistent_steps,
             },
             "attainment_records": len(self._attainment),
             "scores": self.scores,
