@@ -219,7 +219,7 @@ def test_obs_loop_monitoring_write_share():
     from collections import Counter
 
     from repro.cloaking.grid_cloak import GridCloaker
-    from repro.obs.events import REGIONS_PUBLISHED_BULK, USER_MOVED
+    from repro.obs.events import REGIONS_PUBLISHED_BULK, USERS_MOVED
 
     interval = 1.0
     rng = np.random.default_rng(7)
@@ -234,12 +234,15 @@ def test_obs_loop_monitoring_write_share():
     write.enable_monitoring(interval=interval)
     own = 0.0
     kinds: Counter = Counter()
+    moved_rows = 0
 
     def timed(fn, count=False):
         def wrapper(*args):
-            nonlocal own
+            nonlocal own, moved_rows
             if count:
                 kinds[args[0].kind] += 1
+                if args[0].kind == USERS_MOVED:
+                    moved_rows += len(args[0].attrs["users"])
             start = time.perf_counter()
             try:
                 return fn(*args)
@@ -275,9 +278,14 @@ def test_obs_loop_monitoring_write_share():
         "monitoring_write_share": share,
         "windows_cut": windows_cut,
         "risk_events_consumed": dict(kinds),
+        "users_moved_rows_consumed": moved_rows,
     }
-    assert kinds[USER_MOVED] >= ticks * N_WRITE_USERS, (
-        "the risk tap missed user.moved events: the per-mover cost was not measured"
+    # Every mover's report reaches the tap as a row of a tick's run.
+    assert moved_rows >= ticks * N_WRITE_USERS, (
+        "the risk tap missed reported moves: the per-mover cost was not measured"
+    )
+    assert kinds[USERS_MOVED] >= ticks, (
+        "the risk tap missed a tick's users.moved run"
     )
     assert kinds[REGIONS_PUBLISHED_BULK] >= ticks, (
         "the risk tap missed a bulk publish: its ingestion was not measured"

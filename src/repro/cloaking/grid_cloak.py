@@ -52,6 +52,9 @@ class GridCloaker(Cloaker):
     def _on_remove(self, user_id: UserId, point: Point) -> None:
         self._grid.delete(user_id)
 
+    def _on_move(self, user_id: UserId, old: Point, new: Point) -> None:
+        self._grid.move_point(user_id, new)
+
     def _cloak(self, user_id: UserId, point: Point, requirement: PrivacyRequirement) -> Rect:
         grid = self._grid
         col, row = grid.cell_of(point)

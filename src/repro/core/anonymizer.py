@@ -45,7 +45,6 @@ from repro.obs.events import (
     REGION_PUBLISHED,
     REGIONS_PUBLISHED_BULK,
     USER_ADMITTED,
-    USER_MOVED,
     USER_RETIRED,
 )
 
@@ -165,12 +164,15 @@ class LocationAnonymizer:
         self._emit_retired(user_id, self._retire(user_id))
 
     def update_location(self, user_id: Hashable, location: Point) -> None:
-        """Receive an exact location report (kept inside the anonymizer)."""
+        """Receive an exact location report (kept inside the anonymizer).
+
+        The report joins the event log's open run: a run of reports is
+        one ``users.moved`` event, durable once the run closes
+        (docs/durability.md).
+        """
         self._registration_of(user_id)
         self.cloaker.move_user(user_id, location)
-        self.telemetry.emit(
-            USER_MOVED, user=str(user_id), x=location.x, y=location.y
-        )
+        self.telemetry.events.append_move(str(user_id), location.x, location.y)
 
     def update_profile(self, user_id: Hashable, profile: PrivacyProfile) -> None:
         """Users may change their privacy profiles at any time (Section 4)."""

@@ -37,7 +37,7 @@ from repro.obs.events import (
     QUERY_COMPLETED,
     USER_ADDED,
     USER_MODE_CHANGED,
-    USER_MOVED,
+    USERS_MOVED,
     WAL_ROTATED,
 )
 from repro.queries.private_knn import refine_knn_candidates
@@ -315,9 +315,14 @@ class PrivacySystem:
             self._user(user_id)
         self.clock += dt
         self.obs.emit(CLOCK_ADVANCED, t=self.clock, dt=dt)
+        users, xs, ys = [], [], []
         for user_id, point in positions.items():
             self._move_user(user_id, point)
-            self.obs.emit(USER_MOVED, user=str(user_id), x=point.x, y=point.y)
+            users.append(str(user_id))
+            xs.append(point.x)
+            ys.append(point.y)
+        if users:
+            self.obs.emit(USERS_MOVED, users=users, xs=xs, ys=ys)
         for user_id in positions:
             if self.users[user_id].is_visible:
                 self.anonymizer.publish(user_id, self.clock)
@@ -523,6 +528,7 @@ class PrivacySystem:
         log = self.obs.events
         if self._wal_dir is None or log._sink is None:
             return None
+        log.close_run()  # the sealed segment ends with every report made
         streamed = log._streamed_seq
         if streamed <= 0:
             return None
@@ -680,7 +686,8 @@ class PrivacySystem:
         self.users[user.user_id] = user
 
     def _move_user(self, user_id: Hashable, point: Point) -> None:
-        """``user.moved``: the user's row, and the cloaker while registered."""
+        """One ``users.moved`` row: the user's row, and the cloaker while
+        registered."""
         user = self.users.get(user_id)
         if user is not None:
             user.location = point

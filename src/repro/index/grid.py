@@ -116,6 +116,30 @@ class GridIndex(SpatialIndex):
         self._cells[row * self.cols + col][item_id] = point
         self._locations[item_id] = point
 
+    def move_point(self, item_id: ItemId, point: Point) -> None:
+        """Move a stored point in one cell step: ``delete`` then
+        ``insert_point`` with one bounds check, and the old and new cells
+        computed once each.  A move within its cell is one dict store."""
+        locations = self._locations
+        old = locations.get(item_id)
+        if old is None:
+            raise KeyError(item_id)
+        bounds = self.bounds
+        if not bounds.contains_point(point):
+            raise ValueError(f"{point} outside universe {bounds}")
+        cols, last_col, last_row = self.cols, self.cols - 1, self.rows - 1
+        min_x, min_y, cell_w, cell_h = bounds.min_x, bounds.min_y, self._cell_w, self._cell_h
+        before = min(int((old.y - min_y) / cell_h), last_row) * cols + min(
+            int((old.x - min_x) / cell_w), last_col
+        )
+        after = min(int((point.y - min_y) / cell_h), last_row) * cols + min(
+            int((point.x - min_x) / cell_w), last_col
+        )
+        locations[item_id] = point
+        if after != before:
+            del self._cells[before][item_id]
+        self._cells[after][item_id] = point
+
     def delete(self, item_id: ItemId) -> None:
         point = self._locations.pop(item_id, None)
         if point is None:

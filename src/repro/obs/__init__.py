@@ -153,6 +153,7 @@ class Telemetry:
 
     def snapshot(self) -> dict[str, object]:
         """Plain-data snapshot: stages + raw metrics, JSON-serialisable."""
+        events = self.events.counts()  # emits an open run: count it too
         raw = self.registry.snapshot()
         histograms = {
             key: value
@@ -165,7 +166,7 @@ class Telemetry:
             "counters": raw["counters"],
             "gauges": raw["gauges"],
             "histograms": histograms,
-            "events": self.events.counts(),
+            "events": events,
         }
 
 

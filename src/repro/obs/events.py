@@ -20,6 +20,13 @@ the line, and every tap (the risk monitor) runs inline before ``emit``
 returns.  ``tests/unit/test_obs_events_overhead.py`` holds the ring-only
 cost under 5 % of a real query; ``tools/tick_split.py`` splits the full
 cost of a bulk tick's events part by part.
+
+Location reports do not pay that per report.  :meth:`EventLog.append_move`
+adds one row to the open *run* (columns ``users``, ``xs``, ``ys``),
+and the run goes out as one ``users.moved`` event when any other event
+is emitted, when the log is read, detached, disabled or reset, or when
+:meth:`EventLog.close_run` is called (checkpoints and WAL rotation do).
+The ring's ``keep`` counts rows: a columnar event weighs its row count.
 """
 
 from __future__ import annotations
@@ -34,9 +41,46 @@ from repro.obs.metrics import MetricsRegistry
 #: Counter family under which every emission is tallied (per kind).
 EVENT_METRIC = "events.emitted"
 
-#: The one JSONL line encoder (what ``json.dumps(..., sort_keys=True,
-#: default=str)`` would build afresh for every event).
-_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
+def _one_shot_encoder():
+    """``json.dumps(..., sort_keys=True, default=str)`` with its C encoder
+    built once instead of once per call.
+
+    The circular-reference check stays: the C encoder records every
+    container it enters in ``markers`` and drops it on the way out.  An
+    encode that raises leaves its entries behind, so they are cleared
+    before the error propagates; otherwise a later object that reuses a
+    stale id would be refused as circular.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, default=str)
+    make = json.encoder.c_make_encoder
+    if make is None:  # a Python built without the C accelerator
+        return encoder.encode
+    markers: dict = {}
+    iterencode = make(
+        markers,
+        encoder.default,
+        json.encoder.encode_basestring_ascii,
+        None,
+        encoder.key_separator,
+        encoder.item_separator,
+        True,
+        False,
+        True,
+    )
+
+    def encode(document) -> str:
+        try:
+            return "".join(iterencode(document, 0))
+        except BaseException:
+            markers.clear()
+            raise
+
+    return encode
+
+
+#: The one JSONL line encoder.
+_encode = _one_shot_encoder()
 
 # ----------------------------------------------------------------------
 # Event taxonomy (see docs/observability.md for the paper-stage mapping)
@@ -48,7 +92,12 @@ USER_ADDED = "user.added"
 USER_ADMITTED = "user.admitted"
 #: A user unsubscribed; her server-side region was retired.
 USER_RETIRED = "user.retired"
-#: A user reported an exact location (anonymizer-side knowledge only).
+#: A run of exact location reports (anonymizer-side knowledge only), as
+#: three columns ``users``, ``xs`` and ``ys``: one event per
+#: ``apply_movement`` call or per run of ``update_location`` calls.
+USERS_MOVED = "users.moved"
+#: The per-report kind ``users.moved`` replaced.  No longer emitted;
+#: recovery replays it for one release so older WALs still recover.
 USER_MOVED = "user.moved"
 #: A user switched participation mode (passive/active/query).
 USER_MODE_CHANGED = "user.mode"
@@ -128,7 +177,7 @@ EVENT_KINDS: tuple[str, ...] = (
     USER_ADDED,
     USER_ADMITTED,
     USER_RETIRED,
-    USER_MOVED,
+    USERS_MOVED,
     USER_MODE_CHANGED,
     PROFILE_UPDATED,
     POI_ADDED,
@@ -160,6 +209,19 @@ EVENT_KINDS: tuple[str, ...] = (
     RISK_SCORED,
     WAL_ROTATED,
 )
+
+
+#: Columnar kinds and the attribute whose length is their row count:
+#: the weight such an event takes in the ring.
+_ROW_COLUMNS = {USERS_MOVED: "users", REGIONS_PUBLISHED_BULK: "regions"}
+
+
+def _rows(kind: str, attrs: dict) -> int:
+    """The event's weight in the ring: its row count, 1 for a plain event."""
+    column = _ROW_COLUMNS.get(kind)
+    if column is None:
+        return 1
+    return max(1, len(attrs.get(column) or ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,7 +264,10 @@ class EventLog:
             emission is not tallied when omitted.
         enabled: start recording (the default) or dark.  A disabled log's
             :meth:`emit` is a single attribute check.
-        keep: ring-buffer capacity; older events fall off the front.
+        keep: ring-buffer capacity in rows; older events fall off the
+            front.  A plain event is one row, a columnar one
+            (``users.moved``, ``regions.published_bulk``) its row count;
+            the newest event stays even when it alone exceeds ``keep``.
     """
 
     def __init__(
@@ -216,7 +281,9 @@ class EventLog:
         #: Optional :class:`~repro.obs.correlate.CorrelationIds` whose
         #: active scope is stamped onto every emission (set by Telemetry).
         self.correlation = None
-        self._ring: deque[Event] = deque(maxlen=keep)
+        self.keep = keep
+        self._ring: deque[Event] = deque()
+        self._held = 0  # rows in the ring
         self._seq = 0
         # Per-kind ``events.emitted`` counters, looked up once per kind
         # (dropped by reset(), which follows a registry reset).
@@ -235,6 +302,10 @@ class EventLog:
         # hot path; taps must not raise and may re-enter emit() (a tap
         # emitting its own event simply takes the next seq).
         self._taps: list = []
+        # The open run of location reports (append_move): its three
+        # columns, the correlation scope its first row came in under, and
+        # the ids that scope stamps.
+        self._run: tuple[list, list, list, tuple | None, dict] | None = None
 
     # ------------------------------------------------------------------
     # The one hot entry point
@@ -249,13 +320,58 @@ class EventLog:
         """
         if not self.enabled:
             return None
+        if self._run is not None:
+            self.close_run()
         if self.correlation is not None:
             self.correlation.stamp(attrs)
+        return self._record(kind, attrs)
+
+    def append_move(self, user: str, x: float, y: float) -> None:
+        """Add one location report to the open run (opening one if none).
+
+        The run leaves as one ``users.moved`` event (see the module
+        docstring).  It keeps the correlation scope its first row came in
+        under; a row arriving under another scope closes it first.
+        """
+        if not self.enabled:
+            return
+        correlation = self.correlation
+        scope = None if correlation is None else (correlation.current, correlation.batch)
+        run = self._run
+        if run is not None and run[3] != scope:
+            self.close_run()
+            run = None
+        if run is None:
+            ids: dict = {}
+            if correlation is not None:
+                correlation.stamp(ids)
+            run = self._run = ([], [], [], scope, ids)
+        run[0].append(user)
+        run[1].append(x)
+        run[2].append(y)
+
+    def close_run(self) -> int | None:
+        """Emit the open run as one ``users.moved`` event; returns its seq
+        (``None`` when no run is open)."""
+        run = self._run
+        if run is None:
+            return None
+        self._run = None
+        users, xs, ys, _, ids = run
+        return self._record(USERS_MOVED, {"users": users, "xs": xs, "ys": ys, **ids})
+
+    def _record(self, kind: str, attrs: dict) -> int:
+        """Number, buffer, count, stream and tap one stamped event."""
         self._seq += 1
         event = Event(self._seq, kind, attrs)
         ring = self._ring
-        if len(ring) == ring.maxlen and ring[0].seq > self._streamed_seq:
-            self._note_lossy_eviction(ring[0])
+        held = self._held + _rows(kind, attrs)
+        while held > self.keep and ring:
+            victim = ring.popleft()
+            held -= _rows(victim.kind, victim.attrs)
+            if victim.seq > self._streamed_seq:
+                self._note_lossy_eviction(victim)
+        self._held = held
         ring.append(event)
         if self.registry is not None:
             counter = self._emitted.get(kind)
@@ -303,6 +419,7 @@ class EventLog:
         self.enabled = True
 
     def disable(self) -> None:
+        self.close_run()
         self.enabled = False
 
     def resume_after(self, seq: int) -> None:
@@ -359,7 +476,9 @@ class EventLog:
             self._streamed_seq = pending[-1].seq
 
     def detach_jsonl(self) -> None:
-        """Stop streaming; closes the sink only if this log opened it."""
+        """Stop streaming (the open run first); closes the sink only if
+        this log opened it."""
+        self.close_run()
         sink, owned = self._sink, self._sink_owned
         self._sink = None
         self._sink_owned = False
@@ -374,9 +493,12 @@ class EventLog:
 
         An explicit reset also drops the truncation marker: the caller
         deliberately discarded the buffer, which is not the silent data
-        loss the marker exists to declare.
+        loss the marker exists to declare.  The open run is emitted
+        first: its reports are durable facts, not buffered history.
         """
+        self.close_run()
         self._ring.clear()
+        self._held = 0
         self._gap = None
         self._emitted.clear()
 
@@ -390,7 +512,9 @@ class EventLog:
         return self._gap
 
     def _buffered(self) -> list[Event]:
-        """Gap marker (when present) followed by the ring, oldest-first."""
+        """Gap marker (when present) followed by the ring, oldest-first
+        (the open run emitted first)."""
+        self.close_run()
         if self._gap is None:
             return list(self._ring)
         return [self._gap, *self._ring]
@@ -426,6 +550,7 @@ class EventLog:
         return text
 
     def __len__(self) -> int:
+        self.close_run()
         return len(self._ring)
 
 

@@ -8,7 +8,7 @@ maintains the streaming forms of the three estimators
 (:mod:`repro.attacks.streaming`) incrementally —
 
 - **density**: a :class:`StreamingDensityModel` grid tracking the
-  admitted population through ``user.admitted``/``user.moved``/
+  admitted population through ``user.admitted``/``users.moved``/
   ``user.retired``, scoring published regions by density-weighted
   effective anonymity (skewed populations pin victims to the packed
   corner of a nominally k-anonymous region);
@@ -57,8 +57,8 @@ from repro.obs.events import (
     RISK_SCORED,
     USER_ADDED,
     USER_ADMITTED,
-    USER_MOVED,
     USER_RETIRED,
+    USERS_MOVED,
     Event,
 )
 
@@ -117,7 +117,7 @@ class PrivacyRiskMonitor:
         self._dispatch = {
             USER_ADDED: self._on_user_added,
             USER_ADMITTED: self._on_user_admitted,
-            USER_MOVED: self._on_user_moved,
+            USERS_MOVED: self._on_users_moved,
             USER_RETIRED: self._on_user_retired,
             CLOCK_ADVANCED: self._on_clock,
             CLOAK_ATTEMPT: self._on_clock,
@@ -188,10 +188,10 @@ class PrivacyRiskMonitor:
     def _on_user_admitted(self, attrs: Mapping) -> None:
         self.density.admit(attrs["user"], attrs["x"], attrs["y"])
 
-    def _on_user_moved(self, attrs: Mapping) -> None:
+    def _on_users_moved(self, attrs: Mapping) -> None:
         # StreamingDensityModel ignores users it never admitted, which
         # filters the system-side moves of passive (invisible) users.
-        self.density.move(attrs["user"], attrs["x"], attrs["y"])
+        self.density.move_many(attrs["users"], attrs["xs"], attrs["ys"])
 
     def _on_user_retired(self, attrs: Mapping) -> None:
         user = attrs["user"]

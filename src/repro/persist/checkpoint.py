@@ -1,5 +1,5 @@
 """Versioned atomic checkpoints of a whole ``PrivacySystem`` (schema
-``repro.persist/1``).
+``repro.persist/2``; ``/1`` documents are still read).
 
 A checkpoint is one JSON document holding, once each, the facts a
 crashed process cannot rebuild from code: the anonymizer's object tables
@@ -8,8 +8,10 @@ table, both server store index states, the server's durable counters and
 standing monitors, and the QoS ledger.  What those determine — the
 cloaker's spatial index, the batch engine's snapshot arrays — is rebuilt
 on restore, not stored.  Each checkpoint records the WAL sequence number
-it covers (``wal_seq``); recovery restores the newest readable
-checkpoint and replays only the event-log tail past that sequence.
+it covers (``wal_seq``) and, since ``/2``, the byte offset in the live
+``wal.jsonl`` where the tail past it starts (``wal_offset``); recovery
+restores the newest readable checkpoint and parses and replays only the
+event-log tail past that sequence (docs/durability.md, *The tail read*).
 
 Write protocol: serialise to ``<name>.json.tmp`` in the same directory,
 ``fsync``, then ``os.replace`` onto the final ``checkpoint-<seq>.json``
@@ -39,7 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
 
 #: Checkpoint document schema, pinned by the golden fixtures.
-SCHEMA = "repro.persist/1"
+SCHEMA = "repro.persist/2"
+#: Schemas :func:`load_checkpoint` reads: this release's and the one
+#: before it (``/1``: no ``wal_offset``, so recovery reads the full WAL).
+READABLE_SCHEMAS = ("repro.persist/1", SCHEMA)
 
 #: File names inside a durability directory.
 WAL_NAME = "wal.jsonl"
@@ -97,17 +102,21 @@ def cloaker_from_config(config: dict):
 
 
 def checkpoint_state(system: "PrivacySystem") -> dict:
-    """Serialise ``system`` to the ``repro.persist/1`` document.
+    """Serialise ``system`` to the ``repro.persist/2`` document.
 
     Dict order is deliberate (users and registrations keep insertion
     order, which data-dependent cloakers are sensitive to), so the
-    document is written without key sorting.
+    document is written without key sorting.  The event log's open run
+    of location reports is emitted first, so ``wal_seq`` covers it.
     """
     anonymizer = system.anonymizer
     server = system.server
+    log = system.obs.events
+    log.close_run()
     return {
         "schema": SCHEMA,
-        "wal_seq": system.obs.events._seq,
+        "wal_seq": log._seq,
+        "wal_offset": _wal_offset(system),
         "clock": system.clock,
         "bounds": rect_sides(system.bounds),
         "rotate_pseudonyms": anonymizer.rotate_pseudonyms,
@@ -158,6 +167,16 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
             "knn": _rows(system.ledger.knn_outcomes),
         },
     }
+
+
+def _wal_offset(system: "PrivacySystem") -> int | None:
+    """The live WAL's size: where the tail past a checkpoint taken now
+    starts.  ``None`` without a WAL sink.  The sink is line-buffered, so
+    every emitted event is already in the file."""
+    if system._wal_dir is None or system.obs.events._sink is None:
+        return None
+    path = os.path.join(system._wal_dir, WAL_NAME)
+    return os.path.getsize(path) if os.path.exists(path) else None
 
 
 def _rows(outcomes: list) -> list:
@@ -223,9 +242,10 @@ def load_checkpoint(path) -> dict:
     """Parse and schema-validate one checkpoint document."""
     with open(path, "r", encoding="utf-8") as handle:
         state = json.load(handle)
-    if not isinstance(state, dict) or state.get("schema") != SCHEMA:
+    if not isinstance(state, dict) or state.get("schema") not in READABLE_SCHEMAS:
         raise CheckpointError(
-            f"not a {SCHEMA} checkpoint: {os.fspath(path)!r}"
+            f"not a {' or '.join(READABLE_SCHEMAS)} checkpoint: "
+            f"{os.fspath(path)!r}"
         )
     return state
 

@@ -14,7 +14,10 @@ equivalent to the one that crashed:
    ``wal-meta.json`` sidecar;
 3. replay every WAL event with a sequence number past the checkpoint's
    ``wal_seq`` with emission disabled (replay must not write new
-   history).
+   history).  A ``repro.persist/2`` checkpoint records the byte offset
+   where that tail starts; when the line there has seq ``wal_seq + 1``
+   only the tail is parsed, otherwise the whole WAL is (docs/durability.md,
+   *The tail read*).
 
 Both steps only parse: a checkpoint row or an event's attrs become typed
 values handed to the applier the live method calls for that fact
@@ -77,6 +80,7 @@ from repro.obs.events import (
     USER_MODE_CHANGED,
     USER_MOVED,
     USER_RETIRED,
+    USERS_MOVED,
     Event,
     read_jsonl,
 )
@@ -137,10 +141,11 @@ class Recovery:
 
     def recover(self) -> "PrivacySystem":
         """Rebuild the system; see the module docstring for semantics."""
-        events = self._read_wal()
-        self._surface_gaps(events)
         state, skipped_files = self._load_latest_checkpoint()
         checkpoint_seq = state["wal_seq"] if state is not None else 0
+        offset = state.get("wal_offset") if state is not None else None
+        events, wal_read = self._read_wal(offset, checkpoint_seq + 1)
+        self._surface_gaps(events)
         if self._rotation_seq > checkpoint_seq and not self.allow_gaps:
             raise RecoveryError(
                 f"WAL was rotated at seq {self._rotation_seq} but the "
@@ -194,6 +199,7 @@ class Recovery:
             else f"checkpoint-{checkpoint_seq:012d}.json",
             "checkpoint_seq": checkpoint_seq,
             "wal_events": len(events),
+            "wal_read": wal_read,
             "replayed": replayed,
             "skipped": skipped,
             "final_seq": final_seq,
@@ -222,14 +228,23 @@ class Recovery:
     # Ingestion and validation
     # ------------------------------------------------------------------
 
-    def _read_wal(self) -> list[Event]:
+    def _read_wal(
+        self, offset: int | None, first_seq: int
+    ) -> tuple[list[Event], str | None]:
+        """The WAL events recovery needs, and which read produced them:
+        ``"tail"`` (from ``offset``, whose line has seq ``first_seq``),
+        ``"full"``, or ``None`` without a WAL."""
         wal = os.path.join(self.directory, WAL_NAME)
         if not os.path.exists(wal):
-            return []
+            return [], None
         # Non-strict: a torn final line is an interrupted append, the
         # exact crash recovery exists for.  Declared-gap markers come
         # back as events and are surfaced below.
-        return read_jsonl(wal)
+        if offset is not None:
+            tail = _read_tail(wal, int(offset), first_seq)
+            if tail is not None:
+                return tail, "tail"
+        return read_jsonl(wal), "full"
 
     def _surface_gaps(self, events: list[Event]) -> None:
         problems: list[str] = []
@@ -325,6 +340,27 @@ class Recovery:
             return None
 
 
+def _read_tail(wal: str, offset: int, first_seq: int) -> list[Event] | None:
+    """The events from byte ``offset`` on, or ``None`` unless ``offset``
+    starts a line (the file's first, or one after a newline) and that
+    line parses with seq ``first_seq``."""
+    with open(wal, "rb") as handle:
+        if offset > 0:
+            handle.seek(offset - 1)
+            if handle.read(1) != b"\n":
+                return None
+        data = handle.read()
+    if not data:
+        return None
+    head, _, _ = data.partition(b"\n")
+    try:
+        if json.loads(head)["seq"] != first_seq:
+            return None
+    except (ValueError, KeyError, TypeError):
+        return None
+    return read_jsonl(data.decode("utf-8").split("\n"))
+
+
 # ----------------------------------------------------------------------
 # Restore and replay: parse stored values, call their owners' appliers
 # ----------------------------------------------------------------------
@@ -354,7 +390,7 @@ def _rect(attrs: dict) -> Rect:
 
 
 def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
-    """Load a ``repro.persist/1`` document into a fresh system.
+    """Load a ``repro.persist/2`` (or ``/1``) document into a fresh system.
 
     Documents written before derived state stopped being stored carry it
     in two more sections (cloaker index, engine snapshot arrays): not read.
@@ -410,6 +446,12 @@ def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
     system.server.receive_regions(regions)
 
 
+def _apply_moved(system: "PrivacySystem", attrs: dict) -> None:
+    move = system._move_user
+    for user_id, x, y in zip(attrs["users"], attrs["xs"], attrs["ys"]):
+        move(user_id, Point(x, y))
+
+
 def _apply_completed(system: "PrivacySystem", attrs: dict) -> None:
     outcome_type, names = _OUTCOME_FIELDS[attrs["query"]]
     system._record(outcome_type(attrs["user"], *(attrs[name] for name in names)))
@@ -429,6 +471,8 @@ _REPLAY = {
         a["pseudonym"],
     ),
     USER_RETIRED: lambda s, a: s._retire(a["user"]),
+    USERS_MOVED: _apply_moved,
+    # Written before runs of reports; replayed for one release.
     USER_MOVED: lambda s, a: s._move_user(a["user"], Point(a["x"], a["y"])),
     USER_MODE_CHANGED: lambda s, a: s._change_mode(a["user"], UserMode(a["mode"])),
     PROFILE_UPDATED: lambda s, a: s.anonymizer._change_profile(

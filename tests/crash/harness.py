@@ -110,6 +110,15 @@ def apply_op(system: PrivacySystem, op: tuple, directory: str | None) -> None:
             system.apply_movement(
                 {user_id: Point(x, y) for user_id, x, y in op[1]}
             )
+        elif kind == "report":
+            # A bulk tick's reports without its publish, as the pipeline
+            # benchmark's tick makes them: each user reports through
+            # update_location (a row of the event log's open run), and her
+            # user-table row follows.
+            for user_id, x, y in op[1]:
+                point = Point(x, y)
+                system.anonymizer.update_location(user_id, point)
+                system.users[user_id].location = point
         elif kind == "publish":
             system.publish_all()
         elif kind == "publish_bulk":

@@ -187,6 +187,39 @@ def test_streaming_density_equals_fitted_model(ops, query_region):
     ) == oracle.effective_anonymity(query_region)
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=9),  # 5..9 never admitted
+            st.floats(min_value=-20.0, max_value=120.0),
+            st.floats(min_value=-20.0, max_value=120.0),
+        ),
+        max_size=40,
+    ),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_density_move_many_equals_move_row_by_row(reports, cuts):
+    """A ``users.moved`` run's columns land where one ``move`` per row
+    would leave them: repeated users, unknown users and positions off
+    the grid included."""
+    columns = StreamingDensityModel(BOUNDS, resolution=8)
+    rows = StreamingDensityModel(BOUNDS, resolution=8)
+    for model in (columns, rows):
+        for user in range(5):
+            model.admit(user, 10.0 + 20 * user, 150.0 if user == 4 else 50.0)
+    bounds = sorted({0, len(reports), *(min(c, len(reports)) for c in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = reports[lo:hi]
+        columns.move_many(
+            [u for u, _, _ in run], [x for _, x, _ in run], [y for _, _, y in run]
+        )
+        for user, x, y in run:
+            rows.move(user, x, y)
+        assert np.array_equal(columns._counts, rows._counts)
+        assert columns._cells == rows._cells
+
+
 # ----------------------------------------------------------------------
 # Posterior buckets: rolling index == quadratic batch grouping
 # ----------------------------------------------------------------------

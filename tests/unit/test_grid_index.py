@@ -184,6 +184,63 @@ class TestLifecycle:
             GridIndex(Rect(0, 0, 5, 0), cols=4)
 
 
+class TestMovePoint:
+    """``move_point`` is ``delete`` + ``insert_point`` in one cell step."""
+
+    @pytest.mark.parametrize("cols,rows", [(16, 16), (97, 7), (1, 3)])
+    def test_cells_equal_the_delete_insert_path_after_random_moves(self, cols, rows):
+        import random
+
+        rng = random.Random(cols * 31 + rows)
+        bounds = Rect(-3.0, 2.0, 100.0, 58.5)
+        stepped = GridIndex(bounds, cols=cols, rows=rows)
+        reference = GridIndex(bounds, cols=cols, rows=rows)
+        # Far-boundary, corner and cell-edge coordinates beside random ones.
+        xs = [bounds.min_x, bounds.max_x, bounds.min_x + bounds.width / cols]
+        ys = [bounds.min_y, bounds.max_y, bounds.min_y + bounds.height / rows]
+
+        def point() -> Point:
+            if rng.random() < 0.3:
+                return Point(rng.choice(xs), rng.choice(ys))
+            return Point(
+                rng.uniform(bounds.min_x, bounds.max_x),
+                rng.uniform(bounds.min_y, bounds.max_y),
+            )
+
+        for i in range(60):
+            p = point()
+            stepped.insert_point(i, p)
+            reference.insert_point(i, p)
+        for _ in range(2000):
+            i = rng.randrange(60)
+            p = point() if rng.random() < 0.8 else stepped.location_of(i)
+            stepped.move_point(i, p)
+            reference.delete(i)
+            reference.insert_point(i, p)
+        assert stepped._cells == reference._cells
+        assert stepped._locations == reference._locations
+        for col in range(cols):
+            for row in range(rows):
+                assert stepped.cell_count(col, row) == reference.cell_count(col, row)
+
+    def test_same_cell_move_updates_the_point(self):
+        grid = GridIndex(BOUNDS, cols=4)
+        grid.insert_point("a", Point(1, 1))
+        grid.move_point("a", Point(2, 3))
+        assert grid.location_of("a") == Point(2, 3)
+        assert grid._cells[0] == {"a": Point(2, 3)}
+
+    def test_unknown_id_and_outside_point_change_nothing(self):
+        grid = GridIndex(BOUNDS, cols=4)
+        grid.insert_point("a", Point(1, 1))
+        with pytest.raises(KeyError):
+            grid.move_point("b", Point(2, 2))
+        with pytest.raises(ValueError, match="outside"):
+            grid.move_point("a", Point(101, 2))
+        assert grid.location_of("a") == Point(1, 1)
+        assert grid.cell_count(0, 0) == 1
+
+
 class TestDensityHelper:
     def test_square_grid_for_density(self):
         grid = square_grid_for_density(BOUNDS, n_points=1000, points_per_cell=10)

@@ -1,11 +1,13 @@
 """Checkpoint documents, atomic writes, and config round-trips.
 
-``tests/fixtures/persist_checkpoint_mini.json`` pins the full
-``repro.persist/1`` checkpoint document for a small deterministic
+``tests/fixtures/persist_checkpoint_mini_v2.json`` pins the full
+``repro.persist/2`` checkpoint document for a small deterministic
 system; a drift in any serialised field fails here before it can make
-a stored checkpoint unreadable.  ``persist_checkpoint_mini_prev.json``
-is the same system as the previous release wrote it (two more sections,
-both derived state): the one reader must land both on the same digest.
+a stored checkpoint unreadable.  ``persist_checkpoint_mini.json`` is
+the same system as a ``repro.persist/1`` document (no ``wal_offset``),
+and ``persist_checkpoint_mini_prev.json`` as an older ``/1`` writer left
+it (two more sections, both derived state): the one reader must land
+all three on the same digest.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 DOCUMENT_KEYS = [
     "schema",
     "wal_seq",
+    "wal_offset",
     "clock",
     "bounds",
     "rotate_pseudonyms",
@@ -128,7 +131,7 @@ class _ReadKeys(dict):
 
 class TestCheckpointDocument:
     def test_matches_golden_fixture(self):
-        path = os.path.join(FIXTURES, "persist_checkpoint_mini.json")
+        path = os.path.join(FIXTURES, "persist_checkpoint_mini_v2.json")
         with open(path, "r", encoding="utf-8") as handle:
             golden = json.load(handle)
         assert _as_wire(checkpoint_state(_mini_system())) == golden
@@ -139,10 +142,12 @@ class TestCheckpointDocument:
         assert state["schema"] == SCHEMA
 
     def test_previous_release_document_recovers_to_the_same_digest(self, tmp_path):
-        current = _recover_fixture("persist_checkpoint_mini.json", tmp_path)
+        current = _recover_fixture("persist_checkpoint_mini_v2.json", tmp_path)
+        schema_1 = _recover_fixture("persist_checkpoint_mini.json", tmp_path)
         previous = _recover_fixture("persist_checkpoint_mini_prev.json", tmp_path)
         expected = system_digest(_mini_system())
         assert system_digest(current) == expected
+        assert system_digest(schema_1) == expected
         assert system_digest(previous) == expected
 
     def test_every_written_section_is_read(self, tmp_path, monkeypatch):

@@ -20,15 +20,18 @@ def test_smoke_split_names_every_part_of_a_bulk_tick():
     parts = {row["part"]: row for row in result["parts"]}
     movers = result["movers"]
     assert movers == result["users"] > 0
-    for part in ("update_location", "cloaker.move_user", "tap user.moved"):
+    for part in ("update_location", "cloaker.move_user", "run append"):
         assert parts[part]["calls"] == movers, part
+    # Every mover's report joins one run: closed, written and tapped once.
+    for part in ("run close", "tap users.moved", "tap regions.published_bulk"):
+        assert parts[part]["calls"] == 1, part
     for part in ("bulk_cloak", "receive_regions", "publish_all", "tick"):
         assert parts[part]["calls"] == 1, part
-    assert parts["tap regions.published_bulk"]["calls"] == 1
-    # With the WAL attached every emitted event is encoded and written once.
+    # With the WAL attached every event is encoded and written once: each
+    # emitted one, and the run's.
     emits = parts["emit (stamp, Event, ring, counter)"]["calls"]
-    assert parts["json encode"]["calls"] == parts["sink write"]["calls"] == emits
-    assert emits > movers
+    assert parts["json encode"]["calls"] == parts["sink write"]["calls"] == emits + 1
+    assert emits < movers
     assert abs(sum(row["share"] for row in result["parts"]) - 1.0) < 1e-9
     # The risk monitor keeps one linkage row per publishing user.
     assert result["linkage_trackers"] == result["users"]

@@ -13,8 +13,11 @@ part's *self* time (time inside it minus time in the parts it calls)::
 
 Parts: the span machinery (``Telemetry.span`` and the span's enter and
 exit), ``EventLog.emit`` itself (correlation stamp, ``Event`` build, ring
-and per-kind counter), the JSON encode, the sink write, every event tap
-by event kind, ``LocationAnonymizer.update_location`` and the cloaker's
+and per-kind counter), the event log's run of location reports
+(``append_move``, one call per mover, and ``close_run``, which numbers
+and buffers the run's one ``users.moved`` event), the JSON encode, the
+sink write, every event tap by event kind,
+``LocationAnonymizer.update_location`` and the cloaker's
 ``move_user``, ``bulk_cloak``, ``LocationServer.receive_regions``,
 ``PrivacySystem.publish_all`` and the collector pass (``gc`` callbacks).
 ``tick`` is what the harness's own loop spends outside all of them.
@@ -107,6 +110,8 @@ def instrument(system, timer: SelfTimer):
     _LiveSpan.__enter__ = timer.wrap("span", saved_enter)
     _LiveSpan.__exit__ = timer.wrap("span", saved_exit)
     obs.emit = log.emit = timer.wrap("emit (stamp, Event, ring, counter)", log.emit)
+    log.append_move = timer.wrap("run append", log.append_move)
+    log.close_run = timer.wrap("run close", log.close_run)
     events_module._encode = timer.wrap("json encode", saved_encode)
     if saved_sink is not None:
         log._sink = TimedSink(saved_sink, timer)
@@ -126,6 +131,7 @@ def instrument(system, timer: SelfTimer):
         gc.callbacks.remove(timer.on_gc)
         for owner, name in (
             (obs, "span"), (obs, "emit"), (log, "emit"),
+            (log, "append_move"), (log, "close_run"),
             (anonymizer, "update_location"), (anonymizer.cloaker, "move_user"),
             (server, "receive_regions"), (system, "publish_all"),
         ):
