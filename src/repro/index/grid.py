@@ -128,7 +128,8 @@ class GridIndex(SpatialIndex):
         if not bounds.contains_point(point):
             raise ValueError(f"{point} outside universe {bounds}")
         cols, last_col, last_row = self.cols, self.cols - 1, self.rows - 1
-        min_x, min_y, cell_w, cell_h = bounds.min_x, bounds.min_y, self._cell_w, self._cell_h
+        min_x, min_y = bounds.min_x, bounds.min_y
+        cell_w, cell_h = self._cell_w, self._cell_h
         before = min(int((old.y - min_y) / cell_h), last_row) * cols + min(
             int((old.x - min_x) / cell_w), last_col
         )

@@ -212,16 +212,8 @@ EVENT_KINDS: tuple[str, ...] = (
 
 
 #: Columnar kinds and the attribute whose length is their row count:
-#: the weight such an event takes in the ring.
+#: the weight such an event takes in the ring (a plain event weighs 1).
 _ROW_COLUMNS = {USERS_MOVED: "users", REGIONS_PUBLISHED_BULK: "regions"}
-
-
-def _rows(kind: str, attrs: dict) -> int:
-    """The event's weight in the ring: its row count, 1 for a plain event."""
-    column = _ROW_COLUMNS.get(kind)
-    if column is None:
-        return 1
-    return max(1, len(attrs.get(column) or ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,6 +275,7 @@ class EventLog:
         self.correlation = None
         self.keep = keep
         self._ring: deque[Event] = deque()
+        self._weights: deque[int] = deque()  # each ring event's rows
         self._held = 0  # rows in the ring
         self._seq = 0
         # Per-kind ``events.emitted`` counters, looked up once per kind
@@ -364,15 +357,18 @@ class EventLog:
         """Number, buffer, count, stream and tap one stamped event."""
         self._seq += 1
         event = Event(self._seq, kind, attrs)
-        ring = self._ring
-        held = self._held + _rows(kind, attrs)
+        column = _ROW_COLUMNS.get(kind)
+        rows = 1 if column is None else max(1, len(attrs.get(column) or ()))
+        ring, weights = self._ring, self._weights
+        held = self._held + rows
         while held > self.keep and ring:
             victim = ring.popleft()
-            held -= _rows(victim.kind, victim.attrs)
+            held -= weights.popleft()
             if victim.seq > self._streamed_seq:
                 self._note_lossy_eviction(victim)
         self._held = held
         ring.append(event)
+        weights.append(rows)
         if self.registry is not None:
             counter = self._emitted.get(kind)
             if counter is None:
@@ -498,6 +494,7 @@ class EventLog:
         """
         self.close_run()
         self._ring.clear()
+        self._weights.clear()
         self._held = 0
         self._gap = None
         self._emitted.clear()

@@ -31,9 +31,8 @@ BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 def _system(n: int = 20) -> PrivacySystem:
     system = PrivacySystem(BOUNDS, GridCloaker(BOUNDS, cols=8), telemetry=Telemetry())
     for i in range(n):
-        system.add_user(
-            MobileUser(f"u{i}", Point(5.0 * i % 100, 3.0 * i % 100), PrivacyProfile.always(k=3))
-        )
+        point = Point(5.0 * i % 100, 3.0 * i % 100)
+        system.add_user(MobileUser(f"u{i}", point, PrivacyProfile.always(k=3)))
     system.publish_all(bulk=True)
     return system
 
@@ -109,7 +108,10 @@ class TestRun:
             lambda log: log.disable(),
             lambda log: log.reset(),
         ],
-        ids=["emit", "events", "counts", "dump", "len", "close_run", "detach", "disable", "reset"],
+        ids=[
+            "emit", "events", "counts", "dump", "len",
+            "close_run", "detach", "disable", "reset",
+        ],
     )
     def test_the_run_reaches_the_sink_when_it_closes(self, close):
         sink = io.StringIO()
@@ -121,7 +123,8 @@ class TestRun:
         close(log)
         first = json.loads(sink.getvalue().splitlines()[0])
         assert first == {
-            "kind": USERS_MOVED, "seq": 1, "users": ["a", "b"], "xs": [1.0, 3.0], "ys": [2.0, 4.0]
+            "kind": USERS_MOVED, "seq": 1,
+            "users": ["a", "b"], "xs": [1.0, 3.0], "ys": [2.0, 4.0],
         }
 
     def test_a_disabled_log_keeps_no_run(self):
@@ -138,7 +141,9 @@ class TestRun:
         system.apply_movement({"u1": Point(10.0, 10.0), "u4": Point(90.0, 20.0)})
         moved = [e for e in log.events(USERS_MOVED) if e.seq > before]
         assert len(moved) == 1
-        assert moved[0].attrs == {"users": ["u1", "u4"], "xs": [10.0, 90.0], "ys": [10.0, 20.0]}
+        assert moved[0].attrs == {
+            "users": ["u1", "u4"], "xs": [10.0, 90.0], "ys": [10.0, 20.0]
+        }
 
     def test_checkpoint_and_rotation_close_the_run(self, tmp_path):
         system = _system(4)
@@ -153,7 +158,8 @@ class TestRun:
         system.anonymizer.update_location("u1", Point(2.0, 2.0))
         segment = system.rotate_wal()
         sealed = read_jsonl(str(tmp_path / segment))
-        assert [e.attrs["users"] for e in sealed if e.kind == USERS_MOVED] == [["u0"], ["u1"]]
+        runs = [e.attrs["users"] for e in sealed if e.kind == USERS_MOVED]
+        assert runs == [["u0"], ["u1"]]
         system.obs.events.detach_jsonl()
 
 
@@ -217,6 +223,9 @@ class TestEncoder:
 
     def test_matches_json_dumps(self):
         document = {
-            "b": [1, {"z": None, "a": float("inf")}], "a": (1, 2), "u": "ü\n", "p": Point(1, 2)
+            "b": [1, {"z": None, "a": float("inf")}],
+            "a": (1, 2),
+            "u": "ü\n",
+            "p": Point(1, 2),
         }
         assert _encode(document) == json.dumps(document, sort_keys=True, default=str)
