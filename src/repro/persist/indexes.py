@@ -13,8 +13,8 @@ equivalence checks compare accordingly.
 
 Entry ids are canonicalised through ``str()`` — the same convention as
 the event trail — and entries are sorted by id so the serialised form is deterministic regardless of
-insertion history (this is what pins the ``repro.persist/1`` golden
-fixture under ``tests/fixtures/``).
+insertion history (this is what pins the ``repro.persist`` golden
+fixtures under ``tests/fixtures/``).
 """
 
 from __future__ import annotations
