@@ -25,7 +25,9 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Mapping
+
+import numpy as np
 
 from repro.cloaking.base import CloakResult, Cloaker
 from repro.cloaking.incremental import IncrementalCloaker
@@ -327,7 +329,7 @@ class LocationAnonymizer:
                 self._push(user_id, result)
             return results
 
-    def publish_all_bulk(self, t: float) -> dict[Hashable, CloakResult]:
+    def publish_all_bulk(self, t: float) -> Mapping[Hashable, CloakResult]:
         """Cloak and push every registered user in one vectorized pass.
 
         The write-path counterpart of the server's batch engine: the whole
@@ -365,26 +367,28 @@ class LocationAnonymizer:
                         path=outcome.path,
                         **group,
                     )
-                regions: dict[str, Rect] = {}
-                rows: list[list] = []
-                area_sum = 0.0
+                pseudonyms: list[str] = []
                 rotated = 0
-                for user_id, result in outcome.results.items():
+                for user_id in outcome.users:
                     registration, fresh = self._rotate(user_id)
                     rotated += fresh
-                    region = result.region
-                    regions[registration.pseudonym] = region
-                    area_sum += region.area
-                    rows.append(
-                        [
-                            str(user_id),
-                            registration.pseudonym,
-                            region.min_x,
-                            region.min_y,
-                            region.max_x,
-                            region.max_y,
-                        ]
+                    pseudonyms.append(registration.pseudonym)
+                region_of = outcome.region_index.tolist()
+                regions = dict(
+                    zip(pseudonyms, map(outcome.regions.__getitem__, region_of))
+                )
+                rows = list(
+                    map(
+                        list,
+                        zip(
+                            map(str, outcome.users),
+                            pseudonyms,
+                            *outcome.sides[outcome.region_index].T.tolist(),
+                        ),
                     )
+                )
+                areas = outcome.areas
+                area_sum = float(np.cumsum(areas)[-1]) if areas.size else 0.0
                 self.server.receive_regions(regions)
             self.telemetry.count(
                 "anonymizer.bulk_cloaks", amount=len(requests)

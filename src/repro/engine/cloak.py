@@ -18,10 +18,13 @@ counterpart of the read-side batch kernels in :mod:`repro.engine.kernels`:
   current block alone, so it runs once per occupied *start cell*: every
   ``(k, A_min)`` starting there stops on that cell's one chain of nested
   blocks (exact scalar tie-break order preserved), and count and area
-  only grow along it.  Inclusive user counts of the distinct final
-  blocks come from a second prefix sum; only points exactly on a
-  gridline take the dense window test.  Work is linear in the
-  population, not population x requirements.
+  only grow along it.  The chains advance in lock-step, one annexation
+  step per numpy iteration over the cells still short of their largest
+  requirement, so the Python-level loop runs once per step of the
+  *longest* chain.  Inclusive user counts of the distinct final blocks
+  come from a second prefix sum; only points exactly on a gridline take
+  the dense window test.  Work is O(N + cells x L) array work in L numpy
+  iterations, L being the longest chain, not population x requirements.
 
 Both kernels replicate the scalar cloakers' IEEE operation sequence for
 cell assignment, cell geometry and the final inclusive user count, so the
@@ -32,23 +35,28 @@ wrappers, neighbour-merge pyramids) fall back to a scalar loop over
 ``cloaker.cloak`` with the same escalation semantics, so
 ``bulk_cloak`` is total over every cloaker in the package.
 
-Escalation and degradation are decided in batch: requested ``k`` values
-above the subscribed population are clamped (best effort, Section 5 of
-the paper) while results carry the *original* requirement, exactly like
-:meth:`LocationAnonymizer.cloak_user`, and per-profile aggregates are
-returned so callers can emit ``cloak.bulk`` audit events without a
-per-user event loop.
+A round's outcome is columns (:class:`BulkCloakOutcome`): the users, the
+distinct regions and each user's index into them, the user counts and
+the requirements.  Escalation and degradation are decided in batch:
+requested ``k`` values above the subscribed population are clamped (best
+effort, Section 5 of the paper) while results carry the *original*
+requirement, exactly like :meth:`LocationAnonymizer.cloak_user`, and
+per-profile aggregates are computed from the columns so callers can emit
+``cloak.bulk`` audit events without a per-user event loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
 from repro.cloaking.base import CloakResult, Cloaker, UserId
-from repro.cloaking.grid_cloak import GridCloaker, _better
+from repro.cloaking.grid_cloak import GridCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.core.profiles import PrivacyRequirement
 from repro.engine import kernels
@@ -61,12 +69,29 @@ BulkRequest = tuple[UserId, PrivacyRequirement]
 
 @dataclass
 class BulkCloakOutcome:
-    """Everything one bulk cloaking round produced.
+    """Everything one bulk cloaking round produced, as columns.
+
+    Row ``i`` of every per-user column belongs to ``users[i]``.  The rows
+    hold first every user who asked for no privacy, then every cloaked
+    user, each part in request order; the published rows follow it.
 
     Attributes:
-        results: per-user :class:`CloakResult`, carrying each user's
-            *original* requirement (so ``k_satisfied`` reads correctly for
-            escalated users), in request order.
+        users: the requesting users (one request per user).
+        requirements: the round's distinct *original* requirement
+            objects (so ``k_satisfied`` reads correctly for escalated
+            users).
+        requirement_index: per user, the row of its requirement in
+            ``requirements``.
+        regions: the round's distinct regions; users whose chains stop on
+            one block share one :class:`Rect`.
+        sides: ``(len(regions), 4)`` float64 ``min_x, min_y, max_x,
+            max_y`` of ``regions``, row for row.
+        region_index: per user, the row of its region in ``regions``.
+        counts: int64 per user, the users inside its region.
+        clamped: per user, whether its ``k`` was clamped to the
+            population.
+        reused: per user, whether an incremental wrapper returned a
+            cached region (the scalar fallback only).
         path: ``"kernel"`` when a numpy kernel ran, ``"scalar"`` when the
             per-user fallback loop did.
         algo: the cloaker's algorithm name.
@@ -75,7 +100,15 @@ class BulkCloakOutcome:
             as ``cloak.bulk`` events (see :func:`group_stats` for keys).
     """
 
-    results: dict[UserId, CloakResult]
+    users: list[UserId]
+    requirements: list[PrivacyRequirement]
+    requirement_index: np.ndarray
+    regions: list[Rect]
+    sides: np.ndarray
+    region_index: np.ndarray
+    counts: np.ndarray
+    clamped: np.ndarray
+    reused: np.ndarray
     path: str
     algo: str
     escalated: int
@@ -85,6 +118,48 @@ class BulkCloakOutcome:
     def degraded(self) -> int:
         """Users whose region missed the original requirement."""
         return sum(g["degraded"] for g in self.groups)
+
+    @cached_property
+    def areas(self) -> np.ndarray:
+        """Per user, the area of its region (``Rect.area``'s float ops)."""
+        sides = self.sides
+        area = (sides[:, 2] - sides[:, 0]) * (sides[:, 3] - sides[:, 1])
+        return area[self.region_index]
+
+    @cached_property
+    def results(self) -> "BulkResults":
+        """``user -> CloakResult``, built on access, in row order."""
+        return BulkResults(self)
+
+
+class BulkResults(Mapping):
+    """Read-only per-user view of a :class:`BulkCloakOutcome`.
+
+    ``results[user]`` equals what :meth:`LocationAnonymizer.cloak_user`
+    would have produced; iteration follows the outcome's rows.
+    """
+
+    def __init__(self, outcome: BulkCloakOutcome) -> None:
+        self._outcome = outcome
+        self._rows: dict[UserId, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self._outcome.users)
+
+    def __iter__(self) -> Iterator[UserId]:
+        return iter(self._outcome.users)
+
+    def __getitem__(self, user_id: UserId) -> CloakResult:
+        outcome = self._outcome
+        if self._rows is None:
+            self._rows = {user: row for row, user in enumerate(outcome.users)}
+        row = self._rows[user_id]
+        return CloakResult(
+            region=outcome.regions[outcome.region_index[row]],
+            user_count=int(outcome.counts[row]),
+            requirement=outcome.requirements[outcome.requirement_index[row]],
+            reused=bool(outcome.reused[row]),
+        )
 
 
 def supports_kernel(cloaker: object) -> bool:
@@ -111,9 +186,9 @@ def bulk_cloak(
         cloaker: any cloaker (or incremental wrapper) tracking the
             population; routed to a numpy kernel when one exists.
         requests: ``(user_id, requirement)`` pairs with original
-            requirements; users asking for no privacy get exact-point
-            regions, users asking for more anonymity than exists get the
-            clamped best effort.
+            requirements, one per user; users asking for no privacy get
+            exact-point regions, users asking for more anonymity than
+            exists get the clamped best effort.
         population: subscribed-population override (defaults to
             ``cloaker.user_count()``).
 
@@ -124,116 +199,143 @@ def bulk_cloak(
     if population is None:
         population = cloaker.user_count()
     kernel = supports_kernel(cloaker)
-    results: dict[UserId, CloakResult] = {}
-    escalated_ids: set[UserId] = set()
-    cloak_ids: list[UserId] = []
-    cloak_reqs: list[PrivacyRequirement] = []
-    k_eff: list[int] = []
-    for user_id, requirement in requests:
-        if not requirement.wants_privacy:
-            point = cloaker.location_of(user_id)
-            results[user_id] = CloakResult(
-                region=Rect.from_point(point), user_count=1, requirement=requirement
-            )
-            continue
-        effective = requirement.k
-        if requirement.k > population:
-            effective = max(1, population)
-            escalated_ids.add(user_id)
-        cloak_ids.append(user_id)
-        cloak_reqs.append(requirement)
-        k_eff.append(effective)
+    users = list(map(itemgetter(0), requests))
+    # A round's users share a handful of requirement objects: read each
+    # distinct one once, numbered in order of first appearance.
+    ids = np.fromiter(
+        map(id, map(itemgetter(1), requests)), dtype=np.int64, count=len(users)
+    )
+    _, first, requirement_index = np.unique(ids, return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    renumber = np.empty_like(appearance)
+    renumber[appearance] = np.arange(appearance.size)
+    requirement_index = renumber[requirement_index]
+    requirements = [requests[row][1] for row in first[appearance].tolist()]
+    wants = np.array([r.wants_privacy for r in requirements], dtype=bool)
+    wants = wants[requirement_index]
+    n_exact = len(users) - int(np.count_nonzero(wants))
+    if n_exact:  # exact-point users first, each part in request order
+        order = np.concatenate([np.flatnonzero(~wants), np.flatnonzero(wants)])
+        users = [users[row] for row in order.tolist()]
+        requirement_index = requirement_index[order]
+    exact_ids, cloak_ids = users[:n_exact], users[n_exact:]
+    cloak_index = requirement_index[n_exact:]
+    ks = np.array([r.k for r in requirements], dtype=np.int64)[cloak_index]
+    clamped = ks > population
+    points = [cloaker.location_of(user_id) for user_id in exact_ids]
+    regions = [Rect.from_point(point) for point in points]
+    sides = [
+        np.array([(p.x, p.y, p.x, p.y) for p in points], dtype=float).reshape(-1, 4)
+    ]
+    index = [np.arange(n_exact)]
+    counts = [np.ones(n_exact, dtype=np.int64)]
+    reused = np.zeros(len(users), dtype=bool)
     if cloak_ids:
+        k_eff = np.where(clamped, max(1, population), ks)
         if kernel:
-            regions, counts = _kernel_cloak(
-                cloaker,
-                cloak_ids,
-                np.asarray(k_eff, dtype=np.int64),
-                np.fromiter(
-                    (r.min_area for r in cloak_reqs), dtype=float, count=len(cloak_reqs)
-                ),
-            )
+            min_areas = np.array([r.min_area for r in requirements], dtype=float)
+            found = _kernel_cloak(cloaker, cloak_ids, k_eff, min_areas[cloak_index])
             cloaker.stats.cloaks += len(cloak_ids)
-            for user_id, requirement, region, count in zip(
-                cloak_ids, cloak_reqs, regions, counts.tolist()
-            ):
-                results[user_id] = CloakResult(
-                    region=region, user_count=count, requirement=requirement
-                )
         else:
-            for user_id, requirement, effective in zip(cloak_ids, cloak_reqs, k_eff):
-                scoped = (
-                    requirement
-                    if effective == requirement.k
-                    else replace(requirement, k=effective)
-                )
-                result = cloaker.cloak(user_id, scoped)
-                results[user_id] = CloakResult(
-                    region=result.region,
-                    user_count=result.user_count,
-                    requirement=requirement,
-                    reused=result.reused,
-                )
-    return BulkCloakOutcome(
-        results=results,
+            cloak_reqs = [requirements[i] for i in cloak_index.tolist()]
+            found, reused[n_exact:] = _scalar_cloak(
+                cloaker, cloak_ids, cloak_reqs, k_eff.tolist()
+            )
+        found_regions, found_sides, found_index, found_counts = found
+        regions.extend(found_regions)
+        sides.append(found_sides)
+        index.append(found_index + n_exact)
+        counts.append(found_counts)
+    outcome = BulkCloakOutcome(
+        users=users,
+        requirements=requirements,
+        requirement_index=requirement_index,
+        regions=regions,
+        sides=np.concatenate(sides),
+        region_index=np.concatenate(index),
+        counts=np.concatenate(counts),
+        clamped=np.concatenate([np.zeros(n_exact, dtype=bool), clamped]),
+        reused=reused,
         path="kernel" if kernel else "scalar",
         algo=cloaker.name,
-        escalated=len(escalated_ids),
-        groups=group_stats(results, escalated_ids),
+        escalated=int(np.count_nonzero(clamped)),
     )
+    outcome.groups = group_stats(outcome)
+    return outcome
 
 
-def group_stats(
-    results: dict[UserId, CloakResult], escalated_ids: set[UserId]
-) -> list[dict]:
+def group_stats(outcome: BulkCloakOutcome) -> list[dict]:
     """Per-profile aggregates of a bulk round, ready for ``cloak.bulk``.
 
     One dict per distinct (k, A_min, A_max) requirement, keyed exactly
     like :func:`repro.obs.audit._profile_key` so the auditor can fold the
     aggregates into the same profile tallies as per-user events.  Every
     miss is declared in-band (``degraded`` counts it), keeping the bulk
-    path at zero undeclared violations by construction.
+    path at zero undeclared violations by construction.  Built from the
+    outcome's columns; ``area_sum`` is the sequential row-order sum (the
+    last element of the group's ``cumsum``), as a per-user fold gives it.
     """
-    groups: dict[tuple, dict] = {}
-    for user_id, result in results.items():
-        requirement = result.requirement
-        key = (requirement.k, requirement.min_area, requirement.max_area)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = {
-                "k": requirement.k,
-                "min_area": requirement.min_area,
-                "max_area": requirement.max_area,
-                "n": 0,
-                "escalated": 0,
-                "k_attained": 0,
-                "area_attained": 0,
-                "fully_attained": 0,
-                "degraded": 0,
-                "k_sum": 0,
-                "k_min": None,
-                "area_sum": 0.0,
-                "area_min": None,
-            }
-        group["n"] += 1
-        if user_id in escalated_ids:
-            group["escalated"] += 1
-        k_ok = result.user_count >= requirement.k
-        area = result.region.area
-        area_ok = requirement.area_satisfied(area)
-        group["k_attained"] += k_ok
-        group["area_attained"] += area_ok
-        if k_ok and area_ok:
-            group["fully_attained"] += 1
-        else:
-            group["degraded"] += 1
-        group["k_sum"] += result.user_count
-        group["area_sum"] += area
-        if group["k_min"] is None or result.user_count < group["k_min"]:
-            group["k_min"] = result.user_count
-        if group["area_min"] is None or area < group["area_min"]:
-            group["area_min"] = area
-    return [groups[key] for key in sorted(groups, key=_group_order)]
+    keys = [(r.k, r.min_area, r.max_area) for r in outcome.requirements]
+    ordered = sorted(set(keys), key=_group_order)
+    if not ordered:
+        return []
+    slot = {key: g for g, key in enumerate(ordered)}
+    group_of = np.array([slot[key] for key in keys], dtype=np.intp)
+    group_of = group_of[outcome.requirement_index]
+    size = len(ordered)
+    ks = np.array([key[0] for key in ordered], dtype=np.int64)[group_of]
+    min_areas = np.array([key[1] for key in ordered], dtype=float)[group_of]
+    max_areas = np.array(
+        [np.inf if key[2] is None else key[2] for key in ordered], dtype=float
+    )[group_of]
+    counts, areas = outcome.counts, outcome.areas
+    k_ok = counts >= ks
+    area_ok = (areas >= min_areas) & (areas <= max_areas)
+
+    def tally(mask: np.ndarray) -> list[int]:
+        return np.bincount(group_of[mask], minlength=size).tolist()
+
+    # Every group has a member, so the sorted rows split at ``starts``.
+    rows = np.argsort(group_of, kind="stable")
+    n = np.bincount(group_of, minlength=size)
+    starts = np.concatenate([[0], np.cumsum(n)[:-1]])
+    group_counts, group_areas = counts[rows], areas[rows]
+    area_sums = [
+        float(np.cumsum(part)[-1]) for part in np.split(group_areas, starts[1:])
+    ]
+    columns = zip(
+        ordered,
+        n.tolist(),
+        tally(outcome.clamped),
+        tally(k_ok),
+        tally(area_ok),
+        tally(k_ok & area_ok),
+        np.add.reduceat(group_counts, starts).tolist(),
+        np.minimum.reduceat(group_counts, starts).tolist(),
+        area_sums,
+        np.minimum.reduceat(group_areas, starts).tolist(),
+    )
+    return [
+        {
+            "k": k,
+            "min_area": min_area,
+            "max_area": max_area,
+            "n": members,
+            "escalated": escalated,
+            "k_attained": k_attained,
+            "area_attained": area_attained,
+            "fully_attained": fully,
+            "degraded": members - fully,
+            "k_sum": k_sum,
+            "k_min": k_min,
+            "area_sum": area_sum,
+            "area_min": area_min,
+        }
+        for (
+            (k, min_area, max_area), members, escalated, k_attained, area_attained,
+            fully, k_sum, k_min, area_sum, area_min,
+        ) in columns
+    ]
 
 
 def _group_order(key: tuple) -> tuple:
@@ -244,6 +346,35 @@ def _group_order(key: tuple) -> tuple:
 # ----------------------------------------------------------------------
 # Kernels
 # ----------------------------------------------------------------------
+#
+# Each returns ``(regions, sides, index, counts)``: the distinct regions,
+# their ``(m, 4)`` sides, every requested user's row in them and every
+# user's inclusive count.
+
+
+def _scalar_cloak(
+    cloaker: Cloaker,
+    cloak_ids: list[UserId],
+    cloak_reqs: list[PrivacyRequirement],
+    k_eff: list[int],
+) -> tuple[tuple[list[Rect], np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The per-user fallback, and each result's ``reused`` flag."""
+    results = [
+        cloaker.cloak(
+            user_id,
+            requirement if effective == requirement.k
+            else replace(requirement, k=effective),
+        )
+        for user_id, requirement, effective in zip(cloak_ids, cloak_reqs, k_eff)
+    ]
+    regions = [result.region for result in results]
+    found = (
+        regions,
+        kernels.windows_array(regions),
+        np.arange(len(regions)),
+        np.array([result.user_count for result in results], dtype=np.int64),
+    )
+    return found, np.array([result.reused for result in results], dtype=bool)
 
 
 def _kernel_cloak(
@@ -251,15 +382,20 @@ def _kernel_cloak(
     cloak_ids: list[UserId],
     ks: np.ndarray,
     min_areas: np.ndarray,
-) -> tuple[list[Rect], np.ndarray]:
-    """Dispatch to the matching kernel; returns (regions, user counts)."""
-    rank = {user_id: row for row, user_id in enumerate(cloaker.snapshot_ids())}
+) -> tuple[list[Rect], np.ndarray, np.ndarray, np.ndarray]:
+    """Dispatch to the matching kernel."""
+    population = cloaker.snapshot_ids()
+    rank = dict(zip(population, range(len(population))))
     rows = np.fromiter(
-        (rank[user_id] for user_id in cloak_ids), dtype=np.intp, count=len(cloak_ids)
+        map(rank.__getitem__, cloak_ids), dtype=np.intp, count=len(cloak_ids)
     )
     if type(cloaker) is PyramidCloaker:
         return _pyramid_bulk(cloaker, rows, ks, min_areas)
     return _grid_bulk(cloaker, rows, ks, min_areas)
+
+
+def _rects(sides: np.ndarray) -> list[Rect]:
+    return [Rect(*row) for row in sides.tolist()]
 
 
 def _pyramid_bulk(
@@ -267,7 +403,7 @@ def _pyramid_bulk(
     rows: np.ndarray,
     ks: np.ndarray,
     min_areas: np.ndarray,
-) -> tuple[list[Rect], np.ndarray]:
+) -> tuple[list[Rect], np.ndarray, np.ndarray, np.ndarray]:
     """Whole-population pyramid cloaking: bincount histograms + level sums.
 
     Exactness argument: ``cell_at`` computes ``int(v * 2^level)`` with
@@ -321,6 +457,11 @@ def _pyramid_bulk(
     shift_sel = height - chosen
     col_sel = col_q >> shift_sel
     row_sel = row_q >> shift_sel
+    # One region per distinct (level, cell); -1 for the whole-space walk.
+    key = np.where(levels < 0, -1, (chosen * side + row_sel) * side + col_sel)
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    fallback = levels[first] < 0
+    chosen, col_sel, row_sel = chosen[first], col_sel[first], row_sel[first]
     w_levels = np.array([bounds.width / (1 << lv) for lv in range(height + 1)])
     h_levels = np.array([bounds.height / (1 << lv) for lv in range(height + 1)])
     w_sel = w_levels[chosen]
@@ -334,31 +475,23 @@ def _pyramid_bulk(
     # the bincount occupancy IS the scalar ``count_in`` answer, because
     # the region is exactly a pyramid cell and the scalar path reads the
     # same counter through ``count_in_window``.
-    cx0 = np.maximum(x0, bounds.min_x)
-    cy0 = np.maximum(y0, bounds.min_y)
-    cx1 = np.minimum(x1, bounds.max_x)
-    cy1 = np.minimum(y1, bounds.max_y)
-    clip_clean = (cx0 == x0) & (cy0 == y0) & (cx1 == x1) & (cy1 == y1)
-    count_sel = counts[chosen, np.arange(n)]
-    regions: list[Rect] = []
-    user_counts = np.empty(n, dtype=np.int64)
-    whole_region: Rect | None = None
-    whole_count = -1
-    fallback = (levels < 0).tolist()
-    clean = clip_clean.tolist()
-    lx0, ly0, lx1, ly1 = cx0.tolist(), cy0.tolist(), cx1.tolist(), cy1.tolist()
-    for i in range(n):
-        if fallback[i]:
-            if whole_region is None:
-                whole_region = pyramid.bounds.clipped(bounds)
-                whole_count = cloaker.count_in(whole_region)
-            regions.append(whole_region)
-            user_counts[i] = whole_count
-            continue
-        region = Rect(lx0[i], ly0[i], lx1[i], ly1[i])
-        regions.append(region)
-        user_counts[i] = count_sel[i] if clean[i] else cloaker.count_in(region)
-    return regions, user_counts
+    sides = np.column_stack(
+        [
+            np.maximum(x0, bounds.min_x),
+            np.maximum(y0, bounds.min_y),
+            np.minimum(x1, bounds.max_x),
+            np.minimum(y1, bounds.max_y),
+        ]
+    )
+    clean = (sides == np.column_stack([x0, y0, x1, y1])).all(axis=1)
+    region_counts = counts[chosen, first]
+    if fallback.any():
+        whole = pyramid.bounds.clipped(bounds)
+        sides[fallback] = (whole.min_x, whole.min_y, whole.max_x, whole.max_y)
+    regions = _rects(sides)
+    for row in np.flatnonzero(fallback | ~clean).tolist():
+        region_counts[row] = cloaker.count_in(regions[row])
+    return regions, sides, index, region_counts[index]
 
 
 def _cell_prefix(cell_rows: np.ndarray, cell_cols: np.ndarray, grid) -> np.ndarray:
@@ -371,12 +504,18 @@ def _cell_prefix(cell_rows: np.ndarray, cell_cols: np.ndarray, grid) -> np.ndarr
     return prefix
 
 
+def _block_sums(prefix: np.ndarray, c0, r0, c1, r1) -> np.ndarray:
+    """Points in each inclusive cell block ``(c0, r0) .. (c1, r1)``."""
+    top, right = r1 + 1, c1 + 1
+    return prefix[top, right] - prefix[r0, right] - prefix[top, c0] + prefix[r0, c0]
+
+
 def _grid_bulk(
     cloaker: GridCloaker,
     rows: np.ndarray,
     ks: np.ndarray,
     min_areas: np.ndarray,
-) -> tuple[list[Rect], np.ndarray]:
+) -> tuple[list[Rect], np.ndarray, np.ndarray, np.ndarray]:
     """Whole-population grid cloaking: one expansion chain per start cell.
 
     The greedy annexation picks its direction from the current block
@@ -384,8 +523,14 @@ def _grid_bulk(
     nested chain B0 < B1 < ... and stops at the first block with
     ``count >= k and area >= A_min``.  Count and area never shrink along
     the chain, so the chain built for the cell's largest ``k`` and
-    largest ``A_min`` holds every requirement's stop; each user replays
-    the scalar loop condition along it.  Work is O(N + cells * chain).
+    largest ``A_min`` holds every requirement's stop.  All chains advance
+    together: each iteration computes the current blocks' counts and
+    areas, stops the users whose requirement the block meets, and grows
+    every cell still short of its largest requirement by the line that
+    adds the most users -- left, right, down, up, first wins ties, as
+    ``GridCloaker``'s loop.  A cell whose block is the whole grid stops
+    with its users (best effort).  The loop runs once per step of the
+    longest chain.
 
     Final user counts use ``Cloaker.count_in``'s inclusive test.  Points
     on no gridline are inside a block exactly when their geometric cell
@@ -402,74 +547,77 @@ def _grid_bulk(
     xs, ys = cloaker.snapshot_arrays()
     col_all = np.minimum(((xs - bounds.min_x) / cell_w).astype(np.int64), cols - 1)
     row_all = np.minimum(((ys - bounds.min_y) / cell_h).astype(np.int64), grows - 1)
-    prefix = _cell_prefix(row_all, col_all, grid).tolist()
-
-    def block_count(c0: int, r0: int, c1: int, r1: int) -> int:
-        top, bottom = prefix[r1 + 1], prefix[r0]
-        return top[c1 + 1] - bottom[c1 + 1] - top[c0] + bottom[c0]
+    prefix = _cell_prefix(row_all, col_all, grid)
+    # The gridlines as ``cell_rect`` draws them: the last one is the bound,
+    # so block (c0, r0, c1, r1) is [gx[c0], gx[c1 + 1]] x [gy[r0], gy[r1 + 1]].
+    gx = bounds.min_x + np.arange(cols + 1) * cell_w
+    gy = bounds.min_y + np.arange(grows + 1) * cell_h
+    gx[-1], gy[-1] = bounds.max_x, bounds.max_y
 
     cells, cell_of = np.unique(row_all[rows] * cols + col_all[rows], return_inverse=True)
     k_max = np.zeros(cells.size, dtype=np.int64)
     np.maximum.at(k_max, cell_of, ks)
     a_max = np.full(cells.size, -np.inf)
     np.maximum.at(a_max, cell_of, min_areas)
-    table: dict[tuple[int, int, int, int], int] = {}  # distinct blocks met
-    rects: list[Rect] = []
-    counts: list[int] = []
-    areas: list[float] = []
-    # Every cell's chain of block ids, concatenated; ``first`` marks
-    # where each cell's own begins.
-    chain: list[int] = []
-    first: list[int] = []
-    for cell, k, amin in zip(cells.tolist(), k_max.tolist(), a_max.tolist()):
-        row, col = divmod(cell, cols)
-        block = (col, row, col, row)
-        first.append(len(chain))
-        while True:
-            b = table.get(block)
-            if b is None:
-                b = table[block] = len(rects)
-                rects.append(grid.block_rect(*block))
-                counts.append(block_count(*block))
-                areas.append(rects[b].area)
-            chain.append(b)
-            if counts[b] >= k and areas[b] >= amin:
-                break
-            c0, r0, c1, r1 = block
-            best_gain, grown = -1.0, None
-            # One full line of cells per direction, in the scalar order.
-            for open_side, line, wider in (
-                (c0 > 0, (c0 - 1, r0, c0 - 1, r1), (c0 - 1, r0, c1, r1)),
-                (c1 < cols - 1, (c1 + 1, r0, c1 + 1, r1), (c0, r0, c1 + 1, r1)),
-                (r0 > 0, (c0, r0 - 1, c1, r0 - 1), (c0, r0 - 1, c1, r1)),
-                (r1 < grows - 1, (c0, r1 + 1, c1, r1 + 1), (c0, r0, c1, r1 + 1)),
-            ):
-                if open_side:
-                    best_gain, grown = _better(
-                        best_gain, grown, block_count(*line), wider
-                    )
-            if grown is None:
-                break  # whole grid annexed; best effort
-            block = grown
-    chain_ids = np.asarray(chain)
-    chain_count = np.asarray(counts)[chain_ids]
-    chain_area = np.asarray(areas)[chain_ids]
-    starts = np.asarray(first + [len(chain)])
-    pos = starts[cell_of]
-    end = starts[cell_of + 1] - 1
-    walking = np.arange(rows.size)
-    while walking.size:
-        at = pos[walking]
-        short = (chain_count[at] < ks[walking]) | (chain_area[at] < min_areas[walking])
-        walking = walking[short & (at < end[walking])]
-        pos[walking] += 1
-    used, inverse = np.unique(chain_ids[pos], return_inverse=True)
-    regions = [rects[b].clipped(bounds) for b in used.tolist()]
-    c0, r0, c1, r1 = np.asarray(list(table))[used].T
-    # The gridlines as ``cell_rect`` draws them: the last one is the bound.
-    gx = bounds.min_x + np.arange(cols + 1) * cell_w
-    gy = bounds.min_y + np.arange(grows + 1) * cell_h
-    gx[-1], gy[-1] = bounds.max_x, bounds.max_y
+    r0, c0 = np.divmod(cells, cols)
+    r1, c1 = r0.copy(), c0.copy()
+    count = np.zeros(cells.size, dtype=np.int64)  # current block, per cell
+    area = np.zeros(cells.size)
+    whole = np.zeros(cells.size, dtype=bool)  # chain ended on the whole grid
+    block_of = np.empty(rows.size, dtype=np.int64)  # final block code, per user
+    pending = np.arange(rows.size)
+    active = np.arange(cells.size)
+    while active.size:
+        a0, b0, a1, b1 = c0[active], r0[active], c1[active], r1[active]
+        count[active] = _block_sums(prefix, a0, b0, a1, b1)
+        area[active] = (gx[a1 + 1] - gx[a0]) * (gy[b1 + 1] - gy[b0])
+        short = (count[active] < k_max[active]) | (area[active] < a_max[active])
+        active = active[short]
+        a0, b0, a1, b1 = a0[short], b0[short], a1[short], b1[short]
+        # One full line of cells per direction, closed sides at -1; argmax
+        # takes the first maximum, the scalar left/right/down/up order.
+        left, right = np.maximum(a0 - 1, 0), np.minimum(a1 + 1, cols - 1)
+        down, up = np.maximum(b0 - 1, 0), np.minimum(b1 + 1, grows - 1)
+        gains = np.stack(
+            [
+                np.where(a0 > 0, _block_sums(prefix, left, b0, left, b1), -1),
+                np.where(a1 < cols - 1, _block_sums(prefix, right, b0, right, b1), -1),
+                np.where(b0 > 0, _block_sums(prefix, a0, down, a1, down), -1),
+                np.where(b1 < grows - 1, _block_sums(prefix, a0, up, a1, up), -1),
+            ]
+        )
+        best = gains.argmax(axis=0)
+        closed = gains[best, np.arange(best.size)] < 0
+        whole[active[closed]] = True
+        # Users stop on the first block meeting their requirement, or on
+        # the whole grid.
+        at = cell_of[pending]
+        met = (count[at] >= ks[pending]) & (area[at] >= min_areas[pending])
+        stop = met | whole[at]
+        at, done = at[stop], pending[stop]
+        block_of[done] = ((c0[at] * grows + r0[at]) * cols + c1[at]) * grows + r1[at]
+        pending = pending[~stop]
+        active, best = active[~closed], best[~closed]
+        c0[active] -= best == 0
+        c1[active] += best == 1
+        r0[active] -= best == 2
+        r1[active] += best == 3
+    blocks, index = np.unique(block_of, return_inverse=True)
+    rest, r1 = np.divmod(blocks, grows)
+    rest, c1 = np.divmod(rest, cols)
+    c0, r0 = np.divmod(rest, grows)
+    # Rect.clipped: max against the lower bounds, min against the upper,
+    # the block's own side kept on a tie.
+    x0, y0, x1, y1 = gx[c0], gy[r0], gx[c1 + 1], gy[r1 + 1]
+    sides = np.column_stack(
+        [
+            np.where(bounds.min_x > x0, bounds.min_x, x0),
+            np.where(bounds.min_y > y0, bounds.min_y, y0),
+            np.where(bounds.max_x < x1, bounds.max_x, x1),
+            np.where(bounds.max_y < y1, bounds.max_y, y1),
+        ]
+    )
+    regions = _rects(sides)
     # Gridlines strictly below a point; equal to the "at or below" count
     # unless the point sits on one.
     below_x = np.searchsorted(gx, xs, side="left")
@@ -478,11 +626,9 @@ def _grid_bulk(
         below_y == np.searchsorted(gy, ys, side="right")
     )
     inside = _cell_prefix(below_y[generic] - 1, below_x[generic] - 1, grid)
-    user_counts = (
-        inside[r1 + 1, c1 + 1] - inside[r0, c1 + 1] - inside[r1 + 1, c0] + inside[r0, c0]
-    )
+    user_counts = _block_sums(inside, c0, r0, c1, r1)
     if not generic.all():
         user_counts += kernels.count_points_in_windows(
-            xs[~generic], ys[~generic], kernels.windows_array(regions)
+            xs[~generic], ys[~generic], sides
         )
-    return [regions[g] for g in inverse.tolist()], user_counts[inverse]
+    return regions, sides, index, user_counts[index]

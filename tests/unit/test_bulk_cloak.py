@@ -386,3 +386,210 @@ def test_bulk_cloak_population_override():
     outcome = bulk_cloak(cloaker, [("u0", requirement)], population=5)
     assert outcome.escalated == 1
     assert outcome.results["u0"].requirement.k == 8
+
+
+# ----------------------------------------------------------------------
+# The columnar outcome against the per-user fold it replaced
+# ----------------------------------------------------------------------
+
+
+def per_user_fold(results, escalated_ids) -> list[dict]:
+    """``group_stats`` as a per-user fold over ``CloakResult``s, in row
+    order: the reference the columnar aggregates must equal key for key."""
+    groups: dict[tuple, dict] = {}
+    for user_id, result in results.items():
+        requirement = result.requirement
+        key = (requirement.k, requirement.min_area, requirement.max_area)
+        group = groups.setdefault(
+            key,
+            {
+                "k": requirement.k,
+                "min_area": requirement.min_area,
+                "max_area": requirement.max_area,
+                "n": 0,
+                "escalated": 0,
+                "k_attained": 0,
+                "area_attained": 0,
+                "fully_attained": 0,
+                "degraded": 0,
+                "k_sum": 0,
+                "k_min": None,
+                "area_sum": 0.0,
+                "area_min": None,
+            },
+        )
+        group["n"] += 1
+        group["escalated"] += user_id in escalated_ids
+        k_ok = result.user_count >= requirement.k
+        area = result.region.area
+        area_ok = requirement.area_satisfied(area)
+        group["k_attained"] += k_ok
+        group["area_attained"] += area_ok
+        group["fully_attained"] += k_ok and area_ok
+        group["degraded"] += not (k_ok and area_ok)
+        group["k_sum"] += result.user_count
+        group["area_sum"] += area
+        if group["k_min"] is None or result.user_count < group["k_min"]:
+            group["k_min"] = result.user_count
+        if group["area_min"] is None or area < group["area_min"]:
+            group["area_min"] = area
+
+    def order(key):
+        k, min_area, max_area = key
+        return (k, min_area, float("inf") if max_area is None else max_area)
+
+    return [groups[key] for key in sorted(groups, key=order)]
+
+
+#: A 100-wide world cut in 7: no cell side is dyadic, so region areas
+#: carry rounding and a sum taken in another order reads differently.
+WORLD_7 = Rect(0.0, 0.0, 100.0, 100.0)
+
+EXACTNESS_CLOAKERS = {
+    "grid_kernel": lambda: GridCloaker(WORLD_7, cols=7, rows=7),
+    "pyramid_kernel": lambda: PyramidCloaker(WORLD_7, height=4),
+    "scalar_fallback": lambda: PyramidCloaker(WORLD_7, height=4, neighbor_merge=True),
+}
+
+
+def exactness_round(name: str, seed: int = 8):
+    """A mixed round: shared requirement objects (as profiles hand out)
+    plus equal-valued fresh ones, ``max_area`` set and unset, exact-point
+    users, and k above the population."""
+    rng = np.random.default_rng(seed)
+    cloaker = EXACTNESS_CLOAKERS[name]()
+    n = 240
+    for i in range(n):
+        cloaker.add_user(
+            f"u{i}", Point(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
+        )
+    pool = [
+        PrivacyRequirement(),
+        PrivacyRequirement(k=3),
+        PrivacyRequirement(k=3, max_area=150.0),
+        PrivacyRequirement(k=8, min_area=300.0),
+        PrivacyRequirement(k=8, min_area=300.0, max_area=2_000.0),
+        PrivacyRequirement(k=20, max_area=700.0),
+        PrivacyRequirement(k=n + 5),
+        PrivacyRequirement(k=1, min_area=50.0),
+    ]
+    requests = []
+    for i in range(n):
+        requirement = pool[int(rng.integers(len(pool)))]
+        if i % 11 == 0:  # an equal requirement in an object of its own
+            requirement = PrivacyRequirement(
+                requirement.k, requirement.min_area, requirement.max_area
+            )
+        requests.append((f"u{i}", requirement))
+    escalated = {u for u, r in requests if r.wants_privacy and r.k > n}
+    return cloaker, requests, escalated
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CLOAKERS))
+def test_groups_equal_the_per_user_fold(name):
+    cloaker, requests, escalated = exactness_round(name)
+    outcome = bulk_cloak(cloaker, requests)
+    assert outcome.path == ("scalar" if name == "scalar_fallback" else "kernel")
+    want = per_user_fold(outcome.results, escalated)
+    assert outcome.groups == want
+    for got, reference in zip(outcome.groups, want):
+        assert got["area_sum"].hex() == reference["area_sum"].hex()
+        assert got["area_min"].hex() == reference["area_min"].hex()
+        assert type(got["k_sum"]) is type(got["k_min"]) is int
+    # The round covers what the fold distinguishes.
+    assert sum(g["escalated"] for g in want) == len(escalated) > 0
+    assert any(g["max_area"] is None for g in want)
+    assert any(g["max_area"] is not None and g["area_attained"] < g["n"] for g in want)
+    assert any(g["degraded"] for g in want)
+    assert len({g["area_sum"] for g in want if g["min_area"] or g["k"] > 1}) > 1
+
+
+def test_group_area_sum_is_the_row_order_sum():
+    """Summed in another order the areas read differently, and the
+    aggregate is the row-order one."""
+    cloaker, requests, _ = exactness_round("grid_kernel", seed=3)
+    outcome = bulk_cloak(cloaker, requests)
+    differs = 0
+    for group in outcome.groups:
+        areas = [
+            result.region.area
+            for result in outcome.results.values()
+            if (result.requirement.k, result.requirement.min_area,
+                result.requirement.max_area)
+            == (group["k"], group["min_area"], group["max_area"])
+        ]
+        sequential = 0.0
+        for area in areas:
+            sequential += area
+        assert group["area_sum"] == sequential
+        differs += float(np.sum(np.array(areas[::-1]))) != sequential
+    assert differs  # the test would see a reordered sum
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CLOAKERS))
+def test_results_view_order_length_and_values(name):
+    cloaker, requests, _ = exactness_round(name)
+    outcome = bulk_cloak(cloaker, requests)
+    results = outcome.results
+    assert len(results) == len(requests)
+    # Exact-point users first, then the cloaked ones, each in request
+    # order: the order the published rows follow.
+    exact = [u for u, r in requests if not r.wants_privacy]
+    cloaked = [u for u, r in requests if r.wants_privacy]
+    assert exact and list(results) == exact + cloaked == outcome.users
+    assert [u for u, _ in results.items()] == outcome.users
+    assert "nobody" not in results
+    with pytest.raises(KeyError):
+        results["nobody"]
+    by_user = dict(requests)
+    for user_id in outcome.users:
+        assert results[user_id].requirement is by_user[user_id]
+
+
+def exactness_system(seed: int) -> tuple[PrivacySystem, list]:
+    """:func:`exactness_round`'s users and requirements in a system."""
+    system = PrivacySystem(bounds=WORLD_7, cloaker=GridCloaker(WORLD_7, cols=7, rows=7))
+    cloaker, requests, _ = exactness_round("grid_kernel", seed=seed)
+    for user_id, requirement in requests:
+        system.add_user(
+            MobileUser(
+                user_id,
+                cloaker.location_of(user_id),
+                PrivacyProfile.always(
+                    requirement.k, requirement.min_area, requirement.max_area
+                ),
+            )
+        )
+    return system, requests
+
+
+def test_results_equal_cloak_user_for_sampled_users():
+    system, requests = exactness_system(5)
+    results = system.anonymizer.publish_all_bulk(system.clock)
+    assert len(results) == len(requests)
+    for user_id in [u for u, _ in requests][::17]:
+        assert results[user_id] == system.anonymizer.cloak_user(user_id, system.clock)
+
+
+def test_published_rows_follow_the_result_rows():
+    system, _ = exactness_system(6)
+    results = system.anonymizer.publish_all_bulk(system.clock)
+    (published,) = list(system.obs.events.events(REGIONS_PUBLISHED_BULK))
+    registrations = system.anonymizer._registrations
+    assert published.attrs["regions"] == [
+        [
+            str(user_id),
+            registrations[user_id].pseudonym,
+            result.region.min_x,
+            result.region.min_y,
+            result.region.max_x,
+            result.region.max_y,
+        ]
+        for user_id, result in results.items()
+    ]
+    areas = [result.region.area for result in results.values()]
+    sequential = 0.0
+    for area in areas:
+        sequential += area
+    assert published.attrs["area_sum"].hex() == sequential.hex()
+    assert float(np.sum(np.array(areas))) != sequential  # order shows

@@ -25,7 +25,9 @@ def test_smoke_split_names_every_part_of_a_bulk_tick():
     # Every mover's report joins one run: closed, written and tapped once.
     for part in ("run close", "tap users.moved", "tap regions.published_bulk"):
         assert parts[part]["calls"] == 1, part
-    for part in ("bulk_cloak", "receive_regions", "publish_all", "tick"):
+    for part in (
+        "bulk_cloak", "grid kernel", "group_stats", "receive_regions", "publish_all", "tick"
+    ):
         assert parts[part]["calls"] == 1, part
     # With the WAL attached every event is encoded and written once: each
     # emitted one, and the run's.

@@ -18,7 +18,9 @@ and per-kind counter), the event log's run of location reports
 and buffers the run's one ``users.moved`` event), the JSON encode, the
 sink write, every event tap by event kind,
 ``LocationAnonymizer.update_location`` and the cloaker's
-``move_user``, ``bulk_cloak``, ``LocationServer.receive_regions``,
+``move_user``, ``bulk_cloak`` with its grid kernel (``_grid_bulk``) and
+its per-group fold (``group_stats``) as parts of their own,
+``LocationServer.receive_regions``,
 ``PrivacySystem.publish_all`` and the collector pass (``gc`` callbacks).
 ``tick`` is what the harness's own loop spends outside all of them.
 
@@ -103,6 +105,7 @@ def instrument(system, timer: SelfTimer):
     obs, log = system.obs, system.obs.events
     anonymizer, server = system.anonymizer, system.server
     saved_encode, saved_cloak = events_module._encode, cloak_module.bulk_cloak
+    saved_kernel, saved_stats = cloak_module._grid_bulk, cloak_module.group_stats
     saved_enter, saved_exit = _LiveSpan.__enter__, _LiveSpan.__exit__
     saved_sink, saved_taps = log._sink, list(log._taps)
 
@@ -123,6 +126,8 @@ def instrument(system, timer: SelfTimer):
         "cloaker.move_user", anonymizer.cloaker.move_user
     )
     cloak_module.bulk_cloak = timer.wrap("bulk_cloak", saved_cloak)
+    cloak_module._grid_bulk = timer.wrap("grid kernel", saved_kernel)
+    cloak_module.group_stats = timer.wrap("group_stats", saved_stats)
     server.receive_regions = timer.wrap("receive_regions", server.receive_regions)
     system.publish_all = timer.wrap("publish_all", system.publish_all)
     gc.callbacks.append(timer.on_gc)
@@ -139,6 +144,7 @@ def instrument(system, timer: SelfTimer):
         obs.span, obs.emit = obs.tracer.span, log.emit
         _LiveSpan.__enter__, _LiveSpan.__exit__ = saved_enter, saved_exit
         events_module._encode, cloak_module.bulk_cloak = saved_encode, saved_cloak
+        cloak_module._grid_bulk, cloak_module.group_stats = saved_kernel, saved_stats
         log._sink = saved_sink
         log._taps[:] = saved_taps
 
