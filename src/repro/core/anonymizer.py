@@ -373,17 +373,20 @@ class LocationAnonymizer:
                     registration, fresh = self._rotate(user_id)
                     rotated += fresh
                     pseudonyms.append(registration.pseudonym)
-                region_of = outcome.region_index.tolist()
-                regions = dict(
-                    zip(pseudonyms, map(outcome.regions.__getitem__, region_of))
-                )
+                shared, region_of = outcome.regions, outcome.region_index.tolist()
+                regions = dict(zip(pseudonyms, map(shared.__getitem__, region_of)))
+                # Rows reuse each region's own side floats, as its Rect does.
+                sides = [
+                    [getattr(region, side) for region in shared]
+                    for side in ("min_x", "min_y", "max_x", "max_y")
+                ]
                 rows = list(
                     map(
                         list,
                         zip(
                             map(str, outcome.users),
                             pseudonyms,
-                            *outcome.sides[outcome.region_index].T.tolist(),
+                            *(map(side.__getitem__, region_of) for side in sides),
                         ),
                     )
                 )

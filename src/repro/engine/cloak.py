@@ -300,41 +300,29 @@ def group_stats(outcome: BulkCloakOutcome) -> list[dict]:
     n = np.bincount(group_of, minlength=size)
     starts = np.concatenate([[0], np.cumsum(n)[:-1]])
     group_counts, group_areas = counts[rows], areas[rows]
-    area_sums = [
-        float(np.cumsum(part)[-1]) for part in np.split(group_areas, starts[1:])
-    ]
-    columns = zip(
-        ordered,
-        n.tolist(),
-        tally(outcome.clamped),
-        tally(k_ok),
-        tally(area_ok),
-        tally(k_ok & area_ok),
-        np.add.reduceat(group_counts, starts).tolist(),
-        np.minimum.reduceat(group_counts, starts).tolist(),
-        area_sums,
-        np.minimum.reduceat(group_areas, starts).tolist(),
-    )
+    fully = k_ok & area_ok
+    columns = {
+        "n": n.tolist(),
+        "escalated": tally(outcome.clamped),
+        "k_attained": tally(k_ok),
+        "area_attained": tally(area_ok),
+        "fully_attained": tally(fully),
+        "degraded": tally(~fully),
+        "k_sum": np.add.reduceat(group_counts, starts).tolist(),
+        "k_min": np.minimum.reduceat(group_counts, starts).tolist(),
+        "area_sum": [
+            float(np.cumsum(part)[-1]) for part in np.split(group_areas, starts[1:])
+        ],
+        "area_min": np.minimum.reduceat(group_areas, starts).tolist(),
+    }
     return [
         {
             "k": k,
             "min_area": min_area,
             "max_area": max_area,
-            "n": members,
-            "escalated": escalated,
-            "k_attained": k_attained,
-            "area_attained": area_attained,
-            "fully_attained": fully,
-            "degraded": members - fully,
-            "k_sum": k_sum,
-            "k_min": k_min,
-            "area_sum": area_sum,
-            "area_min": area_min,
+            **{name: column[g] for name, column in columns.items()},
         }
-        for (
-            (k, min_area, max_area), members, escalated, k_attained, area_attained,
-            fully, k_sum, k_min, area_sum, area_min,
-        ) in columns
+        for g, (k, min_area, max_area) in enumerate(ordered)
     ]
 
 
