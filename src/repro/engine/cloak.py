@@ -126,10 +126,15 @@ class BulkCloakOutcome:
         area = (sides[:, 2] - sides[:, 0]) * (sides[:, 3] - sides[:, 1])
         return area[self.region_index]
 
-    @cached_property
+    @property
     def results(self) -> "BulkResults":
         """``user -> CloakResult``, built on access, in row order."""
         return BulkResults(self)
+
+    @cached_property
+    def row_of(self) -> dict[UserId, int]:
+        """``user -> row``; built on the first lookup by user."""
+        return {user: row for row, user in enumerate(self.users)}
 
 
 class BulkResults(Mapping):
@@ -140,8 +145,7 @@ class BulkResults(Mapping):
     """
 
     def __init__(self, outcome: BulkCloakOutcome) -> None:
-        self._outcome = outcome
-        self._rows: dict[UserId, int] | None = None
+        self._outcome = outcome  # the view is not cached: no reference cycle
 
     def __len__(self) -> int:
         return len(self._outcome.users)
@@ -151,9 +155,7 @@ class BulkResults(Mapping):
 
     def __getitem__(self, user_id: UserId) -> CloakResult:
         outcome = self._outcome
-        if self._rows is None:
-            self._rows = {user: row for row, user in enumerate(outcome.users)}
-        row = self._rows[user_id]
+        row = outcome.row_of[user_id]
         return CloakResult(
             region=outcome.regions[outcome.region_index[row]],
             user_count=int(outcome.counts[row]),

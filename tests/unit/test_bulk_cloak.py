@@ -593,3 +593,22 @@ def test_published_rows_follow_the_result_rows():
         sequential += area
     assert published.attrs["area_sum"].hex() == sequential.hex()
     assert float(np.sum(np.array(areas))) != sequential  # order shows
+
+
+def test_outcome_dies_by_reference_count():
+    """A read through ``results`` leaves no reference cycle: replacing the
+    anonymizer's last outcome frees it at once, not at the next full
+    collector pass (a round's columns would otherwise pile up)."""
+    import weakref
+
+    cloaker, requests, _ = exactness_round("grid_kernel")
+    gc.disable()
+    try:
+        outcome = bulk_cloak(cloaker, requests)
+        first = outcome.users[0]
+        assert outcome.results[first] == next(iter(outcome.results.values()))
+        gone = weakref.ref(outcome)
+        del outcome
+        assert gone() is None
+    finally:
+        gc.enable()
