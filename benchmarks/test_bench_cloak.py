@@ -7,8 +7,9 @@ paths on identically-built systems:
 
 * ``bulk``     — one vectorized numpy pass + a single server batch push
   (``publish_all_bulk``),
-* ``per_user`` — the scalar round (``publish_all``): every user through
-  the cloaker's own ``cloak``, shared within a cell, pushed one by one,
+* ``per_user`` — the per-user path (``publish_all()``): every user
+  through ``LocationAnonymizer.publish``, one ``cloak`` call per cloaked
+  user, pushed one by one,
 
 at 1k, 10k and 100k users.  Both modes of a scale share ONE seeded
 population draw (positions and privacy requirements come from the same
@@ -24,7 +25,8 @@ After its timed laps every (mode, scale) runs one more round with the
 scalar ``cloak`` counted, proving each mode ran the path it names: a
 ``bulk`` round must come out of the grid kernel of
 :mod:`repro.engine.cloak` with no user through the scalar ``cloak``, and
-a ``per_user`` round must never reach the bulk cloaker.
+a ``per_user`` round must never reach the bulk cloaker and must call the
+scalar ``cloak`` once for every user who asks for privacy.
 """
 
 from __future__ import annotations
@@ -163,8 +165,12 @@ def test_cloak_report_and_gate(write_report):
             "algo": "grid",
             "scalar_rows": 0,
         }, _PATHS
+        cloaked = sum(
+            profile.requirement_at(0.0).wants_privacy
+            for _, _, profile in population(n)
+        )
         assert _PATHS["per_user"][n]["bulk_path"] is None, _PATHS
-        assert _PATHS["per_user"][n]["scalar_rows"] > 0, _PATHS
+        assert _PATHS["per_user"][n]["scalar_rows"] == cloaked, _PATHS
 
     modes: dict[str, dict] = {}
     for mode, timings in _RESULTS.items():

@@ -3,8 +3,9 @@
 Data-dependent (Figure 3): :class:`NaiveCloaker`, :class:`MBRCloaker`.
 Space-dependent (Figure 4): :class:`QuadtreeCloaker`, :class:`GridCloaker`,
 :class:`PyramidCloaker`; plus the reciprocal :class:`HilbertCloaker`
-extension.  Scalability wrappers (Section 5.3): :class:`IncrementalCloaker`
-and :func:`cloak_batch` shared execution.
+extension.  Scalability (Section 5.3): the :class:`IncrementalCloaker`
+wrapper here; shared execution is :func:`repro.engine.cloak.bulk_cloak`,
+which cloaks once per partition and requirement.
 """
 
 from repro.cloaking.base import CloakResult, Cloaker, CloakerStats, UserId, enforce_area_window
@@ -22,7 +23,6 @@ from repro.cloaking.mbr import MBRCloaker
 from repro.cloaking.naive import NaiveCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.cloaking.quadtree_cloak import QuadtreeCloaker
-from repro.cloaking.shared import BatchOutcome, CloakRequest, cloak_all, cloak_batch
 from repro.cloaking.temporal import TemporalCloaker, TemporalCloakResult
 
 ALL_CLOAKERS = (
@@ -48,10 +48,6 @@ __all__ = [
     "HilbertCloaker",
     "hilbert_d",
     "IncrementalCloaker",
-    "CloakRequest",
-    "BatchOutcome",
-    "cloak_batch",
-    "cloak_all",
     "TemporalCloaker",
     "TemporalCloakResult",
     "CliqueCloak",

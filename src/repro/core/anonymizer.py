@@ -290,45 +290,6 @@ class LocationAnonymizer:
         self._push(user_id, result)
         return result
 
-    def publish_all(self, t: float) -> dict[Hashable, CloakResult]:
-        """Cloak and push every registered user (one reporting round).
-
-        The round runs through the Section 5.3 shared-execution engine:
-        users falling in the same space partition with the same
-        requirement are cloaked once.  Users whose requirement asks for
-        no privacy publish their exact point directly (nothing to share).
-        The per-user loop it must agree with is :meth:`publish`.
-        """
-        if self.server is None:
-            raise RegistrationError("anonymizer is not connected to a server")
-        # One batch correlation id per publication round; reused when the
-        # system front door already opened one (repro.obs.correlate).
-        with self.telemetry.correlate("b", reuse=True):
-            from repro.cloaking.shared import CloakRequest, cloak_batch
-
-            results: dict[Hashable, CloakResult] = {}
-            requests: list[CloakRequest] = []
-            population = self.cloaker.user_count()
-            for user_id, registration in self._registrations.items():
-                requirement = registration.profile.requirement_at(t)
-                if not requirement.wants_privacy or requirement.k > population:
-                    # Exact-point and clamped best-effort paths keep their
-                    # specialised handling in cloak_user.
-                    results[user_id] = self.cloak_user(user_id, t)
-                    continue
-                requests.append(CloakRequest(user_id, requirement))
-            outcome = cloak_batch(
-                self.cloaker, requests, emit=self.telemetry.emit
-            )
-            # Batched users bypass cloak_user, so their per-query audit
-            # records are emitted here (the others already emitted theirs).
-            for user_id, result in outcome.results.items():
-                self._emit_cloak_result(user_id, t, result)
-            results.update(outcome.results)
-            for user_id, result in results.items():
-                self._push(user_id, result)
-            return results
-
     def publish_all_bulk(self, t: float) -> Mapping[Hashable, CloakResult]:
         """Cloak and push every registered user in one vectorized pass.
 

@@ -330,15 +330,20 @@ class PrivacySystem:
     def publish_all(self, *, bulk: bool = False) -> None:
         """Push fresh cloaked regions for every visible user.
 
-        ``bulk=True`` routes through the vectorized one-pass population
-        cloaker (:meth:`LocationAnonymizer.publish_all_bulk`) — same
-        regions, one numpy pass plus a single server batch push.
+        The default publishes each user through
+        :meth:`LocationAnonymizer.publish`, the per-user path
+        :meth:`apply_movement` takes and the oracle the bulk round is held
+        to.  ``bulk=True`` routes through the vectorized one-pass
+        population cloaker (:meth:`LocationAnonymizer.publish_all_bulk`) —
+        same regions, one numpy pass plus a single server batch push.
         """
+        anonymizer = self.anonymizer
         with self.obs.correlate("b"):
             if bulk:
-                self.anonymizer.publish_all_bulk(self.clock)
+                anonymizer.publish_all_bulk(self.clock)
             else:
-                self.anonymizer.publish_all(self.clock)
+                for user_id in anonymizer.registered_users():
+                    anonymizer.publish(user_id, self.clock)
         if self.timeseries is not None:
             self.timeseries.maybe_sample()
 

@@ -33,7 +33,10 @@ oracle's; ``tests/conformance/test_cloak_differential.py`` holds them to
 that.  Cloakers without a kernel (data-dependent algorithms, incremental
 wrappers, neighbour-merge pyramids) fall back to a scalar loop over
 ``cloaker.cloak`` with the same escalation semantics, so
-``bulk_cloak`` is total over every cloaker in the package.
+``bulk_cloak`` is total over every cloaker in the package.  The loop
+keeps the paper's shared execution ("executed only once for all
+users"): users whose ``partition_key`` and effective requirement agree
+share one call and one region.
 
 A round's outcome is columns (:class:`BulkCloakOutcome`): the users, the
 distinct regions and each user's index into them, the user counts and
@@ -91,7 +94,8 @@ class BulkCloakOutcome:
         clamped: per user, whether its ``k`` was clamped to the
             population.
         reused: per user, whether an incremental wrapper returned a
-            cached region (the scalar fallback only).
+            cached region (the scalar fallback only; a shared user takes
+            the computing user's flag).
         path: ``"kernel"`` when a numpy kernel ran, ``"scalar"`` when the
             per-user fallback loop did.
         algo: the cloaker's algorithm name.
@@ -348,23 +352,44 @@ def _scalar_cloak(
     cloak_reqs: list[PrivacyRequirement],
     k_eff: list[int],
 ) -> tuple[tuple[list[Rect], np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """The per-user fallback, and each result's ``reused`` flag."""
-    results = [
-        cloaker.cloak(
-            user_id,
-            requirement if effective == requirement.k
-            else replace(requirement, k=effective),
+    """The per-user fallback, shared per partition (Section 5.3).
+
+    Users with one ``partition_key`` and one effective requirement get one
+    ``cloaker.cloak`` call and one region; the others take the computing
+    user's result, ``reused`` flag included.  A ``None`` key (the
+    data-dependent algorithms) means one call per user.  Returns the
+    found columns and each user's ``reused`` flag.
+    """
+    regions: list[Rect] = []
+    counts: list[int] = []
+    reused: list[bool] = []
+    index = np.empty(len(cloak_ids), dtype=np.intp)
+    shared: dict[tuple, int] = {}
+    for row, (user_id, requirement, effective) in enumerate(
+        zip(cloak_ids, cloak_reqs, k_eff)
+    ):
+        if effective != requirement.k:
+            requirement = replace(requirement, k=effective)
+        key = cloaker.partition_key(
+            user_id, cloaker.location_of(user_id), requirement
         )
-        for user_id, requirement, effective in zip(cloak_ids, cloak_reqs, k_eff)
-    ]
-    regions = [result.region for result in results]
+        slot = None if key is None else shared.get((key, requirement))
+        if slot is None:
+            slot = len(regions)
+            result = cloaker.cloak(user_id, requirement)
+            regions.append(result.region)
+            counts.append(result.user_count)
+            reused.append(result.reused)
+            if key is not None:
+                shared[key, requirement] = slot
+        index[row] = slot
     found = (
         regions,
         kernels.windows_array(regions),
-        np.arange(len(regions)),
-        np.array([result.user_count for result in results], dtype=np.int64),
+        index,
+        np.array(counts, dtype=np.int64)[index],
     )
-    return found, np.array([result.reused for result in results], dtype=bool)
+    return found, np.array(reused, dtype=bool)[index]
 
 
 def _kernel_cloak(

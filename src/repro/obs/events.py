@@ -125,8 +125,6 @@ CLOAK_ESCALATED = "cloak.escalated"
 CLOAK_RESULT = "cloak.result"
 #: Explicit declaration that a produced region missed its requirement.
 CLOAK_DEGRADED = "cloak.degraded"
-#: Shared-execution round summary (Section 5.3 batch cloaking).
-CLOAK_BATCH = "cloak.batch"
 #: One requirement-group aggregate of a vectorized bulk cloaking round;
 #: carries the attainment counts a per-user ``cloak.result`` stream would,
 #: with every degradation declared in-band (the ``degraded`` count).
@@ -191,7 +189,6 @@ EVENT_KINDS: tuple[str, ...] = (
     CLOAK_ESCALATED,
     CLOAK_RESULT,
     CLOAK_DEGRADED,
-    CLOAK_BATCH,
     CLOAK_BULK,
     REGION_PUBLISHED,
     REGIONS_PUBLISHED_BULK,

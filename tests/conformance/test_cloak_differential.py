@@ -6,10 +6,12 @@ cloaker, kernel or scalar fallback alike.  These tests hold it to that on
 seeded randomized populations with mixed requirements (no-privacy users,
 ordinary k/A_min mixes, and k values above the population that force
 best-effort escalation), across grid and pyramid cloakers at several
-resolutions, plus the neighbour-merge pyramid that exercises the scalar
-fallback.  Positions come from a coarse lattice on purpose: users landing
-exactly on cell edges are where a vectorized cell assignment would first
-disagree with the scalar one.
+resolutions, plus every cloaker without a kernel (the neighbour-merge
+pyramid, the data-dependent and Hilbert cloakers, the quadtree, an
+incremental wrapper) that exercises the scalar fallback and its sharing.
+Positions come from a coarse lattice on purpose: users landing exactly on
+cell edges are where a vectorized cell assignment would first disagree
+with the scalar one.
 
 Failures dump a replayable scenario via the ``scenario`` fixture
 (see ``conftest.py``).
@@ -24,7 +26,12 @@ from dataclasses import replace
 import pytest
 
 from repro.cloaking.grid_cloak import GridCloaker
+from repro.cloaking.hilbert import HilbertCloaker
+from repro.cloaking.incremental import IncrementalCloaker
+from repro.cloaking.mbr import MBRCloaker
+from repro.cloaking.naive import NaiveCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
+from repro.cloaking.quadtree_cloak import QuadtreeCloaker
 from repro.core.profiles import PrivacyProfile, PrivacyRequirement
 from repro.core.system import PrivacySystem
 from repro.engine.cloak import bulk_cloak, supports_kernel
@@ -42,6 +49,15 @@ CLOAKERS = {
     "pyramid_6": lambda: PyramidCloaker(BOUNDS, height=6),
     "pyramid_merge": lambda: PyramidCloaker(
         BOUNDS, height=5, neighbor_merge=True
+    ),
+    # No kernel: the scalar fallback, which shares one cloak per
+    # partition and requirement (a ``None`` key never shares).
+    "naive": lambda: NaiveCloaker(BOUNDS),
+    "mbr": lambda: MBRCloaker(BOUNDS),
+    "quadtree": lambda: QuadtreeCloaker(BOUNDS),
+    "hilbert": lambda: HilbertCloaker(BOUNDS),
+    "incremental_grid_8": lambda: IncrementalCloaker(
+        GridCloaker(BOUNDS, cols=8, rows=8)
     ),
 }
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
-from repro.cloaking.shared import CloakRequest, cloak_batch
 from repro.core.profiles import PrivacyProfile, PrivacyRequirement, ProfileEntry
 from repro.core.system import PrivacySystem
+from repro.engine.cloak import bulk_cloak
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
@@ -54,17 +54,25 @@ class TestSharedBatchEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_batch_equals_individual(self, raw, k):
+        """``bulk_cloak``'s fallback shares one cloak per partition and
+        requirement, and every user still gets the per-user region
+        (``k = 1`` asks for no privacy: the exact point)."""
         k = min(k, len(raw))
-        batch_side = PyramidCloaker(BOUNDS, height=4)
-        solo_side = PyramidCloaker(BOUNDS, height=4)
+        batch_side = PyramidCloaker(BOUNDS, height=4, neighbor_merge=True)
+        solo_side = PyramidCloaker(BOUNDS, height=4, neighbor_merge=True)
         for i, (x, y) in enumerate(raw):
             batch_side.add_user(i, Point(x, y))
             solo_side.add_user(i, Point(x, y))
         requirement = PrivacyRequirement(k=k)
-        requests = [CloakRequest(i, requirement) for i in range(len(raw))]
-        outcome = cloak_batch(batch_side, requests)
-        for i in range(len(raw)):
-            assert outcome.results[i].region == solo_side.cloak(i, requirement).region
+        outcome = bulk_cloak(batch_side, [(i, requirement) for i in range(len(raw))])
+        assert outcome.path == "scalar"
+        for i, (x, y) in enumerate(raw):
+            want = (
+                solo_side.cloak(i, requirement).region
+                if requirement.wants_privacy
+                else Rect.from_point(Point(x, y))
+            )
+            assert outcome.results[i].region == want
 
 
 class TestPersistenceProperties:

@@ -106,24 +106,26 @@ class TestPublication:
         assert anonymizer.server.private.region_of(pseudonym) == result.region
 
     def test_publish_all(self, anonymizer):
-        results = anonymizer.publish_all(t=0.0)
+        results = anonymizer.publish_all_bulk(t=0.0)
         assert len(results) == 500
         assert len(anonymizer.server.private) == 500
 
     def test_publish_all_shared_matches_per_user(self, uniform_points_500):
-        """Shared batch publication produces exactly the per-user regions."""
+        """A bulk round that shares cloaks per partition (the scalar
+        fallback of a neighbour-merge pyramid) publishes exactly the
+        per-user regions."""
         shared_server = LocationServer()
         solo_server = LocationServer()
         shared_anonymizer = LocationAnonymizer(
-            PyramidCloaker(BOUNDS, height=6), shared_server
+            PyramidCloaker(BOUNDS, height=6, neighbor_merge=True), shared_server
         )
         solo_anonymizer = LocationAnonymizer(
-            PyramidCloaker(BOUNDS, height=6), solo_server
+            PyramidCloaker(BOUNDS, height=6, neighbor_merge=True), solo_server
         )
         for i, p in enumerate(uniform_points_500):
             shared_anonymizer.register(i, PrivacyProfile.always(k=10), p)
             solo_anonymizer.register(i, PrivacyProfile.always(k=10), p)
-        shared_anonymizer.publish_all(t=0.0)
+        shared_anonymizer.publish_all_bulk(t=0.0)
         for i in range(500):
             solo_anonymizer.publish(i, t=0.0)
         for i in range(500):
@@ -132,16 +134,18 @@ class TestPublication:
             assert a == b, i
 
     def test_publish_all_shared_saves_cloak_computations(self, uniform_points_500):
-        cloaker = PyramidCloaker(BOUNDS, height=4)  # coarse: heavy sharing
+        # Coarse pyramid, no kernel: the fallback shares heavily.
+        cloaker = PyramidCloaker(BOUNDS, height=4, neighbor_merge=True)
         anonymizer = LocationAnonymizer(cloaker, LocationServer())
         for i, p in enumerate(uniform_points_500):
             anonymizer.register(i, PrivacyProfile.always(k=10), p)
-        anonymizer.publish_all(t=0.0)
+        anonymizer.publish_all_bulk(t=0.0)
+        assert anonymizer.last_bulk_outcome.path == "scalar"
         assert cloaker.stats.cloaks < 500
 
     def test_publish_all_shared_handles_mixed_profiles(self, uniform_points_500):
         anonymizer = LocationAnonymizer(
-            PyramidCloaker(BOUNDS, height=6), LocationServer()
+            PyramidCloaker(BOUNDS, height=6, neighbor_merge=True), LocationServer()
         )
         for i, p in enumerate(uniform_points_500):
             if i % 3 == 0:
@@ -151,7 +155,7 @@ class TestPublication:
             else:
                 profile = PrivacyProfile.always(k=10_000)  # clamped path
             anonymizer.register(i, profile, p)
-        results = anonymizer.publish_all(t=0.0)
+        results = anonymizer.publish_all_bulk(t=0.0)
         assert len(results) == 500
         for i, result in results.items():
             if i % 3 == 0:
@@ -198,7 +202,7 @@ class TestPublication:
     def test_exact_location_never_reaches_server(self, anonymizer, uniform_points_500):
         """The core privacy property: with k > 1 the server never stores a
         region small enough to pinpoint the user."""
-        anonymizer.publish_all(t=0.0)
+        anonymizer.publish_all_bulk(t=0.0)
         for i in range(500):
             pseudonym = anonymizer.pseudonym_of(i)
             region = anonymizer.server.private.region_of(pseudonym)

@@ -227,7 +227,7 @@ class TestEndToEndCorrelation:
             record for record in records.values() if record.qid.startswith("b-")
         ]
         assert batch_records, "publish_all must open a batch scope"
-        cloak_kinds = {"cloak.result", "cloak.batch", "region.published"}
+        cloak_kinds = {"cloak.result", "region.published"}
         assert any(
             cloak_kinds & set(record.kinds()) for record in batch_records
         )

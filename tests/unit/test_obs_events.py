@@ -20,7 +20,7 @@ from repro.obs.events import (
     BATCH_EXECUTED,
     CANDIDATES_GENERATED,
     CLOAK_ATTEMPT,
-    CLOAK_BATCH,
+    CLOAK_BULK,
     CLOAK_RESULT,
     QUERY_COMPLETED,
     REGION_PUBLISHED,
@@ -310,9 +310,8 @@ class TestTelemetryIntegration:
         assert len(obs.events) == 0
 
 
-@pytest.fixture(scope="module")
-def worked_system():
-    """A small end-to-end workload whose events the tests inspect."""
+def small_population() -> PrivacySystem:
+    """15 POIs and 60 users asking for k = 5, nothing published yet."""
     rng = np.random.default_rng(3)
     bounds = Rect(0, 0, 100, 100)
     system = PrivacySystem(bounds, PyramidCloaker(bounds, height=6))
@@ -324,6 +323,13 @@ def worked_system():
         system.add_user(
             MobileUser(i, Point(float(x), float(y)), PrivacyProfile.always(k=5))
         )
+    return system
+
+
+@pytest.fixture(scope="module")
+def worked_system():
+    """A small end-to-end workload whose events the tests inspect."""
+    system = small_population()
     system.publish_all()
     for i in range(6):
         system.query(RangeSpec(flavor="private", user=i, radius=10.0))
@@ -364,12 +370,27 @@ class TestPipelineEmission:
         ]
         assert followups
 
-    def test_shared_publish_emits_batch_summary(self, worked_system):
-        batches = list(worked_system.obs.events.events(CLOAK_BATCH))
-        assert batches
-        summary = batches[0].attrs
-        assert summary["requests"] == summary["computed"] + summary["shared"]
-        assert 0.0 <= summary["sharing_ratio"] <= 1.0
+    def test_shared_publish_emits_batch_summary(self):
+        system = small_population()
+        system.publish_all(bulk=True)
+        groups = [e.attrs for e in system.obs.events.events(CLOAK_BULK)]
+        assert groups
+        assert sum(group["n"] for group in groups) == 60
+        outcome = system.anonymizer.last_bulk_outcome
+        assert len(outcome.regions) < len(outcome.users) == 60
+
+    def test_per_user_publish_is_not_a_bulk_round(self):
+        """``publish_all()`` is the per-user path: one audit record and one
+        publication per user, no ``cloak.bulk`` aggregate, no bulk outcome
+        (the scalar benchmark workload rejects a run that has either)."""
+        system = small_population()
+        system.publish_all()
+        events = system.obs.events
+        assert list(events.events(CLOAK_BULK)) == []
+        assert system.anonymizer.last_bulk_outcome is None
+        users = [str(i) for i in range(60)]
+        for kind in (CLOAK_RESULT, REGION_PUBLISHED):
+            assert sorted(e.attrs["user"] for e in events.events(kind)) == sorted(users)
 
     def test_region_published_per_user(self, worked_system):
         published = list(worked_system.obs.events.events(REGION_PUBLISHED))
