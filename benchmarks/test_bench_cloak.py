@@ -16,10 +16,10 @@ population draw (positions and privacy requirements come from the same
 generator output), so the comparison never benchmarks two different
 workloads.  The final test folds the timings into ``BENCH_cloak.json`` at
 the repo root (CI uploads it as an artifact) and gates: bulk throughput
-must be at least 3x per-user at the 10k-user scale.  It measured 4.3x, 4.8x
-and 4.6x in three runs in a row on a two-core x86-64 container (a bulk round
-of 0.15-0.18 s against 0.66-0.84 s per user); the 100k speedup, 8.4-9.5x in
-those runs, is reported too.
+must be at least 3x per-user at the 10k-user scale.  Since the per-user
+mode times ``LocationAnonymizer.publish`` for every user it measured 6.4x
+on a two-core x86-64 container (a bulk round of 0.16 s against 1.01 s per
+user); the 100k speedup, 14.4x in that run, is reported too.
 
 After its timed laps every (mode, scale) runs one more round with the
 scalar ``cloak`` counted, proving each mode ran the path it names: a

@@ -336,14 +336,20 @@ class PrivacySystem:
         to.  ``bulk=True`` routes through the vectorized one-pass
         population cloaker (:meth:`LocationAnonymizer.publish_all_bulk`) —
         same regions, one numpy pass plus a single server batch push.
+        Both push in the bulk round's row order (exact-point users first,
+        then the cloaked ones, each in registration order), so either way
+        a first round leaves the server's store rows in one order.
         """
-        anonymizer = self.anonymizer
+        anonymizer, t = self.anonymizer, self.clock
         with self.obs.correlate("b"):
             if bulk:
-                anonymizer.publish_all_bulk(self.clock)
+                anonymizer.publish_all_bulk(t)
             else:
-                for user_id in anonymizer.registered_users():
-                    anonymizer.publish(user_id, self.clock)
+                for user_id in sorted(
+                    anonymizer.registered_users(),
+                    key=lambda user: anonymizer.requirement_for(user, t).wants_privacy,
+                ):
+                    anonymizer.publish(user_id, t)
         if self.timeseries is not None:
             self.timeseries.maybe_sample()
 

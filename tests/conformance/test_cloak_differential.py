@@ -522,7 +522,8 @@ def test_all_zero_gains_annex_left_first(far_side):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ["grid_32", "pyramid_6"])
 def test_publish_paths_identical_server_state(name, seed, scenario):
-    """End to end: publish_all(bulk=True) == publish_all(), region for region."""
+    """End to end: publish_all(bulk=True) == publish_all(), region for region
+    and row for row."""
     rng = random.Random(seed ^ 0xB17)
     points = lattice_population(rng, 120)
     profiles = {
@@ -562,6 +563,10 @@ def test_publish_paths_identical_server_state(name, seed, scenario):
     want = regions_by_user(per_user)
     got = regions_by_user(bulk)
     assert set(want) == set(got)
+    # One row order: exact-point users first, then the cloaked ones.
+    assert [row[0] for row in bulk.server.private.items()] == [
+        row[0] for row in per_user.server.private.items()
+    ]
     for user_id in want:
         scenario.record(
             cloaker=name,
