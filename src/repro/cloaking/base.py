@@ -259,12 +259,13 @@ class Cloaker(ABC):
     def partition_key(
         self, user_id: UserId, point: Point, requirement: PrivacyRequirement
     ) -> Hashable | None:
-        """Sharing key for shared batch execution (Section 5.3).
+        """Sharing key for shared execution (Section 5.3).
 
         Space-dependent algorithms return a key identifying the partition
         the user falls in: two users with the same key and requirement get
-        the same region, so the computation can be shared.  Data-dependent
-        algorithms return ``None`` (no sharing possible).
+        the same region, so the computation can be shared (the scalar
+        fallback of :func:`repro.engine.cloak.bulk_cloak` does).
+        Data-dependent algorithms return ``None`` (no sharing possible).
         """
         return None
 

@@ -103,7 +103,7 @@ class IncrementalCloaker:
         return self.inner.snapshot_arrays()
 
     def partition_key(self, user_id: UserId, point: Point, requirement: PrivacyRequirement):
-        """Forward the sharing key so batch execution composes with caching.
+        """Forward the sharing key so shared execution composes with caching.
 
         Sharing a cached region with a same-partition user is sound: the
         cached region was revalidated to hold >= k users and contains the
