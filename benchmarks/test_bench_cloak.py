@@ -8,18 +8,19 @@ paths on identically-built systems:
 * ``bulk``     — one vectorized numpy pass + a single server batch push
   (``publish_all_bulk``),
 * ``per_user`` — the per-user path (``publish_all()``): every user
-  through ``LocationAnonymizer.publish``, one ``cloak`` call per cloaked
-  user, pushed one by one,
+  through ``LocationAnonymizer.cloak_user``, one ``cloak`` call per
+  cloaked user, then every region pushed one by one,
 
 at 1k, 10k and 100k users.  Both modes of a scale share ONE seeded
 population draw (positions and privacy requirements come from the same
 generator output), so the comparison never benchmarks two different
 workloads.  The final test folds the timings into ``BENCH_cloak.json`` at
 the repo root (CI uploads it as an artifact) and gates: bulk throughput
-must be at least 3x per-user at the 10k-user scale.  Since the per-user
-mode times ``LocationAnonymizer.publish`` for every user it measured 6.4x
-on a two-core x86-64 container (a bulk round of 0.16 s against 1.01 s per
-user); the 100k speedup, 14.4x in that run, is reported too.
+must be at least 3x per-user at the 10k-user scale.  With the per-user
+round (every ``cloak_user``, then every push) it measured 2.7x-3.7x over
+five runs on a two-core x86-64 container (a bulk round of 0.15-0.22 s
+against 0.55-0.64 s per user), so the margin is thin; the 100k speedup,
+9.8-13.4x in those runs, is reported too.
 
 After its timed laps every (mode, scale) runs one more round with the
 scalar ``cloak`` counted, proving each mode ran the path it names: a
