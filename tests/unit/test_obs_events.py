@@ -381,8 +381,8 @@ class TestPipelineEmission:
 
     def test_per_user_publish_is_not_a_bulk_round(self):
         """``publish_all()`` is the per-user path: one audit record and one
-        publication per user, no ``cloak.bulk`` aggregate, no bulk outcome
-        (the scalar benchmark workload rejects a run that has either)."""
+        publication per user, no bulk outcome and no ``cloak.bulk``
+        aggregate (the scalar benchmark workload rejects a run with one)."""
         system = small_population()
         system.publish_all()
         events = system.obs.events
