@@ -103,13 +103,14 @@ class IncrementalCloaker:
         return self.inner.snapshot_arrays()
 
     def partition_key(self, user_id: UserId, point: Point, requirement: PrivacyRequirement):
-        """Forward the sharing key so shared execution composes with caching.
+        """No sharing key: a cached region belongs to its one user.
 
-        Sharing a cached region with a same-partition user is sound: the
-        cached region was revalidated to hold >= k users and contains the
-        whole partition cell, hence the other user too.
+        The region one user revalidates need not cover the other users of
+        that user's partition cell: it is closed, so a user on its right
+        or top edge keeps it while the user's cell is the next one over.
+        Sharing it would also leave the other users' caches unfilled.
         """
-        return self.inner.partition_key(user_id, point, requirement)
+        return None
 
     def invalidate(self, user_id: UserId | None = None) -> None:
         """Drop the cached region for one user (or all users)."""

@@ -160,6 +160,66 @@ def test_bulk_matches_per_user_oracle(name, seed, scenario):
     )
 
 
+INCREMENTAL_INNER = {
+    "grid_8": lambda: GridCloaker(BOUNDS, cols=8, rows=8),
+    "pyramid_4": lambda: PyramidCloaker(BOUNDS, height=4),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("inner", sorted(INCREMENTAL_INNER))
+def test_incremental_rounds_match_per_user_oracle(inner, seed, scenario):
+    """Rounds through an incremental wrapper, users moved onto the corners
+    of their own regions in between.  A cached region is closed: a user on
+    its right or top edge still reuses it while the user's cell is the
+    next one over.  The bulk round must reuse and recompute exactly where the
+    per-user path does, and never hand one user's cached region to
+    another, who may lie outside it."""
+    rng = random.Random(seed)
+    points = lattice_population(rng, 150)
+    requests = mixed_requests(rng, points)
+    bulk_cloaker = IncrementalCloaker(INCREMENTAL_INNER[inner]())
+    oracle_cloaker = IncrementalCloaker(INCREMENTAL_INNER[inner]())
+    for user_id, point in points.items():
+        bulk_cloaker.add_user(user_id, point)
+        oracle_cloaker.add_user(user_id, point)
+    reuses = 0
+    for round_no in range(4):
+        outcome = bulk_cloak(bulk_cloaker, requests)
+        assert outcome.path == "scalar"
+        for user_id, requirement in requests:
+            got = outcome.results[user_id]
+            want = oracle_cloak(oracle_cloaker, user_id, requirement)
+            point = bulk_cloaker.location_of(user_id)
+            scenario.record(
+                inner=inner,
+                seed=seed,
+                round=round_no,
+                user=user_id,
+                point=[point.x, point.y],
+                k=requirement.k,
+                min_area=requirement.min_area,
+                got_region=list(got.region.as_tuple()),
+                want_region=list(want.region.as_tuple()),
+                got_reused=got.reused,
+                want_reused=want.reused,
+            )
+            assert got.region == want.region
+            assert got.user_count == want.user_count
+            assert got.reused == want.reused
+            assert got.region.contains_point(point)
+        reuses += int(outcome.reused.sum())
+        for user_id in rng.sample(sorted(points), 60):
+            region = outcome.results[user_id].region
+            corner = Point(
+                rng.choice([region.min_x, region.max_x]),
+                rng.choice([region.min_y, region.max_y]),
+            )
+            bulk_cloaker.move_user(user_id, corner)
+            oracle_cloaker.move_user(user_id, corner)
+    assert reuses, "no cached region was ever reused"
+
+
 # ----------------------------------------------------------------------
 # Adversarial families for the grid kernel (one expansion chain per start
 # cell, prefix-sum counts, dense test only for points on a gridline).

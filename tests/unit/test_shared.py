@@ -4,8 +4,8 @@
 requirement: users whose ``partition_key`` agrees share one
 ``cloaker.cloak`` call and one entry in ``outcome.regions``.  Cloakers
 with a numpy kernel share per cell inside the kernel instead, so these
-tests use cloakers without one (neighbour-merge pyramid, incremental
-wrapper, MBR, Hilbert).
+tests use cloakers without one (neighbour-merge pyramid, quadtree,
+MBR, Hilbert, incremental wrapper).
 """
 
 from repro.cloaking.grid_cloak import GridCloaker
@@ -13,6 +13,7 @@ from repro.cloaking.hilbert import HilbertCloaker
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.cloaking.mbr import MBRCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
+from repro.cloaking.quadtree_cloak import QuadtreeCloaker
 from repro.core.profiles import PrivacyRequirement
 from repro.engine.cloak import bulk_cloak
 from repro.geometry.rect import Rect
@@ -61,9 +62,9 @@ class TestCloakBatch:
         assert cloaker.stats.cloaks == len(outcome.regions)
 
     def test_shared_count_lower_than_requests(self, clustered_points_500):
-        inner = load(GridCloaker(BOUNDS, cols=16), clustered_points_500)
-        outcome = fallback_round(IncrementalCloaker(inner))
-        assert inner.stats.cloaks == len(outcome.regions) < 500
+        cloaker = load(QuadtreeCloaker(BOUNDS), clustered_points_500)
+        outcome = fallback_round(cloaker)
+        assert cloaker.stats.cloaks == len(outcome.regions) < 500
 
     def test_data_dependent_never_shares(self, clustered_points_500):
         cloaker = load(MBRCloaker(BOUNDS), clustered_points_500)
@@ -71,6 +72,16 @@ class TestCloakBatch:
         assert len(outcome.regions) == 500
         assert outcome.region_index.tolist() == list(range(500))
         assert cloaker.stats.cloaks == 500
+
+    def test_incremental_wrapper_never_shares(self, clustered_points_500):
+        # A cached region is one user's; each user fills their own cache.
+        inner = load(GridCloaker(BOUNDS, cols=16), clustered_points_500)
+        cloaker = IncrementalCloaker(inner)
+        outcome = fallback_round(cloaker)
+        assert inner.stats.cloaks == len(outcome.regions) == 500
+        again = fallback_round(cloaker)
+        assert again.reused.all()
+        assert inner.stats.cloaks == 500
 
     def test_mixed_requirements_not_shared_across(self, clustered_points_500):
         cloaker = merge_pyramid(clustered_points_500)
