@@ -209,8 +209,13 @@ class LocationAnonymizer:
         and the returned result still carries the *original* requirement,
         so ``k_satisfied`` correctly reads False.
         """
+        return self._cloak(user_id, t, self.requirement_for(user_id, t))
+
+    def _cloak(
+        self, user_id: Hashable, t: float, requirement: PrivacyRequirement
+    ) -> CloakResult:
+        """:meth:`cloak_user` under the requirement in force at ``t``."""
         with self.telemetry.span("anonymizer.cloak", algo=self.cloaker.name):
-            requirement = self.requirement_for(user_id, t)
             self.telemetry.emit(
                 CLOAK_ATTEMPT,
                 user=str(user_id),
@@ -289,6 +294,38 @@ class LocationAnonymizer:
         result = self.cloak_user(user_id, t)
         self._push(user_id, result)
         return result
+
+    def publish_each(self, t: float) -> dict[Hashable, CloakResult]:
+        """Cloak and push every registered user through the per-user path.
+
+        The two steps of :meth:`publish` taken as a round: every user is
+        cloaked, then every region is pushed.  A round's cloaks never read
+        the server, so cloaking first changes no region; it keeps the
+        index inserts back to back.  Users go in the bulk round's row
+        order (:func:`repro.engine.cloak.exact_first`), so either round
+        leaves the server's store rows in one order.  This is the oracle
+        :meth:`publish_all_bulk` is held to.
+        """
+        if self.server is None:
+            raise RegistrationError("anonymizer is not connected to a server")
+        from repro.engine.cloak import exact_first
+
+        # One batch correlation id per publication round; reused when the
+        # system front door already opened one (repro.obs.correlate).
+        with self.telemetry.correlate("b", reuse=True):
+            users = list(self._registrations)
+            requirements = [
+                registration.profile.requirement_at(t)
+                for registration in self._registrations.values()
+            ]
+            wants = np.array([r.wants_privacy for r in requirements], dtype=bool)
+            results = {
+                users[row]: self._cloak(users[row], t, requirements[row])
+                for row in exact_first(wants).tolist()
+            }
+            for user_id, result in results.items():
+                self._push(user_id, result)
+        return results
 
     def publish_all_bulk(self, t: float) -> Mapping[Hashable, CloakResult]:
         """Cloak and push every registered user in one vectorized pass.

@@ -330,32 +330,20 @@ class PrivacySystem:
     def publish_all(self, *, bulk: bool = False) -> None:
         """Push fresh cloaked regions for every visible user.
 
-        The default is the per-user path, the oracle the bulk round is
-        held to: every user is cloaked by
-        :meth:`LocationAnonymizer.cloak_user`, then every region is pushed
-        on its own — the two steps of :meth:`LocationAnonymizer.publish`,
-        which :meth:`apply_movement` takes per mover.  A round's cloaks
-        never read the server, so taking all cloaks first changes no
-        region; it keeps the index inserts back to back.  ``bulk=True``
-        routes through the vectorized one-pass population cloaker
-        (:meth:`LocationAnonymizer.publish_all_bulk`) — same regions, one
-        numpy pass plus a single server batch push.  Both push in the bulk
-        round's row order (exact-point users first, then the cloaked ones,
-        each in registration order), so either way a first round leaves
-        the server's store rows in one order.
+        The default is the per-user path
+        (:meth:`LocationAnonymizer.publish_each`, the steps of
+        :meth:`LocationAnonymizer.publish` that :meth:`apply_movement`
+        takes per mover), the oracle the bulk round is held to.
+        ``bulk=True`` routes through the vectorized one-pass population
+        cloaker (:meth:`LocationAnonymizer.publish_all_bulk`) — same
+        regions and row order, one numpy pass plus a single server batch
+        push.
         """
-        anonymizer, t = self.anonymizer, self.clock
         with self.obs.correlate("b"):
             if bulk:
-                anonymizer.publish_all_bulk(t)
+                self.anonymizer.publish_all_bulk(self.clock)
             else:
-                users = sorted(
-                    anonymizer.registered_users(),
-                    key=lambda user: anonymizer.requirement_for(user, t).wants_privacy,
-                )
-                results = [anonymizer.cloak_user(user_id, t) for user_id in users]
-                for user_id, result in zip(users, results):
-                    anonymizer._push(user_id, result)
+                self.anonymizer.publish_each(self.clock)
         if self.timeseries is not None:
             self.timeseries.maybe_sample()
 

@@ -181,6 +181,12 @@ def supports_kernel(cloaker: object) -> bool:
     return type(cloaker) is PyramidCloaker and not cloaker._neighbor_merge
 
 
+def exact_first(wants: np.ndarray) -> np.ndarray:
+    """A round's row order: the users asking for no privacy (``wants``
+    False) first, then the cloaked ones, each part in request order."""
+    return np.concatenate([np.flatnonzero(~wants), np.flatnonzero(wants)])
+
+
 def bulk_cloak(
     cloaker: Cloaker,
     requests: Sequence[BulkRequest],
@@ -220,8 +226,8 @@ def bulk_cloak(
     wants = np.array([r.wants_privacy for r in requirements], dtype=bool)
     wants = wants[requirement_index]
     n_exact = len(users) - int(np.count_nonzero(wants))
-    if n_exact:  # exact-point users first, each part in request order
-        order = np.concatenate([np.flatnonzero(~wants), np.flatnonzero(wants)])
+    if n_exact:
+        order = exact_first(wants)
         users = [users[row] for row in order.tolist()]
         requirement_index = requirement_index[order]
     exact_ids, cloak_ids = users[:n_exact], users[n_exact:]
