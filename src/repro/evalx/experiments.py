@@ -13,7 +13,7 @@ suite (shape + invariants) and by ``python -m repro experiments`` /
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -301,53 +301,50 @@ def run_e4_scalability(
         total / elapsed, 0.0,
     )
 
+    def per_user(cloaker) -> Callable[[], int]:
+        """One round of ``cloaker.cloak`` calls, user by user."""
+        return lambda: sum(
+            1 for uid in cloaker.users() if cloaker.cloak(uid, requirement)
+        )
+
     # Strategy 1: recompute every user individually (baseline).
     workload, model = fresh_setup()
     base = loaded_cloaker(PyramidCloaker, workload, height=6)
-    elapsed, total = run_rounds(
-        lambda: sum(1 for uid in base.users() if base.cloak(uid, requirement)),
-        base,
-        model,
-    )
+    elapsed, total = run_rounds(per_user(base), base, model)
     table.add_row("recompute", n_users, total / elapsed, 0.0)
 
     # Strategy 2: incremental evaluation.
     workload, model = fresh_setup()
     inner = loaded_cloaker(PyramidCloaker, workload, height=6)
     incremental = IncrementalCloaker(inner)
-    elapsed, total = run_rounds(
-        lambda: sum(
-            1 for uid in inner.users() if incremental.cloak(uid, requirement)
-        ),
-        incremental,
-        model,
-    )
+    elapsed, total = run_rounds(per_user(incremental), incremental, model)
     reuse_rate = inner.stats.reuses / max(1, total)
     table.add_row("incremental", n_users, total / elapsed, reuse_rate)
 
-    # Strategy 3: shared execution, one region per cell and requirement.
+    # Strategy 3: shared execution on a cloaker without a kernel (the
+    # neighbour-merge pyramid): bulk_cloak's scalar fallback cloaks once
+    # per finest cell and requirement.  Its per-user baseline first.
     workload, model = fresh_setup()
-    shared_cloaker = loaded_cloaker(PyramidCloaker, workload, height=6)
+    merge = loaded_cloaker(PyramidCloaker, workload, height=6, neighbor_merge=True)
+    elapsed, total = run_rounds(per_user(merge), merge, model)
+    table.add_row("merge-recompute", n_users, total / elapsed, 0.0)
+
+    workload, model = fresh_setup()
+    merge = loaded_cloaker(PyramidCloaker, workload, height=6, neighbor_merge=True)
     share_rates = []
 
     def shared_round() -> int:
-        requests = [(uid, requirement) for uid in shared_cloaker.users()]
-        outcome = bulk_cloak(shared_cloaker, requests)
+        outcome = bulk_cloak(merge, [(uid, requirement) for uid in merge.users()])
         share_rates.append(1.0 - len(outcome.regions) / len(outcome.users))
         return len(outcome.users)
 
-    elapsed, total = run_rounds(shared_round, shared_cloaker, model)
-    share_rate = float(np.mean(share_rates))
-    table.add_row("shared-batch", n_users, total / elapsed, share_rate)
+    elapsed, total = run_rounds(shared_round, merge, model)
+    table.add_row("shared-batch", n_users, total / elapsed, float(np.mean(share_rates)))
 
     # Reference: a data-dependent algorithm, which cannot share.
     workload, model = fresh_setup()
     mbr = loaded_cloaker(MBRCloaker, workload)
-    elapsed, total = run_rounds(
-        lambda: sum(1 for uid in mbr.users() if mbr.cloak(uid, requirement)),
-        mbr,
-        model,
-    )
+    elapsed, total = run_rounds(per_user(mbr), mbr, model)
     table.add_row("mbr-per-user", n_users, total / elapsed, 0.0)
 
     # Incremental wrapping shines where the inner cloak is expensive:
@@ -355,13 +352,7 @@ def run_e4_scalability(
     workload, model = fresh_setup()
     mbr_inner = loaded_cloaker(MBRCloaker, workload)
     mbr_incremental = IncrementalCloaker(mbr_inner)
-    elapsed, total = run_rounds(
-        lambda: sum(
-            1 for uid in mbr_inner.users() if mbr_incremental.cloak(uid, requirement)
-        ),
-        mbr_incremental,
-        model,
-    )
+    elapsed, total = run_rounds(per_user(mbr_incremental), mbr_incremental, model)
     mbr_reuse = mbr_inner.stats.reuses / max(1, total)
     table.add_row("mbr-incremental", n_users, total / elapsed, mbr_reuse)
     return table
