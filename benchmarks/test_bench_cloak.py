@@ -19,7 +19,8 @@ the repo root (CI uploads it as an artifact) and gates: bulk throughput
 must be at least 3x per-user at the 10k-user scale.  With the per-user
 round (every ``cloak_user``, then every push) it measured 2.7x-3.7x over
 five runs on a two-core x86-64 container (a bulk round of 0.15-0.22 s
-against 0.55-0.64 s per user), so the margin is thin; the 100k speedup,
+against 0.55-0.64 s per user), so the margin is thin and the gate is
+expected to fail on some runs on such a machine; the 100k speedup,
 9.8-13.4x in those runs, is reported too.
 
 After its timed laps every (mode, scale) runs one more round with the
