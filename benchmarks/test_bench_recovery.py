@@ -16,8 +16,9 @@ recovery must beat cold replay on the same trail, and both must land on
 the digest-identical system.  One recovery of each is a ~1.3× margin
 that a noisy second can flip, so the gate compares medians of
 :data:`REPEATS` of each, alternating which goes first.  The report
-(checkpoint write throughput, both recovery wall-times, speedup) lands
-in ``BENCH_recovery.json`` at the repo root; CI uploads it.
+(checkpoint write seconds and throughput, checkpoint load seconds, both
+recovery wall-times with the checkpointed one's four phases, speedup)
+lands in ``BENCH_recovery.json`` at the repo root; CI uploads it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.persist import (
     WAL_NAME,
     Recovery,
     list_checkpoints,
+    load_checkpoint,
     system_digest,
 )
 
@@ -119,12 +121,28 @@ def test_checkpoint_write_throughput(arena):
     seconds = arena["checkpoint_seconds"]
     size = arena["checkpoint_bytes"]
     assert list_checkpoints(arena["full"])
-    assert size > 100_000  # 10k users serialise to a non-toy document
+    assert size > 100_000  # 10k users serialise to a non-toy checkpoint
     _RESULTS["checkpoint_write"] = {
         "users": N_USERS,
         "seconds": seconds,
         "bytes": size,
         "mb_per_second": size / 1e6 / seconds,
+    }
+
+
+def test_checkpoint_load_seconds(arena):
+    """Reading the checkpoint back, the first phase of a recovery."""
+    (path,) = list_checkpoints(arena["full"])
+    runs = []
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        state = load_checkpoint(path)
+        runs.append(time.perf_counter() - started)
+    assert len(state["users"]) == N_USERS
+    _RESULTS["checkpoint_load"] = {
+        "users": N_USERS,
+        "seconds": statistics.median(runs),
+        "runs": runs,
     }
 
 
@@ -135,11 +153,12 @@ def test_checkpointed_recovery_beats_cold_replay(arena):
     last: dict[str, tuple] = {}
     for repeat in range(REPEATS):
         for name in ("full", "cold") if repeat % 2 == 0 else ("cold", "full"):
+            telemetry = Telemetry()
             started = time.perf_counter()
-            recovery = Recovery(arena[name], telemetry=Telemetry())
-            last[name] = (recovery, recovery.recover())
+            recovery = Recovery(arena[name], telemetry=telemetry)
+            last[name] = (recovery, recovery.recover(), telemetry)
             runs[name].append(time.perf_counter() - started)
-    (checkpointed, warm), (cold_recovery, cold) = last["full"], last["cold"]
+    (checkpointed, warm, telemetry), (cold_recovery, cold, _) = last["full"], last["cold"]
     warm_runs, cold_runs = runs["full"], runs["cold"]
     warm_seconds = statistics.median(warm_runs)
     cold_seconds = statistics.median(cold_runs)
@@ -157,7 +176,16 @@ def test_checkpointed_recovery_beats_cold_replay(arena):
         "tail_replayed": checkpointed.report["replayed"],
         "cold_replayed": cold_recovery.report["replayed"],
         "repeats": REPEATS,
-        "checkpointed": {"seconds": warm_seconds, "runs": warm_runs},
+        "checkpointed": {
+            "seconds": warm_seconds,
+            "runs": warm_runs,
+            # The last checkpointed recovery's phases: seconds and rows.
+            "phases": {
+                span.name: {"seconds": span.duration_ms / 1000.0, "rows": span.attrs["rows"]}
+                for span in telemetry.tracer.spans()
+                if span.name.startswith("recovery.")
+            },
+        },
         "cold": {"seconds": cold_seconds, "runs": cold_runs},
         "speedup": cold_seconds / warm_seconds,
     }
@@ -169,7 +197,7 @@ def test_checkpointed_recovery_beats_cold_replay(arena):
 
 
 def test_write_report(write_report):
-    assert set(_RESULTS) == {"checkpoint_write", "recovery"}
+    assert set(_RESULTS) == {"checkpoint_write", "checkpoint_load", "recovery"}
     report = write_report(_RESULTS, SCHEMA, BENCH_PATH)
     assert report["schema"] == SCHEMA
     assert report["recovery"]["speedup"] > 1.0

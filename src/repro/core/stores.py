@@ -115,26 +115,38 @@ class _Store:
         self._holes.append(self._row.pop(object_id))
         self._touch()
 
-    def restore(self, index: RTree, version: int) -> None:
-        """Become the store ``index`` describes, at mutation count ``version``.
+    def columns(self) -> tuple[list[ItemId], np.ndarray]:
+        """The compacted table as it is: the ids and their ``(n, width)``
+        coordinate block, in row order.  Not copies; a checkpoint writes
+        them out before anything changes them."""
+        self._compact()
+        return self._ids, self._cols[: len(self._ids)]
 
-        Rows follow the index's iteration order — the checkpoint's sorted
-        entry order on recovery.  The mutation counter is restored
+    def restore(self, ids: list[ItemId], block: np.ndarray, version: int) -> None:
+        """Become the store :meth:`columns` described, at mutation count
+        ``version``.
+
+        Rows keep the given order.  The R-tree is STR-loaded from the
+        block, with no per-entry sort.  The mutation counter is restored
         verbatim so replayed updates advance it exactly as the uncrashed
         run did.
         """
-        ids = list(index)
-        rects = list(map(index.geometry_of, ids))
-        self._rtree = index
+        n = len(ids)
+        block = np.asarray(block, dtype=float).reshape(n, self._WIDTH)
+        bounds = block if self._WIDTH == 4 else block[:, [0, 1, 0, 1]]
+        rects = [Rect(*sides) for sides in bounds.tolist()]
+        self._rtree = RTree.bulk_load_columns(
+            ids, rects, bounds, max_entries=self._max_entries
+        )
         self._version = version
         self._ids, self._geoms, self._row, self._holes = [], [], {}, []
-        self._cols = np.empty((16, self._WIDTH))
+        self._cols = np.empty((max(16, n), self._WIDTH))
         self._view = None
-        rows = self._append(ids, self._geometries(rects))
-        self._cols[rows] = _sides(rects, len(ids))[:, : self._WIDTH]
+        self._append(ids, self._geometries(rects, block))
+        self._cols[:n] = block
 
-    def _geometries(self, rects: list[Rect]) -> list:
-        """The geometry objects the index's rectangles stand for."""
+    def _geometries(self, rects: list[Rect], block: np.ndarray) -> list:
+        """The geometry objects ``rects`` (the rows of ``block``) stand for."""
         raise NotImplementedError
 
     def _frozen(self) -> tuple:
@@ -197,13 +209,8 @@ class PublicStore(_Store):
         shallower and tighter than one grown by repeated inserts.
         """
         store = cls(max_entries=max_entries)
-        store.restore(
-            RTree.bulk_load(
-                {object_id: Rect.from_point(p) for object_id, p in points.items()},
-                max_entries=max_entries,
-            ),
-            0,
-        )
+        block = np.array([(p.x, p.y) for p in points.values()], dtype=float)
+        store.restore(list(points), block, 0)
         return store
 
     def add(self, object_id: ItemId, point: Point) -> None:
@@ -225,8 +232,8 @@ class PublicStore(_Store):
         self._cols[row] = (point.x, point.y)
         self._touch()
 
-    def _geometries(self, rects: list[Rect]) -> list:
-        return [Point(rect.min_x, rect.min_y) for rect in rects]
+    def _geometries(self, rects: list[Rect], block: np.ndarray) -> list:
+        return [Point(x, y) for x, y in block.tolist()]
 
     def _copy_columns(self, block: np.ndarray) -> tuple[np.ndarray, ...]:
         return block[:, 0].copy(), block[:, 1].copy()
@@ -322,7 +329,7 @@ class PrivateStore(_Store):
             self._rtree = rebuilt
         self._touch(len(ids))
 
-    def _geometries(self, rects: list[Rect]) -> list:
+    def _geometries(self, rects: list[Rect], block: np.ndarray) -> list:
         return rects
 
     def _copy_columns(self, block: np.ndarray) -> tuple[np.ndarray, ...]:

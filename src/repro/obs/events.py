@@ -96,9 +96,6 @@ USER_RETIRED = "user.retired"
 #: three columns ``users``, ``xs`` and ``ys``: one event per
 #: ``apply_movement`` call or per run of ``update_location`` calls.
 USERS_MOVED = "users.moved"
-#: The per-report kind ``users.moved`` replaced.  No longer emitted;
-#: recovery replays it for one release so older WALs still recover.
-USER_MOVED = "user.moved"
 #: A user switched participation mode (passive/active/query).
 USER_MODE_CHANGED = "user.mode"
 #: A user changed her privacy profile (Section 4: "at any time").
@@ -211,6 +208,12 @@ EVENT_KINDS: tuple[str, ...] = (
 #: Columnar kinds and the attribute whose length is their row count:
 #: the weight such an event takes in the ring (a plain event weighs 1).
 _ROW_COLUMNS = {USERS_MOVED: "users", REGIONS_PUBLISHED_BULK: "regions"}
+
+
+def event_rows(kind: str, attrs: Mapping) -> int:
+    """The rows one event stands for: a columnar kind's row count, else 1."""
+    column = _ROW_COLUMNS.get(kind)
+    return 1 if column is None else max(1, len(attrs.get(column) or ()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,6 +357,7 @@ class EventLog:
         """Number, buffer, count, stream and tap one stamped event."""
         self._seq += 1
         event = Event(self._seq, kind, attrs)
+        # event_rows, inline: this is the emit hot path.
         column = _ROW_COLUMNS.get(kind)
         rows = 1 if column is None else max(1, len(attrs.get(column) or ()))
         ring, weights = self._ring, self._weights

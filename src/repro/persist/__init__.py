@@ -22,7 +22,7 @@ from repro.persist.checkpoint import (
     write_wal_meta,
 )
 from repro.persist.digest import system_digest
-from repro.persist.indexes import index_from_state, index_state, rect_sides
+from repro.persist.indexes import rect_sides
 from repro.persist.recovery import Recovery, RecoveryError
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "checkpoint_state",
     "cloaker_config",
     "cloaker_from_config",
-    "index_from_state",
-    "index_state",
     "list_checkpoints",
     "load_checkpoint",
     "rect_sides",

@@ -1,20 +1,31 @@
 """Versioned atomic checkpoints of a whole ``PrivacySystem`` (schema
-``repro.persist/2``; ``/1`` documents are still read).
+``repro.persist/3``; ``/2`` documents are still read).
 
-A checkpoint is one JSON document holding, once each, the facts a
-crashed process cannot rebuild from code: the anonymizer's object tables
-(registrations, pseudonym counter, privacy profiles), the mobile-user
-table, both server store index states, the server's durable counters and
-standing monitors, and the QoS ledger.  What those determine — the
-cloaker's spatial index, the batch engine's snapshot arrays — is rebuilt
-on restore, not stored.  Each checkpoint records the WAL sequence number
-it covers (``wal_seq``) and, since ``/2``, the byte offset in the live
-``wal.jsonl`` where the tail past it starts (``wal_offset``); recovery
-restores the newest readable checkpoint and parses and replays only the
-event-log tail past that sequence (docs/durability.md, *The tail read*).
+A checkpoint holds, once each, the facts a crashed process cannot
+rebuild from code: the anonymizer's object tables (registrations,
+pseudonym counter, privacy profiles), the mobile-user table, both server
+stores, the server's durable counters and standing monitors, and the QoS
+ledger.  What those determine — the cloaker's spatial index, the
+stores' R-trees, the batch engine's snapshot arrays — is rebuilt on
+restore, not stored.  Each checkpoint records the WAL sequence number it
+covers (``wal_seq``) and the byte offset in the live ``wal.jsonl`` where
+the tail past it starts (``wal_offset``); recovery restores the newest
+readable checkpoint and parses and replays only the event-log tail past
+that sequence (docs/durability.md, *The tail read*).
 
-Write protocol: serialise to ``<name>.json.tmp`` in the same directory,
-``fsync``, then ``os.replace`` onto the final ``checkpoint-<seq>.json``
+A ``/3`` checkpoint is one uncompressed ``.npz`` archive.  Its
+``manifest`` member is a small JSON object (UTF-8 bytes): the scalars,
+the cloaker configuration, the server counters and monitors, the
+distinct privacy profiles, and every id, pseudonym and mode name as a
+flat string list.  The facts that scale with the population are binary
+columns beside it, one member each (:data:`COLUMNS` plus one per ledger
+outcome field): coordinates, mode codes, speeds, each user's and each
+registration's row in the profile table, the ``published`` flags, each
+store's coordinate block and the ledger.  Nothing in the archive is a
+pickled object, and it is loaded with ``allow_pickle=False``.
+
+Write protocol: serialise to ``<name>.npz.tmp`` in the same directory,
+``fsync``, then ``os.replace`` onto the final ``checkpoint-<seq>.npz``
 name.  A crash mid-write leaves a ``.tmp`` orphan that recovery ignores;
 a crash before the rename leaves the previous checkpoint intact.  The
 model is the snapshot-plus-streamed-deltas design of PrivateStorageio's
@@ -24,36 +35,79 @@ stream.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
+import zipfile
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 import repro.cloaking as cloaking
-from repro.core.profiles import profile_rows
+from repro.core.system import KNNQueryOutcome, NNQueryOutcome, RangeQueryOutcome
 from repro.geometry.rect import Rect
+from repro.mobility.users import UserMode
 from repro.obs.events import PERSIST_CHECKPOINT
-from repro.persist.indexes import index_state, rect_sides
+from repro.persist.indexes import columns_from_state, rect_sides
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
 
-#: Checkpoint document schema, pinned by the golden fixtures.
-SCHEMA = "repro.persist/2"
-#: Schemas :func:`load_checkpoint` reads: this release's and the one
-#: before it (``/1``: no ``wal_offset``, so recovery reads the full WAL).
-READABLE_SCHEMAS = ("repro.persist/1", SCHEMA)
+#: Checkpoint schema, pinned by the golden fixtures.
+SCHEMA = "repro.persist/3"
+#: The schema before it: one JSON document, still read for one release.
+_SCHEMA_2 = "repro.persist/2"
+#: Schemas :func:`load_checkpoint` reads.
+READABLE_SCHEMAS = (_SCHEMA_2, SCHEMA)
 
 #: File names inside a durability directory.
 WAL_NAME = "wal.jsonl"
 META_NAME = "wal-meta.json"
-CHECKPOINT_PATTERN = "checkpoint-*.json"
+CHECKPOINT_PATTERN = "checkpoint-*.npz"
+#: What a ``/2`` writer named its checkpoints.
+_SCHEMA_2_PATTERN = "checkpoint-*.json"
+
+#: The population-sized columns of a ``/3`` checkpoint, besides the
+#: ledger's ``ledger.<kind>.<field>`` ones.
+COLUMNS = (
+    "xs",
+    "ys",
+    "modes",
+    "speeds",
+    "user_profiles",
+    "published",
+    "registration_profiles",
+    "public",
+    "private",
+)
+
+#: Mode names in code order (a user's ``modes`` entry indexes this).
+MODES = tuple(UserMode)
+_MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
+
+#: Ledger outcome types by the checkpoint's ``ledger`` key; the event
+#: trail names the same kinds ``private_<key>``.
+OUTCOME_TYPES = {
+    "range": RangeQueryOutcome,
+    "nn": NNQueryOutcome,
+    "knn": KNNQueryOutcome,
+}
+
+#: One profile-table row, ``(start, k, A_min, A_max)``, read in C.
+_PROFILE_ROW = attrgetter(
+    "start", "requirement.k", "requirement.min_area", "requirement.max_area"
+)
+
+#: Column dtype by a ledger outcome field's annotation.
+_FIELD_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
 
 
 class CheckpointError(ValueError):
-    """A checkpoint document is unreadable or carries a foreign schema."""
+    """A checkpoint is unreadable or carries a foreign schema."""
 
 
 # ----------------------------------------------------------------------
@@ -97,22 +151,63 @@ def cloaker_from_config(config: dict):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint document
+# The checkpoint: a manifest and columns
 # ----------------------------------------------------------------------
 
 
-def checkpoint_state(system: "PrivacySystem") -> dict:
-    """Serialise ``system`` to the ``repro.persist/2`` document.
+def ledger_fields(outcome_type) -> list[tuple[str, type]]:
+    """An outcome type's fields after ``user_id``, each with its column
+    dtype: the ledger's ``ledger.<kind>.<field>`` columns."""
+    return [(f.name, _FIELD_DTYPES[f.type]) for f in fields(outcome_type)[1:]]
 
-    Dict order is deliberate (users and registrations keep insertion
-    order, which data-dependent cloakers are sensitive to), so the
-    document is written without key sorting.  The event log's open run
-    of location reports is emitted first, so ``wal_seq`` covers it.
+
+def checkpoint_state(system: "PrivacySystem") -> dict:
+    """Serialise ``system`` to the ``repro.persist/3`` state.
+
+    The state is the manifest's keys plus ``"columns"``, a dict of numpy
+    arrays — what :func:`load_checkpoint` returns for the written file.
+    Users and registrations keep insertion order (data-dependent cloakers
+    are sensitive to it), and so do the stores' rows.  The event log's
+    open run of location reports is emitted first, so ``wal_seq`` covers
+    it.
     """
     anonymizer = system.anonymizer
     server = system.server
     log = system.obs.events
     log.close_run()
+    profiles: dict[tuple, int] = {}
+    profile_index = _profile_indexer(profiles)
+    users = list(system.users.values())
+    locations = [user.location for user in users]
+    registrations = anonymizer._registrations.values()
+    columns = {
+        "xs": np.array([point.x for point in locations], dtype=float),
+        "ys": np.array([point.y for point in locations], dtype=float),
+        "modes": np.array([_MODE_CODE[user.mode] for user in users], dtype=np.uint8),
+        "speeds": np.array([user.speed for user in users], dtype=float),
+        "user_profiles": np.array(
+            [profile_index(user.profile) for user in users],
+            dtype=np.int64,
+        ),
+        "published": np.array([r.published for r in registrations], dtype=bool),
+        "registration_profiles": np.array(
+            [profile_index(r.profile) for r in registrations],
+            dtype=np.int64,
+        ),
+    }
+    stores = {}
+    for name, store in (("public", server.public), ("private", server.private)):
+        ids, block = store.columns()
+        stores[name] = {"version": store.version, "ids": list(map(str, ids))}
+        columns[name] = block
+    ledger = {}
+    for key, outcome_type in OUTCOME_TYPES.items():
+        outcomes = getattr(system.ledger, outcome_type.ledger)
+        ledger[key] = [str(outcome.user_id) for outcome in outcomes]
+        for field, dtype in ledger_fields(outcome_type):
+            columns[f"ledger.{key}.{field}"] = np.array(
+                [getattr(outcome, field) for outcome in outcomes], dtype=dtype
+            )
     return {
         "schema": SCHEMA,
         "wal_seq": log._seq,
@@ -122,26 +217,11 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
         "rotate_pseudonyms": anonymizer.rotate_pseudonyms,
         "pseudonym_seq": anonymizer._pseudonym_seq,
         "cloaker": cloaker_config(anonymizer.cloaker),
-        "users": [
-            [
-                str(user_id),
-                user.location.x,
-                user.location.y,
-                user.mode.value,
-                user.speed,
-                profile_rows(user.profile),
-            ]
-            for user_id, user in system.users.items()
-        ],
-        "registrations": [
-            [
-                str(user_id),
-                registration.pseudonym,
-                registration.published,
-                profile_rows(registration.profile),
-            ]
-            for user_id, registration in anonymizer._registrations.items()
-        ],
+        "profiles": [[list(row) for row in rows] for rows in profiles],
+        "modes": [mode.value for mode in MODES],
+        "users": list(map(str, system.users)),
+        "registrations": list(map(str, anonymizer._registrations)),
+        "pseudonyms": [r.pseudonym for r in registrations],
         "server": {
             "region_updates": server.region_updates_received,
             "queries_served": server.queries_served,
@@ -151,22 +231,30 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
                 for monitor_id, monitor in server._monitors.items()
             ],
         },
-        "stores": {
-            "public": {
-                "version": server.public.version,
-                "index": index_state(server.public._rtree),
-            },
-            "private": {
-                "version": server.private.version,
-                "index": index_state(server.private._rtree),
-            },
-        },
-        "ledger": {
-            "range": _rows(system.ledger.range_outcomes),
-            "nn": _rows(system.ledger.nn_outcomes),
-            "knn": _rows(system.ledger.knn_outcomes),
-        },
+        "stores": stores,
+        "ledger": ledger,
+        "columns": columns,
     }
+
+
+def _profile_indexer(table: dict[tuple, int]):
+    """A function giving a profile's row in the profile table.
+
+    ``table`` maps each distinct profile's ``(start, k, A_min, A_max)``
+    rows to its row number, in first-use order.  A profile object seen
+    before (a user's, met again as the registration's) is found by
+    identity.
+    """
+    by_object: dict[int, int] = {}
+
+    def index_of(profile) -> int:
+        row = by_object.get(id(profile))
+        if row is None:
+            rows = tuple(map(_PROFILE_ROW, profile.entries))
+            row = by_object[id(profile)] = table.setdefault(rows, len(table))
+        return row
+
+    return index_of
 
 
 def _wal_offset(system: "PrivacySystem") -> int | None:
@@ -179,19 +267,13 @@ def _wal_offset(system: "PrivacySystem") -> int | None:
     return os.path.getsize(path) if os.path.exists(path) else None
 
 
-def _rows(outcomes: list) -> list:
-    """One row per ledger entry: its type's fields in declaration order."""
-    names = [f.name for f in fields(outcomes[0])] if outcomes else []
-    return [[getattr(o, name) for name in names] for o in outcomes]
-
-
-def _atomic_write(directory, name: str, payload: str) -> Path:
+def _atomic_write(directory, name: str, payload: bytes) -> Path:
     """tmp-write, fsync, rename — a crash leaves old state or an orphan."""
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     path = target / name
     tmp = path.with_name(name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with open(tmp, "wb") as handle:
         handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
@@ -203,14 +285,18 @@ def write_checkpoint(system: "PrivacySystem", directory) -> str:
     """Write one versioned checkpoint; returns its path.
 
     The file name carries the covered WAL sequence number
-    (``checkpoint-<seq 0-padded>.json``) so a lexical sort is a recency
+    (``checkpoint-<seq 0-padded>.npz``) so a lexical sort is a recency
     sort.  Emits ``persist.checkpoint`` on success.
     """
     started = time.perf_counter()
     state = checkpoint_state(system)
-    payload = json.dumps(state, default=str)
+    columns = state.pop("columns")
+    manifest = json.dumps(state).encode("utf-8")
+    buffer = io.BytesIO()
+    np.savez(buffer, manifest=np.frombuffer(manifest, dtype=np.uint8), **columns)
+    payload = buffer.getvalue()
     path = _atomic_write(
-        directory, f"checkpoint-{state['wal_seq']:012d}.json", payload
+        directory, f"checkpoint-{state['wal_seq']:012d}.npz", payload
     )
     system.obs.emit(
         PERSIST_CHECKPOINT,
@@ -235,14 +321,32 @@ def write_wal_meta(system: "PrivacySystem", directory) -> str:
         "rotate_pseudonyms": system.anonymizer.rotate_pseudonyms,
         "cloaker": cloaker_config(system.anonymizer.cloaker),
     }
-    return str(_atomic_write(directory, META_NAME, json.dumps(meta)))
+    return str(_atomic_write(directory, META_NAME, json.dumps(meta).encode()))
 
 
 def load_checkpoint(path) -> dict:
-    """Parse and schema-validate one checkpoint document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        state = json.load(handle)
-    if not isinstance(state, dict) or state.get("schema") not in READABLE_SCHEMAS:
+    """Read and schema-validate one checkpoint, in the form
+    :func:`checkpoint_state` returns.
+
+    Any damage — a torn archive or document, a missing member, a foreign
+    schema — raises :class:`CheckpointError`, so recovery can fall back
+    to the previous checkpoint.
+    """
+    path = Path(path)
+    try:
+        if path.suffix == ".json":
+            return _load_schema_2(path)
+        return _load_columns(path)
+    except CheckpointError:
+        raise
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(
+            f"unreadable checkpoint {os.fspath(path)!r}: {exc!r}"
+        ) from exc
+
+
+def _checked(state, path: Path, schema: str) -> dict:
+    if not isinstance(state, dict) or state.get("schema") != schema:
         raise CheckpointError(
             f"not a {' or '.join(READABLE_SCHEMAS)} checkpoint: "
             f"{os.fspath(path)!r}"
@@ -250,6 +354,89 @@ def load_checkpoint(path) -> dict:
     return state
 
 
+def _load_columns(path: Path) -> dict:
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    state = _checked(
+        json.loads(members.pop("manifest").tobytes().decode("utf-8")), path, SCHEMA
+    )
+    expected = set(COLUMNS) | {
+        f"ledger.{key}.{field}"
+        for key, outcome_type in OUTCOME_TYPES.items()
+        for field, _ in ledger_fields(outcome_type)
+    }
+    if set(members) != expected:
+        raise CheckpointError(
+            f"checkpoint {os.fspath(path)!r} has columns {sorted(members)}, "
+            f"expected {sorted(expected)}"
+        )
+    state["columns"] = members
+    return state
+
+
+def _load_schema_2(path: Path) -> dict:
+    """A ``repro.persist/2`` document, turned into the ``/3`` state.
+
+    Read for one release after ``/3`` replaced it; delete with it.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        document = _checked(json.load(handle), path, _SCHEMA_2)
+    table: dict[str, int] = {}
+
+    def profile_index(rows) -> int:
+        return table.setdefault(json.dumps(rows), len(table))
+
+    users, registrations = document["users"], document["registrations"]
+    codes = {mode.value: code for code, mode in enumerate(MODES)}
+    columns = {
+        "xs": np.array([row[1] for row in users], dtype=float),
+        "ys": np.array([row[2] for row in users], dtype=float),
+        "modes": np.array([codes[row[3]] for row in users], dtype=np.uint8),
+        "speeds": np.array([row[4] for row in users], dtype=float),
+        "user_profiles": np.array([profile_index(row[5]) for row in users], np.int64),
+        "published": np.array([bool(row[2]) for row in registrations], dtype=bool),
+        "registration_profiles": np.array(
+            [profile_index(row[3]) for row in registrations], np.int64
+        ),
+    }
+    stores = {}
+    for name, width in (("public", 2), ("private", 4)):
+        stored = document["stores"][name]
+        ids, bounds = columns_from_state(stored["index"])
+        stores[name] = {"version": stored["version"], "ids": ids}
+        columns[name] = bounds[:, :width]
+    ledger = {}
+    for key, outcome_type in OUTCOME_TYPES.items():
+        rows = document["ledger"][key]
+        ledger[key] = [str(row[0]) for row in rows]
+        for i, (field, dtype) in enumerate(ledger_fields(outcome_type), 1):
+            columns[f"ledger.{key}.{field}"] = np.array(
+                [row[i] for row in rows], dtype=dtype
+            )
+    return {
+        **{key: document[key] for key in (
+            "schema", "wal_seq", "clock", "bounds",
+            "rotate_pseudonyms", "pseudonym_seq", "cloaker",
+        )},
+        "wal_offset": document.get("wal_offset"),
+        "profiles": [json.loads(rows) for rows in table],
+        "modes": [mode.value for mode in MODES],
+        "users": [row[0] for row in users],
+        "registrations": [row[0] for row in registrations],
+        "pseudonyms": [row[1] for row in registrations],
+        "server": document["server"],
+        "stores": stores,
+        "ledger": ledger,
+        "columns": columns,
+    }
+
+
 def list_checkpoints(directory) -> list[Path]:
-    """Checkpoint files oldest-first; ``.tmp`` orphans are ignored."""
-    return sorted(Path(directory).glob(CHECKPOINT_PATTERN))
+    """Checkpoint files oldest-first; ``.tmp`` orphans are ignored.
+
+    ``/2`` documents (``.json``) are listed beside ``/3`` archives for
+    the release that still reads them.
+    """
+    directory = Path(directory)
+    found = [*directory.glob(CHECKPOINT_PATTERN), *directory.glob(_SCHEMA_2_PATTERN)]
+    return sorted(found, key=lambda path: path.stem)

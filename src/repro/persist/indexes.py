@@ -1,26 +1,28 @@
-"""Logical-state serialisation for the R-tree, the servers' one index.
+"""The servers' R-trees in a checkpoint: columns, not trees.
 
-A checkpoint holds the two stores' R-trees, and nothing else persists an
-index.  An index's durable form is its *logical* state — construction
-parameters plus the ``(id, geometry)`` entry set — not its physical node
-layout.  Physical shapes are history-dependent (a tree grown by inserts
-differs from one bulk-loaded with the same entries) and STR bulk loading
-rebuilds a valid tree from the entry set, so persisting the logical state
-is both smaller and guaranteed restorable across refactors of the node
-internals.  Query results over a rebuilt index are therefore
-*set*-equivalent, not traversal-order-identical; all recovery
-equivalence checks compare accordingly.
+A checkpoint holds no index.  Each server store is written as its
+columns — the ids in row order and their ``(n, 2)`` points or ``(n, 4)``
+rectangles, read straight from the store's table
+(:meth:`~repro.core.stores.PublicStore.columns`) — and its R-tree is
+STR-loaded from those arrays on restore
+(:meth:`~repro.index.rtree.RTree.bulk_load_columns`).  An index's
+physical node layout is history-dependent (a tree grown by inserts
+differs from one bulk-loaded with the same entries) while its entry set
+is not, so query results over a rebuilt index are *set*-equivalent, not
+traversal-order-identical; all recovery equivalence checks compare
+accordingly.
 
-Entry ids are canonicalised through ``str()`` — the same convention as
-the event trail — and entries are sorted by id so the serialised form is deterministic regardless of
-insertion history (this is what pins the ``repro.persist`` golden
-fixtures under ``tests/fixtures/``).
+A ``repro.persist/2`` checkpoint stored each R-tree as a logical state
+instead — ``{"backend": "rtree", "params": ..., "entries": [[id, min_x,
+min_y, max_x, max_y], ...]}`` sorted by id.  :func:`columns_from_state`
+reads that form for the release that still reads ``/2``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.geometry.rect import Rect
-from repro.index.rtree import RTree
 
 
 def rect_sides(rect: Rect) -> list[float]:
@@ -28,43 +30,12 @@ def rect_sides(rect: Rect) -> list[float]:
     return [rect.min_x, rect.min_y, rect.max_x, rect.max_y]
 
 
-def index_state(index: RTree) -> dict:
-    """Serialise an R-tree to a JSON-ready state dict.
-
-    The state carries the backend name, its construction parameters, and
-    the sorted entry list; :func:`index_from_state` is the inverse.
-    """
-    if not isinstance(index, RTree):
-        raise TypeError(f"unserialisable index type: {type(index).__name__}")
-    entries = sorted(
-        [str(item), *rect_sides(index.geometry_of(item))] for item in index
-    )
-    return {
-        "backend": "rtree",
-        "params": {"max_entries": index._max, "min_entries": index._min},
-        "entries": entries,
-    }
-
-
-def index_from_state(state: dict) -> RTree:
-    """Rebuild an R-tree from :func:`index_state` output.
-
-    The tree is rebuilt by STR bulk loading (packed, deterministic for a
-    given entry set).  A state naming any other backend is rejected.
-    """
+def columns_from_state(state: dict) -> tuple[list[str], np.ndarray]:
+    """The ids and ``(n, 4)`` bounds of a ``/2`` R-tree state, in its
+    entry order.  A state naming any other backend is rejected."""
     if state["backend"] != "rtree":
         raise ValueError(f"unknown index backend: {state['backend']!r}")
-    params = state["params"]
-    entries = {
-        item: Rect(min_x, min_y, max_x, max_y)
-        for item, min_x, min_y, max_x, max_y in state["entries"]
-    }
-    if not entries:
-        return RTree(
-            max_entries=params["max_entries"], min_entries=params["min_entries"]
-        )
-    return RTree.bulk_load(
-        entries,
-        max_entries=params["max_entries"],
-        min_entries=params["min_entries"],
-    )
+    entries = state["entries"]
+    ids = [str(entry[0]) for entry in entries]
+    bounds = np.array([entry[1:] for entry in entries], dtype=float)
+    return ids, bounds.reshape(len(ids), 4)

@@ -4,26 +4,30 @@
 equivalent to the one that crashed:
 
 1. scan the durability directory for the newest *readable* checkpoint
-   (unparsable or foreign-schema files are skipped — a crash mid-write
-   leaves a ``.tmp`` orphan and, at worst, a corrupt newest file whose
-   predecessor is still good);
-2. restore the checkpoint state wholesale (object tables, profiles,
-   store index states, counters, ledger — derived structures such as
-   the cloaker's index and the engine snapshot rebuild from those); with
-   no checkpoint at all, cold-start an empty system from the
-   ``wal-meta.json`` sidecar;
+   (torn, unparsable or foreign-schema files are skipped — a crash
+   mid-write leaves a ``.tmp`` orphan and, at worst, a corrupt newest
+   file whose predecessor is still good);
+2. restore the checkpoint's columns wholesale: the object tables
+   (users, registrations and the profile table they index, the QoS
+   ledger, counters, monitors), then both server stores, whose R-trees
+   are STR-loaded from their coordinate blocks — derived structures
+   such as the cloaker's index and the engine snapshot rebuild from
+   those; with no checkpoint at all, cold-start an empty system from
+   the ``wal-meta.json`` sidecar;
 3. replay every WAL event with a sequence number past the checkpoint's
    ``wal_seq`` with emission disabled (replay must not write new
-   history).  A ``repro.persist/2`` checkpoint records the byte offset
-   where that tail starts; when the line there has seq ``wal_seq + 1``
-   only the tail is parsed, otherwise the whole WAL is (docs/durability.md,
-   *The tail read*).
+   history).  The checkpoint records the byte offset where that tail
+   starts; when the line there has seq ``wal_seq + 1`` only the tail is
+   parsed, otherwise the whole WAL is (docs/durability.md, *The tail
+   read*).
 
 Both steps only parse: a checkpoint row or an event's attrs become typed
-values handed to the applier the live method calls for that fact
+Python values handed to the applier the live method calls for that fact
 (``PrivacySystem._record``, ``LocationAnonymizer._admit``, the stores'
 ``restore`` ...; docs/durability.md has the table), so a fact is applied
-by the same code live, restored or replayed.
+by the same code live, restored or replayed.  Each phase — checkpoint
+load, table restore, index rebuild, tail replay — is a span of the
+recovered system's telemetry carrying its row count.
 
 The WAL is trusted-tier (anonymizer-side) state: it carries exact
 locations and identities, exactly what the anonymizer itself holds.  It
@@ -49,14 +53,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 from repro.core.profiles import profile_from_rows
-from repro.core.system import (
-    KNNQueryOutcome,
-    NNQueryOutcome,
-    PrivacySystem,
-    RangeQueryOutcome,
-)
+from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
@@ -78,20 +78,21 @@ from repro.obs.events import (
     USER_ADDED,
     USER_ADMITTED,
     USER_MODE_CHANGED,
-    USER_MOVED,
     USER_RETIRED,
     USERS_MOVED,
     Event,
+    event_rows,
     read_jsonl,
 )
 from repro.persist.checkpoint import (
     META_NAME,
+    OUTCOME_TYPES,
     WAL_NAME,
     cloaker_from_config,
+    ledger_fields,
     list_checkpoints,
     load_checkpoint,
 )
-from repro.persist.indexes import index_from_state
 
 
 class RecoveryError(RuntimeError):
@@ -140,8 +141,21 @@ class Recovery:
     # ------------------------------------------------------------------
 
     def recover(self) -> "PrivacySystem":
-        """Rebuild the system; see the module docstring for semantics."""
-        state, skipped_files = self._load_latest_checkpoint()
+        """Rebuild the system; see the module docstring for semantics.
+
+        Four phases run in spans of the recovered system's telemetry,
+        each annotated with the rows it handled: ``recovery.load`` (the
+        checkpoint's rows), ``recovery.tables`` (user, registration and
+        ledger rows), ``recovery.indexes`` (store rows) and
+        ``recovery.replay`` (the rows of the WAL events applied: a
+        columnar event counts its rows).
+        """
+        telemetry = self._telemetry if self._telemetry is not None else Telemetry()
+        with telemetry.span("recovery.load") as span:
+            path, state, skipped_files = self._load_latest_checkpoint()
+            span.annotate(
+                rows=0 if state is None else _table_rows(state) + _store_rows(state)
+            )
         checkpoint_seq = state["wal_seq"] if state is not None else 0
         offset = state.get("wal_offset") if state is not None else None
         events, wal_read = self._read_wal(offset, checkpoint_seq + 1)
@@ -159,27 +173,33 @@ class Recovery:
         ]
         self._check_tail_coverage(checkpoint_seq, replay_events)
 
-        system = self._build_system(state)
+        system = self._build_system(state, telemetry)
         log = system.obs.events
         log.disable()
         try:
             if state is not None:
-                _restore_checkpoint(system, state)
-            replayed = skipped = 0
-            for event in replay_events:
-                try:
-                    applied = _apply_event(system, event)
-                except Exception:
-                    # Best-effort mode: an event referencing state that
-                    # was lost with the gap (e.g. a publication for a
-                    # rotated-away admission) cannot apply — skip it.
-                    if not self.allow_gaps:
-                        raise
-                    applied = False
-                if applied:
-                    replayed += 1
-                else:
-                    skipped += 1
+                with telemetry.span("recovery.tables", rows=_table_rows(state)):
+                    _restore_tables(system, state)
+                with telemetry.span("recovery.indexes", rows=_store_rows(state)):
+                    _restore_stores(system, state)
+            replayed = skipped = rows = 0
+            with telemetry.span("recovery.replay") as span:
+                for event in replay_events:
+                    try:
+                        applied = _apply_event(system, event)
+                    except Exception:
+                        # Best-effort mode: an event referencing state that
+                        # was lost with the gap (e.g. a publication for a
+                        # rotated-away admission) cannot apply — skip it.
+                        if not self.allow_gaps:
+                            raise
+                        applied = False
+                    if applied:
+                        replayed += 1
+                        rows += event_rows(event.kind, event.attrs)
+                    else:
+                        skipped += 1
+                span.annotate(rows=rows)
         finally:
             final_seq = max(
                 checkpoint_seq, replay_events[-1].seq if replay_events else 0
@@ -194,9 +214,7 @@ class Recovery:
             system.attach_wal(self.directory)
         self.report = {
             "directory": self.directory,
-            "checkpoint": None
-            if state is None
-            else f"checkpoint-{checkpoint_seq:012d}.json",
+            "checkpoint": None if path is None else path.name,
             "checkpoint_seq": checkpoint_seq,
             "wal_events": len(events),
             "wal_read": wal_read,
@@ -298,17 +316,19 @@ class Recovery:
                 "(pass allow_gaps=True for best-effort recovery)"
             )
 
-    def _load_latest_checkpoint(self) -> tuple[dict | None, list[str]]:
+    def _load_latest_checkpoint(self) -> tuple[Path | None, dict | None, list[str]]:
+        """The newest readable checkpoint's path and state, and the
+        newer files passed over as unreadable."""
         skipped: list[str] = []
         for path in reversed(list_checkpoints(self.directory)):
             try:
-                return load_checkpoint(path), skipped
+                return path, load_checkpoint(path), skipped
             except (OSError, ValueError) as exc:
-                # CheckpointError is a ValueError; json decode errors too.
+                # CheckpointError is a ValueError.
                 skipped.append(f"{path.name}: {exc}")
-        return None, skipped
+        return None, None, skipped
 
-    def _build_system(self, state: dict | None) -> "PrivacySystem":
+    def _build_system(self, state: dict | None, telemetry: Telemetry) -> "PrivacySystem":
         source = state if state is not None else self._read_meta()
         if source is None:
             raise RecoveryError(
@@ -328,7 +348,7 @@ class Recovery:
             Rect(*source["bounds"]),
             cloaker,
             rotate_pseudonyms=bool(source.get("rotate_pseudonyms", False)),
-            telemetry=self._telemetry,
+            telemetry=telemetry,
         )
 
     def _read_meta(self) -> dict | None:
@@ -365,17 +385,11 @@ def _read_tail(wal: str, offset: int, first_seq: int) -> list[Event] | None:
 # Restore and replay: parse stored values, call their owners' appliers
 # ----------------------------------------------------------------------
 
-#: Ledger outcome types by checkpoint ``ledger`` key; the event trail
-#: names the same kinds ``private_<key>``.  A stored row is the type's
-#: fields in declaration order; an event carries them by name.
-_OUTCOME_TYPES = {
-    "range": RangeQueryOutcome,
-    "nn": NNQueryOutcome,
-    "knn": KNNQueryOutcome,
-}
+#: A ``query.completed`` event's outcome type and the fields it carries
+#: by name after ``user``.
 _OUTCOME_FIELDS = {
     f"private_{key}": (outcome_type, [f.name for f in fields(outcome_type)[1:]])
-    for key, outcome_type in _OUTCOME_TYPES.items()
+    for key, outcome_type in OUTCOME_TYPES.items()
 }
 
 
@@ -389,34 +403,64 @@ def _rect(attrs: dict) -> Rect:
     return Rect(attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"])
 
 
-def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
-    """Load a ``repro.persist/2`` (or ``/1``) document into a fresh system.
+def _table_rows(state: dict) -> int:
+    """A checkpoint's user, registration and ledger rows."""
+    return (
+        len(state["users"])
+        + len(state["registrations"])
+        + sum(len(users) for users in state["ledger"].values())
+    )
 
-    Documents written before derived state stopped being stored carry it
-    in two more sections (cloaker index, engine snapshot arrays): not read.
+
+def _store_rows(state: dict) -> int:
+    """A checkpoint's store rows."""
+    return sum(len(store["ids"]) for store in state["stores"].values())
+
+
+def _restore_tables(system: "PrivacySystem", state: dict) -> None:
+    """Load a checkpoint's object tables, counters and monitors into a
+    fresh system.
+
+    Every column is turned into Python values (``tolist``) before it
+    reaches an applier: a numpy scalar would be slower to use and would
+    reach a later WAL line as a string.
     """
     anonymizer = system.anonymizer
     server = system.server
+    columns = state["columns"]
     system.clock = state["clock"]
     # The ledger goes first: its applier puts each asker in query mode,
     # and the user rows restored after it carry the mode in force now.
-    for key, rows in state["ledger"].items():
-        for row in rows:
-            system._record(_OUTCOME_TYPES[key](*row))
-    for row in state["users"]:
-        system._add_user(_user(*row))
-    for user_id, pseudonym, published, rows in state["registrations"]:
-        anonymizer._admit(
-            user_id,
-            system.users[user_id].location,
-            profile_from_rows(rows),
-            pseudonym,
-            bool(published),
-        )
+    for key, outcome_type in OUTCOME_TYPES.items():
+        values = [
+            columns[f"ledger.{key}.{field}"].tolist()
+            for field, _ in ledger_fields(outcome_type)
+        ]
+        for outcome in zip(state["ledger"][key], *values):
+            system._record(outcome_type(*outcome))
+    profiles = [profile_from_rows(table_rows) for table_rows in state["profiles"]]
+    modes = [UserMode(name) for name in state["modes"]]
+    add_user = system._add_user
+    for user_id, x, y, mode, speed, profile in zip(
+        state["users"],
+        columns["xs"].tolist(),
+        columns["ys"].tolist(),
+        columns["modes"].tolist(),
+        columns["speeds"].tolist(),
+        columns["user_profiles"].tolist(),
+    ):
+        user = MobileUser(user_id, Point(x, y), profiles[profile], modes[mode], speed)
+        add_user(user)
+    users = system.users
+    admit = anonymizer._admit
+    for user_id, pseudonym, published, profile in zip(
+        state["registrations"],
+        state["pseudonyms"],
+        columns["published"].tolist(),
+        columns["registration_profiles"].tolist(),
+    ):
+        admit(user_id, users[user_id].location, profiles[profile], pseudonym, published)
     anonymizer._advance_pseudonyms(int(state["pseudonym_seq"]))
-    for name, store in (("public", server.public), ("private", server.private)):
-        stored = state["stores"][name]
-        store.restore(index_from_state(stored["index"]), int(stored["version"]))
 
     counters = state["server"]
     server.region_updates_received = int(counters["region_updates"])
@@ -426,6 +470,15 @@ def _restore_checkpoint(system: "PrivacySystem", state: dict) -> None:
     }
     for monitor_id, sides in counters["monitors"]:
         server.register_count_monitor(monitor_id, Rect(*sides))
+
+
+def _restore_stores(system: "PrivacySystem", state: dict) -> None:
+    """Load both server stores from their columns, each R-tree STR-loaded
+    from the arrays."""
+    server = system.server
+    for name, store in (("public", server.public), ("private", server.private)):
+        stored = state["stores"][name]
+        store.restore(stored["ids"], state["columns"][name], int(stored["version"]))
 
 
 def _advance_clock(system: "PrivacySystem", attrs: dict) -> None:
@@ -472,8 +525,6 @@ _REPLAY = {
     ),
     USER_RETIRED: lambda s, a: s._retire(a["user"]),
     USERS_MOVED: _apply_moved,
-    # Written before runs of reports; replayed for one release.
-    USER_MOVED: lambda s, a: s._move_user(a["user"], Point(a["x"], a["y"])),
     USER_MODE_CHANGED: lambda s, a: s._change_mode(a["user"], UserMode(a["mode"])),
     PROFILE_UPDATED: lambda s, a: s.anonymizer._change_profile(
         a["user"], profile_from_rows(a["profile"])

@@ -9,9 +9,13 @@ idempotence.
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import struct
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.core.system import PrivacySystem
@@ -21,9 +25,11 @@ from repro.geometry.rect import Rect
 from repro.obs import Telemetry
 from repro.queries.spec import CountSpec, KNNSpec, RangeSpec
 from repro.persist import (
+    CheckpointError,
     Recovery,
     RecoveryError,
     list_checkpoints,
+    load_checkpoint,
     system_digest,
 )
 
@@ -133,18 +139,22 @@ def test_live_sink_crash_mid_write(tmp_path):
 
 
 def test_checkpoint_tmp_orphan_is_ignored(tmp_path):
-    """A kill mid-checkpoint-write leaves ``<name>.json.tmp``; the scan
+    """A kill mid-checkpoint-write leaves ``<name>.npz.tmp``; the scan
     never considers it and recovery uses the previous good checkpoint."""
     ops = small_workload(checkpoint_after=CHECKPOINT_AT)
     directory, live, _ = _durable_run(tmp_path, ops)
-    orphan = os.path.join(
-        directory, "checkpoint-999999999999.json.tmp"
-    )
-    with open(orphan, "w", encoding="utf-8") as handle:
-        handle.write('{"schema": "repro.persist/1", "wal_seq": 99')  # torn
-    assert all(p.suffix == ".json" for p in list_checkpoints(directory))
-    recovered = _recover(directory)
+    newest = list_checkpoints(directory)[-1]
+    orphan = os.path.join(directory, "checkpoint-999999999999.npz.tmp")
+    with open(newest, "rb") as handle:
+        torn = handle.read()
+    with open(orphan, "wb") as handle:
+        handle.write(torn[: len(torn) // 2])
+    assert all(p.suffix == ".npz" for p in list_checkpoints(directory))
+    recovery = Recovery(directory, telemetry=Telemetry())
+    recovered = recovery.recover()
     assert system_digest(recovered) == system_digest(live)
+    assert recovery.report["checkpoint"] == newest.name
+    assert not recovery.report["unreadable_checkpoints"]
 
 
 def test_corrupt_newest_checkpoint_falls_back(tmp_path):
@@ -154,12 +164,78 @@ def test_corrupt_newest_checkpoint_falls_back(tmp_path):
     directory, live, seqs = _durable_run(tmp_path, ops)
     bad = os.path.join(directory, f"checkpoint-{seqs[-1] + 1:012d}.json")
     with open(bad, "w", encoding="utf-8") as handle:
-        handle.write('{"schema": "repro.persist/1", "wal_seq":')  # torn JSON
+        handle.write('{"schema": "repro.persist/2", "wal_seq":')  # torn JSON
     recovery = Recovery(directory, telemetry=Telemetry())
     recovered = recovery.recover()
     assert system_digest(recovered) == system_digest(live)
     assert recovery.report["unreadable_checkpoints"]
     assert os.path.basename(bad) in recovery.report["unreadable_checkpoints"][0]
+
+
+def _cut_points(data: bytes) -> dict[str, int]:
+    """Where to cut a ``/3`` archive: halfway through its largest
+    member's data, inside its central directory, and at zero bytes."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        largest = max(archive.infolist(), key=lambda info: info.compress_size)
+    local = largest.header_offset
+    name_length, extra_length = struct.unpack("<HH", data[local + 26 : local + 30])
+    start = local + 30 + name_length + extra_length
+    return {
+        "member": start + largest.compress_size // 2,
+        "central_directory": data.rindex(b"PK\x01\x02") + 10,
+        "empty": 0,
+    }
+
+
+@pytest.mark.parametrize("cut", ["member", "central_directory", "empty"])
+def test_a_torn_newest_checkpoint_falls_back_to_its_predecessor(tmp_path, cut):
+    """A ``/3`` checkpoint cut short — inside a member, inside the
+    central directory, or at zero bytes — is listed as unreadable, and
+    recovery lands on the digest its predecessor gives."""
+    ops = small_workload(checkpoint_after=CHECKPOINT_AT)
+    directory, _, _ = _durable_run(tmp_path, ops)
+    predecessor = list_checkpoints(directory)[-1]
+    expected = system_digest(_recover(directory))
+    system = _recover(directory, attach=True)
+    system.apply_movement({"u0": Point(31.0, 29.0)})
+    newest = system.checkpoint(directory)
+    system.obs.events.detach_jsonl()
+    assert system_digest(_recover(directory)) != expected
+    with open(newest, "rb") as handle:
+        data = handle.read()
+    with open(newest, "wb") as handle:
+        handle.write(data[: _cut_points(data)[cut]])
+    recovery = Recovery(directory, telemetry=Telemetry())
+    recovered = recovery.recover()
+    assert recovery.report["checkpoint"] == predecessor.name
+    (skipped,) = recovery.report["unreadable_checkpoints"]
+    assert skipped.startswith(os.path.basename(newest))
+    # The WAL tail past the predecessor still holds the move: recovery
+    # replays it, so only the checkpoint, not the state, is lost.
+    assert system_digest(recovered) == system_digest(system)
+    assert recovery.report["wal_read"] == "tail"
+
+
+def test_a_foreign_schema_manifest_is_refused(tmp_path):
+    """An archive whose manifest names another schema is not read."""
+    ops = small_workload(checkpoint_after=CHECKPOINT_AT)
+    directory, live, _ = _durable_run(tmp_path, ops)
+    newest = list_checkpoints(directory)[-1]
+    with np.load(newest, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    manifest = json.loads(members["manifest"].tobytes())
+    manifest["schema"] = "somebody.else/3"
+    members["manifest"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+    foreign = newest.with_name(f"checkpoint-{manifest['wal_seq'] + 1:012d}.npz")
+    with open(foreign, "wb") as handle:
+        np.savez(handle, **members)
+    with pytest.raises(CheckpointError, match="repro.persist/3"):
+        load_checkpoint(foreign)
+    recovery = Recovery(directory, telemetry=Telemetry())
+    recovered = recovery.recover()
+    assert recovery.report["checkpoint"] == newest.name
+    assert foreign.name in recovery.report["unreadable_checkpoints"][0]
+    assert system_digest(recovered) == system_digest(live)
 
 
 def test_cold_start_from_wal_alone(tmp_path):

@@ -17,8 +17,15 @@ import pytest
 
 from repro.core.system import PrivacySystem
 from repro.obs import Telemetry
-from repro.obs.events import LOG_TRUNCATED, USER_MOVED, USERS_MOVED
-from repro.persist import Recovery, RecoveryError, list_checkpoints, system_digest
+from repro.obs.events import LOG_TRUNCATED, USERS_MOVED
+from repro.persist import (
+    Recovery,
+    RecoveryError,
+    list_checkpoints,
+    load_checkpoint,
+    system_digest,
+)
+from repro.persist.checkpoint import OUTCOME_TYPES, ledger_fields
 
 from harness import (
     build_system,
@@ -80,9 +87,8 @@ def _write_wal(directory, lines) -> None:
 
 
 def _checkpoint_document(directory) -> tuple[str, dict]:
-    path = str(list_checkpoints(directory)[-1])
-    with open(path, "r", encoding="utf-8") as handle:
-        return path, json.load(handle)
+    path = list_checkpoints(directory)[-1]
+    return str(path), load_checkpoint(path)
 
 
 def test_a_report_is_durable_once_its_run_closes(tmp_path):
@@ -190,40 +196,77 @@ def test_an_offset_on_another_lines_start_falls_back_to_the_full_read(tmp_path):
     assert system_digest(recovered) == system_digest(live)
 
 
-def _expand_runs(lines: list[str]) -> list[str]:
-    """The WAL as it was written before runs: one ``user.moved`` line per
-    row of every ``users.moved`` line, every later seq shifted to fit."""
-    out: list[str] = []
-    seq = 0
-    for line in lines:
-        record = json.loads(line)
-        if record["kind"] == USERS_MOVED:
-            for user, x, y in zip(record["users"], record["xs"], record["ys"]):
-                seq += 1
-                row = {"kind": USER_MOVED, "seq": seq, "user": user, "x": x, "y": y}
-                out.append(json.dumps(row, sort_keys=True) + "\n")
-            continue
-        seq += 1
-        record["seq"] = seq
-        out.append(json.dumps(record, sort_keys=True) + "\n")
-    return out
+def _as_schema_2(state: dict) -> dict:
+    """The ``repro.persist/2`` document a ``/2`` writer made of ``state``,
+    without a ``wal_offset``."""
+    columns = state["columns"]
+    profiles = state["profiles"]
+
+    def entries(name: str) -> list:
+        block = columns[name].tolist()
+        rows = [[i, *sides, *sides] if len(sides) == 2 else [i, *sides]
+                for i, sides in zip(state["stores"][name]["ids"], block)]
+        return sorted(rows)
+
+    return {
+        "schema": "repro.persist/2",
+        **{key: state[key] for key in (
+            "wal_seq", "clock", "bounds", "rotate_pseudonyms", "pseudonym_seq",
+            "cloaker",
+        )},
+        "users": [
+            [i, x, y, state["modes"][mode], speed, profiles[p]]
+            for i, x, y, mode, speed, p in zip(
+                state["users"], *(columns[name].tolist() for name in (
+                    "xs", "ys", "modes", "speeds", "user_profiles"
+                ))
+            )
+        ],
+        "registrations": [
+            [i, pseudonym, published, profiles[p]]
+            for i, pseudonym, published, p in zip(
+                state["registrations"], state["pseudonyms"],
+                columns["published"].tolist(),
+                columns["registration_profiles"].tolist(),
+            )
+        ],
+        "server": state["server"],
+        "stores": {
+            name: {
+                "version": state["stores"][name]["version"],
+                "index": {
+                    "backend": "rtree",
+                    "params": {"max_entries": 16, "min_entries": 8},
+                    "entries": entries(name),
+                },
+            }
+            for name in ("public", "private")
+        },
+        "ledger": {
+            key: [
+                [user, *values]
+                for user, *values in zip(state["ledger"][key], *(
+                    columns[f"ledger.{key}.{name}"].tolist()
+                    for name, _ in ledger_fields(outcome_type)
+                ))
+            ]
+            for key, outcome_type in OUTCOME_TYPES.items()
+        },
+    }
 
 
 def test_a_schema_1_checkpoint_and_a_per_row_user_moved_wal_still_recover(tmp_path):
+    """A ``/2`` checkpoint without a usable ``wal_offset`` (the kind a
+    ``/1`` document was) still gets the full WAL read and recovers."""
     ops = report_workload()
     directory, live, _ = _durable_run(tmp_path, ops)
-    lines = _wal_lines(directory)
-    assert sum(json.loads(line)["kind"] == USERS_MOVED for line in lines) == 3
-    path, document = _checkpoint_document(directory)
-    prefix = [line for line in lines if json.loads(line)["seq"] <= document["wal_seq"]]
-    assert not any(json.loads(line)["kind"] == USERS_MOVED for line in prefix)
-    del document["wal_offset"]
-    document["schema"] = "repro.persist/1"
-    with open(path, "w", encoding="utf-8") as handle:
+    path, state = _checkpoint_document(directory)
+    os.remove(path)
+    document = _as_schema_2(state)
+    assert "wal_offset" not in document
+    with open(path.removesuffix(".npz") + ".json", "w", encoding="utf-8") as handle:
         json.dump(document, handle)
-    expanded = _expand_runs(lines)
-    assert sum(json.loads(line)["kind"] == USER_MOVED for line in expanded) == 7
-    _write_wal(directory, expanded)
     recovered, report = _recover(directory)
+    assert report["checkpoint"].endswith(".json")
     assert report["wal_read"] == "full"
     assert system_digest(recovered) == system_digest(live)

@@ -22,12 +22,13 @@ from repro.obs.events import (
     QUERY_COMPLETED,
     REGIONS_PUBLISHED_BULK,
     USER_ADMITTED,
-    USER_MOVED,
     EventLog,
 )
 from repro.obs.metrics import MetricsRegistry
 
 GOLDEN = Path(__file__).parent.parent / "fixtures" / "events_golden.jsonl"
+#: A per-row kind the fixture was written with; the encoder takes any kind.
+USER_MOVED = "user.moved"
 
 
 def emit_fixed_sequence(log: EventLog) -> None:

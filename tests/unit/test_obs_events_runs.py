@@ -24,6 +24,7 @@ from repro.obs.events import (
     _encode,
     read_jsonl,
 )
+from repro.persist import load_checkpoint
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -153,8 +154,7 @@ class TestRun:
         wal = str(tmp_path / "wal.jsonl")
         (run,) = [e for e in read_jsonl(wal) if e.kind == USERS_MOVED]
         assert run.attrs["users"] == ["u0"]
-        with open(checkpoint, encoding="utf-8") as handle:
-            assert json.load(handle)["wal_seq"] == run.seq  # the checkpoint covers it
+        assert load_checkpoint(checkpoint)["wal_seq"] == run.seq  # the checkpoint covers it
         system.anonymizer.update_location("u1", Point(2.0, 2.0))
         segment = system.rotate_wal()
         sealed = read_jsonl(str(tmp_path / segment))

@@ -1,13 +1,12 @@
-"""Checkpoint documents, atomic writes, and config round-trips.
+"""Checkpoints, atomic writes, and config round-trips.
 
-``tests/fixtures/persist_checkpoint_mini_v2.json`` pins the full
-``repro.persist/2`` checkpoint document for a small deterministic
-system; a drift in any serialised field fails here before it can make
-a stored checkpoint unreadable.  ``persist_checkpoint_mini.json`` is
-the same system as a ``repro.persist/1`` document (no ``wal_offset``),
-and ``persist_checkpoint_mini_prev.json`` as an older ``/1`` writer left
-it (two more sections, both derived state): the one reader must land
-all three on the same digest.
+``tests/fixtures/persist_checkpoint_mini_v3.npz`` pins the full
+``repro.persist/3`` checkpoint of a small deterministic system, member
+by member (``np.savez`` stamps zip times, so the bytes differ between
+writes); a drift in any written field fails here before it can make a
+stored checkpoint unreadable.  ``persist_checkpoint_mini_v2.json`` is
+the same system as a ``repro.persist/2`` document, the schema still
+read for one release: both must recover to the same digest.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ import json
 import os
 import shutil
 from collections import defaultdict
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.cloaking
@@ -53,13 +54,14 @@ from repro.persist import (
     write_wal_meta,
 )
 from repro.persist import recovery
+from repro.persist.checkpoint import COLUMNS
 from repro.queries.spec import RangeSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
-#: Top-level document keys, in the exact order checkpoint_state emits
-#: them (insertion order is part of the wire format).
+#: Manifest keys, in the exact order checkpoint_state emits them, then
+#: the columns beside them.
 DOCUMENT_KEYS = [
     "schema",
     "wal_seq",
@@ -69,11 +71,30 @@ DOCUMENT_KEYS = [
     "rotate_pseudonyms",
     "pseudonym_seq",
     "cloaker",
+    "profiles",
+    "modes",
     "users",
     "registrations",
+    "pseudonyms",
     "server",
     "stores",
     "ledger",
+    "columns",
+]
+COLUMN_KEYS = [
+    *COLUMNS,
+    "ledger.range.cloak_area",
+    "ledger.range.candidates",
+    "ledger.range.answer_size",
+    "ledger.range.correct",
+    "ledger.nn.cloak_area",
+    "ledger.nn.candidates",
+    "ledger.nn.correct",
+    "ledger.knn.cloak_area",
+    "ledger.knn.k",
+    "ledger.knn.candidates",
+    "ledger.knn.answer_size",
+    "ledger.knn.correct",
 ]
 
 
@@ -93,9 +114,21 @@ def _mini_system() -> PrivacySystem:
     return system
 
 
-def _as_wire(state: dict) -> dict:
-    """The document as it lands on disk (tuples become JSON arrays)."""
-    return json.loads(json.dumps(state, default=str))
+def _assert_same_state(state: dict, other: dict) -> None:
+    """Equal manifests, and the same columns with equal dtypes and values."""
+    columns, other_columns = state["columns"], other["columns"]
+    assert {k: v for k, v in state.items() if k != "columns"} == {
+        k: v for k, v in other.items() if k != "columns"
+    }
+    assert list(columns) == list(other_columns)
+    for name, column in columns.items():
+        assert column.dtype == other_columns[name].dtype, name
+        assert np.array_equal(column, other_columns[name]), name
+
+
+def _members(path) -> dict:
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 def _recover(directory) -> PrivacySystem:
@@ -103,13 +136,13 @@ def _recover(directory) -> PrivacySystem:
 
 
 def _recover_fixture(name: str, tmp_path) -> PrivacySystem:
-    """Recover from one golden document placed in an empty directory."""
-    with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as handle:
-        document = handle.read()
-    target = tmp_path / name.removesuffix(".json")
+    """Recover from one golden checkpoint placed in an empty directory."""
+    source = os.path.join(FIXTURES, name)
+    target = tmp_path / name.replace(".", "_")
     target.mkdir()
-    seq = json.loads(document)["wal_seq"]
-    (target / f"checkpoint-{seq:012d}.json").write_text(document)
+    seq = load_checkpoint(source)["wal_seq"]
+    suffix = os.path.splitext(name)[1]
+    shutil.copy(source, target / f"checkpoint-{seq:012d}{suffix}")
     return _recover(target)
 
 
@@ -130,42 +163,50 @@ class _ReadKeys(dict):
 
 
 class TestCheckpointDocument:
-    def test_matches_golden_fixture(self):
-        path = os.path.join(FIXTURES, "persist_checkpoint_mini_v2.json")
-        with open(path, "r", encoding="utf-8") as handle:
-            golden = json.load(handle)
-        assert _as_wire(checkpoint_state(_mini_system())) == golden
+    def test_matches_golden_fixture(self, tmp_path):
+        golden = _members(os.path.join(FIXTURES, "persist_checkpoint_mini_v3.npz"))
+        written = _members(write_checkpoint(_mini_system(), tmp_path))
+        assert list(written) == list(golden)
+        assert json.loads(written.pop("manifest").tobytes()) == json.loads(
+            golden.pop("manifest").tobytes()
+        )
+        for name, column in written.items():
+            assert column.dtype == golden[name].dtype, name
+            assert column.shape == golden[name].shape, name
+            assert np.array_equal(column, golden[name]), name
 
     def test_key_order_is_pinned(self):
         state = checkpoint_state(_mini_system())
         assert list(state) == DOCUMENT_KEYS
+        assert list(state["columns"]) == COLUMN_KEYS
         assert state["schema"] == SCHEMA
 
     def test_previous_release_document_recovers_to_the_same_digest(self, tmp_path):
-        current = _recover_fixture("persist_checkpoint_mini_v2.json", tmp_path)
-        schema_1 = _recover_fixture("persist_checkpoint_mini.json", tmp_path)
-        previous = _recover_fixture("persist_checkpoint_mini_prev.json", tmp_path)
+        current = _recover_fixture("persist_checkpoint_mini_v3.npz", tmp_path)
+        previous = _recover_fixture("persist_checkpoint_mini_v2.json", tmp_path)
         expected = system_digest(_mini_system())
         assert system_digest(current) == expected
-        assert system_digest(schema_1) == expected
         assert system_digest(previous) == expected
 
     def test_every_written_section_is_read(self, tmp_path, monkeypatch):
         """A section nothing reads is not a durable fact: it must go."""
         system = _mini_system()
-        written = set(checkpoint_state(system))
+        state = checkpoint_state(system)
         write_checkpoint(system, tmp_path)
         documents: list[_ReadKeys] = []
 
         def recording_load(path):
-            documents.append(_ReadKeys(load_checkpoint(path)))
+            loaded = load_checkpoint(path)
+            loaded["columns"] = _ReadKeys(loaded["columns"])
+            documents.append(_ReadKeys(loaded))
             return documents[-1]
 
         monkeypatch.setattr(recovery, "load_checkpoint", recording_load)
         _recover(tmp_path)
         (document,) = documents
         # ``schema`` is read by load_checkpoint itself, before the wrap.
-        assert written - document.read == {"schema"}
+        assert set(state) - document.read == {"schema"}
+        assert set(state["columns"]) - document["columns"].read == set()
 
     def test_wal_seq_tracks_event_log(self):
         system = _mini_system()
@@ -173,6 +214,26 @@ class TestCheckpointDocument:
         assert checkpoint_state(system)["wal_seq"] == before
         system.apply_movement({"u0": Point(21.0, 21.0)})
         assert checkpoint_state(system)["wal_seq"] > before
+
+    def test_one_profile_row_per_distinct_profile(self, tmp_path):
+        """Equal profiles held in distinct objects share one table row,
+        and a user and their registration restore to one profile object."""
+        system = _mini_system()
+        system.add_user(MobileUser("u3", Point(5.0, 5.0), PrivacyProfile.always(k=2, min_area=4.0)))
+        system.add_user(MobileUser("u4", Point(6.0, 6.0), PrivacyProfile.always(k=3)))
+        state = checkpoint_state(system)
+        assert len(state["profiles"]) == 2
+        assert state["columns"]["user_profiles"].tolist() == [0, 0, 0, 0, 1]
+        write_checkpoint(system, tmp_path)
+        recovered = _recover(tmp_path)
+        for user_id, registration in recovered.anonymizer._registrations.items():
+            assert recovered.users[user_id].profile is registration.profile
+        assert system_digest(recovered) == system_digest(system)
+
+    def test_no_member_is_a_pickled_object(self, tmp_path):
+        members = _members(write_checkpoint(_mini_system(), tmp_path))
+        assert all(column.dtype != object for column in members.values())
+        assert members["manifest"].dtype == np.uint8
 
 
 #: Every applier a live method calls, by owner.  The stores' ``restore``
@@ -268,7 +329,7 @@ class TestWriteCheckpoint:
         system = _mini_system()
         path = write_checkpoint(system, tmp_path)
         seq = system.obs.events._seq - 1  # the emit itself took one seq
-        assert os.path.basename(path) == f"checkpoint-{seq:012d}.json"
+        assert os.path.basename(path) == f"checkpoint-{seq:012d}.npz"
         assert os.path.exists(path)
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -279,51 +340,105 @@ class TestWriteCheckpoint:
         assert len(events) == 1
         attrs = events[0].attrs
         assert attrs["file"] == os.path.basename(path)
-        assert attrs["wal_seq"] == int(os.path.basename(path)[11:-5])
+        assert attrs["wal_seq"] == int(Path(path).stem.split("-")[1])
         assert attrs["bytes"] == os.path.getsize(path)
         assert attrs["seconds"] >= 0.0
 
     def test_round_trips_through_load(self, tmp_path):
         system = _mini_system()
         # Capture first: the write itself emits one event, moving _seq.
-        state = _as_wire(checkpoint_state(system))
+        state = checkpoint_state(system)
         path = write_checkpoint(system, tmp_path)
-        assert load_checkpoint(path) == state
+        _assert_same_state(load_checkpoint(path), state)
+
+
+def _archive(path, manifest) -> None:
+    """A ``/3``-shaped archive holding ``manifest`` and no columns."""
+    with open(path, "wb") as handle:
+        np.savez(handle, manifest=np.frombuffer(json.dumps(manifest).encode(), np.uint8))
 
 
 class TestLoadCheckpoint:
     def test_foreign_schema_rejected(self, tmp_path):
-        path = tmp_path / "checkpoint-000000000001.json"
-        path.write_text(json.dumps({"schema": "somebody.else/9", "wal_seq": 1}))
-        with pytest.raises(CheckpointError, match="repro.persist/1"):
-            load_checkpoint(path)
+        document = tmp_path / "checkpoint-000000000001.json"
+        document.write_text(json.dumps({"schema": "somebody.else/9", "wal_seq": 1}))
+        archive = tmp_path / "checkpoint-000000000002.npz"
+        _archive(archive, {"schema": "somebody.else/9", "wal_seq": 2})
+        # A /2 document is read only as JSON, a /3 one only as an archive.
+        renamed = tmp_path / "checkpoint-000000000003.npz"
+        _archive(renamed, {"schema": "repro.persist/2", "wal_seq": 3})
+        for path in (document, archive, renamed):
+            with pytest.raises(CheckpointError, match="repro.persist/2 or repro.persist/3"):
+                load_checkpoint(path)
 
     def test_non_object_document_rejected(self, tmp_path):
         path = tmp_path / "checkpoint-000000000001.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+        archive = tmp_path / "checkpoint-000000000002.npz"
+        _archive(archive, [1, 2, 3])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(archive)
 
     def test_torn_json_raises_value_error(self, tmp_path):
+        """A torn ``/2`` document is a CheckpointError, which recovery
+        catches as the ValueError it is."""
         path = tmp_path / "checkpoint-000000000001.json"
-        path.write_text('{"schema": "repro.persist/1", "wal_seq":')
-        with pytest.raises(ValueError):
+        path.write_text('{"schema": "repro.persist/2", "wal_seq":')
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert issubclass(CheckpointError, ValueError)
+
+    def test_a_missing_column_is_refused(self, tmp_path):
+        path = write_checkpoint(_mini_system(), tmp_path)
+        members = _members(path)
+        del members["speeds"]
+        with open(path, "wb") as handle:
+            np.savez(handle, **members)
+        with pytest.raises(CheckpointError, match="columns"):
             load_checkpoint(path)
 
 
 class TestListCheckpoints:
     def test_sorted_oldest_first_and_tmp_ignored(self, tmp_path):
         names = [
-            "checkpoint-000000000042.json",
+            "checkpoint-000000000042.npz",
             "checkpoint-000000000007.json",
-            "checkpoint-000000000100.json",
+            "checkpoint-000000000100.npz",
         ]
         for name in names:
             (tmp_path / name).write_text("{}")
-        (tmp_path / "checkpoint-000000000999.json.tmp").write_text("{")
+        (tmp_path / "checkpoint-000000000999.npz.tmp").write_text("{")
+        (tmp_path / "checkpoint-000000000998.json.tmp").write_text("{")
         (tmp_path / "wal.jsonl").write_text("")
         found = [p.name for p in list_checkpoints(tmp_path)]
-        assert found == sorted(names)
+        assert found == [names[1], names[0], names[2]]
+
+
+class TestRecoveryPhases:
+    def test_four_phases_are_spans_with_row_counts(self, tmp_path):
+        system = _mini_system()
+        system.attach_wal(tmp_path)
+        write_checkpoint(system, tmp_path)
+        system.apply_movement({"u0": Point(21.0, 21.0)})
+        system.obs.events.detach_jsonl()
+        telemetry = Telemetry()
+        PrivacySystem.recover(tmp_path, telemetry=telemetry)
+        rows = {
+            span.name: span.attrs["rows"]
+            for span in telemetry.tracer.spans()
+            if span.name.startswith("recovery.")
+        }
+        assert rows == {
+            # 3 users + 3 registrations + 2 POIs + 3 regions, no ledger rows
+            "recovery.load": 11,
+            "recovery.tables": 6,
+            "recovery.indexes": 5,
+            # clock.advanced, users.moved and region.published; the
+            # checkpoint and cloak records change no state
+            "recovery.replay": 3,
+        }
 
 
 CLOAKERS = {
@@ -418,16 +533,12 @@ class TestSnapshotState:
         assert counters["engine.snapshot{result=captured}"] == 1
         assert rebuilt.public_version == snapshot.public_version
         assert rebuilt.private_version == snapshot.private_version
-        # Recovery restores rows in the checkpoint's sorted-entry order,
-        # not the live first-insertion order, so compare id -> row.
-        assert dict(
-            zip(rebuilt.public_ids, zip(rebuilt.public_xs, rebuilt.public_ys))
-        ) == dict(
-            zip(snapshot.public_ids, zip(snapshot.public_xs, snapshot.public_ys))
-        )
-        assert dict(
-            zip(rebuilt.private_ids, rebuilt.private_bounds.tolist())
-        ) == dict(zip(snapshot.private_ids, snapshot.private_bounds.tolist()))
+        # The stores' rows come back in the live row order.
+        assert rebuilt.public_ids == snapshot.public_ids
+        assert rebuilt.private_ids == snapshot.private_ids
+        assert np.array_equal(rebuilt.public_xs, snapshot.public_xs)
+        assert np.array_equal(rebuilt.public_ys, snapshot.public_ys)
+        assert np.array_equal(rebuilt.private_bounds, snapshot.private_bounds)
 
     def test_rebuilt_arrays_are_frozen_and_ranks_recomputed(self, tmp_path):
         _, recovered = self._live_and_recovered(tmp_path)

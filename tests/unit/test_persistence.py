@@ -62,7 +62,7 @@ class TestPublicStoreRoundtrip:
         system = fresh_system()
         system.add_poi("a", Point(10, 10))
         path = system.checkpoint(tmp_path)
-        with open(path, "r+", encoding="utf-8") as handle:
+        with open(path, "r+b") as handle:
             handle.truncate(len(handle.read()) // 2)
         with pytest.raises(RecoveryError):
             PrivacySystem.recover(tmp_path)
