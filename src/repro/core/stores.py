@@ -127,16 +127,16 @@ class _Store:
         ``version``.
 
         Rows keep the given order.  The R-tree is STR-loaded from the
-        block, with no per-entry sort.  The mutation counter is restored
-        verbatim so replayed updates advance it exactly as the uncrashed
-        run did.
+        block's rectangles, with no sort by id.  The mutation counter is
+        restored verbatim so replayed updates advance it exactly as the
+        uncrashed run did.
         """
         n = len(ids)
         block = np.asarray(block, dtype=float).reshape(n, self._WIDTH)
         bounds = block if self._WIDTH == 4 else block[:, [0, 1, 0, 1]]
         rects = [Rect(*sides) for sides in bounds.tolist()]
-        self._rtree = RTree.bulk_load_columns(
-            ids, rects, bounds, max_entries=self._max_entries
+        self._rtree = RTree.bulk_load(
+            dict(zip(ids, rects)), max_entries=self._max_entries
         )
         self._version = version
         self._ids, self._geoms, self._row, self._holes = [], [], {}, []

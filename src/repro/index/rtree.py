@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from typing import Iterator
 
-import numpy as np
 
 from repro.geometry.distances import min_dist
 from repro.geometry.point import Point
@@ -71,16 +69,14 @@ class _Node:
         return True
 
 
-def _slab_size(n: int, capacity: int) -> int:
-    """Entries per vertical STR slab: ~sqrt(n / capacity) slabs."""
-    slab_count = max(1, math.ceil(math.sqrt(math.ceil(n / capacity))))
-    return math.ceil(n / slab_count)
-
-
 def _str_tile(entries: list, capacity: int, mbr_of) -> list[list]:
     """Group entries into runs of ``capacity`` by the STR tiling order."""
+    import math
+
     n = len(entries)
-    slab_size = _slab_size(n, capacity)
+    n_groups = math.ceil(n / capacity)
+    slab_count = max(1, math.ceil(math.sqrt(n_groups)))
+    slab_size = math.ceil(n / slab_count)
     by_x = sorted(entries, key=lambda e: mbr_of(e).center.x)
     groups: list[list] = []
     for s in range(0, n, slab_size):
@@ -264,50 +260,12 @@ class RTree(SpatialIndex):
         remains fully dynamic afterwards.
         """
         tree = cls(max_entries=max_entries, min_entries=min_entries)
-        if items:
-            tree._geoms = dict(items)
-            tree._pack(_str_tile(list(items.items()), max_entries, lambda kv: kv[1]))
-        return tree
-
-    @classmethod
-    def bulk_load_columns(
-        cls,
-        ids: list[ItemId],
-        rects: list[Rect],
-        bounds: np.ndarray,
-        max_entries: int = 8,
-        min_entries: int | None = None,
-    ) -> "RTree":
-        """:meth:`bulk_load` of ``ids[i] -> rects[i]``, tiled in numpy.
-
-        ``bounds`` is the ``(n, 4)`` array of the same rectangles.  The
-        leaf level's two sorts are stable argsorts of the centre columns,
-        which order the entries as :meth:`bulk_load`'s ``sorted`` calls
-        do, so both build the same tree from the same entries in the same
-        order.
-        """
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
-        if not ids:
+        if not items:
             return tree
-        tree._geoms = dict(zip(ids, rects))
-        entries = list(zip(ids, rects))
-        xs = (bounds[:, 0] + bounds[:, 2]) / 2.0
-        ys = (bounds[:, 1] + bounds[:, 3]) / 2.0
-        by_x = np.argsort(xs, kind="stable")
-        slab_size = _slab_size(len(ids), max_entries)
-        groups: list[list] = []
-        for s in range(0, len(ids), slab_size):
-            slab = by_x[s : s + slab_size]
-            rows = slab[np.argsort(ys[slab], kind="stable")].tolist()
-            for g in range(0, len(rows), max_entries):
-                groups.append([entries[row] for row in rows[g : g + max_entries]])
-        tree._pack(groups)
-        return tree
-
-    def _pack(self, leaf_groups: list[list]) -> None:
-        """Make each group a leaf, then STR-tile the levels above."""
+        tree._geoms = dict(items)
+        leaf_entries = list(items.items())
         leaves = []
-        for group in leaf_groups:
+        for group in _str_tile(leaf_entries, max_entries, lambda kv: kv[1]):
             leaf = _Node(leaf=True)
             leaf.entries = group
             leaf.recompute_mbr()
@@ -315,7 +273,7 @@ class RTree(SpatialIndex):
         level = leaves
         while len(level) > 1:
             parents = []
-            for group in _str_tile(level, self._max, lambda child: child.mbr):
+            for group in _str_tile(level, max_entries, lambda child: child.mbr):
                 parent = _Node(leaf=False)
                 parent.entries = group
                 for child in group:
@@ -323,8 +281,9 @@ class RTree(SpatialIndex):
                 parent.recompute_mbr()
                 parents.append(parent)
             level = parents
-        self._root = level[0]
-        self._leaf_of = {item_id: leaf for leaf in leaves for item_id, _ in leaf.entries}
+        tree._root = level[0]
+        tree._leaf_of = {item_id: leaf for leaf in leaves for item_id, _ in leaf.entries}
+        return tree
 
     # ------------------------------------------------------------------
     # Insertion internals

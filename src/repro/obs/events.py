@@ -357,9 +357,7 @@ class EventLog:
         """Number, buffer, count, stream and tap one stamped event."""
         self._seq += 1
         event = Event(self._seq, kind, attrs)
-        # event_rows, inline: this is the emit hot path.
-        column = _ROW_COLUMNS.get(kind)
-        rows = 1 if column is None else max(1, len(attrs.get(column) or ()))
+        rows = event_rows(kind, attrs)
         ring, weights = self._ring, self._weights
         held = self._held + rows
         while held > self.keep and ring:

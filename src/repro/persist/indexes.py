@@ -5,7 +5,7 @@ columns — the ids in row order and their ``(n, 2)`` points or ``(n, 4)``
 rectangles, read straight from the store's table
 (:meth:`~repro.core.stores.PublicStore.columns`) — and its R-tree is
 STR-loaded from those arrays on restore
-(:meth:`~repro.index.rtree.RTree.bulk_load_columns`).  An index's
+(:meth:`~repro.index.rtree.RTree.bulk_load`).  An index's
 physical node layout is history-dependent (a tree grown by inserts
 differs from one bulk-loaded with the same entries) while its entry set
 is not, so query results over a rebuilt index are *set*-equivalent, not

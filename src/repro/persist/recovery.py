@@ -146,7 +146,8 @@ class Recovery:
         Four phases run in spans of the recovered system's telemetry,
         each annotated with the rows it handled: ``recovery.load`` (the
         checkpoint's rows), ``recovery.tables`` (user, registration and
-        ledger rows), ``recovery.indexes`` (store rows) and
+        ledger rows), ``recovery.indexes`` (store rows; the standing
+        monitors are seeded from the restored private store here) and
         ``recovery.replay`` (the rows of the WAL events applied: a
         columnar event counts its rows).
         """
@@ -181,7 +182,7 @@ class Recovery:
                 with telemetry.span("recovery.tables", rows=_table_rows(state)):
                     _restore_tables(system, state)
                 with telemetry.span("recovery.indexes", rows=_store_rows(state)):
-                    _restore_stores(system, state)
+                    _restore_server(system, state)
             replayed = skipped = rows = 0
             with telemetry.span("recovery.replay") as span:
                 for event in replay_events:
@@ -418,7 +419,7 @@ def _store_rows(state: dict) -> int:
 
 
 def _restore_tables(system: "PrivacySystem", state: dict) -> None:
-    """Load a checkpoint's object tables, counters and monitors into a
+    """Load a checkpoint's clock, ledger, users and registrations into a
     fresh system.
 
     Every column is turned into Python values (``tolist``) before it
@@ -426,7 +427,6 @@ def _restore_tables(system: "PrivacySystem", state: dict) -> None:
     reach a later WAL line as a string.
     """
     anonymizer = system.anonymizer
-    server = system.server
     columns = state["columns"]
     system.clock = state["clock"]
     # The ledger goes first: its applier puts each asker in query mode,
@@ -462,6 +462,18 @@ def _restore_tables(system: "PrivacySystem", state: dict) -> None:
         admit(user_id, users[user_id].location, profiles[profile], pseudonym, published)
     anonymizer._advance_pseudonyms(int(state["pseudonym_seq"]))
 
+
+def _restore_server(system: "PrivacySystem", state: dict) -> None:
+    """Load both server stores from their columns, each R-tree STR-loaded
+    from the arrays, then the server's counters and standing monitors.
+
+    The monitors come last: each is seeded from the private store, which
+    must already hold the checkpoint's regions.
+    """
+    server = system.server
+    for name, store in (("public", server.public), ("private", server.private)):
+        stored = state["stores"][name]
+        store.restore(stored["ids"], state["columns"][name], int(stored["version"]))
     counters = state["server"]
     server.region_updates_received = int(counters["region_updates"])
     server.queries_served = int(counters["queries_served"])
@@ -470,15 +482,6 @@ def _restore_tables(system: "PrivacySystem", state: dict) -> None:
     }
     for monitor_id, sides in counters["monitors"]:
         server.register_count_monitor(monitor_id, Rect(*sides))
-
-
-def _restore_stores(system: "PrivacySystem", state: dict) -> None:
-    """Load both server stores from their columns, each R-tree STR-loaded
-    from the arrays."""
-    server = system.server
-    for name, store in (("public", server.public), ("private", server.private)):
-        stored = state["stores"][name]
-        store.restore(stored["ids"], state["columns"][name], int(stored["version"]))
 
 
 def _advance_clock(system: "PrivacySystem", attrs: dict) -> None:

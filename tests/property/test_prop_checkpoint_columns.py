@@ -5,9 +5,13 @@ fractional coordinates, passive, active and query-mode users, multi-row
 profiles with and without ``max_area`` (equal profiles in distinct
 objects among them), POIs removed down to an empty store or leaving
 holes that only the checkpoint compacts, ledger rows of all three kinds
-and rotated pseudonyms.  Checkpoint, then recover, then check:
+rotated pseudonyms and a standing count monitor registered before the
+later rounds.  Checkpoint, then recover, then check:
 
 * the recovered system's ``system_digest`` equals the live one;
+* the monitor's membership probabilities equal the live ones and its
+  running expected count agrees (``system_digest`` records only the
+  monitor ids);
 * every restored value is a Python ``float`` / ``int`` / ``bool`` /
   ``str``, never a numpy scalar;
 * an event the recovered system emits parses back from its JSONL line
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +90,9 @@ def systems(draw) -> PrivacySystem:
             )
         )
     system.publish_all(bulk=draw(st.booleans()))
+    low_x, low_y = draw(coordinate), draw(coordinate)
+    window = Rect(low_x, low_y, low_x + draw(coordinate), low_y + draw(coordinate))
+    system.server.register_count_monitor("m", window)
     visible = [uid for uid, user in system.users.items() if user.is_visible]
     for user_id in draw(st.lists(st.sampled_from(visible), max_size=3)) if visible else []:
         kind = draw(st.sampled_from(["range", "nn", "knn"]))
@@ -135,6 +143,9 @@ def test_checkpoint_round_trips_a_small_system(tmp_path_factory, system):
     recovered = PrivacySystem.recover(directory, telemetry=Telemetry())
     assert system_digest(recovered) == system_digest(system)
     _python_values(recovered)
+    live, restored = system.server.monitor("m"), recovered.server.monitor("m")
+    assert restored.answer().probabilities == live.answer().probabilities
+    assert restored.expected_count == pytest.approx(live.expected_count)
 
     before = recovered.obs.events._seq
     recovered.publish_all()

@@ -441,6 +441,48 @@ class TestRecoveryPhases:
         }
 
 
+def _monitor_answers(system: PrivacySystem) -> dict:
+    """Each standing monitor's window, membership probabilities and
+    running expected count — none of which ``system_digest`` records."""
+    return {
+        monitor_id: (
+            monitor.window,
+            monitor.answer().probabilities,
+            monitor.expected_count,
+        )
+        for monitor_id, monitor in system.server._monitors.items()
+    }
+
+
+class TestMonitors:
+    @staticmethod
+    def _assert_same_answers(recovered: dict, live: dict) -> None:
+        assert set(recovered) == set(live)
+        for monitor_id, (window, probabilities, expected) in live.items():
+            got_window, got_probabilities, got_expected = recovered[monitor_id]
+            assert got_window == window
+            assert got_probabilities == probabilities
+            assert got_expected == pytest.approx(expected)
+
+    def test_monitors_recover_their_counts(self, tmp_path):
+        """A monitor restored from a checkpoint is seeded from the
+        checkpoint's regions, then kept up by the replayed tail."""
+        system = _mini_system()
+        system.server.register_count_monitor("m1", Rect(15.0, 15.0, 80.0, 80.0))
+        system.attach_wal(tmp_path)
+        write_checkpoint(system, tmp_path)
+        at_checkpoint = _monitor_answers(system)
+        assert all(probabilities for _, probabilities, _ in at_checkpoint.values())
+        self._assert_same_answers(_monitor_answers(_recover(tmp_path)), at_checkpoint)
+
+        system.apply_movement({"u0": Point(21.0, 21.0), "u2": Point(40.0, 45.0)})
+        system.publish_all()
+        system.obs.events.detach_jsonl()
+        self._assert_same_answers(
+            _monitor_answers(_recover(tmp_path)), _monitor_answers(system)
+        )
+
+
 CLOAKERS = {
     "pyramid": lambda: PyramidCloaker(BOUNDS, height=5),
     "pyramid_topdown": lambda: PyramidCloaker(

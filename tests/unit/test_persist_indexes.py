@@ -1,8 +1,8 @@
 """The servers' R-trees in a checkpoint: columns in, an STR-loaded tree out.
 
 A ``repro.persist/3`` checkpoint stores each server store as its ids and
-coordinate block, and restore STR-loads the R-tree from those arrays
-(``RTree.bulk_load_columns``).  The golden fixture
+coordinate block, and ``_Store.restore`` STR-loads the R-tree from those
+arrays (``RTree.bulk_load``).  The golden fixture
 ``tests/fixtures/persist_index_rtree.json`` pins the logical state a
 ``repro.persist/2`` checkpoint stored per tree, which the ``/2`` reader
 (``columns_from_state``) still turns into columns.
@@ -48,8 +48,15 @@ def _columns(index: RTree) -> tuple[list, list[Rect], np.ndarray]:
     return ids, rects, bounds.reshape(len(ids), 4)
 
 
+def _restored(ids: list, bounds: np.ndarray, max_entries: int) -> PrivateStore:
+    store = PrivateStore(max_entries=max_entries)
+    store.restore(ids, bounds, 0)
+    return store
+
+
 def _from_columns(index: RTree) -> RTree:
-    return RTree.bulk_load_columns(*_columns(index), max_entries=index._max)
+    ids, _, bounds = _columns(index)
+    return _restored(ids, bounds, index._max)._rtree
 
 
 BACKENDS = {"rtree": _rtree}
@@ -91,15 +98,15 @@ class TestRoundTrip:
     def test_golden_fixture_rebuilds(self, backend):
         """A ``/2`` checkpoint's index state must remain loadable."""
         ids, bounds = columns_from_state(_golden())
-        rects = [Rect(*sides) for sides in bounds.tolist()]
-        rebuilt = RTree.bulk_load_columns(ids, rects, bounds, max_entries=4)
+        rebuilt = _restored(ids, bounds, 4)._rtree
         assert _entries_of(rebuilt) == _entries_of(BACKENDS[backend]())
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed", "ties"])
 def test_column_load_is_the_str_bulk_load(order):
-    """The numpy-tiled load builds the tree ``bulk_load`` builds from the
-    same entries in the same order, ties in the centre columns included."""
+    """A store restored from columns keeps their row order and holds the
+    tree ``bulk_load`` builds from the same entries in the same order,
+    ties in the centre columns included."""
     entries = [(item, Rect.from_point(Point(x, y))) for item, x, y in POINTS]
     if order == "reversed":
         entries.reverse()
@@ -113,15 +120,16 @@ def test_column_load_is_the_str_bulk_load(order):
     bounds = np.array([rect_sides(rect) for rect in rects])
     for max_entries in (4, 8):
         packed = RTree.bulk_load(dict(entries), max_entries=max_entries)
-        columns = RTree.bulk_load_columns(ids, rects, bounds, max_entries=max_entries)
-        assert rtree_fingerprint(columns) == rtree_fingerprint(packed)
-        assert _entries_of(columns) == _entries_of(packed)
+        store = _restored(ids, bounds, max_entries)
+        assert [item for item, _ in store.items()] == ids
+        assert rtree_fingerprint(store._rtree) == rtree_fingerprint(packed)
+        assert _entries_of(store._rtree) == _entries_of(packed)
 
 
 def test_empty_indexes_round_trip():
     ids, bounds = columns_from_state({"backend": "rtree", "params": {}, "entries": []})
     assert ids == [] and bounds.shape == (0, 4)
-    rebuilt = RTree.bulk_load_columns(ids, [], bounds, max_entries=4)
+    rebuilt = _restored(ids, bounds, 4)._rtree
     assert type(rebuilt) is RTree
     assert _entries_of(rebuilt) == {}
     for store in (PublicStore(), PrivateStore()):
