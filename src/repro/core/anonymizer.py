@@ -38,7 +38,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry, get_telemetry
 from repro.obs.events import (
-    CLOAK_ATTEMPT,
     CLOAK_BULK,
     CLOAK_DEGRADED,
     CLOAK_ESCALATED,
@@ -216,15 +215,6 @@ class LocationAnonymizer:
     ) -> CloakResult:
         """:meth:`cloak_user` under the requirement in force at ``t``."""
         with self.telemetry.span("anonymizer.cloak", algo=self.cloaker.name):
-            self.telemetry.emit(
-                CLOAK_ATTEMPT,
-                user=str(user_id),
-                t=t,
-                algo=self.cloaker.name,
-                k=requirement.k,
-                min_area=requirement.min_area,
-                max_area=requirement.max_area,
-            )
             if not requirement.wants_privacy:
                 point = self.cloaker.location_of(user_id)
                 result = CloakResult(

@@ -599,9 +599,10 @@ class PrivacySystem:
                 and os.path.getsize(wal_path) > rotate_wal_over
             ):
                 self.rotate_wal()
-        # The document is a burst of short-lived containers with no cycles
-        # among them: held, the collector neither scans it nor promotes it
-        # into the oldest generation, where it would hasten a full pass.
+        # Held, the collector runs no pass inside the write: the gather's
+        # per-user passes would otherwise trip whichever young pass the
+        # allocation count stands close to, and the checkpoint would pay
+        # for a scan of everything the last pass left young.
         with _collector_held():
             return write_checkpoint(self, directory)
 

@@ -36,7 +36,6 @@ from repro.engine.snapshot import ServerSnapshot
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
 from repro.obs.events import (
-    BATCH_EXECUTED,
     SNAPSHOT_CAPTURED,
     SNAPSHOT_REUSED,
 )
@@ -250,7 +249,7 @@ class Runner:
             Voronoi filters, Monte-Carlo sampling).
         span_attrs: spec fields copied onto the span.
         candidates: True when the answer is a candidate set whose size
-            is observed and logged as ``candidates.generated``.
+            is observed and logged on the query's ``planner.measured``.
     """
 
     span: str
@@ -375,9 +374,7 @@ class BatchEngine:
                 snapshot = self.snapshot()
                 self.telemetry.observe("engine.batch_size", len(batch))
                 results: list[BatchResult] = [None] * len(batch)
-                kinds: dict[str, int] = {}
                 for (kind, vectorized), positions in groups.items():
-                    kinds[kind] = kinds.get(kind, 0) + len(positions)
                     self.telemetry.count(
                         "engine.queries",
                         amount=len(positions),
@@ -400,9 +397,4 @@ class BatchEngine:
                             ]
                     for position, answer in zip(positions, answers):
                         results[position] = answer
-            self.telemetry.emit(
-                BATCH_EXECUTED,
-                size=len(batch),
-                kinds=dict(sorted(kinds.items())),
-            )
         return results

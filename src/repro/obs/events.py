@@ -2,13 +2,14 @@
 
 Where :mod:`repro.obs.metrics` aggregates and :mod:`repro.obs.trace`
 times, this module *records decisions*: one typed event per pipeline
-action — a user admitted, a cloak attempted/escalated/degraded, a region
-published, a candidate list generated, a batch snapshot reused — each
-carrying the numbers an auditor needs to judge it (requested vs achieved
-k, cloaked area vs A_min, candidate overhead).  The paper's anonymizer
-silently trades region area against each user's (k, A_min) profile;
-events make that trade inspectable per query instead of only in
-aggregate (:mod:`repro.obs.audit` rolls them into attainment reports).
+action — a user admitted, a cloak produced/escalated/degraded, a region
+published, a query measured with its candidate count, a batch snapshot
+reused — each carrying the numbers an auditor needs to judge it
+(requested vs achieved k, cloaked area vs A_min, candidate overhead).
+The paper's anonymizer silently trades region area against each user's
+(k, A_min) profile; events make that trade inspectable per query
+instead of only in aggregate (:mod:`repro.obs.audit` rolls them into
+attainment reports).
 
 Design constraints match the rest of the package: dependency-free, a
 bounded ring buffer so a long-lived system cannot grow without bound,
@@ -114,8 +115,6 @@ SERVER_QUERY = "server.query"
 MONITOR_REGISTERED = "monitor.registered"
 #: A standing continuous count monitor was dropped.
 MONITOR_DROPPED = "monitor.dropped"
-#: A cloak was requested (requirement in force at time ``t``).
-CLOAK_ATTEMPT = "cloak.attempt"
 #: Best-effort escalation: requested k exceeded the population and was clamped.
 CLOAK_ESCALATED = "cloak.escalated"
 #: A cloaked region was produced; the per-query privacy audit record.
@@ -130,22 +129,19 @@ CLOAK_BULK = "cloak.bulk"
 REGION_PUBLISHED = "region.published"
 #: A whole population's regions reached the server in one bulk push.
 REGIONS_PUBLISHED_BULK = "regions.published_bulk"
-#: The server generated a candidate set for a private query.
-CANDIDATES_GENERATED = "candidates.generated"
 #: An end-to-end private query finished; carries the overhead ratio.
 QUERY_COMPLETED = "query.completed"
 #: The batch engine froze a fresh server snapshot (cache invalidation).
 SNAPSHOT_CAPTURED = "snapshot.captured"
 #: The batch engine answered from the cached snapshot (stores quiescent).
 SNAPSHOT_REUSED = "snapshot.reused"
-#: One heterogeneous batch was executed.
-BATCH_EXECUTED = "batch.executed"
 #: The planner chose a route for one query, or for one kind group of a
 #: batch (``n`` specs); carries the route table's reason.
 PLANNER_DECISION = "planner.decision"
 #: Measured execution time of one planned query (joins its
-#: ``planner.decision`` on ``qid`` and carries counter deltas) or of one
-#: whole planned batch (``n`` specs).
+#: ``planner.decision`` on ``qid`` and carries counter deltas, plus the
+#: candidate set's size for the private kinds) or of one whole planned
+#: batch (``n`` specs).
 PLANNER_MEASURED = "planner.measured"
 #: The SLO monitor evaluated its specs over the rolling event window.
 SLO_EVALUATED = "slo.evaluated"
@@ -182,18 +178,15 @@ EVENT_KINDS: tuple[str, ...] = (
     SERVER_QUERY,
     MONITOR_REGISTERED,
     MONITOR_DROPPED,
-    CLOAK_ATTEMPT,
     CLOAK_ESCALATED,
     CLOAK_RESULT,
     CLOAK_DEGRADED,
     CLOAK_BULK,
     REGION_PUBLISHED,
     REGIONS_PUBLISHED_BULK,
-    CANDIDATES_GENERATED,
     QUERY_COMPLETED,
     SNAPSHOT_CAPTURED,
     SNAPSHOT_REUSED,
-    BATCH_EXECUTED,
     PLANNER_DECISION,
     PLANNER_MEASURED,
     SLO_EVALUATED,

@@ -48,7 +48,6 @@ from repro.attacks.streaming import (
 )
 from repro.geometry.rect import Rect
 from repro.obs.events import (
-    CLOAK_ATTEMPT,
     CLOAK_BULK,
     CLOAK_RESULT,
     CLOCK_ADVANCED,
@@ -120,7 +119,6 @@ class PrivacyRiskMonitor:
             USERS_MOVED: self._on_users_moved,
             USER_RETIRED: self._on_user_retired,
             CLOCK_ADVANCED: self._on_clock,
-            CLOAK_ATTEMPT: self._on_clock,
             CLOAK_BULK: self._on_cloak_bulk,
             CLOAK_RESULT: self._on_cloak_result,
             REGION_PUBLISHED: self._on_region_published,

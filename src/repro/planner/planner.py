@@ -25,8 +25,9 @@ Observability is a property of the question, not of the chosen route: a
 spec is counted, spanned and grouped under its
 :func:`~repro.queries.spec.native_kind` and executed by that kind's row
 of :data:`repro.engine.batch.RUNNERS`.  :meth:`QueryPlanner.execute` is
-the one place a single query's count -> span -> run ->
-``candidates.generated`` sequence lives.
+the one place a single query's count -> span -> run -> measurement
+sequence lives; the measurement carries the candidate set's size for
+the private kinds.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import QueryError
 from repro.engine.batch import RUNNERS
-from repro.obs.events import (
-    CANDIDATES_GENERATED,
-    PLANNER_DECISION,
-    PLANNER_MEASURED,
-)
+from repro.obs.events import PLANNER_DECISION, PLANNER_MEASURED
 from repro.obs.explain import PlanNode
 from repro.planner.stats import PlannerStats, StatisticsCollector
 from repro.queries.spec import QuerySpec, native_kind, require_bound
@@ -277,9 +274,10 @@ class QueryPlanner:
                 decision = self.decide(spec, route=route)
             self._chosen(decision, batch=1, n=1)
             self.server.record_query(decision.kind)
+            runner = RUNNERS[decision.kind]
             # The kernel's work does not land in the stores' counters.
             counters = (
-                getattr(self.server, RUNNERS[decision.kind].side).index_counters
+                getattr(self.server, runner.side).index_counters
                 if decision.route == "scalar"
                 else None
             )
@@ -299,37 +297,30 @@ class QueryPlanner:
                 after = counters.snapshot()
                 for name in ("node_visits", "leaf_scans", "distance_computations"):
                     attrs[name] = after[name] - before[name]
+            if runner.candidates:
+                size = len(result.candidates)
+                telemetry.observe("candidates", size, query=decision.kind)
+                attrs["method"] = spec.method
+                attrs["candidates"] = size
+                attrs["region_area"] = spec.region.area
+                if decision.kind == "private_range":
+                    attrs["radius"] = spec.radius
             telemetry.emit(PLANNER_MEASURED, **attrs)
         return result
 
     def _run(self, spec: QuerySpec, decision: Decision):
-        """One query through its kind's runner: span, run, candidate log."""
-        kind = decision.kind
-        runner = RUNNERS[kind]
-        telemetry = self.server.telemetry
-        with telemetry.span(
+        """One query through its kind's runner, under its span."""
+        runner = RUNNERS[decision.kind]
+        with self.server.telemetry.span(
             runner.span,
             **{name: getattr(spec, name) for name in runner.span_attrs},
             backend=decision.backend,
             route=decision.route,
         ):
             if decision.route == "vectorized":
-                result = self.server.engine.execute([spec])[0]
-            else:
-                store = getattr(self.server, runner.side)
-                result = runner.scalar(store, spec, store.rank)
-        if runner.candidates:
-            telemetry.observe("candidates", len(result.candidates), query=kind)
-            attrs = {
-                "query": kind,
-                "method": spec.method,
-                "candidates": len(result.candidates),
-                "region_area": spec.region.area,
-            }
-            if kind == "private_range":
-                attrs["radius"] = spec.radius
-            telemetry.emit(CANDIDATES_GENERATED, **attrs)
-        return result
+                return self.server.engine.execute([spec])[0]
+            store = getattr(self.server, runner.side)
+            return runner.scalar(store, spec, store.rank)
 
     # ------------------------------------------------------------------
     # Execution — batches

@@ -16,8 +16,15 @@ import os
 import pytest
 
 from repro.core.system import PrivacySystem
-from repro.obs import Telemetry
-from repro.obs.events import LOG_TRUNCATED, USERS_MOVED
+from repro.obs import PrivacyAuditor, Telemetry
+from repro.obs.events import (
+    CLOAK_DEGRADED,
+    CLOAK_RESULT,
+    LOG_TRUNCATED,
+    PLANNER_MEASURED,
+    SERVER_QUERY,
+    USERS_MOVED,
+)
 from repro.persist import (
     Recovery,
     RecoveryError,
@@ -31,6 +38,7 @@ from harness import (
     build_system,
     reference_digest,
     run_ops,
+    small_workload,
     tear_final_line,
     truncate_wal_to_seq,
     wal_path,
@@ -270,3 +278,64 @@ def test_a_schema_1_checkpoint_and_a_per_row_user_moved_wal_still_recover(tmp_pa
     assert report["checkpoint"].endswith(".json")
     assert report["wal_read"] == "full"
     assert system_digest(recovered) == system_digest(live)
+
+
+def _with_retired_kinds(records: list[dict], first_seq: int) -> list[dict]:
+    """``records`` as a writer of ``cloak.attempt``, ``candidates.generated``
+    and ``batch.executed`` wrote them, renumbered from ``first_seq``."""
+    out: list[dict] = []
+    for record in records:
+        record = dict(record)
+        kind = record["kind"]
+        ids = {name: record[name] for name in ("qid", "bid") if name in record}
+        if kind == CLOAK_RESULT:
+            out.append({"kind": "cloak.attempt", **ids, **{
+                name: record[name]
+                for name in ("user", "t", "algo", "k", "min_area", "max_area")
+            }})
+        elif kind == PLANNER_MEASURED and "candidates" in record:
+            moved = {
+                name: record.pop(name)
+                for name in ("method", "candidates", "region_area", "radius")
+                if name in record
+            }
+            out.append({"kind": "candidates.generated", **ids,
+                        "query": record["query"], **moved})
+        out.append(record)
+        if kind == SERVER_QUERY:
+            out.append({"kind": "batch.executed", **ids, "size": record["n"],
+                        "kinds": {record["query"]: record["n"]}})
+    renumbered = {record["seq"]: first_seq + i
+                  for i, record in enumerate(out) if "seq" in record}
+    for i, record in enumerate(out):
+        record["seq"] = first_seq + i
+        if record["kind"] == CLOAK_DEGRADED:
+            record["result_seq"] = renumbered[record["result_seq"]]
+    return out
+
+
+def test_a_tail_with_the_retired_duplicate_kinds_recovers_and_audits_the_same(
+    tmp_path,
+):
+    """A WAL whose tail still holds the three kinds that only repeated
+    another record's facts recovers to the same digest, and audits to
+    the same report, as the same tail without them."""
+    directory, live, _ = _durable_run(tmp_path, small_workload())
+    _, state = _checkpoint_document(directory)
+    lines = _wal_lines(directory)
+    head = [line for line in lines if json.loads(line)["seq"] <= state["wal_seq"]]
+    tail = [json.loads(line) for line in lines[len(head):]]
+    old_tail = _with_retired_kinds(tail, state["wal_seq"] + 1)
+    assert {r["kind"] for r in old_tail} - {r["kind"] for r in tail} == {
+        "cloak.attempt", "candidates.generated", "batch.executed",
+    }
+
+    current = PrivacyAuditor.from_jsonl(wal_path(directory)).report()
+    assert current["totals"]["cloaks"] > 0
+    _write_wal(directory, head + [
+        json.dumps(record, sort_keys=True) + "\n" for record in old_tail
+    ])
+    recovered, report = _recover(directory)
+    assert report["wal_read"] == "tail"
+    assert system_digest(recovered) == system_digest(live)
+    assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current

@@ -75,11 +75,17 @@ class TestE2E3:
 class TestE4:
     def test_scalability_shapes(self):
         """Timing comparisons with small gaps are noise on shared CI boxes;
-        assert only the large structural gaps and the sharing rates."""
-        table = run_e4_scalability(n_users=800, rounds=2, seed=3)
+        assert only the large structural gaps and the sharing rates.  A
+        strategy's throughput is its best of five whole tables, run one
+        after the other, so a slow stretch of a shared machine slows one
+        lap of each strategy rather than every lap of one."""
+        tables = [run_e4_scalability(n_users=800, rounds=2, seed=3) for _ in range(5)]
+        table = tables[0]
         throughput = {
-            strategy: float(cell.replace(",", ""))
-            for strategy, cell in zip(table.column("strategy"), table.column("cloaks/s"))
+            strategy: max(
+                float(lap.column("cloaks/s")[row].replace(",", "")) for lap in tables
+            )
+            for row, strategy in enumerate(table.column("strategy"))
         }
         rates = {
             strategy: float(cell)

@@ -17,13 +17,13 @@ from repro import (
 from repro.geometry import Point, Rect
 from repro.obs import EVENT_KINDS, Event, EventLog, MetricsRegistry, Telemetry
 from repro.obs.events import (
-    BATCH_EXECUTED,
-    CANDIDATES_GENERATED,
-    CLOAK_ATTEMPT,
     CLOAK_BULK,
     CLOAK_RESULT,
+    PLANNER_DECISION,
+    PLANNER_MEASURED,
     QUERY_COMPLETED,
     REGION_PUBLISHED,
+    SERVER_QUERY,
     SNAPSHOT_CAPTURED,
     SNAPSHOT_REUSED,
     USER_ADMITTED,
@@ -354,22 +354,6 @@ class TestPipelineEmission:
             assert isinstance(attrs["k_satisfied"], bool)
             assert isinstance(attrs["degraded"], bool)
 
-    def test_cloak_attempts_precede_their_results(self, worked_system):
-        # Batch publication emits results directly; the per-user query path
-        # goes through cloak_user, where every result follows its attempt.
-        events = list(worked_system.obs.events.events())
-        attempts = [e for e in events if e.kind == CLOAK_ATTEMPT]
-        assert attempts
-        first = attempts[0]
-        followups = [
-            e
-            for e in events
-            if e.kind == CLOAK_RESULT
-            and e.seq > first.seq
-            and e.attrs["user"] == first.attrs["user"]
-        ]
-        assert followups
-
     def test_shared_publish_emits_batch_summary(self):
         system = small_population()
         system.publish_all(bulk=True)
@@ -398,9 +382,17 @@ class TestPipelineEmission:
         assert all(e.attrs["area"] >= 0 for e in published)
 
     def test_candidates_and_query_completion(self, worked_system):
-        candidates = list(worked_system.obs.events.events(CANDIDATES_GENERATED))
+        measured = [
+            e.attrs
+            for e in worked_system.obs.events.events(PLANNER_MEASURED)
+            if "candidates" in e.attrs
+        ]
         completed = list(worked_system.obs.events.events(QUERY_COMPLETED))
-        assert len(candidates) >= 12  # 6 range + 6 nn
+        assert len(measured) == 12  # 6 range + 6 nn
+        for attrs in measured:
+            assert attrs["candidates"] >= 0
+            assert attrs["region_area"] > 0
+            assert ("radius" in attrs) == (attrs["query"] == "private_range")
         assert len(completed) == 12
         for event in completed:
             assert event.attrs["overhead"] >= 1.0
@@ -413,6 +405,45 @@ class TestPipelineEmission:
         system.anonymizer.unregister(0)
         retired = list(system.obs.events.events(USER_RETIRED))
         assert len(retired) == 1 and retired[0].attrs["user"] == "0"
+
+
+class TestTrailShape:
+    """One record per fact: each call writes no record whose every field
+    another record of the same call already carries."""
+
+    def test_user_query_and_per_user_publish_records(self):
+        system = small_population()
+        system.publish_all()
+        trail: list = []
+        system.obs.events.add_tap(trail.append)
+
+        system.query(RangeSpec(flavor="private", user=1, radius=10.0))
+        system.query(NNSpec(flavor="private", user=2))
+        queries = [trail[:5], trail[5:10]]
+        for records in queries:
+            assert [e.kind for e in records] == [
+                CLOAK_RESULT, PLANNER_DECISION, SERVER_QUERY,
+                PLANNER_MEASURED, QUERY_COMPLETED,
+            ]
+            assert len({e.attrs["qid"] for e in records}) == 1
+        # The candidate fields the retired ``candidates.generated`` record
+        # carried for these two queries, now on the measurement.
+        range_measured, nn_measured = (records[3].attrs for records in queries)
+        assert {k: range_measured[k] for k in
+                ("query", "method", "candidates", "region_area", "radius")} == {
+            "query": "private_range", "method": "exact", "candidates": 2,
+            "region_area": 625.0, "radius": 10.0,
+        }
+        assert {k: nn_measured[k] for k in
+                ("query", "method", "candidates", "region_area")} == {
+            "query": "private_nn", "method": "filter", "candidates": 4,
+            "region_area": 625.0,
+        }
+        assert "radius" not in nn_measured
+
+        del trail[:]
+        system.anonymizer.publish(3, system.clock)
+        assert [e.kind for e in trail] == [CLOAK_RESULT, REGION_PUBLISHED]
 
 
 class TestEngineEmission:
@@ -428,6 +459,6 @@ class TestEngineEmission:
         events = server.telemetry.events
         assert len(list(events.events(SNAPSHOT_CAPTURED))) == 1
         assert len(list(events.events(SNAPSHOT_REUSED))) == 1
-        executed = list(events.events(BATCH_EXECUTED))
-        assert len(executed) == 2
-        assert executed[0].attrs["kinds"] == {"public_range": 1}
+        # One accounting record per batch and kind.
+        accounted = [e.attrs for e in events.events(SERVER_QUERY)]
+        assert [(a["query"], a["n"]) for a in accounted] == [("public_range", 1)] * 2
