@@ -219,10 +219,18 @@ class StreamingLinkageColumns:
         return shrinkage
 
     def observe_many(
-        self, users: Sequence, pseudonyms: Sequence, t: float, boxes: np.ndarray
+        self,
+        users: Sequence,
+        pseudonyms: Sequence,
+        t: float,
+        sides: np.ndarray,
+        region: np.ndarray,
     ) -> None:
-        """Feed a bulk publication at ``t``: ``boxes[i]`` is ``users[i]``'s
-        region under ``pseudonyms[i]``.  A repeated user takes the row path."""
+        """Feed a bulk publication at ``t``: ``users[i]`` published region
+        ``sides[region[i]]`` (a row of the ``(m, 4)`` distinct-region
+        table) under ``pseudonyms[i]``.  A repeated user takes the row
+        path."""
+        boxes = sides[region]
         if len(set(users)) < len(users):
             for user, pseudonym, box in zip(users, pseudonyms, boxes.tolist()):
                 self.observe(user, pseudonym, t, box)
@@ -310,22 +318,30 @@ class StreamingPosteriorIndex:
         if self._place(user, key):
             self._rects[key] = region
 
-    def publish_many(self, users: Sequence[Hashable], boxes: np.ndarray) -> None:
-        """:meth:`publish` for every user in order; row i of the ``(n, 4)``
-        ``boxes`` holds ``users[i]``'s region.  Keys take the same
-        ``round``, once per distinct side value (regions share few), and
-        equal keys share one tuple, so the index holds one per region."""
-        values, inverse = np.unique(boxes, return_inverse=True)
+    def publish_many(
+        self, users: Sequence[Hashable], sides: np.ndarray, region: np.ndarray
+    ) -> None:
+        """:meth:`publish` for every user in order; ``users[i]`` published
+        region ``sides[region[i]]``, a row of the ``(m, 4)`` distinct-region
+        table.  Keys take the same ``round``, once per distinct side value
+        of the table, and equal keys share one tuple, so the index holds
+        one per region."""
+        values, inverse = np.unique(sides, return_inverse=True)
         rounded = [round(v, _KEY_DECIMALS) for v in values.tolist()]
-        sides = inverse.reshape(-1, 4).T.tolist()
-        keys = zip(*(map(rounded.__getitem__, column) for column in sides))
-        current, shared = self._user_key.get, {}
-        for i, (user, key) in enumerate(zip(users, keys)):
+        columns = inverse.reshape(-1, 4).T.tolist()
+        shared: dict = {}
+        keys = [
+            shared.setdefault(key, key)
+            for key in zip(*(map(rounded.__getitem__, column) for column in columns))
+        ]
+        table = sides.tolist()
+        current = self._user_key.get
+        for user, slot in zip(users, region.tolist()):
+            key = keys[slot]
             if current(user) == key:
                 continue
-            key = shared.setdefault(key, key)
             if self._place(user, key):
-                self._rects[key] = Rect(*boxes[i].tolist())
+                self._rects[key] = Rect(*table[slot])
 
     def _place(self, user: Hashable, key: tuple) -> bool:
         """Move ``user`` into ``key``'s bucket; True when the bucket is new."""

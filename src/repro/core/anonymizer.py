@@ -67,9 +67,9 @@ def _collector_held():
     of them is garbage before it ends, so the hundreds of young passes
     the allocation thresholds would trigger find nothing.  On a large
     population the survivors are over a quarter of the heap, CPython's
-    own trigger for a full-heap pass, and only that pass frees what the
-    round retired when the server repacked its R-tree (parent pointers
-    make the old tree a cycle).  Left to the thresholds, the full pass
+    own trigger for a full-heap pass (the R-tree the server repacked
+    away is not among them: the store discards it, so reference counting
+    frees it).  Left to the thresholds, the full pass
     fires at whatever allocation trips it: one tick pays it, the next
     does not or pays twice, or it stalls a query batch.  Run here, it
     costs every round the same and no other call anything.
@@ -329,7 +329,9 @@ class LocationAnonymizer:
         oracle — but auditing is aggregated: one ``cloak.bulk`` event per
         distinct requirement replaces the per-user event stream, with
         every degradation declared in-band, and one
-        ``regions.published_bulk`` event covers the push.
+        ``regions.published_bulk`` event covers the push as the outcome's
+        columns: users, pseudonyms, the distinct-region table and each
+        user's row in it.
         """
         if self.server is None:
             raise RegistrationError("anonymizer is not connected to a server")
@@ -361,43 +363,31 @@ class LocationAnonymizer:
                     registration, fresh = self._rotate(user_id)
                     rotated += fresh
                     pseudonyms.append(registration.pseudonym)
-                shared, region_of = outcome.regions, outcome.region_index.tolist()
-                regions = dict(zip(pseudonyms, map(shared.__getitem__, region_of)))
-                # Rows reuse each region's own side floats, as its Rect does.
-                sides = [
-                    [getattr(region, side) for region in shared]
-                    for side in ("min_x", "min_y", "max_x", "max_y")
-                ]
-                rows = list(
-                    map(
-                        list,
-                        zip(
-                            map(str, outcome.users),
-                            pseudonyms,
-                            *(map(side.__getitem__, region_of) for side in sides),
-                        ),
-                    )
-                )
+                table, region = outcome.sides, outcome.region_index
                 areas = outcome.areas
                 area_sum = float(np.cumsum(areas)[-1]) if areas.size else 0.0
-                self.server.receive_regions(regions)
+                self.server.receive_regions(pseudonyms, table[region])
             self.telemetry.count(
                 "anonymizer.bulk_cloaks", amount=len(requests)
             )
-            # ``regions`` rows (user, pseudonym, region sides) make the
-            # bulk push replayable from the WAL with rotation included:
-            # a row whose pseudonym differs from the replayer's current
+            # The outcome's columns make the bulk push replayable from the
+            # WAL with rotation included: row ``i`` is user ``users[i]``
+            # under ``pseudonyms[i]`` with region ``sides[region[i]]``; a
+            # pseudonym that differs from the replayer's current
             # registration implies the old pseudonym was retired.
             self.telemetry.emit(
                 REGIONS_PUBLISHED_BULK,
-                n=len(regions),
+                n=len(pseudonyms),
                 rotated=rotated,
                 area_sum=area_sum,
                 path=outcome.path,
                 algo=outcome.algo,
                 escalated=outcome.escalated,
                 degraded=outcome.degraded,
-                regions=rows,
+                users=list(map(str, outcome.users)),
+                pseudonyms=pseudonyms,
+                sides=table.tolist(),
+                region=region.tolist(),
             )
         return outcome.results
 

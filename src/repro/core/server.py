@@ -25,7 +25,9 @@ per-kind runner (:data:`repro.engine.batch.RUNNERS`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.core.errors import QueryError
 from repro.core.stores import PrivateStore, PublicStore
@@ -161,21 +163,28 @@ class LocationServer:
         for monitor in self._monitors.values():
             monitor.on_region_update(pseudonym, region)
 
-    def receive_regions(self, regions: "dict[Hashable, Rect]") -> None:
+    def receive_regions(
+        self, pseudonyms: Sequence[Hashable], bounds: np.ndarray
+    ) -> None:
         """Store/refresh a whole batch of cloaked regions at once.
 
         The bulk counterpart of :meth:`receive_region` for the vectorized
-        anonymizer path: one store-level batch insert (which may rebuild
-        the backing R-tree by STR packing), one snapshot invalidation,
-        and the same monitor wake-ups per region.
+        anonymizer path, as columns: distinct ``pseudonyms`` and their
+        ``(n, 4)`` ``(min_x, min_y, max_x, max_y)`` ``bounds``, row for
+        row.  One store-level batch insert (which may rebuild the
+        backing R-tree by STR packing), one snapshot invalidation, and
+        the same monitor wake-ups per region.
         """
-        if not regions:
+        n = len(pseudonyms)
+        if not n:
             return
-        self.region_updates_received += len(regions)
-        with self.telemetry.span("server.receive_regions", n=len(regions)):
-            self.private.set_regions(regions)
+        self.region_updates_received += n
+        with self.telemetry.span("server.receive_regions", n=n):
+            self.private.set_regions(pseudonyms, bounds)
         if self._monitors:
-            for pseudonym, region in regions.items():
+            region_of = self.private.region_of
+            for pseudonym in pseudonyms:
+                region = region_of(pseudonym)
                 for monitor in self._monitors.values():
                     monitor.on_region_update(pseudonym, region)
 
@@ -231,9 +240,12 @@ class LocationServer:
             require_bound(spec)  # before anything is accounted
             kind = native_kind(spec)
             kinds[kind] = kinds.get(kind, 0) + 1
-        for kind, n in kinds.items():
-            self.record_query(kind, n)
-        return self.engine.execute(batch, routes=routes)
+        # The accounting records join the batch's snapshot events on one
+        # batch id; reused when a caller already opened the scope.
+        with self.telemetry.correlate("b", reuse=True):
+            for kind, n in kinds.items():
+                self.record_query(kind, n)
+            return self.engine.execute(batch, routes=routes)
 
     # ------------------------------------------------------------------
     # Continuous queries

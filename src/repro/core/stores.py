@@ -22,9 +22,9 @@ every canonical answer.
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -41,10 +41,20 @@ REBUILD_FRACTION = 0.5
 _SIDES = attrgetter("min_x", "min_y", "max_x", "max_y")
 
 
-def _sides(rects, n: int) -> np.ndarray:
-    """The ``(n, 4)`` array of ``n`` rectangles' ``(min_x, min_y, max_x, max_y)``."""
-    flat = np.fromiter(chain.from_iterable(map(_SIDES, rects)), float, 4 * n)
-    return flat.reshape(n, 4)
+def _shared_rects(bounds: np.ndarray) -> list[Rect]:
+    """A :class:`Rect` for every row of the ``(n, 4)`` ``bounds``; rows with
+    equal sides share one object, so a published region many users fall
+    in is built once (a lexicographic sort of the rows finds them)."""
+    n = len(bounds)
+    order = np.lexsort(bounds.T[::-1])
+    ranked = bounds[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    distinct = [Rect(*sides) for sides in ranked[first].tolist()]
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    return list(map(distinct.__getitem__, slot.tolist()))
 
 
 class _Store:
@@ -135,9 +145,11 @@ class _Store:
         block = np.asarray(block, dtype=float).reshape(n, self._WIDTH)
         bounds = block if self._WIDTH == 4 else block[:, [0, 1, 0, 1]]
         rects = [Rect(*sides) for sides in bounds.tolist()]
-        self._rtree = RTree.bulk_load(
-            dict(zip(ids, rects)), max_entries=self._max_entries
+        tree = RTree.bulk_load(
+            dict(zip(ids, rects)), max_entries=self._max_entries, bounds=bounds
         )
+        self._rtree.discard()
+        self._rtree = tree
         self._version = version
         self._ids, self._geoms, self._row, self._holes = [], [], {}, []
         self._cols = np.empty((max(16, n), self._WIDTH))
@@ -292,25 +304,31 @@ class PrivateStore(_Store):
         self._cols[row] = _SIDES(region)
         self._touch()
 
-    def set_regions(self, regions: Mapping[ItemId, Rect]) -> None:
+    def set_regions(self, ids: Sequence[ItemId], bounds: np.ndarray) -> None:
         """Insert or replace many cloaked regions in one batch.
 
-        The bulk publication step of the vectorized anonymizer path: the
-        batch lands in the coordinate columns as one vectorised
-        assignment.  When it covers at least :data:`REBUILD_FRACTION` of
-        the resulting store, the backing R-tree is rebuilt by STR bulk
-        loading (near-100 % fill, tight MBRs) instead of churned item by
-        item — the dominant case, since a reporting round republishes
+        The bulk publication step of the vectorized anonymizer path:
+        row ``i`` of the ``(n, 4)`` ``bounds`` is ``(min_x, min_y, max_x,
+        max_y)`` of distinct id ``ids[i]``'s region.  The batch lands in
+        the coordinate columns as one vectorised assignment, and rows
+        with equal sides share one :class:`Rect`.  When it covers at
+        least :data:`REBUILD_FRACTION` of the resulting store, the
+        backing R-tree is rebuilt by STR bulk loading from the columns
+        (near-100 % fill, tight MBRs) instead of churned item by item —
+        the dominant case, since a reporting round republishes
         everybody.  The version advances by one per region either way.
         """
-        if not regions:
+        n = len(ids)
+        if not n:
             return
-        ids = list(regions)
-        geoms = list(regions.values())
-        rows = np.fromiter(map(self._row.get, ids, repeat(-1)), np.intp, len(ids))
+        if len(set(ids)) < n:
+            raise RegistrationError("a region batch names one private object twice")
+        bounds = np.asarray(bounds, dtype=float).reshape(n, 4)
+        geoms = _shared_rects(bounds)
+        rows = np.fromiter(map(self._row.get, ids, repeat(-1)), np.intp, n)
         is_new = rows < 0
         fresh = is_new.tolist()
-        rebuild = len(ids) >= REBUILD_FRACTION * (len(self._row) + fresh.count(True))
+        rebuild = n >= REBUILD_FRACTION * (len(self._row) + fresh.count(True))
         if not rebuild:
             for object_id, region, new in zip(ids, geoms, fresh):
                 if new:
@@ -322,12 +340,18 @@ class PrivateStore(_Store):
                 self._geoms[row] = region
         added = self._append(list(compress(ids, fresh)), list(compress(geoms, fresh)))
         rows[is_new] = added
-        self._cols[rows] = _sides(geoms, len(ids))
+        self._cols[rows] = bounds
         if rebuild:
-            rebuilt = RTree.bulk_load(dict(self.items()), max_entries=self._max_entries)
+            live_ids, block = self.columns()
+            rebuilt = RTree.bulk_load(
+                dict(zip(live_ids, self._geoms)),
+                max_entries=self._max_entries,
+                bounds=block,
+            )
             rebuilt._obs_counters = self._rtree.counters
+            self._rtree.discard()
             self._rtree = rebuilt
-        self._touch(len(ids))
+        self._touch(n)
 
     def _geometries(self, rects: list[Rect], block: np.ndarray) -> list:
         return rects

@@ -254,6 +254,8 @@ class PrivacySystem:
             telemetry=self.obs,
         )
         self.users: dict[Hashable, MobileUser] = {}
+        # Every user id as the checkpoint and the WAL write it (``str``).
+        self._stored_ids: set[str] = set()
         self.ledger = QoSLedger()
         self.clock = 0.0
         #: Live monitoring (repro.obs.timeseries / repro.obs.risk); None
@@ -275,6 +277,13 @@ class PrivacySystem:
         """Add a mobile user; visible modes register with the anonymizer."""
         if user.user_id in self.users:
             raise RegistrationError(f"duplicate user: {user.user_id!r}")
+        if str(user.user_id) in self._stored_ids:
+            # Durable state keys users by ``str(id)``: a second id with the
+            # same string would come back from recovery merged into one.
+            raise RegistrationError(
+                f"user id {user.user_id!r} is stored as {str(user.user_id)!r}, "
+                "which another user id already is"
+            )
         self._add_user(user)
         # System-level durable record (covers passive users, who never
         # reach the anonymizer and so never get a ``user.admitted``).
@@ -690,6 +699,7 @@ class PrivacySystem:
     def _add_user(self, user: MobileUser) -> None:
         """``user.added``: one row of the user table."""
         self.users[user.user_id] = user
+        self._stored_ids.add(str(user.user_id))
 
     def _move_user(self, user_id: Hashable, point: Point) -> None:
         """One ``users.moved`` row: the user's row, and the cloaker while

@@ -12,13 +12,26 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterator
+import math
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Mapping
 
+import numpy as np
 
 from repro.geometry.distances import min_dist
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.base import ItemId, SpatialIndex
+
+
+_SIDES = attrgetter("min_x", "min_y", "max_x", "max_y")
+
+
+def _sides(rects: Iterable[Rect], n: int) -> np.ndarray:
+    """The ``(n, 4)`` array of ``n`` rectangles' ``(min_x, min_y, max_x, max_y)``."""
+    flat = np.fromiter(chain.from_iterable(map(_SIDES, rects)), float, 4 * n)
+    return flat.reshape(n, 4)
 
 
 class _Node:
@@ -69,21 +82,60 @@ class _Node:
         return True
 
 
-def _str_tile(entries: list, capacity: int, mbr_of) -> list[list]:
-    """Group entries into runs of ``capacity`` by the STR tiling order."""
-    import math
+def _str_groups(bounds: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the STR tiling over ``(n, 4)`` rectangle sides.
 
-    n = len(entries)
+    Returns the permutation that puts the entries in tiling order and
+    the start of each run of at most ``capacity`` entries in it.  The
+    order is that of a stable sort by centre x, cut into
+    ``ceil(sqrt(ceil(n / capacity)))`` slabs of ``ceil(n / slab_count)``
+    entries, each slab stably sorted by centre y; a run never crosses a
+    slab, so a slab's last run may be short.
+    """
+    n = len(bounds)
     n_groups = math.ceil(n / capacity)
     slab_count = max(1, math.ceil(math.sqrt(n_groups)))
     slab_size = math.ceil(n / slab_count)
-    by_x = sorted(entries, key=lambda e: mbr_of(e).center.x)
-    groups: list[list] = []
-    for s in range(0, n, slab_size):
-        slab = sorted(by_x[s : s + slab_size], key=lambda e: mbr_of(e).center.y)
-        for g in range(0, len(slab), capacity):
-            groups.append(slab[g : g + capacity])
-    return groups
+    # ``Rect.center``'s float ops, one column at a time.
+    by_x = np.argsort((bounds[:, 0] + bounds[:, 2]) / 2.0, kind="stable")
+    centre_y = (bounds[by_x, 1] + bounds[by_x, 3]) / 2.0
+    slab = np.arange(n) // slab_size
+    order = by_x[np.lexsort((centre_y, slab))]
+    starts = np.concatenate(
+        [np.arange(s, min(s + slab_size, n), capacity) for s in range(0, n, slab_size)]
+    )
+    return order, starts
+
+
+def _pack(
+    entries: list, bounds: np.ndarray, capacity: int, leaf: bool
+) -> tuple[list[_Node], np.ndarray]:
+    """Tile ``entries`` (rows of ``bounds``) into nodes of one STR level.
+
+    Returns the nodes, in tiling order, and their ``(m, 4)`` MBR sides;
+    each node's MBR folds its entries' sides with ``minimum`` /
+    ``maximum.reduceat``, the bound ``_Node.recompute_mbr`` computes.
+    """
+    order, starts = _str_groups(bounds, capacity)
+    tiled = list(map(entries.__getitem__, order.tolist()))
+    sides = bounds[order]
+    mbrs = np.hstack(
+        [
+            np.minimum.reduceat(sides[:, :2], starts, axis=0),
+            np.maximum.reduceat(sides[:, 2:], starts, axis=0),
+        ]
+    )
+    cuts = starts.tolist()
+    nodes = []
+    for start, stop, mbr in zip(cuts, cuts[1:] + [len(tiled)], mbrs.tolist()):
+        node = _Node(leaf=leaf)
+        node.entries = tiled[start:stop]
+        node.mbr = Rect(*mbr)
+        if not leaf:
+            for child in node.entries:
+                child.parent = node
+        nodes.append(node)
+    return nodes, mbrs
 
 
 class RTree(SpatialIndex):
@@ -220,6 +272,21 @@ class RTree(SpatialIndex):
             else:
                 yield element[0], dist
 
+    def discard(self) -> None:
+        """Let the tree go: drop every node's parent link.
+
+        Parent links make a tree a reference cycle, which only a full
+        collector pass frees.  Without them the nodes are freed by
+        reference counting once the last reference to the tree goes.
+        The tree must not be used afterwards.
+        """
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            if not node.leaf:
+                stack.extend(node.entries)
+
     def geometry_of(self, item_id: ItemId) -> Rect:
         return self._geoms[item_id]
 
@@ -246,9 +313,11 @@ class RTree(SpatialIndex):
     @classmethod
     def bulk_load(
         cls,
-        items: dict[ItemId, Rect],
+        items: Mapping[ItemId, Rect],
         max_entries: int = 8,
         min_entries: int | None = None,
+        *,
+        bounds: np.ndarray | None = None,
     ) -> "RTree":
         """Build a packed R-tree with the STR algorithm.
 
@@ -258,31 +327,34 @@ class RTree(SpatialIndex):
         recurse on the leaf MBRs.  Produces near-100 % fill and tight
         node MBRs, the right trade for static POI catalogues; the tree
         remains fully dynamic afterwards.
+
+        Each level is tiled by stable numpy argsorts of the centre
+        columns, so equal centres keep ``items``' order.  ``bounds`` is
+        the ``(n, 4)`` ``(min_x, min_y, max_x, max_y)`` of ``items``'
+        rectangles in ``items``' order, for a caller that already holds
+        them; otherwise they are read from the rectangles.
         """
         tree = cls(max_entries=max_entries, min_entries=min_entries)
         if not items:
             return tree
         tree._geoms = dict(items)
-        leaf_entries = list(items.items())
-        leaves = []
-        for group in _str_tile(leaf_entries, max_entries, lambda kv: kv[1]):
-            leaf = _Node(leaf=True)
-            leaf.entries = group
-            leaf.recompute_mbr()
-            leaves.append(leaf)
+        entries = list(tree._geoms.items())
+        if bounds is None:
+            bounds = _sides(tree._geoms.values(), len(entries))
+        leaves, level_bounds = _pack(
+            entries, np.asarray(bounds, dtype=float), max_entries, leaf=True
+        )
         level = leaves
         while len(level) > 1:
-            parents = []
-            for group in _str_tile(level, max_entries, lambda child: child.mbr):
-                parent = _Node(leaf=False)
-                parent.entries = group
-                for child in group:
-                    child.parent = parent
-                parent.recompute_mbr()
-                parents.append(parent)
-            level = parents
+            level, level_bounds = _pack(level, level_bounds, max_entries, leaf=False)
         tree._root = level[0]
-        tree._leaf_of = {item_id: leaf for leaf in leaves for item_id, _ in leaf.entries}
+        runs = list(map(attrgetter("entries"), leaves))
+        tree._leaf_of = dict(
+            zip(
+                map(itemgetter(0), chain.from_iterable(runs)),
+                chain.from_iterable(map(repeat, leaves, map(len, runs))),
+            )
+        )
         return tree
 
     # ------------------------------------------------------------------

@@ -127,7 +127,10 @@ CLOAK_DEGRADED = "cloak.degraded"
 CLOAK_BULK = "cloak.bulk"
 #: A cloaked region reached the server under a pseudonym.
 REGION_PUBLISHED = "region.published"
-#: A whole population's regions reached the server in one bulk push.
+#: A whole population's regions reached the server in one bulk push, as
+#: the bulk round's columns: ``users``, ``pseudonyms``, the distinct-region
+#: table ``sides`` (``[min_x, min_y, max_x, max_y]`` rows) and each user's
+#: row in it, ``region``.
 REGIONS_PUBLISHED_BULK = "regions.published_bulk"
 #: An end-to-end private query finished; carries the overhead ratio.
 QUERY_COMPLETED = "query.completed"
@@ -200,7 +203,7 @@ EVENT_KINDS: tuple[str, ...] = (
 
 #: Columnar kinds and the attribute whose length is their row count:
 #: the weight such an event takes in the ring (a plain event weighs 1).
-_ROW_COLUMNS = {USERS_MOVED: "users", REGIONS_PUBLISHED_BULK: "regions"}
+_ROW_COLUMNS = {USERS_MOVED: "users", REGIONS_PUBLISHED_BULK: "users"}
 
 
 def event_rows(kind: str, attrs: Mapping) -> int:

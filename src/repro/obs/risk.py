@@ -227,13 +227,13 @@ class PrivacyRiskMonitor:
         self.linkage.observe(attrs["user"], attrs["pseudonym"], self._t, sides)
 
     def _on_regions_bulk(self, attrs: Mapping) -> None:
-        rows = attrs.get("regions")
-        if not rows:
+        users = attrs.get("users")
+        if not users:
             return
-        users, pseudonyms, *sides = zip(*rows)
-        boxes = np.array(sides, dtype=float).T
-        self.posterior.publish_many(users, boxes)
-        self.linkage.observe_many(users, pseudonyms, self._t, boxes)
+        sides = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
+        region = np.array(attrs["region"], dtype=np.intp)
+        self.posterior.publish_many(users, sides, region)
+        self.linkage.observe_many(users, attrs["pseudonyms"], self._t, sides, region)
 
     # ------------------------------------------------------------------
     # Scoring (sampling-cadence path)

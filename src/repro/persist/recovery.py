@@ -55,6 +55,8 @@ import os
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.profiles import profile_from_rows
 from repro.core.system import PrivacySystem
 from repro.geometry.point import Point
@@ -494,12 +496,23 @@ def _apply_published(system: "PrivacySystem", attrs: dict) -> None:
 
 
 def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
+    """The column form: ``users[i]`` under ``pseudonyms[i]`` holds region
+    ``sides[region[i]]``.  The row form (one ``[user, pseudonym, min_x,
+    min_y, max_x, max_y]`` list per user under ``regions``) is read for
+    the release after the change."""
+    rows = attrs.get("regions")
+    if rows is None:
+        users, pseudonyms = attrs["users"], attrs["pseudonyms"]
+        table = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
+        bounds = table[np.array(attrs["region"], dtype=np.intp)]
+    else:
+        users = [row[0] for row in rows]
+        pseudonyms = [row[1] for row in rows]
+        bounds = np.array([row[2:] for row in rows], dtype=float).reshape(-1, 4)
     adopt = system.anonymizer._adopt
-    regions: dict = {}
-    for user_id, pseudonym, min_x, min_y, max_x, max_y in attrs["regions"]:
+    for user_id, pseudonym in zip(users, pseudonyms):
         adopt(user_id, pseudonym)
-        regions[pseudonym] = Rect(min_x, min_y, max_x, max_y)
-    system.server.receive_regions(regions)
+    system.server.receive_regions(pseudonyms, bounds)
 
 
 def _apply_moved(system: "PrivacySystem", attrs: dict) -> None:

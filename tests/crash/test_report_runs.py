@@ -14,6 +14,7 @@ import json
 import os
 
 import pytest
+from published_rows import rows_from_columns
 
 from repro.core.system import PrivacySystem
 from repro.obs import PrivacyAuditor, Telemetry
@@ -22,6 +23,7 @@ from repro.obs.events import (
     CLOAK_RESULT,
     LOG_TRUNCATED,
     PLANNER_MEASURED,
+    REGIONS_PUBLISHED_BULK,
     SERVER_QUERY,
     USERS_MOVED,
 )
@@ -338,4 +340,40 @@ def test_a_tail_with_the_retired_duplicate_kinds_recovers_and_audits_the_same(
     recovered, report = _recover(directory)
     assert report["wal_read"] == "tail"
     assert system_digest(recovered) == system_digest(live)
+    assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_a_row_form_published_bulk_tail_recovers_and_audits_the_same(
+    tmp_path, rotate
+):
+    """A WAL tail whose bulk publications are in the row form (one
+    ``[user, pseudonym, min_x, min_y, max_x, max_y]`` list per user under
+    ``regions``) recovers to the same digest, with the same report, and
+    audits to the same report as the column-form tail it was made from."""
+    directory = str(tmp_path / "state")
+    os.makedirs(directory)
+    live = build_system(directory, rotate=rotate)
+    run_ops(live, small_workload(), directory)
+    live.obs.events.detach_jsonl()
+    columns, columns_report = _recover(directory)
+    current = PrivacyAuditor.from_jsonl(wal_path(directory)).report()
+
+    _, state = _checkpoint_document(directory)
+    lines = _wal_lines(directory)
+    rewritten = 0
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["seq"] <= state["wal_seq"] or record["kind"] != REGIONS_PUBLISHED_BULK:
+            continue
+        record["regions"] = rows_from_columns(record)
+        for column in ("users", "pseudonyms", "sides", "region"):
+            del record[column]
+        lines[i] = json.dumps(record, sort_keys=True) + "\n"
+        rewritten += 1
+    assert rewritten == 3
+    _write_wal(directory, lines)
+    rows, rows_report = _recover(directory)
+    assert rows_report == columns_report and rows_report["wal_read"] == "tail"
+    assert system_digest(rows) == system_digest(columns) == system_digest(live)
     assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current

@@ -10,6 +10,7 @@ ingestion is held to its row-by-row path the same way.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from published_rows import columns_from_rows
 
 from repro.attacks import MaxSpeedLinkageAttack
 from repro.attacks.streaming import (
@@ -122,6 +123,7 @@ def test_linkage_columns_equal_one_attack_per_user(max_speed, ops):
                 [tag for _, tag, _ in rows],
                 t,
                 np.array([region.as_tuple() for _, _, region in rows]),
+                np.arange(len(rows)),
             )
         assert len(columns) == len(attacks)
         for user in range(5):
@@ -333,7 +335,9 @@ def test_bulk_publication_equals_row_by_row(ticks):
     for dt, published, retired in ticks:
         t += dt
         both(CLOCK_ADVANCED, t=t)
-        bulk.consume(Event(next(seq), REGIONS_PUBLISHED_BULK, {"regions": published}))
+        bulk.consume(
+            Event(next(seq), REGIONS_PUBLISHED_BULK, columns_from_rows(published))
+        )
         for user, pseudonym, min_x, min_y, max_x, max_y in published:
             rows.consume(
                 Event(

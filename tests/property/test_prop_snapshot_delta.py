@@ -13,6 +13,7 @@ a side that did not change keeps its arrays and its grid.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,7 +86,7 @@ def apply_mutation(server: LocationServer, mutation: tuple) -> None:
     elif kind == "priv_set":
         server.receive_region(target, payload)
     elif kind == "priv_bulk":
-        server.receive_regions(dict(zip(target, payload)))
+        server.receive_regions(target, np.array([rect.as_tuple() for rect in payload]))
     elif kind == "priv_remove":
         if target in server.private:
             server.forget_region(target)
@@ -202,7 +203,7 @@ def test_absorb_shares_grid_when_public_quiet():
     first = server.engine.snapshot()
     grid = first.public_grid
     server.receive_region("r0", Rect(0.0, 0.0, 2.0, 2.0))
-    server.receive_regions({"r1": Rect(1.0, 1.0, 2.0, 2.0)})
+    server.receive_regions(["r1"], np.array([[1.0, 1.0, 2.0, 2.0]]))
     server.forget_region("r0")
     second = server.engine.snapshot()
     assert second is not first

@@ -26,6 +26,7 @@ from repro.engine import kernels
 from repro.engine.cloak import bulk_cloak, group_stats, supports_kernel
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.index.rtree import _Node
 from repro.mobility.users import MobileUser
 from repro.obs import PrivacyAuditor, Telemetry
 from repro.obs.events import CLOAK_BULK, REGIONS_PUBLISHED_BULK
@@ -241,7 +242,7 @@ def test_bulk_round_leaves_a_disabled_collector_alone(monkeypatch, collections):
 def test_failed_bulk_round_releases_the_collector(monkeypatch):
     system = populated_system(50)
 
-    def refuse(regions):
+    def refuse(pseudonyms, bounds):
         raise RuntimeError("server refused the batch")
 
     monkeypatch.setattr(system.server, "receive_regions", refuse)
@@ -255,7 +256,7 @@ def test_private_store_bulk_insert_rebuilds_and_matches_queries():
     regions = {
         f"r{i}": Rect(float(i), 0.0, float(i + 2), 2.0) for i in range(20)
     }
-    store.set_regions(regions)
+    store.set_regions(list(regions), np.array([r.as_tuple() for r in regions.values()]))
     assert len(store) == 20
     assert store.version == 20
     window = Rect(0.0, 0.0, 5.0, 5.0)
@@ -268,10 +269,10 @@ def test_private_store_bulk_insert_rebuilds_and_matches_queries():
 
     # A small batch (under REBUILD_FRACTION of the store) takes the
     # per-item path; results must be indistinguishable.
-    small = {"r0": Rect(100.0, 100.0, 101.0, 101.0)}
-    assert len(small) < REBUILD_FRACTION * len(store)
-    store.set_regions(small)
-    assert store.region_of("r0") == small["r0"]
+    small = Rect(100.0, 100.0, 101.0, 101.0)
+    assert 1 < REBUILD_FRACTION * len(store)
+    store.set_regions(["r0"], np.array([small.as_tuple()]))
+    assert store.region_of("r0") == small
     assert store.version == 21
     assert "r0" not in store.overlapping(window)
 
@@ -282,10 +283,32 @@ def test_private_store_bulk_insert_preserves_counters():
     store.overlapping(Rect(0.0, 0.0, 2.0, 2.0))
     before = store.index_counters.snapshot()["range_queries"]
     store.set_regions(
-        {f"r{i}": Rect(float(i), 0.0, float(i + 1), 1.0) for i in range(10)}
+        [f"r{i}" for i in range(10)],
+        np.array([(float(i), 0.0, float(i + 1), 1.0) for i in range(10)]),
     )
     after = store.index_counters.snapshot()["range_queries"]
     assert after == before  # rebuild carried the counters over
+
+
+def test_a_rebuild_frees_the_old_tree_without_the_collector():
+    """The store discards the R-tree a rebuild replaces: its nodes go by
+    reference counting, not as a cycle left for a full collector pass."""
+    ids = [f"r{i}" for i in range(200)]
+    bounds = np.array([(float(i), 0.0, float(i + 1), 1.0) for i in range(200)])
+    store = PrivateStore()
+    store.set_regions(ids, bounds)
+    gc.collect()
+    gc.disable()
+    try:
+        store.set_regions(ids, bounds + 0.5)
+        alive = sum(1 for thing in gc.get_objects() if type(thing) is _Node)
+    finally:
+        gc.enable()
+    levels, nodes = [store._rtree._root], 0
+    while levels:
+        nodes += len(levels)
+        levels = [c for node in levels if not node.leaf for c in node.entries]
+    assert alive == nodes
 
 
 def test_count_points_in_windows_inclusive_boundaries():
@@ -576,16 +599,13 @@ def test_published_rows_follow_the_result_rows():
     results = system.anonymizer.publish_all_bulk(system.clock)
     (published,) = list(system.obs.events.events(REGIONS_PUBLISHED_BULK))
     registrations = system.anonymizer._registrations
-    assert published.attrs["regions"] == [
-        [
-            str(user_id),
-            registrations[user_id].pseudonym,
-            result.region.min_x,
-            result.region.min_y,
-            result.region.max_x,
-            result.region.max_y,
-        ]
-        for user_id, result in results.items()
+    attrs = published.attrs
+    assert attrs["users"] == [str(user_id) for user_id in results]
+    assert attrs["pseudonyms"] == [
+        registrations[user_id].pseudonym for user_id in results
+    ]
+    assert [attrs["sides"][row] for row in attrs["region"]] == [
+        list(result.region.as_tuple()) for result in results.values()
     ]
     areas = [result.region.area for result in results.values()]
     sequential = 0.0

@@ -117,7 +117,7 @@ class TestSnapshot:
         for i, (x, y) in enumerate(coords):
             server.add_public_object(f"o{i}", Point(float(x), float(y)))
         server.receive_regions(
-            {f"u{i}": Rect(x, y, x + 1.0, y + 1.0) for i, (x, y) in enumerate(coords)}
+            [f"u{i}" for i in range(len(coords))], np.hstack([coords, coords + 1.0])
         )
         first = server.engine.snapshot()
         for i in range(50):

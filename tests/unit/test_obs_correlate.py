@@ -16,7 +16,13 @@ from repro import (
 from repro.geometry import Point, Rect
 from repro.obs import CorrelationIds, correlate_events
 from repro.obs.correlate import CORRELATION_METRIC
-from repro.obs.events import PLANNER_DECISION, PLANNER_MEASURED, QUERY_COMPLETED
+from repro.core.server import LocationServer
+from repro.obs.events import (
+    PLANNER_DECISION,
+    PLANNER_MEASURED,
+    QUERY_COMPLETED,
+    SERVER_QUERY,
+)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -220,6 +226,26 @@ class TestEndToEndCorrelation:
             decision = record.first(PLANNER_DECISION)
             measured = record.first(PLANNER_MEASURED)
             assert decision.attrs["query"] == measured.attrs["query"]
+
+    def test_bare_server_batch_accounts_under_the_batch_id(self):
+        """``server.query`` used to be recorded before the engine opened
+        the batch scope, so on a bare server it carried no id at all."""
+        server = LocationServer(telemetry=Telemetry())
+        for i in range(20):
+            server.add_public_object(f"o{i}", Point(float(i), float(i)))
+        server.execute_batch(
+            [RangeSpec(window=Rect(0, 0, 5, 5)), CountSpec(window=Rect(0, 0, 9, 9))]
+        )
+        accounted = list(server.telemetry.events.events(SERVER_QUERY))
+        snapshots = [
+            event
+            for event in server.telemetry.events.events()
+            if event.kind.startswith("snapshot.")
+        ]
+        assert len(accounted) == 2 and snapshots
+        ids = {event.attrs.get("qid") for event in accounted + snapshots}
+        assert len(ids) == 1
+        assert ids.pop().startswith("b-")
 
     def test_publish_all_is_one_batch_scope(self, worked_system):
         records = worked_system.obs.correlated_records()

@@ -5,7 +5,8 @@ stood before the emit hot path was shaved (one ``json.dumps(...,
 sort_keys=True, default=str)`` per event).  Whatever emit does to get
 faster, a fixed event sequence must still serialise to those bytes: the
 WAL is replayed by :mod:`repro.persist` and sized by the pipeline
-benchmark's ``wal_bytes_per_update``.
+benchmark's ``wal_bytes_per_update``.  Its ``regions.published_bulk``
+line was rewritten, by the same encoder, when that event became columns.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ def emit_fixed_sequence(log: EventLog) -> None:
         area_min=732.421875,
     )
     log.emit(
-        REGIONS_PUBLISHED_BULK, n=2, rotated=0, area_sum=488.28125,
+        REGIONS_PUBLISHED_BULK, n=3, rotated=0, area_sum=488.28125,
         path="kernel", algo="grid", escalated=0, degraded=0,
-        regions=[
-            ["u0", "p-000001", 0.0, 15.625, 15.625, 31.25],
-            ["ü1", "p-000002", 984.375, 0.0, 1000.0, 15.625],
-        ],
+        users=["u0", "ü1", "u2"], pseudonyms=["p-000001", "p-000002", "p-000003"],
+        sides=[[0.0, 15.625, 15.625, 31.25], [984.375, 0.0, 1000.0, 15.625]],
+        region=[0, 1, 0],
     )
     # Non-JSON values go through ``default=str``.
     log.emit(QUERY_COMPLETED, region=Rect(0, 0, 1, 2), at=Point(0.5, 0.25),

@@ -179,10 +179,10 @@ class TestRowWeightedRing:
         log = EventLog(keep=10)
         for i in range(5):
             log.emit("cloak.attempt", i=i)
-        log.emit(REGIONS_PUBLISHED_BULK, n=4, regions=[["u", "p", 0, 0, 1, 1]] * 4)
+        log.emit(REGIONS_PUBLISHED_BULK, n=4, users=["u"] * 4, region=[0] * 4)
         log.emit("cloak.attempt", i=5)
         assert len(log) == 7 and log._held == 10
-        log.emit(REGIONS_PUBLISHED_BULK, n=12, regions=[["u", "p", 0, 0, 1, 1]] * 12)
+        log.emit(REGIONS_PUBLISHED_BULK, n=12, users=["u"] * 12, region=[0] * 12)
         # The newest event stays even when it alone exceeds keep.
         assert _kinds(log)[-1] == REGIONS_PUBLISHED_BULK and len(log._ring) == 1
         log.emit("cloak.attempt", i=6)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from published_rows import columns_from_rows
 
 from repro import (
     MobileUser,
@@ -107,7 +108,7 @@ class TestLinkageColumns:
             for i in range(5000)
         ]
         for seq in (1, 2):
-            monitor.consume(Event(seq, REGIONS_PUBLISHED_BULK, {"regions": rows}))
+            monitor.consume(Event(seq, REGIONS_PUBLISHED_BULK, columns_from_rows(rows)))
         assert monitor.report()["linkage"]["trackers"] == 5000
         assert all(
             monitor.linkage.track(f"u{i}")["steps"] == 2 for i in range(5000)

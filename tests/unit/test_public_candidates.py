@@ -274,11 +274,11 @@ class TestPlannedPublicNNDoesNoPerRegionPython:
     def server(self):
         rng = random.Random("public_nn_10k")
         server = LocationServer(telemetry=Telemetry(enabled=False))
-        regions = {}
+        bounds = []
         for n in range(self.N):
             x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-            regions[f"u{n}"] = Rect(x, y, x + rng.uniform(2, 40), y + rng.uniform(2, 40))
-        server.receive_regions(regions)
+            bounds.append((x, y, x + rng.uniform(2, 40), y + rng.uniform(2, 40)))
+        server.receive_regions([f"u{n}" for n in range(self.N)], np.array(bounds))
         return server
 
     def test_calls_bounded_by_candidates_and_band(self, server, monkeypatch):

@@ -45,6 +45,22 @@ class TestSetup:
         with pytest.raises(RegistrationError):
             system.add_user(MobileUser(0, uniform_points_500[0]))
 
+    def test_an_id_stored_as_another_ids_string_is_refused(self, tmp_path):
+        """The checkpoint and the WAL write ids through ``str()``: user 3
+        and user "3" used to be merged into one user by any recovery."""
+        system = _durable_system(tmp_path)
+        digest = system_digest(system)
+        lines = _wal_lines(tmp_path)
+        with pytest.raises(RegistrationError, match="'3'"):
+            system.add_user(MobileUser("3", Point(1.0, 1.0)))
+        assert "3" not in system.users
+        assert system_digest(system) == digest
+        assert _wal_lines(tmp_path) == lines
+        recovered = PrivacySystem.recover(tmp_path, telemetry=Telemetry())
+        assert system_digest(recovered) == digest
+        with pytest.raises(RegistrationError):
+            recovered.add_user(MobileUser(3, Point(1.0, 1.0)))
+
     def test_passive_user_not_registered(self):
         system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=4))
         system.add_user(
