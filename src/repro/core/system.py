@@ -519,8 +519,10 @@ class PrivacySystem:
 
         Also drops a ``wal-meta.json`` sidecar (bounds, pseudonym policy,
         cloaker configuration) so :meth:`recover` can cold-start from the
-        log alone when no checkpoint was ever written.  Attach before the
-        first mutation: the WAL can only replay what it has seen.
+        log alone when no checkpoint was ever written.  The sidecar names
+        the WAL's form: this build's for a new or empty ``wal.jsonl``, the
+        one already recorded for a file that holds lines.  Attach before
+        the first mutation: the WAL can only replay what it has seen.
         """
         from repro.persist.checkpoint import write_wal_meta
 
@@ -536,6 +538,8 @@ class PrivacySystem:
         ``rotated_to``, so :class:`~repro.persist.recovery.Recovery` can
         tell a deliberate rotation (fine, as long as a checkpoint covers
         the rotated-away prefix) from accidental truncation (refused).
+        The sidecar is rewritten between the rename and the fresh file,
+        so it names this build's form for the lines the fresh WAL gets.
         Returns the segment file name, or ``None`` when no WAL is
         attached or nothing has been streamed yet.
         """
@@ -546,7 +550,7 @@ class PrivacySystem:
         streamed = log._streamed_seq
         if streamed <= 0:
             return None
-        from repro.persist.checkpoint import WAL_NAME
+        from repro.persist.checkpoint import WAL_NAME, write_wal_meta
 
         wal_path = os.path.join(self._wal_dir, WAL_NAME)
         segment = f"wal-{streamed:012d}.jsonl"
@@ -555,6 +559,7 @@ class PrivacySystem:
             os.path.getsize(wal_path) if os.path.exists(wal_path) else 0
         )
         os.replace(wal_path, os.path.join(self._wal_dir, segment))
+        write_wal_meta(self, self._wal_dir)
         marker = {
             "kind": LOG_TRUNCATED,
             "seq": streamed,

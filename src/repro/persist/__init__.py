@@ -22,7 +22,6 @@ from repro.persist.checkpoint import (
     write_wal_meta,
 )
 from repro.persist.digest import system_digest
-from repro.persist.indexes import rect_sides
 from repro.persist.recovery import Recovery, RecoveryError
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "cloaker_from_config",
     "list_checkpoints",
     "load_checkpoint",
-    "rect_sides",
     "system_digest",
     "write_checkpoint",
     "write_wal_meta",

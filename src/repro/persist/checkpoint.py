@@ -1,5 +1,5 @@
 """Versioned atomic checkpoints of a whole ``PrivacySystem`` (schema
-``repro.persist/3``; ``/2`` documents are still read).
+``repro.persist/3``).
 
 A checkpoint holds, once each, the facts a crashed process cannot
 rebuild from code: the anonymizer's object tables (registrations,
@@ -7,11 +7,16 @@ pseudonym counter, privacy profiles), the mobile-user table, both server
 stores, the server's durable counters and standing monitors, and the QoS
 ledger.  What those determine — the cloaker's spatial index, the
 stores' R-trees, the batch engine's snapshot arrays — is rebuilt on
-restore, not stored.  Each checkpoint records the WAL sequence number it
-covers (``wal_seq``) and the byte offset in the live ``wal.jsonl`` where
-the tail past it starts (``wal_offset``); recovery restores the newest
-readable checkpoint and parses and replays only the event-log tail past
-that sequence (docs/durability.md, *The tail read*).
+restore, not stored.  A store's R-tree is STR-loaded from its columns,
+so its node layout can differ from the live tree's (grown by inserts)
+while its entries cannot; recovery equivalence is judged on entries
+(:func:`~repro.persist.digest.system_digest`), not on traversal order.
+
+Each checkpoint records the WAL sequence number it covers (``wal_seq``)
+and the byte offset in the live ``wal.jsonl`` where the tail past it
+starts (``wal_offset``); recovery restores the newest readable
+checkpoint and parses and replays only the event-log tail past that
+sequence (docs/durability.md, *The tail read*).
 
 A ``/3`` checkpoint is one uncompressed ``.npz`` archive.  Its
 ``manifest`` member is a small JSON object (UTF-8 bytes): the scalars,
@@ -52,24 +57,20 @@ from repro.core.system import KNNQueryOutcome, NNQueryOutcome, RangeQueryOutcome
 from repro.geometry.rect import Rect
 from repro.mobility.users import UserMode
 from repro.obs.events import PERSIST_CHECKPOINT
-from repro.persist.indexes import columns_from_state, rect_sides
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
 
-#: Checkpoint schema, pinned by the golden fixtures.
+#: Checkpoint schema, pinned by the golden fixture.
 SCHEMA = "repro.persist/3"
-#: The schema before it: one JSON document, still read for one release.
-_SCHEMA_2 = "repro.persist/2"
-#: Schemas :func:`load_checkpoint` reads.
-READABLE_SCHEMAS = (_SCHEMA_2, SCHEMA)
+#: The form of the lines this build writes to ``wal.jsonl``, recorded in
+#: the ``wal-meta.json`` sidecar (docs/durability.md, *WAL forms*).
+WAL_FORM = "repro.wal/1"
 
 #: File names inside a durability directory.
 WAL_NAME = "wal.jsonl"
 META_NAME = "wal-meta.json"
 CHECKPOINT_PATTERN = "checkpoint-*.npz"
-#: What a ``/2`` writer named its checkpoints.
-_SCHEMA_2_PATTERN = "checkpoint-*.json"
 
 #: The population-sized columns of a ``/3`` checkpoint, besides the
 #: ledger's ``ledger.<kind>.<field>`` ones.
@@ -132,7 +133,7 @@ def cloaker_config(cloaker) -> dict | None:
         return None
     return {
         "class": type(cloaker).__name__,
-        "bounds": rect_sides(cloaker.bounds),
+        "bounds": list(cloaker.bounds.as_tuple()),
         **cloaker.config(),
     }
 
@@ -213,7 +214,7 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
         "wal_seq": log._seq,
         "wal_offset": _wal_offset(system),
         "clock": system.clock,
-        "bounds": rect_sides(system.bounds),
+        "bounds": list(system.bounds.as_tuple()),
         "rotate_pseudonyms": anonymizer.rotate_pseudonyms,
         "pseudonym_seq": anonymizer._pseudonym_seq,
         "cloaker": cloaker_config(anonymizer.cloaker),
@@ -227,7 +228,7 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
             "queries_served": server.queries_served,
             "queries_by_kind": dict(server.queries_by_kind),
             "monitors": [
-                [str(monitor_id), rect_sides(monitor.window)]
+                [str(monitor_id), list(monitor.window.as_tuple())]
                 for monitor_id, monitor in server._monitors.items()
             ],
         },
@@ -313,53 +314,58 @@ def write_wal_meta(system: "PrivacySystem", directory) -> str:
 
     Records the system construction parameters (bounds, pseudonym
     policy, cloaker configuration) that no event carries, so recovery
-    can rebuild a system from the WAL alone when no checkpoint exists.
+    can rebuild a system from the WAL alone when no checkpoint exists,
+    and under ``wal`` the form of the live ``wal.jsonl``'s lines: this
+    build's :data:`WAL_FORM`, unless the file already holds lines, which
+    keep the form recorded for them (none, for a directory written
+    before the sidecar named it).
     """
     meta = {
-        "schema": SCHEMA,
-        "bounds": rect_sides(system.bounds),
+        "wal": WAL_FORM,
+        "bounds": list(system.bounds.as_tuple()),
         "rotate_pseudonyms": system.anonymizer.rotate_pseudonyms,
         "cloaker": cloaker_config(system.anonymizer.cloaker),
     }
+    wal = Path(directory) / WAL_NAME
+    if wal.exists() and wal.stat().st_size:
+        form = (read_wal_meta(directory) or {}).get("wal")
+        if form is None:
+            del meta["wal"]
+        else:
+            meta["wal"] = form
     return str(_atomic_write(directory, META_NAME, json.dumps(meta).encode()))
+
+
+def read_wal_meta(directory) -> dict | None:
+    """The ``wal-meta.json`` sidecar, or ``None`` when it is missing or
+    is not a JSON object."""
+    try:  # a missing sidecar is an OSError too
+        with open(Path(directory) / META_NAME, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return meta if isinstance(meta, dict) else None
 
 
 def load_checkpoint(path) -> dict:
     """Read and schema-validate one checkpoint, in the form
     :func:`checkpoint_state` returns.
 
-    Any damage — a torn archive or document, a missing member, a foreign
-    schema — raises :class:`CheckpointError`, so recovery can fall back
-    to the previous checkpoint.
+    Any damage — a torn archive, a missing member, a foreign schema —
+    raises :class:`CheckpointError`, so recovery can fall back to the
+    previous checkpoint.
     """
     path = Path(path)
     try:
-        if path.suffix == ".json":
-            return _load_schema_2(path)
-        return _load_columns(path)
-    except CheckpointError:
-        raise
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        state = json.loads(members.pop("manifest").tobytes().decode("utf-8"))
     except (ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
         raise CheckpointError(
             f"unreadable checkpoint {os.fspath(path)!r}: {exc!r}"
         ) from exc
-
-
-def _checked(state, path: Path, schema: str) -> dict:
-    if not isinstance(state, dict) or state.get("schema") != schema:
-        raise CheckpointError(
-            f"not a {' or '.join(READABLE_SCHEMAS)} checkpoint: "
-            f"{os.fspath(path)!r}"
-        )
-    return state
-
-
-def _load_columns(path: Path) -> dict:
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    state = _checked(
-        json.loads(members.pop("manifest").tobytes().decode("utf-8")), path, SCHEMA
-    )
+    if not isinstance(state, dict) or state.get("schema") != SCHEMA:
+        raise CheckpointError(f"not a {SCHEMA} checkpoint: {os.fspath(path)!r}")
     expected = set(COLUMNS) | {
         f"ledger.{key}.{field}"
         for key, outcome_type in OUTCOME_TYPES.items()
@@ -374,69 +380,6 @@ def _load_columns(path: Path) -> dict:
     return state
 
 
-def _load_schema_2(path: Path) -> dict:
-    """A ``repro.persist/2`` document, turned into the ``/3`` state.
-
-    Read for one release after ``/3`` replaced it; delete with it.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        document = _checked(json.load(handle), path, _SCHEMA_2)
-    table: dict[str, int] = {}
-
-    def profile_index(rows) -> int:
-        return table.setdefault(json.dumps(rows), len(table))
-
-    users, registrations = document["users"], document["registrations"]
-    codes = {mode.value: code for code, mode in enumerate(MODES)}
-    columns = {
-        "xs": np.array([row[1] for row in users], dtype=float),
-        "ys": np.array([row[2] for row in users], dtype=float),
-        "modes": np.array([codes[row[3]] for row in users], dtype=np.uint8),
-        "speeds": np.array([row[4] for row in users], dtype=float),
-        "user_profiles": np.array([profile_index(row[5]) for row in users], np.int64),
-        "published": np.array([bool(row[2]) for row in registrations], dtype=bool),
-        "registration_profiles": np.array(
-            [profile_index(row[3]) for row in registrations], np.int64
-        ),
-    }
-    stores = {}
-    for name, width in (("public", 2), ("private", 4)):
-        stored = document["stores"][name]
-        ids, bounds = columns_from_state(stored["index"])
-        stores[name] = {"version": stored["version"], "ids": ids}
-        columns[name] = bounds[:, :width]
-    ledger = {}
-    for key, outcome_type in OUTCOME_TYPES.items():
-        rows = document["ledger"][key]
-        ledger[key] = [str(row[0]) for row in rows]
-        for i, (field, dtype) in enumerate(ledger_fields(outcome_type), 1):
-            columns[f"ledger.{key}.{field}"] = np.array(
-                [row[i] for row in rows], dtype=dtype
-            )
-    return {
-        **{key: document[key] for key in (
-            "schema", "wal_seq", "clock", "bounds",
-            "rotate_pseudonyms", "pseudonym_seq", "cloaker",
-        )},
-        "wal_offset": document.get("wal_offset"),
-        "profiles": [json.loads(rows) for rows in table],
-        "modes": [mode.value for mode in MODES],
-        "users": [row[0] for row in users],
-        "registrations": [row[0] for row in registrations],
-        "pseudonyms": [row[1] for row in registrations],
-        "server": document["server"],
-        "stores": stores,
-        "ledger": ledger,
-        "columns": columns,
-    }
-
-
 def list_checkpoints(directory) -> list[Path]:
-    """Checkpoint files oldest-first; ``.tmp`` orphans are ignored.
-
-    ``/2`` documents (``.json``) are listed beside ``/3`` archives for
-    the release that still reads them.
-    """
-    directory = Path(directory)
-    found = [*directory.glob(CHECKPOINT_PATTERN), *directory.glob(_SCHEMA_2_PATTERN)]
-    return sorted(found, key=lambda path: path.stem)
+    """Checkpoint files oldest-first; ``.tmp`` orphans are ignored."""
+    return sorted(Path(directory).glob(CHECKPOINT_PATTERN))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.profiles import profile_rows
-from repro.persist.indexes import rect_sides
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
@@ -40,7 +39,7 @@ def system_digest(system: "PrivacySystem") -> dict:
     ledger = system.ledger
     return {
         "clock": system.clock,
-        "bounds": rect_sides(system.bounds),
+        "bounds": list(system.bounds.as_tuple()),
         "rotate_pseudonyms": anonymizer.rotate_pseudonyms,
         "pseudonym_seq": anonymizer._pseudonym_seq,
         "users": {
@@ -70,7 +69,7 @@ def system_digest(system: "PrivacySystem") -> dict:
             )
         },
         "private": {
-            str(pseudonym): rect_sides(region)
+            str(pseudonym): list(region.as_tuple())
             for pseudonym, region in sorted(
                 server.private.items(), key=lambda kv: str(kv[0])
             )

@@ -3,6 +3,11 @@
 ``Recovery`` rebuilds a :class:`~repro.core.system.PrivacySystem`
 equivalent to the one that crashed:
 
+0. read the form of the live WAL from the ``wal-meta.json`` sidecar:
+   this build's :data:`~repro.persist.checkpoint.WAL_FORM`, or none
+   (the pre-marker form of a directory written before the sidecar
+   named it) is read; any other form is refused before anything is
+   built (docs/durability.md, *WAL forms*);
 1. scan the durability directory for the newest *readable* checkpoint
    (torn, unparsable or foreign-schema files are skipped — a crash
    mid-write leaves a ``.tmp`` orphan and, at worst, a corrupt newest
@@ -87,13 +92,14 @@ from repro.obs.events import (
     read_jsonl,
 )
 from repro.persist.checkpoint import (
-    META_NAME,
     OUTCOME_TYPES,
+    WAL_FORM,
     WAL_NAME,
     cloaker_from_config,
     ledger_fields,
     list_checkpoints,
     load_checkpoint,
+    read_wal_meta,
 )
 
 
@@ -153,6 +159,13 @@ class Recovery:
         ``recovery.replay`` (the rows of the WAL events applied: a
         columnar event counts its rows).
         """
+        meta = read_wal_meta(self.directory)
+        form = (meta or {}).get("wal")
+        if form not in (WAL_FORM, None):
+            raise RecoveryError(
+                f"the WAL in {self.directory!r} is in form {form!r}; this "
+                f"build reads {WAL_FORM!r} and the pre-marker form"
+            )
         telemetry = self._telemetry if self._telemetry is not None else Telemetry()
         with telemetry.span("recovery.load") as span:
             path, state, skipped_files = self._load_latest_checkpoint()
@@ -176,7 +189,7 @@ class Recovery:
         ]
         self._check_tail_coverage(checkpoint_seq, replay_events)
 
-        system = self._build_system(state, telemetry)
+        system = self._build_system(state if state is not None else meta, telemetry)
         log = system.obs.events
         log.disable()
         try:
@@ -331,8 +344,9 @@ class Recovery:
                 skipped.append(f"{path.name}: {exc}")
         return None, None, skipped
 
-    def _build_system(self, state: dict | None, telemetry: Telemetry) -> "PrivacySystem":
-        source = state if state is not None else self._read_meta()
+    def _build_system(self, source: dict | None, telemetry: Telemetry) -> "PrivacySystem":
+        """An empty system with the construction parameters ``source``
+        records: a checkpoint's state, or the sidecar when there is none."""
         if source is None:
             raise RecoveryError(
                 f"nothing to recover from in {self.directory!r}: no "
@@ -353,14 +367,6 @@ class Recovery:
             rotate_pseudonyms=bool(source.get("rotate_pseudonyms", False)),
             telemetry=telemetry,
         )
-
-    def _read_meta(self) -> dict | None:
-        path = os.path.join(self.directory, META_NAME)
-        try:  # a missing sidecar is an OSError too
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
 
 def _read_tail(wal: str, offset: int, first_seq: int) -> list[Event] | None:
@@ -497,15 +503,17 @@ def _apply_published(system: "PrivacySystem", attrs: dict) -> None:
 
 def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
     """The column form: ``users[i]`` under ``pseudonyms[i]`` holds region
-    ``sides[region[i]]``.  The row form (one ``[user, pseudonym, min_x,
-    min_y, max_x, max_y]`` list per user under ``regions``) is read for
-    the release after the change."""
+    ``sides[region[i]]``."""
     rows = attrs.get("regions")
     if rows is None:
         users, pseudonyms = attrs["users"], attrs["pseudonyms"]
         table = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
         bounds = table[np.array(attrs["region"], dtype=np.intp)]
     else:
+        # The row form (one ``[user, pseudonym, min_x, min_y, max_x,
+        # max_y]`` list per user under ``regions``), which only a
+        # pre-marker WAL holds.  Delete this branch in the first change
+        # that writes a WAL form other than ``repro.wal/1``.
         users = [row[0] for row in rows]
         pseudonyms = [row[1] for row in rows]
         bounds = np.array([row[2:] for row in rows], dtype=float).reshape(-1, 4)

@@ -162,9 +162,11 @@ def test_corrupt_newest_checkpoint_falls_back(tmp_path):
     good one, and the skip is reported."""
     ops = small_workload(checkpoint_after=CHECKPOINT_AT)
     directory, live, seqs = _durable_run(tmp_path, ops)
-    bad = os.path.join(directory, f"checkpoint-{seqs[-1] + 1:012d}.json")
-    with open(bad, "w", encoding="utf-8") as handle:
-        handle.write('{"schema": "repro.persist/2", "wal_seq":')  # torn JSON
+    with open(list_checkpoints(directory)[-1], "rb") as handle:
+        data = handle.read()
+    bad = os.path.join(directory, f"checkpoint-{seqs[-1] + 1:012d}.npz")
+    with open(bad, "wb") as handle:
+        handle.write(data[: len(data) // 2])  # a torn archive
     recovery = Recovery(directory, telemetry=Telemetry())
     recovered = recovery.recover()
     assert system_digest(recovered) == system_digest(live)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 from published_rows import rows_from_columns
 
@@ -28,13 +29,14 @@ from repro.obs.events import (
     USERS_MOVED,
 )
 from repro.persist import (
+    META_NAME,
     Recovery,
     RecoveryError,
     list_checkpoints,
     load_checkpoint,
     system_digest,
 )
-from repro.persist.checkpoint import OUTCOME_TYPES, ledger_fields
+from repro.persist import recovery as recovery_module
 
 from harness import (
     build_system,
@@ -94,6 +96,24 @@ def _wal_lines(directory) -> list[str]:
 def _write_wal(directory, lines) -> None:
     with open(wal_path(directory), "w", encoding="utf-8") as handle:
         handle.writelines(lines)
+
+
+def _wal_meta(directory) -> dict:
+    with open(os.path.join(directory, META_NAME), "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _write_wal_meta(directory, meta: dict) -> None:
+    with open(os.path.join(directory, META_NAME), "w", encoding="utf-8") as handle:
+        json.dump(meta, handle)
+
+
+def _as_pre_marker(directory) -> None:
+    """Rewrite the sidecar as a build before the WAL-form marker wrote it:
+    ``schema`` naming the checkpoint schema, and no ``wal``."""
+    meta = _wal_meta(directory)
+    assert meta.pop("wal") == "repro.wal/1"
+    _write_wal_meta(directory, {"schema": "repro.persist/3", **meta})
 
 
 def _checkpoint_document(directory) -> tuple[str, dict]:
@@ -206,78 +226,23 @@ def test_an_offset_on_another_lines_start_falls_back_to_the_full_read(tmp_path):
     assert system_digest(recovered) == system_digest(live)
 
 
-def _as_schema_2(state: dict) -> dict:
-    """The ``repro.persist/2`` document a ``/2`` writer made of ``state``,
-    without a ``wal_offset``."""
-    columns = state["columns"]
-    profiles = state["profiles"]
-
-    def entries(name: str) -> list:
-        block = columns[name].tolist()
-        rows = [[i, *sides, *sides] if len(sides) == 2 else [i, *sides]
-                for i, sides in zip(state["stores"][name]["ids"], block)]
-        return sorted(rows)
-
-    return {
-        "schema": "repro.persist/2",
-        **{key: state[key] for key in (
-            "wal_seq", "clock", "bounds", "rotate_pseudonyms", "pseudonym_seq",
-            "cloaker",
-        )},
-        "users": [
-            [i, x, y, state["modes"][mode], speed, profiles[p]]
-            for i, x, y, mode, speed, p in zip(
-                state["users"], *(columns[name].tolist() for name in (
-                    "xs", "ys", "modes", "speeds", "user_profiles"
-                ))
-            )
-        ],
-        "registrations": [
-            [i, pseudonym, published, profiles[p]]
-            for i, pseudonym, published, p in zip(
-                state["registrations"], state["pseudonyms"],
-                columns["published"].tolist(),
-                columns["registration_profiles"].tolist(),
-            )
-        ],
-        "server": state["server"],
-        "stores": {
-            name: {
-                "version": state["stores"][name]["version"],
-                "index": {
-                    "backend": "rtree",
-                    "params": {"max_entries": 16, "min_entries": 8},
-                    "entries": entries(name),
-                },
-            }
-            for name in ("public", "private")
-        },
-        "ledger": {
-            key: [
-                [user, *values]
-                for user, *values in zip(state["ledger"][key], *(
-                    columns[f"ledger.{key}.{name}"].tolist()
-                    for name, _ in ledger_fields(outcome_type)
-                ))
-            ]
-            for key, outcome_type in OUTCOME_TYPES.items()
-        },
-    }
-
-
-def test_a_schema_1_checkpoint_and_a_per_row_user_moved_wal_still_recover(tmp_path):
-    """A ``/2`` checkpoint without a usable ``wal_offset`` (the kind a
-    ``/1`` document was) still gets the full WAL read and recovers."""
+def test_a_checkpoint_without_a_wal_offset_gets_the_full_read(tmp_path):
+    """A ``/3`` manifest whose ``wal_offset`` is ``null`` (no usable
+    offset, as the first checkpoints had) gets the full WAL read and
+    recovers."""
     ops = report_workload()
     directory, live, _ = _durable_run(tmp_path, ops)
-    path, state = _checkpoint_document(directory)
-    os.remove(path)
-    document = _as_schema_2(state)
-    assert "wal_offset" not in document
-    with open(path.removesuffix(".npz") + ".json", "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
+    path, _ = _checkpoint_document(directory)
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    manifest = json.loads(members["manifest"].tobytes())
+    manifest["wal_offset"] = None
+    members["manifest"] = np.frombuffer(json.dumps(manifest).encode(), np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+    assert load_checkpoint(path)["wal_offset"] is None
     recovered, report = _recover(directory)
-    assert report["checkpoint"].endswith(".json")
+    assert report["checkpoint"] == os.path.basename(path)
     assert report["wal_read"] == "full"
     assert system_digest(recovered) == system_digest(live)
 
@@ -347,10 +312,12 @@ def test_a_tail_with_the_retired_duplicate_kinds_recovers_and_audits_the_same(
 def test_a_row_form_published_bulk_tail_recovers_and_audits_the_same(
     tmp_path, rotate
 ):
-    """A WAL tail whose bulk publications are in the row form (one
-    ``[user, pseudonym, min_x, min_y, max_x, max_y]`` list per user under
-    ``regions``) recovers to the same digest, with the same report, and
-    audits to the same report as the column-form tail it was made from."""
+    """A directory written before the sidecar named the WAL form: its
+    sidecar has ``schema`` and no ``wal``, and its WAL tail's bulk
+    publications are in the row form (one ``[user, pseudonym, min_x,
+    min_y, max_x, max_y]`` list per user under ``regions``).  It recovers
+    to the same digest, with the same report, and audits to the same
+    report as the column-form tail it was made from."""
     directory = str(tmp_path / "state")
     os.makedirs(directory)
     live = build_system(directory, rotate=rotate)
@@ -373,7 +340,50 @@ def test_a_row_form_published_bulk_tail_recovers_and_audits_the_same(
         rewritten += 1
     assert rewritten == 3
     _write_wal(directory, lines)
+    _as_pre_marker(directory)
     rows, rows_report = _recover(directory)
     assert rows_report == columns_report and rows_report["wal_read"] == "tail"
     assert system_digest(rows) == system_digest(columns) == system_digest(live)
     assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current
+
+
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_a_foreign_wal_form_is_refused_before_anything_is_built(
+    tmp_path, monkeypatch, checkpoint
+):
+    """A sidecar naming a WAL form this build does not write is refused,
+    with or without a checkpoint, before a checkpoint is listed or a
+    system is built."""
+    ops = small_workload(checkpoint_after=CHECKPOINT_AT if checkpoint else None)
+    directory, _, _ = _durable_run(tmp_path, ops)
+    assert bool(list_checkpoints(directory)) == checkpoint
+    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/99"})
+
+    def built(*_args, **_kwargs):
+        raise AssertionError("recovery went past the WAL form")
+
+    monkeypatch.setattr(recovery_module, "list_checkpoints", built)
+    monkeypatch.setattr(recovery_module, "PrivacySystem", built)
+    with pytest.raises(RecoveryError, match="'repro.wal/99'"):
+        _recover(directory)
+
+
+def test_attaching_keeps_the_recorded_form_and_rotation_records_this_one(
+    tmp_path,
+):
+    """``Recovery(attach=True)`` on a pre-marker directory leaves it
+    pre-marker: the lines in ``wal.jsonl`` were not written in this
+    build's form.  A later rotation starts a fresh file, and the sidecar
+    names this build's form for it."""
+    directory, live, _ = _durable_run(tmp_path, report_workload())
+    _as_pre_marker(directory)
+    system, _ = _recover(directory, attach=True)
+    assert "wal" not in _wal_meta(directory)
+    assert system_digest(system) == system_digest(live)
+    assert system.rotate_wal() is not None
+    assert _wal_meta(directory)["wal"] == "repro.wal/1"
+    system.checkpoint(directory)
+    system.obs.events.detach_jsonl()
+    recovered, report = _recover(directory)
+    assert report["wal_read"] == "tail"
+    assert system_digest(recovered) == system_digest(system)

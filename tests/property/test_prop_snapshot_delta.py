@@ -23,7 +23,6 @@ from repro.engine.snapshot import ServerSnapshot
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.obs import Telemetry
-from repro.persist.indexes import rect_sides
 from repro.queries.spec import CountSpec, KNNSpec, RangeSpec
 
 coord = st.integers(min_value=0, max_value=6).map(float)
@@ -114,7 +113,7 @@ def assert_rows_are_items(snapshot: ServerSnapshot, server: LocationServer) -> N
     assert snapshot.public_ys.tolist() == [p.y for _, p in public]
     private = list(server.private.items())
     assert snapshot.private_ids == tuple(item for item, _ in private)
-    assert snapshot.private_bounds.tolist() == [rect_sides(r) for _, r in private]
+    assert snapshot.private_bounds.tolist() == [list(r.as_tuple()) for _, r in private]
     assert dict(snapshot.public_rank) == {
         item: row for row, item in enumerate(snapshot.public_ids)
     }

@@ -306,6 +306,19 @@ class TestCheckpointRecoverCommands:
         assert main(["recover", "--dir", str(tmp_path)]) == 5
         assert "repro recover: error:" in capsys.readouterr().err
 
+    def test_recover_foreign_wal_form_exits_5(self, tmp_path, capsys):
+        import json
+        import os
+
+        directory, _ = self._run_checkpoint(tmp_path, capsys)
+        meta_path = os.path.join(directory, "wal-meta.json")
+        with open(meta_path, encoding="utf-8") as handle:
+            meta = json.load(handle)
+        with open(meta_path, "w", encoding="utf-8") as handle:
+            json.dump({**meta, "wal": "repro.wal/99"}, handle)
+        assert main(["recover", "--dir", directory]) == 5
+        assert "'repro.wal/99'" in capsys.readouterr().err
+
     def test_checkpoint_rejects_tiny_population(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["checkpoint", "--dir", str(tmp_path / "s"), "--users", "1"])

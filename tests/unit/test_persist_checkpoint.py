@@ -4,9 +4,8 @@
 ``repro.persist/3`` checkpoint of a small deterministic system, member
 by member (``np.savez`` stamps zip times, so the bytes differ between
 writes); a drift in any written field fails here before it can make a
-stored checkpoint unreadable.  ``persist_checkpoint_mini_v2.json`` is
-the same system as a ``repro.persist/2`` document, the schema still
-read for one release: both must recover to the same digest.
+stored checkpoint unreadable.  It is the only checkpoint form read, and
+it must recover to the digest of the system it was written from.
 """
 
 from __future__ import annotations
@@ -141,8 +140,7 @@ def _recover_fixture(name: str, tmp_path) -> PrivacySystem:
     target = tmp_path / name.replace(".", "_")
     target.mkdir()
     seq = load_checkpoint(source)["wal_seq"]
-    suffix = os.path.splitext(name)[1]
-    shutil.copy(source, target / f"checkpoint-{seq:012d}{suffix}")
+    shutil.copy(source, target / f"checkpoint-{seq:012d}.npz")
     return _recover(target)
 
 
@@ -183,10 +181,7 @@ class TestCheckpointDocument:
 
     def test_previous_release_document_recovers_to_the_same_digest(self, tmp_path):
         current = _recover_fixture("persist_checkpoint_mini_v3.npz", tmp_path)
-        previous = _recover_fixture("persist_checkpoint_mini_v2.json", tmp_path)
-        expected = system_digest(_mini_system())
-        assert system_digest(current) == expected
-        assert system_digest(previous) == expected
+        assert system_digest(current) == system_digest(_mini_system())
 
     def test_every_written_section_is_read(self, tmp_path, monkeypatch):
         """A section nothing reads is not a durable fact: it must go."""
@@ -360,16 +355,18 @@ def _archive(path, manifest) -> None:
 
 class TestLoadCheckpoint:
     def test_foreign_schema_rejected(self, tmp_path):
-        document = tmp_path / "checkpoint-000000000001.json"
-        document.write_text(json.dumps({"schema": "somebody.else/9", "wal_seq": 1}))
         archive = tmp_path / "checkpoint-000000000002.npz"
         _archive(archive, {"schema": "somebody.else/9", "wal_seq": 2})
-        # A /2 document is read only as JSON, a /3 one only as an archive.
+        # The schema before /3 is foreign too, in an archive or not.
         renamed = tmp_path / "checkpoint-000000000003.npz"
         _archive(renamed, {"schema": "repro.persist/2", "wal_seq": 3})
-        for path in (document, archive, renamed):
-            with pytest.raises(CheckpointError, match="repro.persist/2 or repro.persist/3"):
+        for path in (archive, renamed):
+            with pytest.raises(CheckpointError, match="not a repro.persist/3 checkpoint"):
                 load_checkpoint(path)
+        document = tmp_path / "checkpoint-000000000001.json"
+        document.write_text(json.dumps({"schema": "repro.persist/2", "wal_seq": 1}))
+        with pytest.raises(CheckpointError, match="unreadable checkpoint"):
+            load_checkpoint(document)
 
     def test_non_object_document_rejected(self, tmp_path):
         path = tmp_path / "checkpoint-000000000001.json"
@@ -382,10 +379,10 @@ class TestLoadCheckpoint:
             load_checkpoint(archive)
 
     def test_torn_json_raises_value_error(self, tmp_path):
-        """A torn ``/2`` document is a CheckpointError, which recovery
-        catches as the ValueError it is."""
-        path = tmp_path / "checkpoint-000000000001.json"
-        path.write_text('{"schema": "repro.persist/2", "wal_seq":')
+        """A checkpoint name holding torn JSON, not an archive, is a
+        CheckpointError, which recovery catches as the ValueError it is."""
+        path = tmp_path / "checkpoint-000000000001.npz"
+        path.write_text('{"schema": "repro.persist/3", "wal_seq":')
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         assert issubclass(CheckpointError, ValueError)
@@ -413,7 +410,8 @@ class TestListCheckpoints:
         (tmp_path / "checkpoint-000000000998.json.tmp").write_text("{")
         (tmp_path / "wal.jsonl").write_text("")
         found = [p.name for p in list_checkpoints(tmp_path)]
-        assert found == [names[1], names[0], names[2]]
+        # A ``.json`` file, the form before /3, is not a checkpoint.
+        assert found == [names[0], names[2]]
 
 
 class TestRecoveryPhases:
@@ -603,7 +601,7 @@ class TestWalMeta:
         with open(path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
         assert meta == {
-            "schema": SCHEMA,
+            "wal": "repro.wal/1",
             "bounds": [0.0, 0.0, 100.0, 100.0],
             "rotate_pseudonyms": False,
             "cloaker": {

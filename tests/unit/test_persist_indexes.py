@@ -2,16 +2,10 @@
 
 A ``repro.persist/3`` checkpoint stores each server store as its ids and
 coordinate block, and ``_Store.restore`` STR-loads the R-tree from those
-arrays (``RTree.bulk_load``).  The golden fixture
-``tests/fixtures/persist_index_rtree.json`` pins the logical state a
-``repro.persist/2`` checkpoint stored per tree, which the ``/2`` reader
-(``columns_from_state``) still turns into columns.
+arrays (``RTree.bulk_load``).  No index state is stored.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import numpy as np
 import pytest
@@ -20,11 +14,8 @@ from repro.core.stores import PrivateStore, PublicStore
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.rtree import RTree
-from repro.persist.indexes import columns_from_state, rect_sides
 
 from rtree_checks import rtree_fingerprint
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 #: Insertion order is deliberately not sorted.
 POINTS = [("b", 10.0, 20.0), ("a", 35.5, 60.25), ("d", 80.0, 5.0), ("c", 50.0, 50.0)]
@@ -44,7 +35,7 @@ def _columns(index: RTree) -> tuple[list, list[Rect], np.ndarray]:
     """The index's entries as a store's columns, in its iteration order."""
     ids = list(index)
     rects = [index.geometry_of(item) for item in ids]
-    bounds = np.array([rect_sides(rect) for rect in rects], dtype=float)
+    bounds = np.array([rect.as_tuple() for rect in rects], dtype=float)
     return ids, rects, bounds.reshape(len(ids), 4)
 
 
@@ -66,21 +57,8 @@ def _entries_of(index) -> dict:
     return {str(item): index.geometry_of(item) for item in index}
 
 
-def _golden() -> dict:
-    with open(os.path.join(FIXTURES, "persist_index_rtree.json"), encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestRoundTrip:
-    def test_state_matches_golden_fixture(self, backend):
-        """The ``/2`` golden state reads as the tree's columns, in the
-        state's sorted entry order."""
-        ids, bounds = columns_from_state(_golden())
-        entries = _entries_of(BACKENDS[backend]())
-        assert ids == sorted(entries)
-        assert bounds.tolist() == [rect_sides(entries[item]) for item in ids]
-
     def test_rebuild_preserves_entries_and_params(self, backend):
         original = BACKENDS[backend]()
         rebuilt = _from_columns(original)
@@ -94,12 +72,6 @@ class TestRoundTrip:
         hits = set(rebuilt.range_query(window))
         assert {"a", "b", "c"} <= hits
         assert "d" not in hits
-
-    def test_golden_fixture_rebuilds(self, backend):
-        """A ``/2`` checkpoint's index state must remain loadable."""
-        ids, bounds = columns_from_state(_golden())
-        rebuilt = _restored(ids, bounds, 4)._rtree
-        assert _entries_of(rebuilt) == _entries_of(BACKENDS[backend]())
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed", "ties"])
@@ -117,7 +89,7 @@ def test_column_load_is_the_str_bulk_load(order):
         ]
     ids = [item for item, _ in entries]
     rects = [rect for _, rect in entries]
-    bounds = np.array([rect_sides(rect) for rect in rects])
+    bounds = np.array([rect.as_tuple() for rect in rects])
     for max_entries in (4, 8):
         packed = RTree.bulk_load(dict(entries), max_entries=max_entries)
         store = _restored(ids, bounds, max_entries)
@@ -127,14 +99,10 @@ def test_column_load_is_the_str_bulk_load(order):
 
 
 def test_empty_indexes_round_trip():
-    ids, bounds = columns_from_state({"backend": "rtree", "params": {}, "entries": []})
-    assert ids == [] and bounds.shape == (0, 4)
-    rebuilt = _restored(ids, bounds, 4)._rtree
-    assert type(rebuilt) is RTree
-    assert _entries_of(rebuilt) == {}
     for store in (PublicStore(), PrivateStore()):
         store.restore(*store.columns(), 0)
         assert len(store) == 0 and list(store.items()) == []
+        assert type(store._rtree) is RTree and _entries_of(store._rtree) == {}
 
 
 def test_store_columns_round_trip_in_row_order():
@@ -153,27 +121,3 @@ def test_store_columns_round_trip_in_row_order():
         assert list(twin.items()) == list(store.items())
         assert twin.version == store.version
         assert _entries_of(twin._rtree) == _entries_of(store._rtree)
-
-
-_ENTRIES = [["a", 35.5, 60.25, 35.5, 60.25], ["b", 10.0, 20.0, 10.0, 20.0]]
-_SQUARE = [0.0, 0.0, 100.0, 100.0]
-
-
-def test_unknown_backend_rejected():
-    states = [
-        {"backend": "btree", "params": {}, "entries": []},
-        # What the retired point-index codecs wrote: well-formed, but a
-        # checkpoint holds nothing but R-trees.
-        {"backend": "grid", "params": {"bounds": _SQUARE, "cols": 8, "rows": 8},
-         "entries": _ENTRIES},
-        {"backend": "kdtree", "params": {"rebuild_fraction": 0.5},
-         "entries": _ENTRIES},
-        {"backend": "pyramid", "params": {"bounds": _SQUARE, "height": 4},
-         "entries": _ENTRIES},
-        {"backend": "quadtree",
-         "params": {"bounds": _SQUARE, "capacity": 2, "max_depth": 6},
-         "entries": _ENTRIES},
-    ]
-    for state in states:
-        with pytest.raises(ValueError, match="unknown index backend"):
-            columns_from_state(state)
