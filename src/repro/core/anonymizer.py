@@ -393,13 +393,13 @@ class LocationAnonymizer:
 
     def _push(self, user_id: Hashable, result: CloakResult) -> None:
         """Send one cloaked region to the server under the pseudonym policy."""
-        old_pseudonym = self._registration_of(user_id).pseudonym
         with self.telemetry.span("anonymizer.publish"):
             registration, rotated = self._rotate(user_id)
             region = result.region
             self.server.receive_region(registration.pseudonym, region)
-        # user + region sides make the publication replayable (WAL); the
-        # old pseudonym lets replay retire the rotated-away region.
+        # user + region sides make the publication replayable (WAL);
+        # replay retires a rotated-away pseudonym through the user's
+        # registration (``_adopt``).
         self.telemetry.emit(
             REGION_PUBLISHED,
             pseudonym=registration.pseudonym,
@@ -410,7 +410,6 @@ class LocationAnonymizer:
             min_y=region.min_y,
             max_x=region.max_x,
             max_y=region.max_y,
-            **({"old_pseudonym": old_pseudonym} if rotated else {}),
         )
 
     # ------------------------------------------------------------------

@@ -15,11 +15,11 @@ private query       candidate-set range & NN reducible to the other two
 It never receives exact private locations: private data arrives only as
 cloaked regions pushed by the :class:`~repro.core.anonymizer.LocationAnonymizer`.
 
-Every question is a :class:`~repro.queries.spec.QuerySpec`: one at a
-time through :attr:`LocationServer.planner`, many at once through
-:meth:`LocationServer.execute_batch`.  Both account it under its
-:func:`~repro.queries.spec.native_kind` and run it through the same
-per-kind runner (:data:`repro.engine.batch.RUNNERS`).
+Every question is a :class:`~repro.queries.spec.QuerySpec`, answered
+through :attr:`LocationServer.planner`, which accounts it under its
+:func:`~repro.queries.spec.native_kind` and runs it through its kind's
+runner (:data:`repro.engine.batch.RUNNERS`), one spec at a time or many
+at once on the batch engine (:meth:`LocationServer.execute_batch`).
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ from repro.obs.events import (
     POI_ADDED,
     POI_MOVED,
     POI_REMOVED,
-    SERVER_QUERY,
 )
 from repro.queries.continuous import ContinuousCountMonitor
-from repro.queries.spec import QuerySpec, native_kind, require_bound
+from repro.queries.spec import QuerySpec
 
 
 @dataclass(frozen=True)
@@ -113,20 +112,15 @@ class LocationServer:
     def record_query(self, kind: str, n: int = 1) -> None:
         """Count ``n`` served queries under their native ``kind``.
 
-        The one place queries are accounted: the planner calls it per
-        single query, :meth:`execute_batch` once per kind of a batch, so
-        a question is counted under the same name whatever backend or
-        route answers it (:func:`repro.queries.spec.native_kind`).
+        Called by the planner for each decision it runs, before the
+        ``planner.decision`` record that makes the count durable, so a
+        question counts under one name whatever route answers it.
         """
         self._count_queries(kind, n)
         self.telemetry.count("server.queries", amount=n, kind=kind)
-        # Durable accounting record: replaying these reconstructs the
-        # served-query counters after a crash (repro.persist).  ``query``
-        # not ``kind`` — the latter is the event-envelope key.
-        self.telemetry.emit(SERVER_QUERY, query=kind, n=n)
 
     def _count_queries(self, kind: str, n: int) -> None:
-        """Applier of ``server.query``: the served-query counters (no
+        """Applier of ``planner.decision``: the served-query counters (no
         telemetry; crash recovery replays it)."""
         self.queries_served += n
         self.queries_by_kind[kind] = self.queries_by_kind.get(kind, 0) + n
@@ -228,24 +222,11 @@ class LocationServer:
 
         Every query sees the same frozen snapshot of both stores; results
         align with the input order and equal the single-query answers
-        (see ``docs/batch_engine.md``).  The batch is accounted once per
-        kind — one ``server.query`` record carrying the count — not once
-        per query.  ``routes`` is the planner's per-query
-        vectorized/scalar choice vector (see
-        :meth:`repro.engine.batch.BatchEngine.execute`).
+        (see ``docs/batch_engine.md``).  Nothing is counted here: the
+        planner's ``execute_batch`` counts, and passes ``routes``, its
+        per-query vectorized/scalar vector (``BatchEngine.execute``).
         """
-        batch = list(specs)
-        kinds: dict[str, int] = {}
-        for spec in batch:
-            require_bound(spec)  # before anything is accounted
-            kind = native_kind(spec)
-            kinds[kind] = kinds.get(kind, 0) + 1
-        # The accounting records join the batch's snapshot events on one
-        # batch id; reused when a caller already opened the scope.
-        with self.telemetry.correlate("b", reuse=True):
-            for kind, n in kinds.items():
-                self.record_query(kind, n)
-            return self.engine.execute(batch, routes=routes)
+        return self.engine.execute(specs, routes=routes)
 
     # ------------------------------------------------------------------
     # Continuous queries

@@ -380,6 +380,7 @@ class PrivacySystem:
             raise QueryError(
                 f"query() takes a QuerySpec, got {type(spec).__name__}"
             )
+        self.planner.require_answerable([spec])
         # One correlation id per front-door request: every span, event
         # and planner decision below joins on it (repro.obs.correlate).
         with self.obs.correlate("q"):
@@ -442,7 +443,8 @@ class PrivacySystem:
 
         User-bound specs run the full QoS-accounted pipeline one by one;
         the rest are planned and executed together by
-        :meth:`repro.planner.QueryPlanner.execute_batch`.
+        :meth:`repro.planner.QueryPlanner.execute_batch`.  Every spec is
+        checked before the first one runs.
         """
         batch = list(specs)
         for spec in batch:
@@ -450,6 +452,9 @@ class PrivacySystem:
                 raise QueryError(
                     f"execute_batch() takes QuerySpecs, got {type(spec).__name__}"
                 )
+            if is_user_bound(spec):
+                self._visible_user(spec.user)
+        self.planner.require_answerable(batch)
         with self.obs.correlate("b"), self.obs.span(
             "system.execute_batch", size=len(batch)
         ):

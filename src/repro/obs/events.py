@@ -109,8 +109,6 @@ POI_MOVED = "poi.moved"
 POI_REMOVED = "poi.removed"
 #: The simulation clock advanced one mobility step.
 CLOCK_ADVANCED = "clock.advanced"
-#: The server accounted one (or ``n``) served queries under a kind.
-SERVER_QUERY = "server.query"
 #: A standing continuous count monitor was installed over a window.
 MONITOR_REGISTERED = "monitor.registered"
 #: A standing continuous count monitor was dropped.
@@ -139,7 +137,8 @@ SNAPSHOT_CAPTURED = "snapshot.captured"
 #: The batch engine answered from the cached snapshot (stores quiescent).
 SNAPSHOT_REUSED = "snapshot.reused"
 #: The planner chose a route for one query, or for one kind group of a
-#: batch (``n`` specs); carries the route table's reason.
+#: batch (``n`` specs); carries the route table's reason.  The durable
+#: accounting record: replay counts ``n`` served queries under ``query``.
 PLANNER_DECISION = "planner.decision"
 #: Measured execution time of one planned query (joins its
 #: ``planner.decision`` on ``qid`` and carries counter deltas, plus the
@@ -178,7 +177,6 @@ EVENT_KINDS: tuple[str, ...] = (
     POI_MOVED,
     POI_REMOVED,
     CLOCK_ADVANCED,
-    SERVER_QUERY,
     MONITOR_REGISTERED,
     MONITOR_DROPPED,
     CLOAK_ESCALATED,

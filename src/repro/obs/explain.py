@@ -356,12 +356,14 @@ class QueryExplainer:
     # ------------------------------------------------------------------
 
     def explain_batch(self, specs: Iterable[QuerySpec]) -> PlanNode:
-        """One heterogeneous batch through the engine, per-kind groups."""
+        """One heterogeneous batch through the planner and the engine,
+        per-kind groups on the routes the planner chose."""
         batch = list(specs)
+        planner = self.server.planner
         engine = self.server.engine
         cached = engine._cached
         reused = cached is not None and cached.matches(self.server)
-        self.server.execute_batch(batch)
+        planner.execute_batch(batch)
         snapshot = engine._cached
         plan = PlanNode("batch", {"size": len(batch)})
         plan.add(
@@ -370,17 +372,17 @@ class QueryExplainer:
             n_public=snapshot.n_public if snapshot is not None else 0,
             n_private=snapshot.n_private if snapshot is not None else 0,
         )
-        groups: dict[str, int] = {}
+        groups: dict[str, list[QuerySpec]] = {}
         for spec in batch:
-            kind = native_kind(spec)
-            groups[kind] = groups.get(kind, 0) + 1
-        for kind, n in groups.items():
-            kernel = BATCH_KERNELS[kind]
+            groups.setdefault(native_kind(spec), []).append(spec)
+        for kind, members in groups.items():
+            route = planner.decide(members[0], len(batch)).route
             plan.add(
                 f"engine.{kind}",
-                n=n,
-                path="scalar" if kernel is None else "vectorized",
-                kernel=kernel or "per-query processor",
+                n=len(members),
+                path=route,
+                kernel=BATCH_KERNELS[kind] if route == "vectorized"
+                else "per-query processor",
                 tie_break=TIE_BREAK[kind],
             )
         return plan

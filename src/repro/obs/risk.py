@@ -221,7 +221,7 @@ class PrivacyRiskMonitor:
             self._attainment.append((int(k), int(round(k_sum / n)), n))
 
     def _on_region_published(self, attrs: Mapping) -> None:
-        # A new pseudonym restarts the user's row: ``old_pseudonym`` is moot.
+        # A new pseudonym restarts the user's row.
         sides = (attrs["min_x"], attrs["min_y"], attrs["max_x"], attrs["max_y"])
         self.posterior.publish(attrs["user"], Rect(*sides))
         self.linkage.observe(attrs["user"], attrs["pseudonym"], self._t, sides)

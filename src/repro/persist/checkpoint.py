@@ -65,7 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SCHEMA = "repro.persist/3"
 #: The form of the lines this build writes to ``wal.jsonl``, recorded in
 #: the ``wal-meta.json`` sidecar (docs/durability.md, *WAL forms*).
-WAL_FORM = "repro.wal/1"
+WAL_FORM = "repro.wal/2"
+#: The forms recovery reads, with one applier table: this build's, and
+#: ``repro.wal/1``, whose copies of each decision's count reach no applier.
+READ_WAL_FORMS = (WAL_FORM, "repro.wal/1")
 
 #: File names inside a durability directory.
 WAL_NAME = "wal.jsonl"
@@ -108,7 +111,8 @@ _FIELD_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
 
 
 class CheckpointError(ValueError):
-    """A checkpoint is unreadable or carries a foreign schema."""
+    """A checkpoint is unreadable or carries a foreign schema, or a WAL's
+    lines are in a form this build does not read."""
 
 
 # ----------------------------------------------------------------------
@@ -315,25 +319,32 @@ def write_wal_meta(system: "PrivacySystem", directory) -> str:
     Records the system construction parameters (bounds, pseudonym
     policy, cloaker configuration) that no event carries, so recovery
     can rebuild a system from the WAL alone when no checkpoint exists,
-    and under ``wal`` the form of the live ``wal.jsonl``'s lines: this
-    build's :data:`WAL_FORM`, unless the file already holds lines, which
-    keep the form recorded for them (none, for a directory written
-    before the sidecar named it).
+    and under ``wal`` the form of the live ``wal.jsonl``'s lines
+    (:func:`wal_form`, which refuses before anything is written).
     """
     meta = {
-        "wal": WAL_FORM,
+        "wal": wal_form(directory, read_wal_meta(directory)),
         "bounds": list(system.bounds.as_tuple()),
         "rotate_pseudonyms": system.anonymizer.rotate_pseudonyms,
         "cloaker": cloaker_config(system.anonymizer.cloaker),
     }
-    wal = Path(directory) / WAL_NAME
-    if wal.exists() and wal.stat().st_size:
-        form = (read_wal_meta(directory) or {}).get("wal")
-        if form is None:
-            del meta["wal"]
-        else:
-            meta["wal"] = form
     return str(_atomic_write(directory, META_NAME, json.dumps(meta).encode()))
+
+
+def wal_form(directory, meta: dict | None) -> str:
+    """The form of the lines in ``directory``'s ``wal.jsonl``: the one the
+    sidecar ``meta`` records when the file holds lines, this build's when
+    it holds none.  A recorded form not in :data:`READ_WAL_FORMS`, or none
+    for lines (a pre-marker directory), raises :class:`CheckpointError`."""
+    form = (meta or {}).get("wal")
+    wal = Path(directory) / WAL_NAME
+    holds_lines = wal.exists() and wal.stat().st_size > 0
+    if form not in READ_WAL_FORMS and (form is not None or holds_lines):
+        raise CheckpointError(
+            f"the WAL in {os.fspath(directory)!r} is in form {form!r}; this "
+            f"build reads {' and '.join(map(repr, READ_WAL_FORMS))}"
+        )
+    return form if holds_lines else WAL_FORM
 
 
 def read_wal_meta(directory) -> dict | None:

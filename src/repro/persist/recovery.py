@@ -4,10 +4,10 @@
 equivalent to the one that crashed:
 
 0. read the form of the live WAL from the ``wal-meta.json`` sidecar:
-   this build's :data:`~repro.persist.checkpoint.WAL_FORM`, or none
-   (the pre-marker form of a directory written before the sidecar
-   named it) is read; any other form is refused before anything is
-   built (docs/durability.md, *WAL forms*);
+   the forms in :data:`~repro.persist.checkpoint.READ_WAL_FORMS` are
+   read, with one applier table; any other, or none recorded for a WAL
+   that holds lines, is refused before anything is built
+   (docs/durability.md, *WAL forms*);
 1. scan the durability directory for the newest *readable* checkpoint
    (torn, unparsable or foreign-schema files are skipped — a crash
    mid-write leaves a ``.tmp`` orphan and, at worst, a corrupt newest
@@ -74,6 +74,7 @@ from repro.obs.events import (
     MONITOR_DROPPED,
     MONITOR_REGISTERED,
     PERSIST_REPLAYED,
+    PLANNER_DECISION,
     POI_ADDED,
     POI_MOVED,
     POI_REMOVED,
@@ -81,7 +82,6 @@ from repro.obs.events import (
     QUERY_COMPLETED,
     REGION_PUBLISHED,
     REGIONS_PUBLISHED_BULK,
-    SERVER_QUERY,
     USER_ADDED,
     USER_ADMITTED,
     USER_MODE_CHANGED,
@@ -93,13 +93,14 @@ from repro.obs.events import (
 )
 from repro.persist.checkpoint import (
     OUTCOME_TYPES,
-    WAL_FORM,
     WAL_NAME,
+    CheckpointError,
     cloaker_from_config,
     ledger_fields,
     list_checkpoints,
     load_checkpoint,
     read_wal_meta,
+    wal_form,
 )
 
 
@@ -160,12 +161,10 @@ class Recovery:
         columnar event counts its rows).
         """
         meta = read_wal_meta(self.directory)
-        form = (meta or {}).get("wal")
-        if form not in (WAL_FORM, None):
-            raise RecoveryError(
-                f"the WAL in {self.directory!r} is in form {form!r}; this "
-                f"build reads {WAL_FORM!r} and the pre-marker form"
-            )
+        try:
+            wal_form(self.directory, meta)
+        except CheckpointError as exc:
+            raise RecoveryError(str(exc)) from exc
         telemetry = self._telemetry if self._telemetry is not None else Telemetry()
         with telemetry.span("recovery.load") as span:
             path, state, skipped_files = self._load_latest_checkpoint()
@@ -502,21 +501,11 @@ def _apply_published(system: "PrivacySystem", attrs: dict) -> None:
 
 
 def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
-    """The column form: ``users[i]`` under ``pseudonyms[i]`` holds region
+    """``users[i]`` under ``pseudonyms[i]`` holds region
     ``sides[region[i]]``."""
-    rows = attrs.get("regions")
-    if rows is None:
-        users, pseudonyms = attrs["users"], attrs["pseudonyms"]
-        table = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
-        bounds = table[np.array(attrs["region"], dtype=np.intp)]
-    else:
-        # The row form (one ``[user, pseudonym, min_x, min_y, max_x,
-        # max_y]`` list per user under ``regions``), which only a
-        # pre-marker WAL holds.  Delete this branch in the first change
-        # that writes a WAL form other than ``repro.wal/1``.
-        users = [row[0] for row in rows]
-        pseudonyms = [row[1] for row in rows]
-        bounds = np.array([row[2:] for row in rows], dtype=float).reshape(-1, 4)
+    users, pseudonyms = attrs["users"], attrs["pseudonyms"]
+    table = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
+    bounds = table[np.array(attrs["region"], dtype=np.intp)]
     adopt = system.anonymizer._adopt
     for user_id, pseudonym in zip(users, pseudonyms):
         adopt(user_id, pseudonym)
@@ -564,13 +553,13 @@ _REPLAY = {
     REGION_PUBLISHED: _apply_published,
     REGIONS_PUBLISHED_BULK: _apply_published_bulk,
     QUERY_COMPLETED: _apply_completed,
-    SERVER_QUERY: lambda s, a: s.server._count_queries(a["query"], int(a.get("n", 1))),
+    PLANNER_DECISION: lambda s, a: s.server._count_queries(a["query"], a["n"]),
 }
 
 
 def _apply_event(system: "PrivacySystem", event: Event) -> bool:
     """Apply one WAL event to ``system``; False for kinds that change no
-    durable state (cloak audit records, planner decisions, ...)."""
+    durable state (cloak audit records, measurements, ...)."""
     apply = _REPLAY.get(event.kind)
     if apply is None:
         return False

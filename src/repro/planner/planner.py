@@ -26,8 +26,7 @@ spec is counted, spanned and grouped under its
 :func:`~repro.queries.spec.native_kind` and executed by that kind's row
 of :data:`repro.engine.batch.RUNNERS`.  :meth:`QueryPlanner.execute` is
 the one place a single query's count -> span -> run -> measurement
-sequence lives; the measurement carries the candidate set's size for
-the private kinds.
+sequence lives; the count's record, the decision, is durable.
 """
 
 from __future__ import annotations
@@ -225,8 +224,21 @@ class QueryPlanner:
             forced=True,
         )
 
+    def require_answerable(self, specs: Iterable[QuerySpec]) -> None:
+        """Refuse the call, before anything is cloaked, counted or logged,
+        when one of ``specs`` is a private NN or k-NN over an empty public
+        store.  The planner's entry points and the system's front door
+        run it."""
+        if len(self.server.public):
+            return
+        for kind in map(native_kind, specs):
+            if kind in ("private_nn", "private_knn"):
+                raise QueryError(f"{kind} query over an empty public store")
+
     def _chosen(self, decision: Decision, batch: int, n: int) -> None:
-        """Log and count a decision about to run over ``n`` specs."""
+        """Count a decision about to run over ``n`` specs, then log it: the
+        one accounting record, which recovery replays (apply, then emit)."""
+        self.server.record_query(decision.kind, n)
         self.server.telemetry.emit(
             PLANNER_DECISION,
             query=decision.kind,
@@ -265,6 +277,7 @@ class QueryPlanner:
         user and re-enters here with the region-bound form.
         """
         require_bound(spec)
+        self.require_answerable([spec])
         telemetry = self.server.telemetry
         # Share the ambient query scope (system.query opened one) so the
         # decision and the measurement below join on the same qid; mint
@@ -273,7 +286,6 @@ class QueryPlanner:
             if decision is None:
                 decision = self.decide(spec, route=route)
             self._chosen(decision, batch=1, n=1)
-            self.server.record_query(decision.kind)
             runner = RUNNERS[decision.kind]
             # The kernel's work does not land in the stores' counters.
             counters = (
@@ -331,14 +343,15 @@ class QueryPlanner:
     ) -> list:
         """Plan and answer a whole spec batch, results in input order.
 
-        One decision per native kind in the batch, then one
-        ``LocationServer.execute_batch`` call with the per-spec route
-        vector (accounted once per kind, no per-query candidate events),
-        timed as a whole by one ``planner.measured``.
+        Every spec is checked, then one decision per native kind counts
+        its specs, then one ``LocationServer.execute_batch`` call runs the
+        per-spec route vector (no per-query candidate events), timed as a
+        whole by one ``planner.measured``.
         """
         batch = list(specs)
         for spec in batch:
             require_bound(spec)
+        self.require_answerable(batch)
         if not batch:
             return []
         telemetry = self.server.telemetry

@@ -23,7 +23,7 @@ from repro.engine.batch import RUNNERS
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
-from repro.obs.events import QUERY_COMPLETED, SERVER_QUERY
+from repro.obs.events import PLANNER_DECISION, QUERY_COMPLETED
 from repro.obs.explain import BATCH_KERNELS, TIE_BREAK
 from repro.planner.planner import eligible_routes
 from repro.queries.spec import (
@@ -91,7 +91,7 @@ def last_seq(system) -> int:
 
 def accounted(system, run) -> tuple[dict, dict, dict]:
     """What ``run()`` added to the three places a kind is written:
-    ``ServerStats.queries_by_kind``, the ``server.query`` events, and
+    ``ServerStats.queries_by_kind``, the ``planner.decision`` events, and
     the ``engine.queries{kind=}`` counters."""
     before = dict(system.server.stats().queries_by_kind)
     seq = last_seq(system)
@@ -112,7 +112,7 @@ def accounted(system, run) -> tuple[dict, dict, dict]:
         if n != before.get(kind, 0)
     }
     logged: dict[str, int] = {}
-    for event in system.obs.events.events(SERVER_QUERY):
+    for event in system.obs.events.events(PLANNER_DECISION):
         if event.seq > seq:
             kind = event.attrs["query"]
             logged[kind] = logged.get(kind, 0) + event.attrs["n"]

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
-from published_rows import rows_from_columns
 
 from repro.core.system import PrivacySystem
 from repro.obs import PrivacyAuditor, Telemetry
@@ -23,13 +23,16 @@ from repro.obs.events import (
     CLOAK_DEGRADED,
     CLOAK_RESULT,
     LOG_TRUNCATED,
+    PLANNER_DECISION,
     PLANNER_MEASURED,
+    REGION_PUBLISHED,
     REGIONS_PUBLISHED_BULK,
-    SERVER_QUERY,
+    USER_ADMITTED,
     USERS_MOVED,
 )
 from repro.persist import (
     META_NAME,
+    CheckpointError,
     Recovery,
     RecoveryError,
     list_checkpoints,
@@ -112,7 +115,7 @@ def _as_pre_marker(directory) -> None:
     """Rewrite the sidecar as a build before the WAL-form marker wrote it:
     ``schema`` naming the checkpoint schema, and no ``wal``."""
     meta = _wal_meta(directory)
-    assert meta.pop("wal") == "repro.wal/1"
+    assert meta.pop("wal") == "repro.wal/2"
     _write_wal_meta(directory, {"schema": "repro.persist/3", **meta})
 
 
@@ -247,13 +250,29 @@ def test_a_checkpoint_without_a_wal_offset_gets_the_full_read(tmp_path):
     assert system_digest(recovered) == system_digest(live)
 
 
-def _with_retired_kinds(records: list[dict], first_seq: int) -> list[dict]:
-    """``records`` as a writer of ``cloak.attempt``, ``candidates.generated``
-    and ``batch.executed`` wrote them, renumbered from ``first_seq``."""
+def _as_wal_1(records: list[dict], wal_seq: int) -> list[dict]:
+    """The records past ``wal_seq`` as the writer of ``repro.wal/1`` wrote
+    them, with the three kinds an earlier writer added, renumbered from
+    ``wal_seq + 1``: a ``server.query`` copy of each ``planner.decision``
+    (and a ``batch.executed`` after it), the ``old_pseudonym`` of each
+    rotated ``region.published``, and ``cloak.attempt`` and
+    ``candidates.generated``."""
     out: list[dict] = []
+    pseudonyms: dict[str, str] = {}
     for record in records:
         record = dict(record)
         kind = record["kind"]
+        if kind == USER_ADMITTED:
+            pseudonyms[record["user"]] = record["pseudonym"]
+        elif kind == REGIONS_PUBLISHED_BULK:
+            pseudonyms.update(zip(record["users"], record["pseudonyms"]))
+        elif kind == REGION_PUBLISHED:
+            old = pseudonyms[record["user"]]
+            pseudonyms[record["user"]] = record["pseudonym"]
+            if record["rotated"]:
+                record["old_pseudonym"] = old
+        if record["seq"] <= wal_seq:
+            continue
         ids = {name: record[name] for name in ("qid", "bid") if name in record}
         if kind == CLOAK_RESULT:
             out.append({"kind": "cloak.attempt", **ids, **{
@@ -269,13 +288,15 @@ def _with_retired_kinds(records: list[dict], first_seq: int) -> list[dict]:
             out.append({"kind": "candidates.generated", **ids,
                         "query": record["query"], **moved})
         out.append(record)
-        if kind == SERVER_QUERY:
-            out.append({"kind": "batch.executed", **ids, "size": record["n"],
-                        "kinds": {record["query"]: record["n"]}})
-    renumbered = {record["seq"]: first_seq + i
+        if kind == PLANNER_DECISION:
+            query, n = record["query"], record["n"]
+            out.append({"kind": "server.query", **ids, "query": query, "n": n})
+            out.append({"kind": "batch.executed", **ids, "size": n,
+                        "kinds": {query: n}})
+    renumbered = {record["seq"]: wal_seq + 1 + i
                   for i, record in enumerate(out) if "seq" in record}
     for i, record in enumerate(out):
-        record["seq"] = first_seq + i
+        record["seq"] = wal_seq + 1 + i
         if record["kind"] == CLOAK_DEGRADED:
             record["result_seq"] = renumbered[record["result_seq"]]
     return out
@@ -284,66 +305,36 @@ def _with_retired_kinds(records: list[dict], first_seq: int) -> list[dict]:
 def test_a_tail_with_the_retired_duplicate_kinds_recovers_and_audits_the_same(
     tmp_path,
 ):
-    """A WAL whose tail still holds the three kinds that only repeated
-    another record's facts recovers to the same digest, and audits to
-    the same report, as the same tail without them."""
-    directory, live, _ = _durable_run(tmp_path, small_workload())
+    """A ``repro.wal/1`` tail, which repeats each decision's count in a
+    ``server.query`` and each rotated publication's old pseudonym, and
+    still holds the three kinds an earlier writer added, recovers to the
+    same digest, with no query counted twice, and audits to the same
+    report as the tail this build wrote."""
+    directory = str(tmp_path / "state")
+    os.makedirs(directory)
+    live = build_system(directory, rotate=True)
+    run_ops(live, small_workload(), directory)
+    live.obs.events.detach_jsonl()
     _, state = _checkpoint_document(directory)
     lines = _wal_lines(directory)
     head = [line for line in lines if json.loads(line)["seq"] <= state["wal_seq"]]
     tail = [json.loads(line) for line in lines[len(head):]]
-    old_tail = _with_retired_kinds(tail, state["wal_seq"] + 1)
+    old_tail = _as_wal_1([json.loads(line) for line in lines], state["wal_seq"])
     assert {r["kind"] for r in old_tail} - {r["kind"] for r in tail} == {
-        "cloak.attempt", "candidates.generated", "batch.executed",
+        "server.query", "cloak.attempt", "candidates.generated", "batch.executed",
     }
+    assert any("old_pseudonym" in r for r in old_tail)
 
     current = PrivacyAuditor.from_jsonl(wal_path(directory)).report()
     assert current["totals"]["cloaks"] > 0
     _write_wal(directory, head + [
         json.dumps(record, sort_keys=True) + "\n" for record in old_tail
     ])
+    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/1"})
     recovered, report = _recover(directory)
     assert report["wal_read"] == "tail"
     assert system_digest(recovered) == system_digest(live)
-    assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current
-
-
-@pytest.mark.parametrize("rotate", [False, True])
-def test_a_row_form_published_bulk_tail_recovers_and_audits_the_same(
-    tmp_path, rotate
-):
-    """A directory written before the sidecar named the WAL form: its
-    sidecar has ``schema`` and no ``wal``, and its WAL tail's bulk
-    publications are in the row form (one ``[user, pseudonym, min_x,
-    min_y, max_x, max_y]`` list per user under ``regions``).  It recovers
-    to the same digest, with the same report, and audits to the same
-    report as the column-form tail it was made from."""
-    directory = str(tmp_path / "state")
-    os.makedirs(directory)
-    live = build_system(directory, rotate=rotate)
-    run_ops(live, small_workload(), directory)
-    live.obs.events.detach_jsonl()
-    columns, columns_report = _recover(directory)
-    current = PrivacyAuditor.from_jsonl(wal_path(directory)).report()
-
-    _, state = _checkpoint_document(directory)
-    lines = _wal_lines(directory)
-    rewritten = 0
-    for i, line in enumerate(lines):
-        record = json.loads(line)
-        if record["seq"] <= state["wal_seq"] or record["kind"] != REGIONS_PUBLISHED_BULK:
-            continue
-        record["regions"] = rows_from_columns(record)
-        for column in ("users", "pseudonyms", "sides", "region"):
-            del record[column]
-        lines[i] = json.dumps(record, sort_keys=True) + "\n"
-        rewritten += 1
-    assert rewritten == 3
-    _write_wal(directory, lines)
-    _as_pre_marker(directory)
-    rows, rows_report = _recover(directory)
-    assert rows_report == columns_report and rows_report["wal_read"] == "tail"
-    assert system_digest(rows) == system_digest(columns) == system_digest(live)
+    assert recovered.server.queries_served == live.server.queries_served > 0
     assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current
 
 
@@ -368,20 +359,50 @@ def test_a_foreign_wal_form_is_refused_before_anything_is_built(
         _recover(directory)
 
 
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_a_pre_marker_directory_is_refused_and_not_attached(
+    tmp_path, monkeypatch, checkpoint
+):
+    """A directory written before the sidecar named the WAL form (``schema``
+    and no ``wal``) is refused, with or without a checkpoint, before a
+    checkpoint is listed or a system is built; ``attach_wal`` on it
+    raises before it writes anything."""
+    ops = small_workload(checkpoint_after=CHECKPOINT_AT if checkpoint else None)
+    directory, _, _ = _durable_run(tmp_path, ops)
+    assert bool(list_checkpoints(directory)) == checkpoint
+    _as_pre_marker(directory)
+    files = {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+
+    system = build_system()
+    with pytest.raises(CheckpointError, match="form None"):
+        system.attach_wal(directory)
+    assert system.obs.events._sink is None
+    assert {path.name: path.read_bytes() for path in Path(directory).iterdir()} == files
+
+    def built(*_args, **_kwargs):
+        raise AssertionError("recovery went past the WAL form")
+
+    monkeypatch.setattr(recovery_module, "list_checkpoints", built)
+    monkeypatch.setattr(recovery_module, "PrivacySystem", built)
+    with pytest.raises(RecoveryError, match="form None"):
+        _recover(directory, attach=True)
+
+
 def test_attaching_keeps_the_recorded_form_and_rotation_records_this_one(
     tmp_path,
 ):
-    """``Recovery(attach=True)`` on a pre-marker directory leaves it
-    pre-marker: the lines in ``wal.jsonl`` were not written in this
-    build's form.  A later rotation starts a fresh file, and the sidecar
-    names this build's form for it."""
+    """``Recovery(attach=True)`` on a ``repro.wal/1`` directory leaves it
+    ``repro.wal/1``: the lines in ``wal.jsonl`` were written in that
+    form, and this build's lines appended to them read the same.  A
+    later rotation starts a fresh file, and the sidecar names this
+    build's form for it."""
     directory, live, _ = _durable_run(tmp_path, report_workload())
-    _as_pre_marker(directory)
+    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/1"})
     system, _ = _recover(directory, attach=True)
-    assert "wal" not in _wal_meta(directory)
+    assert _wal_meta(directory)["wal"] == "repro.wal/1"
     assert system_digest(system) == system_digest(live)
     assert system.rotate_wal() is not None
-    assert _wal_meta(directory)["wal"] == "repro.wal/1"
+    assert _wal_meta(directory)["wal"] == "repro.wal/2"
     system.checkpoint(directory)
     system.obs.events.detach_jsonl()
     recovered, report = _recover(directory)

@@ -1,10 +1,11 @@
 """A stateful model test of the whole system with its WAL attached.
 
 Hypothesis drives one :class:`~repro.core.system.PrivacySystem` through
-interleaved rules — add and retire users, move a batch through
-``update_location`` (reports, as a bulk tick makes them) or through
-``apply_movement``, per-user and bulk publication rounds, queries of
-every native kind, checkpoints, and crash-and-recover onto a copy of the
+interleaved rules — add and retire users, remove public objects (down
+to none), move a batch through ``update_location`` (reports, as a bulk
+tick makes them) or through ``apply_movement``, per-user and bulk
+publication rounds, queries of every native kind, singly and in mixed
+batches, checkpoints, and crash-and-recover onto a copy of the
 durability directory — and checks after every step that
 
 * every answer agrees with the :class:`BruteForceOracle` over the
@@ -63,6 +64,26 @@ window = st.builds(
     coord, coord, st.floats(0.0, 60.0), st.floats(0.0, 60.0),
 )
 moves = st.lists(st.tuples(user_ref, coord, coord), min_size=1, max_size=4)
+user_spec = st.builds(
+    lambda kind, user, radius, k: {
+        "range": RangeSpec(flavor="private", user=user, radius=radius),
+        "nn": NNSpec(flavor="private", user=user),
+        "knn": KNNSpec(flavor="private", user=user, k=k),
+    }[kind],
+    st.sampled_from(["range", "nn", "knn"]),
+    user_ref,
+    st.floats(1.0, 40.0),
+    st.integers(1, 3),
+)
+bound_spec = st.one_of(
+    window.map(lambda area: RangeSpec(window=area)),
+    st.builds(
+        lambda x, y, k: KNNSpec(point=Point(x, y), k=k),
+        coord, coord, st.integers(1, 3),
+    ),
+    window.map(lambda area: CountSpec(window=area)),
+    window.map(lambda area: NNSpec(flavor="private", region=area)),
+)
 
 
 class SystemMachine(RuleBasedStateMachine):
@@ -109,6 +130,39 @@ class SystemMachine(RuleBasedStateMachine):
             assert self._wal_length() == length, call
             return False, None
 
+    def _check(self, oracle: BruteForceOracle, spec, answer) -> None:
+        """``answer`` to ``spec`` agrees with ``oracle``, built over the
+        server's tables before the call."""
+        if getattr(spec, "user", None) is not None:
+            outcome, refined = answer
+            at = self.system.users[spec.user].location
+            assert outcome.correct
+            if spec.kind == "range":
+                exact = oracle.private_range(Rect.from_point(at), spec.radius)
+                assert sorted(refined) == sorted(exact)
+            elif spec.kind == "nn":
+                assert oracle.validate_knn([refined], at, 1)
+            else:
+                assert oracle.validate_knn(refined, at, spec.k)
+        elif spec.flavor == "private":  # region-bound NN: a candidate set
+            candidates = set(answer.candidates)
+            assert oracle.private_nn_witnesses(spec.region) <= candidates
+            assert candidates <= set(oracle.private_nn_bound(spec.region))
+        elif spec.kind == "range":
+            assert list(answer) == oracle.public_range(spec.window)
+        elif spec.kind == "knn":
+            assert oracle.validate_knn(answer, spec.point, spec.k)
+        else:
+            reference = oracle.public_count(spec.window)
+            assert answer.interval == reference.interval
+            assert answer.expected == pytest.approx(reference.expected)
+
+    def _query(self, spec) -> None:
+        oracle = BruteForceOracle.from_server(self.system.server)
+        ok, answer = self._call(self.system.query, spec)
+        if ok:
+            self._check(oracle, spec, answer)
+
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
@@ -151,56 +205,39 @@ class SystemMachine(RuleBasedStateMachine):
     def publish_all(self, bulk):
         self._call(lambda: self.system.publish_all(bulk=bulk))
 
+    @rule(data=st.data())
+    def remove_poi(self, data):
+        """``poi.removed``: the public store may end up empty."""
+        objects = list(self.system.server.public)
+        if objects:
+            self._call(
+                self.system.server.remove_public_object,
+                data.draw(st.sampled_from(objects)),
+            )
+
     @rule(area=window)
     def public_range(self, area):
-        oracle = BruteForceOracle.from_server(self.system.server)
-        ok, answer = self._call(self.system.query, RangeSpec(window=area))
-        if ok:
-            assert list(answer) == oracle.public_range(area)
+        self._query(RangeSpec(window=area))
 
     @rule(x=coord, y=coord, k=st.integers(1, 3))
     def public_knn(self, x, y, k):
-        oracle = BruteForceOracle.from_server(self.system.server)
-        point = Point(x, y)
-        ok, answer = self._call(self.system.query, KNNSpec(point=point, k=k))
-        if ok:
-            assert oracle.validate_knn(answer, point, k)
+        self._query(KNNSpec(point=Point(x, y), k=k))
 
     @rule(area=window)
     def public_count(self, area):
-        oracle = BruteForceOracle.from_server(self.system.server)
-        ok, answer = self._call(self.system.query, CountSpec(window=area))
-        if ok:
-            reference = oracle.public_count(area)
-            assert answer.interval == reference.interval
-            assert answer.expected == pytest.approx(reference.expected)
+        self._query(CountSpec(window=area))
 
-    @rule(
-        user=user_ref,
-        kind=st.sampled_from(["range", "nn", "knn"]),
-        radius=st.floats(1.0, 40.0),
-        k=st.integers(1, 3),
-    )
-    def private_query(self, user, kind, radius, k):
+    @rule(spec=user_spec)
+    def private_query(self, spec):
+        self._query(spec)
+
+    @rule(batch=st.lists(st.one_of(bound_spec, user_spec), min_size=1, max_size=5))
+    def execute_batch(self, batch):
         oracle = BruteForceOracle.from_server(self.system.server)
-        spec = {
-            "range": RangeSpec(flavor="private", user=user, radius=radius),
-            "nn": NNSpec(flavor="private", user=user),
-            "knn": KNNSpec(flavor="private", user=user, k=k),
-        }[kind]
-        ok, result = self._call(self.system.query, spec)
-        if not ok:
-            return
-        outcome, refined = result
-        at = self.system.users[user].location
-        assert outcome.correct
-        if kind == "range":
-            exact = oracle.private_range(Rect.from_point(at), radius)
-            assert sorted(refined) == sorted(exact)
-        elif kind == "nn":
-            assert oracle.validate_knn([refined], at, 1)
-        else:
-            assert oracle.validate_knn(refined, at, k)
+        ok, answers = self._call(self.system.execute_batch, batch)
+        if ok:
+            for spec, answer in zip(batch, answers):
+                self._check(oracle, spec, answer)
 
     @rule()
     def checkpoint(self):

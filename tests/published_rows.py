@@ -3,7 +3,9 @@
 The event carries the bulk round's columns: ``users``, ``pseudonyms``, the
 distinct-region table ``sides`` and each user's row in it, ``region``.
 Before that it carried one ``[user, pseudonym, min_x, min_y, max_x,
-max_y]`` row per user under ``regions``, the form recovery still reads.
+max_y]`` row per user under ``regions``.  No WAL reader reads that form
+any more; the tests use it as a second spelling of the same publication
+(pinned digests, publications built row by row).
 """
 
 from __future__ import annotations

@@ -277,7 +277,7 @@ class TestServerAndSystemWiring:
     def test_server_execute_batch_counts_stats(self):
         server = small_server()
         before = server.stats().queries_served
-        server.execute_batch(
+        server.planner.execute_batch(
             [RangeSpec(window=Rect(0, 0, 1, 1)), CountSpec(window=Rect(0, 0, 1, 1))]
         )
         stats = server.stats()

@@ -21,7 +21,6 @@ from repro.obs.events import (
     PLANNER_DECISION,
     PLANNER_MEASURED,
     QUERY_COMPLETED,
-    SERVER_QUERY,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -228,22 +227,26 @@ class TestEndToEndCorrelation:
             assert decision.attrs["query"] == measured.attrs["query"]
 
     def test_bare_server_batch_accounts_under_the_batch_id(self):
-        """``server.query`` used to be recorded before the engine opened
-        the batch scope, so on a bare server it carried no id at all."""
+        """A bare ``server.execute_batch`` counts nothing and writes no
+        accounting record; the planner's batch counts through its
+        decisions, which carry the batch's id with its snapshot events."""
         server = LocationServer(telemetry=Telemetry())
         for i in range(20):
             server.add_public_object(f"o{i}", Point(float(i), float(i)))
-        server.execute_batch(
-            [RangeSpec(window=Rect(0, 0, 5, 5)), CountSpec(window=Rect(0, 0, 9, 9))]
-        )
-        accounted = list(server.telemetry.events.events(SERVER_QUERY))
-        snapshots = [
-            event
-            for event in server.telemetry.events.events()
-            if event.kind.startswith("snapshot.")
-        ]
-        assert len(accounted) == 2 and snapshots
-        ids = {event.attrs.get("qid") for event in accounted + snapshots}
+        batch = [RangeSpec(window=Rect(0, 0, 5, 5)), CountSpec(window=Rect(0, 0, 9, 9))]
+        events = server.telemetry.events
+        server.execute_batch(batch)
+        assert server.stats().queries_served == 0
+        assert not list(events.events(PLANNER_DECISION))
+
+        seq = max(event.seq for event in events.events())
+        server.planner.execute_batch(batch)
+        fresh = [event for event in events.events() if event.seq > seq]
+        decisions = [event for event in fresh if event.kind == PLANNER_DECISION]
+        snapshots = [event for event in fresh if event.kind.startswith("snapshot.")]
+        assert len(decisions) == 2 and snapshots
+        assert server.stats().queries_served == 2
+        ids = {event.attrs.get("qid") for event in decisions + snapshots}
         assert len(ids) == 1
         assert ids.pop().startswith("b-")
 

@@ -23,7 +23,6 @@ from repro.obs.events import (
     PLANNER_MEASURED,
     QUERY_COMPLETED,
     REGION_PUBLISHED,
-    SERVER_QUERY,
     SNAPSHOT_CAPTURED,
     SNAPSHOT_REUSED,
     USER_ADMITTED,
@@ -419,16 +418,16 @@ class TestTrailShape:
 
         system.query(RangeSpec(flavor="private", user=1, radius=10.0))
         system.query(NNSpec(flavor="private", user=2))
-        queries = [trail[:5], trail[5:10]]
+        queries = [trail[:4], trail[4:8]]
+        assert len(trail) == 8
         for records in queries:
             assert [e.kind for e in records] == [
-                CLOAK_RESULT, PLANNER_DECISION, SERVER_QUERY,
-                PLANNER_MEASURED, QUERY_COMPLETED,
+                CLOAK_RESULT, PLANNER_DECISION, PLANNER_MEASURED, QUERY_COMPLETED,
             ]
             assert len({e.attrs["qid"] for e in records}) == 1
         # The candidate fields the retired ``candidates.generated`` record
         # carried for these two queries, now on the measurement.
-        range_measured, nn_measured = (records[3].attrs for records in queries)
+        range_measured, nn_measured = (records[2].attrs for records in queries)
         assert {k: range_measured[k] for k in
                 ("query", "method", "candidates", "region_area", "radius")} == {
             "query": "private_range", "method": "exact", "candidates": 2,
@@ -459,6 +458,11 @@ class TestEngineEmission:
         events = server.telemetry.events
         assert len(list(events.events(SNAPSHOT_CAPTURED))) == 1
         assert len(list(events.events(SNAPSHOT_REUSED))) == 1
-        # One accounting record per batch and kind.
-        accounted = [e.attrs for e in events.events(SERVER_QUERY)]
-        assert [(a["query"], a["n"]) for a in accounted] == [("public_range", 1)] * 2
+        # The bare engine call counts nothing; the planner's batch writes
+        # one accounting record per kind, its decision.
+        assert server.stats().queries_served == 0
+        assert not list(events.events(PLANNER_DECISION))
+        server.planner.execute_batch(batch * 3)
+        accounted = [e.attrs for e in events.events(PLANNER_DECISION)]
+        assert [(a["query"], a["n"]) for a in accounted] == [("public_range", 3)]
+        assert server.stats().queries_by_kind == {"public_range": 3}

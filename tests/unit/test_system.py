@@ -11,7 +11,7 @@ from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
 from repro.obs import Telemetry
 from repro.persist import WAL_NAME, system_digest
-from repro.queries.spec import NNSpec, RangeSpec
+from repro.queries.spec import KNNSpec, NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 
@@ -175,6 +175,54 @@ class TestQueries:
         assert system.ledger.summary() == {}
         recovered = PrivacySystem.recover(tmp_path, telemetry=Telemetry())
         assert system_digest(recovered) == system_digest(system)
+
+    def test_a_refused_call_over_an_empty_public_store_changes_nothing(
+        self, tmp_path
+    ):
+        """Private NN and k-NN have no answer over an empty public store.
+        They used to be refused only after the query was counted and its
+        cloak and accounting records written, and a batch only after the
+        user-bound specs before the refused one had run."""
+        system = PrivacySystem(
+            BOUNDS, PyramidCloaker(BOUNDS, height=4), telemetry=Telemetry()
+        )
+        system.attach_wal(tmp_path)
+        for i in range(4):
+            system.add_user(
+                MobileUser(f"u{i}", Point(10.0 + 20 * i, 30.0), PrivacyProfile.always(k=2))
+            )
+        system.publish_all()
+        digest, size = system_digest(system), (tmp_path / WAL_NAME).stat().st_size
+        region = Rect(0, 0, 5, 5)
+        planner = system.planner
+        for call in (
+            lambda: system.query(NNSpec(flavor="private", user="u0")),
+            lambda: system.query(KNNSpec(flavor="private", user="u0", k=2)),
+            lambda: system.execute_batch([
+                RangeSpec(flavor="private", user="u2", radius=5.0),
+                NNSpec(flavor="private", region=region),
+            ]),
+            lambda: planner.execute(NNSpec(flavor="private", region=region)),
+            lambda: planner.execute_batch([
+                RangeSpec(window=region),
+                KNNSpec(flavor="private", region=region, k=2),
+            ]),
+        ):
+            with pytest.raises(QueryError, match="empty public store"):
+                call()
+            assert system_digest(system) == digest
+            assert (tmp_path / WAL_NAME).stat().st_size == size
+        assert system.server.queries_served == 0
+
+    def test_a_batch_naming_a_passive_user_runs_none_of_it(self, system):
+        system.set_mode(9, UserMode.PASSIVE)
+        with pytest.raises(RegistrationError, match="passive"):
+            system.execute_batch([
+                RangeSpec(flavor="private", user=1, radius=5.0),
+                RangeSpec(flavor="private", user=9, radius=5.0),
+            ])
+        assert system.ledger.summary() == {}
+        assert system.server.queries_served == 0
 
     def test_passive_user_cannot_query(self, system):
         system.set_mode(9, UserMode.PASSIVE)
