@@ -26,7 +26,8 @@ spec is counted, spanned and grouped under its
 :func:`~repro.queries.spec.native_kind` and executed by that kind's row
 of :data:`repro.engine.batch.RUNNERS`.  :meth:`QueryPlanner.execute` is
 the one place a single query's count -> span -> run -> measurement
-sequence lives; the count's record, the decision, is durable.
+sequence lives: the count's durable record is the decision, and the
+measurement carries the candidate set's size for the private kinds.
 """
 
 from __future__ import annotations
