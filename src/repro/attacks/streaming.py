@@ -301,21 +301,23 @@ class StreamingPosteriorIndex:
     """Rolling anonymity buckets: users grouped by equal published region.
 
     Maintained from published regions alone, row by row or in bulk, in
-    O(population) memory.  The size of a user's bucket is the streaming estimate of her
-    posterior anonymity against the region-matching adversary; under
-    uniform requirements and publish-all snapshots it equals the full
-    inversion set of :func:`repro.attacks.posterior.posterior_anonymity`.
+    O(population) memory: each user's region key and each bucket's size,
+    never its members, since every estimate reads only sizes.  The size
+    of a user's bucket is the streaming estimate of her posterior
+    anonymity against the region-matching adversary; under uniform
+    requirements and publish-all snapshots it equals the full inversion
+    set of :func:`repro.attacks.posterior.posterior_anonymity`.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, set[Hashable]] = {}
+        self._sizes: dict[tuple, int] = {}
         self._rects: dict[tuple, Rect] = {}
         self._user_key: dict[Hashable, tuple] = {}
 
     def publish(self, user: Hashable, region: Rect) -> None:
         """Record ``user``'s current published region (replaces any prior)."""
         key = tuple(map(round, region.as_tuple(), (_KEY_DECIMALS,) * 4))
-        if self._place(user, key):
+        if self._move(user, key):
             self._rects[key] = region
 
     def publish_many(
@@ -335,41 +337,34 @@ class StreamingPosteriorIndex:
             for key in zip(*(map(rounded.__getitem__, column) for column in columns))
         ]
         table = sides.tolist()
-        current = self._user_key.get
         for user, slot in zip(users, region.tolist()):
-            key = keys[slot]
-            if current(user) == key:
-                continue
-            if self._place(user, key):
-                self._rects[key] = Rect(*table[slot])
+            if self._move(user, keys[slot]):
+                self._rects[keys[slot]] = Rect(*table[slot])
 
-    def _place(self, user: Hashable, key: tuple) -> bool:
-        """Move ``user`` into ``key``'s bucket; True when the bucket is new."""
+    def retire(self, user: Hashable) -> None:
+        """Forget ``user``'s published region (no-op when unknown)."""
+        self._move(user, None)
+
+    def _move(self, user: Hashable, key: tuple | None) -> bool:
+        """Move ``user`` into ``key``'s bucket (out of every bucket when
+        ``key`` is None); True when that bucket is new.  Buckets keep
+        their creation order: an emptied one goes, a refilled one is new."""
+        sizes = self._sizes
         old = self._user_key.get(user)
         if old == key:
             return False
         if old is not None:
-            self._drop_from_bucket(user, old)
+            if sizes[old] == 1:
+                del sizes[old], self._rects[old]
+            else:
+                sizes[old] -= 1
+        if key is None:
+            del self._user_key[user]
+            return False
         self._user_key[user] = key
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = {user}
-            return True
-        bucket.add(user)
-        return False
-
-    def retire(self, user: Hashable) -> None:
-        """Forget ``user``'s published region (no-op when unknown)."""
-        key = self._user_key.pop(user, None)
-        if key is not None:
-            self._drop_from_bucket(user, key)
-
-    def _drop_from_bucket(self, user: Hashable, key: tuple) -> None:
-        bucket = self._buckets[key]
-        bucket.discard(user)
-        if not bucket:
-            del self._buckets[key]
-            del self._rects[key]
+        size = sizes.get(key, 0)
+        sizes[key] = size + 1
+        return not size
 
     # ------------------------------------------------------------------
     # Estimates
@@ -378,9 +373,7 @@ class StreamingPosteriorIndex:
     def anonymity_of(self, user: Hashable) -> int | None:
         """Bucket size for ``user`` (None when not publishing)."""
         key = self._user_key.get(user)
-        if key is None:
-            return None
-        return len(self._buckets[key])
+        return None if key is None else self._sizes[key]
 
     @property
     def population(self) -> int:
@@ -388,32 +381,29 @@ class StreamingPosteriorIndex:
 
     @property
     def bucket_count(self) -> int:
-        return len(self._buckets)
+        return len(self._sizes)
+
+    def bucket_sizes(self) -> list[int]:
+        """Every bucket's size, oldest bucket first."""
+        return list(self._sizes.values())
 
     def mean_reidentification(self) -> float | None:
-        """Mean over users of 1/bucket-size (1.0 = everyone unique)."""
+        """Mean over users of 1/bucket-size (1.0 = everyone unique): a
+        bucket of n users adds n shares of 1/n, so buckets / users."""
         if not self._user_key:
             return None
-        total = sum(
-            len(bucket) * (1.0 / len(bucket))
-            for bucket in self._buckets.values()
-        )
-        return total / len(self._user_key)
+        return len(self._sizes) / len(self._user_key)
 
     def mean_entropy_bits(self) -> float | None:
         """Mean over users of log2(bucket-size) — uniform-posterior bits."""
         if not self._user_key:
             return None
-        total = sum(
-            len(bucket) * math.log2(len(bucket))
-            for bucket in self._buckets.values()
-        )
+        total = sum(n * math.log2(n) for n in self._sizes.values())
         return total / len(self._user_key)
 
     def recent_regions(self, limit: int = 16) -> list[Rect]:
         """The most recently created distinct regions, newest last."""
-        keys = list(self._rects)
-        return [self._rects[k] for k in keys[-limit:]]
+        return list(self._rects.values())[-limit:]
 
 
 def bucket_anonymity(

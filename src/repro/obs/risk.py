@@ -16,9 +16,9 @@ maintains the streaming forms of the three estimators
   user, fed by ``region.published`` / ``regions.published_bulk`` with
   time taken from the cloak events' ``t`` (pseudonym rotation restarts
   the row — that is the defense the columns quantify);
-- **posterior**: a :class:`StreamingPosteriorIndex` bucketing users by
-  equal published region — the rolling estimate of the inversion-set
-  anonymity an omniscient adversary would compute;
+- **posterior**: a :class:`StreamingPosteriorIndex` counting the users
+  that publish each equal region — the rolling estimate of the
+  inversion-set anonymity an omniscient adversary would compute;
 - **k-attainment**: a bounded window of (k requested, k achieved) pairs
   from ``cloak.result``/``cloak.bulk``, summarised as attainment entropy
   (bits of anonymity actually delivered).
@@ -85,9 +85,6 @@ class PrivacyRiskMonitor:
             declared so far (0.0 until one is seen).
         telemetry: optional :class:`repro.obs.Telemetry` that receives
             ``risk.*`` gauges and the ``risk.scored`` events.
-        sample_regions: distinct recent regions scored for density-
-            weighted effective anonymity per :meth:`score`.
-        attainment_window: bounded count of attainment records kept.
     """
 
     def __init__(
@@ -96,17 +93,14 @@ class PrivacyRiskMonitor:
         resolution: int = DEFAULT_RESOLUTION,
         max_speed: float | None = None,
         telemetry=None,
-        sample_regions: int = DEFAULT_SAMPLE_REGIONS,
-        attainment_window: int = DEFAULT_ATTAINMENT_WINDOW,
     ) -> None:
         self.telemetry = telemetry
         self.density = StreamingDensityModel(bounds, resolution)
         self.posterior = StreamingPosteriorIndex()
         self.linkage = StreamingLinkageColumns(max_speed or 0.0)
         self._learns_speed = max_speed is None
-        self.sample_regions = sample_regions
         self._attainment: deque[tuple[int, int, int]] = deque(
-            maxlen=attainment_window
+            maxlen=DEFAULT_ATTAINMENT_WINDOW
         )
         self._t = 0.0
         self.events_consumed = 0
@@ -159,13 +153,12 @@ class PrivacyRiskMonitor:
         anonymizer = system.anonymizer
         cloaker = anonymizer.cloaker
         private = system.server.private if system.server is not None else None
-        for user_id, registration in anonymizer._registrations.items():
+        for user_id in anonymizer.registered_users():
             location = cloaker.location_of(user_id)
             self.density.admit(str(user_id), location.x, location.y)
-            if private is not None and registration.pseudonym in private:
-                self.posterior.publish(
-                    str(user_id), private.region_of(registration.pseudonym)
-                )
+            pseudonym = anonymizer.pseudonym_of(user_id)
+            if private is not None and pseudonym in private:
+                self.posterior.publish(str(user_id), private.region_of(pseudonym))
         self._t = system.clock
         return self
 
@@ -263,7 +256,7 @@ class PrivacyRiskMonitor:
             )
         shrinkage = self.linkage.mean_shrinkage()
         effective = None
-        recent = self.posterior.recent_regions(self.sample_regions)
+        recent = self.posterior.recent_regions(DEFAULT_SAMPLE_REGIONS)
         if recent:
             effective = sum(
                 self.density.effective_anonymity(region) for region in recent
@@ -302,15 +295,15 @@ class PrivacyRiskMonitor:
     def report(self) -> dict:
         """Full JSON risk report (the ``/risk`` endpoint body)."""
         score = self.score(emit=False)
-        sizes = sorted(map(len, self.posterior._buckets.values()))
+        sizes = self.posterior.bucket_sizes()
         return {
             "schema": RISK_SCHEMA,
             "score": score,
             "posterior": {
                 "population": self.posterior.population,
                 "buckets": self.posterior.bucket_count,
-                "smallest_bucket": sizes[0] if sizes else None,
-                "largest_bucket": sizes[-1] if sizes else None,
+                "smallest_bucket": min(sizes, default=None),
+                "largest_bucket": max(sizes, default=None),
             },
             "linkage": {
                 "trackers": len(self.linkage),

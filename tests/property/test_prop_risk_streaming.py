@@ -7,6 +7,9 @@ hypothesis and require exact agreement; the risk monitor's one-pass bulk
 ingestion is held to its row-by-row path the same way.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -266,12 +269,17 @@ def test_streaming_posterior_equals_bucket_oracle(ops):
             assert index.anonymity_of(uid) == expected
         for uid in set(range(12)) - set(regions):
             assert index.anonymity_of(uid) is None
-    if regions:
-        counts = list(bucket_anonymity(regions).values())
-        oracle_mean = sum(1.0 / c for c in counts) / len(counts)
-        assert abs(index.mean_reidentification() - oracle_mean) < 1e-9
-    else:
-        assert index.mean_reidentification() is None
+        counts = list(oracle.values())
+        # A bucket of n users contributes n shares of 1/n.
+        assert index.bucket_count == sum(Fraction(1, c) for c in counts)
+        if counts:
+            oracle_reid = sum(1.0 / c for c in counts) / len(counts)
+            oracle_bits = sum(math.log2(c) for c in counts) / len(counts)
+            assert abs(index.mean_reidentification() - oracle_reid) < 1e-9
+            assert abs(index.mean_entropy_bits() - oracle_bits) < 1e-9
+        else:
+            assert index.mean_reidentification() is None
+            assert index.mean_entropy_bits() is None
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """A stateful model test of the whole system with its WAL attached.
 
 Hypothesis drives one :class:`~repro.core.system.PrivacySystem` through
-interleaved rules — add and retire users, remove public objects (down
-to none), move a batch through ``update_location`` (reports, as a bulk
-tick makes them) or through ``apply_movement``, per-user and bulk
-publication rounds, queries of every native kind, singly and in mixed
-batches, checkpoints, and crash-and-recover onto a copy of the
-durability directory — and checks after every step that
+interleaved rules — add, retire and reactivate users, remove public
+objects (down to none), move a batch through ``update_location``
+(reports, as a bulk tick makes them) or through ``apply_movement``,
+per-user and bulk publication rounds, queries of every native kind,
+singly and in mixed batches, checkpoints, and crash-and-recover onto a
+copy of the durability directory — and checks after every step that
 
 * every answer agrees with the :class:`BruteForceOracle` over the
   server's own tables;
@@ -16,7 +16,12 @@ durability directory — and checks after every step that
   live system's ``system_digest`` (reading the log closes the open run
   of reports, so the WAL holds everything the live system does);
 * a call that raises changes nothing: the digest and the WAL (its bytes
-  and the open run's rows) are what they were before the call.
+  and the open run's rows) are what they were before the call;
+* the risk monitor tapping the event log (installed before the first
+  user, seeded afresh after each recovery) files every user whose
+  pseudonym the server holds in a bucket the size
+  :func:`bucket_anonymity` gives over the server's regions, and no one
+  else.
 
 Tier-1 replays the same derandomized runs each time; ``make
 test-explore`` runs them randomized.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -39,6 +45,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.attacks.streaming import bucket_anonymity
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.core.errors import ReproError
 from repro.core.profiles import PrivacyProfile
@@ -49,6 +56,7 @@ from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
 from repro.obs import Telemetry
 from repro.obs.audit import PrivacyAuditor
+from repro.obs.risk import PrivacyRiskMonitor
 from repro.persist import WAL_NAME, Recovery, system_digest
 from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
 
@@ -96,6 +104,7 @@ class SystemMachine(RuleBasedStateMachine):
             BOUNDS, PyramidCloaker(BOUNDS, height=4), telemetry=Telemetry()
         )
         self.system.attach_wal(self.directory)
+        self.risk = PrivacyRiskMonitor(BOUNDS).install(self.system.obs.events)
         self.added = 0
         self.checkpointed = False
 
@@ -185,6 +194,11 @@ class SystemMachine(RuleBasedStateMachine):
     def retire_user(self, user):
         self._call(self.system.set_mode, user, UserMode.PASSIVE)
 
+    @rule(user=user_ref)
+    def reactivate_user(self, user):
+        """The passive → active return: the user is admitted afresh."""
+        self._call(self.system.set_mode, user, UserMode.ACTIVE)
+
     @rule(batch=moves)
     def report_batch(self, batch):
         """Reports as a bulk tick makes them: ``update_location``, then
@@ -255,6 +269,8 @@ class SystemMachine(RuleBasedStateMachine):
         recovery = Recovery(copy, telemetry=Telemetry(), attach=True)
         self.system = recovery.recover()
         self.directory = copy
+        self.risk = PrivacyRiskMonitor(BOUNDS).install(self.system.obs.events)
+        self.risk.seed_from(self.system)
         assert system_digest(self.system) == live
         assert recovery.report["wal_read"] == ("tail" if self.checkpointed else "full")
 
@@ -273,6 +289,22 @@ class SystemMachine(RuleBasedStateMachine):
         path = os.path.join(self.directory, WAL_NAME)
         report = PrivacyAuditor.from_jsonl(path).report()
         assert report["totals"]["undeclared_violations"] == 0
+
+    @invariant()
+    def risk_buckets_follow_the_server(self):
+        anonymizer, private = self.system.anonymizer, self.system.server.private
+        regions = {}
+        for user in anonymizer.registered_users():
+            pseudonym = anonymizer.pseudonym_of(user)
+            if pseudonym in private:
+                regions[str(user)] = private.region_of(pseudonym)
+        oracle = bucket_anonymity(regions)
+        posterior = self.risk.posterior
+        assert posterior.population == len(oracle)
+        # A bucket of n users contributes n shares of 1/n.
+        assert posterior.bucket_count == sum(Fraction(1, n) for n in oracle.values())
+        for i in range(MAX_USERS + 1):
+            assert posterior.anonymity_of(f"u{i}") == oracle.get(f"u{i}")
 
 
 SystemMachine.TestCase.settings = settings(

@@ -1,6 +1,8 @@
 """Unit tests for the online privacy-risk monitor (repro.obs.risk)."""
 
+import json
 import math
+import os
 import random
 
 import pytest
@@ -16,11 +18,19 @@ from repro import (
 from repro.attacks.streaming import bucket_anonymity
 from repro.geometry import Point, Rect
 from repro.mobility.users import UserMode
-from repro.obs.events import REGIONS_PUBLISHED_BULK, RISK_SCORED, Event
+from repro.obs.events import (
+    CLOCK_ADVANCED,
+    REGIONS_PUBLISHED_BULK,
+    RISK_SCORED,
+    Event,
+)
 from repro.obs.risk import RISK_SCHEMA, PrivacyRiskMonitor
 from repro.obs.slo import SLOMonitor
 
 BOUNDS = Rect(0, 0, 100, 100)
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), "..", "fixtures", "risk_report_golden.json"
+)
 
 
 def build_system(users=40, pois=15, k=5, seed=0, monitor_first=True):
@@ -215,3 +225,61 @@ class TestSLOIntegration:
             MobileUser("late", Point(1, 1), PrivacyProfile.always(k=2))
         )
         assert monitor.events_consumed == consumed
+
+
+def golden_trail() -> dict:
+    """The risk monitor's ``score`` and ``report`` after a fixed script:
+    300 seeded users with the tap installed before the first, one bulk
+    publication, three ``apply_movement`` ticks, one bulk tick of
+    ``update_location`` reports and one passive flip."""
+    system = PrivacySystem(BOUNDS, PyramidCloaker(BOUNDS, height=5))
+    system.enable_monitoring(interval=1e9)
+    rng = random.Random(43)
+
+    def point():
+        return Point(rng.uniform(0, 100), rng.uniform(0, 100))
+
+    for j in range(15):
+        system.add_poi(f"poi-{j}", point())
+    for i in range(300):
+        k = rng.choice((2, 5, 10))
+        system.add_user(MobileUser(f"u{i}", point(), PrivacyProfile.always(k=k)))
+    system.publish_all(bulk=True)
+    for _ in range(3):
+        movers = sorted(rng.sample(range(300), 120))
+        system.apply_movement({f"u{i}": point() for i in movers})
+    system.clock += 1.0
+    system.obs.emit(CLOCK_ADVANCED, t=system.clock, dt=1.0)
+    for i in sorted(rng.sample(range(300), 120)):
+        system.users[f"u{i}"].location = location = point()
+        system.anonymizer.update_location(f"u{i}", location)
+    system.publish_all(bulk=True)
+    system.set_mode("u7", UserMode.PASSIVE)
+    return {"score": system.risk.score(emit=False), "report": system.risk.report()}
+
+
+def assert_matches(actual, expected, path="") -> None:
+    """Equal, floats within 1e-12 relative."""
+    if isinstance(expected, float) and isinstance(actual, float):
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0.0), path
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), path
+        for key, value in expected.items():
+            assert_matches(actual[key], value, f"{path}.{key}")
+    else:
+        assert actual == expected and type(actual) is type(expected), path
+
+
+class TestGoldenTrail:
+    def test_score_and_report_match_the_golden(self):
+        """Regenerate (only when the scoring is meant to change) with
+        ``PYTHONPATH=src:tests python tests/unit/test_obs_risk.py``."""
+        with open(GOLDEN) as handle:
+            expected = json.load(handle)
+        assert_matches(golden_trail(), expected)
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as handle:
+        json.dump(golden_trail(), handle, indent=1, sort_keys=True)
+        handle.write("\n")

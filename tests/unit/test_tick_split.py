@@ -22,8 +22,13 @@ def test_smoke_split_names_every_part_of_a_bulk_tick():
     assert movers == result["users"] > 0
     for part in ("update_location", "cloaker.move_user", "run append"):
         assert parts[part]["calls"] == movers, part
-    # Every mover's report joins one run: closed, written and tapped once.
-    for part in ("run close", "tap users.moved", "tap regions.published_bulk"):
+    # Every mover's report joins one run: closed, written and tapped once,
+    # and each risk tap runs its columnar fold once.
+    for part in (
+        "run close", "tap users.moved", "tap regions.published_bulk",
+        "StreamingDensityModel.move_many", "StreamingPosteriorIndex.publish_many",
+        "StreamingLinkageColumns.observe_many",
+    ):
         assert parts[part]["calls"] == 1, part
     for part in (
         "bulk_cloak", "grid kernel", "group_stats", "receive_regions", "publish_all", "tick"

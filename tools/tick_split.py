@@ -16,7 +16,9 @@ exit), ``EventLog.emit`` itself (correlation stamp, ``Event`` build, ring
 and per-kind counter), the event log's run of location reports
 (``append_move``, one call per mover, and ``close_run``, which numbers
 and buffers the run's one ``users.moved`` event), the JSON encode, the
-sink write, every event tap by event kind,
+sink write, every event tap by event kind, the risk monitor's three
+columnar folds inside its taps (``StreamingPosteriorIndex.publish_many``,
+``StreamingLinkageColumns.observe_many``, ``StreamingDensityModel.move_many``),
 ``LocationAnonymizer.update_location`` and the cloaker's
 ``move_user``, ``bulk_cloak`` with its grid kernel (``_grid_bulk``) and
 its per-group fold (``group_stats``) as parts of their own,
@@ -130,6 +132,15 @@ def instrument(system, timer: SelfTimer):
     cloak_module.group_stats = timer.wrap("group_stats", saved_stats)
     server.receive_regions = timer.wrap("receive_regions", server.receive_regions)
     system.publish_all = timer.wrap("publish_all", system.publish_all)
+    risk = system.risk
+    folds = [] if risk is None else [
+        (risk.posterior, "publish_many"),
+        (risk.linkage, "observe_many"),
+        (risk.density, "move_many"),
+    ]
+    for owner, name in folds:
+        label = f"{type(owner).__name__}.{name}"
+        setattr(owner, name, timer.wrap(label, getattr(owner, name)))
     gc.callbacks.append(timer.on_gc)
 
     def undo() -> None:
@@ -138,7 +149,7 @@ def instrument(system, timer: SelfTimer):
             (obs, "span"), (obs, "emit"), (log, "emit"),
             (log, "append_move"), (log, "close_run"),
             (anonymizer, "update_location"), (anonymizer.cloaker, "move_user"),
-            (server, "receive_regions"), (system, "publish_all"),
+            (server, "receive_regions"), (system, "publish_all"), *folds,
         ):
             vars(owner).pop(name, None)
         obs.span, obs.emit = obs.tracer.span, log.emit
