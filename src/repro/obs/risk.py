@@ -240,6 +240,25 @@ class PrivacyRiskMonitor:
         the SLO monitor's ``reidentification_risk`` /
         ``k_attainment_entropy`` kinds read.
         """
+        score = self._estimate()
+        self.scores += 1
+        self.last_score = score
+        if emit and self.telemetry is not None:
+            for key in (
+                "reidentification",
+                "posterior_entropy_bits",
+                "k_attainment",
+                "k_attainment_entropy_bits",
+                "linkage_shrinkage",
+                "effective_anonymity",
+            ):
+                if score[key] is not None:
+                    self.telemetry.set_gauge(f"risk.{key}", score[key])
+            self.telemetry.emit(RISK_SCORED, **score)
+        return score
+
+    def _estimate(self) -> dict:
+        """The current adversary estimates, as :meth:`score` records them."""
         reid = self.posterior.mean_reidentification()
         entropy = self.posterior.mean_entropy_bits()
         attainment = None
@@ -261,7 +280,7 @@ class PrivacyRiskMonitor:
             effective = sum(
                 self.density.effective_anonymity(region) for region in recent
             ) / len(recent)
-        score = {
+        return {
             "t": self._t,
             "population": self.density.population,
             "publishing": self.posterior.population,
@@ -276,25 +295,11 @@ class PrivacyRiskMonitor:
             "linkage_shrinkage": shrinkage,
             "effective_anonymity": effective,
         }
-        self.scores += 1
-        self.last_score = score
-        if emit and self.telemetry is not None:
-            for name, value in (
-                ("risk.reidentification", reid),
-                ("risk.posterior_entropy_bits", entropy),
-                ("risk.k_attainment", attainment),
-                ("risk.k_attainment_entropy_bits", k_entropy),
-                ("risk.linkage_shrinkage", shrinkage),
-                ("risk.effective_anonymity", effective),
-            ):
-                if value is not None:
-                    self.telemetry.set_gauge(name, value)
-            self.telemetry.emit(RISK_SCORED, **score)
-        return score
 
     def report(self) -> dict:
-        """Full JSON risk report (the ``/risk`` endpoint body)."""
-        score = self.score(emit=False)
+        """Full JSON risk report (the ``/risk`` endpoint body); reading
+        it records no score."""
+        score = self._estimate()
         sizes = self.posterior.bucket_sizes()
         return {
             "schema": RISK_SCHEMA,
@@ -316,7 +321,7 @@ class PrivacyRiskMonitor:
 
     def render(self) -> str:
         """One-screen ASCII summary (the ``repro top`` risk panel)."""
-        score = self.last_score or self.score(emit=False)
+        score = self.last_score or self._estimate()
 
         def fmt(value, pattern="{:.3f}"):
             return pattern.format(value) if value is not None else "-"

@@ -189,6 +189,20 @@ class TestScoring:
         assert report["posterior"]["population"] == 20
         json.dumps(report)
 
+    def test_reading_the_report_records_no_score(self):
+        """A report, like a ``/risk`` scrape, leaves the monitor's count
+        and its last score (the ``repro top`` panel) as they were."""
+        system = build_system(users=20)
+        monitor = system.risk
+        scored = monitor.score(emit=False)
+        first = monitor.report()
+        monitor.render()
+        second = monitor.report()
+        assert monitor.scores == 1
+        assert monitor.last_score is scored
+        assert first["scores"] == second["scores"] == 1
+        assert first["score"] == second["score"] == scored
+
     def test_render_smoke(self):
         system = build_system(users=20)
         text = system.risk.render()
