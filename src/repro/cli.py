@@ -430,6 +430,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         "users": len(system.users),
         "private_regions": len(system.server.private),
         "queries_served": system.server.queries_served,
+        "qos": system.ledger.summary(),
     }
     system.obs.events.detach_jsonl()
     print(json.dumps(summary, indent=2))
@@ -453,6 +454,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         digest = system_digest(system)
         report["digest_keys"] = sorted(digest)
         report["store_versions"] = digest["store_versions"]
+        report["qos"] = digest["qos"]
         report["audit"] = recovery.audit_report().get("totals", {})
     if args.json:
         print(json.dumps(report, indent=2))

@@ -19,8 +19,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Hashable
 
-import numpy as np
-
 from repro.cloaking.base import Cloaker
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.core.anonymizer import LocationAnonymizer, _collector_held
@@ -54,9 +52,18 @@ from repro.queries.spec import (
 DEFAULT_WAL_ROTATE_BYTES = 32 * 1024 * 1024
 
 
+class _Outcome:
+    """What the user-bound query outcomes share."""
+
+    @property
+    def overhead(self) -> float:
+        """Candidates shipped per true answer object (>= 1.0)."""
+        return self.candidates / max(1, self.answer_size)
+
+
 @dataclass(frozen=True)
-class RangeQueryOutcome:
-    """Ledger entry for one end-to-end private range query.
+class RangeQueryOutcome(_Outcome):
+    """The outcome of one end-to-end private range query.
 
     Attributes:
         user_id: who asked.
@@ -71,7 +78,6 @@ class RangeQueryOutcome:
     candidates: int
     answer_size: int
     correct: bool
-    ledger: ClassVar[str] = "range_outcomes"
     qos: ClassVar[tuple[str, str]] = ("qos.range_overhead", "overhead")
 
     @classmethod
@@ -84,15 +90,10 @@ class RangeQueryOutcome:
             sorted(refined, key=repr) == sorted(truth, key=repr),
         )
 
-    @property
-    def overhead(self) -> float:
-        """Candidates shipped per true answer object (>= 1.0)."""
-        return self.candidates / max(1, self.answer_size)
-
 
 @dataclass(frozen=True)
-class NNQueryOutcome:
-    """Ledger entry for one end-to-end private NN query.
+class NNQueryOutcome(_Outcome):
+    """The outcome of one end-to-end private NN query.
 
     ``correct`` is distance-exact, as for k-NN: two objects at one
     address, or mirror images about the user, are the same answer.
@@ -102,7 +103,6 @@ class NNQueryOutcome:
     cloak_area: float
     candidates: int
     correct: bool
-    ledger: ClassVar[str] = "nn_outcomes"
     qos: ClassVar[tuple[str, str]] = ("qos.nn_candidates", "candidates")
     #: One object answers an NN query, so every candidate is overhead.
     answer_size: ClassVar[int] = 1
@@ -113,14 +113,10 @@ class NNQueryOutcome:
             spec.user, cloak_area, candidates, distance(refined) == distance(truth)
         )
 
-    @property
-    def overhead(self) -> float:
-        return float(self.candidates)
-
 
 @dataclass(frozen=True)
-class KNNQueryOutcome:
-    """Ledger entry for one end-to-end private k-NN query.
+class KNNQueryOutcome(_Outcome):
+    """The outcome of one end-to-end private k-NN query.
 
     ``correct`` compares the refined list's distance sequence against
     the canonical k-NN answer's, so equidistant permutations count as
@@ -134,7 +130,6 @@ class KNNQueryOutcome:
     candidates: int
     answer_size: int
     correct: bool
-    ledger: ClassVar[str] = "knn_outcomes"
     qos: ClassVar[tuple[str, str]] = ("qos.knn_candidates", "candidates")
 
     @classmethod
@@ -148,54 +143,54 @@ class KNNQueryOutcome:
             [distance(i) for i in refined] == [distance(i) for i in truth],
         )
 
-    @property
-    def overhead(self) -> float:
-        """Candidates shipped per true answer object (>= 1.0)."""
-        return self.candidates / max(1, self.answer_size)
+
+#: Each user-bound kind's prefix in :meth:`QoSLedger.summary`.
+_SUMMARY_PREFIX = {"private_range": "range", "private_nn": "nn", "private_knn": "knn"}
+#: A kind's sums before its first query.
+_NO_QUERIES = {
+    "queries": 0, "candidates": 0, "overhead": 0.0, "correct": 0, "cloak_area": 0.0
+}
 
 
 @dataclass
 class QoSLedger:
-    """Accumulated quality-of-service statistics."""
+    """Quality-of-service sums over the answered user-bound queries.
 
-    range_outcomes: list[RangeQueryOutcome] = field(default_factory=list)
-    nn_outcomes: list[NNQueryOutcome] = field(default_factory=list)
-    knn_outcomes: list[KNNQueryOutcome] = field(default_factory=list)
+    One row of running sums per kind — queries, candidates, overhead,
+    correct answers and cloak area — added in query order by
+    :meth:`PrivacySystem._record`.  No row per query is kept: the
+    summary needs only counts and means, and a checkpoint's ledger is
+    the same size after any number of queries (docs/durability.md).
+    """
+
+    sums: dict[str, dict] = field(
+        default_factory=lambda: {kind: dict(_NO_QUERIES) for kind in _SUMMARY_PREFIX}
+    )
+
+    def add(self, kind, candidates, overhead, correct, cloak_area) -> None:
+        """Count one answered query of native kind ``kind``."""
+        sums = self.sums[kind]
+        sums["queries"] += 1
+        sums["candidates"] += candidates
+        sums["overhead"] += overhead
+        sums["correct"] += correct
+        sums["cloak_area"] += cloak_area
 
     def summary(self) -> dict[str, float]:
         """Aggregate trade-off metrics for reports."""
         out: dict[str, float] = {}
-        if self.range_outcomes:
-            out["range_queries"] = len(self.range_outcomes)
-            out["range_mean_candidates"] = float(
-                np.mean([o.candidates for o in self.range_outcomes])
-            )
-            out["range_mean_overhead"] = float(
-                np.mean([o.overhead for o in self.range_outcomes])
-            )
-            out["range_accuracy"] = float(
-                np.mean([o.correct for o in self.range_outcomes])
-            )
-            out["mean_cloak_area"] = float(
-                np.mean([o.cloak_area for o in self.range_outcomes])
-            )
-        if self.nn_outcomes:
-            out["nn_queries"] = len(self.nn_outcomes)
-            out["nn_mean_candidates"] = float(
-                np.mean([o.candidates for o in self.nn_outcomes])
-            )
-            out["nn_accuracy"] = float(np.mean([o.correct for o in self.nn_outcomes]))
-        if self.knn_outcomes:
-            out["knn_queries"] = len(self.knn_outcomes)
-            out["knn_mean_candidates"] = float(
-                np.mean([o.candidates for o in self.knn_outcomes])
-            )
-            out["knn_mean_overhead"] = float(
-                np.mean([o.overhead for o in self.knn_outcomes])
-            )
-            out["knn_accuracy"] = float(
-                np.mean([o.correct for o in self.knn_outcomes])
-            )
+        for kind, prefix in _SUMMARY_PREFIX.items():
+            sums = self.sums[kind]
+            n = sums["queries"]
+            if not n:
+                continue
+            out[f"{prefix}_queries"] = n
+            out[f"{prefix}_mean_candidates"] = sums["candidates"] / n
+            if kind != "private_nn":  # an NN query's overhead is its candidates
+                out[f"{prefix}_mean_overhead"] = sums["overhead"] / n
+            out[f"{prefix}_accuracy"] = sums["correct"] / n
+            if kind == "private_range":
+                out["mean_cloak_area"] = sums["cloak_area"] / n
         return out
 
 
@@ -417,7 +412,14 @@ class PrivacySystem:
             truth(store, at, spec),
             lambda item: store.point_of(item).distance_to(at),
         )
-        self._record(outcome)
+        self._record(
+            kind,
+            spec.user,
+            outcome.candidates,
+            outcome.overhead,
+            outcome.correct,
+            outcome.cloak_area,
+        )
         metric, field_name = outcome.qos
         self.obs.observe(metric, getattr(outcome, field_name))
         attrs = {"k": outcome.k} if kind == "private_knn" else {}
@@ -735,9 +737,10 @@ class PrivacySystem:
             user.profile = registration.profile
         return registration
 
-    def _record(self, outcome) -> None:
-        """``query.completed``: the QoS ledger entry, and the asker in
-        query mode.  A refused query records nothing and flips nothing."""
-        getattr(self.ledger, outcome.ledger).append(outcome)
-        if outcome.user_id in self.users:
-            self._change_mode(outcome.user_id, UserMode.QUERY)
+    def _record(self, kind, user_id, candidates, overhead, correct, cloak_area) -> None:
+        """``query.completed``: the outcome added to the QoS ledger's sums,
+        and the asker in query mode.  A refused query records nothing and
+        flips nothing."""
+        self.ledger.add(kind, candidates, overhead, correct, cloak_area)
+        if user_id in self.users:
+            self._change_mode(user_id, UserMode.QUERY)

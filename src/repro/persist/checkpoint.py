@@ -1,11 +1,11 @@
 """Versioned atomic checkpoints of a whole ``PrivacySystem`` (schema
-``repro.persist/3``).
+``repro.persist/4``).
 
 A checkpoint holds, once each, the facts a crashed process cannot
 rebuild from code: the anonymizer's object tables (registrations,
 pseudonym counter, privacy profiles), the mobile-user table, both server
 stores, the server's durable counters and standing monitors, and the QoS
-ledger.  What those determine — the cloaker's spatial index, the
+ledger's sums.  What those determine — the cloaker's spatial index, the
 stores' R-trees, the batch engine's snapshot arrays — is rebuilt on
 restore, not stored.  A store's R-tree is STR-loaded from its columns,
 so its node layout can differ from the live tree's (grown by inserts)
@@ -18,16 +18,21 @@ starts (``wal_offset``); recovery restores the newest readable
 checkpoint and parses and replays only the event-log tail past that
 sequence (docs/durability.md, *The tail read*).
 
-A ``/3`` checkpoint is one uncompressed ``.npz`` archive.  Its
-``manifest`` member is a small JSON object (UTF-8 bytes): the scalars,
-the cloaker configuration, the server counters and monitors, the
-distinct privacy profiles, and every id, pseudonym and mode name as a
-flat string list.  The facts that scale with the population are binary
-columns beside it, one member each (:data:`COLUMNS` plus one per ledger
-outcome field): coordinates, mode codes, speeds, each user's and each
-registration's row in the profile table, the ``published`` flags, each
-store's coordinate block and the ledger.  Nothing in the archive is a
-pickled object, and it is loaded with ``allow_pickle=False``.
+A checkpoint is one uncompressed ``.npz`` archive.  Its ``manifest``
+member is a small JSON object (UTF-8 bytes): the scalars, the cloaker
+configuration, the server counters and monitors, the distinct privacy
+profiles, the ledger's fixed-size table of per-kind sums, and every id,
+pseudonym and mode name as a flat string list.  The facts that scale
+with the population are binary columns beside it, one member each
+(:data:`COLUMNS`): coordinates, mode codes, speeds, each user's and each
+registration's row in the profile table, the ``published`` flags and
+each store's coordinate block.  No member grows with the number of
+queries answered.  Nothing in the archive is a pickled object, and it
+is loaded with ``allow_pickle=False``.
+
+``repro.persist/3``, which kept a ``ledger.<kind>.<field>`` row per
+answered query, is read for one release: :func:`load_checkpoint` adds
+those rows to a fresh ledger, so recovery sees only the ``/4`` form.
 
 Write protocol: serialise to ``<name>.npz.tmp`` in the same directory,
 ``fsync``, then ``os.replace`` onto the final ``checkpoint-<seq>.npz``
@@ -45,7 +50,6 @@ import json
 import os
 import time
 import zipfile
-from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -53,7 +57,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 import repro.cloaking as cloaking
-from repro.core.system import KNNQueryOutcome, NNQueryOutcome, RangeQueryOutcome
+from repro.core.system import QoSLedger
 from repro.geometry.rect import Rect
 from repro.mobility.users import UserMode
 from repro.obs.events import PERSIST_CHECKPOINT
@@ -62,7 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import PrivacySystem
 
 #: Checkpoint schema, pinned by the golden fixture.
-SCHEMA = "repro.persist/3"
+SCHEMA = "repro.persist/4"
+#: The schemas :func:`load_checkpoint` reads: this build's, and ``/3``,
+#: whose ledger rows it folds into sums (read for one release).
+READ_SCHEMAS = (SCHEMA, "repro.persist/3")
 #: The form of the lines this build writes to ``wal.jsonl``, recorded in
 #: the ``wal-meta.json`` sidecar (docs/durability.md, *WAL forms*).
 WAL_FORM = "repro.wal/2"
@@ -75,8 +82,7 @@ WAL_NAME = "wal.jsonl"
 META_NAME = "wal-meta.json"
 CHECKPOINT_PATTERN = "checkpoint-*.npz"
 
-#: The population-sized columns of a ``/3`` checkpoint, besides the
-#: ledger's ``ledger.<kind>.<field>`` ones.
+#: The population-sized columns of a checkpoint.
 COLUMNS = (
     "xs",
     "ys",
@@ -93,21 +99,18 @@ COLUMNS = (
 MODES = tuple(UserMode)
 _MODE_CODE = {mode: code for code, mode in enumerate(MODES)}
 
-#: Ledger outcome types by the checkpoint's ``ledger`` key; the event
-#: trail names the same kinds ``private_<key>``.
-OUTCOME_TYPES = {
-    "range": RangeQueryOutcome,
-    "nn": NNQueryOutcome,
-    "knn": KNNQueryOutcome,
+#: A ``/3`` checkpoint's ledger columns ``ledger.<key>.<field>``: one
+#: row per answered query of native kind ``private_<key>``.
+_LEDGER_3 = {
+    "range": ("cloak_area", "candidates", "answer_size", "correct"),
+    "nn": ("cloak_area", "candidates", "correct"),
+    "knn": ("cloak_area", "k", "candidates", "answer_size", "correct"),
 }
 
 #: One profile-table row, ``(start, k, A_min, A_max)``, read in C.
 _PROFILE_ROW = attrgetter(
     "start", "requirement.k", "requirement.min_area", "requirement.max_area"
 )
-
-#: Column dtype by a ledger outcome field's annotation.
-_FIELD_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
 
 
 class CheckpointError(ValueError):
@@ -160,14 +163,8 @@ def cloaker_from_config(config: dict):
 # ----------------------------------------------------------------------
 
 
-def ledger_fields(outcome_type) -> list[tuple[str, type]]:
-    """An outcome type's fields after ``user_id``, each with its column
-    dtype: the ledger's ``ledger.<kind>.<field>`` columns."""
-    return [(f.name, _FIELD_DTYPES[f.type]) for f in fields(outcome_type)[1:]]
-
-
 def checkpoint_state(system: "PrivacySystem") -> dict:
-    """Serialise ``system`` to the ``repro.persist/3`` state.
+    """Serialise ``system`` to the ``repro.persist/4`` state.
 
     The state is the manifest's keys plus ``"columns"``, a dict of numpy
     arrays — what :func:`load_checkpoint` returns for the written file.
@@ -205,14 +202,6 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
         ids, block = store.columns()
         stores[name] = {"version": store.version, "ids": list(map(str, ids))}
         columns[name] = block
-    ledger = {}
-    for key, outcome_type in OUTCOME_TYPES.items():
-        outcomes = getattr(system.ledger, outcome_type.ledger)
-        ledger[key] = [str(outcome.user_id) for outcome in outcomes]
-        for field, dtype in ledger_fields(outcome_type):
-            columns[f"ledger.{key}.{field}"] = np.array(
-                [getattr(outcome, field) for outcome in outcomes], dtype=dtype
-            )
     return {
         "schema": SCHEMA,
         "wal_seq": log._seq,
@@ -237,7 +226,7 @@ def checkpoint_state(system: "PrivacySystem") -> dict:
             ],
         },
         "stores": stores,
-        "ledger": ledger,
+        "ledger": {kind: dict(sums) for kind, sums in system.ledger.sums.items()},
         "columns": columns,
     }
 
@@ -364,7 +353,8 @@ def load_checkpoint(path) -> dict:
 
     Any damage — a torn archive, a missing member, a foreign schema —
     raises :class:`CheckpointError`, so recovery can fall back to the
-    previous checkpoint.
+    previous checkpoint.  A ``/3`` checkpoint comes back in the ``/4``
+    form: its ledger rows are added, in row order, to a fresh ledger.
     """
     path = Path(path)
     try:
@@ -375,20 +365,42 @@ def load_checkpoint(path) -> dict:
         raise CheckpointError(
             f"unreadable checkpoint {os.fspath(path)!r}: {exc!r}"
         ) from exc
-    if not isinstance(state, dict) or state.get("schema") != SCHEMA:
-        raise CheckpointError(f"not a {SCHEMA} checkpoint: {os.fspath(path)!r}")
-    expected = set(COLUMNS) | {
-        f"ledger.{key}.{field}"
-        for key, outcome_type in OUTCOME_TYPES.items()
-        for field, _ in ledger_fields(outcome_type)
-    }
+    if not isinstance(state, dict) or state.get("schema") not in READ_SCHEMAS:
+        raise CheckpointError(
+            f"not a {' or '.join(READ_SCHEMAS)} checkpoint: {os.fspath(path)!r}"
+        )
+    expected = set(COLUMNS)
+    if state["schema"] != SCHEMA:
+        expected |= {
+            f"ledger.{key}.{field}" for key, names in _LEDGER_3.items() for field in names
+        }
     if set(members) != expected:
         raise CheckpointError(
             f"checkpoint {os.fspath(path)!r} has columns {sorted(members)}, "
             f"expected {sorted(expected)}"
         )
+    if state["schema"] != SCHEMA:
+        state["ledger"] = _fold_ledger_3(members)
     state["columns"] = members
     return state
+
+
+def _fold_ledger_3(members: dict) -> dict:
+    """A ``/3`` checkpoint's ledger rows as the ``/4`` table of sums: each
+    row, in row order, added as the live ledger adds an answered query.
+    The ledger columns are taken out of ``members``."""
+    ledger = QoSLedger()
+    for key, names in _LEDGER_3.items():
+        rows = {name: members.pop(f"ledger.{key}.{name}").tolist() for name in names}
+        # One object answers an NN query: its overhead is its candidates.
+        sizes = rows.get("answer_size", [1] * len(rows["candidates"]))
+        for candidates, size, correct, area in zip(
+            rows["candidates"], sizes, rows["correct"], rows["cloak_area"]
+        ):
+            ledger.add(
+                f"private_{key}", candidates, candidates / max(1, size), correct, area
+            )
+    return ledger.sums
 
 
 def list_checkpoints(directory) -> list[Path]:

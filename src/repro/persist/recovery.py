@@ -14,11 +14,11 @@ equivalent to the one that crashed:
    file whose predecessor is still good);
 2. restore the checkpoint's columns wholesale: the object tables
    (users, registrations and the profile table they index, the QoS
-   ledger, counters, monitors), then both server stores, whose R-trees
-   are STR-loaded from their coordinate blocks — derived structures
-   such as the cloaker's index and the engine snapshot rebuild from
-   those; with no checkpoint at all, cold-start an empty system from
-   the ``wal-meta.json`` sidecar;
+   ledger's sums, counters, monitors), then both server stores, whose
+   R-trees are STR-loaded from their coordinate blocks — derived
+   structures such as the cloaker's index and the engine snapshot
+   rebuild from those; with no checkpoint at all, cold-start an empty
+   system from the ``wal-meta.json`` sidecar;
 3. replay every WAL event with a sequence number past the checkpoint's
    ``wal_seq`` with emission disabled (replay must not write new
    history).  The checkpoint records the byte offset where that tail
@@ -57,13 +57,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.profiles import profile_from_rows
-from repro.core.system import PrivacySystem
+from repro.core.system import PrivacySystem, QoSLedger
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
@@ -92,11 +91,9 @@ from repro.obs.events import (
     read_jsonl,
 )
 from repro.persist.checkpoint import (
-    OUTCOME_TYPES,
     WAL_NAME,
     CheckpointError,
     cloaker_from_config,
-    ledger_fields,
     list_checkpoints,
     load_checkpoint,
     read_wal_meta,
@@ -154,8 +151,9 @@ class Recovery:
 
         Four phases run in spans of the recovered system's telemetry,
         each annotated with the rows it handled: ``recovery.load`` (the
-        checkpoint's rows), ``recovery.tables`` (user, registration and
-        ledger rows), ``recovery.indexes`` (store rows; the standing
+        checkpoint's rows), ``recovery.tables`` (user and registration
+        rows; the ledger is a fixed-size table of sums, not rows),
+        ``recovery.indexes`` (store rows; the standing
         monitors are seeded from the restored private store here) and
         ``recovery.replay`` (the rows of the WAL events applied: a
         columnar event counts its rows).
@@ -393,14 +391,6 @@ def _read_tail(wal: str, offset: int, first_seq: int) -> list[Event] | None:
 # Restore and replay: parse stored values, call their owners' appliers
 # ----------------------------------------------------------------------
 
-#: A ``query.completed`` event's outcome type and the fields it carries
-#: by name after ``user``.
-_OUTCOME_FIELDS = {
-    f"private_{key}": (outcome_type, [f.name for f in fields(outcome_type)[1:]])
-    for key, outcome_type in OUTCOME_TYPES.items()
-}
-
-
 def _user(user_id, x, y, mode, speed, rows) -> MobileUser:
     return MobileUser(
         user_id, Point(x, y), profile_from_rows(rows), UserMode(mode), speed
@@ -412,12 +402,8 @@ def _rect(attrs: dict) -> Rect:
 
 
 def _table_rows(state: dict) -> int:
-    """A checkpoint's user, registration and ledger rows."""
-    return (
-        len(state["users"])
-        + len(state["registrations"])
-        + sum(len(users) for users in state["ledger"].values())
-    )
+    """A checkpoint's user and registration rows."""
+    return len(state["users"]) + len(state["registrations"])
 
 
 def _store_rows(state: dict) -> int:
@@ -426,8 +412,8 @@ def _store_rows(state: dict) -> int:
 
 
 def _restore_tables(system: "PrivacySystem", state: dict) -> None:
-    """Load a checkpoint's clock, ledger, users and registrations into a
-    fresh system.
+    """Load a checkpoint's clock, ledger sums, users and registrations
+    into a fresh system.
 
     Every column is turned into Python values (``tolist``) before it
     reaches an applier: a numpy scalar would be slower to use and would
@@ -436,15 +422,7 @@ def _restore_tables(system: "PrivacySystem", state: dict) -> None:
     anonymizer = system.anonymizer
     columns = state["columns"]
     system.clock = state["clock"]
-    # The ledger goes first: its applier puts each asker in query mode,
-    # and the user rows restored after it carry the mode in force now.
-    for key, outcome_type in OUTCOME_TYPES.items():
-        values = [
-            columns[f"ledger.{key}.{field}"].tolist()
-            for field, _ in ledger_fields(outcome_type)
-        ]
-        for outcome in zip(state["ledger"][key], *values):
-            system._record(outcome_type(*outcome))
+    system.ledger = QoSLedger(state["ledger"])
     profiles = [profile_from_rows(table_rows) for table_rows in state["profiles"]]
     modes = [UserMode(name) for name in state["modes"]]
     add_user = system._add_user
@@ -518,11 +496,6 @@ def _apply_moved(system: "PrivacySystem", attrs: dict) -> None:
         move(user_id, Point(x, y))
 
 
-def _apply_completed(system: "PrivacySystem", attrs: dict) -> None:
-    outcome_type, names = _OUTCOME_FIELDS[attrs["query"]]
-    system._record(outcome_type(attrs["user"], *(attrs[name] for name in names)))
-
-
 #: How each durable event kind reaches its applier.  Replay reconstructs
 #: effects, it must not re-run algorithms: the pseudonyms, cloaked
 #: regions and outcomes in the trail already are the original execution's.
@@ -552,7 +525,9 @@ _REPLAY = {
     MONITOR_DROPPED: lambda s, a: s.server.drop_count_monitor(a["monitor"]),
     REGION_PUBLISHED: _apply_published,
     REGIONS_PUBLISHED_BULK: _apply_published_bulk,
-    QUERY_COMPLETED: _apply_completed,
+    QUERY_COMPLETED: lambda s, a: s._record(
+        a["query"], a["user"], a["candidates"], a["overhead"], a["correct"], a["cloak_area"]
+    ),
     PLANNER_DECISION: lambda s, a: s.server._count_queries(a["query"], a["n"]),
 }
 

@@ -1,11 +1,11 @@
-"""Property: a ``repro.persist/3`` checkpoint round-trips any small system.
+"""Property: a ``repro.persist/4`` checkpoint round-trips any small system.
 
 Each generated system mixes int and str ids, integer-valued and
 fractional coordinates, passive, active and query-mode users, multi-row
 profiles with and without ``max_area`` (equal profiles in distinct
 objects among them), POIs removed down to an empty store or leaving
-holes that only the checkpoint compacts, ledger rows of all three kinds
-rotated pseudonyms and a standing count monitor registered before the
+holes that only the checkpoint compacts, answered queries of all three
+kinds, rotated pseudonyms and a standing count monitor registered before the
 later rounds.  Checkpoint, then recover, then check:
 
 * the recovered system's ``system_digest`` equals the live one;
@@ -127,12 +127,14 @@ def _python_values(system: PrivacySystem) -> None:
     for pseudonym, region in system.server.private.items():
         assert type(pseudonym) is str
         assert all(type(side) is float for side in (region.min_x, region.max_y))
-    ledger = system.ledger
-    for outcome in (*ledger.range_outcomes, *ledger.nn_outcomes, *ledger.knn_outcomes):
-        assert type(outcome.user_id) is str
-        assert type(outcome.cloak_area) is float
-        assert type(outcome.candidates) is int
-        assert type(outcome.correct) is bool
+    for sums in system.ledger.sums.values():
+        assert {name: type(value) for name, value in sums.items()} == {
+            "queries": int,
+            "candidates": int,
+            "overhead": float,
+            "correct": int,
+            "cloak_area": float,
+        }
 
 
 @given(system=systems())

@@ -1,9 +1,11 @@
 """Property-based tests for system-level equivalences."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloaking.grid_cloak import GridCloaker
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.core.profiles import PrivacyProfile, PrivacyRequirement, ProfileEntry
@@ -12,6 +14,8 @@ from repro.engine.cloak import bulk_cloak
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
+from repro.obs import Telemetry
+from repro.queries.spec import KNNSpec, NNSpec, RangeSpec
 
 BOUNDS = Rect(0, 0, 100, 100)
 coord = st.floats(min_value=0, max_value=100, allow_nan=False)
@@ -150,3 +154,82 @@ class TestPersistenceProperties:
         loaded = self.round_trip(system, tmp_path_factory).users["u"].profile
         for t in (0.0, 21_600.0, 43_200.0, 64_800.0, 86_000.0):
             assert loaded.requirement_at(t) == profile.requirement_at(t)
+
+
+def _mean_summary(outcomes: list) -> dict:
+    """The QoS summary as ``np.mean`` over each kind's outcomes: the
+    oracle the ledger's running sums must agree with."""
+    out = {}
+    for prefix, kind in (("range", "Range"), ("nn", "NN"), ("knn", "KNN")):
+        rows = [o for o in outcomes if type(o).__name__ == f"{kind}QueryOutcome"]
+        if not rows:
+            continue
+        out[f"{prefix}_queries"] = len(rows)
+        out[f"{prefix}_mean_candidates"] = float(np.mean([o.candidates for o in rows]))
+        if prefix != "nn":
+            out[f"{prefix}_mean_overhead"] = float(np.mean([o.overhead for o in rows]))
+        out[f"{prefix}_accuracy"] = float(np.mean([o.correct for o in rows]))
+        if prefix == "range":
+            out["mean_cloak_area"] = float(np.mean([o.cloak_area for o in rows]))
+    return out
+
+
+class TestQoSLedgerSums:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["range", "nn", "knn"]),
+                st.integers(min_value=0, max_value=11),
+                st.floats(min_value=1.0, max_value=40.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sums_report_the_mean_over_the_returned_outcomes(
+        self, tmp_path_factory, queries, cut, seed
+    ):
+        """A random mix of user-bound queries, checkpointed and recovered
+        before query ``cut``: the summary equals ``np.mean`` over the
+        outcomes ``system.query`` returned, and a recovery replaying the
+        queries after the checkpoint reads it bit for bit."""
+        cut %= len(queries)
+        rng = np.random.default_rng(seed)
+        directory = tmp_path_factory.mktemp("ledger")
+        # 7 x 7 cells: cloak areas are not dyadic, so sums round.
+        system = PrivacySystem(BOUNDS, GridCloaker(BOUNDS, cols=7, rows=7))
+        system.attach_wal(directory)
+        for j in range(6):
+            system.add_poi(f"p{j}", Point(*rng.uniform(0, 100, 2).tolist()))
+        for i in range(12):
+            profile = PrivacyProfile.always(k=int(rng.integers(1, 5)), min_area=30.0)
+            at = Point(*rng.uniform(0, 100, 2).tolist())
+            system.add_user(MobileUser(f"u{i}", at, profile))
+        system.publish_all()
+        outcomes = []
+        for n, (kind, user, radius) in enumerate(queries):
+            if n == cut:
+                system.checkpoint(directory)
+                system.obs.events.detach_jsonl()
+                system = PrivacySystem.recover(directory, attach=True)
+            spec = {
+                "range": RangeSpec(flavor="private", user=f"u{user}", radius=radius),
+                "nn": NNSpec(flavor="private", user=f"u{user}"),
+                "knn": KNNSpec(flavor="private", user=f"u{user}", k=1 + user % 3),
+            }[kind]
+            outcome, _ = system.query(spec)
+            outcomes.append(outcome)
+        summary = system.ledger.summary()
+        expected = _mean_summary(outcomes)
+        assert list(summary) == list(expected)
+        for key, value in expected.items():
+            if key.endswith(("_queries", "_accuracy", "_mean_candidates")):
+                assert summary[key] == value and type(summary[key]) is type(value), key
+            else:
+                assert summary[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        system.obs.events.detach_jsonl()
+        recovered = PrivacySystem.recover(directory, telemetry=Telemetry())
+        assert recovered.ledger.summary() == summary

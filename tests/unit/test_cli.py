@@ -289,6 +289,7 @@ class TestCheckpointRecoverCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["users"] == 20
         assert report["queries_served"] == summary["queries_served"]
+        assert report["qos"] == summary["qos"] != {}  # the replayed ledger
         assert report["checkpoint"] == summary["checkpoint"]
         assert report["final_seq"] == summary["wal_seq"]
         assert "totals" not in report["audit"]  # already the totals dict

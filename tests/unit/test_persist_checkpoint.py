@@ -1,11 +1,14 @@
 """Checkpoints, atomic writes, and config round-trips.
 
-``tests/fixtures/persist_checkpoint_mini_v3.npz`` pins the full
-``repro.persist/3`` checkpoint of a small deterministic system, member
+``tests/fixtures/persist_checkpoint_mini_v4.npz`` pins the full
+``repro.persist/4`` checkpoint of a small deterministic system, member
 by member (``np.savez`` stamps zip times, so the bytes differ between
 writes); a drift in any written field fails here before it can make a
-stored checkpoint unreadable.  It is the only checkpoint form read, and
-it must recover to the digest of the system it was written from.
+stored checkpoint unreadable.  Regenerate it (only when the schema is
+meant to change) with ``PYTHONPATH=src python
+tests/unit/test_persist_checkpoint.py``.  The two ``_v3`` fixtures are
+the previous release's form, still read: each must recover to the
+digest of the system it was written from.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from repro.persist import (
 )
 from repro.persist import recovery
 from repro.persist.checkpoint import COLUMNS
-from repro.queries.spec import RangeSpec
+from repro.queries.spec import KNNSpec, NNSpec, RangeSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
@@ -80,21 +83,13 @@ DOCUMENT_KEYS = [
     "ledger",
     "columns",
 ]
-COLUMN_KEYS = [
-    *COLUMNS,
-    "ledger.range.cloak_area",
-    "ledger.range.candidates",
-    "ledger.range.answer_size",
-    "ledger.range.correct",
-    "ledger.nn.cloak_area",
-    "ledger.nn.candidates",
-    "ledger.nn.correct",
-    "ledger.knn.cloak_area",
-    "ledger.knn.k",
-    "ledger.knn.candidates",
-    "ledger.knn.answer_size",
-    "ledger.knn.correct",
-]
+COLUMN_KEYS = list(COLUMNS)
+#: One user-bound query of each kind, answered by :func:`_asked`.
+ASKED = (
+    RangeSpec(flavor="private", user="u2", radius=15.0),
+    NNSpec(flavor="private", user="u0"),
+    KNNSpec(flavor="private", user="u1", k=2),
+)
 
 
 def _mini_system() -> PrivacySystem:
@@ -110,6 +105,13 @@ def _mini_system() -> PrivacySystem:
         )
     system.publish_all()
     system.server.register_count_monitor("m0", Rect(0.0, 0.0, 50.0, 50.0))
+    return system
+
+
+def _asked(system: PrivacySystem) -> PrivacySystem:
+    """``system`` after answering the :data:`ASKED` queries."""
+    for spec in ASKED:
+        system.query(spec)
     return system
 
 
@@ -162,7 +164,7 @@ class _ReadKeys(dict):
 
 class TestCheckpointDocument:
     def test_matches_golden_fixture(self, tmp_path):
-        golden = _members(os.path.join(FIXTURES, "persist_checkpoint_mini_v3.npz"))
+        golden = _members(os.path.join(FIXTURES, "persist_checkpoint_mini_v4.npz"))
         written = _members(write_checkpoint(_mini_system(), tmp_path))
         assert list(written) == list(golden)
         assert json.loads(written.pop("manifest").tobytes()) == json.loads(
@@ -182,6 +184,36 @@ class TestCheckpointDocument:
     def test_previous_release_document_recovers_to_the_same_digest(self, tmp_path):
         current = _recover_fixture("persist_checkpoint_mini_v3.npz", tmp_path)
         assert system_digest(current) == system_digest(_mini_system())
+
+    def test_previous_release_ledger_rows_fold_to_the_live_sums(self, tmp_path):
+        """A ``/3`` checkpoint kept one ledger row per answered query; it
+        loads as the ``/4`` table of sums.  The fixture was written by the
+        last ``/3`` build (commit 5addb16) with::
+
+            git archive 5addb16 | tar -x -C /tmp/v3 && cd /tmp/v3 &&
+            PYTHONPATH=src:tests/unit python -c "
+            import shutil, tempfile
+            from test_persist_checkpoint import _mini_system
+            from repro.persist import write_checkpoint
+            from repro.queries.spec import KNNSpec, NNSpec, RangeSpec
+            system = _mini_system()
+            for spec in (
+                RangeSpec(flavor='private', user='u2', radius=15.0),
+                NNSpec(flavor='private', user='u0'),
+                KNNSpec(flavor='private', user='u1', k=2),
+            ):
+                system.query(spec)
+            shutil.copy(write_checkpoint(system, tempfile.mkdtemp()),
+                        '<repo>/tests/fixtures/persist_checkpoint_asked_v3.npz')"
+        """
+        name = "persist_checkpoint_asked_v3.npz"
+        state = load_checkpoint(os.path.join(FIXTURES, name))
+        live = _asked(_mini_system())
+        assert state["ledger"] == checkpoint_state(live)["ledger"]
+        assert list(state["columns"]) == COLUMN_KEYS
+        recovered = _recover_fixture(name, tmp_path)
+        assert system_digest(recovered) == system_digest(live)
+        assert system_digest(recovered)["qos"]["range_mean_overhead"] == 2.0
 
     def test_every_written_section_is_read(self, tmp_path, monkeypatch):
         """A section nothing reads is not a durable fact: it must go."""
@@ -361,7 +393,10 @@ class TestLoadCheckpoint:
         renamed = tmp_path / "checkpoint-000000000003.npz"
         _archive(renamed, {"schema": "repro.persist/2", "wal_seq": 3})
         for path in (archive, renamed):
-            with pytest.raises(CheckpointError, match="not a repro.persist/3 checkpoint"):
+            with pytest.raises(
+                CheckpointError,
+                match="not a repro.persist/4 or repro.persist/3 checkpoint",
+            ):
                 load_checkpoint(path)
         document = tmp_path / "checkpoint-000000000001.json"
         document.write_text(json.dumps({"schema": "repro.persist/2", "wal_seq": 1}))
@@ -416,9 +451,22 @@ class TestListCheckpoints:
 
 class TestRecoveryPhases:
     def test_four_phases_are_spans_with_row_counts(self, tmp_path):
+        """Answered queries are no rows: the ledger is a fixed-size table
+        of sums, and the checkpoint's members keep their names and shapes."""
+
+        def shapes(path) -> list:
+            members = _members(path)
+            ledger = json.loads(members.pop("manifest").tobytes())["ledger"]
+            return [
+                [(name, column.shape) for name, column in members.items()],
+                {kind: list(sums) for kind, sums in ledger.items()},
+            ]
+
         system = _mini_system()
+        before = shapes(write_checkpoint(system, tmp_path / "unasked"))
+        _asked(system)
         system.attach_wal(tmp_path)
-        write_checkpoint(system, tmp_path)
+        assert shapes(write_checkpoint(system, tmp_path)) == before
         system.apply_movement({"u0": Point(21.0, 21.0)})
         system.obs.events.detach_jsonl()
         telemetry = Telemetry()
@@ -430,6 +478,7 @@ class TestRecoveryPhases:
         }
         assert rows == {
             # 3 users + 3 registrations + 2 POIs + 3 regions, no ledger rows
+            # for the three answered queries
             "recovery.load": 11,
             "recovery.tables": 6,
             "recovery.indexes": 5,
@@ -612,3 +661,12 @@ class TestWalMeta:
             },
         }
         assert not list(tmp_path.glob("*.tmp"))
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    shutil.copy(
+        write_checkpoint(_mini_system(), tempfile.mkdtemp()),
+        os.path.join(FIXTURES, "persist_checkpoint_mini_v4.npz"),
+    )

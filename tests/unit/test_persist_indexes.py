@@ -1,6 +1,6 @@
 """The servers' R-trees in a checkpoint: columns in, an STR-loaded tree out.
 
-A ``repro.persist/3`` checkpoint stores each server store as its ids and
+A ``repro.persist/4`` checkpoint stores each server store as its ids and
 coordinate block, and ``_Store.restore`` STR-loads the R-tree from those
 arrays (``RTree.bulk_load``).  No index state is stored.
 """
