@@ -9,7 +9,12 @@ from repro.cloaking.grid_cloak import GridCloaker
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.cloaking.pyramid_cloak import PyramidCloaker
 from repro.core.profiles import PrivacyProfile, PrivacyRequirement, ProfileEntry
-from repro.core.system import PrivacySystem
+from repro.core.system import (
+    KNNQueryOutcome,
+    NNQueryOutcome,
+    PrivacySystem,
+    RangeQueryOutcome,
+)
 from repro.engine.cloak import bulk_cloak
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -160,8 +165,12 @@ def _mean_summary(outcomes: list) -> dict:
     """The QoS summary as ``np.mean`` over each kind's outcomes: the
     oracle the ledger's running sums must agree with."""
     out = {}
-    for prefix, kind in (("range", "Range"), ("nn", "NN"), ("knn", "KNN")):
-        rows = [o for o in outcomes if type(o).__name__ == f"{kind}QueryOutcome"]
+    for prefix, kind in (
+        ("range", RangeQueryOutcome),
+        ("nn", NNQueryOutcome),
+        ("knn", KNNQueryOutcome),
+    ):
+        rows = [o for o in outcomes if type(o) is kind]
         if not rows:
             continue
         out[f"{prefix}_queries"] = len(rows)
