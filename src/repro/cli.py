@@ -225,8 +225,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
             plan = explainer.explain_bulk_cloak(
                 system.anonymizer, t=system.clock
             )
-        elif args.query == "planned":
-            plan = explainer.explain_spec(specs["public_knn"])
         else:  # batch
             kinds = ("public_range", "public_knn", "public_count", "private_nn")
             plan = explainer.explain_batch([specs[kind] for kind in kinds])
@@ -603,7 +601,7 @@ VERBS: tuple[Verb, ...] = (
                 "--query",
                 # Every native kind, the composite plans, and the paper's
                 # Figure 6a worked example.
-                choices=("figure6a", *NATIVE_KINDS, "batch", "bulk_cloak", "planned"),
+                choices=("figure6a", *NATIVE_KINDS, "batch", "bulk_cloak"),
                 default="figure6a",
                 help="query path to explain (default: the paper's Figure 6a count)",
             ),

@@ -3,8 +3,8 @@
 :data:`RUNNERS` holds one row per native query kind
 (:func:`repro.queries.spec.native_kind`): the span a single execution
 opens, which store it searches, the scalar processor ``f(index, spec,
-rank)`` over the native store — and the vectorised kernel where one
-exists.  The planner's
+rank)`` over the native store, the vectorised kernel where one exists,
+and the kernel name and result order EXPLAIN prints.  The planner's
 single-query path and this module's batch path both run through it, so
 a kind has one scalar implementation and one kernel, wherever it is
 called from.  Adding a query kind is one spec class plus one row here.
@@ -250,6 +250,10 @@ class Runner:
         span_attrs: spec fields copied onto the span.
         candidates: True when the answer is a candidate set whose size
             is observed and logged on the query's ``planner.measured``.
+        kernel_label: the kernel's name as EXPLAIN prints it (``None``
+            exactly when ``kernel`` is).
+        tie_break: the canonical result-order policy of both routes
+            (docs/batch_engine.md).
     """
 
     span: str
@@ -258,27 +262,35 @@ class Runner:
     kernel: Callable | None = None
     span_attrs: tuple[str, ...] = ()
     candidates: bool = False
+    kernel_label: str | None = None
+    tie_break: str = "snapshot row order"
 
 
 RUNNERS: dict[str, Runner] = {
     "public_range": Runner(
         "server.public_range", "public",
         _public_range_scalar, _public_range_kernel,
+        kernel_label="points_in_windows_grid",
     ),
     "public_knn": Runner(
         "server.public_nn_exact", "public",
         _public_knn_scalar, _public_knn_kernel, ("k",),
+        kernel_label="knn_points_grid",
+        tie_break="distance, then snapshot rank",
     ),
     "public_count": Runner(
         "server.public_count", "private",
         _public_count_scalar, _public_count_kernel,
+        kernel_label="rects_intersecting_window + membership_probabilities",
     ),
     "public_nn": Runner(
-        "server.public_nn", "private", _public_nn_scalar, None, ("samples",)
+        "server.public_nn", "private", _public_nn_scalar, None, ("samples",),
+        tie_break="descending probability",
     ),
     "private_range": Runner(
         "server.private_range", "public",
         _private_range_scalar, _private_range_kernel, ("method",), True,
+        kernel_label="points_within_radius / points_in_windows",
     ),
     "private_nn": Runner(
         "server.private_nn", "public",

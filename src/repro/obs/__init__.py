@@ -41,6 +41,17 @@ from repro.obs.trace import SPAN_METRIC, SpanRecord, Tracer
 class Telemetry:
     """One registry + one tracer + one event log: the injection unit.
 
+    The three hot-path methods are bound per instance (one call instead
+    of two on the hottest paths in the package):
+
+    * ``span(name, **attrs)`` times one stage; a no-op fast path while
+      tracing is disabled.
+    * ``emit(kind, /, **attrs)`` records one structured event; dropped
+      while events are disabled.
+    * ``correlate(kind="q", reuse=False)`` opens a correlation scope:
+      everything recorded inside carries the minted ``qid`` (see
+      :class:`~repro.obs.correlate.CorrelationIds`).
+
     Args:
         enabled: whether spans are recorded; metrics counters always work
             (they are integer adds, cheaper than the spans they'd gate).
@@ -69,28 +80,9 @@ class Telemetry:
         self.correlation = CorrelationIds(self.registry)
         self.events.correlation = self.correlation
         self.tracer.correlation = self.correlation
-        # Bind the hot methods straight onto the instance: one method
-        # call instead of two on the hottest paths in the package.
         self.span = self.tracer.span
         self.emit = self.events.emit
         self.correlate = self.correlation.scope
-
-    # ------------------------------------------------------------------
-    # Hot-path API
-    # ------------------------------------------------------------------
-
-    def span(self, name: str, **attrs: object):
-        """Time one stage; no-op fast path when tracing is disabled."""
-        return self.tracer.span(name, **attrs)
-
-    def emit(self, kind: str, /, **attrs: object) -> int | None:
-        """Record one structured event; dropped while events are disabled."""
-        return self.events.emit(kind, **attrs)
-
-    def correlate(self, kind: str = "q", reuse: bool = False):
-        """Open a correlation scope: everything recorded inside carries
-        the minted ``qid`` (see :class:`~repro.obs.correlate.CorrelationIds`)."""
-        return self.correlation.scope(kind, reuse=reuse)
 
     def correlated_records(self):
         """Join buffered events and spans by ``qid`` (offline view)."""

@@ -1,9 +1,9 @@
 """Per-query EXPLAIN: structured plan trees for every query path.
 
-``EXPLAIN`` answers *why this answer cost what it cost*: which index was
-chosen, how many nodes it visited, which pruning decisions fired, and
-whether the batch engine took a vectorised kernel or the scalar
-fallback.  A :class:`QueryExplainer` **executes the query for real**
+``EXPLAIN`` answers *why this answer cost what it cost*: which route the
+planner chose, how many index nodes it visited, which pruning decisions
+fired, and whether the batch engine took a vectorised kernel or the
+scalar fallback.  A :class:`QueryExplainer` **executes the query for real**
 against its server — the reported index counters are measured deltas of
 the stores' :class:`~repro.index.base.IndexCounters`, not estimates, so
 a plan's ``node_visits`` equals exactly the work a plain call would
@@ -29,29 +29,6 @@ from repro.queries.spec import QuerySpec, native_kind, require_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import LocationServer
-
-#: Vectorised kernel behind each native kind (``None``: inherently scalar).
-BATCH_KERNELS: dict[str, str | None] = {
-    "public_range": "points_in_windows_grid",
-    "public_knn": "knn_points_grid",
-    "public_count": "rects_intersecting_window + membership_probabilities",
-    "public_nn": None,
-    "private_range": "points_within_radius / points_in_windows",
-    "private_nn": None,
-    "private_knn": None,
-}
-
-#: Canonical result-order policy per native kind (docs/batch_engine.md).
-TIE_BREAK: dict[str, str] = {
-    "public_range": "snapshot row order",
-    "public_knn": "distance, then snapshot rank",
-    "public_count": "snapshot row order",
-    "public_nn": "descending probability",
-    "private_range": "snapshot row order",
-    "private_nn": "snapshot row order",
-    "private_knn": "snapshot row order",
-}
-
 
 @dataclass
 class PlanNode:
@@ -143,6 +120,38 @@ def _rect_list(rect: Rect) -> list[float]:
     return [rect.min_x, rect.min_y, rect.max_x, rect.max_y]
 
 
+def _runner(kind: str):
+    """The kind's row of :data:`repro.engine.batch.RUNNERS` (imported
+    here: the engine imports this package)."""
+    from repro.engine.batch import RUNNERS
+
+    return RUNNERS[kind]
+
+
+def _decision_plan(decision) -> PlanNode:
+    """A planner :class:`~repro.planner.planner.Decision` as a subtree:
+    its facts, then one chosen or rejected leaf per eligible route."""
+    from repro.planner.planner import eligible_routes
+
+    root = PlanNode(
+        "planner.decision",
+        {
+            "query": decision.kind,
+            "backend": decision.backend,
+            "route": decision.route,
+            "reason": decision.reason,
+            "pinned": decision.pinned,
+            "forced": decision.forced,
+        },
+    )
+    for route in eligible_routes(decision.kind):
+        root.add(
+            "planner.chosen" if route == decision.route else "planner.rejected",
+            route=route,
+        )
+    return root
+
+
 # ----------------------------------------------------------------------
 # Per-kind operator trees of the native (R-tree, scalar) execution
 # ----------------------------------------------------------------------
@@ -152,7 +161,7 @@ def _public_range_plan(server, spec, ids, delta) -> PlanNode:
     plan = PlanNode(
         "public_range",
         {"window": _rect_list(spec.window), "matched": len(ids),
-         "order": TIE_BREAK["public_range"]},
+         "order": _runner("public_range").tie_break},
     )
     plan.add("index.range_query", index="rtree", store="public", **delta)
     return plan
@@ -162,7 +171,7 @@ def _public_knn_plan(server, spec, ids, delta) -> PlanNode:
     plan = PlanNode(
         "public_knn",
         {"point": [spec.point.x, spec.point.y], "k": spec.k,
-         "answered": len(ids), "tie_break": TIE_BREAK["public_knn"]},
+         "answered": len(ids), "tie_break": _runner("public_knn").tie_break},
     )
     plan.add("index.nearest", index="rtree", store="public", **delta)
     return plan
@@ -325,31 +334,29 @@ class QueryExplainer:
         after = counters.snapshot()
         sink.update({name: after[name] - before[name] for name in after})
 
-    def _planned(self, spec: QuerySpec, **forced):
-        """Decide, then execute under measurement: (decision, store side,
-        result, counter delta)."""
-        from repro.engine.batch import RUNNERS
-
-        planner = self.server.planner
-        decision = planner.decide(spec, **forced)
-        side = RUNNERS[decision.kind].side
-        delta: dict = {}
-        counters = getattr(self.server, side).index_counters
-        with self._measured(counters, delta):
-            result = planner.execute(spec, decision=decision)
-        return decision, side, result, delta
-
     def explain(self, spec: QuerySpec) -> PlanNode:
-        """EXPLAIN one spec on the native path: R-tree store, scalar route.
+        """EXPLAIN one spec: decide its route, execute it, measure it.
 
-        The operator tree is the kind's own (pruning radius, dominance
-        filter, Monte-Carlo estimate, one probability leaf per possible
-        member ...), with the measured index work on its index operator.
+        The root is the kind's own operator tree (pruning radius,
+        dominance filter, Monte-Carlo estimate, one probability leaf per
+        possible member ...), with the measured index work on its index
+        operator.  Its first child is the ``planner.decision`` subtree
+        (the route-table row, chosen and rejected routes), and its
+        ``qid`` is the one the decision / measurement events carry, so
+        the plan joins the event trail (:mod:`repro.obs.correlate`).
         """
         require_bound(spec)
-        with self.server.telemetry.correlate("q"):
-            decision, _, result, delta = self._planned(spec, route="scalar")
-        return _NATIVE_PLANS[decision.kind](self.server, spec, result, delta)
+        planner = self.server.planner
+        with self.server.telemetry.correlate("q") as qid:
+            decision = planner.decide(spec)
+            delta: dict = {}
+            store = getattr(self.server, _runner(decision.kind).side)
+            with self._measured(store.index_counters, delta):
+                result = planner.execute(spec, decision=decision)
+        plan = _NATIVE_PLANS[decision.kind](self.server, spec, result, delta)
+        plan.detail["qid"] = qid
+        plan.children.insert(0, _decision_plan(decision))
+        return plan
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -377,13 +384,14 @@ class QueryExplainer:
             groups.setdefault(native_kind(spec), []).append(spec)
         for kind, members in groups.items():
             route = planner.decide(members[0], len(batch)).route
+            runner = _runner(kind)
             plan.add(
                 f"engine.{kind}",
                 n=len(members),
                 path=route,
-                kernel=BATCH_KERNELS[kind] if route == "vectorized"
+                kernel=runner.kernel_label if route == "vectorized"
                 else "per-query processor",
-                tie_break=TIE_BREAK[kind],
+                tie_break=runner.tie_break,
             )
         return plan
 
@@ -421,50 +429,6 @@ class QueryExplainer:
         for group in outcome.groups:
             plan.add("cloak.group", **group)
         plan.add("store.set_regions", index="rtree", store="private", **delta)
-        return plan
-
-    # ------------------------------------------------------------------
-    # Planned specs (the planner's chosen routes)
-    # ------------------------------------------------------------------
-
-    def explain_spec(self, spec: QuerySpec) -> PlanNode:
-        """EXPLAIN a spec through the planner.
-
-        Unlike :meth:`explain`, which shows what the native path *did*,
-        this shows what the planner *chose*: the decision subtree
-        (chosen + rejected routes and the route-table reason) followed
-        by the measured execution under that choice.
-        """
-        if getattr(spec, "user", None) is not None:
-            raise ValueError(
-                "explain_spec() takes region-bound or public specs; "
-                "user-bound specs run through PrivacySystem.query()"
-            )
-        # One correlation scope over decide + execute: the plan tree
-        # carries the same qid as the decision/measured event pair, so
-        # EXPLAIN output joins the event trail (repro.obs.correlate).
-        with self.server.telemetry.correlate("q") as qid:
-            decision, side, result, delta = self._planned(spec)
-        if isinstance(result, tuple):
-            answered = len(result)
-        elif hasattr(result, "candidates"):
-            answered = len(result.candidates)
-        elif hasattr(result, "probabilities"):
-            answered = len(result.probabilities)
-        else:  # PublicNNResult
-            answered = len(result.answer.probabilities)
-        plan = PlanNode(
-            f"planned.{decision.kind}",
-            {"spec": spec.kind, "answered": answered, "qid": qid},
-        )
-        plan.children.append(decision.to_plan_node())
-        plan.add(
-            "execute",
-            backend=decision.backend,
-            route=decision.route,
-            store=side,
-            **delta,
-        )
         return plan
 
 

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.errors import QueryError
 from repro.engine.batch import RUNNERS
 from repro.obs.events import PLANNER_DECISION, PLANNER_MEASURED
-from repro.obs.explain import PlanNode
 from repro.planner.stats import PlannerStats, StatisticsCollector
 from repro.queries.spec import QuerySpec, native_kind, require_bound
 
@@ -97,26 +96,6 @@ class Decision:
             "pinned": self.pinned,
             "forced": self.forced,
         }
-
-    def to_plan_node(self) -> PlanNode:
-        """The decision as an EXPLAIN subtree (chosen + rejected routes)."""
-        root = PlanNode(
-            "planner.decision",
-            {
-                "query": self.kind,
-                "backend": self.backend,
-                "route": self.route,
-                "reason": self.reason,
-                "pinned": self.pinned,
-                "forced": self.forced,
-            },
-        )
-        for route in eligible_routes(self.kind):
-            root.add(
-                "planner.chosen" if route == self.route else "planner.rejected",
-                route=route,
-            )
-        return root
 
 
 def _table_row(kind: str, batched: bool) -> Decision:

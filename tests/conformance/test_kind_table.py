@@ -24,7 +24,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser
 from repro.obs.events import PLANNER_DECISION, QUERY_COMPLETED
-from repro.obs.explain import BATCH_KERNELS, TIE_BREAK
 from repro.planner.planner import eligible_routes
 from repro.queries.spec import (
     NATIVE_KINDS,
@@ -129,10 +128,11 @@ def test_every_spec_shape_maps_to_exactly_one_kind():
         for spec in specs:
             assert native_kind(spec) == kind, spec
     assert set(SHAPES) == set(NATIVE_KINDS)
-    # Everything keyed by kind is keyed by this one table.
-    assert set(RUNNERS) == set(BATCH_KERNELS) == set(TIE_BREAK) == set(NATIVE_KINDS)
-    for kind, runner in RUNNERS.items():
-        assert (runner.kernel is None) == (BATCH_KERNELS[kind] is None)
+    # Everything keyed by kind is a field of this one table's rows.
+    assert set(RUNNERS) == set(NATIVE_KINDS)
+    for runner in RUNNERS.values():
+        assert (runner.kernel is None) == (runner.kernel_label is None)
+        assert runner.tie_break
     with pytest.raises(QueryError):
         native_kind(WINDOW)
 

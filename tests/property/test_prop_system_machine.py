@@ -56,6 +56,7 @@ from repro.geometry.rect import Rect
 from repro.mobility.users import MobileUser, UserMode
 from repro.obs import Telemetry
 from repro.obs.audit import PrivacyAuditor
+from repro.obs.events import read_jsonl
 from repro.obs.risk import PrivacyRiskMonitor
 from repro.persist import WAL_NAME, Recovery, system_digest
 from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
@@ -105,12 +106,18 @@ class SystemMachine(RuleBasedStateMachine):
         )
         self.system.attach_wal(self.directory)
         self.risk = PrivacyRiskMonitor(BOUNDS).install(self.system.obs.events)
+        self._audit_afresh()
         self.added = 0
         self.checkpointed = False
 
     def teardown(self) -> None:
         self.system.obs.events.detach_jsonl()
         shutil.rmtree(self.root, ignore_errors=True)
+
+    def _audit_afresh(self) -> None:
+        """One auditor per WAL directory, and the WAL bytes it has folded."""
+        self.auditor = PrivacyAuditor()
+        self.audited = 0
 
     def _fresh_directory(self) -> str:
         self.generation += 1
@@ -269,6 +276,7 @@ class SystemMachine(RuleBasedStateMachine):
         recovery = Recovery(copy, telemetry=Telemetry(), attach=True)
         self.system = recovery.recover()
         self.directory = copy
+        self._audit_afresh()
         self.risk = PrivacyRiskMonitor(BOUNDS).install(self.system.obs.events)
         self.risk.seed_from(self.system)
         assert system_digest(self.system) == live
@@ -286,8 +294,15 @@ class SystemMachine(RuleBasedStateMachine):
 
     @invariant()
     def attain_or_declare(self):
-        path = os.path.join(self.directory, WAL_NAME)
-        report = PrivacyAuditor.from_jsonl(path).report()
+        """Fold the WAL's complete lines appended since the last step;
+        ``consume`` re-settles every declaration on each call."""
+        with open(os.path.join(self.directory, WAL_NAME), "rb") as wal:
+            wal.seek(self.audited)
+            tail = wal.read()
+        complete = tail[: tail.rfind(b"\n") + 1]
+        self.audited += len(complete)
+        self.auditor.consume(read_jsonl(complete.decode("utf-8").splitlines()))
+        report = self.auditor.report()
         assert report["totals"]["undeclared_violations"] == 0
 
     @invariant()

@@ -8,7 +8,7 @@ from repro.core.server import LocationServer
 from repro.core.stores import PublicStore
 from repro.geometry import Point, Rect
 from repro.obs import PlanNode, QueryExplainer, Telemetry, plan_to_json, render_plan
-from repro.obs.explain import BATCH_KERNELS, TIE_BREAK, explain_figure_6a
+from repro.obs.explain import explain_figure_6a
 from repro.queries.spec import (
     NATIVE_KINDS,
     CountSpec,
@@ -93,8 +93,28 @@ class TestFigure6a:
         assert "probability=0.75" in text
 
 
+def assert_measured_single_spec_row(plan, counters):
+    """The plan's index operator holds the store's whole counter totals
+    (a fresh server ran exactly this query), and its decision child is
+    the single-spec route-table row: scalar, not forced."""
+    index_nodes = (
+        plan.find("index.range_query")
+        + plan.find("index.nearest")
+        + plan.find("index.nearest_iter")
+    )
+    measured = index_nodes[0].detail
+    totals = counters.snapshot()
+    for name in ("node_visits", "leaf_scans", "distance_computations"):
+        assert measured[name] == totals[name]
+    decision = plan.children[0]
+    assert decision.op == "planner.decision"
+    assert (decision.detail["route"], decision.detail["forced"]) == ("scalar", False)
+    return measured
+
+
 class TestCountersMatchIndexWork:
-    """EXPLAIN executes the real query once: its counter deltas are exact."""
+    """EXPLAIN executes the real query once: its counter deltas are exact,
+    for every native kind, under the route table's single-spec row."""
 
     @pytest.mark.parametrize(
         "run",
@@ -110,23 +130,25 @@ class TestCountersMatchIndexWork:
         server = make_server()
         counters = server.public.index_counters
         assert counters.snapshot()["node_visits"] == 0  # fresh server
-        plan = run(QueryExplainer(server))
-        index_nodes = (
-            plan.find("index.range_query")
-            + plan.find("index.nearest")
-            + plan.find("index.nearest_iter")
-        )
-        measured = index_nodes[0].detail
-        totals = counters.snapshot()
-        for name in ("node_visits", "leaf_scans", "distance_computations"):
-            assert measured[name] == totals[name]
+        assert_measured_single_spec_row(run(QueryExplainer(server)), counters)
 
     def test_private_store_delta_for_count(self):
         server = make_server()
         plan = QueryExplainer(server).explain(CountSpec(window=Rect(0, 0, 50, 50)))
-        measured = plan.find("index.range_query")[0].detail
-        assert measured["node_visits"] == server.private.index_counters.snapshot()["node_visits"]
+        measured = assert_measured_single_spec_row(
+            plan, server.private.index_counters
+        )
         assert measured["range_queries"] == 1
+
+    def test_private_store_delta_for_public_nn(self):
+        server = make_server()
+        counters = server.private.index_counters
+        assert counters.snapshot()["node_visits"] == 0  # fresh server
+        plan = QueryExplainer(server).explain(
+            NNSpec(point=Point(30, 30), dataset="private", samples=64)
+        )
+        measured = assert_measured_single_spec_row(plan, counters)
+        assert plan.find("index.nearest_iter")[0].detail is measured
 
 
 class TestQueryPaths:
@@ -192,7 +214,7 @@ class TestQueryPaths:
             "public_range", "public_knn", "public_knn", "public_count",
             "public_nn", "private_range", "private_nn", "private_knn",
         ]
-        assert set(ops) == set(NATIVE_KINDS) == set(BATCH_KERNELS) == set(TIE_BREAK)
+        assert set(ops) == set(NATIVE_KINDS)
 
     def test_user_bound_spec_rejected(self):
         from repro.core.errors import QueryError

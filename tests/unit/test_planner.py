@@ -99,12 +99,17 @@ class TestDecisions:
         assert (decision.backend, decision.route) == ("rtree", "vectorized")
 
     def test_to_plan_node_shows_chosen_and_rejected(self, planner):
-        decision = planner.decide(RangeSpec(window=Rect(10, 10, 50, 50)))
-        node = decision.to_plan_node()
+        from repro.obs import QueryExplainer
+
+        plan = QueryExplainer(planner.server).explain(
+            RangeSpec(window=Rect(10, 10, 50, 50))
+        )
+        node = plan.children[0]
         assert node.op == "planner.decision"
         ops = [child.op for child in node.children]
         assert ops == ["planner.chosen", "planner.rejected"]
         assert node.children[0].detail["route"] == "scalar"
+        assert node.children[1].detail["route"] == "vectorized"
 
 
 class TestRouteTable:
@@ -248,21 +253,23 @@ class TestExplainSpec:
         from repro.obs import QueryExplainer
 
         explainer = QueryExplainer(system.server)
-        plan = explainer.explain_spec(CountSpec(window=Rect(0, 0, 40, 40)))
-        assert plan.op == "planned.public_count"
-        ops = {child.op for child in plan.children}
-        assert "planner.decision" in ops
-        execute = next(c for c in plan.children if c.op == "execute")
-        assert execute.detail["store"] == "private"
+        plan = explainer.explain(CountSpec(window=Rect(0, 0, 40, 40)))
+        assert plan.op == "public_count"
+        decision = plan.children[0]
+        assert decision.op == "planner.decision"
+        assert decision.detail["query"] == "public_count"
+        # The plan joins the event trail on its qid.
+        logged = list(system.obs.events.events(PLANNER_DECISION))[-1]
+        assert logged.attrs["qid"] == plan.detail["qid"]
+        # The index work was measured on the store the kind searches.
+        assert plan.find("index.range_query")[0].detail["store"] == "private"
 
     def test_explain_spec_rejects_user_bound(self, system):
         from repro.obs import QueryExplainer
 
         explainer = QueryExplainer(system.server)
-        with pytest.raises(ValueError, match="user-bound"):
-            explainer.explain_spec(
-                RangeSpec(flavor="private", user=0, radius=5.0)
-            )
+        with pytest.raises(QueryError, match="user-bound"):
+            explainer.explain(RangeSpec(flavor="private", user=0, radius=5.0))
 
 
 class TestStandaloneServer:
