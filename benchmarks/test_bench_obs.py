@@ -6,7 +6,7 @@ private-query pipeline is timed with the benchmark harness while a
 telemetry-instrumented :class:`~repro.core.system.PrivacySystem`
 accumulates per-stage latency histograms and index work counters; the
 monitoring-overhead gate (< 5 %) runs on the same system, a write-path
-arm records the monitoring share of bulk ticks, and the final
+arm gates the monitoring share of bulk ticks (< 12 %), and the final
 test folds everything into ``BENCH_obs.json`` at the repo root — the
 machine-readable record CI uploads as an artifact.
 """
@@ -38,6 +38,10 @@ N_POIS = 60
 N_QUERIES = 40
 #: Users moved and bulk-published per tick by the write-path arm.
 N_WRITE_USERS = 4000
+#: Gate on the write-path arm's monitoring share.  The columnar risk
+#: folds read 0.064-0.076 on a two-core container (the per-user folds
+#: before them 0.18): 0.12 leaves 60 % headroom over the worst reading.
+MAX_WRITE_SHARE = 0.12
 
 #: Shared across the module's tests: per-experiment timings, filled in by
 #: each benchmark test and flushed to disk by the final report test.
@@ -213,7 +217,9 @@ def test_obs_loop_monitoring_write_share():
     here over bulk ticks shaped like the pipeline benchmark's (every user
     reports through ``update_location``, then one bulk publish), for at
     least two sampling intervals.  Recorded as ``monitoring_write_share``
-    (monitoring seconds over tick seconds); no threshold yet.
+    (monitoring seconds over tick seconds) and gated below
+    ``MAX_WRITE_SHARE``.  Every user moves every tick, so nearly every
+    row changes bucket: the columnar folds' worst case.
     """
     import time
     from collections import Counter
@@ -291,6 +297,10 @@ def test_obs_loop_monitoring_write_share():
         "the risk tap missed a bulk publish: its ingestion was not measured"
     )
     assert windows_cut > 0, "no window was cut: risk scoring was not measured"
+    assert share < MAX_WRITE_SHARE, (
+        f"monitoring took {share:.1%} of the bulk ticks, over the "
+        f"{MAX_WRITE_SHARE:.0%} budget ({own * 1e3:.1f}ms of {total * 1e3:.1f}ms)"
+    )
 
 
 def test_obs_smoke_report(system, write_report):

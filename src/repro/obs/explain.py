@@ -210,7 +210,15 @@ def _public_nn_plan(server, spec, result, delta) -> PlanNode:
          "candidates": len(result.answer.probabilities),
          "samples": result.samples},
     )
-    plan.add("index.nearest_iter", index="rtree", store="private", **delta)
+    # The candidates come from one numpy pass over the store's frozen
+    # columns, not from the index: there is no index work to measure.
+    plan.add(
+        "scan.nn_candidates",
+        store="private",
+        columns="PrivateStore.snapshot_arrays()",
+        function="nn_candidate_users",
+        rows=len(server.private),
+    )
     plan.add(
         "pruning.bound",
         m=result.pruning_bound,

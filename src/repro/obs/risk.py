@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -223,8 +224,9 @@ class PrivacyRiskMonitor:
         users = attrs.get("users")
         if not users:
             return
-        sides = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
-        region = np.array(attrs["region"], dtype=np.intp)
+        table = attrs["sides"]
+        sides = np.fromiter(chain.from_iterable(table), float, 4 * len(table)).reshape(-1, 4)
+        region = np.fromiter(attrs["region"], np.intp, len(users))
         self.posterior.publish_many(users, sides, region)
         self.linkage.observe_many(users, attrs["pseudonyms"], self._t, sides, region)
 

@@ -366,3 +366,210 @@ def test_bulk_publication_equals_row_by_row(ticks):
         assert _monitor_state(bulk) == _monitor_state(rows)
     for user in MONITOR_USERS:
         assert bulk.linkage.track(user) == rows.linkage.track(user)
+
+
+# ----------------------------------------------------------------------
+# The three bulk folds against their row paths, rows reused
+# ----------------------------------------------------------------------
+
+#: Sides for the bulk folds: regions that collide into shared buckets,
+#: and one within the key rounding of the first (its bucket, other sides).
+FOLD_REGIONS = [
+    (0.0, 0.0, 25.0, 25.0),
+    (0.0, 0.0, 25.0 + 1e-12, 25.0),
+    (25.0, 25.0, 50.0, 50.0),
+    (50.0, 50.0, 100.0, 100.0),
+    (0.0, 50.0, 50.0, 100.0),
+]
+FOLD_USERS = [f"f{i}" for i in range(8)]
+
+
+def draw_user_lists(data, steps=6):
+    """A run of unique user lists, each with the user retired just before
+    it (or None): a fresh draw, a copy of the previous list, a
+    permutation of it, it plus users it lacks, or the previous list
+    again after one of its users retired."""
+    previous: list = []
+    for _ in range(data.draw(st.integers(1, steps))):
+        shape = data.draw(
+            st.sampled_from(["new", "same", "permuted", "grown", "retired"])
+            if previous else st.just("new")
+        )
+        retired = None
+        if shape == "new":
+            users = data.draw(st.lists(st.sampled_from(FOLD_USERS), min_size=1, unique=True))
+        elif shape == "permuted":
+            users = data.draw(st.permutations(previous))
+        elif shape == "grown":
+            absent = [user for user in FOLD_USERS if user not in previous]
+            users = previous + data.draw(
+                st.lists(st.sampled_from(absent or FOLD_USERS[:1]), unique=True)
+            )
+            users = list(dict.fromkeys(users))
+        else:
+            users = list(previous)
+            if shape == "retired":
+                retired = data.draw(st.sampled_from(users))
+        previous = users
+        yield users, retired
+
+
+def draw_table(data, users):
+    """The publication's distinct-region table (every fold region, in a
+    drawn order, some unused) and each user's row in it."""
+    order = data.draw(st.permutations(range(len(FOLD_REGIONS))))
+    picks = data.draw(
+        st.lists(st.sampled_from(order), min_size=len(users), max_size=len(users))
+    )
+    table = np.array([FOLD_REGIONS[i] for i in order])
+    region = np.array([order.index(i) for i in picks], dtype=np.intp)
+    return table, region
+
+
+class DictBuckets:
+    """The bucket model the index implements, kept the plain way: one
+    dict of sizes in creation order, one of each user's key."""
+
+    def __init__(self) -> None:
+        self.sizes: dict = {}
+        self.rects: dict = {}
+        self.key: dict = {}
+
+    def publish(self, user, region: Rect) -> None:
+        key = tuple(round(v, 9) for v in region.as_tuple())
+        old = self.key.get(user)
+        if old == key:
+            return
+        if old is not None:
+            self.sizes[old] -= 1
+            if not self.sizes[old]:
+                del self.sizes[old], self.rects[old]
+        self.key[user] = key
+        if key not in self.sizes:
+            self.sizes[key], self.rects[key] = 0, region
+        self.sizes[key] += 1
+
+    def retire(self, user) -> None:
+        old = self.key.pop(user, None)
+        if old is not None:
+            self.sizes[old] -= 1
+            if not self.sizes[old]:
+                del self.sizes[old], self.rects[old]
+
+
+def assert_same_buckets(index: StreamingPosteriorIndex, model: DictBuckets) -> None:
+    assert index.bucket_sizes() == list(model.sizes.values())
+    for limit in (16, 2):
+        assert index.recent_regions(limit) == list(model.rects.values())[-limit:]
+    for user in FOLD_USERS:
+        key = model.key.get(user)
+        assert index.anonymity_of(user) == (None if key is None else model.sizes[key])
+    assert (index.population, index.bucket_count) == (len(model.key), len(model.sizes))
+    if model.key:
+        assert index.mean_reidentification() == len(model.sizes) / len(model.key)
+        bits = sum(n * math.log2(n) for n in model.sizes.values())
+        assert index.mean_entropy_bits() == bits / len(model.key)
+    else:
+        assert index.mean_reidentification() is None
+        assert index.mean_entropy_bits() is None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_posterior_publish_many_equals_publish_row_by_row(data):
+    """Bulk and row path against the plain bucket model: sizes in bucket
+    order, the newest regions, every user's anonymity and both means,
+    over lists that repeat, permute, grow or lose a user between
+    publications; buckets empty and fill again inside one."""
+    bulk, rows, model = StreamingPosteriorIndex(), StreamingPosteriorIndex(), DictBuckets()
+    for users, retired in draw_user_lists(data):
+        if retired is not None:
+            for index in (bulk, rows, model):
+                index.retire(retired)
+        table, region = draw_table(data, users)
+        bulk.publish_many(users, table, region)
+        for user, slot in zip(users, region.tolist()):
+            rows.publish(user, Rect(*table[slot]))
+            model.publish(user, Rect(*table[slot]))
+        assert_same_buckets(bulk, model)
+        assert_same_buckets(rows, model)
+
+
+def test_a_bucket_that_empties_inside_a_publication_is_new():
+    """Every member of the oldest bucket leaves before a newcomer arrives:
+    it went and came back newest, with the newcomer's sides.  A newcomer
+    arriving before the last member leaves keeps it where it was."""
+    a, a_twin, b = FOLD_REGIONS[0], FOLD_REGIONS[1], FOLD_REGIONS[2]
+    for users, regions, sizes in (
+        (["u0", "u1", "u2"], [b, a_twin], [3, 1]),  # u0, u1 leave; then u2 arrives
+        (["u2", "u0", "u1"], [a, b], [1, 3]),  # u2 arrives while u0, u1 are in
+    ):
+        index = StreamingPosteriorIndex()
+        index.publish_many(["u0", "u1", "u3"], np.array([a, b]), np.array([0, 0, 1]))
+        slot = {"u0": 1, "u1": 1, "u2": 0}
+        index.publish_many(
+            users, np.array([a_twin, b]), np.array([slot[user] for user in users])
+        )
+        assert [r.as_tuple() for r in index.recent_regions()] == regions
+        assert index.bucket_sizes() == sizes
+
+
+@given(st.floats(min_value=0.0, max_value=5.0), st.data())
+@settings(max_examples=200, deadline=None)
+def test_linkage_observe_many_reusing_rows_equals_observe(max_speed, data):
+    """``observe_many`` against ``observe`` row by row over the same list
+    shapes, pseudonyms kept or rotated, and a row-path rotation between
+    two bulk calls (the next equal call must restart that row)."""
+    bulk, rows = StreamingLinkageColumns(max_speed), StreamingLinkageColumns(max_speed)
+    t, tags = 0.0, {}
+    for users, retired in draw_user_lists(data):
+        t += data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+        if retired is not None:
+            bulk.retire(retired)
+            rows.retire(retired)
+        rotated = data.draw(st.none() | st.sampled_from(users))
+        if rotated is not None and bulk.track(rotated) is not None:
+            for columns in (bulk, rows):
+                columns.observe(rotated, f"{rotated}-row", t, FOLD_REGIONS[3])
+        for user in users:
+            if user not in tags or data.draw(st.booleans()):
+                tags[user] = data.draw(st.sampled_from("ab"))
+        pseudonyms = [f"{user}-{tags[user]}" for user in users]
+        table, region = draw_table(data, users)
+        bulk.observe_many(users, pseudonyms, t, table, region)
+        for user, pseudonym, slot in zip(users, pseudonyms, region.tolist()):
+            rows.observe(user, pseudonym, t, table[slot].tolist())
+        assert len(bulk) == len(rows)
+        for user in FOLD_USERS:
+            assert bulk.track(user) == rows.track(user)
+        assert bulk.mean_shrinkage() == rows.mean_shrinkage()
+        assert bulk.inconsistent_steps == rows.inconsistent_steps
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_density_move_many_reusing_rows_equals_move(data):
+    """``move_many`` against ``move`` row by row over the same list
+    shapes, with users admitted between runs and lists naming users
+    never admitted (ignored)."""
+    bulk = StreamingDensityModel(BOUNDS, resolution=8)
+    rows = StreamingDensityModel(BOUNDS, resolution=8)
+    for model in (bulk, rows):
+        for i, user in enumerate(FOLD_USERS[:4]):
+            model.admit(user, 10.0 + 20 * i, 50.0)
+    coordinate = st.sampled_from([-5.0, 0.0, 12.5, 50.0, 99.0, 100.0, 130.0])
+    for users, retired in draw_user_lists(data):
+        admitted = data.draw(st.none() | st.sampled_from(FOLD_USERS))
+        for model in (bulk, rows):
+            if retired is not None:
+                model.retire(retired)
+            if admitted is not None:
+                model.admit(admitted, 30.0, 30.0)
+        xs = data.draw(st.lists(coordinate, min_size=len(users), max_size=len(users)))
+        ys = data.draw(st.lists(coordinate, min_size=len(users), max_size=len(users)))
+        bulk.move_many(users, xs, ys)
+        for user, x, y in zip(users, xs, ys):
+            rows.move(user, x, y)
+        assert np.array_equal(bulk._counts, rows._counts)
+        assert bulk._cells == rows._cells
+        assert bulk.population == rows.population

@@ -141,14 +141,19 @@ class TestCountersMatchIndexWork:
         assert measured["range_queries"] == 1
 
     def test_private_store_delta_for_public_nn(self):
+        """Public NN finds its candidates in one pass over the private
+        store's columns, not through its index: the plan names that scan
+        and the rows it read, and claims no index operator."""
         server = make_server()
-        counters = server.private.index_counters
-        assert counters.snapshot()["node_visits"] == 0  # fresh server
         plan = QueryExplainer(server).explain(
             NNSpec(point=Point(30, 30), dataset="private", samples=64)
         )
-        measured = assert_measured_single_spec_row(plan, counters)
-        assert plan.find("index.nearest_iter")[0].detail is measured
+        (scan,) = plan.find("scan.nn_candidates")
+        assert scan.detail["rows"] == len(server.private)
+        assert scan.detail["function"] == "nn_candidate_users"
+        assert not plan.find("index.nearest_iter") and not plan.find("index.nearest")
+        decision = plan.children[0]
+        assert (decision.detail["route"], decision.detail["forced"]) == ("scalar", False)
 
 
 class TestQueryPaths:

@@ -5,6 +5,7 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 from published_rows import columns_from_rows
 
@@ -15,7 +16,7 @@ from repro import (
     PyramidCloaker,
     RangeSpec,
 )
-from repro.attacks.streaming import bucket_anonymity
+from repro.attacks.streaming import StreamingLinkageColumns, bucket_anonymity
 from repro.geometry import Point, Rect
 from repro.mobility.users import UserMode
 from repro.obs.events import (
@@ -145,6 +146,28 @@ class TestLinkageColumns:
             track = system.risk.linkage.track(f"u{i}")
             assert track["pseudonym"] == system.anonymizer.pseudonym_of(f"u{i}")
             assert track["steps"] == 1  # each rotation starts afresh
+
+    @pytest.mark.parametrize("reused", [False, True])
+    def test_a_refused_bulk_observation_changes_no_row(self, reused):
+        """An observation older than a held row's last one is refused
+        before anything changes: the rotated user keeps the old pseudonym
+        and box, the untracked user gets no row.  ``reused`` refuses the
+        list the columns last saw, whose rows they keep."""
+        columns = StreamingLinkageColumns(max_speed=1.0)
+        table = np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0]])
+        columns.observe_many(["a", "b"], ["pa1", "pb1"], 5.0, table, np.array([0, 1]))
+        users = ["a", "b"] if reused else ["a", "b", "c"]
+        before = {user: columns.track(user) for user in ("a", "b", "c")}
+        with pytest.raises(ValueError, match="time-ordered"):
+            columns.observe_many(
+                users, ["pa2", "pb1", "pc1"][: len(users)], 3.0, table[::-1],
+                np.arange(len(users)) % 2,
+            )
+        assert {user: columns.track(user) for user in ("a", "b", "c")} == before
+        assert len(columns) == 2
+        columns.observe_many(["a", "b"], ["pa2", "pb1"], 6.0, table, np.array([0, 1]))
+        assert columns.track("a")["steps"] == 1  # the rotation restarts the row now
+        assert columns.track("b")["steps"] == 2
 
 
 class TestSeeding:

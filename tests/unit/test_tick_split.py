@@ -40,5 +40,13 @@ def test_smoke_split_names_every_part_of_a_bulk_tick():
     assert parts["json encode"]["calls"] == parts["sink write"]["calls"] == emits + 1
     assert emits < movers
     assert abs(sum(row["share"] for row in result["parts"]) - 1.0) < 1e-9
+    # The risk tap's total is every tap's self time plus the three folds.
+    tap = result["risk_tap"]
+    total = sum(
+        row["self_s"] for row in result["parts"]
+        if row["part"].startswith(("tap ", "Streaming"))
+    )
+    assert abs(tap["self_s"] - total) < 1e-12
+    assert tap["share_of_plain_tick"] == tap["self_s"] / result["plain_tick_s"]
     # The risk monitor keeps one linkage row per publishing user.
     assert result["linkage_trackers"] == result["users"]

@@ -18,7 +18,9 @@ and per-kind counter), the event log's run of location reports
 and buffers the run's one ``users.moved`` event), the JSON encode, the
 sink write, every event tap by event kind, the risk monitor's three
 columnar folds inside its taps (``StreamingPosteriorIndex.publish_many``,
-``StreamingLinkageColumns.observe_many``, ``StreamingDensityModel.move_many``),
+``StreamingLinkageColumns.observe_many``, ``StreamingDensityModel.move_many``;
+the last row, ``risk tap (total)``, adds the taps and the folds up as a
+share of the plain tick),
 ``LocationAnonymizer.update_location`` and the cloaker's
 ``move_user``, ``bulk_cloak`` with its grid kernel (``_grid_bulk``) and
 its per-group fold (``group_stats``) as parts of their own,
@@ -98,6 +100,23 @@ class TimedSink:
         return getattr(self._sink, name)
 
 
+#: The risk monitor's columnar folds: (the monitor's attribute, method).
+RISK_FOLDS = (
+    ("posterior", "publish_many"),
+    ("linkage", "observe_many"),
+    ("density", "move_many"),
+)
+
+
+def risk_folds(risk) -> list:
+    """(owner, method name) of each fold of the risk monitor ``risk``."""
+    return [] if risk is None else [(getattr(risk, attr), name) for attr, name in RISK_FOLDS]
+
+
+def fold_label(owner, name: str) -> str:
+    return f"{type(owner).__name__}.{name}"
+
+
 def instrument(system, timer: SelfTimer):
     """Wrap every part; returns the function that undoes it."""
     import repro.engine.cloak as cloak_module
@@ -132,15 +151,9 @@ def instrument(system, timer: SelfTimer):
     cloak_module.group_stats = timer.wrap("group_stats", saved_stats)
     server.receive_regions = timer.wrap("receive_regions", server.receive_regions)
     system.publish_all = timer.wrap("publish_all", system.publish_all)
-    risk = system.risk
-    folds = [] if risk is None else [
-        (risk.posterior, "publish_many"),
-        (risk.linkage, "observe_many"),
-        (risk.density, "move_many"),
-    ]
+    folds = risk_folds(system.risk)
     for owner, name in folds:
-        label = f"{type(owner).__name__}.{name}"
-        setattr(owner, name, timer.wrap(label, getattr(owner, name)))
+        setattr(owner, name, timer.wrap(fold_label(owner, name), getattr(owner, name)))
     gc.callbacks.append(timer.on_gc)
 
     def undo() -> None:
@@ -192,6 +205,11 @@ def split(workload_name: str, seed: int, smoke: bool) -> dict:
         risk = system.risk.report()["linkage"] if system.risk is not None else {}
         system.obs.events.detach_jsonl()
     timed_s = sum(timer.self_s.values())
+    folds = {fold_label(owner, name) for owner, name in risk_folds(system.risk)}
+    risk_s = sum(
+        seconds for label, seconds in timer.self_s.items()
+        if label.startswith("tap ") or label in folds
+    )
     parts = [
         {
             "part": label,
@@ -210,6 +228,7 @@ def split(workload_name: str, seed: int, smoke: bool) -> dict:
         "plain_tick_s": plain_s,
         "timed_tick_s": timed_s,
         "linkage_trackers": risk.get("trackers"),
+        "risk_tap": {"self_s": risk_s, "share_of_plain_tick": risk_s / plain_s},
         "parts": parts,
     }
 
@@ -228,6 +247,11 @@ def render(result: dict) -> str:
             f"{row['part']:42s} {row['calls']:8d} {row['self_s']:9.4f} "
             f"{row['us_per_call']:9.2f} {row['share']:7.1%}"
         )
+    tap = result["risk_tap"]
+    lines.append(
+        f"{'risk tap (total)':42s} {'':8s} {tap['self_s']:9.4f} {'':9s} "
+        f"{tap['share_of_plain_tick']:7.1%} of the plain tick"
+    )
     return "\n".join(lines)
 
 
