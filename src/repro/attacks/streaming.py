@@ -69,6 +69,8 @@ class _Rows:
     :meth:`of` keeps the rows of the last list it looked up; a next list
     equal to it (a population republished in the same order) gets the
     same array back without a lookup, until a row is added or dropped.
+    At 40k users the list compare is about a hundredth of the duplicate
+    check and lookup it skips.
     """
 
     def __init__(self) -> None:
@@ -108,12 +110,8 @@ class _Rows:
         if len(set(users)) < len(users):
             return None
         rows = np.fromiter(map(self.index.get, users, repeat(-1)), np.intp, len(users))
-        self.remember(users, rows)
-        return rows
-
-    def remember(self, users: Sequence[Hashable], rows: np.ndarray) -> None:
-        """Hand ``rows`` back from :meth:`of` for the next list equal to ``users``."""
         self._last = (list(users), rows)
+        return rows
 
 
 class StreamingDensityModel(DensityModel):
@@ -134,11 +132,6 @@ class StreamingDensityModel(DensityModel):
         self._cell_at = memoryview(self._cell)
         self._flat = self._counts.reshape(-1)  # a view: writes land in the grid
         self._frame = (*bounds.as_tuple(), bounds.width, bounds.height)
-
-    @property
-    def _cells(self) -> dict[Hashable, int]:
-        """Every tracked user's flat cell index (a copy)."""
-        return dict(zip(self._rows.users, self._cell.tolist()))
 
     def _cell_of(self, x: float, y: float) -> int:
         min_x, min_y, max_x, max_y, width, height = self._frame
@@ -265,16 +258,12 @@ class StreamingLinkageColumns:
         self._rows = _Rows()
         self._pseudonyms: list[Hashable] = []
         self._cols = np.zeros((8, 64))
-        #: (rows, pseudonyms) of the last bulk call while those rows still
-        #: carry exactly those pseudonyms: an equal next call starts no row.
-        self._named: tuple[np.ndarray, list] | None = None
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def _start(self, user: Hashable, pseudonym: Hashable) -> int:
         """The row that starts ``user``'s track under ``pseudonym``."""
-        self._named = None
         row = self._rows.index.get(user)
         if row is None:
             row = self._rows.add(user)
@@ -310,18 +299,6 @@ class StreamingLinkageColumns:
         self._cols[:, row] = (fx0, fy0, fx1, fy1, t, steps + 1, bad, total + shrinkage)
         return shrinkage
 
-    def _fresh(self, rows: np.ndarray, pseudonyms: Sequence) -> np.ndarray:
-        """True where a row starts: an untracked user, or a new pseudonym."""
-        named = self._named
-        if named is not None and named[0] is rows and named[1] == pseudonyms:
-            return np.zeros(len(rows), bool)
-        fresh = rows < 0
-        held = np.flatnonzero(~fresh)
-        if held.size:
-            now = np.fromiter(self._pseudonyms, object, len(self._pseudonyms))[rows[held]]
-            fresh[held] = now != np.fromiter(pseudonyms, object, len(rows))[held]
-        return fresh
-
     def observe_many(
         self,
         users: Sequence,
@@ -342,21 +319,22 @@ class StreamingLinkageColumns:
             for user, pseudonym, box in zip(users, pseudonyms, sides[region].tolist()):
                 self.observe(user, pseudonym, t, box)
             return
-        fresh = self._fresh(rows, pseudonyms)
+        boxes = np.ascontiguousarray(sides.T)[:, region]
+        # A row starts for an untracked user and for a new pseudonym.
+        fresh = rows < 0
+        held = np.flatnonzero(~fresh)
+        if held.size:
+            now = np.fromiter(self._pseudonyms, object, len(self._pseudonyms))[rows[held]]
+            fresh[held] = now != np.fromiter(pseudonyms, object, len(rows))[held]
         # An untracked user's -1 reads a row that the user then starts.
         if (t < self._cols[_T, rows][~fresh]).any():
             raise ValueError("observations must be time-ordered")
         starts = np.flatnonzero(fresh)
         if starts.size:
-            rows = rows.copy()
+            rows = rows.copy()  # the array of rows is _Rows.of's; never written
             for i in starts.tolist():
                 rows[i] = self._start(users[i], pseudonyms[i])
-            self._rows.remember(users, rows)
-        # Rows 0 .. n-1 in order (a population republished as it was
-        # first seen) are updated in place, any other order on a copy.
-        ordered = np.array_equal(rows, np.arange(len(rows)))
-        block = self._cols[:, : len(rows)] if ordered else self._cols[:, rows]
-        boxes = np.ascontiguousarray(sides.T)[:, region]
+        block = self._cols[:, rows]
         block[:_T, starts], block[_T, starts], block[_STEPS:, starts] = boxes[:, starts], t, 0.0
         reach = self.max_speed * (t - block[_T])
         feasible = np.stack([
@@ -374,10 +352,7 @@ class StreamingLinkageColumns:
         block[_STEPS] += 1.0
         block[_INCONSISTENT] += disjoint
         block[_SHRINKAGE] += shrinkage
-        if not ordered:
-            self._cols[:, rows] = block
-        if self._named is None or self._named[0] is not rows:
-            self._named = (rows, list(pseudonyms))
+        self._cols[:, rows] = block
 
     def retire(self, user: Hashable) -> None:
         """Drop ``user``'s row (no-op when unknown)."""
@@ -501,13 +476,15 @@ class StreamingPosteriorIndex:
             for user, slot in zip(users, region.tolist()):
                 self._place(user, keys[slot], table[slot])
             return
+        codes = np.fromiter(map(self._code_of.get, keys, repeat(-1)), np.intp, len(keys))
+        new = codes[region]  # an out-of-range region raises here, before any change
         unseen = np.flatnonzero(rows < 0)
         if unseen.size:
-            rows = rows.copy()
+            rows = rows.copy()  # the array of rows is _Rows.of's; never written
             rows[unseen] = self._add_rows([users[i] for i in unseen.tolist()])
-            self._rows.remember(users, rows)
-        codes, opened = self._codes(keys)
-        new = codes[region]
+        opened = self._open_missing(keys, codes)
+        if opened.size:
+            new = codes[region]
         moved = np.flatnonzero(new != self._code[rows])
         old, new = self._code[rows[moved]], new[moved]
         size, n = self._size, len(self._size)
@@ -529,30 +506,24 @@ class StreamingPosteriorIndex:
         self._close(gone.tolist() + opened[size[opened] == 0].tolist())
 
     def _keys(self, sides: np.ndarray) -> list[bytes]:
-        """Each table row's :func:`_key_of`, in column passes: numpy's
-        rounding is taken where it equals ``round`` on every distinct
-        value, ``round`` itself per distinct value otherwise."""
-        values = np.unique(sides)
-        exact = np.array([round(v, _KEY_DECIMALS) for v in values.tolist()])
-        if np.array_equal(np.round(values, _KEY_DECIMALS), exact):
-            rounded = np.round(sides, _KEY_DECIMALS)
-        else:
-            rounded = exact[np.searchsorted(values, sides)]
-        packed = np.ascontiguousarray(rounded.reshape(-1, 4) + 0.0)
+        """Each table row's :func:`_key_of`: ``round`` once per distinct
+        side value, the rows packed in one pass."""
+        values, inverse = np.unique(sides, return_inverse=True)
+        rounded = np.array([round(v, _KEY_DECIMALS) for v in values.tolist()])
+        packed = np.ascontiguousarray(rounded[inverse].reshape(-1, 4) + 0.0)
         return packed.view(np.dtype((np.void, 32))).ravel().tolist()
 
-    def _codes(self, keys: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-        """Each key's bucket code, and the codes opened (still empty) for
-        the keys no live bucket has."""
-        get = self._code_of.get
-        codes = np.fromiter(map(get, keys, repeat(-1)), np.intp, len(keys))
+    def _open_missing(self, keys: list[bytes], codes: np.ndarray) -> np.ndarray:
+        """Open an empty bucket for each key that no live bucket has (code
+        -1 in ``codes``), write its code into ``codes``, and return the
+        codes opened."""
         missing = np.flatnonzero(codes < 0).tolist()
         if not missing:
-            return codes, np.zeros(0, np.intp)
+            return np.zeros(0, np.intp)
         absent = list(dict.fromkeys(map(keys.__getitem__, missing)))
         opened = self._open(absent)
-        codes[missing] = list(map(get, map(keys.__getitem__, missing)))
-        return codes, np.array(opened, np.intp)
+        codes[missing] = list(map(self._code_of.get, map(keys.__getitem__, missing)))
+        return np.array(opened, np.intp)
 
     def _add_rows(self, users: list) -> list[int]:
         """Rows for untracked ``users``, in order; their codes are free."""

@@ -16,7 +16,11 @@ from repro import (
     PyramidCloaker,
     RangeSpec,
 )
-from repro.attacks.streaming import StreamingLinkageColumns, bucket_anonymity
+from repro.attacks.streaming import (
+    StreamingLinkageColumns,
+    StreamingPosteriorIndex,
+    bucket_anonymity,
+)
 from repro.geometry import Point, Rect
 from repro.mobility.users import UserMode
 from repro.obs.events import (
@@ -168,6 +172,26 @@ class TestLinkageColumns:
         columns.observe_many(["a", "b"], ["pa2", "pb1"], 6.0, table, np.array([0, 1]))
         assert columns.track("a")["steps"] == 1  # the rotation restarts the row now
         assert columns.track("b")["steps"] == 2
+
+    def test_an_out_of_range_region_changes_no_row(self):
+        """A bulk call whose ``region`` indexes past the table raises
+        before either bulk fold changes a row or a bucket."""
+        columns, index = StreamingLinkageColumns(max_speed=1.0), StreamingPosteriorIndex()
+        table = np.array([[0.0, 0.0, 10.0, 10.0], [50.0, 50.0, 60.0, 60.0]])
+        columns.observe_many(["a", "b"], ["pa1", "pb1"], 5.0, table, np.array([0, 1]))
+        index.publish_many(["a", "b"], table, np.array([0, 1]))
+        before = {user: columns.track(user) for user in ("a", "b", "c")}
+        buckets = (index.bucket_sizes(), index.recent_regions(), index.population)
+        with pytest.raises(IndexError):
+            columns.observe_many(
+                ["a", "b", "c"], ["pa2", "pb1", "pc1"], 6.0, table, np.array([1, 0, 2])
+            )
+        with pytest.raises(IndexError):
+            index.publish_many(["a", "b", "c"], table[:1] + 1.0, np.array([0, 0, 1]))
+        assert {user: columns.track(user) for user in ("a", "b", "c")} == before
+        assert len(columns) == 2
+        assert (index.bucket_sizes(), index.recent_regions(), index.population) == buckets
+        assert index.bucket_count == 2
 
 
 class TestSeeding:
