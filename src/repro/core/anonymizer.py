@@ -386,8 +386,8 @@ class LocationAnonymizer:
                 degraded=outcome.degraded,
                 users=list(map(str, outcome.users)),
                 pseudonyms=pseudonyms,
-                sides=table.tolist(),
-                region=region.tolist(),
+                sides=table,
+                region=region,
             )
         return outcome.results
 

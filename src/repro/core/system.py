@@ -19,6 +19,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Hashable
 
+import numpy as np
+
 from repro.cloaking.base import Cloaker
 from repro.cloaking.incremental import IncrementalCloaker
 from repro.core.anonymizer import LocationAnonymizer, _collector_held
@@ -326,6 +328,7 @@ class PrivacySystem:
             xs.append(point.x)
             ys.append(point.y)
         if users:
+            xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
             self.obs.emit(USERS_MOVED, users=users, xs=xs, ys=ys)
         for user_id in positions:
             if self.users[user_id].is_visible:

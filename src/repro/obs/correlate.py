@@ -42,6 +42,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.obs.events import jsonable
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.events import Event
     from repro.obs.metrics import MetricsRegistry
@@ -166,7 +168,8 @@ class CorrelatedRecord:
         return {
             "qid": self.qid,
             "bid": self.bid,
-            "events": [event.to_dict() for event in self.events],
+            # Columns as typed columns, so a bare json.dumps takes it.
+            "events": [jsonable(event.to_dict()) for event in self.events],
             "spans": [
                 {
                     "name": span.name,

@@ -11,7 +11,7 @@ The paper's anonymizer silently trades region area against each user's
 instead of only in aggregate (:mod:`repro.obs.audit` rolls them into
 attainment reports).
 
-Design constraints match the rest of the package: dependency-free, a
+Design constraints match the rest of the package: numpy only, a
 bounded ring buffer so a long-lived system cannot grow without bound,
 and an optional JSONL sink for durable trails.  Disabled emission is a
 single attribute check.  An enabled emit stamps the correlation id,
@@ -28,14 +28,25 @@ and the run goes out as one ``users.moved`` event when any other event
 is emitted, when the log is read, detached, disabled or reset, or when
 :meth:`EventLog.close_run` is called (checkpoints and WAL rotation do).
 The ring's ``keep`` counts rows: a columnar event weighs its row count.
+
+The two columnar kinds carry their numbers as arrays, and a line holds
+each array as a *typed column*, ``{"dtype": "<f8", "b64": ...}``: the
+little-endian bytes of the column, base64-encoded (``<f8`` for floats,
+``<i4`` for integers; :func:`encode_column`).  :func:`read_jsonl` turns
+the typed columns of those kinds back into arrays (:func:`decode_column`)
+and refuses a malformed one; the lists ``repro.wal/2`` wrote there stay
+lists.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -43,9 +54,60 @@ from repro.obs.metrics import MetricsRegistry
 EVENT_METRIC = "events.emitted"
 
 
+#: The typed-column dtype of each numpy dtype kind (floats and integers),
+#: and the native dtype each typed-column dtype reads back as.
+_WIRE_DTYPES = {"f": "<f8", "i": "<i4", "u": "<i4"}
+_NATIVE_DTYPES = {"<f8": np.dtype(np.float64), "<i4": np.dtype(np.int32)}
+
+
+def encode_column(column: np.ndarray) -> dict:
+    """An array as a typed column: its items' little-endian bytes in row
+    order, base64-encoded, with their dtype.  Only float and integer
+    arrays have this form."""
+    wire = _WIRE_DTYPES.get(column.dtype.kind)
+    if wire is None:
+        raise TypeError(f"no typed-column form for a {column.dtype} array")
+    raw = column.astype(wire, copy=False).tobytes()
+    return {"dtype": wire, "b64": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_column(value: Mapping) -> np.ndarray:
+    """A typed column back as a flat native array.  Raises ``ValueError``
+    for an unknown dtype, invalid base64, or a byte length that is not a
+    whole number of items."""
+    dtype = _NATIVE_DTYPES.get(value["dtype"])
+    if dtype is None:
+        raise ValueError(f"unknown typed-column dtype {value['dtype']!r}")
+    raw = base64.b64decode(value["b64"], validate=True)  # binascii.Error is a ValueError
+    if len(raw) % dtype.itemsize:
+        raise ValueError(
+            f"typed column of {len(raw)} bytes is not a whole number of "
+            f"{value['dtype']} items"
+        )
+    return np.frombuffer(raw, value["dtype"]).astype(dtype)
+
+
+def json_default(value):
+    """The ``default`` hook of every serialiser of event attributes: a
+    float or integer array becomes its typed column, anything else its
+    ``str``."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in _WIRE_DTYPES:
+        return encode_column(value)
+    return str(value)
+
+
+def jsonable(record: Mapping) -> dict:
+    """``record`` with each array value replaced as :func:`json_default`
+    replaces it: plain data that a bare ``json.dumps`` takes."""
+    return {
+        key: json_default(value) if isinstance(value, np.ndarray) else value
+        for key, value in record.items()
+    }
+
+
 def _one_shot_encoder():
-    """``json.dumps(..., sort_keys=True, default=str)`` with its C encoder
-    built once instead of once per call.
+    """``json.dumps(..., sort_keys=True, default=json_default)`` with its C
+    encoder built once instead of once per call.
 
     The circular-reference check stays: the C encoder records every
     container it enters in ``markers`` and drops it on the way out.  An
@@ -53,7 +115,7 @@ def _one_shot_encoder():
     before the error propagates; otherwise a later object that reuses a
     stale id would be refused as circular.
     """
-    encoder = json.JSONEncoder(sort_keys=True, default=str)
+    encoder = json.JSONEncoder(sort_keys=True, default=json_default)
     make = json.encoder.c_make_encoder
     if make is None:  # a Python built without the C accelerator
         return encoder.encode
@@ -94,8 +156,9 @@ USER_ADMITTED = "user.admitted"
 #: A user unsubscribed; her server-side region was retired.
 USER_RETIRED = "user.retired"
 #: A run of exact location reports (anonymizer-side knowledge only), as
-#: three columns ``users``, ``xs`` and ``ys``: one event per
-#: ``apply_movement`` call or per run of ``update_location`` calls.
+#: three columns: ``users``, and the float arrays ``xs`` and ``ys`` (typed
+#: ``<f8`` columns on the line); one event per ``apply_movement`` call or
+#: per run of ``update_location`` calls.
 USERS_MOVED = "users.moved"
 #: A user switched participation mode (passive/active/query).
 USER_MODE_CHANGED = "user.mode"
@@ -127,8 +190,9 @@ CLOAK_BULK = "cloak.bulk"
 REGION_PUBLISHED = "region.published"
 #: A whole population's regions reached the server in one bulk push, as
 #: the bulk round's columns: ``users``, ``pseudonyms``, the distinct-region
-#: table ``sides`` (``[min_x, min_y, max_x, max_y]`` rows) and each user's
-#: row in it, ``region``.
+#: table ``sides`` (an ``(m, 4)`` float array of ``[min_x, min_y, max_x,
+#: max_y]`` rows, a typed ``<f8`` column on the line) and each user's row
+#: in it, ``region`` (an integer array, typed ``<i4``).
 REGIONS_PUBLISHED_BULK = "regions.published_bulk"
 #: An end-to-end private query finished; carries the overhead ratio.
 QUERY_COMPLETED = "query.completed"
@@ -204,10 +268,43 @@ EVENT_KINDS: tuple[str, ...] = (
 _ROW_COLUMNS = {USERS_MOVED: "users", REGIONS_PUBLISHED_BULK: "users"}
 
 
+#: The typed columns of each columnar kind, with the width of their rows:
+#: ``None`` for one item per user, ``4`` for the region table ``sides``.
+_TYPED_COLUMNS = {
+    USERS_MOVED: {"xs": None, "ys": None},
+    REGIONS_PUBLISHED_BULK: {"sides": 4, "region": None},
+}
+
+
 def event_rows(kind: str, attrs: Mapping) -> int:
     """The rows one event stands for: a columnar kind's row count, else 1."""
     column = _ROW_COLUMNS.get(kind)
     return 1 if column is None else max(1, len(attrs.get(column) or ()))
+
+
+def _decode_typed_columns(kind: str, attrs: dict) -> None:
+    """Turn the typed columns of a columnar event's ``attrs`` into arrays,
+    in place.  A column read as a list (``repro.wal/2``) stays a list.
+    Raises ``ValueError`` for a malformed column, or one whose row count
+    is not the event's."""
+    columns = _TYPED_COLUMNS.get(kind)
+    if columns is None:
+        return
+    rows = len(attrs["users"])
+    for name, width in columns.items():
+        value = attrs.get(name)
+        if not isinstance(value, dict):
+            continue
+        column = decode_column(value)
+        if width is not None:
+            if column.size % width:
+                raise ValueError(f"{kind} column {name!r} is not {width} wide")
+            column = column.reshape(-1, width)
+        elif column.size != rows:
+            raise ValueError(
+                f"{kind} column {name!r} holds {column.size} rows for {rows} users"
+            )
+        attrs[name] = column
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +316,8 @@ class Event:
             key between related events, e.g. a ``cloak.degraded`` names
             its ``cloak.result`` via the ``result_seq`` attribute).
         kind: one of the ``EVENT_KINDS`` constants.
-        attrs: the decision's payload (plain JSON-serialisable values).
+        attrs: the decision's payload (plain JSON-serialisable values;
+            the columnar kinds' numeric columns are arrays).
     """
 
     seq: int
@@ -291,7 +389,9 @@ class EventLog:
         self._taps: list = []
         # The open run of location reports (append_move): its three
         # columns, the correlation scope its first row came in under, and
-        # the ids that scope stamps.
+        # the ids that scope stamps.  The coordinates stay lists while the
+        # run is open (a list append is the cheapest per report) and
+        # become float arrays when it closes.
         self._run: tuple[list, list, list, tuple | None, dict] | None = None
 
     # ------------------------------------------------------------------
@@ -345,6 +445,8 @@ class EventLog:
             return None
         self._run = None
         users, xs, ys, _, ids = run
+        rows = len(users)
+        xs, ys = np.fromiter(xs, float, rows), np.fromiter(ys, float, rows)
         return self._record(USERS_MOVED, {"users": users, "xs": xs, "ys": ys, **ids})
 
     def _record(self, kind: str, attrs: dict) -> int:
@@ -550,7 +652,10 @@ def read_jsonl(
     """Parse a JSONL event trail back into :class:`Event` values.
 
     Accepts a path, an open text file, or any iterable of lines; blank
-    lines are skipped, so concatenated sink files ingest cleanly.
+    lines are skipped, so concatenated sink files ingest cleanly.  The
+    typed columns of ``users.moved`` and ``regions.published_bulk`` come
+    back as arrays (``sides`` as an ``(m, 4)`` table); a malformed one,
+    or one whose row count is not the event's, is a bad line.
 
     A truncated or otherwise unparsable *final* line is dropped instead
     of raising: a process that crashes mid-``write`` leaves exactly one
@@ -576,7 +681,9 @@ def read_jsonl(
     last = len(lines) - 1
     for position, line in enumerate(lines):
         try:
-            events.append(Event.from_dict(json.loads(line)))
+            event = Event.from_dict(json.loads(line))
+            _decode_typed_columns(event.kind, event.attrs)
+            events.append(event)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             if strict or position != last:
                 raise

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -224,9 +223,8 @@ class PrivacyRiskMonitor:
         users = attrs.get("users")
         if not users:
             return
-        table = attrs["sides"]
-        sides = np.fromiter(chain.from_iterable(table), float, 4 * len(table)).reshape(-1, 4)
-        region = np.fromiter(attrs["region"], np.intp, len(users))
+        sides = np.asarray(attrs["sides"], dtype=float).reshape(-1, 4)
+        region = np.asarray(attrs["region"], dtype=np.intp)
         self.posterior.publish_many(users, sides, region)
         self.linkage.observe_many(users, attrs["pseudonyms"], self._t, sides, region)
 

@@ -34,6 +34,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
+from repro.obs.events import json_default
 from repro.obs.export import to_prometheus
 from repro.obs.slo import EXIT_SLO_VIOLATION, SLOMonitor
 
@@ -263,4 +264,4 @@ def smoke(system: "PrivacySystem", host: str = "127.0.0.1") -> dict:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=json_default) + "\n"

@@ -72,10 +72,10 @@ SCHEMA = "repro.persist/4"
 READ_SCHEMAS = (SCHEMA, "repro.persist/3")
 #: The form of the lines this build writes to ``wal.jsonl``, recorded in
 #: the ``wal-meta.json`` sidecar (docs/durability.md, *WAL forms*).
-WAL_FORM = "repro.wal/2"
+WAL_FORM = "repro.wal/3"
 #: The forms recovery reads, with one applier table: this build's, and
-#: ``repro.wal/1``, whose copies of each decision's count reach no applier.
-READ_WAL_FORMS = (WAL_FORM, "repro.wal/1")
+#: ``repro.wal/2``, whose columnar events carry lists, not typed columns.
+READ_WAL_FORMS = (WAL_FORM, "repro.wal/2")
 
 #: File names inside a durability directory.
 WAL_NAME = "wal.jsonl"

@@ -480,10 +480,10 @@ def _apply_published(system: "PrivacySystem", attrs: dict) -> None:
 
 def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
     """``users[i]`` under ``pseudonyms[i]`` holds region
-    ``sides[region[i]]``."""
+    ``sides[region[i]]`` (arrays, or the lists of ``repro.wal/2``)."""
     users, pseudonyms = attrs["users"], attrs["pseudonyms"]
-    table = np.array(attrs["sides"], dtype=float).reshape(-1, 4)
-    bounds = table[np.array(attrs["region"], dtype=np.intp)]
+    table = np.asarray(attrs["sides"], dtype=float).reshape(-1, 4)
+    bounds = table[np.asarray(attrs["region"], dtype=np.intp)]
     adopt = system.anonymizer._adopt
     for user_id, pseudonym in zip(users, pseudonyms):
         adopt(user_id, pseudonym)
@@ -491,9 +491,16 @@ def _apply_published_bulk(system: "PrivacySystem", attrs: dict) -> None:
 
 
 def _apply_moved(system: "PrivacySystem", attrs: dict) -> None:
+    """Row ``i``: ``users[i]`` is at ``(xs[i], ys[i])``, each point built
+    from Python floats (arrays, or the lists of ``repro.wal/2``)."""
     move = system._move_user
-    for user_id, x, y in zip(attrs["users"], attrs["xs"], attrs["ys"]):
+    for user_id, x, y in zip(attrs["users"], _values(attrs["xs"]), _values(attrs["ys"])):
         move(user_id, Point(x, y))
+
+
+def _values(column) -> list:
+    """A column's Python values: an array's ``tolist()``, a list as it is."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 #: How each durable event kind reaches its applier.  Replay reconstructs

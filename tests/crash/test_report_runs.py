@@ -20,15 +20,10 @@ import pytest
 from repro.core.system import PrivacySystem
 from repro.obs import PrivacyAuditor, Telemetry
 from repro.obs.events import (
-    CLOAK_DEGRADED,
-    CLOAK_RESULT,
     LOG_TRUNCATED,
-    PLANNER_DECISION,
-    PLANNER_MEASURED,
-    REGION_PUBLISHED,
     REGIONS_PUBLISHED_BULK,
-    USER_ADMITTED,
     USERS_MOVED,
+    read_jsonl,
 )
 from repro.persist import (
     META_NAME,
@@ -40,6 +35,7 @@ from repro.persist import (
     system_digest,
 )
 from repro.persist import recovery as recovery_module
+from repro.persist.checkpoint import WAL_FORM
 
 from harness import (
     build_system,
@@ -115,7 +111,7 @@ def _as_pre_marker(directory) -> None:
     """Rewrite the sidecar as a build before the WAL-form marker wrote it:
     ``schema`` naming the checkpoint schema, and no ``wal``."""
     meta = _wal_meta(directory)
-    assert meta.pop("wal") == "repro.wal/2"
+    assert meta.pop("wal") == WAL_FORM
     _write_wal_meta(directory, {"schema": "repro.persist/3", **meta})
 
 
@@ -250,66 +246,24 @@ def test_a_checkpoint_without_a_wal_offset_gets_the_full_read(tmp_path):
     assert system_digest(recovered) == system_digest(live)
 
 
-def _as_wal_1(records: list[dict], wal_seq: int) -> list[dict]:
-    """The records past ``wal_seq`` as the writer of ``repro.wal/1`` wrote
-    them, with the three kinds an earlier writer added, renumbered from
-    ``wal_seq + 1``: a ``server.query`` copy of each ``planner.decision``
-    (and a ``batch.executed`` after it), the ``old_pseudonym`` of each
-    rotated ``region.published``, and ``cloak.attempt`` and
-    ``candidates.generated``."""
-    out: list[dict] = []
-    pseudonyms: dict[str, str] = {}
-    for record in records:
-        record = dict(record)
-        kind = record["kind"]
-        if kind == USER_ADMITTED:
-            pseudonyms[record["user"]] = record["pseudonym"]
-        elif kind == REGIONS_PUBLISHED_BULK:
-            pseudonyms.update(zip(record["users"], record["pseudonyms"]))
-        elif kind == REGION_PUBLISHED:
-            old = pseudonyms[record["user"]]
-            pseudonyms[record["user"]] = record["pseudonym"]
-            if record["rotated"]:
-                record["old_pseudonym"] = old
-        if record["seq"] <= wal_seq:
-            continue
-        ids = {name: record[name] for name in ("qid", "bid") if name in record}
-        if kind == CLOAK_RESULT:
-            out.append({"kind": "cloak.attempt", **ids, **{
-                name: record[name]
-                for name in ("user", "t", "algo", "k", "min_area", "max_area")
-            }})
-        elif kind == PLANNER_MEASURED and "candidates" in record:
-            moved = {
-                name: record.pop(name)
-                for name in ("method", "candidates", "region_area", "radius")
-                if name in record
-            }
-            out.append({"kind": "candidates.generated", **ids,
-                        "query": record["query"], **moved})
-        out.append(record)
-        if kind == PLANNER_DECISION:
-            query, n = record["query"], record["n"]
-            out.append({"kind": "server.query", **ids, "query": query, "n": n})
-            out.append({"kind": "batch.executed", **ids, "size": n,
-                        "kinds": {query: n}})
-    renumbered = {record["seq"]: wal_seq + 1 + i
-                  for i, record in enumerate(out) if "seq" in record}
-    for i, record in enumerate(out):
-        record["seq"] = wal_seq + 1 + i
-        if record["kind"] == CLOAK_DEGRADED:
-            record["result_seq"] = renumbered[record["result_seq"]]
+def _as_wal_2(lines: list[str]) -> list[str]:
+    """``lines`` as the writer of ``repro.wal/2`` wrote them: every typed
+    column read back and written as the list it stands for."""
+    out = []
+    for event in read_jsonl(lines):
+        record = {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in event.to_dict().items()
+        }
+        out.append(json.dumps(record, sort_keys=True) + "\n")
     return out
 
 
-def test_a_tail_with_the_retired_duplicate_kinds_recovers_and_audits_the_same(
-    tmp_path,
-):
-    """A ``repro.wal/1`` tail, which repeats each decision's count in a
-    ``server.query`` and each rotated publication's old pseudonym, and
-    still holds the three kinds an earlier writer added, recovers to the
-    same digest, with no query counted twice, and audits to the same
-    report as the tail this build wrote."""
+def test_a_wal_2_tail_with_list_columns_recovers_and_audits_the_same(tmp_path):
+    """A ``repro.wal/2`` tail, whose ``users.moved`` and
+    ``regions.published_bulk`` lines carry lists where this build writes
+    typed columns, recovers to the same digest, with the same query
+    count, and audits to the same report as the tail this build wrote."""
     directory = str(tmp_path / "state")
     os.makedirs(directory)
     live = build_system(directory, rotate=True)
@@ -318,24 +272,41 @@ def test_a_tail_with_the_retired_duplicate_kinds_recovers_and_audits_the_same(
     _, state = _checkpoint_document(directory)
     lines = _wal_lines(directory)
     head = [line for line in lines if json.loads(line)["seq"] <= state["wal_seq"]]
-    tail = [json.loads(line) for line in lines[len(head):]]
-    old_tail = _as_wal_1([json.loads(line) for line in lines], state["wal_seq"])
-    assert {r["kind"] for r in old_tail} - {r["kind"] for r in tail} == {
-        "server.query", "cloak.attempt", "candidates.generated", "batch.executed",
+    old_tail = _as_wal_2(lines[len(head):])
+    changed = {
+        json.loads(line)["kind"]
+        for line, old in zip(lines[len(head):], old_tail)
+        if json.loads(line) != json.loads(old)
     }
-    assert any("old_pseudonym" in r for r in old_tail)
+    assert changed == {USERS_MOVED, REGIONS_PUBLISHED_BULK}
 
     current = PrivacyAuditor.from_jsonl(wal_path(directory)).report()
     assert current["totals"]["cloaks"] > 0
-    _write_wal(directory, head + [
-        json.dumps(record, sort_keys=True) + "\n" for record in old_tail
-    ])
-    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/1"})
+    _write_wal(directory, head + old_tail)
+    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/2"})
     recovered, report = _recover(directory)
     assert report["wal_read"] == "tail"
     assert system_digest(recovered) == system_digest(live)
     assert recovered.server.queries_served == live.server.queries_served > 0
     assert PrivacyAuditor.from_jsonl(wal_path(directory)).report() == current
+
+
+def test_a_wal_1_directory_is_refused_and_not_attached(tmp_path):
+    """``repro.wal/1`` is no longer read, whatever its file holds: a ``/1``
+    label on a file that a ``/2`` build appended to (it kept the label
+    until a rotation) is refused like any other ``/1`` file.  Recovery
+    raises naming the form, and ``attach_wal`` writes nothing."""
+    directory, _, _ = _durable_run(tmp_path, report_workload())
+    _write_wal(directory, _as_wal_2(_wal_lines(directory)))
+    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/1"})
+    files = {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+    with pytest.raises(RecoveryError, match="'repro.wal/1'"):
+        _recover(directory)
+    system = build_system()
+    with pytest.raises(CheckpointError, match="'repro.wal/1'"):
+        system.attach_wal(directory)
+    assert system.obs.events._sink is None
+    assert {path.name: path.read_bytes() for path in Path(directory).iterdir()} == files
 
 
 @pytest.mark.parametrize("checkpoint", [True, False])
@@ -391,18 +362,31 @@ def test_a_pre_marker_directory_is_refused_and_not_attached(
 def test_attaching_keeps_the_recorded_form_and_rotation_records_this_one(
     tmp_path,
 ):
-    """``Recovery(attach=True)`` on a ``repro.wal/1`` directory leaves it
-    ``repro.wal/1``: the lines in ``wal.jsonl`` were written in that
-    form, and this build's lines appended to them read the same.  A
-    later rotation starts a fresh file, and the sidecar names this
-    build's form for it."""
+    """``Recovery(attach=True)`` on a ``repro.wal/2`` directory leaves it
+    ``repro.wal/2``: the lines in ``wal.jsonl`` were written in that
+    form, and this build's typed lines appended to them read too, in one
+    file.  A later rotation starts a fresh file, and the sidecar names
+    this build's form for it."""
     directory, live, _ = _durable_run(tmp_path, report_workload())
-    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/1"})
+    _write_wal(directory, _as_wal_2(_wal_lines(directory)))
+    _write_wal_meta(directory, {**_wal_meta(directory), "wal": "repro.wal/2"})
     system, _ = _recover(directory, attach=True)
-    assert _wal_meta(directory)["wal"] == "repro.wal/1"
-    assert system_digest(system) == system_digest(live)
-    assert system.rotate_wal() is not None
     assert _wal_meta(directory)["wal"] == "repro.wal/2"
+    assert system_digest(system) == system_digest(live)
+    run_ops(system, [("report", [("u1", 33.0, 31.0)]), ("publish_bulk",)], directory)
+    system.obs.events.detach_jsonl()
+    columnar = [
+        record
+        for record in map(json.loads, _wal_lines(directory))
+        if record["kind"] in (USERS_MOVED, REGIONS_PUBLISHED_BULK)
+    ]
+    typed = [isinstance(record.get("xs", record.get("sides")), dict) for record in columnar]
+    assert not typed[0] and typed[-1]  # both forms in one file
+    recovered, _ = _recover(directory)
+    assert system_digest(recovered) == system_digest(system)
+    system.attach_wal(directory)
+    assert system.rotate_wal() is not None
+    assert _wal_meta(directory)["wal"] == WAL_FORM
     system.checkpoint(directory)
     system.obs.events.detach_jsonl()
     recovered, report = _recover(directory)

@@ -8,7 +8,8 @@ the WAL of a smoke-size run of each bulk benchmark workload equals,
 record for record, the WAL the row-form writer produced: the digests
 below were taken from that writer's tree on the same runs.  Timing fields
 and ``seq`` are left out, as are ``risk.scored`` records, whose number
-follows the wall clock.
+follows the wall clock.  The typed columns (``repro.wal/3``) are read
+back and expanded to the lists that writer wrote.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 from published_rows import rows_from_columns
 
+from repro.obs.events import read_jsonl
 from repro.persist.checkpoint import WAL_NAME
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -41,7 +44,7 @@ def _row_form(record: dict) -> dict | None:
     if record["kind"] == "risk.scored":
         return None
     record = {
-        key: value
+        key: value.tolist() if isinstance(value, np.ndarray) else value
         for key, value in record.items()
         if key not in ("seq", "seconds") and not key.endswith(("_s", "_us"))
     }
@@ -75,8 +78,7 @@ def test_smoke_wal_expanded_to_rows_equals_the_row_form_writers(
         for name in names
         if name == WAL_NAME
     ]
-    with open(wal, encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle]
+    records = [event.to_dict() for event in read_jsonl(wal)]
     assert any("region" in r for r in records if r["kind"] == "regions.published_bulk")
     rows = [row for row in map(_row_form, records) if row is not None]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()

@@ -5,8 +5,9 @@ interleaved rules — add, retire and reactivate users, remove public
 objects (down to none), move a batch through ``update_location``
 (reports, as a bulk tick makes them) or through ``apply_movement``,
 per-user and bulk publication rounds, queries of every native kind,
-singly and in mixed batches, checkpoints, and crash-and-recover onto a
-copy of the durability directory — and checks after every step that
+singly and in mixed batches, checkpoints (some rotating the WAL into a
+sealed segment first), and crash-and-recover onto a copy of the
+durability directory — and checks after every step that
 
 * every answer agrees with the :class:`BruteForceOracle` over the
   server's own tables;
@@ -59,6 +60,7 @@ from repro.obs.audit import PrivacyAuditor
 from repro.obs.events import read_jsonl
 from repro.obs.risk import PrivacyRiskMonitor
 from repro.persist import WAL_NAME, Recovery, system_digest
+from repro.persist.checkpoint import WAL_FORM, read_wal_meta
 from repro.queries.spec import CountSpec, KNNSpec, NNSpec, RangeSpec
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
@@ -264,6 +266,16 @@ class SystemMachine(RuleBasedStateMachine):
     def checkpoint(self):
         self.system.checkpoint(self.directory)
         self.checkpointed = True
+
+    @rule()
+    def checkpoint_rotating_the_wal(self):
+        """A checkpoint that rotates the WAL first: the live file is sealed
+        away and the fresh one, labelled with this build's form, takes
+        every later line, so later steps recover from it."""
+        self.system.checkpoint(self.directory, rotate_wal_over=0)
+        self.checkpointed = True
+        self._audit_afresh()  # the auditor folds the fresh file from its start
+        assert read_wal_meta(self.directory)["wal"] == WAL_FORM
 
     @rule()
     def crash_and_recover(self):

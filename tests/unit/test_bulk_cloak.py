@@ -604,7 +604,7 @@ def test_published_rows_follow_the_result_rows():
     assert attrs["pseudonyms"] == [
         registrations[user_id].pseudonym for user_id in results
     ]
-    assert [attrs["sides"][row] for row in attrs["region"]] == [
+    assert attrs["sides"][attrs["region"]].tolist() == [
         list(result.region.as_tuple()) for result in results.values()
     ]
     areas = [result.region.area for result in results.values()]

@@ -1,5 +1,7 @@
 """Correlation IDs (repro.obs.correlate) and their pipeline wiring."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from repro.obs.events import (
     PLANNER_DECISION,
     PLANNER_MEASURED,
     QUERY_COMPLETED,
+    REGIONS_PUBLISHED_BULK,
+    USERS_MOVED,
+    read_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -176,6 +181,39 @@ class TestCorrelateEvents:
         assert payload["qid"] == qid
         assert payload["events"][0]["kind"] == "cloak.attempt"
         assert payload["spans"][0]["name"] == "anonymizer.cloak"
+
+    def test_a_bulk_rounds_record_serialises_and_its_columns_read_back(self):
+        """The records of a correlated bulk round (its reports, made in a
+        batch scope, and its publication) go through a bare
+        ``json.dumps``; their events, read back as JSONL lines, hold the
+        live columns."""
+        bounds = Rect(0, 0, 100, 100)
+        system = PrivacySystem(bounds, PyramidCloaker(bounds, height=4))
+        for i in range(12):
+            system.add_user(
+                MobileUser(f"u{i}", Point(8.0 * i, 5.0 * i), PrivacyProfile.always(k=3))
+            )
+        with system.obs.correlate("b"):
+            for i in range(12):
+                system.anonymizer.update_location(f"u{i}", Point(7.5 * i, 1.0 + i))
+            system.publish_all(bulk=True)
+        columnar = {USERS_MOVED, REGIONS_PUBLISHED_BULK}
+        records = [
+            record
+            for record in system.obs.correlated_records().values()
+            if columnar & set(record.kinds())
+        ]
+        assert columnar <= {kind for record in records for kind in record.kinds()}
+        for record in records:
+            payload = json.loads(json.dumps(record.to_dict()))
+            events = read_jsonl(json.dumps(event) for event in payload["events"])
+            assert [(e.seq, e.kind) for e in events] == [
+                (e.seq, e.kind) for e in record.events
+            ]
+            for live, read in zip(record.events, events):
+                for name in ("xs", "ys", "sides", "region"):
+                    if name in live.attrs:
+                        assert read.attrs[name].tolist() == live.attrs[name].tolist()
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,19 @@ sort_keys=True, default=str)`` per event).  Whatever emit does to get
 faster, a fixed event sequence must still serialise to those bytes: the
 WAL is replayed by :mod:`repro.persist` and sized by the pipeline
 benchmark's ``wal_bytes_per_update``.  Its ``regions.published_bulk``
-line was rewritten, by the same encoder, when that event became columns.
+line was rewritten, by the same encoder, when that event became columns,
+and again when the columnar events took typed columns (``repro.wal/3``):
+that line's ``sides`` and ``region`` and the ``users.moved`` line, a run
+of three reports, carry ``{"dtype", "b64"}`` columns, written by the
+encoder's ``default`` hook.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
+
+import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -47,9 +53,12 @@ def emit_fixed_sequence(log: EventLog) -> None:
         REGIONS_PUBLISHED_BULK, n=3, rotated=0, area_sum=488.28125,
         path="kernel", algo="grid", escalated=0, degraded=0,
         users=["u0", "ü1", "u2"], pseudonyms=["p-000001", "p-000002", "p-000003"],
-        sides=[[0.0, 15.625, 15.625, 31.25], [984.375, 0.0, 1000.0, 15.625]],
-        region=[0, 1, 0],
+        sides=np.array([[0.0, 15.625, 15.625, 31.25], [984.375, 0.0, 1000.0, 15.625]]),
+        region=np.array([0, 1, 0]),
     )
+    # A run of reports: one users.moved line, closed by the next emit.
+    for user, x, y in (("u0", 0.1 + 0.2, -0.0), ("ü1", 1e22, 5e-324), ("u2", 1e-07, 3.0)):
+        log.append_move(user, x, y)
     # Non-JSON values go through ``default=str``.
     log.emit(QUERY_COMPLETED, region=Rect(0, 0, 1, 2), at=Point(0.5, 0.25),
              nested={"b": [1, {"z": None, "a": float("inf")}], "a": (1, 2)},

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro import GridCloaker, MobileUser, PrivacyProfile, PrivacySystem
@@ -22,6 +23,7 @@ from repro.obs.events import (
     REGIONS_PUBLISHED_BULK,
     USERS_MOVED,
     _encode,
+    encode_column,
     read_jsonl,
 )
 from repro.persist import load_checkpoint
@@ -56,8 +58,8 @@ class TestRun:
         assert len(moved) == 1
         (event,) = moved
         assert event.attrs["users"] == [f"u{i}" for i in range(20)]
-        assert event.attrs["xs"] == [50.0] * 20
-        assert event.attrs["ys"] == [1.0 + i for i in range(20)]
+        assert event.attrs["xs"].tolist() == [50.0] * 20
+        assert event.attrs["ys"].tolist() == [1.0 + i for i in range(20)]
         # The run came in under no scope: it is not the publish batch's.
         assert "qid" not in event.attrs and "bid" not in event.attrs
         assert tick[0] is event  # emitted ahead of the publish it preceded
@@ -89,12 +91,15 @@ class TestRun:
         assert (stamped["qid"], stamped["bid"]) == (qid, bid)
 
     def test_reports_reuse_the_callers_objects(self):
+        """The user id is the caller's object; the coordinates leave as
+        float arrays."""
         log = EventLog()
         user, x, y = "u7", 12.5, 3.25
         log.append_move(user, x, y)
         (event,) = log.events(USERS_MOVED)
         assert event.attrs["users"][0] is user
-        assert event.attrs["xs"][0] is x and event.attrs["ys"][0] is y
+        for column, value in ((event.attrs["xs"], x), (event.attrs["ys"], y)):
+            assert column.dtype == np.float64 and column.tolist() == [value]
 
     @pytest.mark.parametrize(
         "close",
@@ -124,8 +129,9 @@ class TestRun:
         close(log)
         first = json.loads(sink.getvalue().splitlines()[0])
         assert first == {
-            "kind": USERS_MOVED, "seq": 1,
-            "users": ["a", "b"], "xs": [1.0, 3.0], "ys": [2.0, 4.0],
+            "kind": USERS_MOVED, "seq": 1, "users": ["a", "b"],
+            "xs": encode_column(np.array([1.0, 3.0])),
+            "ys": encode_column(np.array([2.0, 4.0])),
         }
 
     def test_a_disabled_log_keeps_no_run(self):
@@ -142,9 +148,11 @@ class TestRun:
         system.apply_movement({"u1": Point(10.0, 10.0), "u4": Point(90.0, 20.0)})
         moved = [e for e in log.events(USERS_MOVED) if e.seq > before]
         assert len(moved) == 1
-        assert moved[0].attrs == {
-            "users": ["u1", "u4"], "xs": [10.0, 90.0], "ys": [10.0, 20.0]
-        }
+        attrs = moved[0].attrs
+        assert sorted(attrs) == ["users", "xs", "ys"]
+        assert attrs["users"] == ["u1", "u4"]
+        assert attrs["xs"].tolist() == [10.0, 90.0]
+        assert attrs["ys"].tolist() == [10.0, 20.0]
 
     def test_checkpoint_and_rotation_close_the_run(self, tmp_path):
         system = _system(4)

@@ -650,7 +650,7 @@ class TestWalMeta:
         with open(path, "r", encoding="utf-8") as handle:
             meta = json.load(handle)
         assert meta == {
-            "wal": "repro.wal/2",
+            "wal": "repro.wal/3",
             "bounds": [0.0, 0.0, 100.0, 100.0],
             "rotate_pseudonyms": False,
             "cloaker": {

@@ -35,9 +35,14 @@ def test_smoke_split_names_every_part_of_a_bulk_tick():
     ):
         assert parts[part]["calls"] == 1, part
     # With the WAL attached every event is encoded and written once: each
-    # emitted one, and the run's.
+    # emitted one, and the run's, each under its kind's row.
     emits = parts["emit (stamp, Event, ring, counter)"]["calls"]
-    assert parts["json encode"]["calls"] == parts["sink write"]["calls"] == emits + 1
+    encodes = {
+        part[len("json encode "):]: row["calls"]
+        for part, row in parts.items() if part.startswith("json encode ")
+    }
+    assert encodes["users.moved"] == encodes["regions.published_bulk"] == 1
+    assert sum(encodes.values()) == parts["sink write"]["calls"] == emits + 1
     assert emits < movers
     assert abs(sum(row["share"] for row in result["parts"]) - 1.0) < 1e-9
     # The risk tap's total is every tap's self time plus the three folds.

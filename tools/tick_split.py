@@ -15,8 +15,9 @@ Parts: the span machinery (``Telemetry.span`` and the span's enter and
 exit), ``EventLog.emit`` itself (correlation stamp, ``Event`` build, ring
 and per-kind counter), the event log's run of location reports
 (``append_move``, one call per mover, and ``close_run``, which numbers
-and buffers the run's one ``users.moved`` event), the JSON encode, the
-sink write, every event tap by event kind, the risk monitor's three
+and buffers the run's one ``users.moved`` event), the JSON encode by
+event kind (``json encode users.moved``, ``json encode
+regions.published_bulk``, one row for each other kind), the sink write, every event tap by event kind, the risk monitor's three
 columnar folds inside its taps (``StreamingPosteriorIndex.publish_many``,
 ``StreamingLinkageColumns.observe_many``, ``StreamingDensityModel.move_many``;
 the last row, ``risk tap (total)``, adds the taps and the folds up as a
@@ -136,7 +137,9 @@ def instrument(system, timer: SelfTimer):
     obs.emit = log.emit = timer.wrap("emit (stamp, Event, ring, counter)", log.emit)
     log.append_move = timer.wrap("run append", log.append_move)
     log.close_run = timer.wrap("run close", log.close_run)
-    events_module._encode = timer.wrap("json encode", saved_encode)
+    events_module._encode = timer.wrap(
+        lambda document: f"json encode {document['kind']}", saved_encode
+    )
     if saved_sink is not None:
         log._sink = TimedSink(saved_sink, timer)
     log._taps[:] = [timer.wrap(lambda e: f"tap {e.kind}", tap) for tap in saved_taps]
